@@ -29,8 +29,7 @@ Commands:
 * ``store compact PATH`` / ``store merge DEST SRC ...`` — rewrite a
   store to one line per cell / fold other stores (or leftover worker
   shards) into it.
-* ``bench [--out PATH] [--quick] [--min-legacy-speedup X]
-  [--min-ref-speedup X]`` — run the engine microbenchmarks, write
+* ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the engine microbenchmarks, write
   ``BENCH_engine.json``, and optionally fail if the engine is not fast
   enough (the CI perf-smoke tripwire).
 
@@ -412,7 +411,6 @@ def _cmd_bench(args) -> int:
     print(f"wrote {args.out}")
     violations = check_thresholds(
         report,
-        min_legacy_speedup=args.min_legacy_speedup,
         min_ref_speedup=args.min_ref_speedup,
         min_numpy_speedup=args.min_numpy_speedup,
         min_phase_speedup=args.min_phase_speedup,
@@ -512,11 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--quick", action="store_true",
         help="small workloads for CI smoke runs",
-    )
-    p_bench.add_argument(
-        "--min-legacy-speedup", type=float, default=None,
-        help="fail unless every workload beats the frozen pre-refactor "
-             "engine by this factor",
     )
     p_bench.add_argument(
         "--min-ref-speedup", type=float, default=None,

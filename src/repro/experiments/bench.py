@@ -1,6 +1,6 @@
 """Engine microbenchmarks: slots/sec on fixed workloads.
 
-``repro bench`` runs each workload on up to six simulators —
+``repro bench`` runs each workload on up to five simulators —
 
 * ``engine`` — the current bitmask-resolution engine with phase-compiled
   stepping (``stepping="phase"``: plan-emitting protocols step slots at
@@ -13,10 +13,6 @@
   resolution backend (present when numpy is installed),
 * ``engine_list_path`` — the phase engine forced onto the legacy
   per-neighbor list resolution (``resolution="list"``),
-* ``legacy_engine`` — the frozen pre-refactor engine
-  (:mod:`repro.sim.legacy`); it predates phase plans, so it runs the
-  per-slot protocol variant (or the plan-expanded wrapper,
-  :func:`~repro.sim.plan.as_slot_protocol`),
 * ``reference`` — the naive slot-by-slot oracle
   (:class:`~repro.sim.reference.ReferenceSimulator`),
 
@@ -82,10 +78,8 @@ from repro.sim import (
 from repro.sim.config import ExecutionConfigError
 from repro.sim.feedback import is_message
 from repro.sim.batch import run_trials
-from repro.sim.legacy import LegacySimulator
 from repro.sim.models import MODELS, ChannelModel, LossyModel
 from repro.sim.observers import SlotObserver
-from repro.sim.plan import as_slot_protocol
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import RESOLUTION_MODES, create_backend, numpy_available
 
@@ -109,12 +103,6 @@ class BenchWorkload:
     build: Callable[[], Tuple[Graph, ChannelModel, Callable, Knowledge, Dict]]
     reps: int = 3
     time_limit: int = 10_000_000
-    # Whether --min-legacy-speedup gates this workload.  The two
-    # resolution-bound workloads (dense single-hop, clustering row) carry
-    # the refactor's 2x acceptance bar; the idle-dominated workload exists
-    # for the engine-vs-reference tripwire and is gated only by
-    # --min-ref-speedup.
-    legacy_gate: bool = True
     # Whether to additionally replay this workload's recorded slots
     # straight through every resolution backend (no generator stepping)
     # — the numpy-vs-bitmask acceptance measurement, gated by
@@ -122,9 +110,9 @@ class BenchWorkload:
     backend_bench: bool = False
     # Optional builder of an explicit per-slot protocol variant,
     # byte-identical to build()'s (plan-emitting) protocol.  When given,
-    # the engine_slot and legacy runners use it directly (the honest
-    # pre-phase-ABI baseline); when None they fall back to plan
-    # expansion (stepping="slot" / as_slot_protocol).
+    # the engine_slot runner uses it directly (the honest pre-phase-ABI
+    # baseline); when None it falls back to plan expansion
+    # (stepping="slot").
     slot_build: Optional[Callable[[], Callable]] = None
     # Whether --min-phase-speedup gates this workload's end-to-end
     # engine-vs-engine_slot ratio (the phase-stepping acceptance bar).
@@ -315,7 +303,6 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
                 "bursts, 10 windows (quick variant)",
                 _sr_frame_cell(512, 10),
                 reps=3,
-                legacy_gate=False,
                 slot_build=lambda: _sr_frame_protocol(10, False),
                 phase_gate=True,
             ),
@@ -330,7 +317,6 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
                 "Thm 21 path algorithm, n=512, idle-dominated (quick variant)",
                 _path_idle(512),
                 reps=3,
-                legacy_gate=False,
             ),
         ]
     return [
@@ -346,7 +332,6 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
             "decay SR frame, clique n=512, 510 listeners + colliding "
             "bursts, 12 windows",
             _sr_frame_cell(512, 12),
-            legacy_gate=False,
             slot_build=lambda: _sr_frame_protocol(12, False),
             phase_gate=True,
         ),
@@ -359,7 +344,6 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
             "path_idle_n1024",
             "Thm 21 path algorithm, n=1024, idle-dominated",
             _path_idle(1024),
-            legacy_gate=False,
         ),
     ]
 
@@ -383,11 +367,9 @@ def _runners(
 ) -> Dict[str, Tuple[Callable[[], Any], Callable]]:
     """name -> (make_runner, protocol) pairs.
 
-    ``slot_protocol`` is the per-slot-equivalent protocol used by the
-    runners without native plan support (the frozen legacy engine) and,
-    when it is an explicit variant rather than the expander wrapper, by
-    ``engine_slot`` — so the phase-vs-slot ratio compares against the
-    honest pre-phase-ABI stepping cost.
+    ``slot_protocol`` is the workload's explicit per-slot variant (or
+    None); ``engine_slot`` runs it when given, so the phase-vs-slot ratio
+    compares against the honest pre-phase-ABI stepping cost.
 
     ``base_config`` centers the matrix: the primary ``engine`` runner
     uses it verbatim and every comparison runner derives from it via
@@ -409,7 +391,6 @@ def _runners(
     # would only burn reps.
     if slot_protocol is None:
         # No explicit per-slot variant: expand plans per slot.
-        slot_protocol = as_slot_protocol(protocol)
         if base.stepping != "slot":
             runners["engine_slot"] = (
                 sim(base.replace(stepping="slot")), protocol
@@ -422,12 +403,6 @@ def _runners(
         runners["engine_list_path"] = (
             sim(base.replace(resolution="list")), protocol
         )
-    runners["legacy_engine"] = (
-        lambda: LegacySimulator(
-            graph, model, time_limit=base.time_limit, **common
-        ),
-        slot_protocol,
-    )
     runners["reference"] = (
         lambda: ReferenceSimulator(
             graph, model, time_limit=base.time_limit, **common
@@ -868,7 +843,7 @@ def validate_bench_config(config: ExecutionConfig) -> None:
     if not config.meter_energy:
         raise ExecutionConfigError(
             "bench cannot honor exec_config.meter_energy=False: the "
-            "legacy/reference runners always meter, so the equivalence "
+            "reference runner always meters, so the equivalence "
             "check would fail by construction"
         )
     for spec in config.field_specs():
@@ -940,17 +915,13 @@ def run_engine_benchmarks(
                 for k, v in timings.items()
             },
             # Generator entries per simulated slot: the deterministic
-            # stepping-cost metric (0-entry runners — the frozen legacy
-            # engine — are omitted).
+            # stepping-cost metric.
             "entries_per_slot": {
                 k: round(r.gen_entries / slots, 2) if slots else 0.0
                 for k, r in results.items()
-                if r.gen_entries
             },
-            "speedup_vs_legacy": round(timings["legacy_engine"] / engine_seconds, 3),
             "speedup_vs_reference": round(timings["reference"] / engine_seconds, 3),
             "equivalent": equivalent,
-            "legacy_gate": workload.legacy_gate,
             "phase_gate": workload.phase_gate,
         }
         # The fixed-axis ratio keys name their baseline ("vs list path",
@@ -989,7 +960,6 @@ def run_engine_benchmarks(
     report["campaign_fabric"] = _campaign_fabric_section(quick)
     summary: Dict[str, float] = {}
     for key in (
-        "speedup_vs_legacy",
         "speedup_vs_list_path",
         "speedup_vs_reference",
     ):
@@ -1019,7 +989,6 @@ def run_engine_benchmarks(
 
 def check_thresholds(
     report: Dict,
-    min_legacy_speedup: Optional[float] = None,
     min_ref_speedup: Optional[float] = None,
     min_numpy_speedup: Optional[float] = None,
     min_phase_speedup: Optional[float] = None,
@@ -1125,15 +1094,6 @@ def check_thresholds(
                     f"< required {min_numpy_speedup}x"
                 )
         if (
-            min_legacy_speedup is not None
-            and entry.get("legacy_gate", True)
-            and entry["speedup_vs_legacy"] < min_legacy_speedup
-        ):
-            violations.append(
-                f"{name}: speedup_vs_legacy {entry['speedup_vs_legacy']}x "
-                f"< required {min_legacy_speedup}x"
-            )
-        if (
             min_ref_speedup is not None
             and entry["speedup_vs_reference"] < min_ref_speedup
         ):
@@ -1174,11 +1134,10 @@ def format_report(report: Dict) -> str:
         lines.append(f"  {name}: {entry['description']}")
         lines.append(
             "    engine {engine:>12.1f} slots/s | phase-vs-slot {phase} | "
-            "legacy x{legacy:.2f} | list-path {list_path} | "
+            "list-path {list_path} | "
             "reference x{ref:.2f} | equivalent={eq}".format(
                 engine=entry["slots_per_sec"]["engine"],
                 phase=fmt_ratio(entry, "speedup_phase_vs_slot"),
-                legacy=entry["speedup_vs_legacy"],
                 list_path=fmt_ratio(entry, "speedup_vs_list_path"),
                 ref=entry["speedup_vs_reference"],
                 eq=entry["equivalent"],

@@ -115,8 +115,7 @@ class SimResult:
         trace: event trace if tracing was enabled, else None.
         gen_entries: how many times the run entered a protocol generator
             (``next``/``send`` calls, including the final StopIteration
-            ones).  The stepping-cost metric phase plans minimize; 0 for
-            runners that do not track it (the frozen legacy engine).
+            ones).  The stepping-cost metric phase plans minimize.
         soa_reason: why the trial-SoA lock-step engine did ("ok") or did
             not (a fallback reason such as "resolution" or
             "stateful_model") run this trial.  Set only by

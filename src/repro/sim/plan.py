@@ -70,7 +70,6 @@ __all__ = [
     "Steps",
     "ProtocolError",
     "expand_plans",
-    "as_slot_protocol",
 ]
 
 
@@ -629,14 +628,3 @@ def expand_plans(gen, rng):
                 action = gen.send(fb)
     except StopIteration as stop:
         return stop.value
-
-
-def as_slot_protocol(protocol_factory):
-    """Wrap a protocol factory so every node runs through
-    :func:`expand_plans` — for drivers without native plan support
-    (e.g. the frozen legacy engine in the benchmarks)."""
-
-    def factory(ctx):
-        return expand_plans(protocol_factory(ctx), ctx.rng)
-
-    return factory

@@ -43,8 +43,7 @@ class TestBenchHarness:
         assert entry["n"] == 5
         assert entry["slots"] == 3
         expected_runners = {
-            "engine", "engine_slot", "engine_list_path", "legacy_engine",
-            "reference",
+            "engine", "engine_slot", "engine_list_path", "reference",
         }
         from repro.sim.resolution import numpy_available
 
@@ -53,7 +52,6 @@ class TestBenchHarness:
         assert set(entry["seconds"]) == expected_runners
         for value in entry["seconds"].values():
             assert value >= 0
-        assert "speedup_vs_legacy" in entry
         assert "speedup_phase_vs_slot" in entry
         # The tiny per-slot workload enters its generator once per slot
         # per node (+ the init and final entries) on every tracked runner.
@@ -114,16 +112,10 @@ class TestBenchHarness:
             workloads=[_tiny_workload()], lockstep_seeds=8
         )
         # Impossible bars must be flagged...
-        violations = check_thresholds(
-            report, min_legacy_speedup=1e9, min_ref_speedup=1e9
-        )
-        assert len(violations) == 2
+        violations = check_thresholds(report, min_ref_speedup=1e9)
+        assert len(violations) == 1
         # ...no bars, no violations.
         assert check_thresholds(report) == []
-        # legacy_gate=False exempts a workload from the legacy bar only.
-        report["workloads"]["tiny"]["legacy_gate"] = False
-        assert check_thresholds(report, min_legacy_speedup=1e9) == []
-        assert len(check_thresholds(report, min_ref_speedup=1e9)) == 1
         # The phase bar applies only to phase_gate workloads.
         assert check_thresholds(report, min_phase_speedup=1e9) == []
         report["workloads"]["tiny"]["phase_gate"] = True
@@ -184,11 +176,6 @@ class TestBenchHarness:
         for quick in (False, True):
             names = {w.name for w in default_workloads(quick=quick)}
             assert {"dense_single_hop_n512", "table1_clustering_row"} <= names
-            gates = {
-                w.name: w.legacy_gate for w in default_workloads(quick=quick)
-            }
-            assert gates["dense_single_hop_n512"]
-            assert gates["table1_clustering_row"]
 
 
 class TestBenchCli:
@@ -200,7 +187,6 @@ class TestBenchCli:
         )
         assert args.quick and args.out == "x.json"
         assert args.min_ref_speedup == 1.2
-        assert args.min_legacy_speedup is None
         assert args.min_lossy_soa_speedup is None
 
     def test_cli_lossy_soa_gate_parses(self):

@@ -29,7 +29,6 @@ from repro.sim import (
     Simulator,
 )
 from repro.sim.actions import SendListen
-from repro.sim.legacy import LegacySimulator
 from repro.sim.models import LossyModel
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import numpy_available
@@ -81,19 +80,13 @@ def _assert_same(fast, slow):
     assert fast.duration == slow.duration
 
 
-def _compare(
-    graph, model, protocol, seed, inputs=None, model_factory=None,
-    include_legacy=True,
-):
-    """Engine (both resolution paths) and the frozen legacy engine must
-    all match the reference oracle.
+def _compare(graph, model, protocol, seed, inputs=None, model_factory=None):
+    """The engine, under every resolution backend, must match the
+    reference oracle.
 
     ``model_factory`` builds a fresh model per run for stateful channels
     (LossyModel carries rng state across runs, so each simulator needs
-    its own instance).  ``include_legacy=False`` skips the frozen engine:
-    it resolves listeners before duplexers rather than in vertex order,
-    which only matters (and was never exercised) for stateful models
-    under full duplex.
+    its own instance).
     """
     make = model_factory or (lambda: model)
     slow = ReferenceSimulator(graph, make(), seed=seed).run(protocol, inputs=inputs)
@@ -103,11 +96,6 @@ def _compare(
             exec_config=ExecutionConfig(resolution=resolution),
         ).run(protocol, inputs=inputs)
         _assert_same(fast, slow)
-    if include_legacy:
-        legacy = LegacySimulator(graph, make(), seed=seed).run(
-            protocol, inputs=inputs
-        )
-        _assert_same(legacy, slow)
 
 
 class TestEquivalence:
@@ -178,8 +166,8 @@ class TestEquivalence:
 
 class TestAllModelsBothPaths:
     """The satellite sweep: five channel models x LossyModel wrapper x
-    random protocols x both engine resolution paths (plus the frozen
-    legacy engine), all differentially pinned to the reference oracle."""
+    random protocols x every engine resolution backend, all
+    differentially pinned to the reference oracle."""
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
     @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
@@ -211,8 +199,7 @@ class TestAllModelsBothPaths:
         """Duplexers and listeners interleave by vertex index; with a
         stateful (lossy) channel the resolution *order* itself is part of
         the semantics, so engine and oracle must consume channel
-        randomness identically.  (The frozen legacy engine predates this
-        guarantee and is deliberately excluded.)"""
+        randomness identically."""
         base = LOCAL  # full duplex
         if lossy:
             factory = lambda: LossyModel(base, 0.3, seed=17)
@@ -225,7 +212,6 @@ class TestAllModelsBothPaths:
                 _random_protocol(12, duplex=True),
                 seed,
                 model_factory=factory,
-                include_legacy=False,
             )
 
     def test_lossy_nocd_on_grid(self):
