@@ -503,8 +503,7 @@ def _lockstep_section(
     base_config: Optional[ExecutionConfig] = None,
     seeds_count: int = 64,
 ) -> Dict:
-    """Serial vs lock-step batched trials on one many-seed dense cell,
-    each under per-slot and phase-compiled stepping.
+    """Serial vs lock-step batched trials on one many-seed dense cell.
 
     The workload is the paper's hottest communication shape — the
     SR-frame clique (every node active nearly every slot, receivers in
@@ -513,18 +512,13 @@ def _lockstep_section(
     the trial-axis struct-of-arrays engine (:mod:`repro.sim.trialsoa`)
     whenever numpy is importable, and its headline ratio
     ``speedup_lockstep_phase_vs_serial_slot`` carries the perf-smoke
-    ``--min-lockstep-speedup`` gate; ``lockstep_slot`` keeps the bench
-    base resolution, so it keeps recording the per-trial fallback
-    driver's curve (historically break-even — see
-    :mod:`repro.sim.lockstep`).
+    ``--min-lockstep-speedup`` gate.
 
-    The four variants derive from the bench's re-centerable base config
-    via ``replace()`` (like :func:`_runners`), so ``--resolution`` /
+    The variants derive from the bench's re-centerable base config via
+    ``replace()`` (like :func:`_runners`), so ``--resolution`` /
     ``--time-limit`` re-center this section too, and ``--seeds`` scales
     the trial count.
     """
-    from repro.sim.trialsoa import soa_engaged
-
     base = base_config or ExecutionConfig()
     n, windows = (256, 4) if quick else (512, 4)
     seeds = list(range(seeds_count))
@@ -533,9 +527,7 @@ def _lockstep_section(
     slot_protocol = _sr_frame_protocol(windows, phase=False)
     phase_protocol = _sr_frame_protocol(windows, phase=True)
     # The SoA engine needs the numpy backend; upgrade the default
-    # bitmask for the phase variant when numpy is importable, but honor
-    # an explicit re-centering (e.g. --resolution list measures the
-    # per-trial fallback driver on that backend).
+    # bitmask for the lock-step variant when numpy is importable.
     soa_res = base.resolution
     if soa_res == "bitmask" and numpy_available():
         soa_res = "numpy"
@@ -546,19 +538,11 @@ def _lockstep_section(
         "serial_phase": (
             phase_protocol, base.replace(stepping="phase")
         ),
-        "lockstep_slot": (
-            slot_protocol,
-            base.replace(lockstep=True, stepping="slot"),
-        ),
         "lockstep_phase": (
             phase_protocol,
             base.replace(lockstep=True, stepping="phase", resolution=soa_res),
         ),
     }
-    soa_active = (
-        soa_res == "numpy"
-        and soa_engaged(NO_CD, variants["lockstep_phase"][1])
-    )
     seconds = {}
     results = {}
     for name, (protocol, config) in variants.items():
@@ -581,6 +565,8 @@ def _lockstep_section(
         == [[e.total for e in r.energy] for r in baseline]
         for other in results.values()
     )
+    lockstep = results["lockstep_phase"]
+    soa_active = bool(lockstep) and lockstep[0].soa_reason == "ok"
     entry: Dict[str, Any] = {
         "description": (
             f"SR-frame clique n={n}, No-CD, {windows} windows x 32 slots "
@@ -601,15 +587,12 @@ def _lockstep_section(
         "speedup_lockstep_phase_vs_serial_slot": round(
             seconds["serial_slot"] / seconds["lockstep_phase"], 3
         ),
-        # Stepping win isolated under each executor.
+        # Stepping win isolated on the serial engine.
         "speedup_phase_vs_slot_serial": round(
             seconds["serial_slot"] / seconds["serial_phase"], 3
         ),
-        "speedup_phase_vs_slot_lockstep": round(
-            seconds["lockstep_slot"] / seconds["lockstep_phase"], 3
-        ),
-        # Batching win isolated under phase stepping (the PR-3 question;
-        # break-even until the trial axis was vectorized).
+        # Batching win isolated under phase stepping: SoA vs the best
+        # serial configuration.
         "speedup_lockstep_vs_serial_phase": round(
             seconds["serial_phase"] / seconds["lockstep_phase"], 3
         ),
@@ -637,7 +620,7 @@ def _lossy_lockstep_section(
     ``--min-lossy-soa-speedup`` gate, and ``soa_reason`` records which
     dispatch verdict each variant actually got — the gate also requires
     ``soa_active`` (the numpy variant reporting ``"ok"``), so a silent
-    fallback to the per-trial driver fails CI rather than hiding in a
+    fallback to the serial engine fails CI rather than hiding in a
     slower-but-green run.
     """
     base = base_config or ExecutionConfig()
@@ -666,10 +649,6 @@ def _lossy_lockstep_section(
         "serial_slot": (
             slot_protocol,
             base.replace(stepping="slot", model_factory=factory),
-        ),
-        "lockstep_slot": (
-            slot_protocol,
-            base.replace(lockstep=True, stepping="slot", model_factory=factory),
         ),
         "lockstep_phase": (
             phase_protocol,
@@ -728,10 +707,6 @@ def _lossy_lockstep_section(
         # Headline: the vectorized lossy SoA path vs the serial oracle.
         "speedup_lossy_soa_vs_serial": round(
             seconds["serial_slot"] / seconds["lockstep_phase"], 3
-        ),
-        # Same batch through the per-trial lock-step fallback driver.
-        "speedup_lossy_soa_vs_pertrial": round(
-            seconds["lockstep_slot"] / seconds["lockstep_phase"], 3
         ),
     }
     return entry
@@ -1006,12 +981,12 @@ def check_thresholds(
     ``min_lockstep_speedup`` gates the lockstep_trials headline ratio
     (``speedup_lockstep_phase_vs_serial_slot``) and requires the SoA
     trial-axis engine to actually be the path measured — a run where it
-    silently fell back to the per-trial driver is itself a violation.
+    silently fell back to the serial engine is itself a violation.
     ``min_lossy_soa_speedup`` applies the same discipline to the
     lossy-channel workload (``lossy_lockstep_trials``): it gates
     ``speedup_lossy_soa_vs_serial`` and demands ``soa_active`` — the
     lossy variant must report dispatch verdict ``"ok"``, proving the
-    vectorized drop-mask path (not the per-trial fallback) was timed.
+    vectorized drop-mask path (not the serial fallback) was timed.
     """
     violations = []
     if min_numpy_speedup is not None and not report.get("numpy_available"):
@@ -1176,14 +1151,12 @@ def format_report(report: Dict) -> str:
         if "speedup_lockstep_phase_vs_serial_slot" in lockstep:
             lines.append(
                 "    lock-step+phase x{a:.2f} vs serial per-slot "
-                "(SoA={soa}) | "
-                "phase-vs-slot serial x{b:.2f}, lock-step x{c:.2f} | "
+                "(SoA={soa}) | phase-vs-slot serial x{b:.2f} | "
                 "lock-step-vs-serial (phase) x{d:.2f} | "
                 "equivalent={eq}".format(
                     soa=lockstep.get("soa_active", False),
                     a=lockstep["speedup_lockstep_phase_vs_serial_slot"],
                     b=lockstep["speedup_phase_vs_slot_serial"],
-                    c=lockstep["speedup_phase_vs_slot_lockstep"],
                     d=lockstep["speedup_lockstep_vs_serial_phase"],
                     eq=lockstep["equivalent"],
                 )
@@ -1193,11 +1166,9 @@ def format_report(report: Dict) -> str:
         lines.append(f"  lossy_lockstep_trials: {lossy['description']}")
         reasons = lossy.get("soa_reason", {})
         lines.append(
-            "    lossy SoA x{a:.2f} vs serial, x{b:.2f} vs per-trial "
-            "lock-step (SoA={soa}) | equivalent={eq} | "
+            "    lossy SoA x{a:.2f} vs serial (SoA={soa}) | equivalent={eq} | "
             "soa_reason: {reasons}".format(
                 a=lossy["speedup_lossy_soa_vs_serial"],
-                b=lossy["speedup_lossy_soa_vs_pertrial"],
                 soa=lossy.get("soa_active", False),
                 eq=lossy["equivalent"],
                 reasons=", ".join(

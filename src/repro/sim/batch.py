@@ -7,14 +7,15 @@ setup (uid validation, knowledge defaults, resolution-backend build)
 every time; :func:`run_trials` does it once and reuses the engine, so
 per-trial overhead is just the run itself.
 
-Two execution shapes share this entry point:
+Two executors share this entry point:
 
 * **serial** (default) — one engine replayed seed after seed; and
-* **lock-step** (``lockstep=True``) — all seeds advance slot-by-slot
-  together (:mod:`repro.sim.lockstep`), so a resolution backend can
-  resolve every trial's receptions in one batched sweep (one transmit
-  mask per trial over the shared mask table, under
-  ``resolution="numpy"``).  Results are byte-identical either way.
+* **lock-step** (``lockstep=True``) — a dispatch: batches the trial-SoA
+  engine can vectorize (:func:`repro.sim.trialsoa.soa_fallback_reason`
+  returns None) advance all seeds together as ``[trial, node]`` arrays
+  (:mod:`repro.sim.trialsoa`); every other batch runs on the serial
+  engine, seed after seed.  Every lock-step result records the verdict
+  in ``SimResult.soa_reason``.  Results are byte-identical either way.
 
 Both sweep drivers ride on this core: the serial
 :func:`repro.experiments.harness.sweep` driver batches all seeds of a
@@ -36,9 +37,11 @@ from repro.sim.config import (
     resolve_exec_config,
 )
 from repro.sim.engine import ProtocolFactory, Simulator, SimResult
+from repro.sim.faults import parse_fault_specs
 from repro.sim.models import ChannelModel
-from repro.sim.node import Knowledge
+from repro.sim.node import Knowledge, validate_input_keys
 from repro.sim.observers import SlotObserver
+from repro.sim.trialsoa import run_trials_soa, soa_fallback_reason
 
 __all__ = ["run_trials"]
 
@@ -91,10 +94,9 @@ def run_trials(
             same order (each :class:`SimResult` carries its seed).
         exec_config: how the batch executes
             (:class:`~repro.sim.config.ExecutionConfig`).  This layer
-            consumes ``lockstep`` (dispatch to
-            :func:`repro.sim.lockstep.run_trials_lockstep` — all seeds
-            advance in lock-step slot batches, byte-identical results),
-            ``observer_factory`` (per-seed observer constructor,
+            consumes ``lockstep`` (the trial-SoA engine when the batch
+            is eligible, else the serial engine; byte-identical
+            results), ``observer_factory`` (per-seed observer constructor,
             ``seed -> sequence of SlotObservers``; required instead of
             ``observers`` under lockstep, where trials interleave and
             shared instances would scramble), and ``model_factory``
@@ -153,26 +155,13 @@ def run_trials(
             and getattr(model, "stateful", False)
         ):
             # A shared stateful channel consumes rng in trial order; the
-            # lock-step schedule interleaves trials per slot, so results
-            # could not match the serial path.  Refuse rather than
-            # silently break the byte-identical contract.
+            # trial axis would interleave trials per slot.  Refuse
+            # rather than depend on which executor the batch lands on.
             raise ExecutionConfigError(
                 f"lockstep=True cannot share stateful model {model.name!r} "
                 f"across trials (rng consumption order would change); pass "
                 f"model_factory=lambda seed: ... for per-trial channel state"
             )
-        from repro.sim.lockstep import run_trials_lockstep
-
-        return run_trials_lockstep(
-            graph,
-            model,
-            protocol_factory,
-            seeds,
-            inputs=inputs,
-            knowledge=knowledge,
-            uids=uids,
-            exec_config=config,
-        )
 
     simulator = Simulator(
         graph,
@@ -180,9 +169,13 @@ def run_trials(
         knowledge=knowledge,
         uids=uids,
         observers=observers,
-        # The per-seed hooks are consumed right here, not by the engine.
-        exec_config=config.replace(observer_factory=None, model_factory=None),
+        # The batch-level fields are consumed right here, not by the engine.
+        exec_config=config.replace(
+            lockstep=False, observer_factory=None, model_factory=None
+        ),
     )
+    if config.lockstep:
+        return _run_lockstep(simulator, protocol_factory, seeds, inputs, config)
     base_observers = list(observers)
     results: List[SimResult] = []
     for seed in seeds:
@@ -193,4 +186,77 @@ def run_trials(
                 config.observer_factory(seed)
             )
         results.append(simulator.run(protocol_factory, inputs=inputs, seed=seed))
+    return results
+
+
+def _run_lockstep(
+    simulator: Simulator,
+    protocol_factory: ProtocolFactory,
+    seeds: Sequence[int],
+    inputs: Optional[Dict[int, Dict[str, Any]]],
+    config: ExecutionConfig,
+) -> List[SimResult]:
+    """Run a lock-step batch: the trial-SoA engine when the batch is
+    eligible, else the serial engine once per seed.  Every result
+    carries the dispatch verdict in ``soa_reason``.
+
+    Each per-seed factory product and fault realization is built once,
+    up front, and the same instances run on whichever path the verdict
+    picks.  The fallback drives :meth:`Simulator.run_trial` directly.
+    """
+    model = simulator.model
+    trial_models = (
+        None if config.model_factory is None
+        else [config.model_factory(seed) for seed in seeds]
+    )
+    trial_observers = (
+        None if config.observer_factory is None
+        else [tuple(config.observer_factory(seed)) for seed in seeds]
+    )
+    churns = None
+    fault_plan = parse_fault_specs(config)
+    if fault_plan is not None:
+        faulted = [
+            fault_plan.for_trial(trial_model, seed)
+            for trial_model, seed in zip(trial_models or [model] * len(seeds), seeds)
+        ]
+        if fault_plan.wraps_model():
+            trial_models = [trial_model for trial_model, _ in faulted]
+        if fault_plan.churn_params is not None:
+            churns = [churn for _, churn in faulted]
+
+    reason = soa_fallback_reason(
+        model, config, simulator.backend, trial_models, trial_observers
+    )
+    if reason is None and seeds:
+        validate_input_keys(inputs or {}, simulator.graph.n)
+        results = run_trials_soa(
+            simulator.graph,
+            model,
+            protocol_factory,
+            seeds,
+            knowledge=simulator.knowledge,
+            uids=simulator.uids,
+            inputs=inputs or {},
+            time_limit=simulator.time_limit,
+            meter_energy=simulator.meter_energy,
+            stepping=simulator.stepping,
+            backend=simulator.backend,
+            trial_models=trial_models,
+            trial_observers=trial_observers,
+        )
+    else:
+        results = [
+            simulator.run_trial(
+                protocol_factory,
+                inputs,
+                seed,
+                model if trial_models is None else trial_models[i],
+                None if churns is None else churns[i],
+                () if trial_observers is None else trial_observers[i],
+            )
+            for i, seed in enumerate(seeds)
+        ]
+    for result in results:
+        result.soa_reason = reason or "ok"
     return results

@@ -3,8 +3,8 @@
 The engine grew four orthogonal execution knobs — ``resolution`` backend,
 ``stepping`` mode, ``lockstep`` trial batching, and observer/analytics
 wiring — and each used to be hand-threaded through six parallel
-signatures (``Simulator``, ``run_trials``, ``run_trials_lockstep``,
-``run_broadcast_trials``, ``sweep``, ``run_cells``), a hand-maintained
+signatures (``Simulator``, ``run_trials``, ``run_broadcast_trials``,
+``sweep``, ``run_cells``), a hand-maintained
 option-key tuple in :mod:`repro.campaign.cells`, and per-subcommand CLI
 flags.  This module replaces that plumbing with config-as-data:
 
@@ -136,8 +136,8 @@ class ExecutionConfig:
         choices=STEPPING_MODES, cell_option=True, cli=True,
     ))
     lockstep: bool = field(default=False, metadata=_meta(
-        "advance all seeds of a trial batch in lock-step slot batches "
-        "(repro.sim.lockstep); byte-identical results",
+        "run a trial batch on the trial-SoA engine when eligible, else "
+        "serially (repro.sim.batch); byte-identical results",
         cell_option=True, cli=True,
     ))
     time_limit: Optional[int] = field(default=None, metadata=_meta(

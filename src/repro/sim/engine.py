@@ -116,11 +116,12 @@ class SimResult:
         gen_entries: how many times the run entered a protocol generator
             (``next``/``send`` calls, including the final StopIteration
             ones).  The stepping-cost metric phase plans minimize.
-        soa_reason: why the trial-SoA lock-step engine did ("ok") or did
-            not (a fallback reason such as "resolution" or
-            "stateful_model") run this trial.  Set only by
-            :func:`repro.sim.lockstep.run_trials_lockstep`; None for
-            every other execution path.
+        soa_reason: why the trial-SoA engine did ("ok") or did not (a
+            fallback reason such as "resolution" or "churn", see
+            :func:`repro.sim.trialsoa.soa_fallback_reason`) run this
+            trial.  Set on every result of a lock-step
+            :func:`~repro.sim.batch.run_trials` batch; None for every
+            other execution path.
     """
 
     outputs: List[Any]
@@ -288,17 +289,42 @@ class Simulator:
             ProtocolError: on full-duplex actions in half-duplex models or
                 other illegal yields.
         """
-        graph, model = self.graph, self.model
         run_seed = self.seed if seed is None else seed
-        faults = self._faults
-        if faults is None:
-            churn = None
-            down_fb = SILENCE
-        else:
+        model, churn = self.model, None
+        if self._faults is not None:
             # Per-trial fault realization: jam/burst wrappers seeded by
             # the run seed replace the model for this run only; churn
             # rides alongside as a slot filter.
-            model, churn = faults.for_trial(model, run_seed)
+            model, churn = self._faults.for_trial(model, run_seed)
+        return self.run_trial(
+            protocol_factory, inputs, run_seed, model, churn,
+            self.extra_observers,
+        )
+
+    def run_trial(
+        self,
+        protocol_factory: ProtocolFactory,
+        inputs: Optional[Dict[int, Dict[str, Any]]],
+        seed: int,
+        model: ChannelModel,
+        churn: Any,
+        extra_observers: Sequence[SlotObserver],
+    ) -> SimResult:
+        """One run with its channel already realized for ``seed``.
+
+        ``model`` and ``churn`` are the trial's channel and crash
+        schedule as :meth:`FaultPlan.for_trial
+        <repro.sim.faults.FaultPlan.for_trial>` returns them (or the bare
+        model and None on a clean channel).  The batch layer draws them
+        once per trial before it picks an executor, then hands the same
+        instances to whichever executor runs; :meth:`run` is the
+        single-trial form that draws them itself.
+        """
+        graph = self.graph
+        run_seed = seed
+        if churn is None:
+            down_fb = SILENCE
+        else:
             from repro.sim.faults import down_feedback
 
             down_fb = down_feedback(model)
@@ -312,7 +338,7 @@ class Simulator:
         trace = Trace() if self.record_trace else None
         if trace is not None:
             observers.append(TraceObserver(trace))
-        observers.extend(self.extra_observers)
+        observers.extend(extra_observers)
         for observer in observers:
             observer.on_run_start(graph.n)
 
@@ -413,7 +439,7 @@ class Simulator:
             if slot > time_limit:
                 raise SimulationTimeout(
                     f"simulation exceeded {time_limit} slots "
-                    f"({remaining} protocols still running)"
+                    f"({remaining} protocols still running, seed {run_seed})"
                 )
 
             # Wake every sleeper due at this slot; a resumed generator (or

@@ -43,9 +43,9 @@ class SlotObserver:
     boolean/count rows may set ``batch_capable = True`` and implement
     :meth:`observe_matrix`; the trial-SoA engine
     (:mod:`repro.sim.trialsoa`) then keeps batches with observers on the
-    vectorized path instead of falling back to the per-trial driver.
+    vectorized path instead of falling back to the serial engine.
     Both entry points must tally identically — the differential suite
-    compares runs across the two drivers.
+    compares runs across the two engines.
     """
 
     #: True when :meth:`observe_matrix` is implemented and equivalent to

@@ -26,8 +26,8 @@ A *phase plan* lets a protocol yield one object covering many slots:
 * :class:`Steps` — an arbitrary fixed sequence of per-slot actions
   (the heterogeneous escape hatch for interval schedules à la Lemma 24).
 
-The engine (:mod:`repro.sim.engine`) and the lock-step driver
-(:mod:`repro.sim.lockstep`) cache each node's active plan in a compact
+The engine (:mod:`repro.sim.engine`) and the trial-SoA engine
+(:mod:`repro.sim.trialsoa`) cache each node's active plan in a compact
 mutable state record and advance it with plain list/dict operations,
 re-entering the generator only at feedback-relevant boundaries: a k-slot
 phase costs O(1) generator entries instead of k.  Yielding plain per-slot

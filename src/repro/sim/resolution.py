@@ -107,23 +107,6 @@ class ResolutionBackend:
     def slot_resolver(self, model: ChannelModel) -> SlotResolver:
         raise NotImplementedError
 
-    def batch_resolver(self, model: ChannelModel):
-        """Resolve a *batch* of independent slots — one per lock-step
-        trial — in a single call: ``resolve_batch(batch)`` where batch is
-        a list of ``(transmitting, receivers, feedbacks)`` triples.
-
-        The base implementation loops the per-slot resolver; the numpy
-        backend overrides it with one vectorized sweep over the whole
-        batch (one transmit mask per trial, shared mask table).
-        """
-        resolver = self.slot_resolver(model)
-
-        def resolve_batch(batch):
-            for transmitting, receivers, feedbacks in batch:
-                resolver(transmitting, receivers, feedbacks)
-
-        return resolve_batch
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.graph.n})"
 
@@ -281,40 +264,6 @@ class NumpyBackend(ResolutionBackend):
             mask.to_bytes(self._words * 8, "little"), dtype=_np.uint64
         )
 
-    def resolve_rows(self, model, counts, firsts_of, batch):
-        """Classify pre-computed counts for one or more slots.
-
-        Args:
-            model: a count-supporting channel model shared by the batch.
-            counts: int64 array, receivers of all batch entries
-                concatenated.
-            firsts_of: callable slice -> int64 first-transmitter indices
-                for that slice (or None when the model never needs them).
-            batch: list of ``(transmitting, receivers, feedbacks)``
-                triples, in concatenation order.
-        """
-        resolve = model.resolve
-        masks = self._masks
-        offset = 0
-        for transmitting, receivers, feedbacks in batch:
-            length = len(receivers)
-            span = slice(offset, offset + length)
-            offset += length
-            out, needs = model.resolve_count_array(
-                counts[span],
-                None if firsts_of is None else firsts_of(span),
-                transmitting,
-            )
-            if needs:
-                transmit_mask = 0
-                for v in transmitting:
-                    transmit_mask |= 1 << v
-                for i in needs:
-                    out[i] = resolve(_mask_messages(
-                        masks[receivers[i]] & transmit_mask, transmitting
-                    ))
-            feedbacks.update(zip(receivers, out))
-
     def slot_resolver(self, model: ChannelModel) -> SlotResolver:
         np = _np
         table = self._table
@@ -339,6 +288,8 @@ class NumpyBackend(ResolutionBackend):
 
         silence = model.resolve_count(0, None)
         needs_first = model.needs_first_message
+        resolve = model.resolve
+        masks = self._masks
 
         def resolve_slot(transmitting, receivers, feedbacks):
             if not transmitting:
@@ -352,7 +303,7 @@ class NumpyBackend(ResolutionBackend):
             np.bitwise_and(masked, self.transmit_mask_words(transmitting),
                            out=masked)
             counts = _popcount_rows(masked)
-            firsts_of = None
+            firsts = None
             if needs_first != "none":
                 select = counts == 1 if needs_first == "one" else counts > 0
                 rows = np.nonzero(select)[0]
@@ -362,10 +313,16 @@ class NumpyBackend(ResolutionBackend):
                 firsts = np.empty(len(receivers), dtype=np.int64)
                 if rows.size:
                     firsts[rows] = _first_transmitters(masked, rows)
-                firsts_of = firsts.__getitem__
-            self.resolve_rows(
-                model, counts, firsts_of, [(transmitting, receivers, feedbacks)]
-            )
+            out, needs = model.resolve_count_array(counts, firsts, transmitting)
+            if needs:
+                transmit_mask = 0
+                for v in transmitting:
+                    transmit_mask |= 1 << v
+                for i in needs:
+                    out[i] = resolve(_mask_messages(
+                        masks[receivers[i]] & transmit_mask, transmitting
+                    ))
+            feedbacks.update(zip(receivers, out))
 
         return resolve_slot
 
@@ -388,9 +345,9 @@ class NumpyBackend(ResolutionBackend):
           enumeration; or walk a row's bits for the ordered-message
           slow path).
 
-        Unlike :meth:`batch_resolver` this returns arrays shaped like the
-        caller's state matrices — reception results scatter straight into
-        struct-of-arrays trial state with no per-trial dict hops.
+        The arrays are shaped like the caller's state matrices, so
+        reception results scatter straight into struct-of-arrays trial
+        state with no per-trial dict hops.
         """
         np = _np
         table = self._table
@@ -422,52 +379,6 @@ class NumpyBackend(ResolutionBackend):
         if rows.size:
             firsts.reshape(-1)[rows] = _first_transmitters(flat, rows)
         return firsts
-
-    def batch_resolver(self, model: ChannelModel):
-        if not model.supports_count:
-            return super().batch_resolver(model)
-        np = _np
-        table = self._table
-        silence = model.resolve_count(0, None)
-        needs_first = model.needs_first_message
-
-        def resolve_batch(batch):
-            work = []
-            recv_parts = []
-            tmasks = []
-            for entry in batch:
-                transmitting, receivers, feedbacks = entry
-                if not transmitting:
-                    for v in receivers:
-                        feedbacks[v] = silence
-                    continue
-                if not receivers:
-                    continue
-                work.append(entry)
-                recv_parts.append(np.fromiter(
-                    receivers, dtype=np.intp, count=len(receivers)
-                ))
-                tmasks.append(self.transmit_mask_words(transmitting))
-            if not work:
-                return
-            recv = np.concatenate(recv_parts)
-            trial_of_row = np.repeat(
-                np.arange(len(work)), [len(part) for part in recv_parts]
-            )
-            masked = np.take(table, recv, axis=0)
-            np.bitwise_and(masked, np.stack(tmasks)[trial_of_row], out=masked)
-            counts = _popcount_rows(masked)
-            firsts_of = None
-            if needs_first != "none":
-                select = counts == 1 if needs_first == "one" else counts > 0
-                rows = np.nonzero(select)[0]
-                firsts = np.empty(len(recv), dtype=np.int64)
-                if rows.size:
-                    firsts[rows] = _first_transmitters(masked, rows)
-                firsts_of = firsts.__getitem__
-            self.resolve_rows(model, counts, firsts_of, work)
-
-        return resolve_batch
 
 
 _BACKENDS = {

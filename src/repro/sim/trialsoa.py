@@ -1,12 +1,11 @@
 """Trial-axis struct-of-arrays (SoA) lock-step execution.
 
-The per-trial lock-step driver (:mod:`repro.sim.lockstep`) is byte-exact
-but break-even: with resolution and stepping cheap, its profile is
-per-trial Python bookkeeping — dict churn in collect/apply, one
-``gen.send`` per node per slot on per-slot protocols, one plan-state poke
-per node per slot on phase protocols.  This module keeps the *whole
-batch* of trials in 2-D numpy arrays indexed ``[trial, node]`` and
-advances every vectorizable run with whole-array operations per slot:
+Replaying the serial engine once per seed pays per-trial Python
+bookkeeping for every slot of every trial: one ``gen.send`` per node per
+slot on per-slot protocols, one plan-state poke per node per slot on
+phase protocols.  This module keeps the *whole batch* of trials in 2-D
+numpy arrays indexed ``[trial, node]`` and advances every vectorizable
+run with whole-array operations per slot:
 
 ====================  =====================================================
 array                 meaning
@@ -59,22 +58,23 @@ vectorized.  The differential matrix in tests/test_lockstep.py pins the
 results byte-identical to the serial engine across models x backends x
 stepping modes.
 
-Eligibility: numpy importable, ``resolution == "numpy"``, no trace
-recording, and a vectorizable channel — either a shared count-based
-stateless model (:func:`soa_engaged`, the PR-7 core), or a per-seed
-``model_factory`` producing :class:`~repro.sim.models.LossyModel`
-wrappers around one shared stateless inner model (the erasure channel is
-lowered to per-trial Bernoulli drop masks, see below).  Batches with
+Eligibility (:func:`soa_fallback_reason`, the one place it is decided):
+numpy importable, ``resolution == "numpy"``, no trace recording, no
+churn or jamming, and a vectorizable channel — either a shared
+count-based stateless model, or per-trial
+:class:`~repro.sim.models.LossyModel` (or uniform Gilbert-Elliott)
+wrappers around one shared stateless inner model (the erasure channel
+is lowered to per-trial Bernoulli drop masks, see below).  Batches with
 observers stay eligible when every observer advertises the batch ABI
-(``SlotObserver.batch_capable``); the dispatch in
-:func:`repro.sim.lockstep.run_trials_lockstep` probes the materialized
-factory products and records its decision as ``SimResult.soa_reason``.
-Everything else — including every no-numpy environment — runs the
-per-trial fallback driver in :mod:`repro.sim.lockstep`, unchanged.
+(``SlotObserver.batch_capable``).  The lock-step dispatch in
+:func:`repro.sim.batch.run_trials` probes the materialized per-seed
+products and records the verdict as ``SimResult.soa_reason``;
+everything else — including every no-numpy environment — runs on the
+serial engine, seed after seed.
 
 **Lossy channels.**  The serial oracle draws one ``rng.random()`` per
 on-the-air transmission per reception, receivers ascending (the
-lock-step driver sorts receivers for non-count models), senders
+serial engine sorts receivers for non-count models), senders
 ascending within each receiver (``_mask_messages`` walks the neighbor
 mask lowest-bit-first).  The SoA engine reproduces that stream exactly:
 each trial's ``LossyModel`` rng is transplanted into a
@@ -114,6 +114,7 @@ from repro.sim.models import (
     LOCAL,
     NO_CD,
     ChannelModel,
+    LossyModel,
 )
 from repro.sim.node import Knowledge, NodeCtx
 from repro.sim.plan import (
@@ -132,13 +133,14 @@ from repro.sim.plan import (
     run_descriptor,
     start_plan,
 )
+from repro.sim.resolution import NumpyBackend
 
 try:  # optional acceleration dependency (mirrors resolution.py)
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
     _np = None
 
-__all__ = ["run_trials_soa", "soa_engaged"]
+__all__ = ["run_trials_soa", "soa_fallback_reason"]
 
 # State codes.  The active band [_SEND, _DUPLEX] is contiguous so
 # "has any staged action" is one range test per cell.
@@ -157,38 +159,79 @@ else:  # pragma: no cover - no-numpy environments never reach the engine
     _WRAP1 = None
 
 
-def soa_engaged(model: ChannelModel, config: ExecutionConfig) -> bool:
-    """Whether :func:`repro.sim.lockstep.run_trials_lockstep` will execute
-    this cell through the SoA engine (vs the per-trial fallback driver).
+def soa_fallback_reason(
+    model: ChannelModel,
+    config: ExecutionConfig,
+    backend,
+    trial_models: Optional[Sequence[ChannelModel]],
+    trial_observers: Optional[Sequence[Sequence[Any]]],
+) -> Optional[str]:
+    """Why a lock-step batch cannot run on the SoA engine, or None when
+    it can.
 
-    The SoA path engages only where it is provably byte-identical and
-    actually vectorizable: the numpy backend requested and importable, a
-    shared count-based stateless channel (stateful channels consume
-    randomness per reception), and no per-slot observation hooks.
-
-    This predicate is the *static* core.  The dispatch in
-    :func:`repro.sim.lockstep.run_trials_lockstep` additionally engages
-    two cases it cannot see statically — per-seed ``LossyModel``
-    factories over a shared stateless inner, and observer factories
-    whose every product is ``batch_capable`` — by probing the
-    materialized per-seed products; the decision either way is recorded
-    in ``SimResult.soa_reason``.
+    ``backend`` is the batch's resolution backend, ``trial_models`` the
+    per-trial models when they differ per seed (``model_factory``
+    products, fault wrappers) and ``trial_observers`` the per-seed
+    observer tuples — the materialized products, so uniform
+    ``LossyModel`` / Gilbert-Elliott batches over a shared stateless
+    inner (vectorized drop masks) and observer sets whose every member
+    advertises the batch ABI are admitted.  The returned string lands in
+    ``SimResult.soa_reason`` so fallbacks are diagnosable, not silent.
     """
-    return (
-        _np is not None
-        and config.resolution == "numpy"
-        and model.supports_count
-        and not model.stateful
-        and config.model_factory is None
-        and config.observer_factory is None
-        and not config.record_trace
-        # Churn and jamming fall back to the per-trial driver; burst
-        # loss does NOT disqualify — a uniform Gilbert-Elliott wrap of
-        # a shared stateless count model runs on the vectorized
-        # drop-mask path (see _classify_lossy).
-        and not config.churn
-        and not config.jam
-    )
+    if config.resolution != "numpy" or not isinstance(backend, NumpyBackend):
+        return "resolution"
+    if config.record_trace:
+        return "record_trace"
+    # Churn needs per-trial slot filtering and jamming per-slot
+    # adversary state — neither is vectorized, so both report their own
+    # reason.  Burst loss (Gilbert-Elliott) is vectorizable when the
+    # batch is uniform over one shared stateless count-based inner
+    # (admitted below); anything else reports "burst_loss".
+    if config.churn:
+        return "churn"
+    if config.jam:
+        return "jammer"
+    if trial_models is not None:
+        first = trial_models[0] if trial_models else None
+        if first is not None and type(first) is GilbertElliottModel:
+            if not (
+                first.inner.supports_count
+                and not first.inner.stateful
+                and all(
+                    type(m) is GilbertElliottModel
+                    and m.inner is first.inner
+                    and m.p_gb == first.p_gb
+                    and m.p_bg == first.p_bg
+                    and m.good_rate == first.good_rate
+                    and m.bad_rate == first.bad_rate
+                    for m in trial_models
+                )
+            ):
+                return "burst_loss"
+        elif not (
+            first is not None
+            and type(first) is LossyModel
+            and first.inner.supports_count
+            and not first.inner.stateful
+            and all(
+                type(m) is LossyModel and m.inner is first.inner
+                for m in trial_models
+            )
+        ):
+            return "burst_loss" if config.burst_loss else "model_factory"
+    elif model.stateful:
+        # A shared stateful channel consumes one rng stream across
+        # trials, which the trial axis cannot reorder.
+        return "stateful_model"
+    elif not model.supports_count:
+        return "model"
+    if trial_observers is not None and not all(
+        getattr(observer, "batch_capable", False)
+        for observers in trial_observers
+        for observer in observers
+    ):
+        return "observers"
+    return None
 
 
 def _cell(value):
@@ -1103,8 +1146,8 @@ def run_trials_soa(
 ) -> List[SimResult]:
     """Run one cell's seeds through the SoA batched executor.
 
-    Called by :func:`repro.sim.lockstep.run_trials_lockstep` after its
-    shared validation and eligibility probe; ``backend`` is the
+    Called by the lock-step dispatch in :func:`repro.sim.batch.run_trials`
+    after :func:`soa_fallback_reason` admitted the batch; ``backend`` is the
     already-constructed :class:`~repro.sim.resolution.NumpyBackend`.
     ``trial_models`` (when given) are the materialized per-seed
     ``model_factory`` products — uniform ``LossyModel`` wrappers over one

@@ -43,7 +43,6 @@ from repro.sim import (
     run_trials,
 )
 from repro.sim.feedback import is_message
-from repro.sim.lockstep import run_trials_lockstep
 from repro.sim.observers import SlotObserver
 
 
@@ -483,13 +482,6 @@ def _run_trials(exec_config=None, **legacy):
     ))
 
 
-def _run_lockstep(exec_config=None, **legacy):
-    return snap(run_trials_lockstep(
-        GRAPH, NO_CD, bcast_proto, (0, 1, 2), inputs=INPUTS,
-        knowledge=KNOWLEDGE, exec_config=exec_config, **legacy,
-    ))
-
-
 def _run_broadcast_trials(exec_config=None, **legacy):
     outcomes = run_broadcast_trials(
         GRAPH, NO_CD, bcast_proto, (0, 1), knowledge=KNOWLEDGE,
@@ -541,14 +533,6 @@ _SHIM_CASES = [
     ("run_trials", _run_trials, "lockstep", True),
     ("run_trials", _run_trials, "observer_factory", lambda s: (SlotObserver(),)),
     ("run_trials", _run_trials, "model_factory", lambda s: NO_CD),
-    ("run_trials_lockstep", _run_lockstep, "resolution", "list"),
-    ("run_trials_lockstep", _run_lockstep, "stepping", "slot"),
-    ("run_trials_lockstep", _run_lockstep, "time_limit", 5_000),
-    ("run_trials_lockstep", _run_lockstep, "record_trace", True),
-    ("run_trials_lockstep", _run_lockstep, "meter_energy", False),
-    ("run_trials_lockstep", _run_lockstep, "observer_factory",
-     lambda s: (SlotObserver(),)),
-    ("run_trials_lockstep", _run_lockstep, "model_factory", lambda s: NO_CD),
     ("run_broadcast_trials", _run_broadcast_trials, "time_limit", 5_000),
     ("run_broadcast_trials", _run_broadcast_trials, "record_trace", True),
     ("run_broadcast_trials", _run_broadcast_trials, "resolution", "list"),

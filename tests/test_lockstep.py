@@ -12,7 +12,6 @@ import random
 import pytest
 
 import repro.sim.batch as batch_module
-import repro.sim.lockstep as lockstep_module
 from repro.graphs import clique, path_graph, random_gnp, star_graph
 from repro.sim import (
     ExecutionConfig,
@@ -39,7 +38,6 @@ from repro.sim import (
 from repro.sim.models import LossyModel
 from repro.sim.observers import SlotObserver
 from repro.sim.reference import ReferenceSimulator
-from repro.sim.trialsoa import soa_engaged
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -267,8 +265,8 @@ class TestObserverFactory:
     @pytest.mark.parametrize("lossy", (False, True), ids=("clean", "lossy"))
     def test_batch_observer_matches_per_slot(self, lossy):
         """ContentionHistogramObserver tallies identically through
-        ``observe_matrix`` (SoA engine, numpy) and ``on_slot`` (per-trial
-        driver, bitmask) — including under erasure, where the histogram
+        ``observe_matrix`` (SoA engine, numpy) and ``on_slot`` (serial
+        fallback, bitmask) — including under erasure, where the histogram
         must count *pre-drop* on-the-air transmissions."""
         graph = random_gnp(8, 0.5, random.Random(2))
         protocol = _random_protocol(10)
@@ -486,18 +484,18 @@ def _rng_heavy_protocol(steps: int):
 
 @pytest.mark.skipif(not numpy_available(), reason="SoA engine requires numpy")
 class TestTrialSoADispatch:
-    """run_trials_lockstep hands eligible batches to the SoA engine and
-    keeps ineligible ones on the per-trial driver."""
+    """Lock-step run_trials hands eligible batches to the SoA engine and
+    runs ineligible ones on the serial engine."""
 
     def _spy(self, monkeypatch):
         calls = []
-        real = lockstep_module.run_trials_soa
+        real = batch_module.run_trials_soa
 
         def spy(*args, **kwargs):
             calls.append(True)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lockstep_module, "run_trials_soa", spy)
+        monkeypatch.setattr(batch_module, "run_trials_soa", spy)
         return calls
 
     def test_engages_on_numpy_resolution(self, monkeypatch):
@@ -597,28 +595,10 @@ class TestTrialSoADispatch:
         serial = run_trials(graph, NO_CD, _plan_rich_protocol, (0, 1))
         assert all(r.soa_reason is None for r in serial)
 
-    def test_soa_engaged_predicate(self):
-        assert soa_engaged(
-            NO_CD, ExecutionConfig(lockstep=True, resolution="numpy")
-        )
-        assert not soa_engaged(
-            NO_CD, ExecutionConfig(lockstep=True, resolution="bitmask")
-        )
-        assert not soa_engaged(
-            NO_CD,
-            ExecutionConfig(
-                lockstep=True, resolution="numpy", record_trace=True
-            ),
-        )
-        assert not soa_engaged(
-            LossyModel(NO_CD, 0.3, seed=1),
-            ExecutionConfig(lockstep=True, resolution="numpy"),
-        )
-
 
 class TestTrialSoAEquivalence:
     """Differential matrix for the SoA path.  Without numpy the same
-    configs land on the per-trial driver, so the matrix stays valid on
+    configs land on the serial fallback, so the matrix stays valid on
     the no-numpy CI leg (it just pins a different engine pair)."""
 
     SEEDS = (0, 1, 2, 5, 9)
@@ -662,8 +642,8 @@ class TestTrialSoAEquivalence:
     def test_lossy_matrix_vs_serial(self, model_name, resolution, stepping):
         # Under "numpy" this pins the vectorized drop-mask path against
         # the serial oracle for every inner model; under "bitmask"/"list"
-        # it pins the per-trial fallback driver (and the whole matrix
-        # stays valid on the no-numpy CI leg).
+        # it pins the serial fallback (and the whole matrix stays valid
+        # on the no-numpy CI leg).
         inner = FIVE_MODELS[model_name]
         graph = random_gnp(8, 0.6, random.Random(12))
         factory = lambda seed: LossyModel(inner, 0.35, seed=seed)
@@ -767,7 +747,7 @@ class TestTrialSoAEquivalence:
             return str(exc.value)
 
         messages = {run(resolution) for resolution in RESOLUTIONS}
-        assert len(messages) == 1  # SoA and per-trial drivers agree
+        assert len(messages) == 1  # SoA and serial engines agree
         assert "seed" in messages.pop()
 
 
