@@ -14,7 +14,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.graphs.graph import Graph
 from repro.sim.batch import run_trials
-from repro.sim.config import UNSET, ExecutionConfig, resolve_exec_config
+from repro.sim.config import ExecutionConfig, resolve_exec_config
 from repro.sim.engine import SimResult
 from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge, NodeCtx
@@ -91,34 +91,16 @@ def run_broadcast_trials(
     knowledge: Optional[Knowledge] = None,
     uids: Optional[Sequence[int]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    time_limit: Any = UNSET,
-    record_trace: Any = UNSET,
-    resolution: Any = UNSET,
-    lockstep: Any = UNSET,
-    stepping: Any = UNSET,
-    observer_factory: Any = UNSET,
 ) -> List[BroadcastOutcome]:
     """Run one broadcast cell across many seeds on the batched engine core.
 
     Graph preprocessing, knowledge, and uid setup happen once; each trial
     is one seeded run (see :func:`repro.sim.batch.run_trials`, including
     the ``exec_config`` resolution-backend switch, lock-step batching,
-    and per-seed ``observer_factory`` hook).  The per-knob keyword
-    arguments are the deprecated forms of the matching config fields.
-    Returns one verified :class:`BroadcastOutcome` per seed, in order.
+    and per-seed ``observer_factory`` hook).  Returns one verified
+    :class:`BroadcastOutcome` per seed, in order.
     """
-    config = resolve_exec_config(
-        exec_config,
-        dict(
-            time_limit=time_limit,
-            record_trace=record_trace,
-            resolution=resolution,
-            lockstep=lockstep,
-            stepping=stepping,
-            observer_factory=observer_factory,
-        ),
-        where="run_broadcast_trials",
-    )
+    config = resolve_exec_config(exec_config)
     results = run_trials(
         graph,
         model,
@@ -145,15 +127,8 @@ def run_broadcast(
     knowledge: Optional[Knowledge] = None,
     uids: Optional[Sequence[int]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    time_limit: Any = UNSET,
-    record_trace: Any = UNSET,
 ) -> BroadcastOutcome:
     """Run one broadcast protocol and verify delivery."""
-    config = resolve_exec_config(
-        exec_config,
-        dict(time_limit=time_limit, record_trace=record_trace),
-        where="run_broadcast",
-    )
     return run_broadcast_trials(
         graph,
         model,
@@ -163,5 +138,5 @@ def run_broadcast(
         payload=payload,
         knowledge=knowledge,
         uids=uids,
-        exec_config=config,
+        exec_config=exec_config,
     )[0]

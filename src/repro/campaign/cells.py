@@ -17,12 +17,12 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.broadcast.base import BroadcastOutcome, run_broadcast_trials
 from repro.graphs.graph import Graph
 from repro.graphs.properties import diameter as graph_diameter
-from repro.sim.config import UNSET, ExecutionConfig, resolve_exec_config
+from repro.sim.config import ExecutionConfig, resolve_exec_config
 from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge
 from repro.sim.observers import ContentionHistogramObserver
@@ -161,11 +161,6 @@ def run_cells(
     id_space_from_n: bool = False,
     extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    record_trace: Any = UNSET,
-    resolution: Any = UNSET,
-    lockstep: Any = UNSET,
-    stepping: Any = UNSET,
-    contention_hist: Any = UNSET,
 ) -> List[CellResult]:
     """Execute one (row, size) cell group across seeds on the batched core.
 
@@ -177,22 +172,10 @@ def run_cells(
     this is the layer that consumes ``contention_hist``: it attaches a
     per-trial :class:`~repro.sim.observers.ContentionHistogramObserver`
     (stacked on top of any user ``observer_factory``) and folds its
-    summary into each cell's ``extras`` under ``ch_*`` keys.  The
-    per-knob keyword arguments are the deprecated forms of the matching
-    config fields.  Returns one :class:`CellResult` per seed, in
-    ``seeds`` order.
+    summary into each cell's ``extras`` under ``ch_*`` keys.  Returns
+    one :class:`CellResult` per seed, in ``seeds`` order.
     """
-    config = resolve_exec_config(
-        exec_config,
-        dict(
-            record_trace=record_trace,
-            resolution=resolution,
-            lockstep=lockstep,
-            stepping=stepping,
-            contention_hist=contention_hist,
-        ),
-        where="run_cells",
-    )
+    config = resolve_exec_config(exec_config)
     if knowledge is None:
         knowledge = knowledge_for(graph, id_space_from_n=id_space_from_n)
     histograms: Dict[int, ContentionHistogramObserver] = {}
@@ -264,25 +247,9 @@ def run_cell(
     id_space_from_n: bool = False,
     extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    record_trace: Any = UNSET,
-    resolution: Any = UNSET,
-    lockstep: Any = UNSET,
-    stepping: Any = UNSET,
-    contention_hist: Any = UNSET,
 ) -> CellResult:
     """Execute one broadcast cell (a single-seed batch) and reduce it to
     storable numbers — the unit the sharded campaign runner executes."""
-    config = resolve_exec_config(
-        exec_config,
-        dict(
-            record_trace=record_trace,
-            resolution=resolution,
-            lockstep=lockstep,
-            stepping=stepping,
-            contention_hist=contention_hist,
-        ),
-        where="run_cell",
-    )
     return run_cells(
         graph,
         model,
@@ -294,7 +261,7 @@ def run_cell(
         knowledge=knowledge,
         id_space_from_n=id_space_from_n,
         extra_metrics=extra_metrics,
-        exec_config=config,
+        exec_config=exec_config,
     )[0]
 
 

@@ -15,7 +15,7 @@ same seeds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.broadcast.base import BroadcastOutcome
 from repro.campaign.cells import (
@@ -25,7 +25,7 @@ from repro.campaign.cells import (
     run_cells,
 )
 from repro.graphs.graph import Graph
-from repro.sim.config import UNSET, ExecutionConfig, resolve_exec_config
+from repro.sim.config import ExecutionConfig
 from repro.sim.models import ChannelModel
 
 __all__ = ["SweepPoint", "sweep", "format_table", "geometric_sizes"]
@@ -56,10 +56,6 @@ def sweep(
     id_space_from_n: bool = False,
     extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    record_trace: Any = UNSET,
-    resolution: Any = UNSET,
-    lockstep: Any = UNSET,
-    contention_hist: Any = UNSET,
 ) -> List[SweepPoint]:
     """Run ``protocol_builder(graph)`` on every size and seed; aggregate.
 
@@ -74,20 +70,8 @@ def sweep(
     and the remaining fields *can* change what comes back —
     ``meter_energy=False`` zeroes every energy column (throughput
     benchmarking only), a small ``time_limit`` can abort runs, and
-    ``model_factory`` substitutes the channel itself.  The per-knob
-    keyword arguments are the deprecated forms of the matching config
-    fields.
+    ``model_factory`` substitutes the channel itself.
     """
-    config = resolve_exec_config(
-        exec_config,
-        dict(
-            record_trace=record_trace,
-            resolution=resolution,
-            lockstep=lockstep,
-            contention_hist=contention_hist,
-        ),
-        where="sweep",
-    )
     points: List[SweepPoint] = []
     for size in sizes:
         graph = graph_factory(size)
@@ -102,7 +86,7 @@ def sweep(
             source=source,
             knowledge=knowledge,
             extra_metrics=extra_metrics,
-            exec_config=config,
+            exec_config=exec_config,
         )
         points.append(aggregate_cells(cells))
     return points

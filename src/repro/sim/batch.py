@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.graphs.graph import Graph
 from repro.sim.config import (
-    UNSET,
     ExecutionConfig,
     ExecutionConfigError,
     resolve_exec_config,
@@ -78,14 +77,6 @@ def run_trials(
     uids: Optional[Sequence[int]] = None,
     exec_config: Optional[ExecutionConfig] = None,
     observers: Sequence[SlotObserver] = (),
-    time_limit: Any = UNSET,
-    record_trace: Any = UNSET,
-    resolution: Any = UNSET,
-    stepping: Any = UNSET,
-    meter_energy: Any = UNSET,
-    observer_factory: Any = UNSET,
-    model_factory: Any = UNSET,
-    lockstep: Any = UNSET,
 ) -> List[SimResult]:
     """Run one protocol cell once per seed, amortizing setup.
 
@@ -108,27 +99,11 @@ def run_trials(
             plain result list — use :func:`repro.campaign.cells.run_cells`
             or :func:`repro.experiments.harness.sweep`.
         observers: shared observer instances (serial execution only).
-        The per-knob keyword arguments are the deprecated forms of the
-        matching ``exec_config`` fields (byte-identical behavior, with
-        a :class:`DeprecationWarning`).
 
     Returns:
         One :class:`SimResult` per seed, in ``seeds`` order.
     """
-    config = resolve_exec_config(
-        exec_config,
-        dict(
-            time_limit=time_limit,
-            record_trace=record_trace,
-            resolution=resolution,
-            stepping=stepping,
-            meter_energy=meter_energy,
-            observer_factory=observer_factory,
-            model_factory=model_factory,
-            lockstep=lockstep,
-        ),
-        where="run_trials",
-    )
+    config = resolve_exec_config(exec_config)
     if config.contention_hist:
         raise ExecutionConfigError(
             "contention_hist is consumed by run_cells()/sweep(), which fold "

@@ -19,11 +19,8 @@ flags.  This module replaces that plumbing with config-as-data:
   flags (:func:`add_execution_args` builds one shared argparse group for
   the ``table1``, ``campaign``, ``ablations``, ``figure1``, and
   ``bench`` subcommands);
-* every entry point takes ``exec_config=``; the legacy per-knob kwargs
-  keep working through :func:`resolve_exec_config`, which folds them
-  into a config and emits a :class:`DeprecationWarning` attributed to
-  the caller (CI escalates warnings raised from ``repro.*`` modules, so
-  no internal caller can quietly keep using them).
+* every entry point takes ``exec_config=`` (None means the defaults)
+  and no per-knob keyword arguments.
 
 Adding the next knob is one edit here: a new field (with metadata) shows
 up in validation, serialization, the campaign option schema, and the CLI
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -53,7 +49,6 @@ __all__ = [
     "STEPPING_MODES",
     "ExecutionConfig",
     "ExecutionConfigError",
-    "UNSET",
     "add_execution_args",
     "add_runner_args",
     "config_from_args",
@@ -69,20 +64,6 @@ __all__ = [
 #: (Defined here, not in the engine, so the schema layer stays import-
 #: cycle-free; :mod:`repro.sim.engine` re-exports it.)
 STEPPING_MODES = ("phase", "slot")
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-#: Default value of every deprecated legacy kwarg: the shim only fires
-#: (warns and overrides the config) when a caller actually passed one.
-UNSET = _Unset()
 
 
 class ExecutionConfigError(ValueError):
@@ -452,38 +433,19 @@ def normalize_execution_options(options: Dict) -> Dict:
 
 def resolve_exec_config(
     exec_config: Optional[ExecutionConfig],
-    legacy: Dict[str, Any],
-    where: str,
-    stacklevel: int = 3,
 ) -> ExecutionConfig:
-    """Fold deprecated per-knob kwargs into an :class:`ExecutionConfig`.
-
-    ``legacy`` maps kwarg name to the received value, with :data:`UNSET`
-    marking "not passed".  Passing any legacy kwarg warns (once per call
-    site — the warning is attributed to the caller via ``stacklevel``,
-    so CI's ``repro``-module DeprecationWarning escalation catches
-    internal callers) and overrides the corresponding config field, so
-    behavior is byte-identical to the historical signature.
-    """
-    passed = {
-        key: value for key, value in legacy.items() if value is not UNSET
-    }
-    if passed:
-        warnings.warn(
-            f"{where}: keyword argument(s) {sorted(passed)} are deprecated; "
-            f"pass exec_config=ExecutionConfig(...) instead "
-            f"(see repro.sim.config)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = ExecutionConfig() if exec_config is None else exec_config
-    if not isinstance(base, ExecutionConfig):
+    """The config an entry point runs with: ``exec_config`` itself, or
+    the defaults when it is None.  Anything else is rejected with a
+    message naming how to build a config."""
+    if exec_config is None:
+        return ExecutionConfig()
+    if not isinstance(exec_config, ExecutionConfig):
         raise ExecutionConfigError(
             f"exec_config must be an ExecutionConfig (or None), got "
-            f"{base!r}; build one with ExecutionConfig(...) or "
+            f"{exec_config!r}; build one with ExecutionConfig(...) or "
             f"ExecutionConfig.from_dict(...)"
         )
-    return base.replace(**passed) if passed else base
+    return exec_config
 
 
 # -- shared CLI surface ----------------------------------------------------

@@ -46,7 +46,6 @@ from repro.graphs.graph import Graph
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.config import (
     STEPPING_MODES,
-    UNSET,
     ExecutionConfig,
     ExecutionConfigError,
     resolve_exec_config,
@@ -161,10 +160,6 @@ class Simulator:
             ignoring them would violate the config's contract.
         observers: extra :class:`~repro.sim.observers.SlotObserver` hooks
             invoked after each active slot is resolved.
-        time_limit / record_trace / resolution / stepping / meter_energy:
-            deprecated per-knob forms of the ``exec_config`` fields;
-            they still work (byte-identically) but emit a
-            :class:`DeprecationWarning`.
 
     A ``Simulator`` is reusable: :meth:`run` accepts a per-call ``seed``
     so batched trials (:func:`repro.sim.batch.run_trials`) amortize graph
@@ -190,27 +185,13 @@ class Simulator:
         graph: Graph,
         model: ChannelModel,
         seed: int = 0,
-        time_limit: Any = UNSET,
+        *,
         knowledge: Optional[Knowledge] = None,
         uids: Optional[Sequence[int]] = None,
-        record_trace: Any = UNSET,
-        resolution: Any = UNSET,
-        stepping: Any = UNSET,
-        meter_energy: Any = UNSET,
         observers: Sequence[SlotObserver] = (),
         exec_config: Optional[ExecutionConfig] = None,
     ) -> None:
-        config = resolve_exec_config(
-            exec_config,
-            dict(
-                time_limit=time_limit,
-                record_trace=record_trace,
-                resolution=resolution,
-                stepping=stepping,
-                meter_energy=meter_energy,
-            ),
-            where="Simulator",
-        )
+        config = resolve_exec_config(exec_config)
         if config.lockstep:
             raise ExecutionConfigError(
                 "Simulator runs one trial at a time; lockstep=True is "

@@ -1,6 +1,6 @@
 """ExecutionConfig: the one validated, serializable execution API.
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 * **Validation** — invalid modes/types fail at construction with the
   allowed values, at every entry door (constructor, ``from_dict``,
@@ -12,9 +12,6 @@ Four contracts are pinned here:
 * **Key stability** — an execution option explicitly set to its default
   normalizes away, so it hashes (and resumes) identically to an omitted
   one.
-* **Deprecation shims** — every legacy per-knob kwarg on the six
-  execution signatures still works byte-identically, with a
-  ``DeprecationWarning`` attributed to the caller.
 """
 
 from __future__ import annotations
@@ -24,15 +21,13 @@ import json
 
 import pytest
 
-from repro.broadcast.base import run_broadcast, run_broadcast_trials
-from repro.campaign.cells import EXECUTION_OPTION_KEYS, run_cell, run_cells
+from repro.campaign.cells import EXECUTION_OPTION_KEYS
 from repro.campaign.spec import CampaignSpec, RowPlan
 from repro.experiments.harness import sweep
 from repro.graphs import clique
 from repro.sim import (
     NO_CD,
     ExecutionConfig,
-    Knowledge,
     Listen,
     Send,
     Simulator,
@@ -49,7 +44,6 @@ from repro.sim.observers import SlotObserver
 # --- shared workload: small, seed-sensitive, collision-bearing -------------
 
 GRAPH = clique(3)
-KNOWLEDGE = Knowledge(n=3, max_degree=2, diameter=1)
 INPUTS = {0: {"source": True, "payload": "m"}}
 
 
@@ -71,13 +65,6 @@ def bcast_proto(ctx):
     if got is not None and ctx.rng.random() < 0.5:
         yield Send(got)
     return got
-
-
-def snap(results):
-    return [
-        (r.outputs, r.duration, [e.total for e in r.energy], r.seed)
-        for r in results
-    ]
 
 
 # --- construction validation ----------------------------------------------
@@ -464,127 +451,11 @@ class TestKeyStability:
             execution_options({"stepping": "phse"})
 
 
-# --- deprecation shims: byte-identical, warn, per kwarg --------------------
-
-
-def _run_simulator(exec_config=None, **legacy):
-    sim = Simulator(
-        GRAPH, NO_CD, seed=2, knowledge=KNOWLEDGE,
-        exec_config=exec_config, **legacy,
-    )
-    return snap([sim.run(bcast_proto, inputs=INPUTS)])
-
-
-def _run_trials(exec_config=None, **legacy):
-    return snap(run_trials(
-        GRAPH, NO_CD, bcast_proto, (0, 1, 2), inputs=INPUTS,
-        knowledge=KNOWLEDGE, exec_config=exec_config, **legacy,
-    ))
-
-
-def _run_broadcast_trials(exec_config=None, **legacy):
-    outcomes = run_broadcast_trials(
-        GRAPH, NO_CD, bcast_proto, (0, 1), knowledge=KNOWLEDGE,
-        exec_config=exec_config, **legacy,
-    )
-    return [(o.delivered, o.informed, snap([o.sim])) for o in outcomes]
-
-
-def _run_broadcast(exec_config=None, **legacy):
-    outcome = run_broadcast(
-        GRAPH, NO_CD, bcast_proto, seed=3, knowledge=KNOWLEDGE,
-        exec_config=exec_config, **legacy,
-    )
-    return (outcome.delivered, outcome.informed, snap([outcome.sim]))
-
-
-def _run_sweep(exec_config=None, **legacy):
+def _run_sweep(exec_config=None):
     return sweep(
         "cell", clique, (3,), lambda g: bcast_proto, NO_CD,
-        seeds=(0, 1), exec_config=exec_config, **legacy,
+        seeds=(0, 1), exec_config=exec_config,
     )
-
-
-def _run_cells(exec_config=None, **legacy):
-    return run_cells(
-        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seeds=(0, 1),
-        knowledge=KNOWLEDGE, exec_config=exec_config, **legacy,
-    )
-
-
-def _run_cell(exec_config=None, **legacy):
-    return run_cell(
-        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seed=1,
-        knowledge=KNOWLEDGE, exec_config=exec_config, **legacy,
-    )
-
-
-_SHIM_CASES = [
-    ("Simulator", _run_simulator, "time_limit", 5_000),
-    ("Simulator", _run_simulator, "record_trace", True),
-    ("Simulator", _run_simulator, "resolution", "list"),
-    ("Simulator", _run_simulator, "stepping", "slot"),
-    ("Simulator", _run_simulator, "meter_energy", False),
-    ("run_trials", _run_trials, "time_limit", 5_000),
-    ("run_trials", _run_trials, "record_trace", True),
-    ("run_trials", _run_trials, "resolution", "list"),
-    ("run_trials", _run_trials, "stepping", "slot"),
-    ("run_trials", _run_trials, "meter_energy", False),
-    ("run_trials", _run_trials, "lockstep", True),
-    ("run_trials", _run_trials, "observer_factory", lambda s: (SlotObserver(),)),
-    ("run_trials", _run_trials, "model_factory", lambda s: NO_CD),
-    ("run_broadcast_trials", _run_broadcast_trials, "time_limit", 5_000),
-    ("run_broadcast_trials", _run_broadcast_trials, "record_trace", True),
-    ("run_broadcast_trials", _run_broadcast_trials, "resolution", "list"),
-    ("run_broadcast_trials", _run_broadcast_trials, "stepping", "slot"),
-    ("run_broadcast_trials", _run_broadcast_trials, "lockstep", True),
-    ("run_broadcast_trials", _run_broadcast_trials, "observer_factory",
-     lambda s: (SlotObserver(),)),
-    ("run_broadcast", _run_broadcast, "time_limit", 5_000),
-    ("run_broadcast", _run_broadcast, "record_trace", True),
-    ("sweep", _run_sweep, "record_trace", True),
-    ("sweep", _run_sweep, "resolution", "list"),
-    ("sweep", _run_sweep, "lockstep", True),
-    ("sweep", _run_sweep, "contention_hist", True),
-    ("run_cells", _run_cells, "record_trace", True),
-    ("run_cells", _run_cells, "resolution", "list"),
-    ("run_cells", _run_cells, "stepping", "slot"),
-    ("run_cells", _run_cells, "lockstep", True),
-    ("run_cells", _run_cells, "contention_hist", True),
-    ("run_cell", _run_cell, "resolution", "list"),
-    ("run_cell", _run_cell, "contention_hist", True),
-]
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "entry,runner,kwarg,value",
-        _SHIM_CASES,
-        ids=[f"{entry}-{kwarg}" for entry, _, kwarg, _ in _SHIM_CASES],
-    )
-    def test_legacy_kwarg_warns_and_is_byte_identical(
-        self, entry, runner, kwarg, value
-    ):
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            legacy = runner(**{kwarg: value})
-        fresh = runner(exec_config=ExecutionConfig(**{kwarg: value}))
-        assert legacy == fresh
-
-    def test_exec_config_path_does_not_warn(self, recwarn):
-        _run_trials(exec_config=ExecutionConfig(resolution="list"))
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_legacy_kwarg_overrides_exec_config(self):
-        with pytest.warns(DeprecationWarning):
-            result = _run_trials(
-                exec_config=ExecutionConfig(stepping="slot"),
-                resolution="list",
-            )
-        assert result == _run_trials(
-            exec_config=ExecutionConfig(stepping="slot", resolution="list")
-        )
 
 
 # --- the exposure gaps the redesign closes --------------------------------

@@ -719,12 +719,13 @@ class TestTrialSoAEquivalence:
 
     def test_meter_energy_off(self):
         graph = clique(6)
+        config = ExecutionConfig(meter_energy=False)
         serial = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS, meter_energy=False
+            graph, NO_CD, _plan_rich_protocol, self.SEEDS, exec_config=config
         )
         lockstep = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS, meter_energy=False,
-            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+            graph, NO_CD, _plan_rich_protocol, self.SEEDS,
+            exec_config=config.replace(lockstep=True, resolution="numpy"),
         )
         _assert_same_results(serial, lockstep)
         assert all(e.total == 0 for r in lockstep for e in r.energy)
@@ -739,9 +740,9 @@ class TestTrialSoAEquivalence:
         def run(resolution):
             with pytest.raises(SimulationTimeout) as exc:
                 run_trials(
-                    graph, NO_CD, forever, (0, 1), time_limit=16,
+                    graph, NO_CD, forever, (0, 1),
                     exec_config=ExecutionConfig(
-                        lockstep=True, resolution=resolution
+                        lockstep=True, resolution=resolution, time_limit=16
                     ),
                 )
             return str(exc.value)

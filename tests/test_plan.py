@@ -461,18 +461,6 @@ class TestPhaseSlotReferenceEquivalence:
     def test_stepping_validation(self):
         with pytest.raises(ValueError, match="stepping"):
             ExecutionConfig(stepping="warp")
-        # The deprecated kwarg path funnels through the same validation.
-        with pytest.raises(ValueError, match="stepping"), pytest.warns(
-            DeprecationWarning
-        ):
-            Simulator(path_graph(2), NO_CD, stepping="warp")
-        with pytest.raises(ValueError, match="stepping"), pytest.warns(
-            DeprecationWarning
-        ):
-            run_trials(
-                path_graph(2), NO_CD, _plan_protocol(2, False), (0,),
-                lockstep=True, stepping="warp",
-            )
 
 
 # ---------------------------------------------------------------------------
