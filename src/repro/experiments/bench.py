@@ -1,6 +1,6 @@
 """Engine microbenchmarks: slots/sec on fixed workloads.
 
-``repro bench`` runs each workload on up to five simulators —
+``repro bench`` runs each workload on up to four simulators —
 
 * ``engine`` — the current bitmask-resolution engine with phase-compiled
   stepping (``stepping="phase"``: plan-emitting protocols step slots at
@@ -11,8 +11,6 @@
   PR-3 stepping baseline the phase ABI is measured against,
 * ``engine_numpy`` — the phase engine on the vectorized numpy
   resolution backend (present when numpy is installed),
-* ``engine_list_path`` — the phase engine forced onto the legacy
-  per-neighbor list resolution (``resolution="list"``),
 * ``reference`` — the naive slot-by-slot oracle
   (:class:`~repro.sim.reference.ReferenceSimulator`),
 
@@ -399,10 +397,6 @@ def _runners(
         # An explicit per-slot protocol differs from the plan-emitting
         # one even under identical configs: always worth timing.
         runners["engine_slot"] = (sim(base), slot_protocol)
-    if base.resolution != "list":
-        runners["engine_list_path"] = (
-            sim(base.replace(resolution="list")), protocol
-        )
     runners["reference"] = (
         lambda: ReferenceSimulator(
             graph, model, time_limit=base.time_limit, **common
@@ -486,9 +480,6 @@ def _backend_replay(
     entry: Dict[str, Any] = {
         "slots_replayed": len(slots),
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "speedup_list_to_bitmask": round(
-            seconds["list"] / seconds["bitmask"], 3
-        ),
         "equivalent": equivalent,
     }
     if "numpy" in seconds:
@@ -899,15 +890,11 @@ def run_engine_benchmarks(
             "equivalent": equivalent,
             "phase_gate": workload.phase_gate,
         }
-        # The fixed-axis ratio keys name their baseline ("vs list path",
-        # "numpy vs bitmask", "phase vs slot"), so they are only emitted
-        # when the re-centerable base config actually sits on the named
-        # baseline — otherwise the key would record a same-config timing
-        # under a wrong-by-name label.
-        if base_config.resolution != "list":
-            entry["speedup_vs_list_path"] = round(
-                timings["engine_list_path"] / engine_seconds, 3
-            )
+        # The fixed-axis ratio keys name their baseline ("numpy vs
+        # bitmask", "phase vs slot"), so they are only emitted when the
+        # re-centerable base config actually sits on the named baseline —
+        # otherwise the key would record a same-config timing under a
+        # wrong-by-name label.
         if base_config.stepping == "phase":
             entry["speedup_phase_vs_slot"] = round(
                 timings["engine_slot"] / engine_seconds, 3
@@ -933,18 +920,13 @@ def run_engine_benchmarks(
         quick, base_config, lockstep_seeds
     )
     report["campaign_fabric"] = _campaign_fabric_section(quick)
-    summary: Dict[str, float] = {}
-    for key in (
-        "speedup_vs_list_path",
-        "speedup_vs_reference",
-    ):
-        values = [
-            entry[key] for entry in report["workloads"].values()
-            if key in entry
-        ]
-        if values:
-            summary[f"min_{key}"] = min(values)
-    report["summary"] = summary
+    ref_ratios = [
+        entry["speedup_vs_reference"]
+        for entry in report["workloads"].values()
+    ]
+    report["summary"] = (
+        {"min_speedup_vs_reference": min(ref_ratios)} if ref_ratios else {}
+    )
     phase_ratios = [
         entry["speedup_phase_vs_slot"]
         for entry in report["workloads"].values()
@@ -1109,11 +1091,9 @@ def format_report(report: Dict) -> str:
         lines.append(f"  {name}: {entry['description']}")
         lines.append(
             "    engine {engine:>12.1f} slots/s | phase-vs-slot {phase} | "
-            "list-path {list_path} | "
             "reference x{ref:.2f} | equivalent={eq}".format(
                 engine=entry["slots_per_sec"]["engine"],
                 phase=fmt_ratio(entry, "speedup_phase_vs_slot"),
-                list_path=fmt_ratio(entry, "speedup_vs_list_path"),
                 ref=entry["speedup_vs_reference"],
                 eq=entry["equivalent"],
             )
@@ -1136,14 +1116,12 @@ def format_report(report: Dict) -> str:
         if backends is not None:
             ratio = backends.get("speedup_numpy_vs_bitmask")
             numpy_part = (
-                f"numpy x{ratio:.2f} vs bitmask | " if ratio is not None
-                else "numpy unavailable | "
+                f"numpy x{ratio:.2f} vs bitmask" if ratio is not None
+                else "numpy unavailable"
             )
             lines.append(
                 f"    backend replay ({backends['slots_replayed']} slots): "
-                + numpy_part
-                + f"bitmask x{backends['speedup_list_to_bitmask']:.2f} "
-                  f"vs list | equivalent={backends['equivalent']}"
+                f"{numpy_part} | equivalent={backends['equivalent']}"
             )
     lockstep = report.get("lockstep_trials")
     if lockstep is not None:

@@ -13,9 +13,9 @@ Channel semantics are delegated to a :class:`~repro.sim.models.ChannelModel`
 transmitter's bit into a per-slot transmit mask and resolves a listener as
 ``popcount(graph.neighbor_mask(v) & transmit_mask)``; ``"numpy"`` computes
 every listener's count in one vectorized sweep over a packed ``uint64``
-mask table; ``"list"`` forces the legacy per-neighbor scan.  Models whose
-outcome is a pure function of the contention count (all five paper models,
-via :meth:`~repro.sim.models.ChannelModel.resolve_count`) never materialize
+mask table.  Models whose outcome is a pure function of the contention
+count (all five paper models, via
+:meth:`~repro.sim.models.ChannelModel.resolve_count`) never materialize
 the message list except for the sole sender's message when exactly one
 neighbor transmitted; per-transmission models such as
 :class:`~repro.sim.models.LossyModel` fall back to the ordered list under

@@ -2,14 +2,11 @@
 
 Channel resolution — "what does each listener hear, given who
 transmitted this slot?" — is the engine's hot path, and the best
-implementation depends on the workload.  This module packages the three
-strategies behind one interface so the engine (and the lock-step batch
-driver) can swap them via the existing ``resolution=`` switch:
+implementation depends on the workload.  This module packages the two
+strategies behind one interface so the engine can swap them via the
+``resolution`` execution option (the trial-SoA engine builds on the
+numpy backend's mask table):
 
-* ``"list"`` — the legacy per-neighbor scan: for every listener, walk
-  its adjacency list and collect transmitting neighbors.  O(degree) per
-  listener, no precomputation beyond the adjacency itself.  Baseline
-  and semantic cross-check.
 * ``"bitmask"`` — arbitrary-precision int masks: OR the transmitters
   into one big-int ``transmit_mask``; each listener's contention count
   is ``popcount(neighbor_mask & transmit_mask)``.  One AND per listener
@@ -29,7 +26,7 @@ for one channel model, so per-run setup (silence caching, count-path
 dispatch) happens once, not per slot.  All backends must produce
 byte-identical feedback for identical inputs — the differential suite
 (tests/test_reference_equivalence.py, tests/test_resolution.py) pins
-every backend to the reference oracle.
+every backend to the reference oracle's per-neighbor scan.
 
 numpy is an optional dependency (``pip install -e .[fast]``).  When it
 is missing, requesting ``resolution="numpy"`` warns once and silently
@@ -53,14 +50,13 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
 __all__ = [
     "RESOLUTION_MODES",
     "ResolutionBackend",
-    "ListBackend",
     "BitmaskBackend",
     "NumpyBackend",
     "create_backend",
     "numpy_available",
 ]
 
-RESOLUTION_MODES = ("bitmask", "list", "numpy")
+RESOLUTION_MODES = ("bitmask", "numpy")
 
 # A slot resolver fills ``feedbacks[v]`` for every v in ``receivers``
 # given the slot's ``transmitting`` map (vertex -> message).
@@ -109,26 +105,6 @@ class ResolutionBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.graph.n})"
-
-
-class ListBackend(ResolutionBackend):
-    """Legacy per-neighbor scan; O(degree) per listener."""
-
-    name = "list"
-
-    def slot_resolver(self, model: ChannelModel) -> SlotResolver:
-        neighbors = self.graph.neighbors
-        resolve = model.resolve
-
-        def resolve_slot(transmitting, receivers, feedbacks):
-            for v in receivers:
-                feedbacks[v] = resolve([
-                    transmitting[w]
-                    for w in neighbors(v)
-                    if w in transmitting
-                ])
-
-        return resolve_slot
 
 
 class BitmaskBackend(ResolutionBackend):
@@ -382,7 +358,6 @@ class NumpyBackend(ResolutionBackend):
 
 
 _BACKENDS = {
-    "list": ListBackend,
     "bitmask": BitmaskBackend,
     "numpy": NumpyBackend,
 }

@@ -43,7 +43,7 @@ class TestBenchHarness:
         assert entry["n"] == 5
         assert entry["slots"] == 3
         expected_runners = {
-            "engine", "engine_slot", "engine_list_path", "reference",
+            "engine", "engine_slot", "reference",
         }
         from repro.sim.resolution import numpy_available
 
@@ -72,7 +72,6 @@ class TestBenchHarness:
         assert backends["equivalent"] is True
         assert backends["slots_replayed"] == 3
         assert "bitmask" in backends["seconds"]
-        assert "list" in backends["seconds"]
         if numpy_available():
             assert "speedup_numpy_vs_bitmask" in backends
             # An absurd bar is flagged against the backend ratio.

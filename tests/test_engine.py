@@ -277,31 +277,12 @@ def test_invalid_resolution_mode_rejected():
 def test_all_resolution_modes_accepted():
     from repro.sim import RESOLUTION_MODES
 
-    assert set(RESOLUTION_MODES) == {"bitmask", "list", "numpy"}
+    assert set(RESOLUTION_MODES) == {"bitmask", "numpy"}
     for mode in RESOLUTION_MODES:
         Simulator(
             path_graph(2), NO_CD,
             exec_config=ExecutionConfig(resolution=mode),
         )
-
-
-def test_list_resolution_matches_bitmask():
-    def proto(ctx):
-        if ctx.index % 2:
-            yield Send(("m", ctx.index))
-            return None
-        return (yield Listen())
-
-    graph = star_graph(5)
-    a = Simulator(
-        graph, CD, seed=0, exec_config=ExecutionConfig(resolution="bitmask")
-    ).run(proto)
-    b = Simulator(
-        graph, CD, seed=0, exec_config=ExecutionConfig(resolution="list")
-    ).run(proto)
-    assert a.outputs == b.outputs
-    assert a.duration == b.duration
-    assert [e.total for e in a.energy] == [e.total for e in b.energy]
 
 
 def test_meter_energy_off_reports_zeros():

@@ -123,7 +123,7 @@ class TestValidation:
 
     def test_exec_config_must_be_a_config(self):
         with pytest.raises(ValueError, match="ExecutionConfig"):
-            Simulator(GRAPH, NO_CD, exec_config={"resolution": "list"})
+            Simulator(GRAPH, NO_CD, exec_config={"resolution": "numpy"})
 
     def test_simulator_rejects_batch_level_fields(self):
         with pytest.raises(ValueError, match="lockstep"):
@@ -200,8 +200,8 @@ class TestSchema:
 class TestRoundTrip:
     def test_to_dict_is_minimal_by_default(self):
         assert ExecutionConfig().to_dict() == {}
-        config = ExecutionConfig(resolution="list", lockstep=True)
-        assert config.to_dict() == {"resolution": "list", "lockstep": True}
+        config = ExecutionConfig(resolution="numpy", lockstep=True)
+        assert config.to_dict() == {"resolution": "numpy", "lockstep": True}
 
     def test_to_dict_include_defaults_covers_serializable_fields(self):
         data = ExecutionConfig().to_dict(include_defaults=True)
@@ -215,7 +215,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("include_defaults", [False, True])
     def test_from_dict_inverts_to_dict(self, include_defaults):
         config = ExecutionConfig(
-            resolution="list", stepping="slot", time_limit=123,
+            resolution="numpy", stepping="slot", time_limit=123,
         )
         data = config.to_dict(include_defaults=include_defaults)
         json.loads(json.dumps(data))  # JSON-safe
@@ -252,14 +252,14 @@ class TestRoundTrip:
         parser = argparse.ArgumentParser()
         add_execution_args(parser)
         args = parser.parse_args(
-            ["--resolution", "list", "--lockstep", "--stepping", "slot"]
+            ["--resolution", "numpy", "--lockstep", "--stepping", "slot"]
         )
         assert execution_overrides(args) == {
-            "resolution": "list", "stepping": "slot", "lockstep": True,
+            "resolution": "numpy", "stepping": "slot", "lockstep": True,
         }
         config = config_from_args(args)
         assert config == ExecutionConfig(
-            resolution="list", stepping="slot", lockstep=True
+            resolution="numpy", stepping="slot", lockstep=True
         )
         # Nothing given -> nothing overridden.
         empty = parser.parse_args([])
@@ -429,7 +429,7 @@ class TestKeyStability:
         tuned = CampaignSpec.from_dict({
             "name": "c",
             "rows": [{"row": "path", "sizes": [8], "seeds": [0],
-                      "options": {"resolution": "list"}}],
+                      "options": {"resolution": "numpy"}}],
         })
         assert [j.key() for j in bare.jobs()] != [j.key() for j in tuned.jobs()]
 
@@ -509,7 +509,7 @@ class TestSweepFullControl:
 
         assert main([
             "table1", "path", "--seeds", "1", "--sizes-scale", "0.05",
-            "--resolution", "list", "--stepping", "slot", "--lockstep",
+            "--resolution", "bitmask", "--stepping", "slot", "--lockstep",
         ]) == 0
         assert "delivered" in capsys.readouterr().out
 
@@ -520,7 +520,7 @@ class TestSweepFullControl:
         # shared flags reach every row rather than being dropped.
         assert main([
             "table1", "lb-reduction", "--seeds", "1", "--sizes-scale",
-            "0.5", "--resolution", "list",
+            "0.5", "--stepping", "slot",
         ]) == 0
         assert "T_LE" in capsys.readouterr().out
         # ...and an option no layer can honor fails loudly, not silently.
@@ -541,13 +541,13 @@ class TestSweepFullControl:
         out = str(tmp_path / "out")
         assert main([
             "campaign", "run", str(config), "--out", out,
-            "--stepping", "slot", "--resolution", "list",
+            "--stepping", "slot", "--lockstep",
         ]) == 0
         first = capsys.readouterr().out
         assert "1 cells" in first
         # Same flags -> same identity -> full cache hit.
         assert main([
             "campaign", "run", str(config), "--out", out,
-            "--stepping", "slot", "--resolution", "list",
+            "--stepping", "slot", "--lockstep",
         ]) == 0
         assert "1 cached, 0 computed" in capsys.readouterr().out

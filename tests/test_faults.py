@@ -3,7 +3,7 @@ every door, and byte-identical across every execution engine.
 
 The core is the differential matrix: every fault family (churn, jamming,
 Gilbert-Elliott burst loss — and their composition) run across the five
-paper models x {list, bitmask, numpy} x {phase, slot} x {serial,
+paper models x {bitmask, numpy} x {phase, slot} x {serial,
 lock-step}, pinned against the reference oracle carrying the *same*
 fault realization (built by the shared ``FaultPlan.for_trial``).  On
 top: spec-grammar and parameter validation, schedule determinism and
@@ -67,7 +67,7 @@ FIVE_MODELS = {
     "BEEP": BEEPING,
 }
 
-RESOLUTIONS = ("bitmask", "list") + (("numpy",) if numpy_available() else ())
+RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
 
 FAULT_CONFIGS = {
     "churn-periodic": dict(churn="periodic:period=10,down=3,stagger=2"),

@@ -47,7 +47,7 @@ FIVE_MODELS = {
     "BEEP": BEEPING,
 }
 
-RESOLUTIONS = ("bitmask", "list") + (("numpy",) if numpy_available() else ())
+RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
 
 
 def _random_protocol(steps: int):
@@ -641,8 +641,8 @@ class TestTrialSoAEquivalence:
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
     def test_lossy_matrix_vs_serial(self, model_name, resolution, stepping):
         # Under "numpy" this pins the vectorized drop-mask path against
-        # the serial oracle for every inner model; under "bitmask"/"list"
-        # it pins the serial fallback (and the whole matrix stays valid
+        # the serial oracle for every inner model; under "bitmask" it
+        # pins the serial fallback (and the whole matrix stays valid
         # on the no-numpy CI leg).
         inner = FIVE_MODELS[model_name]
         graph = random_gnp(8, 0.6, random.Random(12))

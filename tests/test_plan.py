@@ -61,7 +61,7 @@ FIVE_MODELS = {
     "BEEP": BEEPING,
 }
 
-RESOLUTIONS = ("bitmask", "list") + (("numpy",) if numpy_available() else ())
+RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
 
 
 def _assert_same(fast, slow):

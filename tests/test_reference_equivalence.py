@@ -35,7 +35,7 @@ from repro.sim.resolution import numpy_available
 
 # The numpy backend joins the sweep when numpy is installed; without it
 # the suite still passes (resolution="numpy" would just alias bitmask).
-RESOLUTIONS = ("bitmask", "list") + (("numpy",) if numpy_available() else ())
+RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
