@@ -5,7 +5,7 @@ accounting, the paper's broadcast algorithms in every collision model
 (LOCAL / CD / No-CD / CD*), the single-hop substrates they build on,
 experiment harnesses reproducing Table 1 and Figure 1, and a campaign
 subsystem for config-driven, sharded, resumable sweeps
-(``python -m repro campaign run configs/table1.json --jobs 4``).
+(``python -m repro campaign run configs/table1.json --workers 4``).
 """
 
 __version__ = "1.1.0"

@@ -1,15 +1,16 @@
 """Campaign subsystem: config-driven, sharded, resumable experiment sweeps.
 
 A *campaign* declares a sweep matrix once — rows × sizes × seeds — in a
-JSON config, shards it into per-cell jobs across worker processes, and
-persists every raw measurement in an append-only JSONL store keyed by a
+JSON config, runs it as seed blocks (in-process, or across the worker
+fabric's processes with ``--workers``), and persists every raw
+measurement in an append-only JSONL store keyed by a
 content hash of the job.  Re-running a campaign computes only the delta;
 aggregation reconstructs the serial harness's ``SweepPoint`` tables
 (plus spread statistics and bootstrap confidence intervals) on demand.
 
 CLI::
 
-    python -m repro campaign run configs/table1.json --jobs 4
+    python -m repro campaign run configs/table1.json --workers 4
     python -m repro campaign status configs/table1.json
     python -m repro campaign report configs/table1.json
 """

@@ -19,8 +19,7 @@ repair loop instead of a fire-and-forget process pool:
   retrying only the still-failing seeds;
 * **quarantine** — a block that exhausts its retry budget is recorded
   as ``status="quarantined"`` cells (a non-``ok`` status, so the next
-  run retries them) and the sweep *continues*, instead of the legacy
-  pool's all-or-nothing abort.
+  run retries them) and the sweep *continues* instead of aborting.
 
 Results flow through per-worker shards
 (:mod:`repro.campaign.fabric.shards`) and are folded into the canonical
@@ -84,7 +83,6 @@ class FabricRunReport(CampaignRunReport):
             self.errors == 0
             and self.timeouts == 0
             and self.quarantined == 0
-            and not self.aborted
         )
 
     def summary(self) -> str:
@@ -360,7 +358,6 @@ def run_campaign_fabric(
         errors=books.counts.get("error", 0),
         timeouts=books.counts.get("timeout", 0),
         elapsed=time.monotonic() - start,
-        aborted=False,
         failed_jobs=books.failed_jobs,
         quarantined=books.quarantined,
         retries=books.retry_count,

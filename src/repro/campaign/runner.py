@@ -1,4 +1,4 @@
-"""Campaign executor: shard seed blocks across workers, persist cells.
+"""Campaign executor: run seed blocks in-process, persist cells.
 
 One dispatch unit = one (row, size) *seed block*; one stored record =
 one (row, size, seed) cell.  The runner
@@ -15,10 +15,11 @@ one (row, size, seed) cell.  The runner
   ``status=timeout`` and the campaign continues,
 * enforces a per-*cell* wall-clock timeout via ``SIGALRM`` inside the
   worker process (a block's budget is ``timeout * len(seeds)``), so
-  one diverging protocol cannot wedge the sweep,
-* with ``jobs > 1`` fans blocks out over a ``ProcessPoolExecutor``;
-  with ``jobs <= 1`` it runs them in-process (same code path as the
-  serial harness).
+  one diverging protocol cannot wedge the sweep.
+
+This serial runner is the differential oracle for the worker fabric
+(:mod:`repro.campaign.fabric`), which runs the same blocks through the
+same :func:`execute_job` on persistent worker processes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def plan_pending(spec: CampaignSpec, done) -> "tuple[int, List[JobSpec]]":
     key is counted and executed once (aggregation dedupes the same
     way).  Each returned block carries only its not-yet-done seeds, so
     resuming a half-finished campaign re-runs exactly the missing
-    cells.  Shared by the serial/pool runner and the fabric executor —
+    cells.  Shared by the serial runner and the fabric executor —
     one planning door guarantees both dispatch the identical work-set.
     """
     seen = set()
@@ -83,9 +84,7 @@ class CellTimeout(RuntimeError):
 class CampaignRunReport:
     """What one ``run_campaign`` invocation did.
 
-    ``ran`` counts cells that actually produced a record this run;
-    ``aborted`` is set when the worker pool died and cells were left
-    pending (a re-run resumes them).
+    ``ran`` counts cells that actually produced a record this run.
     """
 
     total: int
@@ -95,23 +94,18 @@ class CampaignRunReport:
     errors: int
     timeouts: int
     elapsed: float
-    aborted: bool = False
     failed_jobs: List[Dict] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
-        return self.errors == 0 and self.timeouts == 0 and not self.aborted
+        return self.errors == 0 and self.timeouts == 0
 
     def summary(self) -> str:
-        text = (
+        return (
             f"{self.total} cells: {self.skipped} cached, {self.ok} computed, "
             f"{self.errors} errors, {self.timeouts} timeouts "
             f"({self.elapsed:.1f}s)"
         )
-        if self.aborted:
-            pending = self.total - self.skipped - self.ran
-            text += f"; ABORTED with {pending} cells pending (re-run to resume)"
-        return text
 
 
 def _alarm_handler(signum, frame):
@@ -182,8 +176,8 @@ def execute_job(payload: Dict) -> List[Dict]:
     """Run one job (a single cell or a seed block) and wrap every cell's
     outcome in a store record.
 
-    Module-level (picklable) so it serves as the multiprocessing worker
-    entry point; also called directly for serial runs.  Never raises —
+    The one block executor: the serial runner calls it in-process and
+    the fabric's workers call it in theirs.  Never raises —
     failures become ``error``/``timeout`` records.  A multi-seed block
     first runs batched on one prepared engine (budget: per-cell timeout
     x block size); if anything in the batch fails, it falls back to
@@ -218,7 +212,6 @@ def execute_job(payload: Dict) -> List[Dict]:
 def run_campaign(
     spec: CampaignSpec,
     store: CampaignStore,
-    jobs: int = 1,
     timeout: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CampaignRunReport:
@@ -240,9 +233,8 @@ def run_campaign(
     start = time.monotonic()
     counts = {STATUS_OK: 0, STATUS_ERROR: 0, STATUS_TIMEOUT: 0}
     failed: List[Dict] = []
-
-    def record_outcome(records: List[Dict]) -> None:
-        for record in records:
+    for block in pending:
+        for record in execute_job({"job": block.to_dict(), "timeout": timeout}):
             store.append(record)
             counts[record["status"]] = counts.get(record["status"], 0) + 1
             job = record["job"]
@@ -253,60 +245,13 @@ def run_campaign(
                 failed.append(job)
                 say(f"  {record['status'].upper()} {tag}")
 
-    payloads = [
-        {"job": block.to_dict(), "timeout": timeout} for block in pending
-    ]
-    aborted = False
-    if jobs <= 1 or len(pending) <= 1:
-        for payload in payloads:
-            record_outcome(execute_job(payload))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {
-                pool.submit(execute_job, payload): payload
-                for payload in payloads
-            }
-            for future in as_completed(futures):
-                payload = futures[future]
-                try:
-                    record = future.result()
-                except BrokenProcessPool:
-                    # A worker died hard (segfault / OOM-kill).  Which
-                    # cell killed it is not attributable from here —
-                    # every unfinished future fails with this error — so
-                    # record nothing: the unfinished cells stay pending
-                    # and the next run resumes (and retries) them.
-                    aborted = True
-                    say(
-                        "  ABORT: a worker process died; remaining cells "
-                        "stay pending — re-run to resume"
-                    )
-                    break
-                except Exception as exc:  # pickling/submission failures
-                    block = JobSpec.from_dict(payload["job"])
-                    record_outcome([
-                        make_record(
-                            cell.key(), cell.to_dict(), STATUS_ERROR,
-                            error=f"executor failure: {exc!r}",
-                        )
-                        for cell in block.cells()
-                    ])
-                else:
-                    record_outcome(record)
-
-    ran = sum(counts.values())
     return CampaignRunReport(
         total=total_cells,
         skipped=total_cells - pending_cells,
-        ran=ran,
+        ran=sum(counts.values()),
         ok=counts[STATUS_OK],
         errors=counts[STATUS_ERROR],
         timeouts=counts[STATUS_TIMEOUT],
         elapsed=time.monotonic() - start,
-        aborted=aborted,
         failed_jobs=failed,
     )

@@ -8,13 +8,12 @@ Commands:
 * ``ablations`` — run the three ablations.
 * ``demo`` — the quickstart comparison on a 128-hop chain.
 * ``campaign run CONFIG [--workers N] [--retries K] [--heartbeat S]
-  [--jobs N] [--out DIR] [--timeout S]`` — execute a declarative sweep
-  campaign with results cached in an append-only store (re-runs compute
-  only the delta).  ``--workers`` engages the fault-tolerant fabric:
-  persistent worker processes, per-worker result shards, retry with
-  backoff, poison-block quarantine, and a live events ledger.
-  ``--jobs`` keeps the legacy pool path; plain serial stays the
-  differential oracle.
+  [--out DIR] [--timeout S]`` — execute a declarative sweep campaign
+  with results cached in an append-only store (re-runs compute only the
+  delta).  ``--workers`` engages the fault-tolerant fabric: persistent
+  worker processes, per-worker result shards, retry with backoff,
+  poison-block quarantine, and a live events ledger.  Without a fabric
+  flag the campaign runs serially in-process, the differential oracle.
 * ``campaign status CONFIG [--out DIR] [--watch] [--interval S]`` —
   per-row completion accounting; ``--watch`` adds the live fabric view
   (throughput, ETA, per-worker state) replayed from the events ledger.
@@ -248,7 +247,7 @@ def _cmd_campaign_run(args) -> int:
         )
     else:
         report = run_campaign(
-            spec, store, jobs=args.jobs, timeout=args.timeout, progress=print
+            spec, store, timeout=args.timeout, progress=print
         )
     print(report.summary())
     print()
@@ -576,11 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = camp_sub.add_parser("run", help="execute pending campaign cells")
     add_campaign_common(p_run)
-    p_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="legacy pool worker processes (1 = in-process serial); "
-             "prefer --workers for the fault-tolerant fabric",
-    )
     p_run.add_argument(
         "--timeout", type=float, default=None,
         help="per-cell wall-clock budget in seconds",

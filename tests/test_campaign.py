@@ -162,8 +162,8 @@ class TestSpec:
             j.key() for j in int_spec.jobs()
         ]
         store = _store(tmp_path)
-        run_campaign(float_spec, store, jobs=1)
-        again = run_campaign(float_spec, store, jobs=1)
+        run_campaign(float_spec, store)
+        again = run_campaign(float_spec, store)
         assert again.ran == 0 and again.skipped == 1
         assert aggregate_campaign(float_spec, store)["path"][0].n == 16
 
@@ -178,7 +178,7 @@ class TestSpec:
             ],
         })
         store = _store(tmp_path)
-        report = run_campaign(spec, store, jobs=1)
+        report = run_campaign(spec, store)
         assert report.total == 2 and report.ok == 2  # not 3
         assert store.line_count() == 2
         point = aggregate_campaign(spec, store)["path"][0]
@@ -213,7 +213,7 @@ class TestRunner:
             "rows": [{"row": "bounded", "sizes": [8], "seeds": [0, 1, 2]}],
         })
         store = _store(tmp_path)
-        first = run_campaign(spec, store, jobs=1)
+        first = run_campaign(spec, store)
         assert first.ok == 3
         # Drop one cell's record: simulate a half-finished blocked run.
         records = [
@@ -222,12 +222,12 @@ class TestRunner:
         with open(store.path, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
-        again = run_campaign(spec, store, jobs=1)
+        again = run_campaign(spec, store)
         assert again.ran == 1 and again.skipped == 2 and again.ok == 1
         assert {r["job"]["seed"] for r in store.load().values()} == {0, 1, 2}
         # And the recomputed cell is identical to a fresh serial run.
         fresh = _store(tmp_path / "fresh")
-        run_campaign(spec, fresh, jobs=1)
+        run_campaign(spec, fresh)
         by_seed = lambda s: {
             r["job"]["seed"]: r["result"] for r in s.load().values()
         }
@@ -241,7 +241,7 @@ class TestRunner:
             "rows": [{"row": "bounded", "sizes": [8, 12], "seeds": [0, 1, 2]}],
         })
         store = _store(tmp_path)
-        assert run_campaign(spec, store, jobs=2).all_ok
+        assert run_campaign(spec, store).all_ok
         campaign_points = aggregate_campaign(spec, store, extended=False)
         serial_points, _ = registry_row(
             "bounded", sizes=(8, 12), seeds=(0, 1, 2)
@@ -259,11 +259,11 @@ class TestRunner:
                       "options": opts}],
         })
         plain_store, fast_store = _store(tmp_path / "a"), _store(tmp_path / "b")
-        run_campaign(base({}), plain_store, jobs=1)
+        run_campaign(base({}), plain_store)
         options = {"lockstep": True, "stepping": "slot"}
         if numpy_available():
             options["resolution"] = "numpy"
-        run_campaign(base(options), fast_store, jobs=1)
+        run_campaign(base(options), fast_store)
         plain = [r["result"] for r in sorted(
             plain_store.load().values(), key=lambda r: r["job"]["seed"]
         )]
@@ -293,7 +293,7 @@ class TestRunner:
                       "options": {"contention_hist": True}}],
         })
         store = _store(tmp_path)
-        assert run_campaign(spec, store, jobs=1).all_ok
+        assert run_campaign(spec, store).all_ok
         (record,) = store.ok_records()
         extras = record["result"]["extras"]
         assert extras["ch_active_slots"] > 0
@@ -301,24 +301,11 @@ class TestRunner:
 
     def test_serial_run_and_resume(self, tmp_path):
         spec, store = _tiny_spec(), _store(tmp_path)
-        report = run_campaign(spec, store, jobs=1)
+        report = run_campaign(spec, store)
         assert report.ok == 2 and report.all_ok
-        again = run_campaign(spec, store, jobs=1)
+        again = run_campaign(spec, store)
         assert again.ran == 0 and again.skipped == 2
         assert store.line_count() == 2
-
-    def test_parallel_matches_serial(self, tmp_path):
-        spec = _tiny_spec()
-        serial_store = _store(tmp_path / "serial")
-        parallel_store = _store(tmp_path / "parallel")
-        run_campaign(spec, serial_store, jobs=1)
-        report = run_campaign(spec, parallel_store, jobs=2)
-        assert report.all_ok
-        serial = aggregate_campaign(spec, serial_store)["bounded"][0]
-        parallel = aggregate_campaign(spec, parallel_store)["bounded"][0]
-        assert serial.time_median == parallel.time_median
-        assert serial.max_energy_median == parallel.max_energy_median
-        assert serial.mean_energy_median == parallel.mean_energy_median
 
     def test_crashing_cell_is_isolated(self, tmp_path, crashing_row):
         spec = CampaignSpec.from_dict({
@@ -329,7 +316,7 @@ class TestRunner:
             ],
         })
         store = _store(tmp_path)
-        report = run_campaign(spec, store, jobs=1)
+        report = run_campaign(spec, store)
         assert report.errors == 1 and report.ok == 1
         records = list(store.load().values())
         failed = [r for r in records if r["status"] == "error"]
@@ -344,7 +331,7 @@ class TestRunner:
             ],
         })
         store = _store(tmp_path)
-        report = run_campaign(spec, store, jobs=1, timeout=1)
+        report = run_campaign(spec, store, timeout=1)
         assert report.timeouts == 1 and report.ok == 1
 
     def test_failed_cells_retry_on_rerun(self, tmp_path, crashing_row):
@@ -352,8 +339,8 @@ class TestRunner:
             "name": "x", "rows": [{"row": crashing_row, "sizes": [4], "seeds": [0]}]
         })
         store = _store(tmp_path)
-        run_campaign(spec, store, jobs=1)
-        report = run_campaign(spec, store, jobs=1)
+        run_campaign(spec, store)
+        report = run_campaign(spec, store)
         assert report.ran == 1  # errored cell is not treated as cached
 
     def test_execute_job_record_shape(self):
@@ -527,7 +514,7 @@ class TestAggregate:
         metric, fn_half = resolve_bounds(definition, {"epsilon": 0.5})["log^2n/llog"]
         _, fn_quarter = resolve_bounds(definition, {"epsilon": 0.25})["log^2n/llog"]
         store = _store(tmp_path)
-        run_campaign(spec_for(0.5), store, jobs=1)
+        run_campaign(spec_for(0.5), store)
         point = aggregate_campaign(spec_for(0.5), store)["cd[epsilon=0.5]"][0]
         assert metric == "energy"
         assert fn_quarter(point) == pytest.approx(2 * fn_half(point))
@@ -552,7 +539,7 @@ class TestAggregate:
             ],
         })
         store = _store(tmp_path)
-        assert run_campaign(spec, store, jobs=1).all_ok
+        assert run_campaign(spec, store).all_ok
         points = aggregate_campaign(spec, store)
         assert set(points) == {"abl-beta[beta=0.15]", "abl-beta[beta=0.6]"}
         assert points["abl-beta[beta=0.15]"][0].extras["lemma14_bound"] == 0.3
@@ -572,7 +559,7 @@ class TestReportRendering:
         status = render_status(spec, store)
         assert "0/2 cells complete" in status and "2 pending" in status
         assert "(no completed cells)" in render_report(spec, store)
-        run_campaign(spec, store, jobs=1)
+        run_campaign(spec, store)
         assert "2/2 cells complete" in render_status(spec, store)
         report = render_report(spec, store)
         assert "Corollary 13" in report and "log n ratio" in report

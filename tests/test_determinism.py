@@ -86,9 +86,9 @@ class TestCampaignDeterminism:
             ],
         })
         store = CampaignStore(os.path.join(str(tmp_path), "results.jsonl"))
-        first = run_campaign(spec, store, jobs=1)
+        first = run_campaign(spec, store)
         assert first.all_ok and first.ok == 4
         lines = store.line_count()
-        second = run_campaign(spec, store, jobs=2)
+        second = run_campaign(spec, store)
         assert second.ran == 0 and second.skipped == 4
         assert store.line_count() == lines
