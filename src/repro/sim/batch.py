@@ -27,7 +27,7 @@ parallelism layered on top.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 from repro.sim.config import (
@@ -36,9 +36,8 @@ from repro.sim.config import (
     resolve_exec_config,
 )
 from repro.sim.engine import ProtocolFactory, Simulator, SimResult
-from repro.sim.faults import parse_fault_specs
 from repro.sim.models import ChannelModel
-from repro.sim.node import Knowledge, validate_input_keys
+from repro.sim.node import Knowledge
 from repro.sim.observers import SlotObserver
 from repro.sim.trialsoa import run_trials_soa, soa_fallback_reason
 
@@ -143,95 +142,71 @@ def run_trials(
         model,
         knowledge=knowledge,
         uids=uids,
-        observers=observers,
         # The batch-level fields are consumed right here, not by the engine.
         exec_config=config.replace(
             lockstep=False, observer_factory=None, model_factory=None
         ),
     )
-    if config.lockstep:
-        return _run_lockstep(simulator, protocol_factory, seeds, inputs, config)
-    base_observers = list(observers)
-    results: List[SimResult] = []
-    for seed in seeds:
-        if config.model_factory is not None:
-            simulator.model = config.model_factory(seed)
-        if config.observer_factory is not None:
-            simulator.extra_observers = base_observers + list(
-                config.observer_factory(seed)
-            )
-        results.append(simulator.run(protocol_factory, inputs=inputs, seed=seed))
-    return results
+    trials = _trials(simulator, config, seeds, observers)
+    if not config.lockstep:
+        return _run_serial(simulator, protocol_factory, inputs, seeds, trials)
 
-
-def _run_lockstep(
-    simulator: Simulator,
-    protocol_factory: ProtocolFactory,
-    seeds: Sequence[int],
-    inputs: Optional[Dict[int, Dict[str, Any]]],
-    config: ExecutionConfig,
-) -> List[SimResult]:
-    """Run a lock-step batch: the trial-SoA engine when the batch is
-    eligible, else the serial engine once per seed.  Every result
-    carries the dispatch verdict in ``soa_reason``.
-
-    Each per-seed factory product and fault realization is built once,
-    up front, and the same instances run on whichever path the verdict
-    picks.  The fallback drives :meth:`Simulator.run_trial` directly.
-    """
-    model = simulator.model
-    trial_models = (
-        None if config.model_factory is None
-        else [config.model_factory(seed) for seed in seeds]
-    )
+    # Lock-step: build every trial before dispatch, so each per-seed
+    # factory product and fault realization exists once and the same
+    # instances run on whichever executor the verdict picks.
+    trials = list(trials)
+    models = [trial_model for trial_model, _, _ in trials]
+    trial_models = None if all(m is model for m in models) else models
     trial_observers = (
         None if config.observer_factory is None
-        else [tuple(config.observer_factory(seed)) for seed in seeds]
+        else [extra for _, _, extra in trials]
     )
-    churns = None
-    fault_plan = parse_fault_specs(config)
-    if fault_plan is not None:
-        faulted = [
-            fault_plan.for_trial(trial_model, seed)
-            for trial_model, seed in zip(trial_models or [model] * len(seeds), seeds)
-        ]
-        if fault_plan.wraps_model():
-            trial_models = [trial_model for trial_model, _ in faulted]
-        if fault_plan.churn_params is not None:
-            churns = [churn for _, churn in faulted]
-
     reason = soa_fallback_reason(
         model, config, simulator.backend, trial_models, trial_observers
     )
     if reason is None and seeds:
-        validate_input_keys(inputs or {}, simulator.graph.n)
         results = run_trials_soa(
-            simulator.graph,
-            model,
-            protocol_factory,
-            seeds,
-            knowledge=simulator.knowledge,
-            uids=simulator.uids,
-            inputs=inputs or {},
-            time_limit=simulator.time_limit,
-            meter_energy=simulator.meter_energy,
-            stepping=simulator.stepping,
-            backend=simulator.backend,
-            trial_models=trial_models,
-            trial_observers=trial_observers,
+            simulator, protocol_factory, seeds, inputs,
+            trial_models=trial_models, trial_observers=trial_observers,
         )
     else:
-        results = [
-            simulator.run_trial(
-                protocol_factory,
-                inputs,
-                seed,
-                model if trial_models is None else trial_models[i],
-                None if churns is None else churns[i],
-                () if trial_observers is None else trial_observers[i],
-            )
-            for i, seed in enumerate(seeds)
-        ]
+        # The serial loop itself, not run_trials: a batch is one call.
+        results = _run_serial(simulator, protocol_factory, inputs, seeds, trials)
     for result in results:
         result.soa_reason = reason or "ok"
     return results
+
+
+def _trials(
+    simulator: Simulator,
+    config: ExecutionConfig,
+    seeds: Sequence[int],
+    observers: Sequence[SlotObserver],
+) -> Iterator[Tuple[ChannelModel, Any, Tuple[SlotObserver, ...]]]:
+    """Yield each seed's ``(model, churn, observers)``, in seed order:
+    its ``model_factory`` product (or the shared model) with the fault
+    plan realized on it, and the shared observers followed by its
+    ``observer_factory`` products."""
+    for seed in seeds:
+        model = (
+            simulator.model if config.model_factory is None
+            else config.model_factory(seed)
+        )
+        extra = tuple(observers)
+        if config.observer_factory is not None:
+            extra += tuple(config.observer_factory(seed))
+        yield (*simulator.setup.faults(model, seed), extra)
+
+
+def _run_serial(
+    simulator: Simulator,
+    protocol_factory: ProtocolFactory,
+    inputs: Optional[Dict[int, Dict[str, Any]]],
+    seeds: Sequence[int],
+    trials: Iterable[Tuple[ChannelModel, Any, Tuple[SlotObserver, ...]]],
+) -> List[SimResult]:
+    """The serial engine, one trial after another."""
+    return [
+        simulator.run_trial(protocol_factory, inputs, seed, *trial)
+        for seed, trial in zip(seeds, trials)
+    ]

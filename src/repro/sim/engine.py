@@ -38,7 +38,6 @@ costs zero when disabled.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
@@ -52,7 +51,7 @@ from repro.sim.config import (
 )
 from repro.sim.energy import EnergyReport
 from repro.sim.models import ChannelModel
-from repro.sim.node import Knowledge, NodeCtx, validate_input_keys
+from repro.sim.node import Knowledge, NodeCtx
 from repro.sim.plan import (
     OP_LISTEN,
     OP_SEND,
@@ -60,12 +59,11 @@ from repro.sim.plan import (
     OP_UNTIL,
     Plan,
     ProtocolError,
-    expand_plans,
     plan_feedback,
     plan_resume,
     start_plan,
 )
-from repro.sim.faults import parse_fault_specs
+from repro.sim.faults import down_feedback, parse_fault_specs
 from repro.sim.feedback import BEEP, NOISE, SILENCE
 from repro.sim.resolution import RESOLUTION_MODES, create_backend
 from repro.sim.observers import (
@@ -75,6 +73,7 @@ from repro.sim.observers import (
     _ZeroEnergyObserver,
 )
 from repro.sim.trace import Trace
+from repro.sim.trial import TrialSetup
 
 __all__ = [
     "Simulator",
@@ -220,31 +219,22 @@ class Simulator:
         self.graph = graph
         self.model = model
         self.seed = seed
-        # Fault injection (churn/jam/burst_loss) is consumed right here:
-        # run() materializes the per-trial fault objects from the run
-        # seed, so batched trials stay seed-reproducible and
-        # sharding-independent.  None on the clean path.
-        self._faults = parse_fault_specs(config)
+        # Fault injection (churn/jam/burst_loss) is realized per trial
+        # from the trial seed (TrialSetup.faults), so batched trials stay
+        # seed-reproducible and sharding-independent.
+        self.setup = TrialSetup(
+            graph, knowledge, uids,
+            fault_plan=parse_fault_specs(config),
+            slot_stepping=config.stepping == "slot",
+        )
         self.time_limit = config.resolved_time_limit(DEFAULT_TIME_LIMIT)
         self.record_trace = config.record_trace
         # Resolves "numpy" to the bitmask backend (with a warning) when
         # numpy is unavailable; the mode itself was validated by the
         # config on construction.
         self.backend = create_backend(config.resolution, graph)
-        self.resolution = config.resolution
-        self.stepping = config.stepping
         self.meter_energy = config.meter_energy
         self.extra_observers = list(observers)
-        if knowledge is None:
-            knowledge = Knowledge(
-                n=graph.n, max_degree=max(graph.max_degree, 1), diameter=None
-            )
-        self.knowledge = knowledge
-        if uids is None:
-            uids = list(range(1, graph.n + 1))
-        if len(uids) != graph.n or len(set(uids)) != graph.n:
-            raise ValueError("uids must be distinct and cover every vertex")
-        self.uids = list(uids)
 
     def run(
         self,
@@ -271,12 +261,7 @@ class Simulator:
                 other illegal yields.
         """
         run_seed = self.seed if seed is None else seed
-        model, churn = self.model, None
-        if self._faults is not None:
-            # Per-trial fault realization: jam/burst wrappers seeded by
-            # the run seed replace the model for this run only; churn
-            # rides alongside as a slot filter.
-            model, churn = self._faults.for_trial(model, run_seed)
+        model, churn = self.setup.faults(self.model, run_seed)
         return self.run_trial(
             protocol_factory, inputs, run_seed, model, churn,
             self.extra_observers,
@@ -294,25 +279,16 @@ class Simulator:
         """One run with its channel already realized for ``seed``.
 
         ``model`` and ``churn`` are the trial's channel and crash
-        schedule as :meth:`FaultPlan.for_trial
-        <repro.sim.faults.FaultPlan.for_trial>` returns them (or the bare
-        model and None on a clean channel).  The batch layer draws them
-        once per trial before it picks an executor, then hands the same
-        instances to whichever executor runs; :meth:`run` is the
-        single-trial form that draws them itself.
+        schedule as :meth:`TrialSetup.faults
+        <repro.sim.trial.TrialSetup.faults>` returns them for ``seed``.
+        The batch layer draws them once per trial before it picks an
+        executor, then hands the same instances to whichever executor
+        runs; :meth:`run` is the single-trial form that draws them
+        itself.
         """
         graph = self.graph
-        run_seed = seed
-        if churn is None:
-            down_fb = SILENCE
-        else:
-            from repro.sim.faults import down_feedback
-
-            down_fb = down_feedback(model)
+        down_fb = SILENCE if churn is None else down_feedback(model)
         slot_aware = getattr(model, "slot_aware", False)
-        master = random.Random(run_seed)
-        inputs = inputs or {}
-        validate_input_keys(inputs, graph.n)
 
         energy = EnergyObserver() if self.meter_energy else _ZeroEnergyObserver()
         observers: List[SlotObserver] = [energy]
@@ -337,45 +313,25 @@ class Simulator:
         # idle came from a yielded Idle or from inside an active plan
         # (``plans[v]`` decides which on wake-up).
         n = graph.n
-        gens: List[Protocol] = [None] * n  # type: ignore[list-item]
-        ctxs: List[NodeCtx] = [None] * n  # type: ignore[list-item]
+        ctxs, gens, outputs, first = self.setup.start(
+            protocol_factory, seed, inputs
+        )
         plans: List[Optional[list]] = [None] * n
-        outputs: List[Any] = [None] * n
         finish_slot = [-1] * n
-        entries = 0
+        entries = n  # every generator was entered once by start()
 
         heap: List = []
         heappush, heappop = heapq.heappush, heapq.heappop
         full_duplex = model.full_duplex
         model_name = model.name
-        slot_stepping = self.stepping == "slot"
 
         bucket_slot = 0
         bucket_senders: Dict[int, Any] = {}
         bucket_listeners: List[int] = []
         bucket_duplexers: Dict[int, Any] = {}
 
-        remaining = 0
-        for v in range(n):
-            ctx = NodeCtx(
-                index=v,
-                uid=self.uids[v],
-                knowledge=self.knowledge,
-                rng=random.Random(master.getrandbits(64)),
-                inputs=dict(inputs.get(v, ())),
-            )
-            ctxs[v] = ctx
-            gen = protocol_factory(ctx)
-            if slot_stepping:
-                gen = expand_plans(gen, ctx.rng)
-            gens[v] = gen
-            entries += 1
-            try:
-                action = next(gen)
-            except StopIteration as stop:
-                outputs[v] = stop.value
-                continue
-            remaining += 1
+        remaining = len(first)
+        for v, action in first:
             while True:
                 cls = action.__class__
                 if cls is Idle or isinstance(action, Idle):
@@ -391,7 +347,7 @@ class Simulator:
                         )
                     bucket_duplexers[v] = action.message
                 elif isinstance(action, Plan):
-                    plans[v], action = start_plan(action, ctx.rng)
+                    plans[v], action = start_plan(action, ctxs[v].rng)
                     continue
                 else:
                     raise ProtocolError(
@@ -420,7 +376,7 @@ class Simulator:
             if slot > time_limit:
                 raise SimulationTimeout(
                     f"simulation exceeded {time_limit} slots "
-                    f"({remaining} protocols still running, seed {run_seed})"
+                    f"({remaining} protocols still running, seed {seed})"
                 )
 
             # Wake every sleeper due at this slot; a resumed generator (or
@@ -642,6 +598,6 @@ class Simulator:
             finish_slot=finish_slot,
             duration=duration,
             trace=trace,
-            seed=run_seed,
+            seed=seed,
             gen_entries=entries,
         )

@@ -8,24 +8,28 @@ protocol (tests/test_reference_equivalence.py drives them with random
 protocols).  Keep the semantics here boring and obviously right.
 
 Phase plans (:mod:`repro.sim.plan`) are supported by always running
-every protocol through :func:`~repro.sim.plan.expand_plans`, which
-interprets plans back into per-slot primitive yields — so the oracle
-never needs (or has) a slots-at-a-time fast path of its own.
+every protocol through :func:`~repro.sim.plan.expand_plans` (slot
+stepping in :class:`~repro.sim.trial.TrialSetup`), which interprets
+plans back into per-slot primitive yields — so the oracle never needs
+(or has) a slots-at-a-time fast path of its own.  Trials start through
+the same :class:`~repro.sim.trial.TrialSetup` as the engines, faults
+included, so the oracle sees identical node contexts and fault
+realizations.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.graphs.graph import Graph
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.energy import EnergyMeter
 from repro.sim.engine import ProtocolError, SimResult, SimulationTimeout
+from repro.sim.faults import FaultPlan, down_feedback
 from repro.sim.feedback import SILENCE
 from repro.sim.models import ChannelModel
-from repro.sim.node import Knowledge, NodeCtx, validate_input_keys
-from repro.sim.plan import expand_plans
+from repro.sim.node import Knowledge
+from repro.sim.trial import TrialSetup
 
 __all__ = ["ReferenceSimulator"]
 
@@ -40,7 +44,7 @@ class _Node:
         self.finish_slot = -1
         self.action = None
         self.idle_left = 0
-        self.entries = 0
+        self.entries = 1  # TrialSetup.start entered the generator once
 
     def advance(self, feedback, now: int) -> None:
         self.ctx.time = now
@@ -55,7 +59,12 @@ class _Node:
 
 
 class ReferenceSimulator:
-    """Drop-in (slow) replacement for :class:`Simulator`."""
+    """Drop-in (slow) replacement for :class:`Simulator`.
+
+    ``faults`` is the run's parsed fault plan (see
+    :func:`repro.sim.faults.parse_fault_specs`), realized for ``seed``
+    exactly as the engines realize it.
+    """
 
     def __init__(
         self,
@@ -65,51 +74,33 @@ class ReferenceSimulator:
         time_limit: int = 1_000_000,
         knowledge: Optional[Knowledge] = None,
         uids: Optional[Sequence[int]] = None,
-        churn=None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.graph = graph
         self.model = model
         self.seed = seed
         self.time_limit = time_limit
-        # Oracle-form fault injection: a CrashSchedule built by the same
-        # FaultPlan.for_trial the engines use (repro.sim.faults), so the
-        # differential tests compare identical fault realizations.
-        self.churn = churn
-        self.knowledge = knowledge or Knowledge(
-            n=graph.n, max_degree=max(graph.max_degree, 1), diameter=None
+        self.setup = TrialSetup(
+            graph, knowledge, uids, fault_plan=faults, slot_stepping=True
         )
-        self.uids = list(uids) if uids is not None else list(range(1, graph.n + 1))
 
     def run(self, protocol_factory, inputs=None) -> SimResult:
-        master = random.Random(self.seed)
-        inputs = inputs or {}
-        validate_input_keys(inputs, self.graph.n)
-        nodes: List[_Node] = []
-        for v in range(self.graph.n):
-            ctx = NodeCtx(
-                index=v,
-                uid=self.uids[v],
-                knowledge=self.knowledge,
-                rng=random.Random(master.getrandbits(64)),
-                inputs=dict(inputs.get(v, ())),
-            )
-            node = _Node(expand_plans(protocol_factory(ctx), ctx.rng), ctx)
-            nodes.append(node)
-            node.entries += 1
-            try:
-                node.action = next(node.gen)
-            except StopIteration as stop:
+        model, churn = self.setup.faults(self.model, self.seed)
+        ctxs, gens, outputs, first = self.setup.start(
+            protocol_factory, self.seed, inputs
+        )
+        nodes = [_Node(gen, ctx) for gen, ctx in zip(gens, ctxs)]
+        started = dict(first)
+        for v, node in enumerate(nodes):
+            if v in started:
+                node.action = started[v]
+            else:
                 node.done = True
-                node.output = stop.value
+                node.output = outputs[v]
 
         slot = 0
         duration = 0
-        if self.churn is not None:
-            from repro.sim.faults import down_feedback
-
-            down_fb = down_feedback(self.model)
-        else:
-            down_fb = SILENCE
+        down_fb = SILENCE if churn is None else down_feedback(model)
         while any(not node.done for node in nodes):
             if slot > self.time_limit:
                 raise SimulationTimeout("reference simulator exceeded time limit")
@@ -120,7 +111,7 @@ class ReferenceSimulator:
                 if isinstance(node.action, Idle):
                     node.idle_left = node.action.duration
                 elif isinstance(node.action, SendListen):
-                    if not self.model.full_duplex:
+                    if not model.full_duplex:
                         raise ProtocolError("SendListen in half-duplex model")
                 elif not isinstance(node.action, (Send, Listen)):
                     raise ProtocolError(f"bad action {node.action!r}")
@@ -136,7 +127,6 @@ class ReferenceSimulator:
             # (and, below, its listens hear forced silence).  Its plan
             # and meters advance normally — a crash is a radio outage,
             # not an execution freeze.
-            churn = self.churn
             if churn is None:
                 air = transmitting
             else:
@@ -144,8 +134,8 @@ class ReferenceSimulator:
                     v: m for v, m in transmitting.items()
                     if not churn.down(v, slot)
                 }
-            if getattr(self.model, "slot_aware", False):
-                self.model.begin_slot(slot, len(air))
+            if getattr(model, "slot_aware", False):
+                model.begin_slot(slot, len(air))
 
             # Resolve and advance.
             for v, node in enumerate(nodes):
@@ -173,7 +163,7 @@ class ReferenceSimulator:
                             for w in self.graph.neighbors(v)
                             if w in air
                         ]
-                        feedback = self.model.resolve(heard)
+                        feedback = model.resolve(heard)
                     if isinstance(action, Listen):
                         node.meter.charge_listen(slot)
                     else:

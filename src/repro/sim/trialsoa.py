@@ -95,7 +95,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.graphs.graph import Graph
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.config import ExecutionConfig
 from repro.sim.energy import EnergyReport
@@ -104,6 +103,7 @@ from repro.sim.engine import (
     ProtocolFactory,
     SimResult,
     SimulationTimeout,
+    Simulator,
 )
 from repro.sim.faults import GilbertElliottModel
 from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
@@ -116,7 +116,6 @@ from repro.sim.models import (
     ChannelModel,
     LossyModel,
 )
-from repro.sim.node import Knowledge, NodeCtx
 from repro.sim.plan import (
     OP_DUPLEX,
     OP_LISTEN,
@@ -127,7 +126,6 @@ from repro.sim.plan import (
     RUN_SEND,
     RUN_UNTIL,
     Plan,
-    expand_plans,
     plan_feedback,
     plan_resume,
     run_descriptor,
@@ -331,27 +329,19 @@ class _SoAEngine:
 
     def __init__(
         self,
-        graph: Graph,
-        model: ChannelModel,
+        simulator: Simulator,
         protocol_factory: ProtocolFactory,
         seeds: Sequence[int],
-        *,
-        knowledge: Knowledge,
-        uids: Sequence[int],
-        inputs: Dict[int, Dict[str, Any]],
-        time_limit: int,
-        meter_energy: bool,
-        stepping: str,
-        backend,
+        inputs: Optional[Dict[int, Dict[str, Any]]],
         trial_models: Optional[Sequence[Any]] = None,
         trial_observers: Optional[Sequence[Sequence[Any]]] = None,
     ) -> None:
         np = _np
         T = len(seeds)
-        N = graph.n
+        N = simulator.graph.n
         self.T = T
         self.N = N
-        self.graph = graph
+        model = simulator.model
         if trial_models is not None:
             # Lossy batch: per-trial LossyModel wrappers over one shared
             # stateless inner (the dispatch validated this).  The wrapper
@@ -360,11 +350,11 @@ class _SoAEngine:
             model = trial_models[0]
         self.model = model
         self.seeds = list(seeds)
-        self.time_limit = time_limit
-        self.meter = meter_energy
+        self.time_limit = simulator.time_limit
+        self.meter = simulator.meter_energy
         self.full_duplex = model.full_duplex
-        self.backend = backend
-        self._resolve = backend.trial_matrix_resolver()
+        self.backend = simulator.backend
+        self._resolve = self.backend.trial_matrix_resolver()
         self.lossy_models = (
             list(trial_models) if trial_models is not None else None
         )
@@ -425,11 +415,7 @@ class _SoAEngine:
         self.duration = np.zeros(T, dtype=np.int64)
         self.remaining = np.zeros(T, dtype=np.int64)
 
-        self.gens: List[List[Any]] = [[None] * N for _ in range(T)]
-        self.ctxs: List[List[Any]] = [[None] * N for _ in range(T)]
         self.plans: List[List[Any]] = [[None] * N for _ in range(T)]
-        self.outputs: List[List[Any]] = [[None] * N for _ in range(T)]
-        self.entries = [0] * T
         self.hist: List[Any] = []
         self.hist_base = 0
         # Write-combining buffer for _load: per-cell scalar stores into
@@ -438,35 +424,22 @@ class _SoAEngine:
         # makes run loading O(arrays), not O(cells * arrays).
         self._pend: List[List[Any]] = [[], [], [], [], [], [], []]
 
-        slot_stepping = stepping == "slot"
+        # Every generator is entered once by TrialSetup.start.
+        self.entries = [N] * T
+        self.ctxs: List[List[Any]] = []
+        self.gens: List[List[Any]] = []
+        self.outputs: List[List[Any]] = []
+        setup = simulator.setup
         for t, seed in enumerate(self.seeds):
-            master = random.Random(seed)
-            ctxs_row = self.ctxs[t]
-            gens_row = self.gens[t]
-            outputs_row = self.outputs[t]
-            remaining_t = 0
-            for v in range(N):
-                ctx = NodeCtx(
-                    index=v,
-                    uid=uids[v],
-                    knowledge=knowledge,
-                    rng=random.Random(master.getrandbits(64)),
-                    inputs=dict(inputs.get(v, ())),
-                )
-                ctxs_row[v] = ctx
-                gen = protocol_factory(ctx)
-                if slot_stepping:
-                    gen = expand_plans(gen, ctx.rng)
-                gens_row[v] = gen
-                self.entries[t] += 1
-                try:
-                    action = next(gen)
-                except StopIteration as stop:
-                    outputs_row[v] = stop.value
-                    continue
-                remaining_t += 1
+            ctxs, gens, outputs, first = setup.start(
+                protocol_factory, seed, inputs
+            )
+            self.ctxs.append(ctxs)
+            self.gens.append(gens)
+            self.outputs.append(outputs)
+            for v, action in first:
                 self._load(t, v, action, 0, 0)
-            self.remaining[t] = remaining_t
+            self.remaining[t] = len(first)
         self._flush()
 
     # --- per-node boundary machinery (the non-vectorizable states) -----
@@ -1129,48 +1102,30 @@ class _SoAEngine:
 
 
 def run_trials_soa(
-    graph: Graph,
-    model: ChannelModel,
+    simulator: Simulator,
     protocol_factory: ProtocolFactory,
     seeds: Sequence[int],
+    inputs: Optional[Dict[int, Dict[str, Any]]] = None,
     *,
-    knowledge: Knowledge,
-    uids: Sequence[int],
-    inputs: Dict[int, Dict[str, Any]],
-    time_limit: int,
-    meter_energy: bool,
-    stepping: str,
-    backend,
     trial_models: Optional[Sequence[Any]] = None,
     trial_observers: Optional[Sequence[Sequence[Any]]] = None,
 ) -> List[SimResult]:
     """Run one cell's seeds through the SoA batched executor.
 
     Called by the lock-step dispatch in :func:`repro.sim.batch.run_trials`
-    after :func:`soa_fallback_reason` admitted the batch; ``backend`` is the
-    already-constructed :class:`~repro.sim.resolution.NumpyBackend`.
-    ``trial_models`` (when given) are the materialized per-seed
-    ``model_factory`` products — uniform ``LossyModel`` wrappers over one
-    shared stateless inner, run via vectorized drop masks.
-    ``trial_observers`` (when given) are the materialized per-seed
-    observer tuples, every one batch-capable, fired through
+    after :func:`soa_fallback_reason` admitted the batch.  ``simulator``
+    is the batch's prepared engine: its graph, shared model, trial
+    setup, slot budget, energy switch and (numpy) backend.
+    ``trial_models`` (when given) are the per-trial models — uniform
+    ``LossyModel`` wrappers over one shared stateless inner, run via
+    vectorized drop masks.  ``trial_observers`` (when given) are the
+    per-seed observer tuples, every one batch-capable, fired through
     ``observe_matrix``.  Results are byte-identical to the serial
     engine, in ``seeds`` order.
     """
     engine = _SoAEngine(
-        graph,
-        model,
-        protocol_factory,
-        seeds,
-        knowledge=knowledge,
-        uids=uids,
-        inputs=inputs,
-        time_limit=time_limit,
-        meter_energy=meter_energy,
-        stepping=stepping,
-        backend=backend,
-        trial_models=trial_models,
-        trial_observers=trial_observers,
+        simulator, protocol_factory, seeds, inputs,
+        trial_models=trial_models, trial_observers=trial_observers,
     )
     engine.run()
     return engine.results()

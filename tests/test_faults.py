@@ -319,9 +319,8 @@ def test_fault_matrix_serial_lockstep_reference(fault_name, model_name):
             _assert_same_results(serial, lock)
             plan = parse_fault_specs(config)
             for seed, result in zip(seeds, serial):
-                wrapped, churn = plan.for_trial(model, seed)
                 oracle = ReferenceSimulator(
-                    graph, wrapped, seed=seed, churn=churn
+                    graph, model, seed=seed, faults=plan
                 ).run(protocol)
                 assert oracle.outputs == result.outputs
                 assert oracle.duration == result.duration
