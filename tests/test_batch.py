@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.broadcast import run_broadcast, run_broadcast_trials
 from repro.broadcast.flooding import decay_broadcast_protocol
-from repro.graphs import path_graph, random_gnp
+from repro.graphs import clique, path_graph, random_gnp
 from repro.sim import (
     NO_CD,
+    ContentionHistogramObserver,
     ExecutionConfig,
+    FaultPlan,
     Idle,
     Knowledge,
     Listen,
     Send,
     Simulator,
+    numpy_available,
     run_trials,
 )
 from repro.sim.models import LossyModel
@@ -66,6 +71,62 @@ class TestRunTrials:
         b = run_trials(graph, NO_CD, _chatter, [9, 4])
         assert a[0].outputs == b[1].outputs
         assert a[1].outputs == b[0].outputs
+
+
+class TestPerTrialProductsBuiltOnce:
+    """Whichever executor runs a batch, each seed's factory products and
+    fault realization are built exactly once, and the executor uses
+    those instances."""
+
+    BURST = "p_gb=0.2,p_bg=0.4"
+    # path -> (extra config fields, expected soa_reason)
+    PATHS = {
+        "serial": (dict(burst_loss=BURST), None),
+        "soa": (dict(lockstep=True, resolution="numpy", burst_loss=BURST), "ok"),
+        "fallback": (
+            dict(lockstep=True, resolution="numpy",
+                 churn="periodic:period=6,down=2,stagger=1"),
+            "churn",
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_factories_and_faults_once_per_seed(self, path, monkeypatch):
+        fields, reason = self.PATHS[path]
+        if fields.get("resolution") == "numpy" and not numpy_available():
+            pytest.skip("the SoA engine needs numpy")
+        graph = clique(6)
+        seeds = [3, 1, 4]
+        calls = {"model": [], "observer": [], "faults": []}
+        observers = {}
+        for_trial = FaultPlan.for_trial
+
+        def counting_for_trial(plan, model, seed):
+            calls["faults"].append(seed)
+            return for_trial(plan, model, seed)
+
+        def model_factory(seed):
+            calls["model"].append(seed)
+            return NO_CD
+
+        def observer_factory(seed):
+            calls["observer"].append(seed)
+            observers[seed] = ContentionHistogramObserver(graph)
+            return (observers[seed],)
+
+        monkeypatch.setattr(FaultPlan, "for_trial", counting_for_trial)
+        results = run_trials(
+            graph, NO_CD, _chatter, seeds,
+            exec_config=ExecutionConfig(
+                model_factory=model_factory,
+                observer_factory=observer_factory,
+                **fields,
+            ),
+        )
+        assert [r.soa_reason for r in results] == [reason] * len(seeds)
+        assert calls == {"model": seeds, "observer": seeds, "faults": seeds}
+        # The executor fed the very observers the factory built.
+        assert all(observers[s].active_slots > 0 for s in seeds)
 
 
 class TestRunBroadcastTrials:
