@@ -1,6 +1,6 @@
-"""Campaign infrastructure bench: sharded execution vs the serial path.
+"""Campaign infrastructure bench: fabric execution vs the serial path.
 
-Not a paper row — this measures the subsystem itself: store + spawn
+Not a paper row — this measures the subsystem itself: store + worker
 overhead on a small matrix, and that a warm store makes the re-run
 effectively free (the caching contract the campaign design rests on).
 """
@@ -13,7 +13,7 @@ from repro.campaign import (
     CampaignSpec,
     CampaignStore,
     aggregate_campaign,
-    run_campaign,
+    run_campaign_fabric,
 )
 
 _SPEC = {
@@ -28,8 +28,8 @@ _SPEC = {
 def _run_twice(out_dir):
     spec = CampaignSpec.from_dict(_SPEC)
     store = CampaignStore(os.path.join(out_dir, "results.jsonl"))
-    cold = run_campaign(spec, store, jobs=2)
-    warm = run_campaign(spec, store, jobs=2)
+    cold = run_campaign_fabric(spec, store, workers=2)
+    warm = run_campaign_fabric(spec, store, workers=2)
     return spec, store, cold, warm
 
 

@@ -191,7 +191,7 @@ def render_events_summary(summary: Dict) -> str:
     """Human-readable digest of :func:`summarize_events`."""
     counts = summary["counts"]
     if not counts:
-        return "no events recorded (serial/pool runs write no events log)"
+        return "no events recorded (serial runs write no events log)"
     lines = ["fabric events:"]
     run = summary["last_run"]
     if run:

@@ -3,8 +3,8 @@
 ``run_campaign_fabric`` executes the same work-set as the serial
 :func:`repro.campaign.runner.run_campaign` (the two share
 :func:`~repro.campaign.runner.plan_pending`, so they dispatch the
-identical pending blocks) but through a persistent worker pool with a
-repair loop instead of a fire-and-forget process pool:
+identical pending blocks) but through persistent worker processes with
+a repair loop:
 
 * **work queue** — pending seed blocks are dispatched to persistent
   workers (spawned once, fed via queues); a finished worker immediately

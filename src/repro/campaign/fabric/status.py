@@ -92,7 +92,7 @@ def render_live_status(
     progress = live_progress(events_path) if events_path else {"run": None}
     run = progress.get("run")
     if run is None:
-        lines.append("(no fabric events ledger; serial/pool run or not started)")
+        lines.append("(no fabric events ledger; serial run or not started)")
         return "\n".join(lines)
     now = time.time() if now is None else now
     done = progress["cells_done"]

@@ -45,8 +45,8 @@ current one always consumes exactly ``(current - last)`` rng draws — so
 every drop draw at slot ``t`` sits at the same absolute rng-stream
 position (after exactly ``t + 1`` transition draws plus all earlier
 drop draws) no matter which engine ran the trial.  That invariant is
-what keeps the reference simulator, the event-heap engine, the
-lock-step driver, and the trial-SoA engine byte-identical.
+what keeps the reference simulator, the event-heap engine, and the
+trial-SoA engine byte-identical.
 
 Campaign/CLI entry: the ``churn``, ``jam``, and ``burst_loss``
 :class:`~repro.sim.config.ExecutionConfig` fields hold spec strings
@@ -642,8 +642,8 @@ class FaultPlan:
     :class:`~repro.sim.config.ExecutionConfig` via
     :func:`parse_fault_specs`; :meth:`for_trial` materializes the
     per-trial fault objects (model wrappers seeded by the trial seed,
-    plus that trial's :class:`CrashSchedule`).  The reference simulator,
-    the engine, and the lock-step driver all call the same method, so
+    plus that trial's :class:`CrashSchedule`).  Every executor reaches
+    it through the one :meth:`repro.sim.trial.TrialSetup.faults`, so
     "the same faults in oracle form" is a construction guarantee, not a
     convention.
     """
