@@ -234,7 +234,8 @@ def run_campaign(
     counts = {STATUS_OK: 0, STATUS_ERROR: 0, STATUS_TIMEOUT: 0}
     failed: List[Dict] = []
     for block in pending:
-        for record in execute_job({"job": block.to_dict(), "timeout": timeout}):
+        payload = {"job": block.to_dict(), "timeout": timeout}
+        for record in execute_job(payload):
             store.append(record)
             counts[record["status"]] = counts.get(record["status"], 0) + 1
             job = record["job"]

@@ -28,9 +28,9 @@ Commands:
 * ``store compact PATH`` / ``store merge DEST SRC ...`` — rewrite a
   store to one line per cell / fold other stores (or leftover worker
   shards) into it.
-* ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the engine microbenchmarks, write
-  ``BENCH_engine.json``, and optionally fail if the engine is not fast
-  enough (the CI perf-smoke tripwire).
+* ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the
+  engine microbenchmarks, write ``BENCH_engine.json``, and optionally
+  fail if the engine is not fast enough (the CI perf-smoke tripwire).
 
 The ``figure1``, ``table1``, ``ablations``, ``campaign``, and ``bench``
 subcommands share one execution-options group (``--resolution``,

@@ -27,7 +27,9 @@ parallelism layered on top.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.graphs.graph import Graph
 from repro.sim.config import (
@@ -171,7 +173,9 @@ def run_trials(
         )
     else:
         # The serial loop itself, not run_trials: a batch is one call.
-        results = _run_serial(simulator, protocol_factory, inputs, seeds, trials)
+        results = _run_serial(
+            simulator, protocol_factory, inputs, seeds, trials
+        )
     for result in results:
         result.soa_reason = reason or "ok"
     return results

@@ -5,7 +5,8 @@ The engine grew four orthogonal execution knobs — ``resolution`` backend,
 wiring — and each used to be hand-threaded through every entry point's
 signature (``Simulator``, ``run_trials``, ``run_broadcast_trials``,
 ``sweep``, ``run_cells``), a hand-maintained option-key tuple in
-:mod:`repro.campaign.cells`, and per-subcommand CLI flags.  This module replaces that plumbing with config-as-data:
+:mod:`repro.campaign.cells`, and per-subcommand CLI flags.  This module
+replaces that plumbing with config-as-data:
 
 * :class:`ExecutionConfig` is a frozen dataclass that validates on
   construction (unknown modes fail fast, listing the allowed values) and

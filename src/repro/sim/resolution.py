@@ -289,7 +289,9 @@ class NumpyBackend(ResolutionBackend):
                 firsts = np.empty(len(receivers), dtype=np.int64)
                 if rows.size:
                     firsts[rows] = _first_transmitters(masked, rows)
-            out, needs = model.resolve_count_array(counts, firsts, transmitting)
+            out, needs = model.resolve_count_array(
+                counts, firsts, transmitting
+            )
             if needs:
                 transmit_mask = 0
                 for v in transmitting:

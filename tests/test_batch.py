@@ -82,7 +82,9 @@ class TestPerTrialProductsBuiltOnce:
     # path -> (extra config fields, expected soa_reason)
     PATHS = {
         "serial": (dict(burst_loss=BURST), None),
-        "soa": (dict(lockstep=True, resolution="numpy", burst_loss=BURST), "ok"),
+        "soa": (
+            dict(lockstep=True, resolution="numpy", burst_loss=BURST), "ok"
+        ),
         "fallback": (
             dict(lockstep=True, resolution="numpy",
                  churn="periodic:period=6,down=2,stagger=1"),

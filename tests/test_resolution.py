@@ -187,7 +187,8 @@ class TestBackendEquivalence:
         for name in RESOLUTION_MODES:
             model = LossyModel(NO_CD, 0.5, seed=77)
             backend = create_backend(name, graph)
-            assert _resolve(backend, model, transmitting, receivers) == expected
+            got = _resolve(backend, model, transmitting, receivers)
+            assert got == expected, name
 
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_transmit_slot(self, n):
