@@ -36,8 +36,8 @@ Two extra sections isolate resolution and batching from stepping:
   that is where the numpy-vs-bitmask acceptance bar (and CI's
   ``--min-numpy-speedup`` gate) is measured;
 * a ``lockstep_trials`` section times a multi-seed cell on the serial
-  vs the lock-step batched executor, each under per-slot and
-  phase-compiled stepping, and cross-checks their results.
+  engine (per-slot and phase stepping) and on the lock-step dispatch
+  (the trial-SoA engine when eligible), and cross-checks their results.
 
 Speedups are reported as ``other_seconds / engine_seconds`` (higher is
 better for the engine).  ``slots/sec`` is simulated slots (the run's
@@ -844,8 +844,8 @@ def run_engine_benchmarks(
         "generated_by": "repro bench",
         "quick": bool(quick),
         "python": platform.python_version(),
-        # The lockstep_trials section derives its four variants from
-        # this base too, and records the derived per-variant configs.
+        # The lockstep_trials section derives its variants from this
+        # base too, and records the derived per-variant configs.
         "workload_exec_config": base_config.to_dict(include_defaults=True),
         "workloads": {},
     }

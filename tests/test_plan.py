@@ -243,7 +243,7 @@ class TestPlanSemantics:
             self._run(proto)
         with pytest.raises(ProtocolError, match="SendListen is illegal"):
             self._run(proto, stepping="slot")
-        # Same contract under the lock-step driver.
+        # Same contract under lock-step dispatch.
         with pytest.raises(ProtocolError, match="SendListen is illegal"):
             run_trials(
                 path_graph(2), NO_CD, proto, (0,),
