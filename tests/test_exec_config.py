@@ -1,10 +1,14 @@
 """ExecutionConfig: the one validated, serializable execution API.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **Validation** — invalid modes/types fail at construction with the
   allowed values, at every entry door (constructor, ``from_dict``,
   campaign JSON, CLI) — never mid-run inside an engine loop.
+* **One door** — every execution knob is an ``ExecutionConfig`` field
+  and nothing else: passed as a kwarg to any of the execution
+  signatures it is a ``TypeError``, and set on ``exec_config`` it
+  reaches every one of them, changing only what it exists to change.
 * **Round-trips** — ``to_dict``/``from_dict`` are inverses, campaign
   cell options and CLI args are views of the same schema, and
   ``EXECUTION_OPTION_KEYS`` / the CLI flag group are *derived* from the
@@ -17,19 +21,24 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
-from repro.campaign.cells import EXECUTION_OPTION_KEYS
+from repro.broadcast.base import run_broadcast, run_broadcast_trials
+from repro.campaign.cells import EXECUTION_OPTION_KEYS, run_cell, run_cells
 from repro.campaign.spec import CampaignSpec, RowPlan
 from repro.experiments.harness import sweep
 from repro.graphs import clique
 from repro.sim import (
     NO_CD,
     ExecutionConfig,
+    Knowledge,
     Listen,
     Send,
+    SimResult,
+    SimulationTimeout,
     Simulator,
     add_execution_args,
     config_from_args,
@@ -44,6 +53,7 @@ from repro.sim.observers import SlotObserver
 # --- shared workload: small, seed-sensitive, collision-bearing -------------
 
 GRAPH = clique(3)
+KNOWLEDGE = Knowledge(n=3, max_degree=2, diameter=1)
 INPUTS = {0: {"source": True, "payload": "m"}}
 
 
@@ -451,11 +461,239 @@ class TestKeyStability:
             execution_options({"stepping": "phse"})
 
 
-def _run_sweep(exec_config=None):
+# --- one door: every knob is an ExecutionConfig field, at every entry -------
+#
+# Each runner drives one execution signature on the shared workload and
+# returns its records: SimResults where the entry exposes them, cell
+# records (SweepPoint / CellResult) otherwise.  ``**kwargs`` are passed
+# straight to the entry, so a stray per-knob kwarg reaches its signature.
+
+
+def _run_simulator(exec_config=None, **kwargs):
+    sim = Simulator(
+        GRAPH, NO_CD, seed=2, knowledge=KNOWLEDGE,
+        exec_config=exec_config, **kwargs,
+    )
+    return [sim.run(bcast_proto, inputs=INPUTS)]
+
+
+def _run_trials(exec_config=None, **kwargs):
+    return run_trials(
+        GRAPH, NO_CD, bcast_proto, (0, 1, 2), inputs=INPUTS,
+        knowledge=KNOWLEDGE, exec_config=exec_config, **kwargs,
+    )
+
+
+def _run_lockstep(exec_config=None, **kwargs):
+    config = (exec_config or ExecutionConfig()).replace(lockstep=True)
+    return _run_trials(exec_config=config, **kwargs)
+
+
+def _run_broadcast_trials(exec_config=None, **kwargs):
+    outcomes = run_broadcast_trials(
+        GRAPH, NO_CD, bcast_proto, (0, 1), knowledge=KNOWLEDGE,
+        exec_config=exec_config, **kwargs,
+    )
+    return [outcome.sim for outcome in outcomes]
+
+
+def _run_broadcast(exec_config=None, **kwargs):
+    outcome = run_broadcast(
+        GRAPH, NO_CD, bcast_proto, seed=3, knowledge=KNOWLEDGE,
+        exec_config=exec_config, **kwargs,
+    )
+    return [outcome.sim]
+
+
+def _run_sweep(exec_config=None, **kwargs):
     return sweep(
         "cell", clique, (3,), lambda g: bcast_proto, NO_CD,
-        seeds=(0, 1), exec_config=exec_config,
+        seeds=(0, 1), exec_config=exec_config, **kwargs,
     )
+
+
+def _run_cells(exec_config=None, **kwargs):
+    return run_cells(
+        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seeds=(0, 1),
+        knowledge=KNOWLEDGE, exec_config=exec_config, **kwargs,
+    )
+
+
+def _run_cell(exec_config=None, **kwargs):
+    return [run_cell(
+        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seed=1,
+        knowledge=KNOWLEDGE, exec_config=exec_config, **kwargs,
+    )]
+
+
+def _outcome(record):
+    """What no execution knob may change: a run's outputs and timing, or
+    a cell record (energy included) minus its analytics extras."""
+    if isinstance(record, SimResult):
+        return (record.seed, record.outputs, record.finish_slot,
+                record.duration)
+    return dataclasses.replace(record, extras={})
+
+
+def _energy(record):
+    """A run's per-node meters (a cell record's sit in its outcome)."""
+    if isinstance(record, SimResult):
+        return [(e.sends, e.listens, e.total) for e in record.energy]
+    return None
+
+
+class _SlotTally:
+    """An ``observer_factory`` that counts the slots each seed's
+    observer sees."""
+
+    def __init__(self):
+        self.slots = {}
+
+    def __call__(self, seed):
+        tally = self
+
+        class Counter(SlotObserver):
+            def on_slot(self, *args):
+                tally.slots[seed] += 1
+
+        self.slots[seed] = 0
+        return (Counter(),)
+
+
+class _ModelTally:
+    """A ``model_factory`` that records the seeds it builds for."""
+
+    def __init__(self):
+        self.seeds = []
+
+    def __call__(self, seed):
+        self.seeds.append(seed)
+        return NO_CD
+
+
+# Per knob: (fresh value, the knob's effect on ``tuned`` vs ``base``).
+
+
+def _same_energy(runner, value, base, tuned):
+    assert [_energy(r) for r in tuned] == [_energy(r) for r in base]
+
+
+def _time_limit_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    with pytest.raises(SimulationTimeout):
+        # The source alone transmits for three slots.
+        runner(exec_config=ExecutionConfig(time_limit=1))
+
+
+def _record_trace_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    for plain, traced in zip(base, tuned):
+        if isinstance(traced, SimResult):
+            assert plain.trace is None and list(traced.trace)
+
+
+def _meter_energy_effect(runner, value, base, tuned):
+    assert any(e.total for r in base for e in r.energy)
+    assert not any(e.total for r in tuned for e in r.energy)
+
+
+def _lockstep_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    for serial, lockstep in zip(base, tuned):
+        if isinstance(lockstep, SimResult):
+            assert serial.soa_reason is None
+            assert lockstep.soa_reason is not None
+
+
+def _observer_factory_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    assert sorted(value.slots) == sorted(r.seed for r in tuned)
+    assert all(value.slots.values())
+
+
+def _model_factory_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    assert value.seeds == [r.seed for r in tuned]
+
+
+def _contention_hist_effect(runner, value, base, tuned):
+    _same_energy(runner, value, base, tuned)
+    assert not any(r.extras for r in base)
+    assert all(
+        any(key.startswith("ch_") for key in r.extras) for r in tuned
+    )
+
+
+_KNOBS = {
+    "time_limit": (lambda: 5_000, _time_limit_effect),
+    "record_trace": (lambda: True, _record_trace_effect),
+    "resolution": (lambda: "numpy", _same_energy),
+    "stepping": (lambda: "slot", _same_energy),
+    "meter_energy": (lambda: False, _meter_energy_effect),
+    "lockstep": (lambda: True, _lockstep_effect),
+    "observer_factory": (_SlotTally, _observer_factory_effect),
+    "model_factory": (_ModelTally, _model_factory_effect),
+    "contention_hist": (lambda: True, _contention_hist_effect),
+}
+
+_ENTRIES = {
+    "Simulator": (_run_simulator, (
+        "time_limit", "record_trace", "resolution", "stepping",
+        "meter_energy",
+    )),
+    "run_trials": (_run_trials, (
+        "time_limit", "record_trace", "resolution", "stepping",
+        "meter_energy", "lockstep", "observer_factory", "model_factory",
+    )),
+    "lockstep_run_trials": (_run_lockstep, (
+        "resolution", "stepping", "time_limit", "record_trace",
+        "meter_energy", "observer_factory", "model_factory",
+    )),
+    "run_broadcast_trials": (_run_broadcast_trials, (
+        "time_limit", "record_trace", "resolution", "stepping", "lockstep",
+        "observer_factory",
+    )),
+    "run_broadcast": (_run_broadcast, ("time_limit", "record_trace")),
+    "sweep": (_run_sweep, (
+        "record_trace", "resolution", "lockstep", "contention_hist",
+    )),
+    "run_cells": (_run_cells, (
+        "record_trace", "resolution", "stepping", "lockstep",
+        "contention_hist",
+    )),
+    "run_cell": (_run_cell, ("resolution", "contention_hist")),
+}
+
+_KNOB_CASES = [
+    (entry, knob) for entry, (_, knobs) in _ENTRIES.items() for knob in knobs
+]
+
+
+class TestOneDoor:
+    @pytest.mark.parametrize(
+        "entry,knob", _KNOB_CASES,
+        ids=[f"{entry}-{knob}" for entry, knob in _KNOB_CASES],
+    )
+    def test_knob_reaches_entry_only_via_exec_config(self, entry, knob):
+        runner, _ = _ENTRIES[entry]
+        make, effect = _KNOBS[knob]
+        with pytest.raises(TypeError, match=knob):
+            runner(**{knob: make()})
+        value = make()
+        base = runner()
+        tuned = runner(exec_config=ExecutionConfig(**{knob: value}))
+        assert [_outcome(r) for r in tuned] == [_outcome(r) for r in base]
+        effect(runner, value, base, tuned)
+
+    def test_options_after_the_seed_are_keyword_only(self):
+        # A stale positional call fails loudly instead of binding an
+        # option to the wrong parameter.
+        with pytest.raises(TypeError):
+            Simulator(GRAPH, NO_CD, 0, KNOWLEDGE)
+        with pytest.raises(TypeError):
+            run_trials(GRAPH, NO_CD, bcast_proto, (0,), INPUTS)
+        with pytest.raises(TypeError):
+            run_broadcast(GRAPH, NO_CD, bcast_proto, 0, "m", 3, KNOWLEDGE)
 
 
 # --- the exposure gaps the redesign closes --------------------------------

@@ -95,6 +95,26 @@ class TestLockstepEquivalence:
         )
         _assert_same_results(serial, lockstep)
 
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_models_vs_reference(self, model_name):
+        # Every lock-step executor against the oracle's per-neighbor
+        # scan, not just against the serial engine.
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(9, 0.5, random.Random(21))
+        protocol = _random_protocol(14)
+        oracle = [
+            ReferenceSimulator(graph, model, seed=seed).run(protocol)
+            for seed in self.SEEDS
+        ]
+        for resolution in RESOLUTIONS:
+            lockstep = run_trials(
+                graph, model, protocol, self.SEEDS,
+                exec_config=ExecutionConfig(
+                    lockstep=True, resolution=resolution
+                ),
+            )
+            _assert_same_results(oracle, lockstep)
+
     def test_dense_contention(self):
         graph = clique(8)
         protocol = _random_protocol(12)
@@ -659,6 +679,31 @@ class TestTrialSoAEquivalence:
             ),
         )
         _assert_same_results(serial, lockstep)
+
+    @pytest.mark.parametrize("stepping", ("slot", "phase"))
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_lossy_matrix_vs_reference(self, model_name, stepping):
+        # The oracle draws each trial's drops in its own scan order
+        # (receivers ascending, neighbors ascending): every lock-step
+        # executor must consume the channel rng the same way.
+        inner = FIVE_MODELS[model_name]
+        graph = random_gnp(8, 0.6, random.Random(12))
+        factory = lambda seed: LossyModel(inner, 0.35, seed=seed)
+        oracle = [
+            ReferenceSimulator(graph, factory(seed), seed=seed).run(
+                _plan_rich_protocol
+            )
+            for seed in self.SEEDS
+        ]
+        for resolution in RESOLUTIONS:
+            lockstep = run_trials(
+                graph, inner, _plan_rich_protocol, self.SEEDS,
+                exec_config=ExecutionConfig(
+                    model_factory=factory, lockstep=True,
+                    resolution=resolution, stepping=stepping,
+                ),
+            )
+            _assert_same_results(oracle, lockstep)
 
     @pytest.mark.parametrize("stepping", ("slot", "phase"))
     def test_mixed_generator_fallback(self, stepping):

@@ -458,6 +458,52 @@ class TestPhaseSlotReferenceEquivalence:
                 _assert_same(b, a)
                 assert b.seed == a.seed
 
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_lockstep_matches_reference(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(8, 0.5, random.Random(11))
+        protocol = _plan_protocol(10, duplex=False)
+        seeds = (0, 1, 5)
+        oracle = [
+            ReferenceSimulator(graph, model, seed=seed).run(protocol)
+            for seed in seeds
+        ]
+        for resolution in RESOLUTIONS:
+            for stepping in ("phase", "slot"):
+                lockstep = run_trials(
+                    graph, model, protocol, seeds,
+                    exec_config=ExecutionConfig(
+                        lockstep=True, resolution=resolution,
+                        stepping=stepping,
+                    ),
+                )
+                for slow, fast in zip(oracle, lockstep):
+                    _assert_same(fast, slow)
+                    assert fast.seed == slow.seed
+
+    def test_lossy_lockstep_matches_reference(self):
+        # Per-trial stateful channels under lock-step: plans must keep
+        # the oracle's ascending-vertex reception order in every trial.
+        graph = star_graph(6)
+        protocol = _plan_protocol(10, duplex=False)
+        seeds = (0, 2, 3)
+        factory = lambda seed: LossyModel(NO_CD, 0.3, seed=seed)
+        oracle = [
+            ReferenceSimulator(graph, factory(seed), seed=seed).run(protocol)
+            for seed in seeds
+        ]
+        for resolution in RESOLUTIONS:
+            for stepping in ("phase", "slot"):
+                lockstep = run_trials(
+                    graph, NO_CD, protocol, seeds,
+                    exec_config=ExecutionConfig(
+                        lockstep=True, resolution=resolution,
+                        stepping=stepping, model_factory=factory,
+                    ),
+                )
+                for slow, fast in zip(oracle, lockstep):
+                    _assert_same(fast, slow)
+
     def test_stepping_validation(self):
         with pytest.raises(ValueError, match="stepping"):
             ExecutionConfig(stepping="warp")
