@@ -219,8 +219,8 @@ def execute_cell_block(
     amortizes graph construction and engine setup exactly like the
     serial sweep.  Execution-steering options (the
     :meth:`~repro.sim.config.ExecutionConfig.option_keys` subset of the
-    cell's ``options`` dict — ``resolution``, ``stepping``,
-    ``lockstep``, ``contention_hist``) become the block's
+    cell's ``options`` dict — ``resolution``, ``lockstep``,
+    ``contention_hist`` and the fault specs) become the block's
     :class:`~repro.sim.config.ExecutionConfig`; rows with a
     ``custom_cell`` run seed by seed, as before.
 
@@ -562,7 +562,7 @@ def _beta_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
     """Partition(beta) statistics on a cycle — not a broadcast run.
 
     Execution options are honored where the bare engine can
-    (``resolution``/``stepping``); batch-level ones (``lockstep``,
+    (``resolution`` and the fault specs); batch-level ones (``lockstep``,
     ``contention_hist``) make the cell *fail loudly* — they are part of
     the cell's content-hash identity, so silently ignoring them would
     store unmarked default-execution results under a different key.

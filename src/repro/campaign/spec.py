@@ -251,7 +251,7 @@ class CampaignSpec:
             # between the parent and the worker's round-tripped payload.
             #
             # Execution options are validated here — an invalid mode
-            # (e.g. "stepping": "phse") fails at config load with the
+            # (e.g. "resolution": "quantum") fails at config load with the
             # allowed values, before any cell runs — and normalized to
             # their minimal shape: an option explicitly set to its
             # default hashes identically to an omitted one, so such a

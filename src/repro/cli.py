@@ -34,8 +34,9 @@ Commands:
 
 The ``figure1``, ``table1``, ``ablations``, ``campaign``, and ``bench``
 subcommands share one execution-options group (``--resolution``,
-``--stepping``, ``--lockstep``/``--no-lockstep``,
-``--contention-hist``/``--no-contention-hist``), generated from the
+``--lockstep``/``--no-lockstep``,
+``--contention-hist``/``--no-contention-hist``, and the fault specs
+``--churn``/``--jam``/``--burst-loss``), generated from the
 :class:`repro.sim.config.ExecutionConfig` field schema.  Precedence is
 CLI > cell options > defaults; on campaigns the flags become part of
 each cell's content-hash identity (pass the same flags to
@@ -105,7 +106,7 @@ def _row_overrides(
     row's graph family's real minimum (a cycle needs n >= 3, so a blind
     min-2 clamp would crash cycle rows at small scales);
     ``exec_options`` (the shared execution flags — ``--resolution``,
-    ``--stepping``, ``--lockstep``, ``--contention-hist``) ride into
+    ``--lockstep``, ``--contention-hist``, the fault specs) ride into
     the row's ``options`` dict for rows that accept options (the
     registry-backed sweeps).
     """

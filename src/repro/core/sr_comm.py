@@ -28,7 +28,8 @@ whole frame, and the CD / deterministic interval schedules yield
 ``Steps`` sequences — so a frame costs O(phases) generator entries
 instead of O(frame_length).  All rewirings preserve the per-slot rng
 draw order and slot-for-slot action sequence, so results are
-byte-identical to the per-slot path (``stepping="slot"`` pins this).
+byte-identical to the per-slot path (the reference simulator, which
+expands every plan per slot, pins this).
 Adaptive parts whose next slot depends on the previous feedback (probe
 slots, ack slots, the Lemma 8 controller) stay per-slot — the escape
 hatch plans are designed around.

@@ -2,13 +2,12 @@
 
 ``repro bench`` runs each workload on up to four simulators —
 
-* ``engine`` — the current bitmask-resolution engine with phase-compiled
-  stepping (``stepping="phase"``: plan-emitting protocols step slots at
-  a time, :mod:`repro.sim.plan`),
-* ``engine_slot`` — the same engine on the per-slot oracle path: the
-  workload's per-slot protocol variant when one exists (``slot_build``),
-  else the same protocol expanded per slot (``stepping="slot"``) — the
-  PR-3 stepping baseline the phase ABI is measured against,
+* ``engine`` — the current bitmask-resolution engine, which steps
+  plan-emitting protocols slots at a time (:mod:`repro.sim.plan`),
+* ``engine_slot`` — the same engine on per-slot yields: the workload's
+  per-slot protocol variant when one exists (``slot_build``), else the
+  same protocol wrapped in :func:`~repro.sim.plan.expand_plans` — the
+  stepping baseline the phase ABI is measured against,
 * ``engine_numpy`` — the phase engine on the vectorized numpy
   resolution backend (present when numpy is installed),
 * ``reference`` — the naive slot-by-slot oracle
@@ -78,6 +77,7 @@ from repro.sim.feedback import is_message
 from repro.sim.batch import run_trials
 from repro.sim.models import MODELS, ChannelModel, LossyModel
 from repro.sim.observers import SlotObserver
+from repro.sim.plan import expand_plans
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import RESOLUTION_MODES, create_backend, numpy_available
 
@@ -109,8 +109,7 @@ class BenchWorkload:
     # Optional builder of an explicit per-slot protocol variant,
     # byte-identical to build()'s (plan-emitting) protocol.  When given,
     # the engine_slot runner uses it directly (the honest pre-phase-ABI
-    # baseline); when None it falls back to plan expansion
-    # (stepping="slot").
+    # baseline); when None it wraps build()'s protocol in expand_plans.
     slot_build: Optional[Callable[[], Callable]] = None
     # Whether --min-phase-speedup gates this workload's end-to-end
     # engine-vs-engine_slot ratio (the phase-stepping acceptance bar).
@@ -389,14 +388,9 @@ def _runners(
     # would only burn reps.
     if slot_protocol is None:
         # No explicit per-slot variant: expand plans per slot.
-        if base.stepping != "slot":
-            runners["engine_slot"] = (
-                sim(base.replace(stepping="slot")), protocol
-            )
-    else:
-        # An explicit per-slot protocol differs from the plan-emitting
-        # one even under identical configs: always worth timing.
-        runners["engine_slot"] = (sim(base), slot_protocol)
+        def slot_protocol(ctx):
+            return expand_plans(protocol(ctx), ctx.rng)
+    runners["engine_slot"] = (sim(base), slot_protocol)
     runners["reference"] = (
         lambda: ReferenceSimulator(
             graph, model, time_limit=base.time_limit, **common
@@ -523,15 +517,10 @@ def _lockstep_section(
     if soa_res == "bitmask" and numpy_available():
         soa_res = "numpy"
     variants: Dict[str, Tuple[Callable, ExecutionConfig]] = {
-        "serial_slot": (
-            slot_protocol, base.replace(stepping="slot")
-        ),
-        "serial_phase": (
-            phase_protocol, base.replace(stepping="phase")
-        ),
+        "serial_slot": (slot_protocol, base),
+        "serial_phase": (phase_protocol, base),
         "lockstep_phase": (
-            phase_protocol,
-            base.replace(lockstep=True, stepping="phase", resolution=soa_res),
+            phase_protocol, base.replace(lockstep=True, resolution=soa_res),
         ),
     }
     seconds = {}
@@ -638,14 +627,12 @@ def _lossy_lockstep_section(
         soa_res = "numpy"
     variants: Dict[str, Tuple[Callable, ExecutionConfig]] = {
         "serial_slot": (
-            slot_protocol,
-            base.replace(stepping="slot", model_factory=factory),
+            slot_protocol, base.replace(model_factory=factory),
         ),
         "lockstep_phase": (
             phase_protocol,
             base.replace(
-                lockstep=True, stepping="phase", resolution=soa_res,
-                model_factory=factory,
+                lockstep=True, resolution=soa_res, model_factory=factory,
             ),
         ),
     }
@@ -890,15 +877,13 @@ def run_engine_benchmarks(
             "equivalent": equivalent,
             "phase_gate": workload.phase_gate,
         }
-        # The fixed-axis ratio keys name their baseline ("numpy vs
-        # bitmask", "phase vs slot"), so they are only emitted when the
-        # re-centerable base config actually sits on the named baseline —
-        # otherwise the key would record a same-config timing under a
-        # wrong-by-name label.
-        if base_config.stepping == "phase":
-            entry["speedup_phase_vs_slot"] = round(
-                timings["engine_slot"] / engine_seconds, 3
-            )
+        entry["speedup_phase_vs_slot"] = round(
+            timings["engine_slot"] / engine_seconds, 3
+        )
+        # The numpy ratio key names its baseline ("numpy vs bitmask"),
+        # so it is only emitted when the re-centerable base config
+        # actually sits on bitmask — otherwise the key would record a
+        # same-config timing under a wrong-by-name label.
         if "engine_numpy" in timings and base_config.resolution == "bitmask":
             # Whole-run ratio: generator stepping (backend-independent)
             # is included, so this understates the backend-level gap —
@@ -930,7 +915,7 @@ def run_engine_benchmarks(
     phase_ratios = [
         entry["speedup_phase_vs_slot"]
         for entry in report["workloads"].values()
-        if entry.get("phase_gate") and "speedup_phase_vs_slot" in entry
+        if entry.get("phase_gate")
     ]
     if phase_ratios:
         report["summary"]["min_phase_vs_slot"] = min(phase_ratios)
@@ -1058,19 +1043,16 @@ def check_thresholds(
                 f"{name}: speedup_vs_reference {entry['speedup_vs_reference']}x "
                 f"< required {min_ref_speedup}x"
             )
-        if min_phase_speedup is not None and entry.get("phase_gate"):
-            phase_ratio = entry.get("speedup_phase_vs_slot")
-            if phase_ratio is None:
-                violations.append(
-                    f"{name}: min-phase-speedup requested but the phase-vs-"
-                    f"slot ratio was not measured (exec_config re-centered "
-                    f"the bench off stepping='phase')"
-                )
-            elif phase_ratio < min_phase_speedup:
-                violations.append(
-                    f"{name}: speedup_phase_vs_slot {phase_ratio}x "
-                    f"< required {min_phase_speedup}x"
-                )
+        phase_ratio = entry["speedup_phase_vs_slot"]
+        if (
+            min_phase_speedup is not None
+            and entry.get("phase_gate")
+            and phase_ratio < min_phase_speedup
+        ):
+            violations.append(
+                f"{name}: speedup_phase_vs_slot {phase_ratio}x "
+                f"< required {min_phase_speedup}x"
+            )
     return violations
 
 
@@ -1083,17 +1065,13 @@ def write_results(report: Dict, path: str) -> None:
 def format_report(report: Dict) -> str:
     lines = ["engine microbenchmarks (slots/sec; speedups are vs the engine)"]
 
-    def fmt_ratio(entry, key):
-        value = entry.get(key)
-        return f"x{value:.2f}" if value is not None else "n/a"
-
     for name, entry in report["workloads"].items():
         lines.append(f"  {name}: {entry['description']}")
         lines.append(
-            "    engine {engine:>12.1f} slots/s | phase-vs-slot {phase} | "
+            "    engine {engine:>12.1f} slots/s | phase-vs-slot x{phase:.2f} | "
             "reference x{ref:.2f} | equivalent={eq}".format(
                 engine=entry["slots_per_sec"]["engine"],
-                phase=fmt_ratio(entry, "speedup_phase_vs_slot"),
+                phase=entry["speedup_phase_vs_slot"],
                 ref=entry["speedup_vs_reference"],
                 eq=entry["equivalent"],
             )

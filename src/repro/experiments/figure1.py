@@ -66,8 +66,8 @@ def figure1(
     the traffic timeline.
 
     ``exec_config`` steers how the traced run executes (resolution
-    backend, stepping mode, ...); tracing itself is always on — it is
-    what the figure renders.
+    backend, fault specs, ...); tracing itself is always on — it is what
+    the figure renders.
     """
     graph = path_graph(n)
     knowledge = Knowledge(n=n, max_degree=2, diameter=n - 1)

@@ -63,8 +63,8 @@ def sweep(
     (:func:`repro.campaign.cells.run_cells`), so serial sweeps and
     sharded campaigns execute the identical per-cell computation.
     ``exec_config`` gives the serial driver the *full* execution
-    surface.  ``resolution`` backend, ``stepping`` mode, ``lockstep``
-    batching, and per-seed ``observer_factory`` hooks are
+    surface.  ``resolution`` backend, ``lockstep`` batching, and
+    per-seed ``observer_factory`` hooks are
     measurement-neutral (byte-identical results); ``contention_hist``
     adds the per-slot channel-load analytics to every point's extras;
     and the remaining fields *can* change what comes back —

@@ -1,8 +1,8 @@
 """``ExecutionConfig``: one validated description of *how* a run executes.
 
-The engine grew four orthogonal execution knobs — ``resolution`` backend,
-``stepping`` mode, ``lockstep`` trial batching, and observer/analytics
-wiring — and each used to be hand-threaded through every entry point's
+The engine grew orthogonal execution knobs — ``resolution`` backend,
+``lockstep`` trial batching, and observer/analytics wiring — and each
+used to be hand-threaded through every entry point's
 signature (``Simulator``, ``run_trials``, ``run_broadcast_trials``,
 ``sweep``, ``run_cells``), a hand-maintained option-key tuple in
 :mod:`repro.campaign.cells`, and per-subcommand CLI flags.  This module
@@ -26,8 +26,8 @@ Adding the next knob is one edit here: a new field (with metadata) shows
 up in validation, serialization, the campaign option schema, and the CLI
 group automatically — engine code then reads it off the config.
 
-Semantics contract: ``resolution``, ``stepping``, and ``lockstep`` steer
-*how* a cell executes, never what it measures (byte-identical results,
+Semantics contract: ``resolution`` and ``lockstep`` steer *how* a cell
+executes, never what it measures (byte-identical results,
 pinned by the differential suites).  The remaining fields are
 honest-by-name exceptions: ``record_trace`` feeds trace-derived extras
 and ``contention_hist`` adds ``ch_*`` extras (which is why the latter is
@@ -46,7 +46,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from repro.sim.resolution import RESOLUTION_MODES
 
 __all__ = [
-    "STEPPING_MODES",
     "ExecutionConfig",
     "ExecutionConfigError",
     "add_execution_args",
@@ -58,13 +57,6 @@ __all__ = [
     "resolve_exec_config",
     "validate_execution_options",
 ]
-
-#: ``"phase"`` executes yielded plans natively (slots-at-a-time);
-#: ``"slot"`` expands them into per-slot yields — the oracle path.
-#: (Defined here, not in the engine, so the schema layer stays import-
-#: cycle-free; :mod:`repro.sim.engine` re-exports it.)
-STEPPING_MODES = ("phase", "slot")
-
 
 class ExecutionConfigError(ValueError):
     """An ExecutionConfig is invalid, or a layer was handed a config
@@ -110,11 +102,6 @@ class ExecutionConfig:
     resolution: str = field(default="bitmask", metadata=_meta(
         "reception-resolution backend (see repro.sim.resolution)",
         choices=RESOLUTION_MODES, cell_option=True, cli=True,
-    ))
-    stepping: str = field(default="phase", metadata=_meta(
-        "phase-compiled (slots-at-a-time) vs per-slot protocol stepping "
-        "(see repro.sim.plan)",
-        choices=STEPPING_MODES, cell_option=True, cli=True,
     ))
     lockstep: bool = field(default=False, metadata=_meta(
         "run a trial batch on the trial-SoA engine when eligible, else "
@@ -377,10 +364,22 @@ _RESERVED_NON_OPTION_FIELDS = frozenset(
     spec.name for spec in ExecutionConfig.field_specs()
 ) - set(ExecutionConfig.option_keys())
 
+# Retired execution fields, refused for the same reason: a stale config
+# naming one would otherwise pass as an opaque protocol knob.
+_RETIRED_FIELDS = {
+    "stepping": "engines always run plans phase-compiled; wrap a "
+                "protocol in repro.sim.expand_plans for per-slot yields",
+}
+
 
 def _check_cell_options(options: Optional[Dict]) -> None:
     if not options:
         return
+    for name in sorted(set(options) & set(_RETIRED_FIELDS)):
+        raise ExecutionConfigError(
+            f"{name!r} is no longer an execution option: "
+            f"{_RETIRED_FIELDS[name]}"
+        )
     reserved = sorted(set(options) & _RESERVED_NON_OPTION_FIELDS)
     if reserved:
         raise ExecutionConfigError(

@@ -27,8 +27,8 @@ Protocols may also yield multi-slot *phase plans* (:mod:`repro.sim.plan`:
 each node's active plan in a compact state record and steps it with plain
 list/dict operations, re-entering the generator only at feedback-relevant
 boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
-``stepping="slot"`` instead expands every plan back into per-slot yields
-(:func:`repro.sim.plan.expand_plans`), the byte-identical oracle path.
+The reference oracle runs the same protocols through
+:func:`repro.sim.plan.expand_plans`, one slot at a time.
 
 Energy metering and trace recording live in :mod:`repro.sim.observers`
 hooks, keeping the slot loop free of instrumentation branches — tracing
@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 from repro.graphs.graph import Graph
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.config import (
-    STEPPING_MODES,
     ExecutionConfig,
     ExecutionConfigError,
     resolve_exec_config,
@@ -81,7 +80,6 @@ __all__ = [
     "SimulationTimeout",
     "ProtocolError",
     "RESOLUTION_MODES",
-    "STEPPING_MODES",
 ]
 
 Protocol = Generator[Any, Any, Any]
@@ -151,8 +149,8 @@ class Simulator:
     Args:
         exec_config: an :class:`~repro.sim.config.ExecutionConfig`
             describing how the run executes — ``resolution`` backend,
-            ``stepping`` mode, ``time_limit``, ``record_trace``,
-            ``meter_energy``.  Batch-level fields (``lockstep``,
+            ``time_limit``, ``record_trace``, ``meter_energy``.
+            Batch-level fields (``lockstep``,
             ``contention_hist``, the per-seed hooks) are rejected here:
             they are consumed by :func:`repro.sim.batch.run_trials` /
             :func:`repro.campaign.cells.run_cells`, and silently
@@ -225,7 +223,6 @@ class Simulator:
         self.setup = TrialSetup(
             graph, knowledge, uids,
             fault_plan=parse_fault_specs(config),
-            slot_stepping=config.stepping == "slot",
         )
         self.time_limit = config.resolved_time_limit(DEFAULT_TIME_LIMIT)
         self.record_trace = config.record_trace

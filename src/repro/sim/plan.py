@@ -49,10 +49,9 @@ the previous feedback).
 
 **Oracle**: :func:`expand_plans` interprets any plan-yielding protocol
 back into per-slot primitive yields, byte-identically (same slots, same
-rng consumption).  ``Simulator(stepping="slot")`` runs every protocol
-through it, and the reference simulator always does — so the per-slot
-path remains the differential-testing oracle for the phase-compiled
-path.
+rng consumption).  The reference simulator runs every protocol through
+it, so the per-slot path remains the differential-testing oracle for the
+engines' phase-compiled path.
 """
 
 from __future__ import annotations
@@ -611,7 +610,7 @@ def expand_plans(gen, rng):
     point of the same stream) and walking it one slot at a time.  By
     construction this is byte-identical to the engine's phase-compiled
     execution: same slots, same energy, same rng consumption — the
-    differential-testing oracle for ``stepping="phase"``.
+    differential-testing oracle for phase-compiled stepping.
     """
     try:
         action = next(gen)

@@ -7,14 +7,12 @@ must produce identical outputs, energy meters, and durations on any
 protocol (tests/test_reference_equivalence.py drives them with random
 protocols).  Keep the semantics here boring and obviously right.
 
-Phase plans (:mod:`repro.sim.plan`) are supported by always running
-every protocol through :func:`~repro.sim.plan.expand_plans` (slot
-stepping in :class:`~repro.sim.trial.TrialSetup`), which interprets
-plans back into per-slot primitive yields — so the oracle never needs
-(or has) a slots-at-a-time fast path of its own.  Trials start through
-the same :class:`~repro.sim.trial.TrialSetup` as the engines, faults
-included, so the oracle sees identical node contexts and fault
-realizations.
+Phase plans (:mod:`repro.sim.plan`) are supported by wrapping every
+protocol in :func:`~repro.sim.plan.expand_plans`, which interprets plans
+back into per-slot primitive yields — so the oracle never needs (or has)
+a slots-at-a-time fast path of its own.  Trials start through the same
+:class:`~repro.sim.trial.TrialSetup` as the engines, faults included, so
+the oracle sees identical node contexts and fault realizations.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from repro.sim.faults import FaultPlan, down_feedback
 from repro.sim.feedback import SILENCE
 from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge
+from repro.sim.plan import expand_plans
 from repro.sim.trial import TrialSetup
 
 __all__ = ["ReferenceSimulator"]
@@ -80,14 +79,13 @@ class ReferenceSimulator:
         self.model = model
         self.seed = seed
         self.time_limit = time_limit
-        self.setup = TrialSetup(
-            graph, knowledge, uids, fault_plan=faults, slot_stepping=True
-        )
+        self.setup = TrialSetup(graph, knowledge, uids, fault_plan=faults)
 
     def run(self, protocol_factory, inputs=None) -> SimResult:
         model, churn = self.setup.faults(self.model, self.seed)
         ctxs, gens, outputs, first = self.setup.start(
-            protocol_factory, self.seed, inputs
+            lambda ctx: expand_plans(protocol_factory(ctx), ctx.rng),
+            self.seed, inputs,
         )
         nodes = [_Node(gen, ctx) for gen, ctx in zip(gens, ctxs)]
         started = dict(first)

@@ -10,9 +10,8 @@ through :class:`TrialSetup`:
   realized by :meth:`FaultPlan.for_trial
   <repro.sim.faults.FaultPlan.for_trial>` on a faulted config;
 * :meth:`TrialSetup.start` — master seed to one :class:`NodeCtx` and
-  private rng per node (drawn in vertex order), one generator per node
-  (expanded per slot under slot stepping), each entered once for its
-  first emission.
+  private rng per node (drawn in vertex order), one generator per node,
+  each entered once for its first emission.
 
 Executors differ only in what they do with the first emissions, so a
 change to how trials start is made here, once.
@@ -26,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.graphs.graph import Graph
 from repro.sim.faults import FaultPlan
 from repro.sim.node import Knowledge, NodeCtx, validate_input_keys
-from repro.sim.plan import expand_plans
 
 __all__ = ["TrialSetup"]
 
@@ -41,11 +39,9 @@ class TrialSetup:
         uids: one distinct id per vertex; defaults to ``1..n``.
         fault_plan: the batch's parsed fault specs, or None on a clean
             channel.
-        slot_stepping: expand phase plans into per-slot yields
-            (``stepping="slot"``).
     """
 
-    __slots__ = ("n", "knowledge", "uids", "fault_plan", "slot_stepping")
+    __slots__ = ("n", "knowledge", "uids", "fault_plan")
 
     def __init__(
         self,
@@ -54,7 +50,6 @@ class TrialSetup:
         uids: Optional[Sequence[int]] = None,
         *,
         fault_plan: Optional[FaultPlan] = None,
-        slot_stepping: bool = False,
     ) -> None:
         n = graph.n
         if knowledge is None:
@@ -68,7 +63,6 @@ class TrialSetup:
         self.knowledge = knowledge
         self.uids = uids
         self.fault_plan = fault_plan
-        self.slot_stepping = slot_stepping
 
     def faults(self, model, seed: int) -> Tuple[Any, Any]:
         """``(model, churn)`` for the trial seeded ``seed``: the fault
@@ -101,7 +95,6 @@ class TrialSetup:
         master = random.Random(seed)
         knowledge = self.knowledge
         uids = self.uids
-        slot_stepping = self.slot_stepping
         ctxs: List[NodeCtx] = [None] * n  # type: ignore[list-item]
         gens: List[Any] = [None] * n
         outputs: List[Any] = [None] * n
@@ -115,10 +108,7 @@ class TrialSetup:
                 inputs=dict(inputs.get(v, ())),
             )
             ctxs[v] = ctx
-            gen = protocol_factory(ctx)
-            if slot_stepping:
-                gen = expand_plans(gen, ctx.rng)
-            gens[v] = gen
+            gens[v] = gen = protocol_factory(ctx)
             try:
                 first.append((v, next(gen)))
             except StopIteration as stop:

@@ -56,7 +56,7 @@ rng draw-order identity holds by construction: generator entries and
 slots the serial engine performs them; only within-run continuations are
 vectorized.  The differential matrix in tests/test_lockstep.py pins the
 results byte-identical to the serial engine across models x backends x
-stepping modes.
+plan-emitting and per-slot protocols.
 
 Eligibility (:func:`soa_fallback_reason`, the one place it is decided):
 numpy importable, ``resolution == "numpy"``, no trace recording, no

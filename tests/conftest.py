@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import diameter
-from repro.sim import Knowledge
+from repro.sim import Knowledge, expand_plans
 
 
 def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None):
@@ -16,6 +16,12 @@ def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None
         diameter=diameter(graph) if with_diameter else None,
         id_space=id_space,
     )
+
+
+def per_slot(factory):
+    """``factory``'s protocol with every phase plan expanded into
+    per-slot yields: the same run, one generator entry per slot."""
+    return lambda ctx: expand_plans(factory(ctx), ctx.rng)
 
 
 @pytest.fixture

@@ -261,7 +261,7 @@ class TestRunner:
         })
         plain_store, fast_store = _store(tmp_path / "a"), _store(tmp_path / "b")
         run_campaign(base({}), plain_store)
-        options = {"lockstep": True, "stepping": "slot"}
+        options = {"lockstep": True}
         if numpy_available():
             options["resolution"] = "numpy"
         run_campaign(base(options), fast_store)
@@ -397,8 +397,7 @@ class TestLossyRows:
         serial = execute_cell_block("bounded", 8, (0, 1, 2), opts)
         fast = execute_cell_block(
             "bounded", 8, (0, 1, 2),
-            {**opts, "lockstep": True, "resolution": "numpy",
-             "stepping": "slot"},
+            {**opts, "lockstep": True, "resolution": "numpy"},
         )
         fast_dicts = [c.to_dict() for c in fast]
         for cell in fast_dicts:

@@ -34,6 +34,7 @@ from repro.graphs import clique
 from repro.sim import (
     NO_CD,
     ExecutionConfig,
+    ExecutionConfigError,
     Knowledge,
     Listen,
     Send,
@@ -45,9 +46,11 @@ from repro.sim import (
     execution_overrides,
     normalize_execution_options,
     run_trials,
+    validate_execution_options,
 )
 from repro.sim.feedback import is_message
 from repro.sim.observers import SlotObserver
+from tests.conftest import per_slot
 
 
 # --- shared workload: small, seed-sensitive, collision-bearing -------------
@@ -84,14 +87,12 @@ class TestValidation:
     def test_defaults(self):
         config = ExecutionConfig()
         assert config.resolution == "bitmask"
-        assert config.stepping == "phase"
         assert not config.lockstep
         assert config.time_limit is None
         assert config.meter_energy
 
     @pytest.mark.parametrize("field,value,expect", [
         ("resolution", "quantum", "bitmask"),
-        ("stepping", "phse", "phase"),
     ])
     def test_bad_mode_lists_allowed_values(self, field, value, expect):
         with pytest.raises(ValueError, match=expect) as exc:
@@ -122,10 +123,10 @@ class TestValidation:
 
     def test_replace_revalidates(self):
         config = ExecutionConfig()
-        with pytest.raises(ValueError, match="stepping"):
-            config.replace(stepping="warp")
-        assert config.replace(stepping="slot").stepping == "slot"
-        assert config.stepping == "phase"  # frozen: original untouched
+        with pytest.raises(ValueError, match="resolution"):
+            config.replace(resolution="quantum")
+        assert config.replace(resolution="numpy").resolution == "numpy"
+        assert config.resolution == "bitmask"  # frozen: original untouched
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="vectorize"):
@@ -164,7 +165,7 @@ class TestSchema:
     def test_option_keys_drive_campaign_schema(self):
         assert EXECUTION_OPTION_KEYS == ExecutionConfig.option_keys()
         assert set(EXECUTION_OPTION_KEYS) == {
-            "resolution", "stepping", "lockstep", "contention_hist",
+            "resolution", "lockstep", "contention_hist",
             "churn", "jam", "burst_loss",
         }
 
@@ -180,7 +181,7 @@ class TestSchema:
         parser = argparse.ArgumentParser()
         add_execution_args(parser, exclude=("contention_hist", "lockstep"))
         text = parser.format_help()
-        assert "--resolution" in text and "--stepping" in text
+        assert "--resolution" in text and "--churn" in text
         assert "--contention-hist" not in text
         assert "--lockstep" not in text
         # Absent flags read as "not given" to the overrides layer.
@@ -197,6 +198,18 @@ class TestSchema:
         ):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
+
+    def test_retired_flags_fail_at_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for command in (
+            ["figure1"], ["table1"], ["ablations"],
+            ["campaign", "run", "c.json"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(command + ["--stepping", "slot"])
+            assert exc.value.code == 2
 
     def test_describe_names_every_field(self):
         text = ExecutionConfig.describe()
@@ -216,7 +229,7 @@ class TestRoundTrip:
     def test_to_dict_include_defaults_covers_serializable_fields(self):
         data = ExecutionConfig().to_dict(include_defaults=True)
         assert set(data) == {
-            "resolution", "stepping", "lockstep", "time_limit",
+            "resolution", "lockstep", "time_limit",
             "record_trace", "meter_energy", "contention_hist",
             "workers", "retries", "heartbeat",
             "churn", "jam", "burst_loss",
@@ -225,7 +238,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("include_defaults", [False, True])
     def test_from_dict_inverts_to_dict(self, include_defaults):
         config = ExecutionConfig(
-            resolution="numpy", stepping="slot", time_limit=123,
+            resolution="numpy", lockstep=True, time_limit=123,
         )
         data = config.to_dict(include_defaults=include_defaults)
         json.loads(json.dumps(data))  # JSON-safe
@@ -241,36 +254,34 @@ class TestRoundTrip:
 
     def test_from_options_ignores_protocol_knobs(self):
         config = ExecutionConfig.from_options(
-            {"failure": 0.1, "stepping": "slot", "epsilon": 0.5}
+            {"failure": 0.1, "resolution": "numpy", "epsilon": 0.5}
         )
-        assert config == ExecutionConfig(stepping="slot")
+        assert config == ExecutionConfig(resolution="numpy")
 
     def test_campaign_json_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "name": "c",
             "rows": [{"row": "path", "sizes": [8], "seeds": [0],
-                      "options": {"stepping": "slot", "lockstep": True}}],
+                      "options": {"resolution": "numpy", "lockstep": True}}],
         }))
         spec = CampaignSpec.from_json_file(str(path))
         (job,) = list(spec.jobs())
-        assert job.options_dict == {"stepping": "slot", "lockstep": True}
+        assert job.options_dict == {"resolution": "numpy", "lockstep": True}
         config = ExecutionConfig.from_options(job.options_dict)
-        assert config.stepping == "slot" and config.lockstep
+        assert config.resolution == "numpy" and config.lockstep
 
     def test_cli_args_round_trip(self):
         parser = argparse.ArgumentParser()
         add_execution_args(parser)
         args = parser.parse_args(
-            ["--resolution", "numpy", "--lockstep", "--stepping", "slot"]
+            ["--resolution", "numpy", "--lockstep"]
         )
         assert execution_overrides(args) == {
-            "resolution": "numpy", "stepping": "slot", "lockstep": True,
+            "resolution": "numpy", "lockstep": True,
         }
         config = config_from_args(args)
-        assert config == ExecutionConfig(
-            resolution="numpy", stepping="slot", lockstep=True
-        )
+        assert config == ExecutionConfig(resolution="numpy", lockstep=True)
         # Nothing given -> nothing overridden.
         empty = parser.parse_args([])
         assert execution_overrides(empty) == {}
@@ -293,8 +304,8 @@ class TestCampaignValidation:
         }
 
     def test_bad_mode_rejected_at_load_with_allowed_values(self):
-        with pytest.raises(ValueError, match="phase") as exc:
-            CampaignSpec.from_dict(self._spec({"stepping": "phse"}))
+        with pytest.raises(ValueError, match="bitmask") as exc:
+            CampaignSpec.from_dict(self._spec({"resolution": "quantum"}))
         assert "'path'" in str(exc.value)
 
     def test_bad_bool_rejected_at_load(self):
@@ -310,6 +321,16 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match=reserved):
             CampaignSpec.from_dict(self._spec({reserved: True}))
 
+    @pytest.mark.parametrize("retired", ["stepping"])
+    def test_retired_fields_rejected_at_load(self, retired):
+        # A retired field would otherwise pass as an opaque protocol
+        # knob: ignored by the row, yet splitting the content hash.
+        with pytest.raises(ValueError, match=retired) as exc:
+            CampaignSpec.from_dict(self._spec({retired: "slot"}))
+        assert "'path'" in str(exc.value)
+        with pytest.raises(ExecutionConfigError, match="no longer"):
+            validate_execution_options({retired: "slot"})
+
     def test_protocol_knobs_pass_through(self):
         spec = CampaignSpec.from_dict(self._spec({"failure": 0.1}))
         (job,) = list(spec.jobs())
@@ -320,10 +341,10 @@ class TestCampaignValidation:
 
         # The bare-Simulator ablation honors engine-level options...
         base = execute_cell("abl-beta", 12, 0, {"beta": 0.3})
-        slot = execute_cell(
-            "abl-beta", 12, 0, {"beta": 0.3, "stepping": "slot"}
+        tuned = execute_cell(
+            "abl-beta", 12, 0, {"beta": 0.3, "resolution": "numpy"}
         )
-        assert (slot.duration, slot.max_energy, slot.extras) == (
+        assert (tuned.duration, tuned.max_energy, tuned.extras) == (
             base.duration, base.max_energy, base.extras
         )
         # ...and fails loudly on batch-level ones it cannot deliver —
@@ -380,10 +401,10 @@ class TestCampaignValidation:
         from repro.cli import main
 
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(self._spec({"stepping": "phse"})))
+        path.write_text(json.dumps(self._spec({"resolution": "quantum"})))
         assert main(["campaign", "status", str(path)]) == 2
         out = capsys.readouterr().out
-        assert "phase" in out and "phse" in out
+        assert "bitmask" in out and "quantum" in out
 
 
 # --- content-hash key stability -------------------------------------------
@@ -394,13 +415,13 @@ class TestKeyStability:
         assert normalize_execution_options({
             "resolution": "bitmask",   # default: dropped
             "lockstep": False,         # default: dropped
-            "stepping": "slot",        # non-default: kept
+            "contention_hist": True,   # non-default: kept
             "failure": 0.02,           # protocol knob: untouched
-        }) == {"stepping": "slot", "failure": 0.02}
+        }) == {"contention_hist": True, "failure": 0.02}
 
     def test_normalize_validates(self):
-        with pytest.raises(ValueError, match="stepping"):
-            normalize_execution_options({"stepping": "phse"})
+        with pytest.raises(ValueError, match="resolution"):
+            normalize_execution_options({"resolution": "quantum"})
 
     def test_default_valued_options_hash_like_omitted_ones(self):
         bare = CampaignSpec.from_dict({
@@ -444,8 +465,8 @@ class TestKeyStability:
         assert [j.key() for j in bare.jobs()] != [j.key() for j in tuned.jobs()]
 
     def test_cell_options_view_is_minimal(self):
-        config = ExecutionConfig(stepping="slot", time_limit=99)
-        assert config.cell_options() == {"stepping": "slot"}
+        config = ExecutionConfig(lockstep=True, time_limit=99)
+        assert config.cell_options() == {"lockstep": True}
         assert set(config.cell_options(include_defaults=True)) == set(
             EXECUTION_OPTION_KEYS
         )
@@ -455,10 +476,10 @@ class TestKeyStability:
 
         assert execution_options(None) == {}
         assert execution_options({
-            "stepping": "slot", "resolution": "bitmask", "failure": 0.1,
-        }) == {"stepping": "slot"}
-        with pytest.raises(ValueError, match="stepping"):
-            execution_options({"stepping": "phse"})
+            "lockstep": True, "resolution": "bitmask", "failure": 0.1,
+        }) == {"lockstep": True}
+        with pytest.raises(ValueError, match="resolution"):
+            execution_options({"resolution": "quantum"})
 
 
 # --- one door: every knob is an ExecutionConfig field, at every entry -------
@@ -505,9 +526,9 @@ def _run_broadcast(exec_config=None, **kwargs):
     return [outcome.sim]
 
 
-def _run_sweep(exec_config=None, **kwargs):
+def _run_sweep(exec_config=None, protocol=bcast_proto, **kwargs):
     return sweep(
-        "cell", clique, (3,), lambda g: bcast_proto, NO_CD,
+        "cell", clique, (3,), lambda g: protocol, NO_CD,
         seeds=(0, 1), exec_config=exec_config, **kwargs,
     )
 
@@ -628,7 +649,6 @@ _KNOBS = {
     "time_limit": (lambda: 5_000, _time_limit_effect),
     "record_trace": (lambda: True, _record_trace_effect),
     "resolution": (lambda: "numpy", _same_energy),
-    "stepping": (lambda: "slot", _same_energy),
     "meter_energy": (lambda: False, _meter_energy_effect),
     "lockstep": (lambda: True, _lockstep_effect),
     "observer_factory": (_SlotTally, _observer_factory_effect),
@@ -638,19 +658,18 @@ _KNOBS = {
 
 _ENTRIES = {
     "Simulator": (_run_simulator, (
-        "time_limit", "record_trace", "resolution", "stepping",
-        "meter_energy",
+        "time_limit", "record_trace", "resolution", "meter_energy",
     )),
     "run_trials": (_run_trials, (
-        "time_limit", "record_trace", "resolution", "stepping",
-        "meter_energy", "lockstep", "observer_factory", "model_factory",
+        "time_limit", "record_trace", "resolution", "meter_energy",
+        "lockstep", "observer_factory", "model_factory",
     )),
     "lockstep_run_trials": (_run_lockstep, (
-        "resolution", "stepping", "time_limit", "record_trace",
-        "meter_energy", "observer_factory", "model_factory",
+        "resolution", "time_limit", "record_trace", "meter_energy",
+        "observer_factory", "model_factory",
     )),
     "run_broadcast_trials": (_run_broadcast_trials, (
-        "time_limit", "record_trace", "resolution", "stepping", "lockstep",
+        "time_limit", "record_trace", "resolution", "lockstep",
         "observer_factory",
     )),
     "run_broadcast": (_run_broadcast, ("time_limit", "record_trace")),
@@ -658,8 +677,7 @@ _ENTRIES = {
         "record_trace", "resolution", "lockstep", "contention_hist",
     )),
     "run_cells": (_run_cells, (
-        "record_trace", "resolution", "stepping", "lockstep",
-        "contention_hist",
+        "record_trace", "resolution", "lockstep", "contention_hist",
     )),
     "run_cell": (_run_cell, ("resolution", "contention_hist")),
 }
@@ -702,12 +720,12 @@ class TestOneDoor:
 class TestSweepFullControl:
     def test_sweep_stepping_and_lockstep_are_byte_identical(self):
         base = _run_sweep()
-        for config in (
-            ExecutionConfig(stepping="slot"),
-            ExecutionConfig(lockstep=True),
-            ExecutionConfig(stepping="slot", lockstep=True),
+        for protocol, config in (
+            (per_slot(bcast_proto), None),
+            (bcast_proto, ExecutionConfig(lockstep=True)),
+            (per_slot(bcast_proto), ExecutionConfig(lockstep=True)),
         ):
-            assert _run_sweep(exec_config=config) == base
+            assert _run_sweep(exec_config=config, protocol=protocol) == base
 
     def test_sweep_per_seed_observers(self):
         seen = []
@@ -747,7 +765,7 @@ class TestSweepFullControl:
 
         assert main([
             "table1", "path", "--seeds", "1", "--sizes-scale", "0.05",
-            "--resolution", "bitmask", "--stepping", "slot", "--lockstep",
+            "--resolution", "bitmask", "--lockstep",
         ]) == 0
         assert "delivered" in capsys.readouterr().out
 
@@ -758,7 +776,7 @@ class TestSweepFullControl:
         # shared flags reach every row rather than being dropped.
         assert main([
             "table1", "lb-reduction", "--seeds", "1", "--sizes-scale",
-            "0.5", "--stepping", "slot",
+            "0.5", "--resolution", "numpy",
         ]) == 0
         assert "T_LE" in capsys.readouterr().out
         # ...and an option no layer can honor fails loudly, not silently.
@@ -778,14 +796,12 @@ class TestSweepFullControl:
         }))
         out = str(tmp_path / "out")
         assert main([
-            "campaign", "run", str(config), "--out", out,
-            "--stepping", "slot", "--lockstep",
+            "campaign", "run", str(config), "--out", out, "--lockstep",
         ]) == 0
         first = capsys.readouterr().out
         assert "1 cells" in first
         # Same flags -> same identity -> full cache hit.
         assert main([
-            "campaign", "run", str(config), "--out", out,
-            "--stepping", "slot", "--lockstep",
+            "campaign", "run", str(config), "--out", out, "--lockstep",
         ]) == 0
         assert "1 cached, 0 computed" in capsys.readouterr().out

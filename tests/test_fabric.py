@@ -342,9 +342,7 @@ class TestFabricDifferential:
 
         options = {"loss_rate": 0.3}
         if numpy_available():
-            options.update({
-                "lockstep": True, "resolution": "numpy", "stepping": "slot",
-            })
+            options.update({"lockstep": True, "resolution": "numpy"})
         spec = _spec([{
             "row": "bounded", "sizes": [8, 12], "seeds": [0, 1],
             "options": options,
@@ -527,8 +525,7 @@ class TestEventsLedger:
         spec = _spec([{
             "row": "bounded", "sizes": [8], "seeds": [0, 1],
             "options": {
-                "loss_rate": 0.3, "lockstep": True,
-                "resolution": "numpy", "stepping": "slot",
+                "loss_rate": 0.3, "lockstep": True, "resolution": "numpy",
             },
         }])
         store = _store(tmp_path)

@@ -58,6 +58,7 @@ from repro.sim.faults import (
 from repro.sim.feedback import BEEP, NOISE, SILENCE
 from repro.sim.models import LossyModel
 from repro.sim.reference import ReferenceSimulator
+from tests.conftest import per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -301,20 +302,18 @@ class TestFeedback:
 @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
 def test_fault_matrix_serial_lockstep_reference(fault_name, model_name):
     """Every fault family x model: serial == lock-step == oracle, for
-    every resolution backend and both steppings."""
+    every resolution backend, with plans as yielded and per slot."""
     fault = FAULT_CONFIGS[fault_name]
     model = FIVE_MODELS[model_name]
     graph = path_graph(8)
     protocol = _random_protocol(25)
     seeds = [0, 1, 2]
     for resolution in RESOLUTIONS:
-        for stepping in ("phase", "slot"):
-            config = ExecutionConfig(
-                resolution=resolution, stepping=stepping, **fault
-            )
-            serial = run_trials(graph, model, protocol, seeds,
+        config = ExecutionConfig(resolution=resolution, **fault)
+        for form in (protocol, per_slot(protocol)):
+            serial = run_trials(graph, model, form, seeds,
                                 exec_config=config)
-            lock = run_trials(graph, model, protocol, seeds,
+            lock = run_trials(graph, model, form, seeds,
                               exec_config=config.replace(lockstep=True))
             _assert_same_results(serial, lock)
             plan = parse_fault_specs(config)

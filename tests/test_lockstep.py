@@ -38,6 +38,7 @@ from repro.sim import (
 from repro.sim.models import LossyModel
 from repro.sim.observers import SlotObserver
 from repro.sim.reference import ReferenceSimulator
+from tests.conftest import per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -48,6 +49,11 @@ FIVE_MODELS = {
 }
 
 RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
+
+
+def _stepped(protocol, stepping):
+    """The protocol as yielded ("phase") or expanded per slot ("slot")."""
+    return per_slot(protocol) if stepping == "slot" else protocol
 
 
 def _random_protocol(steps: int):
@@ -631,10 +637,8 @@ class TestTrialSoAEquivalence:
         graph = random_gnp(9, 0.5, random.Random(33))
         serial = run_trials(graph, model, _plan_rich_protocol, self.SEEDS)
         lockstep = run_trials(
-            graph, model, _plan_rich_protocol, self.SEEDS,
-            exec_config=ExecutionConfig(
-                lockstep=True, resolution=resolution, stepping=stepping
-            ),
+            graph, model, _stepped(_plan_rich_protocol, stepping), self.SEEDS,
+            exec_config=ExecutionConfig(lockstep=True, resolution=resolution),
         )
         _assert_same_results(serial, lockstep)
 
@@ -672,10 +676,9 @@ class TestTrialSoAEquivalence:
             exec_config=ExecutionConfig(model_factory=factory),
         )
         lockstep = run_trials(
-            graph, inner, _plan_rich_protocol, self.SEEDS,
+            graph, inner, _stepped(_plan_rich_protocol, stepping), self.SEEDS,
             exec_config=ExecutionConfig(
-                model_factory=factory, lockstep=True,
-                resolution=resolution, stepping=stepping,
+                model_factory=factory, lockstep=True, resolution=resolution,
             ),
         )
         _assert_same_results(serial, lockstep)
@@ -695,12 +698,13 @@ class TestTrialSoAEquivalence:
             )
             for seed in self.SEEDS
         ]
+        protocol = _stepped(_plan_rich_protocol, stepping)
         for resolution in RESOLUTIONS:
             lockstep = run_trials(
-                graph, inner, _plan_rich_protocol, self.SEEDS,
+                graph, inner, protocol, self.SEEDS,
                 exec_config=ExecutionConfig(
                     model_factory=factory, lockstep=True,
-                    resolution=resolution, stepping=stepping,
+                    resolution=resolution,
                 ),
             )
             _assert_same_results(oracle, lockstep)
@@ -708,17 +712,13 @@ class TestTrialSoAEquivalence:
     @pytest.mark.parametrize("stepping", ("slot", "phase"))
     def test_mixed_generator_fallback(self, stepping):
         graph = star_graph(7)
-        # Same stepping on both sides: gen_entries is a stepping-cost
-        # metric, so it only matches within one stepping mode.
-        serial = run_trials(
-            graph, CD, _mixed_fallback_protocol, self.SEEDS,
-            exec_config=ExecutionConfig(stepping=stepping),
-        )
+        # Same protocol form on both sides: gen_entries is a
+        # stepping-cost metric, so it only matches within one form.
+        protocol = _stepped(_mixed_fallback_protocol, stepping)
+        serial = run_trials(graph, CD, protocol, self.SEEDS)
         lockstep = run_trials(
-            graph, CD, _mixed_fallback_protocol, self.SEEDS,
-            exec_config=ExecutionConfig(
-                lockstep=True, resolution="numpy", stepping=stepping
-            ),
+            graph, CD, protocol, self.SEEDS,
+            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
         _assert_same_results(serial, lockstep)
         for a, b in zip(serial, lockstep):
@@ -737,9 +737,7 @@ class TestTrialSoAEquivalence:
         serial = run_trials(graph, model, protocol, self.SEEDS)
         lockstep = run_trials(
             graph, model, protocol, self.SEEDS,
-            exec_config=ExecutionConfig(
-                lockstep=True, resolution="numpy", stepping="phase"
-            ),
+            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
         _assert_same_results(serial, lockstep)
 
@@ -815,7 +813,7 @@ class TestTrialSoAProperty:
         serial position: the trailing draw after the run pins the exact
         number and order of draws on both engines."""
         graph = clique(n)
-        protocol = _rng_heavy_protocol(steps)
+        protocol = _stepped(_rng_heavy_protocol(steps), stepping)
         seeds = (seed, seed + 1)
 
         def run(lockstep):
@@ -827,7 +825,6 @@ class TestTrialSoAProperty:
                 exec_config=ExecutionConfig(
                     model_factory=models.__getitem__,
                     lockstep=lockstep, resolution="numpy",
-                    stepping=stepping,
                 ),
             )
             trailing = {s: models[s]._rng.random() for s in seeds}
@@ -852,17 +849,12 @@ class TestTrialSoAProperty:
         position of every node's random stream: any divergence in draw
         order between the engines shows up as a different output."""
         graph = clique(n)
-        protocol = _rng_heavy_protocol(steps)
+        protocol = _stepped(_rng_heavy_protocol(steps), stepping)
         seeds = (seed, seed + 1)
-        serial = run_trials(
-            graph, NO_CD, protocol, seeds,
-            exec_config=ExecutionConfig(stepping=stepping),
-        )
+        serial = run_trials(graph, NO_CD, protocol, seeds)
         lockstep = run_trials(
             graph, NO_CD, protocol, seeds,
-            exec_config=ExecutionConfig(
-                lockstep=True, resolution="numpy", stepping=stepping
-            ),
+            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
         _assert_same_results(serial, lockstep)
         for a, b in zip(serial, lockstep):

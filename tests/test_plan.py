@@ -8,9 +8,9 @@ Covers the slots-at-a-time stepping ABI:
   ``SendProb`` consume exactly the stream a per-slot loop would (draw
   order pinned);
 * the differential matrix: a protocol exercising every primitive (plus
-  per-slot escape hatches) must be byte-identical across
-  ``stepping="phase"`` / ``stepping="slot"`` / the reference oracle,
-  for all 5 paper models x lossy x every resolution backend x
+  per-slot escape hatches) must be byte-identical phase-compiled, with
+  its plans expanded per slot (``expand_plans``), and on the reference
+  oracle, for all 5 paper models x lossy x every resolution backend x
   serial / lock-step execution;
 * the rewired paper protocols (decay SR frames, LOCAL flooding) pinned
   phase-vs-slot;
@@ -52,6 +52,7 @@ from repro.sim.models import LossyModel
 from repro.sim.node import NodeCtx
 from repro.sim.plan import expand_plans, start_plan
 from repro.sim.reference import ReferenceSimulator
+from tests.conftest import per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -79,11 +80,8 @@ def _assert_same(fast, slow):
 
 
 class TestPlanSemantics:
-    def _run(self, proto, n=2, model=NO_CD, seed=1, stepping="phase"):
-        return Simulator(
-            path_graph(n), model, seed=seed,
-            exec_config=ExecutionConfig(stepping=stepping),
-        ).run(proto)
+    def _run(self, proto, n=2, model=NO_CD, seed=1):
+        return Simulator(path_graph(n), model, seed=seed).run(proto)
 
     def test_repeat_send_resumes_none(self):
         seen = {}
@@ -242,7 +240,7 @@ class TestPlanSemantics:
         with pytest.raises(ProtocolError, match="SendListen is illegal"):
             self._run(proto)
         with pytest.raises(ProtocolError, match="SendListen is illegal"):
-            self._run(proto, stepping="slot")
+            self._run(per_slot(proto))
         # Same contract under lock-step dispatch.
         with pytest.raises(ProtocolError, match="SendListen is illegal"):
             run_trials(
@@ -267,10 +265,7 @@ class TestPlanSemantics:
             fbs = yield Steps((Listen(), MyListen()))
             return fbs
 
-        runs = {
-            stepping: self._run(proto, stepping=stepping)
-            for stepping in ("phase", "slot")
-        }
+        runs = {"phase": self._run(proto), "slot": self._run(per_slot(proto))}
         assert runs["phase"].outputs[1] == (SILENCE, "a")
         _assert_same(runs["phase"], runs["slot"])
 
@@ -399,13 +394,11 @@ class TestPhaseSlotReferenceEquivalence:
         protocol = _plan_protocol(12, duplex=False)
         for seed in (0, 3):
             slow = ReferenceSimulator(graph, model, seed=seed).run(protocol)
-            for stepping in ("phase", "slot"):
+            for form in (protocol, per_slot(protocol)):
                 fast = Simulator(
                     graph, model, seed=seed,
-                    exec_config=ExecutionConfig(
-                        resolution=resolution, stepping=stepping
-                    ),
-                ).run(protocol)
+                    exec_config=ExecutionConfig(resolution=resolution),
+                ).run(form)
                 _assert_same(fast, slow)
 
     def test_full_duplex_clique(self):
@@ -413,11 +406,8 @@ class TestPhaseSlotReferenceEquivalence:
         protocol = _plan_protocol(10, duplex=True)
         for seed in (0, 1):
             slow = ReferenceSimulator(graph, CD_FD, seed=seed).run(protocol)
-            for stepping in ("phase", "slot"):
-                fast = Simulator(
-                    graph, CD_FD, seed=seed,
-                    exec_config=ExecutionConfig(stepping=stepping),
-                ).run(protocol)
+            for form in (protocol, per_slot(protocol)):
+                fast = Simulator(graph, CD_FD, seed=seed).run(form)
                 _assert_same(fast, slow)
 
     @pytest.mark.parametrize("resolution", RESOLUTIONS)
@@ -430,13 +420,11 @@ class TestPhaseSlotReferenceEquivalence:
             slow = ReferenceSimulator(
                 graph, LossyModel(NO_CD, 0.3, seed=77), seed=seed
             ).run(protocol)
-            for stepping in ("phase", "slot"):
+            for form in (protocol, per_slot(protocol)):
                 fast = Simulator(
                     graph, LossyModel(NO_CD, 0.3, seed=77), seed=seed,
-                    exec_config=ExecutionConfig(
-                        resolution=resolution, stepping=stepping
-                    ),
-                ).run(protocol)
+                    exec_config=ExecutionConfig(resolution=resolution),
+                ).run(form)
                 _assert_same(fast, slow)
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
@@ -447,11 +435,11 @@ class TestPhaseSlotReferenceEquivalence:
         protocol = _plan_protocol(10, duplex=False)
         seeds = (0, 1, 5)
         serial = run_trials(graph, model, protocol, seeds)
-        for stepping in ("phase", "slot"):
+        for form in (protocol, per_slot(protocol)):
             lockstep = run_trials(
-                graph, model, protocol, seeds,
+                graph, model, form, seeds,
                 exec_config=ExecutionConfig(
-                    lockstep=True, resolution=resolution, stepping=stepping
+                    lockstep=True, resolution=resolution
                 ),
             )
             for a, b in zip(serial, lockstep):
@@ -469,12 +457,11 @@ class TestPhaseSlotReferenceEquivalence:
             for seed in seeds
         ]
         for resolution in RESOLUTIONS:
-            for stepping in ("phase", "slot"):
+            for form in (protocol, per_slot(protocol)):
                 lockstep = run_trials(
-                    graph, model, protocol, seeds,
+                    graph, model, form, seeds,
                     exec_config=ExecutionConfig(
-                        lockstep=True, resolution=resolution,
-                        stepping=stepping,
+                        lockstep=True, resolution=resolution
                     ),
                 )
                 for slow, fast in zip(oracle, lockstep):
@@ -493,20 +480,16 @@ class TestPhaseSlotReferenceEquivalence:
             for seed in seeds
         ]
         for resolution in RESOLUTIONS:
-            for stepping in ("phase", "slot"):
+            for form in (protocol, per_slot(protocol)):
                 lockstep = run_trials(
-                    graph, NO_CD, protocol, seeds,
+                    graph, NO_CD, form, seeds,
                     exec_config=ExecutionConfig(
                         lockstep=True, resolution=resolution,
-                        stepping=stepping, model_factory=factory,
+                        model_factory=factory,
                     ),
                 )
                 for slow, fast in zip(oracle, lockstep):
                     _assert_same(fast, slow)
-
-    def test_stepping_validation(self):
-        with pytest.raises(ValueError, match="stepping"):
-            ExecutionConfig(stepping="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +499,11 @@ class TestPhaseSlotReferenceEquivalence:
 
 class TestRewiredProtocols:
     def _compare(self, graph, model, protocol, inputs=None, knowledge=None):
-        runs = {}
-        for stepping in ("phase", "slot"):
-            runs[stepping] = Simulator(
-                graph, model, seed=3, knowledge=knowledge,
-                exec_config=ExecutionConfig(stepping=stepping),
-            ).run(protocol, inputs=inputs)
+        sim = Simulator(graph, model, seed=3, knowledge=knowledge)
+        runs = {
+            "phase": sim.run(protocol, inputs=inputs),
+            "slot": sim.run(per_slot(protocol), inputs=inputs),
+        }
         _assert_same(runs["phase"], runs["slot"])
         return runs
 
@@ -576,14 +558,8 @@ class TestRewiredProtocols:
                     yield Listen()
             return ctx.index
 
-        graph = clique(4)
-        runs = {
-            stepping: Simulator(
-                graph, NO_CD, seed=0,
-                exec_config=ExecutionConfig(stepping=stepping),
-            ).run(proto)
-            for stepping in ("phase", "slot")
-        }
+        sim = Simulator(clique(4), NO_CD, seed=0)
+        runs = {"phase": sim.run(proto), "slot": sim.run(per_slot(proto))}
         _assert_same(runs["phase"], runs["slot"])
         # 4 nodes x (5 per-action entries + 1 final StopIteration).
         assert runs["phase"].gen_entries == 4 * 6

@@ -6,8 +6,9 @@ start their trials here, so its contracts are pinned directly:
 * the knowledge and uid defaults, and the uid validation;
 * master seed -> one ``NodeCtx`` and private rng per node, in vertex
   order, with per-node copies of the inputs;
-* every generator entered once, plans expanded under slot stepping,
-  and nodes that return on their first entry reported as outputs;
+* every generator entered once, plans handed on as yielded (the
+  reference oracle expands them per slot itself), and nodes that return
+  on their first entry reported as outputs;
 * ``faults`` realizing the batch's fault plan for each trial seed;
 * every executor starting each trial through this one routine.
 """
@@ -141,17 +142,26 @@ class TestStart:
         assert first == [(0, Send(0)), (2, Send(2)), (4, Send(4))]
         assert outputs == [None, ("done", 1), None, ("done", 3), None]
 
-    def test_slot_stepping_expands_plans(self):
+    def test_slot_stepping_expands_plans(self, monkeypatch):
         def protocol(ctx):
             yield Repeat(Send("x"), 3)
 
         graph = path_graph(2)
         _, _, _, phase = TrialSetup(graph).start(protocol, 0)
-        _, _, _, slot = TrialSetup(graph, slot_stepping=True).start(
-            protocol, 0
-        )
         assert phase == [(0, Repeat(Send("x"), 3)), (1, Repeat(Send("x"), 3))]
-        assert slot == [(0, Send("x")), (1, Send("x"))]
+        # The reference oracle starts the same trial with its plans
+        # expanded into per-slot yields.
+        starts = []
+        start = TrialSetup.start
+
+        def recording_start(setup, protocol_factory, seed, inputs=None):
+            started = start(setup, protocol_factory, seed, inputs)
+            starts.append(started[3])
+            return started
+
+        monkeypatch.setattr(TrialSetup, "start", recording_start)
+        ReferenceSimulator(graph, NO_CD).run(protocol)
+        assert starts == [[(0, Send("x")), (1, Send("x"))]]
 
 
 class TestFaults:
