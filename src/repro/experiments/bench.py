@@ -793,12 +793,6 @@ def validate_bench_config(config: ExecutionConfig) -> None:
             raise ExecutionConfigError(
                 f"bench cannot honor exec_config.{bad_field} ({why})"
             )
-    if not config.meter_energy:
-        raise ExecutionConfigError(
-            "bench cannot honor exec_config.meter_energy=False: the "
-            "reference runner always meters, so the equivalence "
-            "check would fail by construction"
-        )
     for spec in config.field_specs():
         if spec.metadata["runner"] and getattr(config, spec.name) != spec.default:
             raise ExecutionConfigError(
@@ -819,9 +813,8 @@ def run_engine_benchmarks(
     ``exec_config`` re-centers the runner matrix: the primary ``engine``
     runner uses it and the comparison runners derive from it (see
     :func:`_runners`).  Per-run fields only — batch-level fields
-    (``lockstep``, ``contention_hist``, the per-seed hooks) and
-    ``meter_energy=False`` (which would break the cross-runner energy
-    equivalence check) are rejected.
+    (``lockstep``, ``contention_hist``, the per-seed hooks) are
+    rejected.
     """
     base_config = exec_config or ExecutionConfig()
     validate_bench_config(base_config)

@@ -64,13 +64,12 @@ def sweep(
     sharded campaigns execute the identical per-cell computation.
     ``exec_config`` gives the serial driver the *full* execution
     surface.  ``resolution`` backend, ``lockstep`` batching, and
-    per-seed ``observer_factory`` hooks are
-    measurement-neutral (byte-identical results); ``contention_hist``
-    adds the per-slot channel-load analytics to every point's extras;
-    and the remaining fields *can* change what comes back —
-    ``meter_energy=False`` zeroes every energy column (throughput
-    benchmarking only), a small ``time_limit`` can abort runs, and
-    ``model_factory`` substitutes the channel itself.
+    per-seed ``observer_factory`` hooks are measurement-neutral
+    (byte-identical results); ``contention_hist`` adds the per-slot
+    channel-load analytics to every point's extras; and the remaining
+    fields *can* change what comes back — a small ``time_limit`` can
+    abort runs, and the fault specs and ``model_factory`` change the
+    channel itself.
     """
     points: List[SweepPoint] = []
     for size in sizes:

@@ -2,8 +2,8 @@
 
 The engine grew orthogonal execution knobs — ``resolution`` backend,
 ``lockstep`` trial batching, and observer/analytics wiring — and each
-used to be hand-threaded through every entry point's
-signature (``Simulator``, ``run_trials``, ``run_broadcast_trials``,
+used to be hand-threaded through every entry point's signature
+(``Simulator``, ``run_trials``, ``run_broadcast_trials``,
 ``sweep``, ``run_cells``), a hand-maintained option-key tuple in
 :mod:`repro.campaign.cells`, and per-subcommand CLI flags.  This module
 replaces that plumbing with config-as-data:
@@ -27,13 +27,13 @@ up in validation, serialization, the campaign option schema, and the CLI
 group automatically — engine code then reads it off the config.
 
 Semantics contract: ``resolution`` and ``lockstep`` steer *how* a cell
-executes, never what it measures (byte-identical results,
-pinned by the differential suites).  The remaining fields are
-honest-by-name exceptions: ``record_trace`` feeds trace-derived extras
-and ``contention_hist`` adds ``ch_*`` extras (which is why the latter is
-part of a campaign cell's content-hash identity), while
-``meter_energy=False`` zeroes the energy meters and ``time_limit`` can
-abort a run — neither is a campaign cell option for exactly that reason.
+executes, never what it measures (byte-identical results, pinned by the
+differential suites).  The remaining fields are honest-by-name
+exceptions: ``record_trace`` feeds trace-derived extras and
+``contention_hist`` adds ``ch_*`` extras (which is why the latter is part
+of a campaign cell's content-hash identity), the fault specs change the
+channel itself, and ``time_limit`` can abort a run — which is why it is
+not a campaign cell option.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "resolve_exec_config",
     "validate_execution_options",
 ]
+
 
 class ExecutionConfigError(ValueError):
     """An ExecutionConfig is invalid, or a layer was handed a config
@@ -113,10 +114,6 @@ class ExecutionConfig:
     ))
     record_trace: bool = field(default=False, metadata=_meta(
         "record a per-slot event trace (repro.sim.trace)",
-    ))
-    meter_energy: bool = field(default=True, metadata=_meta(
-        "account per-device energy; False returns all-zero meters "
-        "(throughput benchmarking only)",
     ))
     contention_hist: bool = field(default=False, metadata=_meta(
         "attach a per-trial ContentionHistogramObserver and fold its "
@@ -369,6 +366,7 @@ _RESERVED_NON_OPTION_FIELDS = frozenset(
 _RETIRED_FIELDS = {
     "stepping": "engines always run plans phase-compiled; wrap a "
                 "protocol in repro.sim.expand_plans for per-slot yields",
+    "meter_energy": "every run meters energy, the paper's measure",
 }
 
 

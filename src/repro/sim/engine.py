@@ -69,7 +69,6 @@ from repro.sim.observers import (
     EnergyObserver,
     SlotObserver,
     TraceObserver,
-    _ZeroEnergyObserver,
 )
 from repro.sim.trace import Trace
 from repro.sim.trial import TrialSetup
@@ -149,7 +148,7 @@ class Simulator:
     Args:
         exec_config: an :class:`~repro.sim.config.ExecutionConfig`
             describing how the run executes — ``resolution`` backend,
-            ``time_limit``, ``record_trace``, ``meter_energy``.
+            ``time_limit``, ``record_trace`` and the fault specs.
             Batch-level fields (``lockstep``,
             ``contention_hist``, the per-seed hooks) are rejected here:
             they are consumed by :func:`repro.sim.batch.run_trials` /
@@ -230,7 +229,6 @@ class Simulator:
         # numpy is unavailable; the mode itself was validated by the
         # config on construction.
         self.backend = create_backend(config.resolution, graph)
-        self.meter_energy = config.meter_energy
         self.extra_observers = list(observers)
 
     def run(
@@ -287,7 +285,7 @@ class Simulator:
         down_fb = SILENCE if churn is None else down_feedback(model)
         slot_aware = getattr(model, "slot_aware", False)
 
-        energy = EnergyObserver() if self.meter_energy else _ZeroEnergyObserver()
+        energy = EnergyObserver()
         observers: List[SlotObserver] = [energy]
         trace = Trace() if self.record_trace else None
         if trace is not None:

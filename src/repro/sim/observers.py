@@ -130,17 +130,6 @@ class EnergyObserver(SlotObserver):
         ]
 
 
-class _ZeroEnergyObserver(EnergyObserver):
-    """Metering disabled: never charges; reports all-zero meters.
-
-    Used by throughput benchmarks that want the engine's raw slot rate;
-    normal runs keep the real meter bank.
-    """
-
-    def on_slot(self, slot, senders, listeners, duplexers, feedbacks) -> None:
-        pass
-
-
 class ContentionHistogramObserver(SlotObserver):
     """Per-slot channel-load and collision analytics.
 

@@ -351,7 +351,6 @@ class _SoAEngine:
         self.model = model
         self.seeds = list(seeds)
         self.time_limit = simulator.time_limit
-        self.meter = simulator.meter_energy
         self.full_duplex = model.full_duplex
         self.backend = simulator.backend
         self._resolve = self.backend.trial_matrix_resolver()
@@ -759,13 +758,12 @@ class _SoAEngine:
 
             cur = self.cur
             active = sending | receiving
-            if self.meter:
-                self.e_send[sending & (st == _SEND)] += 1
-                self.e_listen[
-                    receiving & ((st == _LISTEN) | (st == _UNTIL))
-                ] += 1
-                self.e_duplex[sending & (st == _DUPLEX)] += 1
-                np.copyto(self.e_last, cur[:, None], where=active)
+            self.e_send[sending & (st == _SEND)] += 1
+            self.e_listen[
+                receiving & ((st == _LISTEN) | (st == _UNTIL))
+            ] += 1
+            self.e_duplex[sending & (st == _DUPLEX)] += 1
+            np.copyto(self.e_last, cur[:, None], where=active)
             np.maximum(
                 self.duration, cur + 1, out=self.duration, where=staged
             )
@@ -1060,35 +1058,23 @@ class _SoAEngine:
         finish = self.finish.tolist()
         durations = self.duration.tolist()
         entries = self.entries
-        if self.meter:
-            sends = self.e_send.tolist()
-            listens = self.e_listen.tolist()
-            duplex = self.e_duplex.tolist()
-            last = self.e_last.tolist()
+        sends = self.e_send.tolist()
+        listens = self.e_listen.tolist()
+        duplex = self.e_duplex.tolist()
+        last = self.e_last.tolist()
         out = []
         for t, seed in enumerate(self.seeds):
-            if self.meter:
-                srow, lrow, drow, arow = (
-                    sends[t], listens[t], duplex[t], last[t]
+            srow, lrow, drow, arow = sends[t], listens[t], duplex[t], last[t]
+            energy = [
+                EnergyReport(
+                    sends=srow[v],
+                    listens=lrow[v],
+                    duplex=drow[v],
+                    total=srow[v] + lrow[v] + drow[v],
+                    last_active_slot=arow[v],
                 )
-                energy = [
-                    EnergyReport(
-                        sends=srow[v],
-                        listens=lrow[v],
-                        duplex=drow[v],
-                        total=srow[v] + lrow[v] + drow[v],
-                        last_active_slot=arow[v],
-                    )
-                    for v in range(N)
-                ]
-            else:
-                energy = [
-                    EnergyReport(
-                        sends=0, listens=0, duplex=0, total=0,
-                        last_active_slot=-1,
-                    )
-                    for _ in range(N)
-                ]
+                for v in range(N)
+            ]
             out.append(SimResult(
                 outputs=self.outputs[t],
                 energy=energy,

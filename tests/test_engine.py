@@ -285,20 +285,6 @@ def test_all_resolution_modes_accepted():
         )
 
 
-def test_meter_energy_off_reports_zeros():
-    def proto(ctx):
-        yield Send("x")
-        yield Listen()
-        return None
-
-    result = Simulator(
-        path_graph(2), NO_CD, seed=0,
-        exec_config=ExecutionConfig(meter_energy=False),
-    ).run(proto)
-    assert all(e.total == 0 for e in result.energy)
-    assert result.duration == 2  # semantics unaffected
-
-
 def test_custom_observer_sees_every_active_slot():
     from repro.sim import SlotObserver
 

@@ -89,7 +89,6 @@ class TestValidation:
         assert config.resolution == "bitmask"
         assert not config.lockstep
         assert config.time_limit is None
-        assert config.meter_energy
 
     @pytest.mark.parametrize("field,value,expect", [
         ("resolution", "quantum", "bitmask"),
@@ -103,7 +102,6 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("lockstep", "yes"),
         ("record_trace", 2),
-        ("meter_energy", "on"),
         ("contention_hist", 1.0),
     ])
     def test_bool_fields_are_strict(self, field, value):
@@ -230,7 +228,7 @@ class TestRoundTrip:
         data = ExecutionConfig().to_dict(include_defaults=True)
         assert set(data) == {
             "resolution", "lockstep", "time_limit",
-            "record_trace", "meter_energy", "contention_hist",
+            "record_trace", "contention_hist",
             "workers", "retries", "heartbeat",
             "churn", "jam", "burst_loss",
         }
@@ -316,12 +314,13 @@ class TestCampaignValidation:
         "record_trace", "time_limit", "meter_energy", "observer_factory",
     ])
     def test_reserved_non_option_fields_rejected_at_load(self, reserved):
-        # Execution fields that are not cell options must fail loudly,
-        # not ride the content hash as silently ignored protocol knobs.
+        # Execution fields that are not cell options (or no longer
+        # exist) must fail loudly, not ride the content hash as silently
+        # ignored protocol knobs.
         with pytest.raises(ValueError, match=reserved):
             CampaignSpec.from_dict(self._spec({reserved: True}))
 
-    @pytest.mark.parametrize("retired", ["stepping"])
+    @pytest.mark.parametrize("retired", ["stepping", "meter_energy"])
     def test_retired_fields_rejected_at_load(self, retired):
         # A retired field would otherwise pass as an opaque protocol
         # knob: ignored by the row, yet splitting the content hash.
@@ -613,11 +612,6 @@ def _record_trace_effect(runner, value, base, tuned):
             assert plain.trace is None and list(traced.trace)
 
 
-def _meter_energy_effect(runner, value, base, tuned):
-    assert any(e.total for r in base for e in r.energy)
-    assert not any(e.total for r in tuned for e in r.energy)
-
-
 def _lockstep_effect(runner, value, base, tuned):
     _same_energy(runner, value, base, tuned)
     for serial, lockstep in zip(base, tuned):
@@ -649,7 +643,6 @@ _KNOBS = {
     "time_limit": (lambda: 5_000, _time_limit_effect),
     "record_trace": (lambda: True, _record_trace_effect),
     "resolution": (lambda: "numpy", _same_energy),
-    "meter_energy": (lambda: False, _meter_energy_effect),
     "lockstep": (lambda: True, _lockstep_effect),
     "observer_factory": (_SlotTally, _observer_factory_effect),
     "model_factory": (_ModelTally, _model_factory_effect),
@@ -658,15 +651,15 @@ _KNOBS = {
 
 _ENTRIES = {
     "Simulator": (_run_simulator, (
-        "time_limit", "record_trace", "resolution", "meter_energy",
+        "time_limit", "record_trace", "resolution",
     )),
     "run_trials": (_run_trials, (
-        "time_limit", "record_trace", "resolution", "meter_energy",
-        "lockstep", "observer_factory", "model_factory",
+        "time_limit", "record_trace", "resolution", "lockstep",
+        "observer_factory", "model_factory",
     )),
     "lockstep_run_trials": (_run_lockstep, (
-        "resolution", "time_limit", "record_trace", "meter_energy",
-        "observer_factory", "model_factory",
+        "resolution", "time_limit", "record_trace", "observer_factory",
+        "model_factory",
     )),
     "run_broadcast_trials": (_run_broadcast_trials, (
         "time_limit", "record_trace", "resolution", "lockstep",

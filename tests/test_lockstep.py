@@ -760,19 +760,6 @@ class TestTrialSoAEquivalence:
         )
         _assert_same_results(serial, lockstep)
 
-    def test_meter_energy_off(self):
-        graph = clique(6)
-        config = ExecutionConfig(meter_energy=False)
-        serial = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS, exec_config=config
-        )
-        lockstep = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS,
-            exec_config=config.replace(lockstep=True, resolution="numpy"),
-        )
-        _assert_same_results(serial, lockstep)
-        assert all(e.total == 0 for r in lockstep for e in r.energy)
-
     def test_timeout_message_parity(self):
         def forever(ctx):
             while True:
