@@ -77,7 +77,6 @@ def run_trials(
     knowledge: Optional[Knowledge] = None,
     uids: Optional[Sequence[int]] = None,
     exec_config: Optional[ExecutionConfig] = None,
-    observers: Sequence[SlotObserver] = (),
 ) -> List[SimResult]:
     """Run one protocol cell once per seed, amortizing setup.
 
@@ -89,9 +88,7 @@ def run_trials(
             consumes ``lockstep`` (the trial-SoA engine when the batch
             is eligible, else the serial engine; byte-identical
             results), ``observer_factory`` (per-seed observer constructor,
-            ``seed -> sequence of SlotObservers``; required instead of
-            ``observers`` under lockstep, where trials interleave and
-            shared instances would scramble), and ``model_factory``
+            ``seed -> sequence of SlotObservers``), and ``model_factory``
             (per-seed model constructor for stateful channels, e.g.
             ``lambda seed: LossyModel(NO_CD, 0.1, seed)`` — when
             omitted, all trials share ``model``; sharing a *stateful*
@@ -99,7 +96,6 @@ def run_trials(
             is rejected: its histogram summary has nowhere to go in a
             plain result list — use :func:`repro.campaign.cells.run_cells`
             or :func:`repro.experiments.harness.sweep`.
-        observers: shared observer instances (serial execution only).
 
     Returns:
         One :class:`SimResult` per seed, in ``seeds`` order.
@@ -112,24 +108,11 @@ def run_trials(
             "extras channel — pass observer_factory= instead"
         )
     if (
-        not config.lockstep
-        and config.model_factory is None
+        config.model_factory is None
         and len(seeds) > 1
         and getattr(model, "stateful", False)
     ):
-        _warn_stateful_reuse(model)
-
-    if config.lockstep:
-        if observers:
-            raise ExecutionConfigError(
-                "lockstep=True interleaves trials; pass observer_factory= "
-                "(per-seed observers) instead of shared observers="
-            )
-        if (
-            config.model_factory is None
-            and len(seeds) > 1
-            and getattr(model, "stateful", False)
-        ):
+        if config.lockstep:
             # A shared stateful channel consumes rng in trial order; the
             # trial axis would interleave trials per slot.  Refuse
             # rather than depend on which executor the batch lands on.
@@ -138,6 +121,7 @@ def run_trials(
                 f"across trials (rng consumption order would change); pass "
                 f"model_factory=lambda seed: ... for per-trial channel state"
             )
+        _warn_stateful_reuse(model)
 
     simulator = Simulator(
         graph,
@@ -149,7 +133,7 @@ def run_trials(
             lockstep=False, observer_factory=None, model_factory=None
         ),
     )
-    trials = _trials(simulator, config, seeds, observers)
+    trials = _trials(simulator, config, seeds)
     if not config.lockstep:
         return _run_serial(simulator, protocol_factory, inputs, seeds, trials)
 
@@ -185,20 +169,19 @@ def _trials(
     simulator: Simulator,
     config: ExecutionConfig,
     seeds: Sequence[int],
-    observers: Sequence[SlotObserver],
 ) -> Iterator[Tuple[ChannelModel, Any, Tuple[SlotObserver, ...]]]:
     """Yield each seed's ``(model, churn, observers)``, in seed order:
     its ``model_factory`` product (or the shared model) with the fault
-    plan realized on it, and the shared observers followed by its
-    ``observer_factory`` products."""
+    plan realized on it, and its ``observer_factory`` products."""
     for seed in seeds:
         model = (
             simulator.model if config.model_factory is None
             else config.model_factory(seed)
         )
-        extra = tuple(observers)
-        if config.observer_factory is not None:
-            extra += tuple(config.observer_factory(seed))
+        extra = (
+            () if config.observer_factory is None
+            else tuple(config.observer_factory(seed))
+        )
         yield (*simulator.setup.faults(model, seed), extra)
 
 

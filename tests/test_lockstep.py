@@ -225,16 +225,6 @@ class TestLockstepEquivalence:
                 assert a.duration == b.duration
                 assert a.max_energy == b.max_energy
 
-    def test_shared_observers_rejected(self):
-        from repro.sim import SlotObserver
-
-        with pytest.raises(ValueError, match="observer_factory"):
-            run_trials(
-                path_graph(3), NO_CD, _random_protocol(3), (0, 1),
-                observers=(SlotObserver(),),
-                exec_config=ExecutionConfig(lockstep=True),
-            )
-
     def test_shared_stateful_model_rejected(self):
         """A shared stateful channel cannot match the serial path under
         lock-step (rng consumption order changes), so it is refused
