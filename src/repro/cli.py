@@ -32,7 +32,7 @@ Commands:
   engine microbenchmarks, write ``BENCH_engine.json``, and optionally
   fail if the engine is not fast enough (the CI perf-smoke tripwire).
 
-The ``figure1``, ``table1``, ``ablations``, ``campaign``, and ``bench``
+The ``figure1``, ``table1``, ``ablations``, and ``campaign``
 subcommands share one execution-options group (``--resolution``,
 ``--lockstep``/``--no-lockstep``,
 ``--contention-hist``/``--no-contention-hist``, and the fault specs
@@ -389,23 +389,10 @@ def _cmd_bench(args) -> int:
         check_thresholds,
         format_report,
         run_engine_benchmarks,
-        validate_bench_config,
         write_results,
     )
 
-    exec_config = config_from_args(args)
-    try:
-        # Validate flags up front: a bad config fails in milliseconds
-        # with a clean message, and runtime errors from the (long)
-        # benchmark itself keep their tracebacks.
-        validate_bench_config(exec_config)
-    except ExecutionConfigError as exc:
-        print(exc)
-        return 2
-    report = run_engine_benchmarks(
-        quick=args.quick, exec_config=exec_config,
-        lockstep_seeds=args.seeds,
-    )
+    report = run_engine_benchmarks(quick=args.quick, lockstep_seeds=args.seeds)
     write_results(report, args.out)
     print(format_report(report))
     print(f"wrote {args.out}")
@@ -547,11 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trial count for the many-seed lockstep_trials section "
              "(default: 64)",
     )
-    # The shared flags re-center the bench matrix: the primary "engine"
-    # runner uses this base config and the comparison runners derive
-    # from it.  Batch-only fields are excluded (run_engine_benchmarks
-    # also rejects them when set programmatically).
-    add_execution_args(p_bench, exclude=("contention_hist", "lockstep"))
+    # No execution flags: the bench times one fixed runner matrix.
     p_bench.set_defaults(func=_cmd_bench)
 
     p_demo = sub.add_parser("demo", help="decay vs Algorithm 1 on a chain")

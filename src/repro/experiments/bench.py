@@ -38,6 +38,10 @@ Two extra sections isolate resolution and batching from stepping:
   engine (per-slot and phase stepping) and on the lock-step dispatch
   (the trial-SoA engine when eligible), and cross-checks their results.
 
+The matrix is fixed: every runner and variant uses the default
+:class:`~repro.sim.config.ExecutionConfig` except on the one axis it
+exists to compare, and no flag re-centers it.
+
 Speedups are reported as ``other_seconds / engine_seconds`` (higher is
 better for the engine).  ``slots/sec`` is simulated slots (the run's
 ``duration``) per wall-clock second on that fixed workload; it is only
@@ -47,9 +51,7 @@ comparable across runners of the *same* workload.
 from __future__ import annotations
 
 import json
-import os
 import platform
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -72,7 +74,6 @@ from repro.sim import (
     Send,
     Simulator,
 )
-from repro.sim.config import ExecutionConfigError
 from repro.sim.feedback import is_message
 from repro.sim.batch import run_trials
 from repro.sim.models import MODELS, ChannelModel, LossyModel
@@ -84,7 +85,6 @@ from repro.sim.resolution import RESOLUTION_MODES, create_backend, numpy_availab
 __all__ = [
     "BenchWorkload",
     "default_workloads",
-    "validate_bench_config",
     "run_engine_benchmarks",
     "check_thresholds",
     "write_results",
@@ -360,46 +360,37 @@ def _time_best(make_runner: Callable[[], Any], protocol, inputs, reps: int):
 
 def _runners(
     graph, model, knowledge, time_limit, protocol, slot_protocol,
-    base_config: ExecutionConfig,
 ) -> Dict[str, Tuple[Callable[[], Any], Callable]]:
     """name -> (make_runner, protocol) pairs.
 
     ``slot_protocol`` is the workload's explicit per-slot variant (or
     None); ``engine_slot`` runs it when given, so the phase-vs-slot ratio
     compares against the honest pre-phase-ABI stepping cost.
-
-    ``base_config`` centers the matrix: the primary ``engine`` runner
-    uses it verbatim and every comparison runner derives from it via
-    :meth:`~repro.sim.config.ExecutionConfig.replace` — so one config
-    edit (or one CLI flag) re-centers the whole comparison.
     """
-    base = base_config.replace(
-        time_limit=base_config.resolved_time_limit(time_limit)
-    )
+    config = ExecutionConfig(time_limit=time_limit)
     common = dict(seed=0, knowledge=knowledge)
 
     def sim(config: ExecutionConfig) -> Callable[[], Simulator]:
         return lambda: Simulator(graph, model, exec_config=config, **common)
 
-    runners = {"engine": (sim(base), protocol)}
-    # A comparison runner is skipped when re-centering makes it
-    # config-identical to the primary engine (same condition that
-    # suppresses its ratio key): timing the same configuration twice
-    # would only burn reps.
     if slot_protocol is None:
         # No explicit per-slot variant: expand plans per slot.
         def slot_protocol(ctx):
             return expand_plans(protocol(ctx), ctx.rng)
-    runners["engine_slot"] = (sim(base), slot_protocol)
-    runners["reference"] = (
-        lambda: ReferenceSimulator(
-            graph, model, time_limit=base.time_limit, **common
+
+    runners = {
+        "engine": (sim(config), protocol),
+        "engine_slot": (sim(config), slot_protocol),
+        "reference": (
+            lambda: ReferenceSimulator(
+                graph, model, time_limit=time_limit, **common
+            ),
+            protocol,
         ),
-        protocol,
-    )
-    if numpy_available() and base.resolution != "numpy":
+    }
+    if numpy_available():
         runners["engine_numpy"] = (
-            sim(base.replace(resolution="numpy")), protocol
+            sim(config.replace(resolution="numpy")), protocol
         )
     return runners
 
@@ -483,11 +474,49 @@ def _backend_replay(
     return entry
 
 
-def _lockstep_section(
-    quick: bool,
-    base_config: Optional[ExecutionConfig] = None,
-    seeds_count: int = 64,
-) -> Dict:
+def _time_batches(
+    graph: Graph,
+    knowledge: Knowledge,
+    seeds: Sequence[int],
+    variants: Dict[str, Tuple[Callable, ExecutionConfig]],
+    reps: int,
+) -> Tuple[Dict[str, float], Dict[str, List], bool]:
+    """Best-of-``reps`` wall time of each ``name -> (protocol, config)``
+    batch over ``seeds`` on the No-CD ``graph``, the last results of
+    each, and whether every variant's outputs, durations and per-node
+    energy totals match the first variant's."""
+    seconds: Dict[str, float] = {}
+    results: Dict[str, List] = {}
+    for name, (protocol, config) in variants.items():
+        best = float("inf")
+        for _ in range(reps):
+            start = time.perf_counter()
+            results[name] = run_trials(
+                graph, NO_CD, protocol, seeds, knowledge=knowledge,
+                exec_config=config,
+            )
+            best = min(best, time.perf_counter() - start)
+        seconds[name] = best
+
+    def measured(batch):
+        return [
+            (r.outputs, r.duration, [e.total for e in r.energy])
+            for r in batch
+        ]
+
+    baseline = measured(next(iter(results.values())))
+    equivalent = all(
+        measured(batch) == baseline for batch in results.values()
+    )
+    return seconds, results, equivalent
+
+
+def _soa_resolution() -> str:
+    """The lock-step variants' backend: the SoA engine needs numpy."""
+    return "numpy" if numpy_available() else "bitmask"
+
+
+def _lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
     """Serial vs lock-step batched trials on one many-seed dense cell.
 
     The workload is the paper's hottest communication shape — the
@@ -497,72 +526,38 @@ def _lockstep_section(
     the trial-axis struct-of-arrays engine (:mod:`repro.sim.trialsoa`)
     whenever numpy is importable, and its headline ratio
     ``speedup_lockstep_phase_vs_serial_slot`` carries the perf-smoke
-    ``--min-lockstep-speedup`` gate.
-
-    The variants derive from the bench's re-centerable base config via
-    ``replace()`` (like :func:`_runners`), so ``--resolution`` /
-    ``--time-limit`` re-center this section too, and ``--seeds`` scales
-    the trial count.
+    ``--min-lockstep-speedup`` gate.  ``--seeds`` scales the trial
+    count.
     """
-    base = base_config or ExecutionConfig()
     n, windows = (256, 4) if quick else (512, 4)
     seeds = list(range(seeds_count))
     graph = clique(n)
     knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-    slot_protocol = _sr_frame_protocol(windows, phase=False)
     phase_protocol = _sr_frame_protocol(windows, phase=True)
-    # The SoA engine needs the numpy backend; upgrade the default
-    # bitmask for the lock-step variant when numpy is importable.
-    soa_res = base.resolution
-    if soa_res == "bitmask" and numpy_available():
-        soa_res = "numpy"
-    variants: Dict[str, Tuple[Callable, ExecutionConfig]] = {
-        "serial_slot": (slot_protocol, base),
-        "serial_phase": (phase_protocol, base),
-        "lockstep_phase": (
-            phase_protocol, base.replace(lockstep=True, resolution=soa_res),
+    soa_res = _soa_resolution()
+    seconds, results, equivalent = _time_batches(graph, knowledge, seeds, {
+        "serial_slot": (
+            _sr_frame_protocol(windows, phase=False), ExecutionConfig()
         ),
-    }
-    seconds = {}
-    results = {}
-    for name, (protocol, config) in variants.items():
-        best = float("inf")
-        outcome = None
-        for _ in range(3):
-            start = time.perf_counter()
-            outcome = run_trials(
-                graph, NO_CD, protocol, seeds, knowledge=knowledge,
-                exec_config=config,
-            )
-            best = min(best, time.perf_counter() - start)
-        seconds[name] = best
-        results[name] = outcome
-    baseline = results["serial_slot"]
-    equivalent = all(
-        [r.outputs for r in other] == [r.outputs for r in baseline]
-        and [r.duration for r in other] == [r.duration for r in baseline]
-        and [[e.total for e in r.energy] for r in other]
-        == [[e.total for e in r.energy] for r in baseline]
-        for other in results.values()
-    )
+        "serial_phase": (phase_protocol, ExecutionConfig()),
+        "lockstep_phase": (
+            phase_protocol,
+            ExecutionConfig(lockstep=True, resolution=soa_res),
+        ),
+    }, reps=3)
     lockstep = results["lockstep_phase"]
     soa_active = bool(lockstep) and lockstep[0].soa_reason == "ok"
-    entry: Dict[str, Any] = {
+    return {
         "description": (
             f"SR-frame clique n={n}, No-CD, {windows} windows x 32 slots "
             f"x {len(seeds)} seeds (lockstep_phase resolution: {soa_res}, "
-            f"SoA engine {'active' if soa_active else 'inactive'}; other "
-            f"variants keep the bench base config)"
+            f"SoA engine {'active' if soa_active else 'inactive'})"
         ),
-        "configs": {
-            name: config.to_dict(include_defaults=True)
-            for name, (_, config) in variants.items()
-        },
         "seeds": len(seeds),
         "soa_active": soa_active,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "equivalent": equivalent,
-        # Headline: the batched executor with phase stepping vs the PR-3
+        # Headline: the batched executor with phase stepping vs the
         # serial per-slot path.  Carried by the SoA engine when active.
         "speedup_lockstep_phase_vs_serial_slot": round(
             seconds["serial_slot"] / seconds["lockstep_phase"], 3
@@ -577,14 +572,9 @@ def _lockstep_section(
             seconds["serial_phase"] / seconds["lockstep_phase"], 3
         ),
     }
-    return entry
 
 
-def _lossy_lockstep_section(
-    quick: bool,
-    base_config: Optional[ExecutionConfig] = None,
-    seeds_count: int = 64,
-) -> Dict:
+def _lossy_lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
     """Serial vs lock-step batched trials under a per-seed lossy channel.
 
     The workload (``lossy_sr_frame_n256``) is the SR-frame clique from
@@ -603,7 +593,6 @@ def _lossy_lockstep_section(
     fallback to the serial engine fails CI rather than hiding in a
     slower-but-green run.
     """
-    base = base_config or ExecutionConfig()
     # Eight bursting senders (vs the clean section's two): with eight
     # on-air transmissions per burst slot at rate 0.3, the chance a
     # receiver sees exactly one survivor — and is released from its
@@ -613,8 +602,6 @@ def _lossy_lockstep_section(
     seeds = list(range(seeds_count))
     graph = clique(n)
     knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-    slot_protocol = _sr_frame_protocol(windows, phase=False, senders=senders)
-    phase_protocol = _sr_frame_protocol(windows, phase=True, senders=senders)
 
     def factory(seed: int) -> LossyModel:
         # Fresh models per run_trials call: LossyModel is stateful (its
@@ -622,49 +609,26 @@ def _lossy_lockstep_section(
         # per-seed stream to stay deterministic.
         return LossyModel(NO_CD, rate, seed=seed)
 
-    soa_res = base.resolution
-    if soa_res == "bitmask" and numpy_available():
-        soa_res = "numpy"
-    variants: Dict[str, Tuple[Callable, ExecutionConfig]] = {
+    lossy = ExecutionConfig(model_factory=factory)
+    soa_res = _soa_resolution()
+    # Best-of-2 (not 3): the serial lossy oracle draws one python rng
+    # sample per on-air transmission per receiver, making it the
+    # slowest leg of the whole bench.
+    seconds, results, equivalent = _time_batches(graph, knowledge, seeds, {
         "serial_slot": (
-            slot_protocol, base.replace(model_factory=factory),
+            _sr_frame_protocol(windows, phase=False, senders=senders), lossy
         ),
         "lockstep_phase": (
-            phase_protocol,
-            base.replace(
-                lockstep=True, resolution=soa_res, model_factory=factory,
-            ),
+            _sr_frame_protocol(windows, phase=True, senders=senders),
+            lossy.replace(lockstep=True, resolution=soa_res),
         ),
+    }, reps=2)
+    reasons = {
+        name: outcome[0].soa_reason if outcome else None
+        for name, outcome in results.items()
     }
-    seconds = {}
-    results = {}
-    reasons: Dict[str, Optional[str]] = {}
-    for name, (protocol, config) in variants.items():
-        best = float("inf")
-        outcome = None
-        # Best-of-2 (not 3): the serial lossy oracle draws one python
-        # rng sample per on-air transmission per receiver, making it
-        # the slowest leg of the whole bench.
-        for _ in range(2):
-            start = time.perf_counter()
-            outcome = run_trials(
-                graph, NO_CD, protocol, seeds, knowledge=knowledge,
-                exec_config=config,
-            )
-            best = min(best, time.perf_counter() - start)
-        seconds[name] = best
-        results[name] = outcome
-        reasons[name] = outcome[0].soa_reason if outcome else None
-    baseline = results["serial_slot"]
-    equivalent = all(
-        [r.outputs for r in other] == [r.outputs for r in baseline]
-        and [r.duration for r in other] == [r.duration for r in baseline]
-        and [[e.total for e in r.energy] for r in other]
-        == [[e.total for e in r.energy] for r in baseline]
-        for other in results.values()
-    )
     soa_active = reasons["lockstep_phase"] == "ok"
-    entry: Dict[str, Any] = {
+    return {
         "workload": "lossy_sr_frame_n256",
         "description": (
             f"SR-frame clique n={n} under LossyModel(No-CD, rate={rate}) "
@@ -672,14 +636,10 @@ def _lossy_lockstep_section(
             f"32 slots x {len(seeds)} seeds (lockstep_phase resolution: "
             f"{soa_res}, SoA engine {'active' if soa_active else 'inactive'})"
         ),
-        "configs": {
-            name: config.to_dict(include_defaults=True)
-            for name, (_, config) in variants.items()
-        },
         "seeds": len(seeds),
         "loss_rate": rate,
         "soa_active": soa_active,
-        "soa_reason": dict(reasons),
+        "soa_reason": reasons,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "equivalent": equivalent,
         # Headline: the vectorized lossy SoA path vs the serial oracle.
@@ -687,146 +647,25 @@ def _lossy_lockstep_section(
             seconds["serial_slot"] / seconds["lockstep_phase"], 3
         ),
     }
-    return entry
-
-
-def _campaign_fabric_section(quick: bool) -> Dict:
-    """Campaign dispatch overhead: serial runner vs the worker fabric.
-
-    Times one fixed dense campaign (cheap cells, so dispatch — queues,
-    shards, heartbeats, the events ledger — dominates) through the
-    serial oracle and through ``run_campaign_fabric`` with 2 workers,
-    into throwaway stores, and cross-checks that both produce identical
-    aggregates.  ``speedup_fabric_vs_serial`` is recorded for the perf
-    trajectory but is *not* CI-gated: on a single-core runner the
-    fabric's value is fault isolation, not wall-clock.
-    """
-    from repro.campaign import (
-        CampaignSpec,
-        CampaignStore,
-        aggregate_campaign,
-        aggregate_campaign_streaming,
-        run_campaign,
-        run_campaign_fabric,
-    )
-
-    sizes, seeds = ([16], list(range(4))) if quick else (
-        [16, 32], list(range(8))
-    )
-    spec = CampaignSpec.from_dict({
-        "name": "bench-fabric",
-        "rows": [{"row": "path", "sizes": sizes, "seeds": seeds}],
-    })
-    cells = len(sizes) * len(seeds)
-
-    def points_blob(points) -> str:
-        return json.dumps(
-            {k: [vars(p) for p in v] for k, v in points.items()},
-            sort_keys=True, default=str,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        serial_store = CampaignStore(os.path.join(tmp, "serial", "r.jsonl"))
-        run_campaign(spec, serial_store, progress=None)
-        serial_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fabric_store = CampaignStore(os.path.join(tmp, "fabric", "r.jsonl"))
-        run_campaign_fabric(
-            spec, fabric_store, workers=2, progress=None,
-            events_path=os.path.join(tmp, "fabric", "events.jsonl"),
-        )
-        fabric_seconds = time.perf_counter() - start
-
-        serial_points = points_blob(
-            aggregate_campaign(spec, serial_store, extended=True)
-        )
-        equivalent = (
-            serial_points
-            == points_blob(aggregate_campaign(spec, fabric_store, extended=True))
-            == points_blob(
-                aggregate_campaign_streaming(spec, fabric_store, extended=True)
-            )
-        )
-    return {
-        "description": (
-            f"campaign dispatch: path row, {cells} cheap cells — serial "
-            f"oracle vs 2-worker fabric (fork, shards, events ledger); "
-            f"informational on single-core runners"
-        ),
-        "cells": cells,
-        "seconds": {
-            "serial": round(serial_seconds, 6),
-            "fabric_workers2": round(fabric_seconds, 6),
-        },
-        "cells_per_sec": {
-            "serial": round(cells / serial_seconds, 1),
-            "fabric_workers2": round(cells / fabric_seconds, 1),
-        },
-        "speedup_fabric_vs_serial": round(serial_seconds / fabric_seconds, 3),
-        "workers": 2,
-        # Aggregates must match the serial oracle byte-for-byte (and the
-        # streaming reducer must match both) — this IS CI-gated via
-        # check_thresholds, unlike the speedup.
-        "equivalent": equivalent,
-    }
-
-
-def validate_bench_config(config: ExecutionConfig) -> None:
-    """Reject config fields the benchmark matrix cannot honor.
-
-    Called by :func:`run_engine_benchmarks` and, separately, by the CLI
-    *before* the run starts — so a bad flag fails in milliseconds with a
-    clean message instead of being caught (together with unrelated
-    runtime errors) around a minutes-long benchmark.
-    """
-    for bad_field, why in (
-        ("lockstep", "the lockstep_trials section measures it explicitly"),
-        ("contention_hist", "bench results carry no extras channel"),
-        ("observer_factory", "bench times bare runs"),
-        ("model_factory", "bench workloads fix their channel model"),
-        ("record_trace", "tracing would slow only the engine runners, "
-                         "skewing every speedup ratio"),
-    ):
-        if getattr(config, bad_field):
-            raise ExecutionConfigError(
-                f"bench cannot honor exec_config.{bad_field} ({why})"
-            )
-    for spec in config.field_specs():
-        if spec.metadata["runner"] and getattr(config, spec.name) != spec.default:
-            raise ExecutionConfigError(
-                f"bench cannot honor exec_config.{spec.name}: fabric "
-                f"runner fields steer campaign dispatch, and the "
-                f"campaign_fabric section sets its own worker count"
-            )
 
 
 def run_engine_benchmarks(
     quick: bool = False,
     workloads: Optional[Sequence[BenchWorkload]] = None,
-    exec_config: Optional[ExecutionConfig] = None,
     lockstep_seeds: int = 64,
 ) -> Dict:
     """Time every workload on every runner; verify equivalence; report.
 
-    ``exec_config`` re-centers the runner matrix: the primary ``engine``
-    runner uses it and the comparison runners derive from it (see
-    :func:`_runners`).  Per-run fields only — batch-level fields
-    (``lockstep``, ``contention_hist``, the per-seed hooks) are
-    rejected.
+    The runner matrix is fixed (see :func:`_runners` and the two
+    lock-step sections): every runner uses the default execution config
+    except for the axis it exists to compare.
     """
-    base_config = exec_config or ExecutionConfig()
-    validate_bench_config(base_config)
     if workloads is None:
         workloads = default_workloads(quick=quick)
     report: Dict[str, Any] = {
         "generated_by": "repro bench",
         "quick": bool(quick),
         "python": platform.python_version(),
-        # The lockstep_trials section derives its variants from this
-        # base too, and records the derived per-variant configs.
-        "workload_exec_config": base_config.to_dict(include_defaults=True),
         "workloads": {},
     }
     for workload in workloads:
@@ -836,7 +675,7 @@ def run_engine_benchmarks(
         results = {}
         for name, (make_runner, runner_protocol) in _runners(
             graph, model, knowledge, workload.time_limit,
-            protocol, slot_protocol, base_config,
+            protocol, slot_protocol,
         ).items():
             timings[name], results[name] = _time_best(
                 make_runner, runner_protocol, inputs, workload.reps
@@ -867,17 +706,13 @@ def run_engine_benchmarks(
                 for k, r in results.items()
             },
             "speedup_vs_reference": round(timings["reference"] / engine_seconds, 3),
+            "speedup_phase_vs_slot": round(
+                timings["engine_slot"] / engine_seconds, 3
+            ),
             "equivalent": equivalent,
             "phase_gate": workload.phase_gate,
         }
-        entry["speedup_phase_vs_slot"] = round(
-            timings["engine_slot"] / engine_seconds, 3
-        )
-        # The numpy ratio key names its baseline ("numpy vs bitmask"),
-        # so it is only emitted when the re-centerable base config
-        # actually sits on bitmask — otherwise the key would record a
-        # same-config timing under a wrong-by-name label.
-        if "engine_numpy" in timings and base_config.resolution == "bitmask":
+        if "engine_numpy" in timings:
             # Whole-run ratio: generator stepping (backend-independent)
             # is included, so this understates the backend-level gap —
             # see resolution_backends for the isolated measurement.
@@ -891,13 +726,10 @@ def run_engine_benchmarks(
             )
         report["workloads"][workload.name] = entry
     report["numpy_available"] = numpy_available()
-    report["lockstep_trials"] = _lockstep_section(
-        quick, base_config, lockstep_seeds
-    )
+    report["lockstep_trials"] = _lockstep_section(quick, lockstep_seeds)
     report["lossy_lockstep_trials"] = _lossy_lockstep_section(
-        quick, base_config, lockstep_seeds
+        quick, lockstep_seeds
     )
-    report["campaign_fabric"] = _campaign_fabric_section(quick)
     ref_ratios = [
         entry["speedup_vs_reference"]
         for entry in report["workloads"].values()
@@ -968,8 +800,7 @@ def check_thresholds(
             if not lockstep.get("soa_active"):
                 violations.append(
                     "min-lockstep-speedup requested but the SoA lock-step "
-                    "engine was inactive (numpy missing or the config "
-                    "re-centered off the numpy resolution)"
+                    "engine was inactive (numpy missing)"
                 )
             ratio = lockstep.get("speedup_lockstep_phase_vs_serial_slot")
             if ratio is not None and ratio < min_lockstep_speedup:
@@ -1003,12 +834,6 @@ def check_thresholds(
                     f"lossy_lockstep_trials: speedup_lossy_soa_vs_serial "
                     f"{ratio}x < required {min_lossy_soa_speedup}x"
                 )
-    fabric = report.get("campaign_fabric")
-    if fabric is not None and not fabric.get("equivalent", True):
-        violations.append(
-            "campaign_fabric: fabric/streaming aggregates diverge from "
-            "the serial oracle"
-        )
     for name, entry in report["workloads"].items():
         if not entry["equivalent"]:
             violations.append(f"{name}: runners disagree (equivalence failed)")
@@ -1097,19 +922,18 @@ def format_report(report: Dict) -> str:
     lockstep = report.get("lockstep_trials")
     if lockstep is not None:
         lines.append(f"  lockstep_trials: {lockstep['description']}")
-        if "speedup_lockstep_phase_vs_serial_slot" in lockstep:
-            lines.append(
-                "    lock-step+phase x{a:.2f} vs serial per-slot "
-                "(SoA={soa}) | phase-vs-slot serial x{b:.2f} | "
-                "lock-step-vs-serial (phase) x{d:.2f} | "
-                "equivalent={eq}".format(
-                    soa=lockstep.get("soa_active", False),
-                    a=lockstep["speedup_lockstep_phase_vs_serial_slot"],
-                    b=lockstep["speedup_phase_vs_slot_serial"],
-                    d=lockstep["speedup_lockstep_vs_serial_phase"],
-                    eq=lockstep["equivalent"],
-                )
+        lines.append(
+            "    lock-step+phase x{a:.2f} vs serial per-slot "
+            "(SoA={soa}) | phase-vs-slot serial x{b:.2f} | "
+            "lock-step-vs-serial (phase) x{d:.2f} | "
+            "equivalent={eq}".format(
+                soa=lockstep.get("soa_active", False),
+                a=lockstep["speedup_lockstep_phase_vs_serial_slot"],
+                b=lockstep["speedup_phase_vs_slot_serial"],
+                d=lockstep["speedup_lockstep_vs_serial_phase"],
+                eq=lockstep["equivalent"],
             )
+        )
     lossy = report.get("lossy_lockstep_trials")
     if lossy is not None:
         lines.append(f"  lossy_lockstep_trials: {lossy['description']}")
@@ -1124,20 +948,6 @@ def format_report(report: Dict) -> str:
                     f"{name}={reason}"
                     for name, reason in sorted(reasons.items())
                 ),
-            )
-        )
-    fabric = report.get("campaign_fabric")
-    if fabric is not None:
-        lines.append(f"  campaign_fabric: {fabric['description']}")
-        lines.append(
-            "    serial {serial:.1f} cells/s | fabric({w}) {fab:.1f} cells/s "
-            "| fabric-vs-serial x{ratio:.2f} (not gated) | "
-            "equivalent={eq}".format(
-                serial=fabric["cells_per_sec"]["serial"],
-                w=fabric["workers"],
-                fab=fabric["cells_per_sec"]["fabric_workers2"],
-                ratio=fabric["speedup_fabric_vs_serial"],
-                eq=fabric["equivalent"],
             )
         )
     return "\n".join(lines)

@@ -17,8 +17,8 @@ replaces that plumbing with config-as-data:
   (:meth:`~ExecutionConfig.option_keys` feeds
   ``repro.campaign.cells.EXECUTION_OPTION_KEYS``) and which get CLI
   flags (:func:`add_execution_args` builds one shared argparse group for
-  the ``table1``, ``campaign``, ``ablations``, ``figure1``, and
-  ``bench`` subcommands);
+  the ``table1``, ``campaign``, ``ablations``, and ``figure1``
+  subcommands);
 * every entry point takes ``exec_config=`` (None means the defaults)
   and no per-knob keyword arguments.
 

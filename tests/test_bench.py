@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+
+import pytest
 
 from repro.experiments.bench import (
     BenchWorkload,
@@ -13,7 +16,8 @@ from repro.experiments.bench import (
     write_results,
 )
 from repro.graphs import clique
-from repro.sim import NO_CD, Knowledge, Listen, Send
+from repro.sim import NO_CD, Idle, Knowledge, Listen, Send
+from repro.sim.resolution import numpy_available
 
 
 def _tiny_workload() -> BenchWorkload:
@@ -30,23 +34,43 @@ def _tiny_workload() -> BenchWorkload:
         knowledge = Knowledge(n=5, max_degree=4, diameter=1)
         return graph, NO_CD, protocol, knowledge, {}
 
-    return BenchWorkload("tiny", "clique n=5 smoke workload", build, reps=1)
+    return BenchWorkload(
+        "tiny", "clique n=5 smoke workload", build, reps=1, backend_bench=True
+    )
+
+
+def _idle_workload() -> BenchWorkload:
+    def protocol(ctx):
+        yield Idle(3)
+        return ctx.index
+
+    def build():
+        graph = clique(4)
+        knowledge = Knowledge(n=4, max_degree=3, diameter=1)
+        return graph, NO_CD, protocol, knowledge, {}
+
+    return BenchWorkload(
+        "idle-only", "no active slots", build, reps=1, backend_bench=True
+    )
+
+
+@pytest.fixture(scope="module")
+def report():
+    """One quick bench run for the whole module; tests that mutate it
+    work on deep copies."""
+    return run_engine_benchmarks(
+        quick=True, workloads=[_tiny_workload(), _idle_workload()],
+        lockstep_seeds=8,
+    )
 
 
 class TestBenchHarness:
-    def test_report_shape_and_equivalence(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_report_shape_and_equivalence(self, report):
         entry = report["workloads"]["tiny"]
         assert entry["equivalent"] is True
         assert entry["n"] == 5
         assert entry["slots"] == 3
-        expected_runners = {
-            "engine", "engine_slot", "reference",
-        }
-        from repro.sim.resolution import numpy_available
-
+        expected_runners = {"engine", "engine_slot", "reference"}
         if numpy_available():
             expected_runners.add("engine_numpy")
         assert set(entry["seconds"]) == expected_runners
@@ -62,12 +86,7 @@ class TestBenchHarness:
         )
         assert "min_speedup_vs_reference" in report["summary"]
 
-    def test_backend_replay_and_numpy_gate(self):
-        from repro.sim.resolution import numpy_available
-
-        workload = _tiny_workload()
-        workload.backend_bench = True
-        report = run_engine_benchmarks(workloads=[workload], lockstep_seeds=8)
+    def test_backend_replay_and_numpy_gate(self, report):
         backends = report["workloads"]["tiny"]["resolution_backends"]
         assert backends["equivalent"] is True
         assert backends["slots_replayed"] == 3
@@ -80,53 +99,29 @@ class TestBenchHarness:
         else:
             violations = check_thresholds(report, min_numpy_speedup=1.0)
             assert any("not installed" in v for v in violations)
-        assert "lockstep_trials" in report
         assert report["lockstep_trials"]["equivalent"] is True
-        assert "lossy_lockstep_trials" in report
         assert report["lossy_lockstep_trials"]["equivalent"] is True
 
-    def test_backend_replay_with_no_active_slots(self):
-        from repro.sim import Idle
-
-        def protocol(ctx):
-            yield Idle(3)
-            return ctx.index
-
-        def build():
-            graph = clique(4)
-            knowledge = Knowledge(n=4, max_degree=3, diameter=1)
-            return graph, NO_CD, protocol, knowledge, {}
-
-        workload = BenchWorkload(
-            "idle-only", "no active slots", build, reps=1, backend_bench=True
-        )
-        report = run_engine_benchmarks(workloads=[workload], lockstep_seeds=8)
+    def test_backend_replay_with_no_active_slots(self, report):
         backends = report["workloads"]["idle-only"]["resolution_backends"]
         assert backends == {
             "slots_replayed": 0, "seconds": {}, "equivalent": True,
         }
 
-    def test_thresholds(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
-        # Impossible bars must be flagged...
+    def test_thresholds(self, report):
+        # Impossible bars must be flagged, once per workload...
         violations = check_thresholds(report, min_ref_speedup=1e9)
-        assert len(violations) == 1
+        assert len(violations) == len(report["workloads"])
         # ...no bars, no violations.
         assert check_thresholds(report) == []
         # The phase bar applies only to phase_gate workloads.
         assert check_thresholds(report, min_phase_speedup=1e9) == []
-        report["workloads"]["tiny"]["phase_gate"] = True
-        violations = check_thresholds(report, min_phase_speedup=1e9)
+        gated = copy.deepcopy(report)
+        gated["workloads"]["tiny"]["phase_gate"] = True
+        violations = check_thresholds(gated, min_phase_speedup=1e9)
         assert len(violations) == 1 and "phase_vs_slot" in violations[0]
 
-    def test_lossy_soa_section_and_gate(self):
-        from repro.sim.resolution import numpy_available
-
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_lossy_soa_section_and_gate(self, report):
         lossy = report["lossy_lockstep_trials"]
         assert lossy["workload"] == "lossy_sr_frame_n256"
         assert lossy["equivalent"] is True
@@ -143,26 +138,22 @@ class TestBenchHarness:
             violations = check_thresholds(report, min_lossy_soa_speedup=0.0)
             assert any("inactive" in v for v in violations)
         # A fast-but-wrong lossy engine fails before any ratio counts.
-        report["lossy_lockstep_trials"]["equivalent"] = False
-        violations = check_thresholds(report)
+        broken = copy.deepcopy(report)
+        broken["lossy_lockstep_trials"]["equivalent"] = False
+        violations = check_thresholds(broken)
         assert any("diverge" in v for v in violations)
         # Requesting the gate without the section is itself a violation.
-        del report["lossy_lockstep_trials"]
-        violations = check_thresholds(report, min_lossy_soa_speedup=1.0)
+        del broken["lossy_lockstep_trials"]
+        violations = check_thresholds(broken, min_lossy_soa_speedup=1.0)
         assert any("missing" in v for v in violations)
 
-    def test_equivalence_failure_is_a_violation(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
-        report["workloads"]["tiny"]["equivalent"] = False
-        violations = check_thresholds(report)
+    def test_equivalence_failure_is_a_violation(self, report):
+        broken = copy.deepcopy(report)
+        broken["workloads"]["tiny"]["equivalent"] = False
+        violations = check_thresholds(broken)
         assert violations and "disagree" in violations[0]
 
-    def test_write_results_round_trips(self, tmp_path):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_write_results_round_trips(self, report, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         write_results(report, str(path))
         loaded = json.loads(path.read_text())
@@ -193,3 +184,17 @@ class TestBenchCli:
             ["bench", "--quick", "--min-lossy-soa-speedup", "2.0"]
         )
         assert args.min_lossy_soa_speedup == 2.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--churn", "periodic:period=2,down=1"],
+        ["--stepping", "slot"],
+        ["--resolution", "numpy"],
+    ], ids=["churn", "stepping", "resolution"])
+    def test_cli_takes_no_execution_flags(self, flags):
+        # The bench runs one fixed matrix: execution flags are usage
+        # errors, not a re-centered base config.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--quick", *flags])
+        assert exc.value.code == 2

@@ -792,12 +792,6 @@ class TestRunnerConfigSurface:
                 exec_config=config,
             )
 
-    def test_bench_rejects_runner_fields(self):
-        from repro.experiments.bench import validate_bench_config
-
-        with pytest.raises(ExecutionConfigError, match="fabric"):
-            validate_bench_config(ExecutionConfig(workers=2))
-
     def test_fabric_rejects_zero_workers(self, tmp_path):
         spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
         with pytest.raises(ValueError, match="workers"):
