@@ -255,33 +255,6 @@ class ExecutionConfig:
             if spec.metadata["cell_option"]
         )
 
-    @classmethod
-    def runner_keys(cls) -> Tuple[str, ...]:
-        """Fields consumed by the campaign fabric runner, never by the
-        engine layers (which reject them when set to non-defaults)."""
-        return tuple(
-            spec.name for spec in cls.field_specs()
-            if spec.metadata["runner"]
-        )
-
-    @classmethod
-    def describe(cls) -> str:
-        """One line per field — name, default, allowed values, help."""
-        lines = []
-        for spec in cls.field_specs():
-            allowed = (
-                "/".join(spec.metadata["choices"])
-                if spec.metadata["choices"] else
-                ("hook" if spec.metadata["hook"] else
-                 ("fault spec" if spec.metadata["fault"] else
-                  type(spec.default).__name__))
-            )
-            lines.append(
-                f"{spec.name} (default {spec.default!r}, {allowed}): "
-                f"{spec.metadata['help']}"
-            )
-        return "\n".join(lines)
-
     # -- serialization ------------------------------------------------
 
     def to_dict(self, include_defaults: bool = False) -> Dict[str, Any]:
@@ -370,14 +343,19 @@ _RETIRED_FIELDS = {
 }
 
 
-def _check_cell_options(options: Optional[Dict]) -> None:
+def validate_execution_options(options: Optional[Dict]) -> None:
+    """Fail fast on an invalid, reserved or retired execution option in
+    a mixed cell options dict (raises :class:`ExecutionConfigError`
+    naming the allowed values)."""
     if not options:
         return
-    for name in sorted(set(options) & set(_RETIRED_FIELDS)):
-        raise ExecutionConfigError(
+    retired = sorted(set(options) & set(_RETIRED_FIELDS))
+    if retired:
+        raise ExecutionConfigError("; ".join(
             f"{name!r} is no longer an execution option: "
             f"{_RETIRED_FIELDS[name]}"
-        )
+            for name in retired
+        ))
     reserved = sorted(set(options) & _RESERVED_NON_OPTION_FIELDS)
     if reserved:
         raise ExecutionConfigError(
@@ -406,12 +384,6 @@ def _check_cell_options(options: Optional[Dict]) -> None:
             )
 
 
-def validate_execution_options(options: Optional[Dict]) -> None:
-    """Fail fast on an invalid or reserved execution option in a mixed
-    cell options dict (raises ``ValueError`` naming the allowed values)."""
-    _check_cell_options(options)
-
-
 def normalize_execution_options(options: Dict) -> Dict:
     """Validate a mixed cell options dict and drop execution options
     explicitly set to their default value.
@@ -421,7 +393,7 @@ def normalize_execution_options(options: Dict) -> Dict:
     cell — the minimal shape is the durable identity.  Non-execution
     entries (protocol knobs) pass through untouched, in order.
     """
-    _check_cell_options(options)
+    validate_execution_options(options)
     return {
         key: value for key, value in options.items()
         if key not in _OPTION_DEFAULTS or value != _OPTION_DEFAULTS[key]
