@@ -101,7 +101,11 @@ class ReferenceSimulator:
         down_fb = SILENCE if churn is None else down_feedback(model)
         while any(not node.done for node in nodes):
             if slot > self.time_limit:
-                raise SimulationTimeout("reference simulator exceeded time limit")
+                remaining = sum(not node.done for node in nodes)
+                raise SimulationTimeout(
+                    f"simulation exceeded {self.time_limit} slots "
+                    f"({remaining} protocols still running, seed {self.seed})"
+                )
             # Begin idle periods.
             for node in nodes:
                 if node.done or node.idle_left:
