@@ -23,7 +23,7 @@ from repro.sim import LOCAL, ExecutionConfig, Knowledge
 
 def main() -> None:
     # Small chain with a rendered timeline.  Execution knobs (tracing,
-    # resolution backend, stepping mode, ...) travel in one validated
+    # resolution backend, fault specs, ...) travel in one validated
     # ExecutionConfig instead of per-call kwargs.
     n = 24
     graph = path_graph(n)
