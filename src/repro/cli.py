@@ -518,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--min-lockstep-speedup", type=float, default=None,
         help="fail unless the SoA lock-step engine beats the serial "
-             "per-slot path by this factor on the many-seed "
-             "lockstep_trials workload (requires the SoA path to be "
-             "active, i.e. numpy)",
+             "engine, both phase-stepped, by this factor on the "
+             "many-seed lockstep_trials workload (requires the SoA path "
+             "to be active, i.e. numpy)",
     )
     p_bench.add_argument(
         "--min-lossy-soa-speedup", type=float, default=None,

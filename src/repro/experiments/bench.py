@@ -376,7 +376,7 @@ def _runners(
     if slot_protocol is None:
         # No explicit per-slot variant: expand plans per slot.
         def slot_protocol(ctx):
-            return expand_plans(protocol(ctx), ctx.rng)
+            return expand_plans(protocol(ctx), ctx)
 
     runners = {
         "engine": (sim(config), protocol),
@@ -524,10 +524,10 @@ def _lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
     one long listen window per frame) — run across many seeds, which is
     the shape million-trial campaigns batch.  ``lockstep_phase`` rides
     the trial-axis struct-of-arrays engine (:mod:`repro.sim.trialsoa`)
-    whenever numpy is importable, and its headline ratio
-    ``speedup_lockstep_phase_vs_serial_slot`` carries the perf-smoke
-    ``--min-lockstep-speedup`` gate.  ``--seeds`` scales the trial
-    count.
+    whenever numpy is importable, and its ratio to the best serial
+    configuration, ``speedup_lockstep_vs_serial_phase``, carries the
+    perf-smoke ``--min-lockstep-speedup`` gate.  ``--seeds`` scales the
+    trial count.
     """
     n, windows = (256, 4) if quick else (512, 4)
     seeds = list(range(seeds_count))
@@ -557,8 +557,8 @@ def _lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
         "soa_active": soa_active,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
         "equivalent": equivalent,
-        # Headline: the batched executor with phase stepping vs the
-        # serial per-slot path.  Carried by the SoA engine when active.
+        # The batched executor with phase stepping vs the serial
+        # per-slot path (a diagnostic; the per-slot path is no baseline).
         "speedup_lockstep_phase_vs_serial_slot": round(
             seconds["serial_slot"] / seconds["lockstep_phase"], 3
         ),
@@ -566,7 +566,7 @@ def _lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
         "speedup_phase_vs_slot_serial": round(
             seconds["serial_slot"] / seconds["serial_phase"], 3
         ),
-        # Batching win isolated under phase stepping: SoA vs the best
+        # Gated: the batching win under phase stepping, SoA vs the best
         # serial configuration.
         "speedup_lockstep_vs_serial_phase": round(
             seconds["serial_phase"] / seconds["lockstep_phase"], 3
@@ -770,10 +770,11 @@ def check_thresholds(
     ``fast`` extra precisely so this gate is meaningful).
     ``min_phase_speedup`` gates the end-to-end phase-vs-per-slot
     stepping ratio on every ``phase_gate`` workload.
-    ``min_lockstep_speedup`` gates the lockstep_trials headline ratio
-    (``speedup_lockstep_phase_vs_serial_slot``) and requires the SoA
-    trial-axis engine to actually be the path measured — a run where it
-    silently fell back to the serial engine is itself a violation.
+    ``min_lockstep_speedup`` gates the lockstep_trials ratio against the
+    best serial configuration (``speedup_lockstep_vs_serial_phase``: the
+    SoA engine vs the serial engine, both phase-stepped) and requires the
+    SoA trial-axis engine to actually be the path measured — a run where
+    it silently fell back to the serial engine is itself a violation.
     ``min_lossy_soa_speedup`` applies the same discipline to the
     lossy-channel workload (``lossy_lockstep_trials``): it gates
     ``speedup_lossy_soa_vs_serial`` and demands ``soa_active`` — the
@@ -802,10 +803,10 @@ def check_thresholds(
                     "min-lockstep-speedup requested but the SoA lock-step "
                     "engine was inactive (numpy missing)"
                 )
-            ratio = lockstep.get("speedup_lockstep_phase_vs_serial_slot")
+            ratio = lockstep.get("speedup_lockstep_vs_serial_phase")
             if ratio is not None and ratio < min_lockstep_speedup:
                 violations.append(
-                    f"lockstep_trials: speedup_lockstep_phase_vs_serial_slot "
+                    f"lockstep_trials: speedup_lockstep_vs_serial_phase "
                     f"{ratio}x < required {min_lockstep_speedup}x"
                 )
     lossy = report.get("lossy_lockstep_trials")

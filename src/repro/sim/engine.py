@@ -342,7 +342,7 @@ class Simulator:
                         )
                     bucket_duplexers[v] = action.message
                 elif isinstance(action, Plan):
-                    plans[v], action = start_plan(action, ctxs[v].rng)
+                    plans[v], action = start_plan(action, ctxs[v])
                     continue
                 else:
                     raise ProtocolError(
@@ -411,7 +411,7 @@ class Simulator:
                             )
                         duplexers[v] = action.message
                     elif isinstance(action, Plan):
-                        plans[v], action = start_plan(action, ctxs[v].rng)
+                        plans[v], action = start_plan(action, ctxs[v])
                         continue
                     else:
                         raise ProtocolError(
@@ -579,7 +579,7 @@ class Simulator:
                             )
                         bucket_duplexers[v] = action.message
                     elif isinstance(action, Plan):
-                        plans[v], action = start_plan(action, ctxs[v].rng)
+                        plans[v], action = start_plan(action, ctxs[v])
                         continue
                     else:
                         raise ProtocolError(

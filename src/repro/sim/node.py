@@ -12,7 +12,7 @@ source").  It deliberately does *not* expose the topology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Knowledge", "NodeCtx", "validate_input_keys"]
@@ -50,9 +50,31 @@ class Knowledge:
     id_space: Optional[int] = None
 
 
-@dataclass
+class _SeededRng:
+    """``NodeCtx.rng`` of a context built from a seed, until first read.
+
+    The first read builds ``random.Random(seed)`` and stores it on the
+    instance.  This is a non-data descriptor, so from then on the
+    instance attribute shadows it and reads no longer call it.  (A
+    ``__getattr__`` hook would also work, but on CPython 3.11 it turns
+    off attribute-read specialization for every field of the class;
+    with this descriptor only ``rng`` reads lose it, about 20 ns each.)
+    """
+
+    def __get__(self, ctx: Optional["NodeCtx"], owner: type) -> Any:
+        if ctx is None:
+            return self
+        rng = ctx.rng = random.Random(ctx._seed)
+        return rng
+
+
+@dataclass(init=False)
 class NodeCtx:
     """Everything one device can see.
+
+    Give the constructor either ``rng`` or a ``seed`` (keyword only).
+    Trials pass seeds: :class:`~repro.sim.trial.TrialSetup` draws every
+    node's 64-bit seed from the master seed eagerly, in vertex order.
 
     Attributes:
         index: vertex index 0..n-1 (simulator-internal identity; protocols
@@ -61,7 +83,11 @@ class NodeCtx:
         uid: device ID in {1..N}; only meaningful for deterministic
             algorithms, but always assigned.
         knowledge: shared global parameters.
-        rng: private random stream, seeded from the run's master seed.
+        rng: private random stream: the ``rng`` passed in, or
+            ``random.Random(seed)``, built on the first read of
+            ``ctx.rng``.  Streams do not depend on when, or in which
+            order, nodes first read it; a node that never draws never
+            pays for the generator.
         inputs: per-node problem inputs (e.g. ``{"source": True,
             "payload": m}`` for Broadcast).
         time: current slot (maintained by the engine: equals the start slot
@@ -71,9 +97,33 @@ class NodeCtx:
     index: int
     uid: int
     knowledge: Knowledge
-    rng: random.Random
-    inputs: Dict[str, Any] = field(default_factory=dict)
-    time: int = 0
+    inputs: Dict[str, Any]
+    time: int
+    # Not a dataclass field (no annotation), so repr and == never build it.
+    rng = _SeededRng()
+
+    def __init__(
+        self,
+        index: int,
+        uid: int,
+        knowledge: Knowledge,
+        rng: Optional[random.Random] = None,
+        inputs: Optional[Dict[str, Any]] = None,
+        time: int = 0,
+        *,
+        seed: Optional[int] = None,
+    ) -> None:
+        if (rng is None) == (seed is None):
+            raise TypeError("NodeCtx takes exactly one of rng and seed")
+        self.index = index
+        self.uid = uid
+        self.knowledge = knowledge
+        if rng is None:
+            self._seed = seed
+        else:
+            self.rng = rng
+        self.inputs = {} if inputs is None else inputs
+        self.time = time
 
     def rand_bernoulli_block(self, p: float, k: int) -> List[bool]:
         """Pre-draw ``k`` Bernoulli(``p``) decisions in bulk.

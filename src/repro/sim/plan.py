@@ -258,13 +258,16 @@ _PRIMITIVES = (Send, Listen, SendListen, Idle)
 _EMPTY_SEGS = ()
 
 
-def start_plan(plan: Plan, rng):
-    """Start ``plan``: returns ``(ps, first_action)`` — the fresh plan
-    state and the primitive action for the plan's first slot.
+def start_plan(plan: Plan, ctx):
+    """Start ``plan`` for the node whose context is ``ctx``: returns
+    ``(ps, first_action)`` — the fresh plan state and the primitive
+    action for the plan's first slot.
 
     Raises :class:`ProtocolError` on malformed plans.  This is the only
-    place plan randomness is drawn (:class:`SendProb`), so the engine and
-    the :func:`expand_plans` oracle consume identical rng streams.  The
+    place plan randomness is drawn (:class:`SendProb`, the one branch
+    that reads ``ctx.rng``, so a plan that draws nothing never builds
+    the node's lazy rng), and the engines and the :func:`expand_plans`
+    oracle consume identical rng streams.  The
     single-segment plans (``Repeat``, ``ListenUntil``, ``Steps``) are
     constructed without touching the segment machinery at all — one list
     allocation, first action emitted for free (``Repeat`` re-emits the
@@ -324,7 +327,7 @@ def start_plan(plan: Plan, rng):
                 base = SendListen(action.message)
             else:
                 base = Idle(action.duration)
-            return start_plan(Repeat(base, count), rng)
+            return start_plan(Repeat(base, count), ctx)
         raise ProtocolError(f"Repeat of non-action {action!r}")
     if cls is Steps or isinstance(plan, Steps):
         actions = tuple(plan.actions)
@@ -369,7 +372,7 @@ def start_plan(plan: Plan, rng):
         # Bulk Bernoulli block: one draw per round, in round order (the
         # audited pre-draw order; NodeCtx.rand_bernoulli_block matches).
         p = plan.p
-        random = rng.random
+        random = ctx.rng.random
         decisions = [random() < p for _ in range(rounds)]
         segs = []
         message = plan.message
@@ -390,9 +393,9 @@ def start_plan(plan: Plan, rng):
         action, _ = plan_resume(ps)
         return ps, action
     if isinstance(plan, ListenUntil):
-        return start_plan(ListenUntil(plan.slots, plan.accept, plan.pad), rng)
+        return start_plan(ListenUntil(plan.slots, plan.accept, plan.pad), ctx)
     if isinstance(plan, Repeat):
-        return start_plan(Repeat(plan.action, plan.count), rng)
+        return start_plan(Repeat(plan.action, plan.count), ctx)
     raise ProtocolError(f"unsupported plan {plan!r}")
 
 
@@ -601,8 +604,9 @@ def run_descriptor(ps: list, action):
 # --- per-slot oracle -------------------------------------------------------
 
 
-def expand_plans(gen, rng):
-    """Interpret a (possibly plan-yielding) protocol generator per slot.
+def expand_plans(gen, ctx):
+    """Interpret a (possibly plan-yielding) protocol generator per slot;
+    ``ctx`` is the context of the node running it.
 
     A driver generator that yields only primitive per-slot actions,
     compiling each yielded plan with the same :func:`start_plan` the
@@ -616,7 +620,7 @@ def expand_plans(gen, rng):
         action = next(gen)
         while True:
             if isinstance(action, Plan):
-                ps, act = start_plan(action, rng)
+                ps, act = start_plan(action, ctx)
                 result = None
                 while act is not None:
                     fb = yield act

@@ -84,7 +84,7 @@ class ReferenceSimulator:
     def run(self, protocol_factory, inputs=None) -> SimResult:
         model, churn = self.setup.faults(self.model, self.seed)
         ctxs, gens, outputs, first = self.setup.start(
-            lambda ctx: expand_plans(protocol_factory(ctx), ctx.rng),
+            lambda ctx: expand_plans(protocol_factory(ctx), ctx),
             self.seed, inputs,
         )
         nodes = [_Node(gen, ctx) for gen, ctx in zip(gens, ctxs)]
@@ -114,9 +114,13 @@ class ReferenceSimulator:
                     node.idle_left = node.action.duration
                 elif isinstance(node.action, SendListen):
                     if not model.full_duplex:
-                        raise ProtocolError("SendListen in half-duplex model")
+                        raise ProtocolError(
+                            f"SendListen is illegal in the {model.name} model"
+                        )
                 elif not isinstance(node.action, (Send, Listen)):
-                    raise ProtocolError(f"bad action {node.action!r}")
+                    raise ProtocolError(
+                        f"protocol yielded non-action {node.action!r}"
+                    )
 
             transmitting: Dict[int, Any] = {}
             for v, node in enumerate(nodes):

@@ -9,9 +9,10 @@ through :class:`TrialSetup`:
 * :meth:`TrialSetup.faults` — the trial's channel and crash schedule,
   realized by :meth:`FaultPlan.for_trial
   <repro.sim.faults.FaultPlan.for_trial>` on a faulted config;
-* :meth:`TrialSetup.start` — master seed to one :class:`NodeCtx` and
-  private rng per node (drawn in vertex order), one generator per node,
-  each entered once for its first emission.
+* :meth:`TrialSetup.start` — master seed to one :class:`NodeCtx` per
+  node with its private 64-bit seed (drawn in vertex order; the node's
+  ``random.Random`` is built on its first ``ctx.rng`` read), one
+  generator per node, each entered once for its first emission.
 
 Executors differ only in what they do with the first emissions, so a
 change to how trials start is made here, once.
@@ -104,8 +105,8 @@ class TrialSetup:
                 index=v,
                 uid=uids[v],
                 knowledge=knowledge,
-                rng=random.Random(master.getrandbits(64)),
                 inputs=dict(inputs.get(v, ())),
+                seed=master.getrandbits(64),
             )
             ctxs[v] = ctx
             gens[v] = gen = protocol_factory(ctx)

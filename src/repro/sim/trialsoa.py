@@ -474,7 +474,7 @@ class _SoAEngine:
                     )
                 kind = RUN_DUPLEX
             elif isinstance(action, Plan):
-                plans_row[v], action = start_plan(action, self.ctxs[t][v].rng)
+                plans_row[v], action = start_plan(action, self.ctxs[t][v])
                 continue
             elif isinstance(action, Idle):
                 pend[0].append(t)
@@ -1101,7 +1101,7 @@ def run_trials_soa(
     Called by the lock-step dispatch in :func:`repro.sim.batch.run_trials`
     after :func:`soa_fallback_reason` admitted the batch.  ``simulator``
     is the batch's prepared engine: its graph, shared model, trial
-    setup, slot budget, energy switch and (numpy) backend.
+    setup, slot budget and (numpy) backend.
     ``trial_models`` (when given) are the per-trial models — uniform
     ``LossyModel`` wrappers over one shared stateless inner, run via
     vectorized drop masks.  ``trial_observers`` (when given) are the

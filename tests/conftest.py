@@ -21,7 +21,7 @@ def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None
 def per_slot(factory):
     """``factory``'s protocol with every phase plan expanded into
     per-slot yields: the same run, one generator entry per slot."""
-    return lambda ctx: expand_plans(factory(ctx), ctx.rng)
+    return lambda ctx: expand_plans(factory(ctx), ctx)
 
 
 @pytest.fixture

@@ -121,6 +121,22 @@ class TestBenchHarness:
         violations = check_thresholds(gated, min_phase_speedup=1e9)
         assert len(violations) == 1 and "phase_vs_slot" in violations[0]
 
+    def test_lockstep_gate_reads_the_best_serial_ratio(self, report):
+        # The gate compares the SoA engine with the serial engine, both
+        # phase-stepped; the per-slot ratio is a diagnostic only.
+        gated = copy.deepcopy(report)
+        lockstep = gated["lockstep_trials"]
+        lockstep["soa_active"] = True
+        lockstep["speedup_lockstep_phase_vs_serial_slot"] = 10.0
+        lockstep["speedup_lockstep_vs_serial_phase"] = 1.2
+        assert check_thresholds(gated, min_lockstep_speedup=1.5) == [
+            "lockstep_trials: speedup_lockstep_vs_serial_phase 1.2x "
+            "< required 1.5x"
+        ]
+        lockstep["speedup_lockstep_phase_vs_serial_slot"] = 1.0
+        lockstep["speedup_lockstep_vs_serial_phase"] = 1.6
+        assert check_thresholds(gated, min_lockstep_speedup=1.5) == []
+
     def test_lossy_soa_section_and_gate(self, report):
         lossy = report["lossy_lockstep_trials"]
         assert lossy["workload"] == "lossy_sr_frame_n256"

@@ -26,6 +26,7 @@ from repro.sim import (
     Idle,
     Listen,
     ListenUntil,
+    ProtocolError,
     Repeat,
     Send,
     SendListen,
@@ -773,6 +774,30 @@ class TestTrialSoAEquivalence:
         messages.add(str(exc.value))
         assert len(messages) == 1  # SoA, serial engine and oracle agree
         assert "seed 0" in messages.pop()
+
+    @pytest.mark.parametrize("bad, message", [
+        (SendListen("d"), "SendListen is illegal in the No-CD model"),
+        (42, "protocol yielded non-action 42"),
+    ], ids=("send_listen", "non_action"))
+    def test_protocol_error_message_parity(self, bad, message):
+        def protocol(ctx):
+            yield Listen()
+            yield bad
+
+        graph = clique(3)
+        runs = {
+            "serial": lambda: run_trials(graph, NO_CD, protocol, (0,)),
+            "oracle": lambda: ReferenceSimulator(graph, NO_CD).run(protocol),
+        }
+        if numpy_available():
+            runs["soa"] = lambda: run_trials(
+                graph, NO_CD, protocol, (0,),
+                exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+            )
+        for name, run in runs.items():
+            with pytest.raises(ProtocolError) as exc:
+                run()
+            assert str(exc.value) == message, name
 
 
 class TestTrialSoAProperty:

@@ -308,14 +308,12 @@ class TestBernoulliBlock:
     def test_sendprob_uses_same_stream(self):
         # start_plan(SendProb) and rand_bernoulli_block agree draw for
         # draw, so protocols may pre-draw and hand decisions to either.
-        rng_a, rng_b = random.Random(99), random.Random(99)
-        ps, first = start_plan(SendProb("m", 0.25, 30), rng_a)
-        ctx = NodeCtx(
-            index=0, uid=1, knowledge=Knowledge(n=1, max_degree=1),
-            rng=rng_b,
-        )
-        ctx.rand_bernoulli_block(0.25, 30)
-        assert rng_a.random() == rng_b.random()
+        knowledge = Knowledge(n=1, max_degree=1)
+        ctx_a = NodeCtx(index=0, uid=1, knowledge=knowledge, seed=99)
+        ctx_b = NodeCtx(index=0, uid=1, knowledge=knowledge, seed=99)
+        start_plan(SendProb("m", 0.25, 30), ctx_a)
+        ctx_b.rand_bernoulli_block(0.25, 30)
+        assert ctx_a.rng.random() == ctx_b.rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +564,12 @@ class TestRewiredProtocols:
         assert runs["slot"].gen_entries == 4 * 6
 
 
+def _ctx():
+    return NodeCtx(
+        index=0, uid=1, knowledge=Knowledge(n=1, max_degree=1), seed=0
+    )
+
+
 class TestExpandPlans:
     def test_passthrough_for_plain_generators(self):
         def gen():
@@ -574,7 +578,7 @@ class TestExpandPlans:
             fb = yield Listen()
             return ("done", fb)
 
-        driver = expand_plans(gen(), random.Random(0))
+        driver = expand_plans(gen(), _ctx())
         assert next(driver) == Send("a")
         assert driver.send(None) == Listen()
         with pytest.raises(StopIteration) as stop:
@@ -586,7 +590,7 @@ class TestExpandPlans:
             fbs = yield Repeat(Listen(), 3)
             return fbs
 
-        driver = expand_plans(gen(), random.Random(0))
+        driver = expand_plans(gen(), _ctx())
         assert next(driver) == Listen()
         assert driver.send("a") == Listen()
         assert driver.send("b") == Listen()

@@ -4,8 +4,11 @@ The serial engine, the trial-SoA engine and the reference oracle all
 start their trials here, so its contracts are pinned directly:
 
 * the knowledge and uid defaults, and the uid validation;
-* master seed -> one ``NodeCtx`` and private rng per node, in vertex
-  order, with per-node copies of the inputs;
+* master seed -> one ``NodeCtx`` and private 64-bit seed per node, in
+  vertex order, with per-node copies of the inputs;
+* the lazy rng: a node's ``random.Random`` is built from its seed on
+  the first ``ctx.rng`` read, so streams do not depend on read order
+  and a protocol that never draws builds none, on any executor;
 * every generator entered once, plans handed on as yielded (the
   reference oracle expands them per slot itself), and nodes that return
   on their first entry reported as outputs;
@@ -15,20 +18,27 @@ start their trials here, so its contracts are pinned directly:
 
 from __future__ import annotations
 
+import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import repro.sim.node as node_module
 from repro.graphs import Graph, clique, path_graph, star_graph
 from repro.sim import (
     NO_CD,
     ExecutionConfig,
     FaultPlan,
+    Idle,
     Knowledge,
     Listen,
+    ListenUntil,
+    NodeCtx,
     Repeat,
     Send,
     Simulator,
+    Steps,
     numpy_available,
     run_trials,
 )
@@ -51,6 +61,44 @@ def _chatter(ctx):
         elif (yield Listen()) not in (None, ()):
             heard += 1
     return heard
+
+
+def _drawless(ctx):
+    """Idles, plans and fixed steps only: never reads ``ctx.rng``."""
+    yield Idle(1 + ctx.index % 2)
+    if ctx.index == 0:
+        yield Repeat(Send("m"), 2)
+    else:
+        yield ListenUntil(3, pad=True)
+    heard = yield Steps((Listen(), Idle(1), Send(ctx.index)))
+    return len(heard)
+
+
+def _master_streams(seed, n):
+    """Each node's first three draws, derived by hand from the master
+    seed: one 64-bit child seed per node, in vertex order."""
+    master = random.Random(seed)
+    rngs = [random.Random(master.getrandbits(64)) for _ in range(n)]
+    return [[rng.random() for _ in range(3)] for rng in rngs]
+
+
+def _draws(ctx):
+    return [ctx.rng.random() for _ in range(3)]
+
+
+@pytest.fixture
+def built_rngs(monkeypatch):
+    """The seed of every ``random.Random`` a ``NodeCtx`` builds."""
+    seeds = []
+
+    def counting_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(
+        node_module, "random", SimpleNamespace(Random=counting_random)
+    )
+    return seeds
 
 
 class TestDefaults:
@@ -92,12 +140,14 @@ class TestDefaults:
 class TestStart:
     def test_node_rngs_come_from_the_master_seed_in_vertex_order(self):
         ctxs, _, _, _ = TrialSetup(clique(4)).start(_listener, 17)
-        master = random.Random(17)
-        for ctx in ctxs:
-            expected = random.Random(master.getrandbits(64))
-            assert [ctx.rng.random() for _ in range(3)] == [
-                expected.random() for _ in range(3)
-            ]
+        assert [_draws(ctx) for ctx in ctxs] == _master_streams(17, 4)
+
+    def test_reading_node_rngs_in_reverse_order_gives_the_same_streams(self):
+        # Seeds are drawn at start; a node's stream does not depend on
+        # when its rng is first read.
+        ctxs, _, _, _ = TrialSetup(clique(4)).start(_listener, 17)
+        streams = [_draws(ctx) for ctx in reversed(ctxs)]
+        assert streams[::-1] == _master_streams(17, 4)
 
     def test_streams_depend_on_the_seed_only(self):
         setup = TrialSetup(clique(3))
@@ -142,7 +192,7 @@ class TestStart:
         assert first == [(0, Send(0)), (2, Send(2)), (4, Send(4))]
         assert outputs == [None, ("done", 1), None, ("done", 3), None]
 
-    def test_slot_stepping_expands_plans(self, monkeypatch):
+    def test_oracle_starts_with_plans_expanded(self, monkeypatch):
         def protocol(ctx):
             yield Repeat(Send("x"), 3)
 
@@ -162,6 +212,67 @@ class TestStart:
         monkeypatch.setattr(TrialSetup, "start", recording_start)
         ReferenceSimulator(graph, NO_CD).run(protocol)
         assert starts == [[(0, Send("x")), (1, Send("x"))]]
+
+
+class TestLazyRng:
+    """A node's ``random.Random`` is built from its seed on the first
+    ``ctx.rng`` read, whichever executor runs the trial."""
+
+    SEEDS = [3, 1]
+
+    def _run(self, executor, graph, protocol):
+        if executor == "reference":
+            return [
+                ReferenceSimulator(graph, NO_CD, seed=seed).run(protocol)
+                for seed in self.SEEDS
+            ]
+        config = {
+            "serial": ExecutionConfig(),
+            "soa": ExecutionConfig(lockstep=True, resolution="numpy"),
+            "fallback": ExecutionConfig(lockstep=True),
+        }[executor]
+        return run_trials(
+            graph, NO_CD, protocol, self.SEEDS, exec_config=config
+        )
+
+    @pytest.mark.parametrize(
+        "executor", ["serial", "soa", "fallback", "reference"]
+    )
+    def test_only_protocols_that_draw_build_rngs(self, executor, built_rngs):
+        if executor == "soa" and not numpy_available():
+            pytest.skip("the SoA engine needs numpy")
+        graph = clique(5)
+        results = self._run(executor, graph, _drawless)
+        assert built_rngs == []
+        assert results[0].outputs == [1] * graph.n
+        expected_reason = {"soa": "ok", "fallback": "resolution"}
+        assert results[0].soa_reason == expected_reason.get(executor)
+        # The control: a protocol that draws builds one rng per node.
+        self._run(executor, graph, _chatter)
+        assert len(built_rngs) == graph.n * len(self.SEEDS)
+
+    def test_rng_is_built_once_and_kept_on_the_instance(self, built_rngs):
+        ctx = NodeCtx(index=0, uid=1, knowledge=Knowledge(1, 1), seed=5)
+        assert "rng" not in vars(ctx)
+        rng = ctx.rng
+        assert vars(ctx)["rng"] is rng and ctx.rng is rng
+        assert built_rngs == [5]
+
+    def test_takes_exactly_one_of_rng_and_seed(self):
+        knowledge = Knowledge(1, 1)
+        with pytest.raises(TypeError, match="exactly one"):
+            NodeCtx(index=0, uid=1, knowledge=knowledge)
+        with pytest.raises(TypeError, match="exactly one"):
+            NodeCtx(
+                index=0, uid=1, knowledge=knowledge,
+                rng=random.Random(5), seed=5,
+            )
+
+    def test_copy_and_hasattr_are_safe_before_the_first_read(self):
+        ctx = NodeCtx(index=0, uid=1, knowledge=Knowledge(1, 1), seed=5)
+        assert not hasattr(ctx, "missing")
+        twin = copy.copy(ctx)
+        assert _draws(twin) == _draws(ctx)
 
 
 class TestFaults:
