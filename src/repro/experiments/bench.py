@@ -924,10 +924,9 @@ def format_report(report: Dict) -> str:
     if lockstep is not None:
         lines.append(f"  lockstep_trials: {lockstep['description']}")
         lines.append(
-            "    lock-step+phase x{a:.2f} vs serial per-slot "
-            "(SoA={soa}) | phase-vs-slot serial x{b:.2f} | "
-            "lock-step-vs-serial (phase) x{d:.2f} | "
-            "equivalent={eq}".format(
+            "    lock-step-vs-serial (phase) x{d:.2f} (SoA={soa}) | "
+            "lock-step+phase x{a:.2f} vs serial per-slot | "
+            "phase-vs-slot serial x{b:.2f} | equivalent={eq}".format(
                 soa=lockstep.get("soa_active", False),
                 a=lockstep["speedup_lockstep_phase_vs_serial_slot"],
                 b=lockstep["speedup_phase_vs_slot_serial"],
