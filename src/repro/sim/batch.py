@@ -143,6 +143,8 @@ def run_trials(
     trials = list(trials)
     models = [trial_model for trial_model, _, _ in trials]
     trial_models = None if all(m is model for m in models) else models
+    churns = [churn for _, churn, _ in trials]
+    trial_churn = None if all(c is None for c in churns) else churns
     trial_observers = (
         None if config.observer_factory is None
         else [extra for _, _, extra in trials]
@@ -154,6 +156,7 @@ def run_trials(
         results = run_trials_soa(
             simulator, protocol_factory, seeds, inputs,
             trial_models=trial_models, trial_observers=trial_observers,
+            trial_churn=trial_churn,
         )
     else:
         # The serial loop itself, not run_trials: a batch is one call.

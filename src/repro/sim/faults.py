@@ -151,6 +151,19 @@ class CrashSchedule:
                 return True
         return False
 
+    def down_cells(self, slot: int, vertices):
+        """Which of ``vertices`` (an integer numpy array) are down during
+        ``slot``: a boolean sequence aligned with ``vertices``.
+
+        The trial-SoA engine asks this once per trial per round, for the
+        trial's active cells.  This form asks :meth:`down` once per
+        vertex — exactly the queries the serial engine makes — so
+        drawn schedules need no override; closed-form policies override
+        it with one array expression.
+        """
+        down = self.down
+        return [down(v, slot) for v in vertices.tolist()]
+
 
 class PeriodicChurn(CrashSchedule):
     """Every node is down for the first ``down`` slots of each
@@ -176,6 +189,11 @@ class PeriodicChurn(CrashSchedule):
 
     def down(self, v: int, slot: int) -> bool:
         return (slot - v * self.stagger) % self.period < self.down_len
+
+    def down_cells(self, slot: int, vertices):
+        # numpy's % on integers is the floor modulo of Python ints, so
+        # this is ``down`` elementwise.
+        return (slot - vertices * self.stagger) % self.period < self.down_len
 
 
 class RandomChurn(CrashSchedule):

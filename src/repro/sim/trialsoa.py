@@ -60,7 +60,7 @@ plan-emitting and per-slot protocols.
 
 Eligibility (:func:`soa_fallback_reason`, the one place it is decided):
 numpy importable, ``resolution == "numpy"``, no trace recording, no
-churn or jamming, and a vectorizable channel — either a shared
+jamming, and a vectorizable channel — either a shared
 count-based stateless model, or per-trial
 :class:`~repro.sim.models.LossyModel` (or uniform Gilbert-Elliott)
 wrappers around one shared stateless inner model (the erasure channel
@@ -88,6 +88,21 @@ model's stock spec.  ``ListenUntil`` early exit also matches on
 post-drop counts (a dropped transmission cannot end a listen).  The
 consumed rng state is written back into each ``LossyModel`` after the
 run, so trailing draws continue the serial stream.
+
+**Churn.**  Each trial carries its own
+:class:`~repro.sim.faults.CrashSchedule`.  Per round, every staged
+trial asks it which of its active cells are down at the trial's own
+slot (:meth:`~repro.sim.faults.CrashSchedule.down_cells`: a loop over
+``down`` for drawn schedules, one array expression for
+:class:`~repro.sim.faults.PeriodicChurn`).  The round then follows the
+serial engine's per-slot order: resolution and the lossy drop draws
+see only on-air senders (``sending & ~down``) and live receivers
+(``receiving & ~down``), and down receivers hear
+:func:`~repro.sim.faults.down_feedback`, so ``ListenUntil`` early
+exit matches on post-churn counts and on what each cell heard.
+Energy meters, run countdowns, boundaries and batch observers keep
+the attempted rows, and observers get the pre-churn counts, as
+``on_slot`` does.
 """
 
 from __future__ import annotations
@@ -105,7 +120,7 @@ from repro.sim.engine import (
     SimulationTimeout,
     Simulator,
 )
-from repro.sim.faults import GilbertElliottModel
+from repro.sim.faults import CrashSchedule, GilbertElliottModel, down_feedback
 from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
 from repro.sim.models import (
     BEEPING,
@@ -180,13 +195,12 @@ def soa_fallback_reason(
         return "resolution"
     if config.record_trace:
         return "record_trace"
-    # Churn needs per-trial slot filtering and jamming per-slot
-    # adversary state — neither is vectorized, so both report their own
-    # reason.  Burst loss (Gilbert-Elliott) is vectorizable when the
-    # batch is uniform over one shared stateless count-based inner
-    # (admitted below); anything else reports "burst_loss".
-    if config.churn:
-        return "churn"
+    # Churn runs as a per-trial down mask (see the module docstring).
+    # Jamming needs per-slot adversary state the engine does not carry,
+    # so it reports its own reason.  Burst loss (Gilbert-Elliott) is
+    # vectorizable when the batch is uniform over one shared stateless
+    # count-based inner (admitted below); anything else reports
+    # "burst_loss".
     if config.jam:
         return "jammer"
     if trial_models is not None:
@@ -335,6 +349,7 @@ class _SoAEngine:
         inputs: Optional[Dict[int, Dict[str, Any]]],
         trial_models: Optional[Sequence[Any]] = None,
         trial_observers: Optional[Sequence[Sequence[Any]]] = None,
+        trial_churn: Optional[Sequence[CrashSchedule]] = None,
     ) -> None:
         np = _np
         T = len(seeds)
@@ -389,6 +404,9 @@ class _SoAEngine:
             self.needs_first = model.needs_first_message
             self.spec = _stock_spec(model)
         self.until_rule = self.spec[3] if self.spec is not None else None
+        self.churn = list(trial_churn) if trial_churn is not None else None
+        if self.churn is not None:
+            self.down_fb = _cell(down_feedback(model))
         self.observers = (
             [tuple(obs) for obs in trial_observers]
             if trial_observers is not None else None
@@ -733,31 +751,47 @@ class _SoAEngine:
             receiving = (
                 (st == _LISTEN) | (st == _UNTIL) | (st == _DUPLEX)
             ) & run_col
-            counts, masked = self._resolve(sending)
+            active = sending | receiving
+            # Churn: resolution sees only on-air senders and classifies
+            # only live receivers; meters, countdowns, boundaries and
+            # observers keep the attempted rows, as in the serial engine.
+            air = sending
+            live = receiving
+            down = None if self.churn is None else self._down(staged, active)
+            if down is not None:
+                live = receiving & ~down
+                off_air = sending & down
+                if off_air.any():
+                    air = sending ^ off_air
+            counts, masked = self._resolve(air)
             if self.observers is not None:
-                self._observe(staged, sending, receiving, counts)
+                self._observe(
+                    staged, sending, receiving,
+                    counts if air is sending else self._resolve(sending)[0],
+                )
             if self.lossy_models is not None:
                 # Erasure channel: draw each staged trial's Bernoulli
                 # mask in serial order, classify post-drop.
                 fb, match_counts = self._classify_lossy(
-                    staged, sending, receiving, masked
+                    staged, air, live, masked
                 )
             else:
                 firsts = None
                 if self.needs_first == "one":
                     firsts = self.backend.first_transmitter_matrix(
-                        masked, receiving & (counts == 1)
+                        masked, live & (counts == 1)
                     )
                 elif self.needs_first == "any":
                     firsts = self.backend.first_transmitter_matrix(
-                        masked, receiving & (counts > 0)
+                        masked, live & (counts > 0)
                     )
-                fb = self._classify(counts, receiving, firsts, masked)
+                fb = self._classify(counts, live, firsts, masked)
                 match_counts = counts
+            if down is not None:
+                fb[receiving & down] = self.down_fb
             self.hist.append(fb)
 
             cur = self.cur
-            active = sending | receiving
             self.e_send[sending & (st == _SEND)] += 1
             self.e_listen[
                 receiving & ((st == _LISTEN) | (st == _UNTIL))
@@ -824,6 +858,30 @@ class _SoAEngine:
                     matched[t, v] = True
                     any_hit = True
         return matched if any_hit else None
+
+    def _down(self, staged, active):
+        """Boolean [T, N] mask of this round's active cells whose radio
+        is down, or None when none is.  Each staged trial asks its own
+        schedule (:meth:`CrashSchedule.down_cells`) about its active
+        cells at its own slot — the (vertex, slot) pairs the serial
+        engine queries."""
+        np = _np
+        # Row-major nonzero groups the cells by trial, ascending; only
+        # staged trials have active cells.
+        ts, vs = np.nonzero(active)
+        ends = np.cumsum(np.count_nonzero(active, axis=1)).tolist()
+        cur = self.cur.tolist()
+        churn = self.churn
+        hits = []
+        for t in np.nonzero(staged)[0].tolist():
+            start = ends[t - 1] if t else 0
+            hits.append(churn[t].down_cells(cur[t], vs[start:ends[t]]))
+        hit = np.concatenate(hits).astype(bool, copy=False)
+        if not hit.any():
+            return None
+        down = np.zeros(active.shape, dtype=bool)
+        down[ts[hit], vs[hit]] = True
+        return down
 
     def _observe(self, staged, sending, receiving, counts) -> None:
         """Fire each staged trial's batch-capable observers for this
@@ -1095,6 +1153,7 @@ def run_trials_soa(
     *,
     trial_models: Optional[Sequence[Any]] = None,
     trial_observers: Optional[Sequence[Sequence[Any]]] = None,
+    trial_churn: Optional[Sequence[CrashSchedule]] = None,
 ) -> List[SimResult]:
     """Run one cell's seeds through the SoA batched executor.
 
@@ -1106,12 +1165,15 @@ def run_trials_soa(
     ``LossyModel`` wrappers over one shared stateless inner, run via
     vectorized drop masks.  ``trial_observers`` (when given) are the
     per-seed observer tuples, every one batch-capable, fired through
-    ``observe_matrix``.  Results are byte-identical to the serial
+    ``observe_matrix``.  ``trial_churn`` (when given) holds each trial's
+    :class:`~repro.sim.faults.CrashSchedule`, asked per round which
+    active cells are down.  Results are byte-identical to the serial
     engine, in ``seeds`` order.
     """
     engine = _SoAEngine(
         simulator, protocol_factory, seeds, inputs,
         trial_models=trial_models, trial_observers=trial_observers,
+        trial_churn=trial_churn,
     )
     engine.run()
     return engine.results()

@@ -86,9 +86,8 @@ class TestPerTrialProductsBuiltOnce:
             dict(lockstep=True, resolution="numpy", burst_loss=BURST), "ok"
         ),
         "fallback": (
-            dict(lockstep=True, resolution="numpy",
-                 churn="periodic:period=6,down=2,stagger=1"),
-            "churn",
+            dict(lockstep=True, resolution="numpy", jam="periodic:period=3"),
+            "jammer",
         ),
     }
 

@@ -21,18 +21,24 @@ import random
 
 import pytest
 
-from repro.graphs import path_graph, random_gnp, star_graph
+from repro.graphs import clique, path_graph, random_gnp, star_graph
 from repro.sim import (
     BEEPING,
     CD,
     CD_STAR,
     LOCAL,
     NO_CD,
+    ContentionHistogramObserver,
     ExecutionConfig,
     ExecutionConfigError,
     Idle,
     Listen,
+    ListenUntil,
+    Repeat,
     Send,
+    SendListen,
+    SendProb,
+    Steps,
     numpy_available,
     run_trials,
 )
@@ -56,7 +62,7 @@ from repro.sim.faults import (
     validate_fault_spec,
 )
 from repro.sim.feedback import BEEP, NOISE, SILENCE
-from repro.sim.models import LossyModel
+from repro.sim.models import MODELS, LossyModel
 from repro.sim.reference import ReferenceSimulator
 from tests.conftest import per_slot
 
@@ -77,6 +83,10 @@ FAULT_CONFIGS = {
     "jam-random": dict(jam="random:rate=0.3"),
     "jam-reactive": dict(jam="reactive:min=1"),
     "burst-loss": dict(burst_loss="p_gb=0.2,p_bg=0.4,good=0.05,bad=0.9"),
+    "churn-burst": dict(
+        churn="periodic:period=10,down=3,stagger=2",
+        burst_loss="p_gb=0.2,p_bg=0.4,good=0.05,bad=0.9",
+    ),
     "all-three": dict(
         churn="periodic:period=10,down=3,stagger=2",
         jam="random:rate=0.2",
@@ -219,6 +229,21 @@ class TestSchedules:
                     (slot - 2 * v) % 10 < 3
                 ), (v, slot)
 
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_down_cells_answers_like_down(self):
+        import numpy as np
+
+        vertices = np.array([0, 1, 3, 4, 7], dtype=np.int64)
+        for schedule in (
+            CrashSchedule({0: [(2, 5)], 3: [(0, 1), (7, 9)]}),
+            PeriodicChurn(period=10, down=3, stagger=2),
+            RandomChurn(p=0.5, period=9, down=4, seed=7),
+        ):
+            for slot in range(40):
+                assert list(schedule.down_cells(slot, vertices)) == [
+                    schedule.down(v, slot) for v in vertices.tolist()
+                ], (schedule, slot)
+
     def test_random_churn_is_query_order_independent(self):
         a = RandomChurn(p=0.5, period=9, down=4, seed=7)
         b = RandomChurn(p=0.5, period=9, down=4, seed=7)
@@ -344,16 +369,144 @@ def test_fault_matrix_other_graphs():
         _assert_same_results(serial, lock)
 
 
+def _churn_plan_protocol(duplex: bool):
+    """Every plan primitive the SoA engine vectorizes — SendListen runs
+    only where the model is full-duplex — then an adaptive tail."""
+
+    def protocol(ctx):
+        yield Repeat(Send(("r", ctx.index)), 1 + ctx.index % 3)
+        if duplex:
+            yield Repeat(SendListen(("d", ctx.index)), 2)
+        yield SendProb(("p", ctx.index), 0.5, 4)
+        match = yield ListenUntil(6, pad=True)
+        steps = (Listen(), Send(("s", ctx.index)), Idle(2), Listen(), Listen())
+        if duplex:
+            steps += (SendListen(("x", ctx.index)),)
+        feedbacks = yield Steps(steps)
+        tail = []
+        for _ in range(3):
+            if ctx.rng.random() < 0.4:
+                yield Send(("t", ctx.index))
+            else:
+                tail.append((yield Listen()))
+        return (ctx.index, repr(match), repr(feedbacks), repr(tail))
+
+    return protocol
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the SoA engine needs numpy")
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("churn", [
+    "periodic:period=5,down=2,stagger=1",
+    "random:p=0.5,period=6,down=3",
+], ids=["periodic", "random"])
+def test_churn_runs_on_soa_like_serial(churn, model_name):
+    """Churned lock-step batches run on the trial-SoA engine and match
+    the serial engine field for field — with a shared model, per-seed
+    lossy channels and per-seed contention observers — and the
+    shared-model arm matches the oracle."""
+    model = MODELS[model_name]
+    protocol = _churn_plan_protocol(model.full_duplex)
+    seeds = [0, 1, 2]
+    graphs = (
+        clique(6),
+        path_graph(9),
+        random_gnp(10, 0.4, random.Random(3), ensure_connected=True),
+    )
+    for graph in graphs:
+        for arm in ("shared", "lossy", "observer"):
+            observers = {"serial": {}, "soa": {}}
+            runs = {}
+            for name in ("serial", "soa"):
+                fields = {}
+                if arm == "lossy":
+                    fields["model_factory"] = (
+                        lambda seed: LossyModel(model, 0.3, seed=seed)
+                    )
+                elif arm == "observer":
+                    def observer_factory(seed, made=observers[name]):
+                        made[seed] = ContentionHistogramObserver(graph)
+                        return (made[seed],)
+
+                    fields["observer_factory"] = observer_factory
+                config = ExecutionConfig(
+                    resolution="numpy", churn=churn,
+                    lockstep=name == "soa", **fields,
+                )
+                runs[name] = run_trials(graph, model, protocol, seeds,
+                                        exec_config=config)
+            where = (graph.n, arm)
+            assert [r.soa_reason for r in runs["soa"]] == ["ok"] * 3, where
+            for serial, soa in zip(runs["serial"], runs["soa"]):
+                assert soa.outputs == serial.outputs, where
+                assert soa.finish_slot == serial.finish_slot, where
+                assert soa.duration == serial.duration, where
+                assert soa.energy == serial.energy, where
+                assert soa.gen_entries == serial.gen_entries, where
+            for seed in seeds if arm == "observer" else ():
+                serial_obs = observers["serial"][seed]
+                soa_obs = observers["soa"][seed]
+                assert soa_obs.summary() == serial_obs.summary(), where
+                assert soa_obs.load_histogram \
+                    == serial_obs.load_histogram, where
+            if arm != "shared":
+                continue
+            plan = parse_fault_specs(ExecutionConfig(churn=churn))
+            for seed, result in zip(seeds, runs["soa"]):
+                oracle = ReferenceSimulator(
+                    graph, model, seed=seed, faults=plan
+                ).run(protocol)
+                assert oracle.outputs == result.outputs, where
+                assert oracle.finish_slot == result.finish_slot, where
+                assert oracle.duration == result.duration, where
+                assert oracle.energy == result.energy, where
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the SoA engine needs numpy")
+def test_churn_on_soa_with_a_custom_count_model():
+    """A count model with no stock classification spec: down receivers
+    still hear the model's own empty reception on the SoA engine, with
+    a shared model and under per-seed lossy wrappers."""
+    from repro.sim.models import ChannelModel
+
+    class Counting(ChannelModel):
+        supports_count = True
+
+        def resolve(self, transmissions):
+            return ("heard", len(transmissions))
+
+        def resolve_count(self, k, first_message):
+            return ("heard", k)
+
+    model = Counting("counting")
+    graph = random_gnp(10, 0.4, random.Random(3), ensure_connected=True)
+    protocol = _churn_plan_protocol(False)
+    for fields in (
+        {}, dict(model_factory=lambda seed: LossyModel(model, 0.3, seed=seed)),
+    ):
+        config = ExecutionConfig(
+            resolution="numpy", churn="periodic:period=5,down=2,stagger=1",
+            **fields,
+        )
+        serial = run_trials(graph, model, protocol, [0, 1, 2],
+                            exec_config=config)
+        soa = run_trials(graph, model, protocol, [0, 1, 2],
+                         exec_config=config.replace(lockstep=True))
+        assert [r.soa_reason for r in soa] == ["ok"] * 3
+        _assert_same_results(serial, soa)
+
+
 # --- SoA engagement and fallback taxonomy ----------------------------------
 
 
 class TestSoAReasons:
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @pytest.mark.parametrize("fault,expected", [
-        (dict(churn="periodic:period=8,down=2"), "churn"),
+        (dict(churn="periodic:period=8,down=2"), "ok"),
         (dict(jam="random:rate=0.2"), "jammer"),
         (dict(burst_loss="p_gb=0.1,p_bg=0.3"), "ok"),
         (dict(), "ok"),
+        (dict(churn="random:p=0.4,period=8,down=3"), "ok"),
     ])
     def test_verdicts(self, fault, expected):
         graph = path_graph(6)
