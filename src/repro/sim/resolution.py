@@ -165,8 +165,15 @@ class BitmaskBackend(ResolutionBackend):
 
 
 def _popcount_rows_native(masked):
-    """Per-row popcount over a (R, W) uint64 array via numpy >= 2.0."""
-    return _np.bitwise_count(masked).sum(axis=1)
+    """Per-row popcount over a (R, W) uint64 array via numpy >= 2.0, as
+    int64.  Adding the W word columns into one int64 accumulator beats
+    ``.sum(axis=1)`` (a reduction over a short inner axis) 2-4x on the
+    SoA resolver's shapes, and does not widen to uint64."""
+    bits = _np.bitwise_count(masked)
+    total = _np.zeros(bits.shape[0], dtype=_np.int64)
+    for w in range(bits.shape[1]):
+        total += bits[:, w]
+    return total
 
 
 _BYTE_POPCOUNT = None

@@ -321,6 +321,33 @@ class TestPopcountFallback:
         ]
         assert [int(x) for x in table] == expected
 
+    @pytest.mark.parametrize("words", [1, 4, 8])
+    def test_both_helpers_count_rows_as_int64(self, words):
+        import numpy
+
+        from repro.sim.resolution import (
+            _popcount_rows_native,
+            _popcount_rows_table,
+        )
+
+        rng = numpy.random.default_rng(words)
+        masked = rng.integers(
+            0, 2**64, size=(50, words), dtype=numpy.uint64
+        )
+        masked[0] = numpy.uint64(2**64 - 1)  # all-ones words
+        masked[1] = 0
+        expected = [
+            sum(bin(int(word)).count("1") for word in row) for row in masked
+        ]
+        assert expected[0] == 64 * words
+        helpers = [_popcount_rows_table]
+        if hasattr(numpy, "bitwise_count"):
+            helpers.append(_popcount_rows_native)
+        for helper in helpers:
+            counts = helper(masked)
+            assert counts.dtype == numpy.int64, helper.__name__
+            assert counts.tolist() == expected, helper.__name__
+
     def test_backend_works_with_table_popcount(self, monkeypatch):
         """Force the numpy<2.0 popcount path through a whole backend."""
         import repro.sim.resolution as mod
