@@ -215,7 +215,7 @@ def run_cells(
             extras["soa"] = 1.0 if outcome.sim.soa_reason == "ok" else 0.0
             # The verdict itself rides along as a one-hot key so the
             # fabric ledger can count *why* the SoA engine disengaged
-            # (fallback taxonomy: churn, jammer, burst_loss, ...), not
+            # (fallback taxonomy: jammer, burst_loss, ...), not
             # just that it did.
             extras[f"soa_reason_{outcome.sim.soa_reason}"] = 1.0
         cells.append(CellResult(

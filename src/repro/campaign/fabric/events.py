@@ -19,7 +19,7 @@ Event schema (all events carry ``ev`` and ``ts``; the rest varies)::
                        that ran on the trial-SoA engine; absent in
                        pre-soa ledgers, read as 0), soa_reasons (cell
                        counts by SoA verdict string, e.g. {"ok": 3,
-                       "churn": 1}; absent in older ledgers — readers
+                       "jammer": 1}; absent in older ledgers — readers
                        must render *any* reason string gracefully,
                        since new fault families mint new verdicts)
     block_retried      block, attempt, reason, backoff

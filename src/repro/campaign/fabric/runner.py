@@ -182,7 +182,7 @@ class _Bookkeeper:
             if status == STATUS_OK:
                 self.say(f"  ok {tag} ({elapsed:.2f}s)")
         # Fallback taxonomy: count lock-step cells by SoA verdict string
-        # ("ok", "churn", "jammer", "burst_loss", ...) so the ledger
+        # ("ok", "jammer", "burst_loss", ...) so the ledger
         # records *why* vectorization disengaged, not just how often.
         soa_reasons: Dict[str, int] = {}
         for _, _, _, _, reason in statuses:

@@ -91,7 +91,7 @@ def fabric_worker_main(
       ``soa`` is the cell's SoA-engagement flag (1.0 engaged / 0.0
       fell back / None when the cell did not run lock-step) and
       ``soa_reason`` is the verdict string behind that flag (``"ok"``,
-      ``"churn"``, ``"jammer"``, ``"burst_loss"``, ... / None);
+      ``"jammer"``, ``"burst_loss"``, ... / None);
     * ``("exit", wid)`` — clean shutdown after the ``None`` sentinel.
     """
     store = CampaignStore(worker_shard_path)

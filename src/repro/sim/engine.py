@@ -112,7 +112,7 @@ class SimResult:
             (``next``/``send`` calls, including the final StopIteration
             ones).  The stepping-cost metric phase plans minimize.
         soa_reason: why the trial-SoA engine did ("ok") or did not (a
-            fallback reason such as "resolution" or "churn", see
+            fallback reason such as "resolution" or "jammer", see
             :func:`repro.sim.trialsoa.soa_fallback_reason`) run this
             trial.  Set on every result of a lock-step
             :func:`~repro.sim.batch.run_trials` batch; None for every

@@ -70,9 +70,10 @@ class SlotObserver:
         ``batch_capable``: one call per trial per active slot with the
         trial's rows — ``sending``/``receiving`` are boolean ``[node]``
         vectors (senders + duplexers / listeners + duplexers) and
-        ``counts`` is the per-node count of transmitting neighbors
-        *on the air* (pre-erasure under lossy channels, matching
-        :meth:`on_slot`'s neighbor-bitmask view)."""
+        ``counts`` is the per-node count of neighbors in ``sending``
+        (before erasures under lossy channels and before churn takes
+        down radios off the air, matching :meth:`on_slot`'s
+        neighbor-bitmask view)."""
         raise NotImplementedError
 
 
@@ -148,7 +149,9 @@ class ContentionHistogramObserver(SlotObserver):
     what the model turned them into, so the same numbers overlay any
     channel model (Figure 1 overlays, model-mismatch studies).  That is
     also why :meth:`observe_matrix` reduces over the SoA engine's
-    *pre-drop* count matrix: erasures are the model's doing.
+    *pre-drop* count matrix: erasures are the model's doing.  Under
+    churn it likewise counts *attempted* (pre-churn) transmissions and
+    receptions, down radios included, in both engines.
     """
 
     batch_capable = True
