@@ -68,13 +68,21 @@ def diameter(graph: Graph, exact: bool = True, sample: Optional[int] = None) -> 
     """The paper's D = max_{u,v} dist(u, v).
 
     Args:
-        exact: run BFS from every vertex (O(nm)).
+        exact: the exact diameter.  A tree (n - 1 edges, and a BFS from
+            vertex 0 reaches every vertex) takes two BFS passes: the
+            vertex farthest from any start is an end of a longest path,
+            so its eccentricity is the diameter.  Any other graph runs a
+            BFS from every vertex (O(nm)).
         sample: if ``exact`` is False, number of BFS sources to sample
             (lower-bounds the diameter; good enough for workload labeling).
     """
     if graph.n == 1:
         return 0
     if exact:
+        if len(graph.edges) == graph.n - 1:
+            dist = bfs_distances(graph, 0)
+            if min(dist) >= 0:
+                return eccentricity(graph, dist.index(max(dist)))
         return max(eccentricity(graph, v) for v in range(graph.n))
     sources = range(min(graph.n, sample or 8))
     return max(eccentricity(graph, v) for v in sources)

@@ -10,6 +10,8 @@ Invariants covered:
 * deterministic SR: the receiver's learned minimum matches ground truth
   for arbitrary value assignments.
 * blocking-time distribution support.
+* graph facts: the diameter (two BFS passes on trees) equals the
+  maximum all-pairs BFS eccentricity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import math
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.labeling import is_good_labeling
@@ -28,7 +31,18 @@ from repro.core.sr_comm import (
     det_frame_length,
     sr_det_cd,
 )
-from repro.graphs import Graph, bfs_distances, path_graph, random_tree, star_graph
+from repro.graphs import (
+    Graph,
+    bfs_distances,
+    cycle_graph,
+    diameter,
+    grid_graph,
+    k2k_gadget,
+    path_graph,
+    random_gnp,
+    random_tree,
+    star_graph,
+)
 from repro.sim import CD, NO_CD, ExecutionConfig, Idle, Listen, Send, Simulator
 
 
@@ -204,3 +218,74 @@ def test_blocking_time_support(seed, log_n):
     value = sample_blocking_time(random.Random(seed), n)
     assert value in {2**b for b in range(1, log_n + 1)} or value == n
     assert 2 <= value <= n
+
+
+# --- graph facts ---------------------------------------------------------------
+
+
+def _all_pairs_diameter(graph: Graph) -> int:
+    return max(max(bfs_distances(graph, v)) for v in range(graph.n))
+
+
+def _relabel(n, edges, labels):
+    return Graph(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+@st.composite
+def _trees(draw):
+    """Random trees with shuffled labels, so vertex 0 may sit anywhere."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = [
+        (draw(st.integers(min_value=0, max_value=v - 1)), v)
+        for v in range(1, n)
+    ]
+    return _relabel(n, edges, draw(st.permutations(range(n))))
+
+
+_CONNECTED_GRAPHS = st.one_of(
+    _trees(),
+    st.integers(min_value=1, max_value=40).map(path_graph),
+    st.integers(min_value=2, max_value=40).map(star_graph),
+    st.integers(min_value=1, max_value=12).map(lambda k: k2k_gadget(k)[0]),
+    st.integers(min_value=3, max_value=30).map(cycle_graph),
+    st.tuples(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+    ).map(lambda shape: grid_graph(*shape)),
+    st.tuples(
+        st.integers(min_value=2, max_value=30),
+        st.floats(min_value=0.0, max_value=0.6),
+        st.integers(min_value=0, max_value=10_000),
+    ).map(lambda a: random_gnp(a[0], a[1], random.Random(a[2]))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_CONNECTED_GRAPHS)
+def test_diameter_equals_all_pairs_bfs(graph):
+    assert diameter(graph) == _all_pairs_diameter(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cycle=st.integers(min_value=3, max_value=12),
+    rest=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+@example(cycle=3, rest=1, data=None)  # a triangle plus an isolated vertex
+def test_diameter_rejects_disconnected_graphs_with_tree_edge_count(
+    cycle, rest, data
+):
+    # A cycle (as many edges as vertices) beside a tree on the other
+    # vertices has n - 1 edges in all, yet is no tree.
+    n = cycle + rest
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(cycle + v - 1, cycle + v) for v in range(1, rest)]
+    labels = (
+        list(range(n)) if data is None
+        else data.draw(st.permutations(range(n)))
+    )
+    graph = _relabel(n, edges, labels)
+    assert len(graph.edges) == n - 1
+    with pytest.raises(ValueError):
+        diameter(graph)
