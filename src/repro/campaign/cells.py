@@ -19,13 +19,13 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.broadcast.base import BroadcastOutcome, run_broadcast_trials
+from repro.broadcast.base import run_broadcast_trials
 from repro.graphs.graph import Graph
 from repro.graphs.properties import diameter as graph_diameter
 from repro.sim.config import ExecutionConfig, resolve_exec_config
 from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge
-from repro.sim.observers import ContentionHistogramObserver
+from repro.sim.observers import ContentionHistogramObserver, SlotObserver
 
 __all__ = [
     "SweepPoint",
@@ -159,7 +159,7 @@ def run_cells(
     source: int = 0,
     knowledge: Optional[Knowledge] = None,
     id_space_from_n: bool = False,
-    extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
+    observer: Optional[Callable[[Graph], SlotObserver]] = None,
     exec_config: Optional[ExecutionConfig] = None,
 ) -> List[CellResult]:
     """Execute one (row, size) cell group across seeds on the batched core.
@@ -167,26 +167,39 @@ def run_cells(
     All trials share one prepared engine
     (:func:`repro.broadcast.base.run_broadcast_trials`), so graph
     preprocessing and knowledge are paid once per size, not per seed.
+    ``observer`` is a row's measurement
+    (:attr:`repro.campaign.registry.RowDefinition.observer`): called
+    with the graph, it builds one observer per trial, and that
+    observer's ``extras(outcome)`` become the cell's ``extras``.
     ``exec_config`` steers how the batch executes — every field of
     :class:`~repro.sim.config.ExecutionConfig` is honored here, and
     this is the layer that consumes ``contention_hist``: it attaches a
     per-trial :class:`~repro.sim.observers.ContentionHistogramObserver`
-    (stacked on top of any user ``observer_factory``) and folds its
-    summary into each cell's ``extras`` under ``ch_*`` keys.  Returns
-    one :class:`CellResult` per seed, in ``seeds`` order.
+    and folds its summary into each cell's ``extras`` under ``ch_*``
+    keys.  Both ride on the ``observer_factory`` hook, stacked on top
+    of any user factory.  Returns one :class:`CellResult` per seed, in
+    ``seeds`` order.
     """
     config = resolve_exec_config(exec_config)
     if knowledge is None:
         knowledge = knowledge_for(graph, id_space_from_n=id_space_from_n)
+    # Keyed by seed, so the last trial built for a seed is the one read.
     histograms: Dict[int, ContentionHistogramObserver] = {}
-    if config.contention_hist:
+    measures: Dict[int, SlotObserver] = {}
+    if config.contention_hist or observer is not None:
         user_factory = config.observer_factory
+        contention_hist = config.contention_hist
 
         def observer_factory(seed):
-            observer = ContentionHistogramObserver(graph)
-            histograms[seed] = observer
+            attached = []
+            if contention_hist:
+                histograms[seed] = ContentionHistogramObserver(graph)
+                attached.append(histograms[seed])
+            if observer is not None:
+                measures[seed] = observer(graph)
+                attached.append(measures[seed])
             extra = tuple(user_factory(seed)) if user_factory else ()
-            return (observer,) + extra
+            return tuple(attached) + extra
 
         config = config.replace(
             contention_hist=False, observer_factory=observer_factory
@@ -202,7 +215,7 @@ def run_cells(
     )
     cells = []
     for seed, outcome in zip(seeds, outcomes):
-        extras = dict(extra_metrics(outcome)) if extra_metrics is not None else {}
+        extras = dict(measures[seed].extras(outcome)) if measures else {}
         if histograms:
             extras.update({
                 f"ch_{key}": value
@@ -245,7 +258,7 @@ def run_cell(
     source: int = 0,
     knowledge: Optional[Knowledge] = None,
     id_space_from_n: bool = False,
-    extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
+    observer: Optional[Callable[[Graph], SlotObserver]] = None,
     exec_config: Optional[ExecutionConfig] = None,
 ) -> CellResult:
     """Execute one broadcast cell (a single-seed batch) and reduce it to
@@ -260,7 +273,7 @@ def run_cell(
         source=source,
         knowledge=knowledge,
         id_space_from_n=id_space_from_n,
-        extra_metrics=extra_metrics,
+        observer=observer,
         exec_config=exec_config,
     )[0]
 

@@ -56,8 +56,9 @@ from repro.graphs import (
     random_gnp,
 )
 from repro.graphs.graph import Graph
-from repro.lowerbounds import derive_leader_election, energy_before_reception
+from repro.lowerbounds import LeaderElectionObserver, PreReceptionObserver
 from repro.sim.models import MODELS, LossyModel
+from repro.sim.observers import SlotObserver
 
 __all__ = [
     "RowDefinition",
@@ -130,6 +131,12 @@ class RowDefinition:
     depends on an option (e.g. the CD row's epsilon) use a callable
     ``options -> bounds dict`` instead — resolve via
     :func:`resolve_bounds`.
+
+    ``observer`` is the row's per-trial measurement: called with the
+    cell's graph, it returns a
+    :class:`~repro.sim.observers.SlotObserver` whose ``extras(outcome)``
+    become the cell's extras (see :func:`repro.campaign.cells.run_cells`).
+    Rows measure during the run; none records a trace.
     """
 
     name: str
@@ -140,8 +147,7 @@ class RowDefinition:
     default_sizes: Tuple[int, ...]
     default_seeds: Tuple[int, ...]
     id_space_from_n: bool = False
-    record_trace: bool = False
-    extra_metrics: Optional[Callable] = None
+    observer: Optional[Callable[[Graph], SlotObserver]] = None
     bounds: object = field(default_factory=dict)
     columns: Tuple[str, ...] = (
         "n", "max_degree", "diameter", "delivered",
@@ -254,8 +260,6 @@ def execute_cell_block(
         ]
     graph = GRAPH_FAMILIES[definition.graph_family](size)
     config = ExecutionConfig.from_options(options)
-    if definition.record_trace:
-        config = config.replace(record_trace=True)
     if "loss_rate" in options:
         inner = MODELS[definition.model]
         # Range-checked by validate_execution_options at the door above.
@@ -271,7 +275,7 @@ def execute_cell_block(
         size=size,
         seeds=tuple(seeds),
         id_space_from_n=definition.id_space_from_n,
-        extra_metrics=definition.extra_metrics,
+        observer=definition.observer,
         exec_config=config,
     )
 
@@ -439,18 +443,6 @@ register_row(RowDefinition(
 # --- lower-bound rows ------------------------------------------------------
 
 
-def _worst_pre_reception(outcome) -> Dict[str, float]:
-    worst = float(energy_before_reception(outcome).worst)
-    lower_bound = math.log2(len(outcome.sim.outputs)) / 5
-    return {
-        "worst_pre_reception": worst,
-        "lower_bound": lower_bound,
-        # Aggregates conjunctively (see aggregate_cells): a single seed
-        # below the Theorem 1 bound flags the whole size as failing.
-        "lb_ok": 1.0 if worst >= lower_bound else 0.0,
-    }
-
-
 register_row(RowDefinition(
     name="lb-path",
     title="T1.LOCAL.LB  Theorem 1: worst pre-reception energy vs (1/5) log2 n",
@@ -459,24 +451,13 @@ register_row(RowDefinition(
     builder=lambda g, o: path_broadcast_protocol(oriented=True),
     default_sizes=(64, 256, 1024),
     default_seeds=(0, 1, 2, 3, 4),
-    record_trace=True,
-    extra_metrics=_worst_pre_reception,
+    observer=lambda g: PreReceptionObserver(),
     columns=(
         "n", "diameter", "delivered",
         "worst_pre_reception", "lower_bound", "lb_ok",
     ),
     bounds={},
 ))
-
-
-def _reduction_metrics(outcome) -> Dict[str, float]:
-    # The K_{2,k} gadget always has s=0, t=1 (see k2k_gadget).
-    report = derive_leader_election(outcome, 0, 1)
-    return {
-        "le_time": float(report.le_time),
-        "broadcast_energy": float(report.broadcast_energy),
-        "bound_holds": 1.0 if report.bound_holds else 0.0,
-    }
 
 
 register_row(RowDefinition(
@@ -489,8 +470,8 @@ register_row(RowDefinition(
     ),
     default_sizes=(2, 4, 8, 16),
     default_seeds=(0, 1, 2),
-    record_trace=True,
-    extra_metrics=_reduction_metrics,
+    # The K_{2,k} gadget always has s=0, t=1 (see k2k_gadget).
+    observer=lambda g: LeaderElectionObserver(0, 1),
     columns=("n", "le_time", "broadcast_energy", "bound_holds"),
     bounds={},
 ))
@@ -617,28 +598,12 @@ def _beta_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
 # --- figure artifacts ------------------------------------------------------
 
 
-def _figure1_metrics(outcome) -> Dict[str, float]:
-    """Trace-derived Figure 1 measurements: traffic split and the 2n
-    slot bound the figure visualizes."""
-    from repro.experiments.figure1 import _carries_payload
+def _figure1_observer(graph: Graph) -> SlotObserver:
+    """Figure 1's traffic split and 2n slot bound, counted during the run."""
+    # Imported here: repro.experiments imports this module.
+    from repro.experiments.figure1 import TrafficObserver
 
-    payload_tx = 0
-    control_tx = 0
-    for event in outcome.sim.trace:
-        if event.kind not in ("send", "duplex"):
-            continue
-        if _carries_payload(event.message, outcome.payload):
-            payload_tx += 1
-        else:
-            control_tx += 1
-    n = len(outcome.sim.outputs)
-    return {
-        "payload_tx": float(payload_tx),
-        "control_tx": float(control_tx),
-        # _ok suffix: aggregates conjunctively — one seed over budget
-        # flags the whole size.
-        "slots_2n_ok": 1.0 if outcome.duration <= 2 * n else 0.0,
-    }
+    return TrafficObserver()
 
 
 register_row(RowDefinition(
@@ -649,8 +614,7 @@ register_row(RowDefinition(
     builder=lambda g, o: path_broadcast_protocol(oriented=True),
     default_sizes=(32,),
     default_seeds=(0,),
-    record_trace=True,
-    extra_metrics=_figure1_metrics,
+    observer=_figure1_observer,
     columns=(
         "n", "diameter", "delivered", "time_median",
         "max_energy_median", "payload_tx", "slots_2n_ok",

@@ -5,19 +5,22 @@ path, pausing at blocking vertices.  We rebuild exactly that picture from
 a traced run: one row per time slot, one column per vertex; ``*`` marks a
 transmission, ``.`` a listen, blank idle.  The payload's trajectory is
 highlighted with ``P``.
+
+The campaign's ``figure1`` row needs only the traffic split, which
+:class:`TrafficObserver` counts during the run without a trace.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.broadcast.base import run_broadcast
 from repro.broadcast.path import path_broadcast_protocol
 from repro.graphs import path_graph
 from repro.sim import LOCAL, ExecutionConfig, Knowledge
-from repro.sim.feedback import is_message
+from repro.sim.observers import SlotObserver
 
-__all__ = ["render_path_timeline", "figure1"]
+__all__ = ["render_path_timeline", "figure1", "TrafficObserver"]
 
 
 def _carries_payload(message, payload) -> bool:
@@ -26,6 +29,50 @@ def _carries_payload(message, payload) -> bool:
     if isinstance(message, tuple):
         return any(_carries_payload(part, payload) for part in message)
     return False
+
+
+class TrafficObserver(SlotObserver):
+    """Figure 1's traffic split: transmissions that carry ``payload``
+    (the ``P`` cells of the timeline) and control transmissions (``*``).
+
+    ``payload`` must be the run's payload (``"m"`` is
+    :func:`repro.broadcast.run_broadcast`'s default).
+    """
+
+    def __init__(self, payload: Any = "m") -> None:
+        self.payload = payload
+        self.payload_tx = 0
+        self.control_tx = 0
+
+    def on_run_start(self, n: int) -> None:
+        self.payload_tx = 0
+        self.control_tx = 0
+
+    def on_slot(self, slot, senders, listeners, duplexers, feedbacks) -> None:
+        payload = self.payload
+        for transmitting in (senders, duplexers):
+            for message in transmitting.values():
+                if _carries_payload(message, payload):
+                    self.payload_tx += 1
+                else:
+                    self.control_tx += 1
+
+    def extras(self, outcome) -> Dict[str, float]:
+        """Cell extras: the traffic split and the 2n slot bound the
+        figure visualizes."""
+        if outcome.payload != self.payload:
+            raise ValueError(
+                f"observed payload {self.payload!r}, but the run broadcast "
+                f"{outcome.payload!r}"
+            )
+        n = len(outcome.sim.outputs)
+        return {
+            "payload_tx": float(self.payload_tx),
+            "control_tx": float(self.control_tx),
+            # _ok suffix: aggregates conjunctively — one seed over budget
+            # flags the whole size.
+            "slots_2n_ok": 1.0 if outcome.duration <= 2 * n else 0.0,
+        }
 
 
 def render_path_timeline(outcome, n: int, max_rows: Optional[int] = None) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.broadcast.base import BroadcastOutcome
 from repro.campaign.cells import (
     SweepPoint,
     aggregate_cells,
@@ -27,6 +26,7 @@ from repro.campaign.cells import (
 from repro.graphs.graph import Graph
 from repro.sim.config import ExecutionConfig
 from repro.sim.models import ChannelModel
+from repro.sim.observers import SlotObserver
 
 __all__ = ["SweepPoint", "sweep", "format_table", "geometric_sizes"]
 
@@ -54,7 +54,7 @@ def sweep(
     source: int = 0,
     *,
     id_space_from_n: bool = False,
-    extra_metrics: Optional[Callable[[BroadcastOutcome], Dict[str, float]]] = None,
+    observer: Optional[Callable[[Graph], SlotObserver]] = None,
     exec_config: Optional[ExecutionConfig] = None,
 ) -> List[SweepPoint]:
     """Run ``protocol_builder(graph)`` on every size and seed; aggregate.
@@ -62,6 +62,8 @@ def sweep(
     Each size's seeds run as one batch on the shared engine core
     (:func:`repro.campaign.cells.run_cells`), so serial sweeps and
     sharded campaigns execute the identical per-cell computation.
+    ``observer`` is a row's per-trial measurement, passed through to
+    :func:`~repro.campaign.cells.run_cells`.
     ``exec_config`` gives the serial driver the *full* execution
     surface.  ``resolution`` backend, ``lockstep`` batching, and
     per-seed ``observer_factory`` hooks are measurement-neutral
@@ -84,7 +86,7 @@ def sweep(
             seeds=seeds,
             source=source,
             knowledge=knowledge,
-            extra_metrics=extra_metrics,
+            observer=observer,
             exec_config=exec_config,
         )
         points.append(aggregate_cells(cells))

@@ -81,8 +81,6 @@ def registry_row(
     # spec door — then extract the cell-option subset.
     validate_execution_options(options)
     config = ExecutionConfig.from_options(options)
-    if definition.record_trace:
-        config = config.replace(record_trace=True)
     points = sweep(
         name,
         GRAPH_FAMILIES[definition.graph_family],
@@ -91,7 +89,7 @@ def registry_row(
         MODELS[definition.model],
         seeds=seeds if seeds is not None else definition.default_seeds,
         id_space_from_n=definition.id_space_from_n,
-        extra_metrics=definition.extra_metrics,
+        observer=definition.observer,
         exec_config=config,
     )
     columns = definition.columns

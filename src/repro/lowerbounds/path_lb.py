@@ -9,17 +9,27 @@ the payload — on our algorithms' runs, and (b) check it indeed grows
 logarithmically, pinning both sides: the path algorithm of Section 8 is
 O(log n) in expectation, so the measured curve is sandwiched into
 Theta(log n).
+
+:func:`energy_before_reception` measures it on a traced run;
+:class:`PreReceptionObserver` measures the same quantity while the run
+executes, with no trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.broadcast.base import BroadcastOutcome
 from repro.sim.feedback import is_message
+from repro.sim.observers import SlotObserver
 
-__all__ = ["PreReceptionEnergy", "energy_before_reception"]
+__all__ = [
+    "PreReceptionEnergy",
+    "PreReceptionObserver",
+    "energy_before_reception",
+]
 
 
 @dataclass(frozen=True)
@@ -74,3 +84,86 @@ def energy_before_reception(
     return PreReceptionEnergy(
         per_vertex=spent, worst=spent[worst_vertex], worst_vertex=worst_vertex
     )
+
+
+def _mentions_payload(feedback: Any, payload: Any) -> bool:
+    """The trace reference's payload test, walked with a stack: does
+    ``payload`` equal ``feedback`` or anything nested in its tuples,
+    lists and dict values?  LOCAL feedback nests tuples several levels
+    deep, and a recursive call per part dominated the scan."""
+    stack = [feedback]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        msg = pop()
+        if msg == payload:
+            return True
+        if isinstance(msg, (tuple, list)):
+            push(msg)
+        elif isinstance(msg, dict):
+            push(msg.values())
+    return False
+
+
+class PreReceptionObserver(SlotObserver):
+    """Theorem 1's quantity, counted slot by slot instead of from a trace.
+
+    Each vertex is charged for its active slots until its first listen or
+    duplex whose feedback mentions ``payload``; that slot is not charged,
+    and the ``source`` is never charged.  On the same run this equals
+    :func:`energy_before_reception` field by field.  ``payload`` must be
+    the run's payload (``"m"`` is :func:`repro.broadcast.run_broadcast`'s
+    default).
+    """
+
+    def __init__(self, source: int = 0, payload: Any = "m") -> None:
+        self.source = source
+        self.payload = payload
+        self.spent: List[int] = []
+        self.informed: List[bool] = []
+
+    def on_run_start(self, n: int) -> None:
+        self.spent = [0] * n
+        self.informed = [False] * n
+        self.informed[self.source] = True
+
+    def on_slot(self, slot, senders, listeners, duplexers, feedbacks) -> None:
+        spent = self.spent
+        informed = self.informed
+        for v in senders:
+            if not informed[v]:
+                spent[v] += 1
+        payload = self.payload
+        for receivers in (listeners, duplexers):
+            for v in receivers:
+                if informed[v]:
+                    continue
+                feedback = feedbacks[v]
+                if is_message(feedback) and _mentions_payload(feedback, payload):
+                    informed[v] = True
+                else:
+                    spent[v] += 1
+
+    def report(self, outcome: BroadcastOutcome) -> PreReceptionEnergy:
+        """The :class:`PreReceptionEnergy` of the run just observed."""
+        if outcome.payload != self.payload:
+            raise ValueError(
+                f"observed payload {self.payload!r}, but the run broadcast "
+                f"{outcome.payload!r}"
+            )
+        spent = list(self.spent)
+        worst_vertex = max(range(len(spent)), key=lambda v: spent[v])
+        return PreReceptionEnergy(
+            per_vertex=spent, worst=spent[worst_vertex], worst_vertex=worst_vertex
+        )
+
+    def extras(self, outcome: BroadcastOutcome) -> Dict[str, float]:
+        """Cell extras: the worst vertex's energy against (1/5) log2 n."""
+        worst = float(self.report(outcome).worst)
+        lower_bound = math.log2(len(self.spent)) / 5
+        return {
+            "worst_pre_reception": worst,
+            "lower_bound": lower_bound,
+            # Aggregates conjunctively (see aggregate_cells): a single
+            # seed below the Theorem 1 bound flags the whole size.
+            "lb_ok": 1.0 if worst >= lower_bound else 0.0,
+        }

@@ -14,6 +14,8 @@ bounds [31, 18] become Broadcast energy lower bounds.
 This module executes the reduction on a real run: it extracts the derived
 leader-election transcript from a traced Broadcast execution and checks
 the paper's accounting inequality  T_LE <= energy(s) + energy(t) <= 2E.
+:class:`LeaderElectionObserver` does the same accounting while the run
+executes, with no trace.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.broadcast.base import BroadcastOutcome
+from repro.sim.observers import SlotObserver
 
-__all__ = ["ReductionReport", "derive_leader_election"]
+__all__ = ["ReductionReport", "LeaderElectionObserver", "derive_leader_election"]
 
 
 @dataclass(frozen=True)
@@ -103,3 +106,67 @@ def derive_leader_election(
         broadcast_energy=outcome.max_energy,
         bound_holds=meaningful <= 2 * outcome.max_energy,
     )
+
+
+class LeaderElectionObserver(SlotObserver):
+    """:func:`derive_leader_election`'s accounting, slot by slot.
+
+    Counts the meaningful slots (s or t listening) and the energy of s
+    and t, and stops at the election slot: the first slot in which t
+    listens and exactly one middle vertex transmits.  On the same run
+    :meth:`report` equals :func:`derive_leader_election` field by field.
+    """
+
+    def __init__(self, s: int = 0, t: int = 1) -> None:
+        self.s = s
+        self.t = t
+        self.election_slot: Optional[int] = None
+        self.winner: Optional[int] = None
+        self.le_time = 0
+        self.st_energy = 0
+
+    def on_run_start(self, n: int) -> None:
+        self.election_slot = None
+        self.winner = None
+        self.le_time = 0
+        self.st_energy = 0
+
+    def on_slot(self, slot, senders, listeners, duplexers, feedbacks) -> None:
+        if self.election_slot is not None:
+            return
+        s, t = self.s, self.t
+        s_sends = s in senders or s in duplexers
+        t_sends = t in senders or t in duplexers
+        s_listens = s in duplexers or s in listeners
+        t_listens = t in duplexers or t in listeners
+        self.st_energy += (s_sends or s_listens) + (t_sends or t_listens)
+        if s_listens or t_listens:
+            self.le_time += 1
+        middle_senders = len(senders) + len(duplexers) - s_sends - t_sends
+        if t_listens and middle_senders == 1:
+            self.election_slot = slot
+            self.winner = next(
+                v for transmitting in (senders, duplexers)
+                for v in transmitting if v != s and v != t
+            )
+
+    def report(self, outcome: BroadcastOutcome) -> ReductionReport:
+        """The :class:`ReductionReport` of the run just observed."""
+        energy = outcome.max_energy
+        return ReductionReport(
+            election_slot=self.election_slot,
+            winner=self.winner,
+            le_time=self.le_time,
+            st_energy=self.st_energy,
+            broadcast_energy=energy,
+            bound_holds=self.le_time <= 2 * energy,
+        )
+
+    def extras(self, outcome: BroadcastOutcome) -> Dict[str, float]:
+        """Cell extras: derived LE time, broadcast energy and T_LE <= 2E."""
+        report = self.report(outcome)
+        return {
+            "le_time": float(report.le_time),
+            "broadcast_energy": float(report.broadcast_energy),
+            "bound_holds": 1.0 if report.bound_holds else 0.0,
+        }

@@ -29,9 +29,11 @@ group automatically — engine code then reads it off the config.
 Semantics contract: ``resolution`` and ``lockstep`` steer *how* a cell
 executes, never what it measures (byte-identical results, pinned by the
 differential suites).  The remaining fields are honest-by-name
-exceptions: ``record_trace`` feeds trace-derived extras and
-``contention_hist`` adds ``ch_*`` extras (which is why the latter is part
-of a campaign cell's content-hash identity), the fault specs change the
+exceptions: ``record_trace`` attaches a per-slot trace to each result
+(the Figure 1 timeline reads it; campaign rows measure with observers
+instead) and ``contention_hist`` adds ``ch_*`` extras (which is why the
+latter is part of a campaign cell's content-hash identity), the fault
+specs change the
 channel itself, and ``time_limit`` can abort a run — which is why it is
 not a campaign cell option.
 """
@@ -325,9 +327,9 @@ _OPTION_DEFAULTS = {
     if spec.metadata["cell_option"]
 }
 
-# Execution fields that are NOT campaign cell options (record_trace is a
-# row-definition property, time_limit a runner property, hooks are
-# process-local).  They are reserved names: a cell options dict using
+# Execution fields that are NOT campaign cell options (record_trace
+# serves the Figure 1 timeline and direct callers, time_limit is a runner
+# property, hooks are process-local).  They are reserved names: a cell options dict using
 # one would otherwise pass as an opaque protocol knob — silently
 # ignored, yet still part of the content-hash identity.
 _RESERVED_NON_OPTION_FIELDS = frozenset(
@@ -360,7 +362,7 @@ def validate_execution_options(options: Optional[Dict]) -> None:
     if reserved:
         raise ExecutionConfigError(
             f"{reserved} are execution fields but not campaign cell "
-            f"options (tracing follows the row definition; time limits, "
+            f"options (rows measure with observers, not traces; time limits, "
             f"hooks, and the fabric's workers/retries/heartbeat belong "
             f"to the runner); cell options are "
             f"{sorted(ExecutionConfig.option_keys())}"

@@ -478,11 +478,35 @@ class TestAggregate:
         assert point.extras["lb_ok"] == 0.0
         assert point.extras["le_time"] == 6.0  # non-flags stay medians
 
-    def test_lb_path_cell_reports_theorem1_bound(self):
-        cell = execute_cell("lb-path", 64, 0, {})
+    def test_lb_path_cell_reports_theorem1_bound(self, monkeypatch):
+        from repro.broadcast import run_broadcast
+        from repro.broadcast.path import path_broadcast_protocol
+        from repro.campaign.cells import knowledge_for
+        from repro.graphs import path_graph
+        from repro.lowerbounds import energy_before_reception
+        from repro.sim import LOCAL, ExecutionConfig
+        from repro.sim.trace import Trace
+
+        def no_trace(self, event):
+            raise AssertionError("the lb-path row recorded a trace")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Trace, "record", no_trace)
+            cell = execute_cell("lb-path", 64, 0, {})
         assert cell.extras["lower_bound"] == pytest.approx(6 / 5)
         assert cell.extras["lb_ok"] == 1.0
         assert cell.extras["worst_pre_reception"] >= cell.extras["lower_bound"]
+        # The row's observer measures what the trace reference measures
+        # on the same run.
+        graph = path_graph(64)
+        traced = run_broadcast(
+            graph, LOCAL, path_broadcast_protocol(oriented=True), seed=0,
+            knowledge=knowledge_for(graph),
+            exec_config=ExecutionConfig(record_trace=True),
+        )
+        assert cell.extras["worst_pre_reception"] == float(
+            energy_before_reception(traced).worst
+        )
 
     def test_plain_aggregation_has_no_extended_keys(self):
         point = aggregate_cells(self._cells([10.0, 20.0]))

@@ -121,6 +121,43 @@ class TestFigure1:
         assert slots == sorted(slots)
         assert all(s < 5 for s in slots)
 
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_traffic_observer_matches_trace_scan(self, n):
+        from repro.broadcast import run_broadcast_trials
+        from repro.broadcast.path import path_broadcast_protocol
+        from repro.experiments.figure1 import TrafficObserver, _carries_payload
+        from repro.sim import Knowledge
+
+        seeds = (0, 1, 2)
+        observers = {}
+
+        def observer_factory(seed):
+            observers[seed] = TrafficObserver()
+            return (observers[seed],)
+
+        outcomes = run_broadcast_trials(
+            path_graph(n), LOCAL, path_broadcast_protocol(oriented=True),
+            seeds, knowledge=Knowledge(n=n, max_degree=2, diameter=n - 1),
+            exec_config=ExecutionConfig(
+                record_trace=True, observer_factory=observer_factory
+            ),
+        )
+        for seed, outcome in zip(seeds, outcomes):
+            payload_tx = control_tx = 0
+            for event in outcome.sim.trace:
+                if event.kind not in ("send", "duplex"):
+                    continue
+                if _carries_payload(event.message, outcome.payload):
+                    payload_tx += 1
+                else:
+                    control_tx += 1
+            assert payload_tx and control_tx
+            assert observers[seed].extras(outcome) == {
+                "payload_tx": float(payload_tx),
+                "control_tx": float(control_tx),
+                "slots_2n_ok": 1.0 if outcome.duration <= 2 * n else 0.0,
+            }
+
 
 class TestCLI:
     def test_figure1_command(self, capsys):
