@@ -31,21 +31,21 @@ every backend to the reference oracle's per-neighbor scan.
 numpy is an optional dependency (``pip install -e .[fast]``).  When it
 is missing, requesting ``resolution="numpy"`` warns once and silently
 serves the bitmask backend instead, so configs and campaigns stay
-portable across environments.
+portable across environments.  It is imported on first use (by
+:class:`NumpyBackend` and the popcount helpers), so runs that never
+resolve with numpy never pay for its import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
 from typing import Any, Callable, Dict, List
 
 from repro.graphs.graph import Graph
 from repro.sim.models import NEEDS_MESSAGES, ChannelModel
 
-try:  # optional acceleration dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
+_np = None  # the numpy module, once _numpy() has imported it
 
 __all__ = [
     "RESOLUTION_MODES",
@@ -70,7 +70,18 @@ except AttributeError:  # pragma: no cover - exercised on older CI pythons
 
 
 def numpy_available() -> bool:
-    return _np is not None
+    """Whether numpy can be imported (answered without importing it)."""
+    return importlib.util.find_spec("numpy") is not None
+
+
+def _numpy():
+    """The numpy module, imported on first call."""
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
+    return _np
 
 
 def _mask_messages(masked: int, transmitting: Dict[int, Any]) -> List[Any]:
@@ -169,8 +180,9 @@ def _popcount_rows_native(masked):
     int64.  Adding the W word columns into one int64 accumulator beats
     ``.sum(axis=1)`` (a reduction over a short inner axis) 2-4x on the
     SoA resolver's shapes, and does not widen to uint64."""
-    bits = _np.bitwise_count(masked)
-    total = _np.zeros(bits.shape[0], dtype=_np.int64)
+    np = _numpy()
+    bits = np.bitwise_count(masked)
+    total = np.zeros(bits.shape[0], dtype=np.int64)
     for w in range(bits.shape[1]):
         total += bits[:, w]
     return total
@@ -182,18 +194,19 @@ _BYTE_POPCOUNT = None
 def _popcount_rows_table(masked):
     """Per-row popcount via a 256-entry byte table (numpy < 2.0)."""
     global _BYTE_POPCOUNT
+    np = _numpy()
     if _BYTE_POPCOUNT is None:
-        _BYTE_POPCOUNT = _np.array(
-            [bin(i).count("1") for i in range(256)], dtype=_np.uint8
+        _BYTE_POPCOUNT = np.array(
+            [bin(i).count("1") for i in range(256)], dtype=np.uint8
         )
     rows = masked.shape[0]
-    return _BYTE_POPCOUNT[masked.view(_np.uint8).reshape(rows, -1)].sum(
-        axis=1, dtype=_np.int64
+    return _BYTE_POPCOUNT[masked.view(np.uint8).reshape(rows, -1)].sum(
+        axis=1, dtype=np.int64
     )
 
 
 def _popcount_rows(masked):
-    if hasattr(_np, "bitwise_count"):
+    if hasattr(_numpy(), "bitwise_count"):
         return _popcount_rows_native(masked)
     return _popcount_rows_table(masked)
 
@@ -202,7 +215,7 @@ def _first_transmitters(masked, rows):
     """Lowest set-bit index (= lowest transmitting neighbor) per selected
     row of a (R, W) uint64 mask array.  Every selected row must be
     nonzero (the caller filters on count > 0)."""
-    np = _np
+    np = _numpy()
     sub = masked[rows]
     # Two's-complement trick per word; uint64 arithmetic wraps mod 2^64.
     low = sub & (np.uint64(0) - sub)
@@ -225,8 +238,7 @@ class NumpyBackend(ResolutionBackend):
     name = "numpy"
 
     def __init__(self, graph: Graph) -> None:
-        if _np is None:
-            raise ImportError("the numpy resolution backend requires numpy")
+        _numpy()  # ImportError when numpy is missing
         super().__init__(graph)
         self._table = graph.neighbor_mask_array()
         self._words = self._table.shape[1]
@@ -243,12 +255,13 @@ class NumpyBackend(ResolutionBackend):
         mask = 0
         for v in transmitting:
             mask |= 1 << v
-        return _np.frombuffer(
-            mask.to_bytes(self._words * 8, "little"), dtype=_np.uint64
+        np = _numpy()
+        return np.frombuffer(
+            mask.to_bytes(self._words * 8, "little"), dtype=np.uint64
         )
 
     def slot_resolver(self, model: ChannelModel) -> SlotResolver:
-        np = _np
+        np = _numpy()
         table = self._table
 
         if not model.supports_count:
@@ -334,7 +347,7 @@ class NumpyBackend(ResolutionBackend):
         reception results scatter straight into struct-of-arrays trial
         state with no per-trial dict hops.
         """
-        np = _np
+        np = _numpy()
         table = self._table
         words = self._words
 
@@ -357,7 +370,7 @@ class NumpyBackend(ResolutionBackend):
         boolean ``select`` matrix are computed (they must have nonzero
         masks — the caller filters on count); the rest of the returned
         ``[trials, nodes]`` int64 matrix is uninitialized."""
-        np = _np
+        np = _numpy()
         flat = masked.reshape(-1, masked.shape[-1])
         rows = np.nonzero(select.reshape(-1))[0]
         firsts = np.empty(select.shape, dtype=np.int64)
@@ -385,7 +398,7 @@ def create_backend(resolution: str, graph: Graph) -> ResolutionBackend:
         raise ValueError(
             f"resolution must be one of {RESOLUTION_MODES}, got {resolution!r}"
         )
-    if resolution == "numpy" and _np is None:
+    if resolution == "numpy" and not numpy_available():
         global _warned_numpy_fallback
         if not _warned_numpy_fallback:
             _warned_numpy_fallback = True

@@ -146,12 +146,12 @@ from repro.sim.plan import (
     run_descriptor,
     start_plan,
 )
-from repro.sim.resolution import NumpyBackend
+from repro.sim.resolution import NumpyBackend, _numpy
 
-try:  # optional acceleration dependency (mirrors resolution.py)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
-    _np = None
+# numpy and the ufunc built from it, bound by _load_numpy() when the
+# first SoA batch starts: importing this module does not import numpy.
+_np = None
+_WRAP1 = None  # message -> (message,)
 
 __all__ = ["run_trials_soa", "soa_fallback_reason"]
 
@@ -166,10 +166,12 @@ _IDLE = 5
 
 _FAR = 1 << 62  # wake sentinel for cells that are not idle
 
-if _np is not None:
-    _WRAP1 = _np.frompyfunc(lambda m: (m,), 1, 1)  # message -> (message,)
-else:  # pragma: no cover - no-numpy environments never reach the engine
-    _WRAP1 = None
+
+def _load_numpy() -> None:
+    global _np, _WRAP1
+    if _np is None:
+        _np = _numpy()
+        _WRAP1 = _np.frompyfunc(lambda m: (m,), 1, 1)
 
 
 def soa_fallback_reason(
@@ -351,6 +353,7 @@ class _SoAEngine:
         trial_observers: Optional[Sequence[Sequence[Any]]] = None,
         trial_churn: Optional[Sequence[CrashSchedule]] = None,
     ) -> None:
+        _load_numpy()
         np = _np
         T = len(seeds)
         N = simulator.graph.n

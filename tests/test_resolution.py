@@ -10,7 +10,10 @@ resolution).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -102,7 +105,7 @@ class TestBackendRegistry:
             assert isinstance(create_backend("numpy", graph), NumpyBackend)
 
     def test_numpy_fallback_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(resolution_module, "_np", None)
+        monkeypatch.setattr(resolution_module, "numpy_available", lambda: False)
         monkeypatch.setattr(resolution_module, "_warned_numpy_fallback", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -118,7 +121,7 @@ class TestBackendRegistry:
     def test_simulator_numpy_fallback_still_runs(self, monkeypatch):
         from repro.sim import Idle
 
-        monkeypatch.setattr(resolution_module, "_np", None)
+        monkeypatch.setattr(resolution_module, "numpy_available", lambda: False)
         monkeypatch.setattr(resolution_module, "_warned_numpy_fallback", True)
 
         def proto(ctx):
@@ -131,6 +134,29 @@ class TestBackendRegistry:
         )
         assert sim.backend.name == "bitmask"
         assert sim.run(proto).outputs == [0, 1, 2]
+
+    def test_cli_and_bitmask_campaign_leave_numpy_unimported(self, tmp_path):
+        # numpy is imported on first use, so a CLI process that never
+        # resolves with numpy never pays for its import.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        config = os.path.join(os.path.dirname(src), "configs", "smoke.json")
+        out = str(tmp_path / "smoke")
+        script = "\n".join([
+            "import sys",
+            "import repro.cli",
+            "assert 'numpy' not in sys.modules, 'import repro.cli'",
+            "main = repro.cli.main",
+            f"assert main(['campaign', 'run', {config!r}, '--out', {out!r}]) == 0",
+            f"assert main(['campaign', 'report', {config!r}, '--out', {out!r}]) == 0",
+            "assert 'numpy' not in sys.modules, 'campaign run and report'",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
