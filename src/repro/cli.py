@@ -29,8 +29,10 @@ Commands:
   store to one line per cell / fold other stores (or leftover worker
   shards) into it.
 * ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the
-  engine microbenchmarks, write ``BENCH_engine.json``, and optionally
-  fail if the engine is not fast enough (the CI perf-smoke tripwire).
+  engine microbenchmarks, write them to ``bench_results.json`` (an
+  untracked file; the committed ``BENCH_engine.json`` is history), and
+  optionally fail if the engine is not fast enough (the CI perf-smoke
+  tripwire).
 
 The ``figure1``, ``table1``, ``ablations``, and ``campaign``
 subcommands share one execution-options group (``--resolution``,
@@ -488,11 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(func=_cmd_ablations)
 
     p_bench = sub.add_parser(
-        "bench", help="engine microbenchmarks -> BENCH_engine.json"
+        "bench", help="engine microbenchmarks -> bench_results.json"
     )
     p_bench.add_argument(
-        "--out", default="BENCH_engine.json",
-        help="output JSON path (default: BENCH_engine.json)",
+        "--out", default="bench_results.json",
+        help="output JSON path (default: bench_results.json, which git "
+             "ignores; the committed BENCH_engine.json is history)",
     )
     p_bench.add_argument(
         "--quick", action="store_true",

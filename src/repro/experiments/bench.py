@@ -14,9 +14,10 @@
   (:class:`~repro.sim.reference.ReferenceSimulator`),
 
 verifies they produce identical outputs/energy/duration, and writes the
-timings to ``BENCH_engine.json`` so the repo's perf trajectory is
-recorded run over run (CI additionally uploads the file as a per-run
-artifact, so the curve accumulates per PR).  CI runs the quick variant
+timings to a JSON file (``repro bench --out``, default
+``bench_results.json``, which git ignores; the committed
+``BENCH_engine.json`` is PR-2-era history).  CI uploads its file as a
+per-run artifact, so the perf trajectory accumulates run over run.  CI runs the quick variant
 and fails if the event-heap engine is not measurably faster than the
 reference oracle — the tripwire for silent O(n * slots) regressions —
 and if phase stepping stops beating the per-slot path on the
