@@ -48,6 +48,7 @@ from repro.campaign.fabric import (
     FabricRunReport,
     aggregate_campaign_streaming,
     run_campaign_fabric,
+    run_campaigns_fabric,
     stream_points,
 )
 from repro.campaign.runner import (
@@ -92,6 +93,7 @@ __all__ = [
     "plan_pending",
     "run_campaign",
     "run_campaign_fabric",
+    "run_campaigns_fabric",
     "stream_points",
     "CampaignSpec",
     "JobSpec",

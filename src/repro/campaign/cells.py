@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.broadcast.base import run_broadcast_trials
 from repro.graphs.graph import Graph
@@ -35,6 +35,7 @@ __all__ = [
     "knowledge_for",
     "run_cell",
     "run_cells",
+    "run_fused_cells",
     "aggregate_cells",
     "bootstrap_median_ci",
 ]
@@ -164,10 +165,10 @@ def run_cells(
 ) -> List[CellResult]:
     """Execute one (row, size) cell group across seeds on the batched core.
 
-    All trials share one prepared engine
-    (:func:`repro.broadcast.base.run_broadcast_trials`), so graph
-    preprocessing and knowledge are paid once per size, not per seed.
-    ``observer`` is a row's measurement
+    The one-member case of :func:`run_fused_cells`: all trials share one
+    prepared engine (:func:`repro.broadcast.base.run_broadcast_trials`),
+    so graph preprocessing and knowledge are paid once per size, not per
+    seed.  ``observer`` is a row's measurement
     (:attr:`repro.campaign.registry.RowDefinition.observer`): called
     with the graph, it builds one observer per trial, and that
     observer's ``extras(outcome)`` become the cell's ``extras``.
@@ -180,13 +181,60 @@ def run_cells(
     of any user factory.  Returns one :class:`CellResult` per seed, in
     ``seeds`` order.
     """
+    return run_fused_cells(
+        graph,
+        model,
+        protocol_factory,
+        [(label, seeds, observer)],
+        size=size,
+        source=source,
+        knowledge=knowledge,
+        id_space_from_n=id_space_from_n,
+        exec_config=exec_config,
+    )[0]
+
+
+def run_fused_cells(
+    graph: Graph,
+    model: ChannelModel,
+    protocol_factory: Callable,
+    members: Sequence[
+        Tuple[str, Sequence[int], Optional[Callable[[Graph], SlotObserver]]]
+    ],
+    *,
+    size: int,
+    source: int = 0,
+    knowledge: Optional[Knowledge] = None,
+    id_space_from_n: bool = False,
+    exec_config: Optional[ExecutionConfig] = None,
+) -> List[List[CellResult]]:
+    """Run one simulation for several rows that measure it differently.
+
+    ``members`` are ``(label, seeds, observer)`` triples over the same
+    graph, model and protocol.  Each seed of their union runs once, in
+    first-appearance order; that trial carries the observer of every
+    member that asked for the seed, plus one contention histogram when
+    ``exec_config`` sets ``contention_hist`` (see :func:`run_cells`).
+    A member's extras come from its own observer only, so a member
+    without one gets no measurement extras even when a blockmate
+    attaches one.  Returns one :class:`CellResult` list per member, in
+    member and then ``seeds`` order.
+    """
     config = resolve_exec_config(exec_config)
     if knowledge is None:
         knowledge = knowledge_for(graph, id_space_from_n=id_space_from_n)
+    seeds = list(dict.fromkeys(
+        seed for _, member_seeds, _ in members for seed in member_seeds
+    ))
+    observed = [
+        (index, observer, set(member_seeds))
+        for index, (_, member_seeds, observer) in enumerate(members)
+        if observer is not None
+    ]
     # Keyed by seed, so the last trial built for a seed is the one read.
     histograms: Dict[int, ContentionHistogramObserver] = {}
-    measures: Dict[int, SlotObserver] = {}
-    if config.contention_hist or observer is not None:
+    measures: Dict[Tuple[int, int], SlotObserver] = {}
+    if config.contention_hist or observed:
         user_factory = config.observer_factory
         contention_hist = config.contention_hist
 
@@ -195,16 +243,17 @@ def run_cells(
             if contention_hist:
                 histograms[seed] = ContentionHistogramObserver(graph)
                 attached.append(histograms[seed])
-            if observer is not None:
-                measures[seed] = observer(graph)
-                attached.append(measures[seed])
+            for index, observer, wanted in observed:
+                if seed in wanted:
+                    measures[index, seed] = observer(graph)
+                    attached.append(measures[index, seed])
             extra = tuple(user_factory(seed)) if user_factory else ()
             return tuple(attached) + extra
 
         config = config.replace(
             contention_hist=False, observer_factory=observer_factory
         )
-    outcomes = run_broadcast_trials(
+    outcomes = dict(zip(seeds, run_broadcast_trials(
         graph,
         model,
         protocol_factory,
@@ -212,39 +261,58 @@ def run_cells(
         source=source,
         knowledge=knowledge,
         exec_config=config,
+    )))
+    return [
+        [
+            _cell_result(
+                label, size, graph, knowledge, seed, outcomes[seed],
+                measures.get((index, seed)), histograms.get(seed),
+            )
+            for seed in member_seeds
+        ]
+        for index, (label, member_seeds, _) in enumerate(members)
+    ]
+
+
+def _cell_result(
+    label: str,
+    size: int,
+    graph: Graph,
+    knowledge: Knowledge,
+    seed: int,
+    outcome,
+    measure: Optional[SlotObserver],
+    histogram: Optional[ContentionHistogramObserver],
+) -> CellResult:
+    """Reduce one trial's outcome to one member's stored numbers."""
+    extras = dict(measure.extras(outcome)) if measure is not None else {}
+    if histogram is not None:
+        extras.update({
+            f"ch_{key}": value for key, value in histogram.summary().items()
+        })
+    # SoA engagement diagnostic: only lock-step runs set soa_reason,
+    # so default-path cells (and their stores/aggregates) are
+    # byte-unchanged.
+    if outcome.sim.soa_reason is not None:
+        extras["soa"] = 1.0 if outcome.sim.soa_reason == "ok" else 0.0
+        # The verdict itself rides along as a one-hot key so the
+        # fabric ledger can count *why* the SoA engine disengaged
+        # (fallback taxonomy: jammer, burst_loss, ...), not
+        # just that it did.
+        extras[f"soa_reason_{outcome.sim.soa_reason}"] = 1.0
+    return CellResult(
+        label=label,
+        size=size,
+        n=graph.n,
+        max_degree=graph.max_degree,
+        diameter=knowledge.diameter,
+        seed=seed,
+        delivered=outcome.delivered,
+        duration=outcome.duration,
+        max_energy=outcome.max_energy,
+        mean_energy=outcome.mean_energy,
+        extras=extras,
     )
-    cells = []
-    for seed, outcome in zip(seeds, outcomes):
-        extras = dict(measures[seed].extras(outcome)) if measures else {}
-        if histograms:
-            extras.update({
-                f"ch_{key}": value
-                for key, value in histograms[seed].summary().items()
-            })
-        # SoA engagement diagnostic: only lock-step runs set soa_reason,
-        # so default-path cells (and their stores/aggregates) are
-        # byte-unchanged.
-        if outcome.sim.soa_reason is not None:
-            extras["soa"] = 1.0 if outcome.sim.soa_reason == "ok" else 0.0
-            # The verdict itself rides along as a one-hot key so the
-            # fabric ledger can count *why* the SoA engine disengaged
-            # (fallback taxonomy: jammer, burst_loss, ...), not
-            # just that it did.
-            extras[f"soa_reason_{outcome.sim.soa_reason}"] = 1.0
-        cells.append(CellResult(
-            label=label,
-            size=size,
-            n=graph.n,
-            max_degree=graph.max_degree,
-            diameter=knowledge.diameter,
-            seed=seed,
-            delivered=outcome.delivered,
-            duration=outcome.duration,
-            max_energy=outcome.max_energy,
-            mean_energy=outcome.mean_energy,
-            extras=extras,
-        ))
-    return cells
 
 
 def run_cell(

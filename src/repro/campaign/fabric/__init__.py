@@ -5,9 +5,11 @@ already makes every cell idempotent:
 
 * :mod:`~repro.campaign.fabric.workers` — persistent worker processes
   fed seed blocks via queues, with heartbeats and crash injection;
-* :mod:`~repro.campaign.fabric.runner` — the dispatch/repair loop:
-  retry with exponential backoff, poison-block quarantine, worker
-  replacement; ``run_campaign_fabric`` is the entry point;
+* :mod:`~repro.campaign.fabric.runner` — the dispatch/repair loop over
+  one pool for one or more campaigns, running each distinct simulation
+  once: retry with exponential backoff, poison-block quarantine, worker
+  replacement; ``run_campaigns_fabric`` is the entry point and
+  ``run_campaign_fabric`` its one-campaign call;
 * :mod:`~repro.campaign.fabric.shards` — per-worker result shards and
   their dedup-merge into the canonical store;
 * :mod:`~repro.campaign.fabric.reduce` — one-pass streaming
@@ -15,8 +17,8 @@ already makes every cell idempotent:
 * :mod:`~repro.campaign.fabric.events` — the structured events ledger;
 * :mod:`~repro.campaign.fabric.status` — events-replay live progress
   (``campaign status --watch``);
-* :mod:`~repro.campaign.fabric.runall` — manifest resolution for
-  ``campaign run-all``.
+* :mod:`~repro.campaign.fabric.runall` — manifest resolution and
+  config loading for ``campaign run-all``.
 
 The serial runner (:func:`repro.campaign.runner.run_campaign`) remains
 the differential oracle: fabric aggregates are byte-identical to its,
@@ -35,8 +37,12 @@ from repro.campaign.fabric.reduce import (
     aggregate_campaign_streaming,
     stream_points,
 )
-from repro.campaign.fabric.runall import resolve_run_all
-from repro.campaign.fabric.runner import FabricRunReport, run_campaign_fabric
+from repro.campaign.fabric.runall import load_campaigns, resolve_run_all
+from repro.campaign.fabric.runner import (
+    FabricRunReport,
+    run_campaign_fabric,
+    run_campaigns_fabric,
+)
 from repro.campaign.fabric.shards import (
     list_shards,
     merge_shards,
@@ -59,12 +65,14 @@ __all__ = [
     "fabric_context",
     "list_shards",
     "live_progress",
+    "load_campaigns",
     "merge_shards",
     "read_events",
     "render_events_summary",
     "render_live_status",
     "resolve_run_all",
     "run_campaign_fabric",
+    "run_campaigns_fabric",
     "shard_dir_for",
     "shard_path",
     "stream_points",

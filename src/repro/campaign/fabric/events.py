@@ -14,7 +14,8 @@ Event schema (all events carry ``ev`` and ``ts``; the rest varies)::
     run_started        campaign, total, cached, pending, workers
     worker_born        worker, pid
     worker_died        worker, reason, block (the assignment it held)
-    block_dispatched   block, worker, row, size, seeds, attempt
+    block_dispatched   block, worker, row (a fused block's rows of this
+                       campaign, joined by "+"), size, seeds, attempt
     block_completed    block, worker, ok, failed, elapsed, soa (cells
                        that ran on the trial-SoA engine; absent in
                        pre-soa ledgers, read as 0), soa_reasons (cell

@@ -14,20 +14,25 @@ Manifest shape (``configs/run_all.json``)::
 
     {"name": "run-all",
      "description": "every paper artifact",
-     "configs": ["figure1.json", "table1.json", "ablations.json"]}
+     "configs": ["figure1.json", "table1.json", "ablations.json",
+                 "faults.json"]}
 
-Execution itself is one fabric run per config (shared worker/retry
-flags), each into its own ``<out-root>/<campaign name>/`` store — the
-driver lives in the CLI; this module only resolves *what* to run.
+Execution is one fabric run over every config
+(:func:`~repro.campaign.fabric.runner.run_campaigns_fabric`): one worker
+pool, each distinct simulation run once, and each campaign into its own
+``<out-root>/<campaign name>/`` store — the driver lives in the CLI;
+this module only resolves and loads *what* to run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["MANIFEST_NAME", "resolve_run_all"]
+from repro.campaign.spec import CampaignSpec
+
+__all__ = ["MANIFEST_NAME", "load_campaigns", "resolve_run_all"]
 
 MANIFEST_NAME = "run_all.json"
 
@@ -82,3 +87,35 @@ def resolve_run_all(target: str) -> Tuple[str, List[str]]:
     if missing:
         raise ValueError(f"manifest names missing config(s): {missing}")
     return name, configs
+
+
+def load_campaigns(
+    configs: Sequence[str],
+) -> Tuple[List[Tuple[str, CampaignSpec]], List[Tuple[str, str]]]:
+    """Load and validate a run-all's configs: ``(campaigns, bad)``.
+
+    ``campaigns`` pairs each good config's path with its spec, in
+    manifest order; ``bad`` pairs each config that fails to load or
+    validate with the error, so the rest can still run.  Raises
+    ``ValueError`` naming both paths when two configs share a campaign
+    name: they would share one ``<out-root>/<name>/`` store and ledger.
+    """
+    campaigns: List[Tuple[str, CampaignSpec]] = []
+    bad: List[Tuple[str, str]] = []
+    paths: Dict[str, str] = {}
+    for path in configs:
+        try:
+            spec = CampaignSpec.from_json_file(path)
+            spec.validate()
+        except (OSError, ValueError) as exc:
+            bad.append((path, str(exc)))
+            continue
+        if spec.name in paths:
+            raise ValueError(
+                f"configs {paths[spec.name]} and {path} share the campaign "
+                f"name {spec.name!r}; each campaign needs its own "
+                f"<out-root>/{spec.name}/ store"
+            )
+        paths[spec.name] = path
+        campaigns.append((path, spec))
+    return campaigns, bad

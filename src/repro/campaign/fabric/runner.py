@@ -1,13 +1,18 @@
 """The fabric executor: fault-tolerant, observable campaign runs.
 
-``run_campaign_fabric`` executes the same work-set as the serial
-:func:`repro.campaign.runner.run_campaign` (the two share
-:func:`~repro.campaign.runner.plan_pending`, so they dispatch the
-identical pending blocks) but through persistent worker processes with
-a repair loop:
+``run_campaigns_fabric`` runs one or more campaigns on one worker pool;
+``run_campaign_fabric`` is its one-campaign call.  Each campaign is
+planned by :func:`repro.campaign.runner.plan_pending`, the serial
+runner's planning door, so it dispatches the identical pending cells.
+The pending blocks of all campaigns are then grouped by
+:func:`~repro.campaign.registry.simulation_key`: blocks that are the
+same simulation (``path`` and ``lb-path`` at one size, say, or the
+``decay`` cells two campaigns share) become one *fused* block that
+runs each seed of its members' union once.  Fused blocks keep plan
+order: manifest order, then config order.  The run has a repair loop:
 
-* **work queue** — pending seed blocks are dispatched to persistent
-  workers (spawned once, fed via queues); a finished worker immediately
+* **work queue** — fused blocks are dispatched to persistent workers
+  (spawned once, fed via queues); a finished worker immediately
   receives the next ready block;
 * **liveness** — a worker is declared dead when its process is gone,
   its heartbeat goes stale, or its block blows a generous wall-clock
@@ -16,22 +21,27 @@ a repair loop:
 * **retry with backoff** — a failed block (worker crash *or* cells
   that recorded ``error``/``timeout``) is retried up to ``retries``
   times, waiting ``backoff * 2^attempt`` seconds between attempts, and
-  retrying only the still-failing seeds;
+  retrying only the still-failing cells;
 * **quarantine** — a block that exhausts its retry budget is recorded
   as ``status="quarantined"`` cells (a non-``ok`` status, so the next
   run retries them) and the sweep *continues* instead of aborting.
 
-Results flow through per-worker shards
-(:mod:`repro.campaign.fabric.shards`) and are folded into the canonical
-store when the run ends — and adopted at start-up if a previous run
-died with unmerged shards.  Every dispatch-level fact lands in the
-events ledger (:mod:`repro.campaign.fabric.events`).
+Bookkeeping stays per campaign: each keeps its own store, counts,
+retries, quarantine records, :class:`FabricRunReport` and events ledger
+(:mod:`repro.campaign.fabric.events`).  A fused block appears in each
+member campaign's ledger with only that campaign's cells and their
+share of the elapsed time; worker births and deaths go to every
+ledger.  Results flow through per-worker shards in each campaign's
+shard directory (:mod:`repro.campaign.fabric.shards`) and are folded
+into that campaign's store when the run ends — and adopted at start-up
+if a previous run died with unmerged shards.
 
-With ``workers <= 1`` the same retry/quarantine/events semantics run
-in-process (no pool, no shards) — this is also what ``campaign
-run-all`` uses by default.  The serial runner remains the differential
-oracle: a fabric run's aggregates are byte-identical to its, crashes
-and all (pinned by the fault-injection suite).
+With ``workers <= 1`` the same plan and retry/quarantine/events
+semantics run in-process (no pool, no shards) — this is also what
+``campaign run-all`` uses by default.  The serial runner, which runs
+every block on its own, remains the differential oracle: a fabric
+run's aggregates are byte-identical to its, crashes and all (pinned by
+the fault-injection suite).
 """
 
 from __future__ import annotations
@@ -39,17 +49,18 @@ from __future__ import annotations
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.fabric.events import EventLog
 from repro.campaign.fabric.shards import merge_shards, shard_dir_for
 from repro.campaign.fabric.workers import (
     WorkerHandle,
-    _soa_reason,
     fabric_context,
+    status_row,
 )
-from repro.campaign.runner import CampaignRunReport, execute_job, plan_pending
+from repro.campaign.registry import simulation_key
+from repro.campaign.runner import CampaignRunReport, execute_block, plan_pending
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import (
     STATUS_OK,
@@ -59,7 +70,7 @@ from repro.campaign.store import (
 )
 from repro.sim.config import ExecutionConfig
 
-__all__ = ["FabricRunReport", "run_campaign_fabric"]
+__all__ = ["FabricRunReport", "run_campaign_fabric", "run_campaigns_fabric"]
 
 _RUNNER_DEFAULTS = {
     spec.name: spec.default
@@ -99,65 +110,206 @@ class FabricRunReport(CampaignRunReport):
         return text + ")"
 
 
+#: One member of a fused block: (campaign index, that campaign's block).
+_Member = Tuple[int, JobSpec]
+
+
 @dataclass
 class _Assignment:
-    """One dispatchable unit: a pending block at a given attempt."""
+    """One dispatchable unit: a fused block at a given attempt."""
 
     block_id: int
-    job: JobSpec
+    members: List[_Member]
     attempt: int = 0
     ready_at: float = 0.0  # monotonic clock
 
+    def distinct_seeds(self) -> int:
+        return len({seed for _, job in self.members for seed in job.seeds})
+
+    def payload(self, timeout: Optional[float]) -> Dict:
+        return {
+            "jobs": [job.to_dict() for _, job in self.members],
+            "timeout": timeout,
+        }
+
+
+@dataclass
+class _Campaign:
+    """One campaign's share of a run: its store, ledger and counts."""
+
+    spec: CampaignSpec
+    store: CampaignStore
+    events: EventLog
+    say: Callable[[str], None]
+    prefix: str
+    shard_dir: str = ""
+    total: int = 0
+    pending_cells: int = 0
+    counts: Dict[str, int] = field(default_factory=dict)
+    retry_count: int = 0
+    quarantined: int = 0
+    failed_jobs: List[Dict] = field(default_factory=list)
+    finished: Optional[float] = None  # monotonic time of its last cell
+
+    def count(self, status: str, amount: int = 1) -> None:
+        self.counts[status] = self.counts.get(status, 0) + amount
+
+    def tag(self, job: JobSpec, seed: int) -> str:
+        return f"{self.prefix}{job.row}/n={job.size}/seed={seed}"
+
+    def completed(self, block_id: int, worker: int, parts) -> None:
+        """Count and log this campaign's cells of a finished block;
+        ``parts`` pairs each of its members with its status rows."""
+        rows = [row for _, member_rows in parts for row in member_rows]
+        ok = [row for row in rows if row[1] == STATUS_OK]
+        self.count(STATUS_OK, len(ok))
+        for job, member_rows in parts:
+            for seed, status, elapsed, _, _ in member_rows:
+                if status == STATUS_OK:
+                    self.say(f"  ok {self.tag(job, seed)} ({elapsed:.2f}s)")
+        # Fallback taxonomy: count lock-step cells by SoA verdict string
+        # ("ok", "jammer", "burst_loss", ...) so the ledger
+        # records *why* vectorization disengaged, not just how often.
+        soa_reasons: Dict[str, int] = {}
+        for _, _, _, _, reason in rows:
+            if reason is not None:
+                soa_reasons[reason] = soa_reasons.get(reason, 0) + 1
+        self.events.emit(
+            "block_completed",
+            block=block_id,
+            worker=worker,
+            ok=len(ok),
+            failed=len(rows) - len(ok),
+            elapsed=round(sum(row[2] for row in rows), 3),
+            soa=sum(1 for row in rows if row[3] == 1.0),
+            soa_reasons=soa_reasons,
+        )
+        self.finished = time.monotonic()
+
+    def quarantine(self, block_id: int, jobs: List[JobSpec], reason: str,
+                   attempts: int) -> None:
+        cells = [cell for job in jobs for cell in job.cells()]
+        self.store.append_many([
+            make_record(
+                cell.key(), cell.to_dict(), STATUS_QUARANTINED,
+                error=f"quarantined after {attempts} attempt(s): {reason}",
+            )
+            for cell in cells
+        ])
+        self.count(STATUS_QUARANTINED, len(cells))
+        self.quarantined += len(cells)
+        self.failed_jobs.extend(cell.to_dict() for cell in cells)
+        self.events.emit(
+            "block_quarantined", block=block_id, reason=reason,
+            cells=len(cells),
+        )
+        self.say(
+            f"  QUARANTINE block {block_id} ({_describe(self.prefix, jobs)}, "
+            f"{len(cells)} cell(s)): {reason}"
+        )
+        self.finished = time.monotonic()
+
+    def elapsed(self, start: float) -> float:
+        """Seconds from the run's start to this campaign's last cell."""
+        return (self.finished or start) - start
+
+    def report(
+        self, start: float, workers: int, workers_died: int
+    ) -> FabricRunReport:
+        return FabricRunReport(
+            total=self.total,
+            skipped=self.total - self.pending_cells,
+            ran=sum(self.counts.values()),
+            ok=self.counts.get(STATUS_OK, 0),
+            errors=self.counts.get("error", 0),
+            timeouts=self.counts.get("timeout", 0),
+            elapsed=self.elapsed(start),
+            failed_jobs=self.failed_jobs,
+            quarantined=self.quarantined,
+            retries=self.retry_count,
+            workers=workers,
+            workers_died=workers_died,
+        )
+
+
+def _describe(prefix: str, jobs: Sequence[JobSpec]) -> str:
+    rows = "+".join(job.row for job in jobs)
+    return f"{prefix}{rows}/n={jobs[0].size}"
+
+
+def _by_campaign(members: Sequence[_Member]) -> Dict[int, List[JobSpec]]:
+    """An assignment's member blocks grouped by campaign."""
+    parts: Dict[int, List[JobSpec]] = {}
+    for index, job in members:
+        parts.setdefault(index, []).append(job)
+    return parts
+
 
 class _Bookkeeper:
-    """Counting, retry, and quarantine logic shared by both paths."""
+    """Dispatch, retry and quarantine logic shared by both paths.
+
+    Decisions are per fused block — a lost block retries whole, failed
+    cells retry as one smaller block — while counts, records and ledger
+    lines go to each member's own campaign.
+    """
 
     def __init__(
         self,
-        store: CampaignStore,
-        events: EventLog,
+        campaigns: List[_Campaign],
         say: Callable[[str], None],
         retries: int,
         backoff: float,
     ) -> None:
-        self.store = store
-        self.events = events
+        self.campaigns = campaigns
         self.say = say
         self.retries = retries
         self.backoff = backoff
-        self.counts: Dict[str, int] = {}
-        self.retry_count = 0
-        self.quarantined = 0
-        self.failed_jobs: List[Dict] = []
         self.requeued: List[_Assignment] = []
 
-    def _count(self, status: str, amount: int = 1) -> None:
-        self.counts[status] = self.counts.get(status, 0) + amount
+    def emit_all(self, ev: str, **fields) -> None:
+        """A pool-level fact (worker lifecycle) goes to every ledger."""
+        for campaign in self.campaigns:
+            campaign.events.emit(ev, **fields)
+
+    def dispatched(self, assignment: _Assignment, worker: int) -> None:
+        for index, jobs in _by_campaign(assignment.members).items():
+            self.campaigns[index].events.emit(
+                "block_dispatched",
+                block=assignment.block_id,
+                worker=worker,
+                row="+".join(job.row for job in jobs),
+                size=jobs[0].size,
+                seeds=sum(len(job.seeds) for job in jobs),
+                attempt=assignment.attempt,
+            )
 
     def _schedule_retry(
-        self, assignment: _Assignment, job: JobSpec, reason: str
+        self, assignment: _Assignment, members: List[_Member], reason: str
     ) -> None:
         attempt = assignment.attempt + 1
         delay = self.backoff * (2 ** assignment.attempt)
-        self.retry_count += 1
         self.requeued.append(_Assignment(
             block_id=assignment.block_id,
-            job=job,
+            members=members,
             attempt=attempt,
             ready_at=time.monotonic() + delay,
         ))
-        self.events.emit(
-            "block_retried",
-            block=assignment.block_id,
-            attempt=attempt,
-            reason=reason,
-            backoff=round(delay, 3),
-        )
-        self.say(
-            f"  RETRY block {assignment.block_id} "
-            f"({job.row}/n={job.size}, {len(job.seeds)} seed(s), "
-            f"attempt {attempt}/{self.retries}): {reason}"
-        )
+        for index, jobs in _by_campaign(members).items():
+            campaign = self.campaigns[index]
+            campaign.retry_count += 1
+            campaign.events.emit(
+                "block_retried",
+                block=assignment.block_id,
+                attempt=attempt,
+                reason=reason,
+                backoff=round(delay, 3),
+            )
+            campaign.say(
+                f"  RETRY block {assignment.block_id} "
+                f"({_describe(campaign.prefix, jobs)}, "
+                f"{sum(len(job.seeds) for job in jobs)} seed(s), "
+                f"attempt {attempt}/{self.retries}): {reason}"
+            )
 
     def block_done(
         self, assignment: _Assignment, statuses, worker: int
@@ -165,102 +317,79 @@ class _Bookkeeper:
         """A block completed and its records are durable: count the ok
         cells now, retry or finalize the failed ones.
 
-        ``statuses`` rows are ``(seed, status, elapsed, soa,
-        soa_reason)``; the trailing SoA flag and verdict string are
-        tolerated missing (older ledger replays and tests that
-        hand-build 3- or 4-tuples).
+        ``statuses`` holds one list of
+        :func:`~repro.campaign.fabric.workers.status_row` tuples per
+        member, in member order.
         """
-        statuses = [(tuple(row) + (None, None))[:5] for row in statuses]
-        ok_seeds = [s for s, status, _, _, _ in statuses if status == STATUS_OK]
-        failed = [
-            (s, status) for s, status, _, _, _ in statuses
-            if status != STATUS_OK
-        ]
-        self._count(STATUS_OK, len(ok_seeds))
-        for seed, status, elapsed, _, _ in statuses:
-            tag = f"{assignment.job.row}/n={assignment.job.size}/seed={seed}"
-            if status == STATUS_OK:
-                self.say(f"  ok {tag} ({elapsed:.2f}s)")
-        # Fallback taxonomy: count lock-step cells by SoA verdict string
-        # ("ok", "jammer", "burst_loss", ...) so the ledger
-        # records *why* vectorization disengaged, not just how often.
-        soa_reasons: Dict[str, int] = {}
-        for _, _, _, _, reason in statuses:
-            if reason is not None:
-                soa_reasons[reason] = soa_reasons.get(reason, 0) + 1
-        self.events.emit(
-            "block_completed",
-            block=assignment.block_id,
-            worker=worker,
-            ok=len(ok_seeds),
-            failed=len(failed),
-            elapsed=round(sum(e for _, _, e, _, _ in statuses), 3),
-            soa=sum(1 for _, _, _, soa, _ in statuses if soa == 1.0),
-            soa_reasons=soa_reasons,
-        )
-        if not failed:
+        parts: Dict[int, List] = {}
+        failing: List[Tuple[_Member, List[Tuple[int, str]]]] = []
+        for member, rows in zip(assignment.members, statuses):
+            parts.setdefault(member[0], []).append((member[1], rows))
+            failed = [(row[0], row[1]) for row in rows if row[1] != STATUS_OK]
+            if failed:
+                failing.append((member, failed))
+        for index, campaign_parts in parts.items():
+            self.campaigns[index].completed(
+                assignment.block_id, worker, campaign_parts
+            )
+        if not failing:
             return
         if assignment.attempt < self.retries:
+            cells = sum(len(failed) for _, failed in failing)
+            kinds = sorted({
+                status for _, failed in failing for _, status in failed
+            })
             self._schedule_retry(
                 assignment,
-                assignment.job.with_seeds([s for s, _ in failed]),
-                f"{len(failed)} cell(s) failed "
-                f"({', '.join(sorted({status for _, status in failed}))})",
+                [
+                    (index, job.with_seeds([seed for seed, _ in failed]))
+                    for (index, job), failed in failing
+                ],
+                f"{cells} cell(s) failed ({', '.join(kinds)})",
             )
             return
-        for seed, status in failed:
-            self._count(status)
-            cell = JobSpec(
-                row=assignment.job.row, size=assignment.job.size,
-                seed=seed, options=assignment.job.options,
-            )
-            self.failed_jobs.append(cell.to_dict())
-            self.say(
-                f"  {status.upper()} "
-                f"{assignment.job.row}/n={assignment.job.size}/seed={seed}"
-            )
+        for (index, job), failed in failing:
+            campaign = self.campaigns[index]
+            for seed, status in failed:
+                campaign.count(status)
+                campaign.failed_jobs.append(job.with_seeds([seed]).to_dict())
+                campaign.say(f"  {status.upper()} {campaign.tag(job, seed)}")
 
     def block_lost(self, assignment: _Assignment, reason: str) -> None:
         """A block's worker died under it: retry it, or quarantine its
         remaining cells so the sweep keeps going."""
         if assignment.attempt < self.retries:
-            self._schedule_retry(assignment, assignment.job, reason)
+            self._schedule_retry(assignment, assignment.members, reason)
             return
-        cells = list(assignment.job.cells())
-        self.store.append_many([
-            make_record(
-                cell.key(), cell.to_dict(), STATUS_QUARANTINED,
-                error=f"quarantined after {assignment.attempt + 1} "
-                      f"attempt(s): {reason}",
+        for index, jobs in _by_campaign(assignment.members).items():
+            self.campaigns[index].quarantine(
+                assignment.block_id, jobs, reason, assignment.attempt + 1
             )
-            for cell in cells
-        ])
-        self._count(STATUS_QUARANTINED, len(cells))
-        self.quarantined += len(cells)
-        self.failed_jobs.extend(cell.to_dict() for cell in cells)
-        self.events.emit(
-            "block_quarantined",
-            block=assignment.block_id,
-            reason=reason,
-            cells=len(cells),
-        )
-        self.say(
-            f"  QUARANTINE block {assignment.block_id} "
-            f"({assignment.job.row}/n={assignment.job.size}, "
-            f"{len(cells)} cell(s)): {reason}"
-        )
 
 
-def _pop_ready(waiting: List[_Assignment], limit: int) -> List[_Assignment]:
-    """Remove and return up to ``limit`` dispatchable assignments."""
-    now = time.monotonic()
-    ready = sorted(
-        (a for a in waiting if a.ready_at <= now),
-        key=lambda a: (a.attempt, a.block_id),
-    )[:limit]
-    for assignment in ready:
-        waiting.remove(assignment)
-    return ready
+def _fuse(plans: Sequence[Sequence[JobSpec]]) -> List[_Assignment]:
+    """Group the campaigns' pending blocks by simulation key.
+
+    A fused block is one key plus its members, in first-appearance
+    order; blocks keep plan order (campaign order, then config order),
+    each fused block at its first member's place.  Rows without a key
+    (custom cells) stand alone.
+    """
+    assignments: List[_Assignment] = []
+    by_key: Dict[Tuple, _Assignment] = {}
+    for index, pending in enumerate(plans):
+        for block in pending:
+            key = simulation_key(block.row, block.size, block.options_dict)
+            if key is not None and key in by_key:
+                by_key[key].members.append((index, block))
+                continue
+            assignment = _Assignment(
+                block_id=len(assignments), members=[(index, block)]
+            )
+            assignments.append(assignment)
+            if key is not None:
+                by_key[key] = assignment
+    return assignments
 
 
 def run_campaign_fabric(
@@ -275,16 +404,38 @@ def run_campaign_fabric(
     events_path: Optional[str] = None,
 ) -> FabricRunReport:
     """Execute every not-yet-completed cell of ``spec`` into ``store``
-    on the fault-tolerant fabric.
+    on the fault-tolerant fabric: the one-campaign call of
+    :func:`run_campaigns_fabric`."""
+    return run_campaigns_fabric(
+        [(spec, store, events_path)],
+        workers=workers, timeout=timeout, retries=retries,
+        heartbeat=heartbeat, backoff=backoff, progress=progress,
+    )[0]
 
-    ``workers``/``retries``/``heartbeat`` default to the matching
-    :class:`~repro.sim.config.ExecutionConfig` field defaults.  The
-    events ledger goes to ``events_path`` (default:
+
+def run_campaigns_fabric(
+    campaigns: Sequence[Tuple[CampaignSpec, CampaignStore, Optional[str]]],
+    workers: Optional[int] = None,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    heartbeat: Optional[float] = None,
+    backoff: float = 0.5,
+    progress: Optional[Callable[[str], None]] = None,
+) -> List[FabricRunReport]:
+    """Execute every not-yet-completed cell of each ``(spec, store,
+    events_path)`` campaign on one fault-tolerant pool; returns one
+    report per campaign, in order.
+
+    Cells that are the same simulation run once, and each campaign's
+    store still gets its own records.  ``workers``/``retries``/
+    ``heartbeat`` default to the matching
+    :class:`~repro.sim.config.ExecutionConfig` field defaults.  A
+    campaign's events ledger goes to its ``events_path`` (default:
     ``<store dir>/events.jsonl``).  ``backoff`` is the base of the
     exponential retry delay — tests shrink it; the CLI keeps the
-    default.
+    default.  A report's ``elapsed`` runs from the pool's start to the
+    campaign's last cell.
     """
-    spec.validate()
     say = progress or (lambda message: None)
     workers = _RUNNER_DEFAULTS["workers"] if workers is None else int(workers)
     retries = _RUNNER_DEFAULTS["retries"] if retries is None else int(retries)
@@ -293,85 +444,103 @@ def run_campaign_fabric(
     )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    out_dir = os.path.dirname(store.path) or "."
-    shard_dir = shard_dir_for(store)
-    # Adopt whatever an aborted previous run computed before it died;
-    # the resume plan below then covers only the true delta.
-    leftovers = merge_shards(store, shard_dir)
-    if leftovers["records"]:
-        say(
-            f"adopted {leftovers['records']} record(s) from "
-            f"{leftovers['shards']} leftover shard(s)"
+    seen: Dict[str, str] = {}
+    for spec, store, _ in campaigns:
+        spec.validate()
+        directory = os.path.abspath(os.path.dirname(store.path) or ".")
+        if directory in seen:
+            raise ValueError(
+                f"campaigns {seen[directory]!r} and {spec.name!r} share the "
+                f"store directory {directory}; give each its own"
+            )
+        seen[directory] = spec.name
+    runs: List[_Campaign] = []
+    plans: List[List[JobSpec]] = []
+    for spec, store, events_path in campaigns:
+        out_dir = os.path.dirname(store.path) or "."
+        run = _Campaign(
+            spec=spec,
+            store=store,
+            events=EventLog(
+                events_path if events_path is not None
+                else os.path.join(out_dir, "events.jsonl")
+            ),
+            say=say,
+            prefix=f"{spec.name}:" if len(campaigns) > 1 else "",
+            shard_dir=shard_dir_for(store),
         )
-    events = EventLog(
-        events_path if events_path is not None
-        else os.path.join(out_dir, "events.jsonl")
-    )
-    total_cells, pending = plan_pending(spec, store.completed_keys())
-    pending_cells = sum(len(block.seeds) for block in pending)
-    say(
-        f"campaign {spec.name}: {total_cells} cells, "
-        f"{total_cells - pending_cells} cached, {pending_cells} to run "
-        f"in {len(pending)} block(s) on {workers} worker(s)"
-    )
-    events.emit(
-        "run_started",
-        campaign=spec.name,
-        total=total_cells,
-        cached=total_cells - pending_cells,
-        pending=pending_cells,
-        workers=workers,
-    )
+        # Adopt whatever an aborted previous run computed before it
+        # died; the resume plan below then covers only the true delta.
+        leftovers = merge_shards(store, run.shard_dir)
+        if leftovers["records"]:
+            say(
+                f"adopted {leftovers['records']} record(s) from "
+                f"{leftovers['shards']} leftover shard(s) of {spec.name}"
+            )
+        run.total, pending = plan_pending(spec, store.completed_keys())
+        run.pending_cells = sum(len(block.seeds) for block in pending)
+        say(
+            f"campaign {spec.name}: {run.total} cells, "
+            f"{run.total - run.pending_cells} cached, {run.pending_cells} "
+            f"to run in {len(pending)} block(s) on {workers} worker(s)"
+        )
+        run.events.emit(
+            "run_started",
+            campaign=spec.name,
+            total=run.total,
+            cached=run.total - run.pending_cells,
+            pending=run.pending_cells,
+            workers=workers,
+        )
+        runs.append(run)
+        plans.append(pending)
+    waiting = _fuse(plans)
+    blocks = sum(len(pending) for pending in plans)
+    if len(waiting) < blocks:
+        say(f"fused {blocks} block(s) into {len(waiting)}")
     start = time.monotonic()
-    books = _Bookkeeper(store, events, say, retries, backoff)
-    waiting = [
-        _Assignment(block_id=index, job=block)
-        for index, block in enumerate(pending)
-    ]
+    books = _Bookkeeper(runs, say, retries, backoff)
     workers_died = 0
     try:
-        if workers <= 1 or len(pending) <= 1:
-            _run_inline(waiting, books, events, timeout, store)
+        if workers <= 1 or len(waiting) <= 1:
+            _run_inline(waiting, books, timeout)
         else:
             workers_died = _run_pool(
-                waiting, books, events, timeout, store, shard_dir,
-                min(workers, len(pending)), heartbeat,
+                waiting, books, timeout, min(workers, len(waiting)),
+                heartbeat,
             )
     finally:
-        merge_shards(store, shard_dir)
-        elapsed = time.monotonic() - start
-        events.emit(
-            "run_completed",
-            ok=books.counts.get(STATUS_OK, 0),
-            errors=books.counts.get("error", 0),
-            timeouts=books.counts.get("timeout", 0),
-            quarantined=books.quarantined,
-            retries=books.retry_count,
-            elapsed=round(elapsed, 3),
-        )
-        events.close()
-    return FabricRunReport(
-        total=total_cells,
-        skipped=total_cells - pending_cells,
-        ran=sum(books.counts.values()),
-        ok=books.counts.get(STATUS_OK, 0),
-        errors=books.counts.get("error", 0),
-        timeouts=books.counts.get("timeout", 0),
-        elapsed=time.monotonic() - start,
-        failed_jobs=books.failed_jobs,
-        quarantined=books.quarantined,
-        retries=books.retry_count,
-        workers=workers,
-        workers_died=workers_died,
-    )
+        for run in runs:
+            merge_shards(run.store, run.shard_dir)
+            run.events.emit(
+                "run_completed",
+                ok=run.counts.get(STATUS_OK, 0),
+                errors=run.counts.get("error", 0),
+                timeouts=run.counts.get("timeout", 0),
+                quarantined=run.quarantined,
+                retries=run.retry_count,
+                elapsed=round(run.elapsed(start), 3),
+            )
+            run.events.close()
+    return [run.report(start, workers, workers_died) for run in runs]
+
+
+def _pop_ready(waiting: List[_Assignment], limit: int) -> List[_Assignment]:
+    """Remove and return up to ``limit`` dispatchable assignments."""
+    now = time.monotonic()
+    ready = sorted(
+        (a for a in waiting if a.ready_at <= now),
+        key=lambda a: (a.attempt, a.block_id),
+    )[:limit]
+    for assignment in ready:
+        waiting.remove(assignment)
+    return ready
 
 
 def _run_inline(
     waiting: List[_Assignment],
     books: _Bookkeeper,
-    events: EventLog,
     timeout: Optional[float],
-    store: CampaignStore,
 ) -> None:
     """The workers<=1 path: same semantics, no processes, no shards."""
     while waiting or books.requeued:
@@ -385,31 +554,13 @@ def _run_inline(
             ) or 0.01)
             continue
         assignment = ready[0]
-        events.emit(
-            "block_dispatched",
-            block=assignment.block_id,
-            worker=0,
-            row=assignment.job.row,
-            size=assignment.job.size,
-            seeds=len(assignment.job.seeds),
-            attempt=assignment.attempt,
-        )
-        records = execute_job(
-            {"job": assignment.job.to_dict(), "timeout": timeout}
-        )
-        store.append_many(records)
+        books.dispatched(assignment, worker=0)
+        records = execute_block(assignment.payload(timeout))
+        for (index, _), member_records in zip(assignment.members, records):
+            books.campaigns[index].store.append_many(member_records)
         books.block_done(
             assignment,
-            [
-                (
-                    r["job"]["seed"],
-                    r["status"],
-                    r["elapsed"],
-                    r.get("result", {}).get("extras", {}).get("soa"),
-                    _soa_reason(r.get("result", {}).get("extras", {})),
-                )
-                for r in records
-            ],
+            [[status_row(r) for r in member] for member in records],
             worker=0,
         )
 
@@ -417,10 +568,7 @@ def _run_inline(
 def _run_pool(
     waiting: List[_Assignment],
     books: _Bookkeeper,
-    events: EventLog,
     timeout: Optional[float],
-    store: CampaignStore,
-    shard_dir: str,
     pool_size: int,
     heartbeat: float,
 ) -> int:
@@ -437,24 +585,24 @@ def _run_pool(
 
     def spawn() -> WorkerHandle:
         nonlocal next_wid
-        handle = WorkerHandle(
-            next_wid, context, result_queue, shard_dir, heartbeat
-        )
+        handle = WorkerHandle(next_wid, context, result_queue, heartbeat)
         handles[handle.id] = handle
-        events.emit("worker_born", worker=handle.id, pid=handle.process.pid)
+        books.emit_all(
+            "worker_born", worker=handle.id, pid=handle.process.pid
+        )
         next_wid += 1
         return handle
 
     def budget_for(assignment: _Assignment) -> Optional[float]:
         if timeout is None:
             return None
-        return timeout * len(assignment.job.seeds) * 2.0 + 5.0
+        return timeout * assignment.distinct_seeds() * 2.0 + 5.0
 
     def declare_dead(handle: WorkerHandle, reason: str) -> None:
         nonlocal workers_died
         workers_died += 1
         assignment = handle.assignment
-        events.emit(
+        books.emit_all(
             "worker_died",
             worker=handle.id,
             reason=reason,
@@ -484,17 +632,13 @@ def _run_pool(
             ):
                 handle.dispatch(
                     assignment,
-                    {"job": assignment.job.to_dict(), "timeout": timeout},
+                    assignment.payload(timeout),
+                    [
+                        books.campaigns[index].shard_dir
+                        for index, _ in assignment.members
+                    ],
                 )
-                events.emit(
-                    "block_dispatched",
-                    block=assignment.block_id,
-                    worker=handle.id,
-                    row=assignment.job.row,
-                    size=assignment.job.size,
-                    seeds=len(assignment.job.seeds),
-                    attempt=assignment.attempt,
-                )
+                books.dispatched(assignment, worker=handle.id)
             # Drain worker messages (briefly block on the first).
             first = True
             while True:

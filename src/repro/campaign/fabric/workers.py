@@ -2,19 +2,21 @@
 
 Each worker is one long-lived process running :func:`fabric_worker_main`:
 it pulls block payloads off its private task queue, executes them with
-the same never-raising :func:`repro.campaign.runner.execute_job` the
+the same never-raising :func:`repro.campaign.runner.execute_block` the
 serial runner uses (per-cell SIGALRM budgets work because the block
-runs on the worker's main thread), appends the records to its own shard
-store, and reports compact status tuples — never result payloads — on
-the shared result queue.  A daemon heartbeat thread posts liveness
-while a block is running, so the parent can tell "slow" from "wedged".
+runs on the worker's main thread), appends each member's records to its
+own shard in that member campaign's shard directory (the task names
+one directory per member, so one pool serves several campaigns), and
+reports compact status tuples — never result payloads — on the shared
+result queue.  A daemon heartbeat thread posts liveness while a block
+is running, so the parent can tell "slow" from "wedged".
 
-The parent-side :class:`WorkerHandle` owns the process, its task queue,
-and its shard path.  Handles are disposable: when the parent declares a
-worker dead (process gone, heartbeat stale, or budget blown) it
-SIGKILLs the process and spawns a fresh handle — worker ids only ever
-move forward, so stale queue messages from a killed worker can never be
-confused with its replacement's.
+The parent-side :class:`WorkerHandle` owns the process and its task
+queue.  Handles are disposable: when the parent declares a worker dead
+(process gone, heartbeat stale, or budget blown) it SIGKILLs the
+process and spawns a fresh handle — worker ids only ever move forward,
+so stale queue messages from a killed worker can never be confused
+with its replacement's.
 
 Crash injection (used by the fault-injection tests and the CI smoke
 job): when ``REPRO_FABRIC_INJECT_CRASH`` names a marker path, the first
@@ -30,7 +32,7 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.fabric.shards import shard_path
 from repro.campaign.store import CampaignStore
@@ -40,6 +42,7 @@ __all__ = [
     "WorkerHandle",
     "fabric_context",
     "fabric_worker_main",
+    "status_row",
 ]
 
 #: Environment hook: set to a marker-file path to make exactly one
@@ -76,25 +79,22 @@ def fabric_worker_main(
     worker_id: int,
     task_queue,
     result_queue,
-    worker_shard_path: str,
     heartbeat: float,
 ) -> None:
-    """Worker loop: block in, records to shard, status tuples out.
+    """Worker loop: block in, records to shards, status tuples out.
 
-    Messages on ``result_queue`` (all lead with a tag and worker id):
+    A task is ``{"block_id", "payload", "shards"}``: the
+    :func:`~repro.campaign.runner.execute_block` payload and one shard
+    directory per member.  Messages on ``result_queue`` (all lead with
+    a tag and worker id):
 
     * ``("hello", wid, pid)`` — alive, ready for work;
     * ``("hb", wid, block_id)`` — still executing ``block_id``;
     * ``("done", wid, block_id, statuses)`` — block finished and its
-      records are durably in the shard; ``statuses`` is a list of
-      ``(seed, status, elapsed, soa, soa_reason)`` per cell, where
-      ``soa`` is the cell's SoA-engagement flag (1.0 engaged / 0.0
-      fell back / None when the cell did not run lock-step) and
-      ``soa_reason`` is the verdict string behind that flag (``"ok"``,
-      ``"jammer"``, ``"burst_loss"``, ... / None);
+      records are durably in the shards; ``statuses`` holds one list
+      per member of :func:`status_row` tuples;
     * ``("exit", wid)`` — clean shutdown after the ``None`` sentinel.
     """
-    store = CampaignStore(worker_shard_path)
     result_queue.put(("hello", worker_id, os.getpid()))
     current: Dict[str, Optional[int]] = {"block": None}
     stop = threading.Event()
@@ -114,21 +114,34 @@ def fabric_worker_main(
         block_id = task["block_id"]
         current["block"] = block_id
         records = execute_block_payload(task["payload"])
-        store.append_many(records)
+        for shard_dir, member_records in zip(task["shards"], records):
+            CampaignStore(shard_path(shard_dir, worker_id)).append_many(
+                member_records
+            )
         current["block"] = None
         statuses = [
-            (
-                record["job"]["seed"],
-                record["status"],
-                record["elapsed"],
-                record.get("result", {}).get("extras", {}).get("soa"),
-                _soa_reason(record.get("result", {}).get("extras", {})),
-            )
-            for record in records
+            [status_row(record) for record in member_records]
+            for member_records in records
         ]
         result_queue.put(("done", worker_id, block_id, statuses))
     stop.set()
     result_queue.put(("exit", worker_id))
+
+
+def status_row(record: Dict) -> Tuple:
+    """A record's ``(seed, status, elapsed, soa, soa_reason)`` row:
+    ``soa`` is the cell's SoA-engagement flag (1.0 engaged / 0.0 fell
+    back / None when the cell did not run lock-step) and ``soa_reason``
+    the verdict string behind it (``"ok"``, ``"jammer"``,
+    ``"burst_loss"``, ... / None)."""
+    extras = record.get("result", {}).get("extras", {})
+    return (
+        record["job"]["seed"],
+        record["status"],
+        record["elapsed"],
+        extras.get("soa"),
+        _soa_reason(extras),
+    )
 
 
 def _soa_reason(extras: Dict) -> Optional[str]:
@@ -141,31 +154,26 @@ def _soa_reason(extras: Dict) -> Optional[str]:
 
 def execute_block_payload(payload: Dict):
     """One import seam for block execution (monkeypatchable in tests)."""
-    from repro.campaign.runner import execute_job
+    from repro.campaign.runner import execute_block
 
-    return execute_job(payload)
+    return execute_block(payload)
 
 
 class WorkerHandle:
-    """Parent-side view of one worker: process + task queue + shard."""
+    """Parent-side view of one worker: process + task queue."""
 
     def __init__(
         self,
         worker_id: int,
         context,
         result_queue,
-        shard_dir: str,
         heartbeat: float,
     ) -> None:
         self.id = worker_id
-        self.shard_path = shard_path(shard_dir, worker_id)
         self.task_queue = context.Queue()
         self.process = context.Process(
             target=fabric_worker_main,
-            args=(
-                worker_id, self.task_queue, result_queue,
-                self.shard_path, heartbeat,
-            ),
+            args=(worker_id, self.task_queue, result_queue, heartbeat),
             daemon=True,
         )
         self.process.start()
@@ -178,13 +186,15 @@ class WorkerHandle:
     def busy(self) -> bool:
         return self.assignment is not None
 
-    def dispatch(self, assignment, payload: Dict) -> None:
+    def dispatch(self, assignment, payload: Dict, shards: List[str]) -> None:
         self.assignment = assignment
         self.dispatched_at = time.monotonic()
         self.last_seen = time.monotonic()
-        self.task_queue.put(
-            {"block_id": assignment.block_id, "payload": payload}
-        )
+        self.task_queue.put({
+            "block_id": assignment.block_id,
+            "payload": payload,
+            "shards": shards,
+        })
 
     def clear(self) -> None:
         self.assignment = None

@@ -37,11 +37,7 @@ from repro.broadcast.deterministic import (
 from repro.broadcast.dtime import DTimeParams, dtime_broadcast_protocol
 from repro.broadcast.local_sim import local_sim_broadcast_protocol
 from repro.broadcast.path import path_broadcast_protocol
-from repro.campaign.cells import (
-    CellResult,
-    run_cell,
-    run_cells,
-)
+from repro.campaign.cells import CellResult, run_fused_cells
 from repro.sim.config import (
     ExecutionConfig,
     ExecutionConfigError,
@@ -70,8 +66,10 @@ __all__ = [
     "resolve_bounds",
     "row_min_size",
     "check_row_supports_options",
+    "simulation_key",
     "execute_cell",
     "execute_cell_block",
+    "execute_fused_block",
 ]
 
 _GNP_P = 0.3
@@ -137,6 +135,11 @@ class RowDefinition:
     :class:`~repro.sim.observers.SlotObserver` whose ``extras(outcome)``
     become the cell's extras (see :func:`repro.campaign.cells.run_cells`).
     Rows measure during the run; none records a trace.
+
+    Rows that share the ``builder`` object, model, graph family and
+    ``id_space_from_n`` are one simulation at a given size and options
+    (:func:`simulation_key`): the fabric runs each seed once for all of
+    them.  Share a builder only between rows whose protocols are equal.
     """
 
     name: str
@@ -209,6 +212,31 @@ def check_row_supports_options(row: str, options: Optional[Dict]) -> None:
         )
 
 
+def simulation_key(row: str, size: int, options: Dict) -> Optional[Tuple]:
+    """What one (row, size) block simulates, or None for a bespoke cell.
+
+    Two blocks with the same key run the same trials seed for seed:
+    same channel model, graph family, builder object, id-space rule,
+    size and normalized options.  They differ at most in what their
+    row observers measure, so :func:`execute_fused_block` runs each
+    seed once for both.  Rows share a builder object only where their
+    protocols are the same (``path``, ``lb-path`` and ``figure1``;
+    ``cd`` and ``abl-ps-thm12``; ``abl-probe`` and ``abl-ps-thm11``).
+    A ``custom_cell`` row has no key and never fuses.
+    """
+    definition = get_row(row)
+    if definition.custom_cell is not None:
+        return None
+    return (
+        definition.model,
+        definition.graph_family,
+        definition.builder,
+        definition.id_space_from_n,
+        int(size),
+        tuple(sorted(normalize_execution_options(dict(options)).items())),
+    )
+
+
 def execute_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
     """Run one (row, size, seed) cell — the single-seed worker entry
     point (a one-seed block)."""
@@ -218,17 +246,28 @@ def execute_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
 def execute_cell_block(
     row: str, size: int, seeds: Sequence[int], options: Dict
 ) -> List[CellResult]:
-    """Run one (row, size) cell across a *block* of seeds.
+    """Run one (row, size) cell across a *block* of seeds: the
+    one-member case of :func:`execute_fused_block`."""
+    return execute_fused_block(size, options, [(row, seeds)])[0]
+
+
+def execute_fused_block(
+    size: int, options: Dict, members: Sequence[Tuple[str, Sequence[int]]]
+) -> List[List[CellResult]]:
+    """Run the ``(row, seeds)`` members that share one
+    :func:`simulation_key` as one batch over their seed union.
 
     The whole block shares one prepared engine via
-    :func:`repro.campaign.cells.run_cells`, so a sharded campaign worker
-    amortizes graph construction and engine setup exactly like the
-    serial sweep.  Execution-steering options (the
+    :func:`repro.campaign.cells.run_fused_cells`, so a sharded campaign
+    worker amortizes graph construction and engine setup exactly like
+    the serial sweep, and a seed two members ask for runs once; each
+    member's cells carry its own row's label and observer extras.
+    Execution-steering options (the
     :meth:`~repro.sim.config.ExecutionConfig.option_keys` subset of the
     cell's ``options`` dict — ``resolution``, ``lockstep``,
     ``contention_hist`` and the fault specs) become the block's
-    :class:`~repro.sim.config.ExecutionConfig`; rows with a
-    ``custom_cell`` run seed by seed, as before.
+    :class:`~repro.sim.config.ExecutionConfig`; a row with a
+    ``custom_cell`` is always a one-member block and runs seed by seed.
 
     A ``loss_rate`` row option runs the row's protocol under an erasure
     channel: every seed gets its own
@@ -238,7 +277,10 @@ def execute_cell_block(
     ``resolution: "numpy"`` such blocks run on the trial-SoA engine's
     vectorized drop-mask path, whole-block — this is how ``campaign run
     --workers N`` gets array speed per worker on lossy rows.
+
+    Returns one :class:`CellResult` list per member, in member order.
     """
+    row = members[0][0]
     definition = get_row(row)
     # Same door policy as CampaignSpec validation: reserved execution
     # fields (record_trace, time_limit, hooks) in an options dict are
@@ -248,16 +290,28 @@ def execute_cell_block(
         validate_execution_options(options)
     except ExecutionConfigError as exc:
         raise ExecutionConfigError(f"row {row!r}: {exc}") from None
-    check_row_supports_options(row, options)
+    for member, _ in members:
+        check_row_supports_options(member, options)
+    if len(members) > 1:
+        key = simulation_key(row, size, options)
+        if key is None or any(
+            simulation_key(other, size, options) != key
+            for other, _ in members[1:]
+        ):
+            raise ValueError(
+                f"rows {[other for other, _ in members]} do not share one "
+                f"simulation at size {size}"
+            )
     if definition.custom_cell is not None:
         if "loss_rate" in options:
             raise ExecutionConfigError(
                 f"row {row!r} cannot honor loss_rate (it runs a bespoke "
                 f"cell with no channel-model layer to wrap)"
             )
-        return [
-            definition.custom_cell(row, size, seed, options) for seed in seeds
-        ]
+        return [[
+            definition.custom_cell(row, size, seed, options)
+            for seed in members[0][1]
+        ]]
     graph = GRAPH_FAMILIES[definition.graph_family](size)
     config = ExecutionConfig.from_options(options)
     if "loss_rate" in options:
@@ -267,17 +321,28 @@ def execute_cell_block(
         config = config.replace(
             model_factory=lambda seed: LossyModel(inner, rate, seed=seed)
         )
-    return run_cells(
+    return run_fused_cells(
         graph,
         MODELS[definition.model],
         definition.builder(graph, options),
-        label=row,
+        [
+            (member, tuple(seeds), get_row(member).observer)
+            for member, seeds in members
+        ],
         size=size,
-        seeds=tuple(seeds),
         id_space_from_n=definition.id_space_from_n,
-        observer=definition.observer,
         exec_config=config,
     )
+
+
+def _path_builder(g: Graph, o: Dict):
+    return path_broadcast_protocol(oriented=True)
+
+
+def _theorem12_builder(g: Graph, o: Dict):
+    return cluster_broadcast_protocol(theorem12_params(
+        g.n, epsilon=o.get("epsilon", 0.5), failure=o.get("failure", 0.02)
+    ))
 
 
 # --- upper-bound rows (mirror repro.experiments.table1) --------------------
@@ -350,11 +415,7 @@ register_row(RowDefinition(
     title="T1.CD.1  Theorem 12 (CD): energy ~ log^2 n / (eps loglog n)",
     model="CD",
     graph_family="gnp",
-    builder=lambda g, o: cluster_broadcast_protocol(
-        theorem12_params(
-            g.n, epsilon=o.get("epsilon", 0.5), failure=o.get("failure", 0.02)
-        )
-    ),
+    builder=_theorem12_builder,
     default_sizes=(8, 12, 16),
     default_seeds=(0, 1, 2),
     bounds=lambda o: {
@@ -408,7 +469,7 @@ register_row(RowDefinition(
     title="Thm 21 (path): mean energy ~ log n, time <= 2n",
     model="LOCAL",
     graph_family="path",
-    builder=lambda g, o: path_broadcast_protocol(oriented=True),
+    builder=_path_builder,
     default_sizes=(64, 256, 1024),
     default_seeds=(0, 1, 2, 3),
     columns=(
@@ -448,7 +509,7 @@ register_row(RowDefinition(
     title="T1.LOCAL.LB  Theorem 1: worst pre-reception energy vs (1/5) log2 n",
     model="LOCAL",
     graph_family="path",
-    builder=lambda g, o: path_broadcast_protocol(oriented=True),
+    builder=_path_builder,
     default_sizes=(64, 256, 1024),
     default_seeds=(0, 1, 2, 3, 4),
     observer=lambda g: PreReceptionObserver(),
@@ -480,16 +541,25 @@ register_row(RowDefinition(
 # --- ablations (mirror repro.experiments.ablations) ------------------------
 
 
+def _probe_params(n: int, o: Dict, probe: bool) -> ClusterBroadcastParams:
+    base = theorem11_params(n, "CD", failure=o.get("failure", 0.02))
+    return ClusterBroadcastParams(
+        model_name="CD", survive_p=base.survive_p, spread_s=base.spread_s,
+        iterations=base.iterations,
+        gl_diameter_bound=base.gl_diameter_bound,
+        failure=base.failure, probe=probe,
+    )
+
+
 def _probe_builder(probe: bool):
     def build(g: Graph, o: Dict):
-        base = theorem11_params(g.n, "CD", failure=o.get("failure", 0.02))
-        return cluster_broadcast_protocol(ClusterBroadcastParams(
-            model_name="CD", survive_p=base.survive_p, spread_s=base.spread_s,
-            iterations=base.iterations,
-            gl_diameter_bound=base.gl_diameter_bound,
-            failure=base.failure, probe=probe,
-        ))
+        return cluster_broadcast_protocol(_probe_params(g.n, o, probe))
     return build
+
+
+# Theorem 11's CD parameters already turn probes on, so this is also
+# the abl-ps-thm11 builder.
+_probes_on_builder = _probe_builder(True)
 
 
 register_row(RowDefinition(
@@ -497,7 +567,7 @@ register_row(RowDefinition(
     title="ABL.probe  Remark 9 probes ON (CD, Theorem 11 params)",
     model="CD",
     graph_family="gnp",
-    builder=_probe_builder(True),
+    builder=_probes_on_builder,
     default_sizes=(12,),
     default_seeds=(0, 1, 2),
 ))
@@ -517,9 +587,7 @@ register_row(RowDefinition(
     title="ABL.ps  Theorem 11 knobs (p=1/2, s=1) in CD",
     model="CD",
     graph_family="gnp",
-    builder=lambda g, o: cluster_broadcast_protocol(
-        theorem11_params(g.n, "CD", failure=o.get("failure", 0.02))
-    ),
+    builder=_probes_on_builder,
     default_sizes=(12,),
     default_seeds=(0, 1),
 ))
@@ -529,11 +597,7 @@ register_row(RowDefinition(
     title="ABL.ps  Theorem 12 knobs (small p, s=log n) in CD",
     model="CD",
     graph_family="gnp",
-    builder=lambda g, o: cluster_broadcast_protocol(
-        theorem12_params(
-            g.n, epsilon=o.get("epsilon", 0.5), failure=o.get("failure", 0.02)
-        )
-    ),
+    builder=_theorem12_builder,
     default_sizes=(12,),
     default_seeds=(0, 1),
 ))
@@ -608,10 +672,10 @@ def _figure1_observer(graph: Graph) -> SlotObserver:
 
 register_row(RowDefinition(
     name="figure1",
-    title="Fig.1  Algorithm 1 timeline run on a path (traced, time <= 2n)",
+    title="Fig.1  Algorithm 1 run on a path (payload/control counts, time <= 2n)",
     model="LOCAL",
     graph_family="path",
-    builder=lambda g, o: path_broadcast_protocol(oriented=True),
+    builder=_path_builder,
     default_sizes=(32,),
     default_seeds=(0,),
     observer=_figure1_observer,

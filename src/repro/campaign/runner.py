@@ -17,9 +17,12 @@ one (row, size, seed) cell.  The runner
   worker process (a block's budget is ``timeout * len(seeds)``), so
   one diverging protocol cannot wedge the sweep.
 
-This serial runner is the differential oracle for the worker fabric
-(:mod:`repro.campaign.fabric`), which runs the same blocks through the
-same :func:`execute_job` on persistent worker processes.
+This serial runner runs every block on its own and is the unfused
+differential oracle for the worker fabric
+(:mod:`repro.campaign.fabric`), which fuses the blocks that are the
+same simulation (:func:`repro.campaign.registry.simulation_key`), across
+campaigns too, and runs them through the same :func:`execute_block` on
+persistent worker processes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import math
 import signal
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import (
@@ -43,6 +47,7 @@ from repro.campaign.store import (
 __all__ = [
     "CellTimeout",
     "CampaignRunReport",
+    "execute_block",
     "execute_job",
     "plan_pending",
     "run_campaign",
@@ -144,69 +149,109 @@ class _Alarm:
         return None
 
 
-def _execute_cell_job(job: JobSpec, timeout: Optional[float]) -> Dict:
-    """Run one single-seed cell under its own alarm; never raises."""
-    key = job.key()
+def _run_members(jobs: Sequence[JobSpec]):
+    from repro.campaign.registry import execute_fused_block
+
+    return execute_fused_block(
+        jobs[0].size, jobs[0].options_dict,
+        [(job.row, job.seeds) for job in jobs],
+    )
+
+
+def _execute_seed(cell_jobs: Sequence[JobSpec], timeout: Optional[float]):
+    """Run one seed once for every member cell in ``cell_jobs``, under
+    its own alarm; never raises.  The seed's time is split evenly
+    across its records."""
     start = time.monotonic()
+    cells = None
     try:
         with _Alarm(timeout) as alarm:
-            from repro.campaign.registry import execute_cell
-
-            cell = execute_cell(job.row, job.size, job.seed, job.options_dict)
+            cells = [member[0] for member in _run_members(cell_jobs)]
             alarm.disarm()
-        return make_record(
-            key, job.to_dict(), STATUS_OK,
-            result=cell.to_dict(), elapsed=time.monotonic() - start,
-        )
     except CellTimeout:
-        return make_record(
-            key, job.to_dict(), STATUS_TIMEOUT,
-            error=f"timed out after {timeout}s",
-            elapsed=time.monotonic() - start,
-        )
+        status, error = STATUS_TIMEOUT, f"timed out after {timeout}s"
     except Exception:
-        return make_record(
-            key, job.to_dict(), STATUS_ERROR,
-            error=traceback.format_exc(limit=20),
-            elapsed=time.monotonic() - start,
+        status, error = STATUS_ERROR, traceback.format_exc(limit=20)
+    else:
+        status, error = STATUS_OK, None
+    elapsed = (time.monotonic() - start) / len(cell_jobs)
+    return [
+        make_record(
+            job.key(), job.to_dict(), status,
+            result=None if cells is None else cells[index].to_dict(),
+            error=error, elapsed=elapsed,
         )
+        for index, job in enumerate(cell_jobs)
+    ]
+
+
+def execute_block(payload: Dict) -> List[List[Dict]]:
+    """Run one block and wrap every cell's outcome in a store record.
+
+    ``payload["jobs"]`` are the block's members: :class:`JobSpec`
+    dicts for (row, size) seed blocks that share one
+    :func:`~repro.campaign.registry.simulation_key`, possibly from
+    different campaigns.  Returns one record list per member, in member
+    and then seed order.
+
+    The one block executor: the serial runner calls it in-process
+    (through :func:`execute_job`) and the fabric's workers call it in
+    theirs.  Never raises — failures become ``error``/``timeout``
+    records.  The members' seed union first runs batched on one
+    prepared engine, each seed once (budget: per-cell timeout x
+    distinct seeds); if anything in the batch fails, it falls back to
+    running seed by seed, each seed once for all members that asked for
+    it, so the failure is pinned to the seed that caused it and healthy
+    seeds still complete.  A seed's time is split evenly across the
+    records it produced, so the records' ``elapsed`` sums to the time
+    spent.
+    """
+    jobs = [JobSpec.from_dict(data) for data in payload["jobs"]]
+    timeout = payload.get("timeout")
+    seeds = list(dict.fromkeys(seed for job in jobs for seed in job.seeds))
+    if len(seeds) > 1:
+        start = time.monotonic()
+        try:
+            with _Alarm(timeout * len(seeds) if timeout else None) as alarm:
+                cells = _run_members(jobs)
+                alarm.disarm()
+        except Exception:  # includes CellTimeout: isolate per seed
+            pass
+        else:
+            share = (time.monotonic() - start) / len(seeds)
+            askers = Counter(seed for job in jobs for seed in job.seeds)
+            return [
+                [
+                    make_record(
+                        cell_job.key(), cell_job.to_dict(), STATUS_OK,
+                        result=cell.to_dict(),
+                        elapsed=share / askers[cell_job.seed],
+                    )
+                    for cell_job, cell in zip(job.cells(), member_cells)
+                ]
+                for job, member_cells in zip(jobs, cells)
+            ]
+    by_seed: List[Dict[int, Dict]] = [{} for _ in jobs]
+    for seed in seeds:
+        asking = [index for index, job in enumerate(jobs) if seed in job.seeds]
+        records = _execute_seed(
+            [jobs[index].with_seeds([seed]) for index in asking], timeout
+        )
+        for index, record in zip(asking, records):
+            by_seed[index][seed] = record
+    return [
+        [member[seed] for seed in job.seeds]
+        for job, member in zip(jobs, by_seed)
+    ]
 
 
 def execute_job(payload: Dict) -> List[Dict]:
     """Run one job (a single cell or a seed block) and wrap every cell's
-    outcome in a store record.
-
-    The one block executor: the serial runner calls it in-process and
-    the fabric's workers call it in theirs.  Never raises —
-    failures become ``error``/``timeout`` records.  A multi-seed block
-    first runs batched on one prepared engine (budget: per-cell timeout
-    x block size); if anything in the batch fails, it falls back to
-    seed-by-seed execution so the failure is pinned to the cell that
-    caused it and healthy blockmates still complete.
-    """
-    job = JobSpec.from_dict(payload["job"])
-    timeout = payload.get("timeout")
-    if len(job.seeds) == 1:
-        return [_execute_cell_job(job, timeout)]
-    start = time.monotonic()
-    try:
-        with _Alarm(timeout * len(job.seeds) if timeout else None) as alarm:
-            from repro.campaign.registry import execute_cell_block
-
-            cells = execute_cell_block(
-                job.row, job.size, job.seeds, job.options_dict
-            )
-            alarm.disarm()
-    except Exception:  # includes CellTimeout: isolate per seed
-        return [_execute_cell_job(cell, timeout) for cell in job.cells()]
-    per_cell = (time.monotonic() - start) / len(job.seeds)
-    return [
-        make_record(
-            cell_job.key(), cell_job.to_dict(), STATUS_OK,
-            result=cell.to_dict(), elapsed=per_cell,
-        )
-        for cell_job, cell in zip(job.cells(), cells)
-    ]
+    outcome in a store record: the one-member case of
+    :func:`execute_block`."""
+    return execute_block(
+        {"jobs": [payload["job"]], "timeout": payload.get("timeout")}
+    )[0]
 
 
 def run_campaign(

@@ -23,8 +23,8 @@ Commands:
   ``--degradation`` renders the clean-vs-faulted comparison table for
   rows carrying churn/jam/burst_loss options instead.
 * ``campaign run-all TARGET [--out-root DIR]`` — run every config named
-  by a manifest (or directory of configs) through the fabric, one store
-  per campaign.
+  by a manifest (or directory of configs) through one fabric run: one
+  worker pool, each distinct simulation once, one store per campaign.
 * ``store compact PATH`` / ``store merge DEST SRC ...`` — rewrite a
   store to one line per cell / fold other stores (or leftover worker
   shards) into it.
@@ -299,33 +299,32 @@ def _cmd_campaign_report(args) -> int:
 
 
 def _cmd_campaign_run_all(args) -> int:
-    from repro.campaign import CampaignSpec, CampaignStore, run_campaign_fabric
-    from repro.campaign.fabric import resolve_run_all
+    from repro.campaign import CampaignStore, run_campaigns_fabric
+    from repro.campaign.fabric import load_campaigns, resolve_run_all
 
     try:
         name, configs = resolve_run_all(args.target)
+        campaigns, bad = load_campaigns(configs)
     except ValueError as exc:
         print(exc)
         return 2
-    fabric = runner_overrides(args)
     print(f"run-all {name!r}: {len(configs)} campaign(s)")
-    failures = []
-    for path in configs:
-        try:
-            spec = CampaignSpec.from_json_file(path)
-            spec.validate()
-        except (OSError, ValueError) as exc:
-            print(f"  {path}: bad config: {exc}")
-            failures.append(path)
-            continue
+    for path, error in bad:
+        print(f"  {path}: bad config: {error}")
+    runs = []
+    for path, spec in campaigns:
         out = os.path.join(args.out_root, spec.name)
         store = CampaignStore(os.path.join(out, "results.jsonl"))
         print(f"== {spec.name} ({path}) -> {out}")
-        report = run_campaign_fabric(
-            spec, store, timeout=args.timeout, progress=print,
-            events_path=_events_path(store), **fabric,
-        )
-        print(report.summary())
+        runs.append((spec, store, _events_path(store)))
+    # One pool for every campaign: cells that are the same simulation
+    # run once, and each campaign's store still gets its own records.
+    reports = run_campaigns_fabric(
+        runs, timeout=args.timeout, progress=print, **runner_overrides(args)
+    )
+    failures = [path for path, _ in bad]
+    for (path, spec), report in zip(campaigns, reports):
+        print(f"{spec.name}: {report.summary()}")
         if not report.all_ok:
             failures.append(path)
     status = "all ok" if not failures else f"{len(failures)} failed"

@@ -415,6 +415,165 @@ class TestLossyRows:
             execute_cell_block(crashing_row, 4, (0,), {"loss_rate": 0.1})
 
 
+class TestFusion:
+    """Rows that are one simulation run once for all of them."""
+
+    GROUPS = [
+        ("path", "lb-path", "figure1"),
+        ("cd", "abl-ps-thm12"),
+        ("abl-probe", "abl-ps-thm11"),
+    ]
+
+    def test_fusion_map(self):
+        from repro.campaign.registry import simulation_key
+
+        by_key = {}
+        for name in ROW_REGISTRY:
+            if name.startswith("_"):
+                continue  # rows the test fixtures register
+            key = simulation_key(name, 12, {})
+            if key is not None:
+                by_key.setdefault(key, []).append(name)
+        fused = sorted(sorted(rows) for rows in by_key.values() if len(rows) > 1)
+        assert fused == sorted(sorted(rows) for rows in self.GROUPS)
+        # The beta ablation is a custom cell: no key, never fused.
+        assert simulation_key("abl-beta", 40, {}) is None
+        assert "abl-beta" not in {r for rows in by_key.values() for r in rows}
+
+    def test_options_and_sizes_split_keys(self):
+        from repro.campaign.registry import simulation_key
+
+        assert simulation_key("path", 16, {}) != simulation_key("lb-path", 32, {})
+        assert simulation_key("cd", 12, {}) != simulation_key(
+            "abl-ps-thm12", 12, {"epsilon": 0.25}
+        )
+        assert simulation_key("decay", 16, {}) != simulation_key(
+            "decay", 16, {"jam": "random:rate=0.15"}
+        )
+        # An explicit default aliases the omitted option, as in cell keys.
+        assert simulation_key("path", 16, {"resolution": "bitmask"}) \
+            == simulation_key("lb-path", 16, {})
+
+    def test_theorem11_cd_params_are_the_probe_params(self):
+        from repro.broadcast import theorem11_params
+        from repro.campaign.registry import _probe_params
+
+        for n in range(2, 300):
+            for failure in (0.01, 0.02, 0.05):
+                assert _probe_params(n, {"failure": failure}, True) \
+                    == theorem11_params(n, "CD", failure=failure)
+
+    @pytest.mark.parametrize("rows", GROUPS)
+    @pytest.mark.parametrize("options", [{}, {"contention_hist": True}])
+    def test_fused_cells_equal_one_row_blocks(self, rows, options):
+        from repro.campaign.registry import (
+            execute_cell_block,
+            execute_fused_block,
+        )
+
+        fused = execute_fused_block(8, options, [(row, (0, 1)) for row in rows])
+        for row, cells in zip(rows, fused):
+            alone = execute_cell_block(row, 8, (0, 1), options)
+            assert [c.to_dict() for c in cells] == [c.to_dict() for c in alone]
+
+    def test_member_extras_come_from_its_own_observer(self):
+        from repro.campaign.registry import (
+            execute_cell_block,
+            execute_fused_block,
+        )
+
+        path, lb_path = execute_fused_block(
+            16, {}, [("path", (1,)), ("lb-path", (0, 1, 2))]
+        )
+        assert [c.to_dict() for c in path] \
+            == [c.to_dict() for c in execute_cell_block("path", 16, (1,), {})]
+        assert path[0].extras == {}
+        assert [c.to_dict() for c in lb_path] == [
+            c.to_dict()
+            for c in execute_cell_block("lb-path", 16, (0, 1, 2), {})
+        ]
+
+    def test_rows_that_are_not_one_simulation_refused(self):
+        from repro.campaign.registry import execute_fused_block
+
+        with pytest.raises(ValueError, match="do not share one simulation"):
+            execute_fused_block(8, {}, [("path", (0,)), ("bounded", (0,))])
+        with pytest.raises(ValueError, match="do not share one simulation"):
+            execute_fused_block(40, {}, [("abl-beta", (0,))] * 2)
+
+    def test_lockstep_observer_member_falls_back_for_every_seed(self):
+        from repro.campaign.registry import execute_fused_block
+        from repro.sim.resolution import numpy_available
+
+        if not numpy_available():
+            pytest.skip("lock-step dispatch verdicts need numpy")
+        options = {"lockstep": True, "resolution": "numpy"}
+        path, lb_path = execute_fused_block(
+            64, options, [("path", (0, 1)), ("lb-path", (0, 1))]
+        )
+        for cell in path + lb_path:
+            assert cell.extras["soa_reason_observers"] == 1.0
+        serial_path, _ = execute_fused_block(
+            64, {}, [("path", (0, 1)), ("lb-path", (0, 1))]
+        )
+        assert aggregate_cells(path) == aggregate_cells(serial_path)
+
+    def test_block_records_split_each_seed_time(self):
+        from repro.campaign.runner import execute_block
+
+        path, lb_path = execute_block({
+            "jobs": [
+                {"row": "path", "size": 16, "seeds": [0, 1]},
+                {"row": "lb-path", "size": 16, "seeds": [0, 1, 2]},
+            ],
+            "timeout": None,
+        })
+        assert [r["key"] for r in path] == [
+            JobSpec(row="path", size=16, seed=seed).key() for seed in (0, 1)
+        ]
+        # Seeds 0 and 1 produced two records each, seed 2 one: every
+        # seed's share of the batch is split across its records.
+        assert path[0]["elapsed"] == lb_path[0]["elapsed"]
+        assert lb_path[2]["elapsed"] == pytest.approx(
+            2 * lb_path[0]["elapsed"], abs=2e-6
+        )
+
+    def test_batch_failure_runs_each_seed_once_for_all_members(
+        self, monkeypatch
+    ):
+        import repro.campaign.registry as registry_mod
+        from repro.campaign.runner import execute_block
+
+        real = registry_mod.execute_fused_block
+        calls = []
+
+        def fails_batched(size, options, members):
+            calls.append([(row, tuple(seeds)) for row, seeds in members])
+            if len({s for _, seeds in members for s in seeds}) > 1:
+                raise RuntimeError("batch boom")
+            return real(size, options, members)
+
+        monkeypatch.setattr(registry_mod, "execute_fused_block", fails_batched)
+        path, lb_path = execute_block({
+            "jobs": [
+                {"row": "path", "size": 16, "seeds": [0, 1]},
+                {"row": "lb-path", "size": 16, "seeds": [1]},
+            ],
+            "timeout": None,
+        })
+        assert calls == [
+            [("path", (0, 1)), ("lb-path", (1,))],
+            [("path", (0,))],
+            [("path", (1,)), ("lb-path", (1,))],
+        ]
+        monkeypatch.setattr(registry_mod, "execute_fused_block", real)
+        alone = execute_job({
+            "job": {"row": "lb-path", "size": 16, "seed": 1}, "timeout": None,
+        })
+        assert [r["status"] for r in path + lb_path] == ["ok"] * 3
+        assert lb_path[0]["result"] == alone[0]["result"]
+
+
 @pytest.fixture
 def crashing_row():
     def cell(row, size, seed, options):

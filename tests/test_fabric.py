@@ -32,6 +32,7 @@ from repro.campaign import (
     register_row,
     run_campaign,
     run_campaign_fabric,
+    run_campaigns_fabric,
     stream_points,
 )
 from repro.campaign.fabric import (
@@ -320,15 +321,27 @@ class TestStreamingReducer:
 
 class TestFabricDifferential:
     def test_matches_serial_oracle(self, tmp_path):
+        # path at n=8 is figure1's simulation: the fabric fuses the two
+        # blocks, the serial oracle runs them apart.
         spec = _spec([
             {"row": "figure1", "sizes": [8, 12], "seeds": [0, 1]},
             {"row": "bounded", "sizes": [8], "seeds": [0, 1]},
+            {"row": "path", "sizes": [8], "seeds": [1, 2]},
         ])
         serial = _store(tmp_path / "serial")
         run_campaign(spec, serial, progress=None)
         fabric = _store(tmp_path / "fabric")
         report = _fabric(spec, fabric, workers=2)
-        assert report.all_ok and report.ok == 6
+        assert report.all_ok and report.ok == 8
+        dispatched = [
+            e for e in read_events(
+                os.path.join(str(tmp_path), "fabric", "events.jsonl")
+            )
+            if e["ev"] == "block_dispatched"
+        ]
+        assert len(dispatched) == 3
+        assert {"row": "figure1+path", "size": 8, "seeds": 4}.items() \
+            <= next(e for e in dispatched if "+" in e["row"]).items()
         assert _points_blob(aggregate_campaign(spec, serial, extended=True)) \
             == _points_blob(aggregate_campaign(spec, fabric, extended=True)) \
             == _points_blob(aggregate_campaign_streaming(spec, fabric))
@@ -382,7 +395,10 @@ class TestFabricDifferential:
         assert delta.ok == 2 and delta.skipped == 4
 
     def test_sigkill_crash_is_absorbed(self, tmp_path, monkeypatch):
-        spec = _spec([{"row": "figure1", "sizes": [8, 12, 16], "seeds": [0, 1]}])
+        spec = _spec([
+            {"row": "figure1", "sizes": [8, 12, 16], "seeds": [0, 1]},
+            {"row": "lb-path", "sizes": [8, 12], "seeds": [1, 2]},
+        ])
         serial = _store(tmp_path / "serial")
         run_campaign(spec, serial, progress=None)
         marker = str(tmp_path / "crash.marker")
@@ -391,7 +407,7 @@ class TestFabricDifferential:
         report = _fabric(spec, fabric, workers=2)
         assert os.path.exists(marker)  # exactly one worker took the hit
         assert report.workers_died >= 1 and report.retries >= 1
-        assert report.all_ok and report.ok == 6
+        assert report.all_ok and report.ok == 10
         assert _points_blob(aggregate_campaign(spec, serial, extended=True)) \
             == _points_blob(aggregate_campaign(spec, fabric, extended=True))
 
@@ -399,10 +415,10 @@ class TestFabricDifferential:
         """A SIGSTOPped worker stops heartbeating, is declared hung,
         killed, and its block retried elsewhere."""
         marker = str(tmp_path / "wedge.marker")
-        real = execute_job
+        real = workers_mod.execute_block_payload
 
         def wedge_once(payload):
-            if payload["job"]["row"] == "figure1":
+            if any(job["row"] == "figure1" for job in payload["jobs"]):
                 try:
                     fd = os.open(
                         marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY
@@ -414,9 +430,11 @@ class TestFabricDifferential:
             return real(payload)
 
         monkeypatch.setattr(workers_mod, "execute_block_payload", wedge_once)
+        # bounded, not path: path at n=8 is figure1's simulation and
+        # would fuse into the wedged block.
         spec = _spec([
             {"row": "figure1", "sizes": [8], "seeds": [0]},
-            {"row": "path", "sizes": [8], "seeds": [0]},
+            {"row": "bounded", "sizes": [8], "seeds": [0]},
         ])
         store = _store(tmp_path)
         report = _fabric(spec, store, workers=2, heartbeat=0.1)
@@ -454,10 +472,10 @@ class TestFabricDifferential:
     def test_poison_block_quarantined_sweep_continues(
         self, tmp_path, monkeypatch
     ):
-        real = execute_job
+        real = workers_mod.execute_block_payload
 
         def die_on_figure1(payload):
-            if payload["job"]["row"] == "figure1":
+            if any(job["row"] == "figure1" for job in payload["jobs"]):
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(payload)
 
@@ -466,7 +484,7 @@ class TestFabricDifferential:
         )
         spec = _spec([
             {"row": "figure1", "sizes": [8], "seeds": [0, 1]},
-            {"row": "path", "sizes": [8], "seeds": [0]},
+            {"row": "bounded", "sizes": [8], "seeds": [0]},
         ])
         store = _store(tmp_path)
         report = _fabric(spec, store, workers=2, retries=1)
@@ -499,6 +517,137 @@ class TestFabricDifferential:
         CampaignStore(shard_path(shard_dir, 0)).append_many(records)
         report = _fabric(spec, store, workers=1)
         assert report.skipped == 1 and report.ok == 1  # adopted, not rerun
+
+
+def _results(store):
+    """Each key's record apart from the run-dependent ``elapsed``/``ts``."""
+    return {
+        key: {k: v for k, v in record.items() if k not in ("elapsed", "ts")}
+        for key, record in store.load().items()
+    }
+
+
+class TestPooledRunAll:
+    """Several campaigns on one pool: shared cells simulated once, each
+    store and ledger its own."""
+
+    # Shared by key (decay at n=16) and by builder (path, lb-path and
+    # figure1 at n=8); bounded stands alone.
+    ALPHA = {"name": "alpha", "rows": [
+        {"row": "decay", "sizes": [16], "seeds": [0, 1]},
+        {"row": "path", "sizes": [8], "seeds": [0, 1]},
+        {"row": "lb-path", "sizes": [8], "seeds": [0, 1, 2]},
+    ]}
+    BETA = {"name": "beta", "rows": [
+        {"row": "figure1", "sizes": [8], "seeds": [1, 2]},
+        {"row": "decay", "sizes": [16], "seeds": [0, 1]},
+        {"row": "bounded", "sizes": [8], "seeds": [0, 1]},
+    ]}
+
+    def _specs(self):
+        return [CampaignSpec.from_dict(d) for d in (self.ALPHA, self.BETA)]
+
+    def _pooled(self, tmp_path, specs, **kwargs):
+        kwargs.setdefault("backoff", 0.05)
+        kwargs.setdefault("heartbeat", 0.2)
+        return run_campaigns_fabric(
+            [(spec, _store(tmp_path / spec.name), None) for spec in specs],
+            **kwargs,
+        )
+
+    def test_matches_serial_oracle_and_simulates_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.registry as registry_mod
+
+        specs = self._specs()
+        serial = {}
+        for spec in specs:
+            serial[spec.name] = _store(tmp_path / "serial" / spec.name)
+            run_campaign(spec, serial[spec.name], progress=None)
+        spy_log = str(tmp_path / "simulated.log")
+        real = registry_mod.execute_fused_block
+
+        def spy(size, options, members):
+            key = registry_mod.simulation_key(members[0][0], size, options)
+            seeds = {seed for _, member in members for seed in member}
+            with open(spy_log, "a", encoding="utf-8") as handle:
+                for seed in sorted(seeds):
+                    handle.write(f"{key[:2]} {id(key[2])} {key[4:]} {seed}\n")
+            return real(size, options, members)
+
+        monkeypatch.setattr(registry_mod, "execute_fused_block", spy)
+        marker = str(tmp_path / "crash.marker")
+        monkeypatch.setenv(CRASH_ENV, marker)
+        reports = self._pooled(tmp_path, specs, workers=2)
+        assert os.path.exists(marker)
+        # Worker deaths are pool facts: every campaign's report names them.
+        assert all(report.workers_died >= 1 for report in reports)
+        assert [report.ok for report in reports] == [7, 6]
+        assert all(report.all_ok for report in reports)
+        for spec in specs:
+            pooled = _store(tmp_path / spec.name)
+            assert _results(pooled) == _results(serial[spec.name])
+            assert _points_blob(
+                aggregate_campaign(spec, pooled, extended=True)
+            ) == _points_blob(
+                aggregate_campaign(spec, serial[spec.name], extended=True)
+            )
+        # The injected crash kills its worker before the block runs, so
+        # even the retried block is simulated once: decay at n=16 for
+        # seeds 0-1, the path simulation at n=8 for 0-2, bounded for 0-1.
+        with open(spy_log, encoding="utf-8") as handle:
+            simulated = handle.read().splitlines()
+        assert len(simulated) == len(set(simulated)) == 7
+        # Each campaign's ledger shows only its own cells.
+        for spec, cells in (("alpha", 7), ("beta", 6)):
+            events = list(read_events(
+                os.path.join(str(tmp_path), spec, "events.jsonl")
+            ))
+            done = [e for e in events if e["ev"] == "block_completed"]
+            assert sum(e["ok"] for e in done) == cells
+            assert [e["campaign"] for e in events
+                    if e["ev"] == "run_started"] == [spec]
+
+    def test_rerun_and_lost_store_compute_only_the_delta(self, tmp_path):
+        import shutil
+
+        specs = self._specs()
+        first = self._pooled(tmp_path, specs, workers=2)
+        assert [report.ok for report in first] == [7, 6]
+        again = self._pooled(tmp_path, specs, workers=2)
+        assert [report.ran for report in again] == [0, 0]
+        shutil.rmtree(tmp_path / "beta")
+        healed = self._pooled(tmp_path, specs, workers=2)
+        assert [report.ran for report in healed] == [0, 6]
+        assert [report.skipped for report in healed] == [7, 0]
+
+    def test_poison_row_quarantined_other_campaign_completes(
+        self, tmp_path, monkeypatch
+    ):
+        real = workers_mod.execute_block_payload
+
+        def die_on_bounded(payload):
+            if any(job["row"] == "bounded" for job in payload["jobs"]):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(payload)
+
+        monkeypatch.setattr(
+            workers_mod, "execute_block_payload", die_on_bounded
+        )
+        alpha, beta = self._pooled(tmp_path, self._specs(), workers=2, retries=1)
+        assert alpha.all_ok and alpha.ok == 7
+        assert beta.quarantined == 2 and beta.ok == 4 and not beta.all_ok
+        assert {
+            r["job"]["row"] for r in _store(tmp_path / "beta").load().values()
+            if r["status"] == STATUS_QUARANTINED
+        } == {"bounded"}
+
+    def test_campaigns_sharing_a_store_refused(self, tmp_path):
+        spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
+        store = _store(tmp_path)
+        with pytest.raises(ValueError, match="share the store directory"):
+            run_campaigns_fabric([(spec, store, None), (spec, store, None)])
 
 
 class TestEventsLedger:
@@ -677,6 +826,19 @@ class TestRunAll:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no campaign configs"):
             resolve_run_all(str(tmp_path))
+
+    def test_duplicate_campaign_names_rejected(self, tmp_path, capsys):
+        rows = [{"row": "path", "sizes": [8], "seeds": [0]}]
+        self._write(tmp_path / "a.json", {"name": "same", "rows": rows})
+        self._write(tmp_path / "b.json", {"name": "same", "rows": rows})
+        out_root = tmp_path / "out"
+        assert main([
+            "campaign", "run-all", str(tmp_path), "--out-root", str(out_root),
+        ]) == 2
+        message = capsys.readouterr().out
+        assert str(tmp_path / "a.json") in message
+        assert str(tmp_path / "b.json") in message
+        assert not out_root.exists()  # refused before any cell ran
 
     def test_shipped_manifest_resolves(self):
         name, configs = resolve_run_all("configs")
