@@ -3,9 +3,9 @@
 
 import math
 
-from conftest import run_once
+from conftest import run_once, run_rows
 
-from repro.experiments import figure1, t8_path_algorithm
+from repro.experiments import figure1
 
 
 def test_figure1_timeline(benchmark):
@@ -15,11 +15,10 @@ def test_figure1_timeline(benchmark):
     assert "P" in rendering
 
 
-def test_t8_path_guarantees(benchmark):
-    points, table = run_once(
-        benchmark, t8_path_algorithm, sizes=(64, 256, 1024), seeds=(0, 1, 2)
-    )
-    print("\n" + table)
+def test_t8_path_guarantees(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "path", "sizes": [64, 256, 1024], "seeds": [0, 1, 2]},
+    ])["path"]
     assert all(p.delivered == p.seeds for p in points)
     for p in points:
         n_pow2 = 2 ** math.ceil(math.log2(p.n))

@@ -1,15 +1,12 @@
 """T1.CD.1 — Theorem 12 in CD: the epsilon time/energy tradeoff."""
 
-from conftest import run_once
-
-from repro.experiments import t1_cd_clustering
+from conftest import run_once, run_rows
 
 
-def test_t1_cd_clustering(benchmark):
-    points, table = run_once(
-        benchmark, t1_cd_clustering, sizes=(8, 12, 16), seeds=(0, 1)
-    )
-    print("\n" + table)
+def test_t1_cd_clustering(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "cd", "sizes": [8, 12, 16], "seeds": [0, 1]},
+    ])["cd"]
     assert all(p.delivered == p.seeds for p in points)
 
 

@@ -1,16 +1,13 @@
 """T1.CD.2 — Theorem 20 in CD: O(log n loglogD/logloglogD) energy at
 O(Delta n^{1+xi}) time."""
 
-from conftest import run_once
-
-from repro.experiments import t1_cd_optimal
+from conftest import run_once, run_rows
 
 
-def test_t1_cd_optimal(benchmark):
-    points, table = run_once(
-        benchmark, t1_cd_optimal, sizes=(8, 12), seeds=(0, 1)
-    )
-    print("\n" + table)
+def test_t1_cd_optimal(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "cd-optimal", "sizes": [8, 12], "seeds": [0, 1]},
+    ])["cd-optimal"]
     assert all(p.delivered == p.seeds for p in points)
     # Theorem 20's signature: time is enormous relative to energy.
     for p in points:

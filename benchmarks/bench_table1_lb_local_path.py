@@ -4,17 +4,15 @@ sandwiched into Theta(log n)."""
 
 import math
 
-from conftest import run_once
-
-from repro.experiments import t1_lb_local_path
+from conftest import run_rows
 
 
-def test_t1_lb_local_path(benchmark):
-    rows, table = run_once(
-        benchmark, t1_lb_local_path, sizes=(64, 256, 1024), seeds=(0, 1, 2)
-    )
-    print("\n" + table)
-    assert all(row["satisfied"] for row in rows)
+def test_t1_lb_local_path(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "lb-path", "sizes": [64, 256, 1024], "seeds": [0, 1, 2]},
+    ])["lb-path"]
+    # At or above (1/5) log2 n on every seed (lb_ok is a conjunction).
+    assert all(p.extras["lb_ok"] == 1.0 for p in points)
     # Upper sandwich: stays within a generous O(log^2 n) of the bound.
-    for row in rows:
-        assert row["measured_median"] <= 10 * math.log2(row["n"]) ** 1.5
+    for p in points:
+        assert p.extras["worst_pre_reception"] <= 10 * math.log2(p.n) ** 1.5

@@ -2,18 +2,13 @@
 Omega(log Delta log n) energy; we execute the reduction and check its
 accounting on the decay baseline."""
 
-from conftest import run_once
-
-from repro.experiments import t1_lb_reduction
-from repro.sim import NO_CD
+from conftest import run_rows
 
 
-def test_t1_lb_reduction_nocd(benchmark):
-    rows, table = run_once(
-        benchmark, t1_lb_reduction, ks=(2, 4, 8, 16), seeds=(0, 1, 2),
-        model=NO_CD,
-    )
-    print("\n" + table)
-    assert all(row["inequality_holds"] for row in rows)
+def test_t1_lb_reduction_nocd(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "lb-reduction", "sizes": [2, 4, 8, 16], "seeds": [0, 1, 2]},
+    ])["lb-reduction"]
+    assert all(p.extras["bound_holds"] == 1.0 for p in points)
     # Contention raises the derived LE's time (the engine of the bound).
-    assert rows[-1]["le_time_median"] >= rows[0]["le_time_median"]
+    assert points[-1].extras["le_time"] >= points[0].extras["le_time"]

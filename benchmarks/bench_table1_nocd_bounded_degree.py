@@ -1,16 +1,13 @@
 """T1.noCD.3 — Corollary 13: Delta = O(1) graphs, O(n log n) time and
 O(log n) energy in No-CD via the Theorem 3 LOCAL simulation."""
 
-from conftest import run_once
-
-from repro.experiments import t1_nocd_bounded_degree
+from conftest import run_once, run_rows
 
 
-def test_t1_nocd_bounded_degree(benchmark):
-    points, table = run_once(
-        benchmark, t1_nocd_bounded_degree, sizes=(8, 12, 16), seeds=(0, 1)
-    )
-    print("\n" + table)
+def test_t1_nocd_bounded_degree(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "bounded", "sizes": [8, 12, 16], "seeds": [0, 1]},
+    ])["bounded"]
     assert all(p.delivered == p.seeds for p in points)
 
 

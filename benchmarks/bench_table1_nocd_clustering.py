@@ -3,16 +3,13 @@ O(logD log^2 n) energy (logD = log Delta)."""
 
 import math
 
-from conftest import run_once
-
-from repro.experiments import t1_nocd_clustering
+from conftest import run_rows
 
 
-def test_t1_nocd_clustering(benchmark):
-    points, table = run_once(
-        benchmark, t1_nocd_clustering, sizes=(8, 12, 16), seeds=(0, 1)
-    )
-    print("\n" + table)
+def test_t1_nocd_clustering(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "nocd", "sizes": [8, 12, 16], "seeds": [0, 1]},
+    ])["nocd"]
     assert all(p.delivered == p.seeds for p in points)
     # Energy must track logD * log^2 n: ratio roughly flat.
     def bound(p):

@@ -5,14 +5,11 @@ simulation; here we verify correctness, polylog-scale energy, and the
 time/energy ordering versus the flat clustering algorithm.
 """
 
-from conftest import run_once
-
-from repro.experiments import t1_nocd_dtime
+from conftest import run_rows
 
 
-def test_t1_nocd_dtime(benchmark):
-    points, table = run_once(
-        benchmark, t1_nocd_dtime, sizes=(8, 12, 16), seeds=(0, 1)
-    )
-    print("\n" + table)
+def test_t1_nocd_dtime(benchmark, tmp_path):
+    points = run_rows(benchmark, tmp_path, [
+        {"row": "dtime", "sizes": [8, 12, 16], "seeds": [0, 1]},
+    ])["dtime"]
     assert all(p.delivered >= p.seeds - 1 for p in points)

@@ -5,8 +5,10 @@ JSON config, runs it as seed blocks (in-process, or across the worker
 fabric's processes with ``--workers``), and persists every raw
 measurement in an append-only JSONL store keyed by a
 content hash of the job.  Re-running a campaign computes only the delta;
-aggregation reconstructs the serial harness's ``SweepPoint`` tables
-(plus spread statistics and bootstrap confidence intervals) on demand.
+aggregation rebuilds each row's ``SweepPoint`` table (plus spread
+statistics and bootstrap confidence intervals) on demand.  ``repro
+table1`` and ``repro ablations`` run their rows as an in-memory
+campaign and print the same report.
 
 CLI::
 

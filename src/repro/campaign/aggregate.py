@@ -1,14 +1,22 @@
-"""Rebuild sweep aggregates from a campaign's result store.
+"""Rebuild sweep aggregates from a campaign's result store and render
+them as tables.
 
 The store holds raw per-seed cells; this module groups them back into
-:class:`~repro.campaign.cells.SweepPoint` rows — the same aggregation
-the serial harness performs, via the same :func:`aggregate_cells` —
-and adds min/max/stdev plus bootstrap confidence intervals on top.
+:class:`~repro.campaign.cells.SweepPoint` rows via
+:func:`aggregate_cells`, adds min/max/stdev plus bootstrap confidence
+intervals on top, and renders each row as a ratio-to-bound table
+(:func:`format_table`).
+
+The paper's Table 1 is a matrix of asymptotic bounds.  The
+reproduction sweeps each row's workload size, measures time (slots)
+and worst-vertex energy, divides by the claimed bound, and checks the
+ratio stays roughly flat: that is what "the shape holds" means at
+finite sizes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cells import CellResult, SweepPoint, aggregate_cells
 from repro.campaign.registry import get_row, resolve_bounds
@@ -17,6 +25,7 @@ from repro.campaign.store import STATUS_OK, CampaignStore
 
 __all__ = [
     "FAULT_OPTION_KEYS",
+    "format_table",
     "variant_label",
     "cells_for_campaign",
     "aggregate_campaign",
@@ -32,6 +41,83 @@ Options = Tuple[Tuple[str, object], ...]
 #: carrying any of these is "faulted"; stripping them names its clean
 #: twin for the ``campaign report --degradation`` pairing.
 FAULT_OPTION_KEYS = ("churn", "jam", "burst_loss")
+
+# A bound column is either a plain callable (worst-vertex energy over
+# the bound, the historical form) or a ("energy" | "time", callable)
+# pair selecting which measured median goes in the numerator.
+BoundSpec = Union[
+    Callable[[SweepPoint], float],
+    Tuple[str, Callable[[SweepPoint], float]],
+]
+
+_RATIO_METRICS: Dict[str, Callable[[SweepPoint, float], float]] = {
+    "energy": SweepPoint.ratio,
+    "time": SweepPoint.time_ratio,
+}
+
+
+def _ratio(point: SweepPoint, spec: BoundSpec) -> float:
+    if callable(spec):
+        metric, bound_fn = "energy", spec
+    else:
+        metric, bound_fn = spec
+        if metric not in _RATIO_METRICS:
+            raise ValueError(
+                f"unknown bound metric {metric!r}; "
+                f"expected one of {sorted(_RATIO_METRICS)}"
+            )
+    return _RATIO_METRICS[metric](point, bound_fn(point))
+
+
+def _format_float(value: float) -> str:
+    """Up to three decimals, trailing zeros trimmed down to one:
+    ``235521.0``, ``1.2``, ``0.075``, ``10.023``."""
+    text = f"{value:.3f}".rstrip("0")
+    return text + "0" if text.endswith(".") else text
+
+
+def format_table(
+    title: str,
+    points: Sequence[SweepPoint],
+    columns: Sequence[str] = (
+        "n", "max_degree", "diameter", "delivered",
+        "time_median", "max_energy_median",
+    ),
+    bounds: Optional[Dict[str, BoundSpec]] = None,
+) -> str:
+    """Render points as a fixed-width text table with optional
+    measured/bound ratio columns (the flat-ratio check).
+
+    ``bounds`` values may be plain callables (energy ratio) or
+    ``("time", fn)`` / ``("energy", fn)`` pairs to select the measured
+    median used in the numerator.  A column that is not a
+    :class:`SweepPoint` field is read from each point's extras.
+    """
+    bounds = bounds or {}
+    headers = list(columns) + [f"{name} ratio" for name in bounds]
+    rows = []
+    for point in points:
+        row = []
+        for column in columns:
+            value = getattr(point, column, None)
+            if value is None:
+                value = point.extras.get(column, "")
+            if isinstance(value, float):
+                value = _format_float(value)
+            row.append(str(value))
+        for spec in bounds.values():
+            row.append(f"{_ratio(point, spec):.2f}")
+        rows.append(row)
+    widths = [
+        max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
+        for i in range(len(headers))
+    ]
+    lines = [title]
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
+    return "\n".join(lines)
 
 
 def variant_label(row: str, options: Options) -> str:
@@ -131,10 +217,10 @@ def render_status(spec: CampaignSpec, store: CampaignStore) -> str:
 
 
 def render_report(spec: CampaignSpec, store: CampaignStore) -> str:
-    """Render every row's table — identical format (and, for matching
-    seeds, identical medians) to the serial Table 1 runners."""
-    from repro.experiments.harness import format_table
-
+    """Render every row entry's table, in config order: the row's
+    title, its columns (plus the ``ch_*`` columns when the entry sets
+    ``contention_hist``) and its measured/bound ratios.  ``campaign
+    report``, ``repro table1`` and ``repro ablations`` all print this."""
     points = aggregate_campaign(spec, store, extended=True)
     sections = []
     for plan in spec.rows:
@@ -151,7 +237,7 @@ def render_report(spec: CampaignSpec, store: CampaignStore) -> str:
             continue
         columns = definition.columns
         if plan.options.get("contention_hist"):
-            # Mirror the serial runner: show the analytics ride-along.
+            # Show the analytics ride-along next to the row's columns.
             columns = tuple(columns) + ("ch_mean_load", "ch_collision_rate")
         sections.append(format_table(
             title,

@@ -1,15 +1,13 @@
 """The shared measurement core: one cell = one (row, size, seed) run.
 
-Both execution paths funnel through this module:
+Every table the repo prints funnels through this module: the serial
+:mod:`repro.campaign.runner` (which ``repro table1`` and ``repro
+ablations`` drive) and the fabric's workers both execute blocks through
+:func:`run_fused_cells`, so their aggregates are the *same computation*
+— persistence and parallelism are layered on top.
 
-* the serial :func:`repro.experiments.harness.sweep` driver, and
-* the sharded :mod:`repro.campaign.runner` executor,
-
-so a campaign's aggregates are the *same computation* as a serial
-sweep's — just with persistence and parallelism layered on top.
-
-:class:`SweepPoint` lives here (re-exported from the harness for
-backwards compatibility) because it is the aggregate both paths emit.
+:class:`SweepPoint` is the aggregate of one (row, size) group of cells
+(:func:`aggregate_cells`).
 """
 
 from __future__ import annotations
@@ -91,8 +89,7 @@ class SweepPoint:
 class CellResult:
     """Raw measurements from one (row, size, seed) cell.
 
-    This is the unit of work a campaign shards, stores, and resumes;
-    the serial sweep produces the identical object in-process.
+    This is the unit of work a campaign shards, stores, and resumes.
     """
 
     label: str
@@ -375,14 +372,13 @@ def bootstrap_median_ci(
 def aggregate_cells(cells: Sequence[CellResult], extended: bool = False) -> SweepPoint:
     """Reduce the cells of one (row, size) group to a :class:`SweepPoint`.
 
-    With ``extended=False`` this computes exactly what the original
-    serial sweep computed (medians over seeds); ``extended=True`` adds
-    min/max/stdev and bootstrap confidence intervals to ``extras``.
+    With ``extended=False`` this computes medians over seeds;
+    ``extended=True`` adds min/max/stdev and bootstrap confidence
+    intervals to ``extras``.
 
     Extras are aggregated by median, except pass/fail flags — keys
     ending in ``_holds`` or ``_ok`` — which aggregate conjunctively
-    (min over 0/1 values): one failing seed must surface as failure,
-    the way the serial lower-bound runners AND their verdicts.
+    (min over 0/1 values): one failing seed must surface as failure.
     """
     if not cells:
         raise ValueError("cannot aggregate an empty cell group")

@@ -12,8 +12,8 @@ runs each seed of its members' union once.  Fused blocks keep plan
 order: manifest order, then config order.  The run has a repair loop:
 
 * **work queue** — fused blocks are dispatched to persistent workers
-  (spawned once, fed via queues); a finished worker immediately
-  receives the next ready block;
+  (spawned once, fed via queues, each reporting on its own result
+  pipe); a finished worker immediately receives the next ready block;
 * **liveness** — a worker is declared dead when its process is gone,
   its heartbeat goes stale, or its block blows a generous wall-clock
   budget; the parent SIGKILLs it, spawns a replacement, and requeues
@@ -47,7 +47,6 @@ the fault-injection suite).
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -573,8 +572,11 @@ def _run_pool(
     heartbeat: float,
 ) -> int:
     """The worker-pool path; returns how many workers died."""
+    # Imported here: processes that never start a pool (reports, the
+    # inline path) skip the module.
+    from multiprocessing.connection import wait
+
     context = fabric_context()
-    result_queue = context.Queue()
     handles: Dict[int, WorkerHandle] = {}
     next_wid = 0
     workers_died = 0
@@ -585,7 +587,7 @@ def _run_pool(
 
     def spawn() -> WorkerHandle:
         nonlocal next_wid
-        handle = WorkerHandle(next_wid, context, result_queue, heartbeat)
+        handle = WorkerHandle(next_wid, context, heartbeat)
         handles[handle.id] = handle
         books.emit_all(
             "worker_born", worker=handle.id, pid=handle.process.pid
@@ -639,21 +641,16 @@ def _run_pool(
                     ],
                 )
                 books.dispatched(assignment, worker=handle.id)
-            # Drain worker messages (briefly block on the first).
-            first = True
-            while True:
-                try:
-                    message = result_queue.get(timeout=0.05 if first else 0.0)
-                except queue_mod.Empty:
-                    break
-                first = False
-                tag, wid = message[0], message[1]
-                handle = handles.get(wid)
-                if handle is None:
-                    continue  # stale message from a replaced worker
-                handle.last_seen = time.monotonic()
-                if tag == "done":
-                    _, _, block_id, statuses = message
+            # Drain worker messages (briefly block until one arrives).
+            # A pipe at end-of-file leaves the wait set; the liveness
+            # check below then finds its worker gone.
+            pipes = {h.conn: h for h in handles.values() if not h.eof}
+            for conn in wait(list(pipes), timeout=0.05):
+                handle = pipes[conn]
+                for message in handle.receive():
+                    if message[0] != "done":
+                        continue
+                    _, wid, block_id, statuses = message
                     assignment = handle.assignment
                     if assignment is None or assignment.block_id != block_id:
                         continue
@@ -694,5 +691,5 @@ def _run_pool(
             handle.join(max(0.1, deadline - time.monotonic()))
             if handle.alive():
                 handle.kill()
-        result_queue.cancel_join_thread()
+            handle.conn.close()
     return workers_died

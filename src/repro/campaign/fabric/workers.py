@@ -7,16 +7,21 @@ serial runner uses (per-cell SIGALRM budgets work because the block
 runs on the worker's main thread), appends each member's records to its
 own shard in that member campaign's shard directory (the task names
 one directory per member, so one pool serves several campaigns), and
-reports compact status tuples — never result payloads — on the shared
-result queue.  A daemon heartbeat thread posts liveness while a block
+reports compact status tuples — never result payloads — on its own
+result pipe.  A daemon heartbeat thread posts liveness while a block
 is running, so the parent can tell "slow" from "wedged".
 
-The parent-side :class:`WorkerHandle` owns the process and its task
-queue.  Handles are disposable: when the parent declares a worker dead
-(process gone, heartbeat stale, or budget blown) it SIGKILLs the
-process and spawns a fresh handle — worker ids only ever move forward,
-so stale queue messages from a killed worker can never be confused
-with its replacement's.
+Every worker has a pipe of its own, not a share of one queue: a worker
+killed part-way through a message tears only its own pipe, which the
+parent then reads as end-of-file, while every other worker's messages
+still arrive whole.
+
+The parent-side :class:`WorkerHandle` owns the process, its task queue
+and the read end of its result pipe.  Handles are disposable: when the
+parent declares a worker dead (process gone, heartbeat stale, or budget
+blown) it SIGKILLs the process and spawns a fresh handle — worker ids
+only ever move forward, and a killed worker's pipe dies with its
+handle.
 
 Crash injection (used by the fault-injection tests and the CI smoke
 job): when ``REPRO_FABRIC_INJECT_CRASH`` names a marker path, the first
@@ -78,15 +83,15 @@ def _maybe_inject_crash() -> None:
 def fabric_worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    result_conn,
     heartbeat: float,
 ) -> None:
     """Worker loop: block in, records to shards, status tuples out.
 
     A task is ``{"block_id", "payload", "shards"}``: the
     :func:`~repro.campaign.runner.execute_block` payload and one shard
-    directory per member.  Messages on ``result_queue`` (all lead with
-    a tag and worker id):
+    directory per member.  Messages on ``result_conn``, the write end
+    of this worker's result pipe (all lead with a tag and worker id):
 
     * ``("hello", wid, pid)`` — alive, ready for work;
     * ``("hb", wid, block_id)`` — still executing ``block_id``;
@@ -95,7 +100,14 @@ def fabric_worker_main(
       per member of :func:`status_row` tuples;
     * ``("exit", wid)`` — clean shutdown after the ``None`` sentinel.
     """
-    result_queue.put(("hello", worker_id, os.getpid()))
+    # The main and heartbeat threads both send; one frame at a time.
+    lock = threading.Lock()
+
+    def send(message: Tuple) -> None:
+        with lock:
+            result_conn.send(message)
+
+    send(("hello", worker_id, os.getpid()))
     current: Dict[str, Optional[int]] = {"block": None}
     stop = threading.Event()
     if heartbeat:
@@ -103,7 +115,7 @@ def fabric_worker_main(
             while not stop.wait(heartbeat):
                 block_id = current["block"]
                 if block_id is not None:
-                    result_queue.put(("hb", worker_id, block_id))
+                    send(("hb", worker_id, block_id))
 
         threading.Thread(target=beat, daemon=True).start()
     while True:
@@ -123,9 +135,9 @@ def fabric_worker_main(
             [status_row(record) for record in member_records]
             for member_records in records
         ]
-        result_queue.put(("done", worker_id, block_id, statuses))
+        send(("done", worker_id, block_id, statuses))
     stop.set()
-    result_queue.put(("exit", worker_id))
+    send(("exit", worker_id))
 
 
 def status_row(record: Dict) -> Tuple:
@@ -160,23 +172,28 @@ def execute_block_payload(payload: Dict):
 
 
 class WorkerHandle:
-    """Parent-side view of one worker: process + task queue."""
+    """Parent-side view of one worker: process, task queue and the read
+    end of its result pipe (``conn``)."""
 
     def __init__(
         self,
         worker_id: int,
         context,
-        result_queue,
         heartbeat: float,
     ) -> None:
         self.id = worker_id
         self.task_queue = context.Queue()
+        self.conn, writer = context.Pipe(duplex=False)
         self.process = context.Process(
             target=fabric_worker_main,
-            args=(worker_id, self.task_queue, result_queue, heartbeat),
+            args=(worker_id, self.task_queue, writer, heartbeat),
             daemon=True,
         )
         self.process.start()
+        # Only the worker holds the write end now, so its death reads
+        # as end-of-file here.
+        writer.close()
+        self.eof = False
         # In-flight assignment bookkeeping (set by the fabric runner).
         self.assignment = None
         self.dispatched_at: Optional[float] = None
@@ -200,6 +217,21 @@ class WorkerHandle:
         self.assignment = None
         self.dispatched_at = None
 
+    def receive(self) -> List[Tuple]:
+        """Every whole message waiting on the result pipe.  At
+        end-of-file (the worker is gone, perhaps part-way through a
+        message) the pipe is marked ``eof`` and the verdict is left to
+        the parent's liveness check."""
+        messages = []
+        try:
+            while self.conn.poll():
+                messages.append(self.conn.recv())
+        except (EOFError, OSError):
+            self.eof = True
+        if messages:
+            self.last_seen = time.monotonic()
+        return messages
+
     def alive(self) -> bool:
         return self.process.is_alive()
 
@@ -215,6 +247,7 @@ class WorkerHandle:
             self.process.kill()
         self.process.join(timeout=5)
         self.task_queue.cancel_join_thread()
+        self.conn.close()
 
     def join(self, timeout: float) -> None:
         self.process.join(timeout=timeout)

@@ -8,10 +8,10 @@ name only, so :class:`~repro.campaign.spec.JobSpec` stays a plain
 picklable/JSON-able record and multiprocessing workers re-resolve the
 definition by importing this module.
 
-The row names are the CLI's ``_TABLE1_ROWS`` keys plus the ablations;
-every definition mirrors the corresponding serial runner in
-``repro.experiments.table1`` / ``repro.experiments.ablations`` so a
-campaign reproduces the exact same measurements.
+The rows are the one definition of every table the repo prints:
+``configs/table1.json``, ``configs/ablations.json`` and
+``configs/figure1.json`` list them, and ``repro table1`` and ``repro
+ablations`` run the same rows through the campaign runner.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "register_row",
     "resolve_bounds",
     "row_min_size",
+    "scaled_sizes",
     "check_row_supports_options",
     "simulation_key",
     "execute_cell",
@@ -115,6 +116,17 @@ def row_min_size(name: str) -> int:
     return GRAPH_FAMILY_MIN_SIZES.get(get_row(name).graph_family, 2)
 
 
+def scaled_sizes(name: str, factor: float) -> Tuple[int, ...]:
+    """A row's default sizes times ``factor``: rounded, clamped to
+    :func:`row_min_size`, and deduplicated in order (the clamp can
+    collapse small sizes onto each other)."""
+    low = row_min_size(name)
+    return tuple(dict.fromkeys(
+        max(low, int(round(size * factor)))
+        for size in get_row(name).default_sizes
+    ))
+
+
 def _log2(x: float) -> float:
     return math.log2(max(2.0, x))
 
@@ -124,7 +136,7 @@ class RowDefinition:
     """Everything needed to run and report one campaign row.
 
     ``bounds`` maps column names to bound specs in the format
-    :func:`repro.experiments.harness.format_table` accepts (a plain
+    :func:`repro.campaign.aggregate.format_table` accepts (a plain
     energy callable or a ``(metric, fn)`` pair); rows whose bound
     depends on an option (e.g. the CD row's epsilon) use a callable
     ``options -> bounds dict`` instead — resolve via
@@ -221,7 +233,8 @@ def simulation_key(row: str, size: int, options: Dict) -> Optional[Tuple]:
     row observers measure, so :func:`execute_fused_block` runs each
     seed once for both.  Rows share a builder object only where their
     protocols are the same (``path``, ``lb-path`` and ``figure1``;
-    ``cd`` and ``abl-ps-thm12``; ``abl-probe`` and ``abl-ps-thm11``).
+    ``cd`` and ``abl-ps-thm12``; ``abl-probe``, ``abl-ps-thm11`` and,
+    on the K_{2,k} family, ``lb-reduction-cd``).
     A ``custom_cell`` row has no key and never fuses.
     """
     definition = get_row(row)
@@ -259,8 +272,8 @@ def execute_fused_block(
 
     The whole block shares one prepared engine via
     :func:`repro.campaign.cells.run_fused_cells`, so a sharded campaign
-    worker amortizes graph construction and engine setup exactly like
-    the serial sweep, and a seed two members ask for runs once; each
+    worker amortizes graph construction and engine setup, and a seed
+    two members ask for runs once; each
     member's cells carry its own row's label and observer extras.
     Execution-steering options (the
     :meth:`~repro.sim.config.ExecutionConfig.option_keys` subset of the
@@ -345,7 +358,28 @@ def _theorem12_builder(g: Graph, o: Dict):
     ))
 
 
-# --- upper-bound rows (mirror repro.experiments.table1) --------------------
+def _probe_params(n: int, o: Dict, probe: bool) -> ClusterBroadcastParams:
+    base = theorem11_params(n, "CD", failure=o.get("failure", 0.02))
+    return ClusterBroadcastParams(
+        model_name="CD", survive_p=base.survive_p, spread_s=base.spread_s,
+        iterations=base.iterations,
+        gl_diameter_bound=base.gl_diameter_bound,
+        failure=base.failure, probe=probe,
+    )
+
+
+def _probe_builder(probe: bool):
+    def build(g: Graph, o: Dict):
+        return cluster_broadcast_protocol(_probe_params(g.n, o, probe))
+    return build
+
+
+# Theorem 11's CD parameters already turn probes on, so this is also
+# the abl-ps-thm11 and lb-reduction-cd builder.
+_probes_on_builder = _probe_builder(True)
+
+
+# --- upper-bound rows ------------------------------------------------------
 
 
 register_row(RowDefinition(
@@ -538,28 +572,22 @@ register_row(RowDefinition(
 ))
 
 
-# --- ablations (mirror repro.experiments.ablations) ------------------------
+register_row(RowDefinition(
+    name="lb-reduction-cd",
+    title="T1.CD.LB  Theorem 2 reduction on K_{2,k} in CD (Theorem 11): "
+          "T_LE <= 2E",
+    model="CD",
+    graph_family="k2k",
+    builder=_probes_on_builder,
+    default_sizes=(2, 4, 8),
+    default_seeds=(0, 1),
+    observer=lambda g: LeaderElectionObserver(0, 1),
+    columns=("n", "le_time", "broadcast_energy", "bound_holds"),
+    bounds={},
+))
 
 
-def _probe_params(n: int, o: Dict, probe: bool) -> ClusterBroadcastParams:
-    base = theorem11_params(n, "CD", failure=o.get("failure", 0.02))
-    return ClusterBroadcastParams(
-        model_name="CD", survive_p=base.survive_p, spread_s=base.spread_s,
-        iterations=base.iterations,
-        gl_diameter_bound=base.gl_diameter_bound,
-        failure=base.failure, probe=probe,
-    )
-
-
-def _probe_builder(probe: bool):
-    def build(g: Graph, o: Dict):
-        return cluster_broadcast_protocol(_probe_params(g.n, o, probe))
-    return build
-
-
-# Theorem 11's CD parameters already turn probes on, so this is also
-# the abl-ps-thm11 builder.
-_probes_on_builder = _probe_builder(True)
+# --- ablations -------------------------------------------------------------
 
 
 register_row(RowDefinition(
@@ -664,7 +692,8 @@ def _beta_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
 
 def _figure1_observer(graph: Graph) -> SlotObserver:
     """Figure 1's traffic split and 2n slot bound, counted during the run."""
-    # Imported here: repro.experiments imports this module.
+    # Imported here, so processes that never run this row (a report,
+    # say) never load repro.experiments, which imports this package.
     from repro.experiments.figure1 import TrafficObserver
 
     return TrafficObserver()

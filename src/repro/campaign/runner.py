@@ -8,7 +8,7 @@ one (row, size, seed) cell.  The runner
   (resumability / caching — re-runs compute only the delta),
 * batches: a block's seeds share one prepared engine
   (:func:`repro.campaign.registry.execute_cell_block`), amortizing
-  graph and setup cost exactly like the serial sweep's ``run_cells``,
+  graph and setup cost through one ``run_cells`` batch,
 * isolates failures: a multi-seed block that raises or times out is
   re-executed seed by seed so one bad cell cannot poison its
   blockmates; a failing cell is recorded as ``status=error`` /

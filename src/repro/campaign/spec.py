@@ -26,7 +26,7 @@ Example config (``configs/table1.json``)::
 
 Sizes and seeds omitted from a row entry fall back first to the
 campaign-level ``defaults`` block, then to the registry's per-row
-defaults (which match the serial Table 1 runners).
+defaults.
 """
 
 from __future__ import annotations

@@ -3,9 +3,13 @@
 Commands:
 
 * ``figure1 [--n N] [--seed S]`` — render the Figure 1 timeline.
-* ``table1 [ROW ...] [--seeds N] [--sizes-scale F]`` — run Table 1 row
-  experiments serially (default: all rows).
-* ``ablations`` — run the three ablations.
+* ``table1 [ROW ...] [--seeds N] [--sizes-scale F]`` — print Table 1:
+  the rows of ``configs/table1.json`` (or the named registry rows) run
+  as an in-memory campaign and rendered as ``campaign report`` renders
+  them.  ``--seeds N`` runs seeds ``0..N-1``; ``--sizes-scale F``
+  multiplies each row's default sizes by F.
+* ``ablations`` — print the DESIGN ablations: the rows of
+  ``configs/ablations.json``, run the same way.
 * ``demo`` — the quickstart comparison on a 128-hop chain.
 * ``campaign run CONFIG [--workers N] [--retries K] [--heartbeat S]
   [--out DIR] [--timeout S]`` — execute a declarative sweep campaign
@@ -49,13 +53,11 @@ away and alias the flag-free cells.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from typing import List, Optional
 
 from repro.sim.config import (
-    ExecutionConfigError,
     add_execution_args,
     add_runner_args,
     config_from_args,
@@ -66,20 +68,23 @@ from repro.sim.config import (
 
 __all__ = ["main"]
 
-_TABLE1_ROWS = {
-    "local": "t1_local_clustering",
-    "nocd": "t1_nocd_clustering",
-    "dtime": "t1_nocd_dtime",
-    "bounded": "t1_nocd_bounded_degree",
-    "cd": "t1_cd_clustering",
-    "cd-optimal": "t1_cd_optimal",
-    "det-local": "t1_det_local",
-    "det-cd": "t1_det_cd",
-    "path": "t8_path_algorithm",
-    "decay": "baseline_decay",
-    "lb-path": "t1_lb_local_path",
-    "lb-reduction": "t1_lb_reduction",
-}
+#: ``repro table1``'s default rows: the rows of ``configs/table1.json``,
+#: in its order.
+TABLE1_ROWS = (
+    "local", "nocd", "dtime", "bounded", "cd", "cd-optimal",
+    "det-local", "det-cd", "path", "decay", "lb-path", "lb-reduction",
+)
+
+#: ``repro ablations``' row entries: those of ``configs/ablations.json``.
+ABLATION_ROWS = (
+    {"row": "abl-probe"},
+    {"row": "abl-noprobe"},
+    {"row": "abl-ps-thm11"},
+    {"row": "abl-ps-thm12"},
+    {"row": "abl-beta", "options": {"beta": 0.15}},
+    {"row": "abl-beta", "options": {"beta": 0.3}},
+    {"row": "abl-beta", "options": {"beta": 0.6}},
+)
 
 
 def _cmd_figure1(args) -> int:
@@ -93,53 +98,13 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
-def _row_overrides(
-    fn,
-    seeds: Optional[int],
-    sizes_scale: Optional[float],
-    exec_options: Optional[dict] = None,
-    min_size: int = 2,
-):
-    """kwargs rescaling a Table 1 runner's default workload.
-
-    ``--seeds N`` replaces the seed tuple with ``range(N)``;
-    ``--sizes-scale F`` multiplies the row's default sizes (the lower
-    bound rows call them ``ks``) by F, clamped to >= ``min_size`` — the
-    row's graph family's real minimum (a cycle needs n >= 3, so a blind
-    min-2 clamp would crash cycle rows at small scales);
-    ``exec_options`` (the shared execution flags — ``--resolution``,
-    ``--lockstep``, ``--contention-hist``, the fault specs) ride into
-    the row's ``options`` dict for rows that accept options (the
-    registry-backed sweeps).
-    """
-    parameters = inspect.signature(fn).parameters
-    kwargs = {}
-    if seeds is not None and "seeds" in parameters:
-        kwargs["seeds"] = tuple(range(seeds))
-    if exec_options and "options" in parameters:
-        kwargs["options"] = dict(exec_options)
-    if sizes_scale is not None:
-        for name in ("sizes", "ks"):
-            default = getattr(parameters.get(name), "default", None)
-            if default is not None:
-                scaled = [
-                    max(min_size, int(round(size * sizes_scale)))
-                    for size in default
-                ]
-                # The min-clamp can collapse small sizes onto each other;
-                # drop duplicates but keep the sweep order.
-                kwargs[name] = tuple(dict.fromkeys(scaled))
-                break
-    return kwargs
-
-
 def _cmd_table1(args) -> int:
-    import repro.experiments as experiments
+    from repro.campaign.registry import ROW_REGISTRY, scaled_sizes
 
-    rows = args.rows or list(_TABLE1_ROWS)
-    unknown = [row for row in rows if row not in _TABLE1_ROWS]
+    rows = args.rows or list(TABLE1_ROWS)
+    unknown = [row for row in rows if row not in ROW_REGISTRY]
     if unknown:
-        print(f"unknown rows: {unknown}; available: {sorted(_TABLE1_ROWS)}")
+        print(f"unknown rows: {unknown}; available: {sorted(ROW_REGISTRY)}")
         return 2
     if args.seeds is not None and args.seeds < 1:
         print("--seeds must be >= 1")
@@ -147,40 +112,75 @@ def _cmd_table1(args) -> int:
     if args.sizes_scale is not None and args.sizes_scale <= 0:
         print("--sizes-scale must be > 0")
         return 2
-    exec_options = execution_overrides(args)
-    if exec_options:
-        # Pre-flight: reject a flag some selected row cannot honor
-        # before ANY row runs (the bespoke lower-bound runners publish
-        # a cheap validator; registry rows honor the full option set).
-        for row in rows:
-            fn = getattr(experiments, _TABLE1_ROWS[row])
-            validator = getattr(fn, "validate_exec_options", None)
-            if validator is None:
-                continue
-            try:
-                validator(exec_options)
-            except ExecutionConfigError as exc:
-                print(f"row {row!r}: {exc}")
-                return 2
-    from repro.campaign.registry import ROW_REGISTRY, row_min_size
-
+    entries = []
     for row in rows:
-        fn = getattr(experiments, _TABLE1_ROWS[row])
-        min_size = row_min_size(row) if row in ROW_REGISTRY else 2
-        try:
-            _, table = fn(**_row_overrides(
-                fn, args.seeds, args.sizes_scale, exec_options, min_size
-            ))
-        except ExecutionConfigError as exc:
-            # e.g. --contention-hist on a bespoke lower-bound row: the
-            # layer that cannot honor the option refuses loudly.  Only
-            # *configuration* errors get the one-line treatment; genuine
-            # runtime ValueErrors keep their tracebacks.
-            print(f"row {row!r}: {exc}")
-            return 2
-        print(table)
-        print()
-    return 0
+        entry = {"row": row}
+        if args.seeds is not None:
+            entry["seeds"] = list(range(args.seeds))
+        if args.sizes_scale is not None:
+            entry["sizes"] = list(scaled_sizes(row, args.sizes_scale))
+        entries.append(entry)
+    return _run_rows("table1", entries, args)
+
+
+def _cmd_ablations(args) -> int:
+    return _run_rows("ablations", ABLATION_ROWS, args)
+
+
+def _run_rows(name: str, entries, args) -> int:
+    """Run row entries as an in-memory campaign and print its report.
+
+    The campaign runs serially into a store in a temporary directory,
+    so the printed tables are exactly what ``campaign report`` prints
+    for a config listing the same entries.  Exits 2 on a bad row or
+    option, and 1 (with the run summary) if any cell failed.
+    """
+    import tempfile
+
+    from repro.campaign import (
+        CampaignSpec,
+        CampaignStore,
+        render_report,
+        run_campaign,
+    )
+
+    try:
+        spec = CampaignSpec.from_dict({"name": name, "rows": entries})
+        _apply_execution_flags(spec, args)
+    except ValueError as exc:
+        print(exc)
+        return 2
+    with tempfile.TemporaryDirectory() as out:
+        store = CampaignStore(os.path.join(out, "results.jsonl"))
+        report = run_campaign(spec, store)
+        if not report.all_ok:
+            print(report.summary())
+            print()
+        print(render_report(spec, store))
+    return 0 if report.all_ok else 1
+
+
+def _apply_execution_flags(spec, args) -> None:
+    """Inject the CLI's execution flags into every row, then validate.
+
+    CLI beats cell options beats defaults.  Execution options are part
+    of a cell's content-hash identity, so pass the same flags to
+    status/report when inspecting a campaign that ran with them;
+    normalization keeps explicit defaults aliased to the flag-free
+    identity.  Raises ``ValueError`` naming the row on a bad option.
+    """
+    overrides = execution_overrides(args)
+    if overrides:
+        for plan in spec.rows:
+            try:
+                plan.options = normalize_execution_options(
+                    {**plan.options, **overrides}
+                )
+            except ValueError as exc:
+                raise ValueError(
+                    f"row {plan.row!r} has a bad execution option: {exc}"
+                ) from None
+    spec.validate()
 
 
 class _ConfigError(Exception):
@@ -194,18 +194,7 @@ def _campaign_store(args):
 
     try:
         spec = CampaignSpec.from_json_file(args.config)
-        overrides = execution_overrides(args)
-        if overrides:
-            # CLI beats cell options beats defaults.  Execution options
-            # are part of a cell's content-hash identity, so pass the
-            # same flags to status/report when inspecting a campaign
-            # that ran with them; normalization keeps explicit defaults
-            # aliased to the flag-free identity.
-            for plan in spec.rows:
-                plan.options = normalize_execution_options(
-                    {**plan.options, **overrides}
-                )
-        spec.validate()
+        _apply_execution_flags(spec, args)
     except FileNotFoundError:
         raise _ConfigError(f"config not found: {args.config}")
     except json.JSONDecodeError as exc:
@@ -410,19 +399,6 @@ def _cmd_bench(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_ablations(args) -> int:
-    from repro.experiments import ablate_beta, ablate_probe, ablate_ps
-
-    # Unusable flags are excluded from this subcommand's parser, so
-    # whatever arrives here is honorable by every ablation.
-    exec_config = config_from_args(args)
-    for fn in (ablate_probe, ablate_ps, ablate_beta):
-        _, table = fn(exec_config=exec_config)
-        print(table)
-        print()
-    return 0
-
-
 def _cmd_demo(args) -> int:
     del args
     from repro.broadcast import decay_broadcast_protocol, run_broadcast
@@ -460,18 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Single-run subcommands get only the flags they can honor:
-    # contention_hist needs the cells layer's extras channel, and the
-    # beta ablation runs on a bare (serial) Simulator.
+    # Subcommands get only the flags they can honor: figure1's single
+    # run has no extras channel for contention_hist, and the beta
+    # ablation runs on a bare Simulator (no lockstep, no histogram).
     p_fig = sub.add_parser("figure1", help="render the Figure 1 timeline")
     p_fig.add_argument("--n", type=int, default=32)
     p_fig.add_argument("--seed", type=int, default=0)
     add_execution_args(p_fig, exclude=("contention_hist",))
     p_fig.set_defaults(func=_cmd_figure1)
 
-    p_tab = sub.add_parser("table1", help="run Table 1 row experiments")
+    p_tab = sub.add_parser("table1", help="run and print Table 1")
     p_tab.add_argument(
-        "rows", nargs="*", help=f"rows to run ({', '.join(sorted(_TABLE1_ROWS))})"
+        "rows", nargs="*",
+        help=f"registry rows to run (default: {', '.join(TABLE1_ROWS)})",
     )
     p_tab.add_argument(
         "--seeds", type=int, default=None,
@@ -479,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tab.add_argument(
         "--sizes-scale", type=float, default=None,
-        help="multiply each row's default sizes by this factor (min 2)",
+        help="multiply each row's default sizes by this factor (clamped "
+             "to the row's smallest graph)",
     )
     add_execution_args(p_tab)
     p_tab.set_defaults(func=_cmd_table1)

@@ -75,9 +75,16 @@ class ColoringParams:
         return 4 * (ceil_log2(max(2, self.n)) + 1) + 4
 
 
+def _transmit_delta(params: ColoringParams) -> int:
+    """The 1/Delta transmit probability's denominator, at least 2: at
+    Delta = 1 (a single edge) probability 1 would have both endpoints
+    send in every slot, so neither would ever hear the other."""
+    return max(2, params.max_degree)
+
+
 def learn_degree(ctx: NodeCtx, params: ColoringParams, my_id: int):
     """Learn the IDs of all neighbors w.h.p.; returns the set of IDs."""
-    delta = max(1, params.max_degree)
+    delta = _transmit_delta(params)
     heard = set()
     for _ in range(params.learn_slots):
         if ctx.rng.random() < 1.0 / delta:
@@ -102,7 +109,7 @@ def two_hop_coloring(
     one w.h.p.; if the vertex never fixed (probability 1/poly(n)) the last
     candidate is returned, which downstream users treat as best-effort.
     """
-    delta = max(1, params.max_degree)
+    delta = _transmit_delta(params)
     color: Optional[int] = None
     fixed = False
     # L(v): most recently announced color per neighbor.

@@ -1,64 +1,17 @@
-"""Experiment harnesses reproducing the paper's Table 1 and Figure 1."""
+"""Figure 1's timeline and growth-rate analysis over sweep points.
 
-from repro.experiments.ablations import ablate_beta, ablate_probe, ablate_ps
+The tables themselves come from the campaign (:mod:`repro.campaign`):
+``repro table1``, ``repro ablations`` and ``campaign report`` all
+render registry rows through :func:`repro.campaign.render_report`.
+"""
+
 from repro.experiments.analysis import crossover_size, fit_log_power, fit_power_law
-from repro.experiments.bench import (
-    check_thresholds,
-    default_workloads,
-    format_report,
-    run_engine_benchmarks,
-    write_results,
-)
 from repro.experiments.figure1 import figure1, render_path_timeline
-from repro.experiments.harness import (
-    SweepPoint,
-    format_table,
-    geometric_sizes,
-    sweep,
-)
-from repro.experiments.table1 import (
-    baseline_decay,
-    t1_cd_clustering,
-    t1_cd_optimal,
-    t1_det_cd,
-    t1_det_local,
-    t1_lb_local_path,
-    t1_lb_reduction,
-    t1_local_clustering,
-    t1_nocd_bounded_degree,
-    t1_nocd_clustering,
-    t1_nocd_dtime,
-    t8_path_algorithm,
-)
 
 __all__ = [
-    "check_thresholds",
-    "default_workloads",
-    "format_report",
-    "run_engine_benchmarks",
-    "write_results",
-    "ablate_beta",
     "crossover_size",
     "fit_log_power",
     "fit_power_law",
-    "ablate_probe",
-    "ablate_ps",
     "figure1",
     "render_path_timeline",
-    "SweepPoint",
-    "format_table",
-    "geometric_sizes",
-    "sweep",
-    "baseline_decay",
-    "t1_cd_clustering",
-    "t1_cd_optimal",
-    "t1_det_cd",
-    "t1_det_local",
-    "t1_lb_local_path",
-    "t1_lb_reduction",
-    "t1_local_clustering",
-    "t1_nocd_bounded_degree",
-    "t1_nocd_clustering",
-    "t1_nocd_dtime",
-    "t8_path_algorithm",
 ]

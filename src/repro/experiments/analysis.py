@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import SweepPoint
+from repro.campaign.cells import SweepPoint
 
 __all__ = [
     "fit_power_law",

@@ -17,11 +17,9 @@ Two executors share this entry point:
   engine, seed after seed.  Every lock-step result records the verdict
   in ``SimResult.soa_reason``.  Results are byte-identical either way.
 
-Both sweep drivers ride on this core: the serial
-:func:`repro.experiments.harness.sweep` driver batches all seeds of a
-size through one call, and the sharded campaign path
-(:mod:`repro.campaign.cells`) runs seed-block batches — same code,
-parallelism layered on top.
+The campaign's cell layer (:mod:`repro.campaign.cells`) rides on this
+core: every (row, size) seed block is one call, whether the serial
+runner or a fabric worker executes it.
 """
 
 from __future__ import annotations
@@ -94,8 +92,7 @@ def run_trials(
             omitted, all trials share ``model``; sharing a *stateful*
             model across several seeds warns once).  ``contention_hist``
             is rejected: its histogram summary has nowhere to go in a
-            plain result list — use :func:`repro.campaign.cells.run_cells`
-            or :func:`repro.experiments.harness.sweep`.
+            plain result list — use :func:`repro.campaign.cells.run_cells`.
 
     Returns:
         One :class:`SimResult` per seed, in ``seeds`` order.
@@ -103,7 +100,7 @@ def run_trials(
     config = resolve_exec_config(exec_config)
     if config.contention_hist:
         raise ExecutionConfigError(
-            "contention_hist is consumed by run_cells()/sweep(), which fold "
+            "contention_hist is consumed by run_cells(), which folds "
             "the histogram summary into cell extras; run_trials has no "
             "extras channel — pass observer_factory= instead"
         )

@@ -4,7 +4,7 @@ The engine grew orthogonal execution knobs — ``resolution`` backend,
 ``lockstep`` trial batching, and observer/analytics wiring — and each
 used to be hand-threaded through every entry point's signature
 (``Simulator``, ``run_trials``, ``run_broadcast_trials``,
-``sweep``, ``run_cells``), a hand-maintained option-key tuple in
+``run_cells``), a hand-maintained option-key tuple in
 :mod:`repro.campaign.cells`, and per-subcommand CLI flags.  This module
 replaces that plumbing with config-as-data:
 

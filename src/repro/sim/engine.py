@@ -196,7 +196,7 @@ class Simulator:
             )
         if config.contention_hist:
             raise ExecutionConfigError(
-                "contention_hist is consumed by run_cells()/sweep(); on a "
+                "contention_hist is consumed by run_cells(); on a "
                 "bare Simulator attach a ContentionHistogramObserver via "
                 "observers= instead"
             )

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.experiments.analysis import crossover_size, fit_log_power, fit_power_law
-from repro.experiments.harness import SweepPoint
+from repro.campaign.cells import SweepPoint
 
 
 def _point(n, energy, time=0.0):
@@ -67,45 +67,53 @@ class TestCrossover:
         assert crossover_size(ours, theirs) == 8
 
 
+def _sweep(graph_factory, sizes, protocol, model, seeds):
+    """Seed-median points over ``sizes``, one run_cells batch per size."""
+    from repro.campaign import aggregate_cells, knowledge_for, run_cells
+
+    points = []
+    for size in sizes:
+        graph = graph_factory(size)
+        points.append(aggregate_cells(run_cells(
+            graph, model, protocol, label="sweep", size=size, seeds=seeds,
+            knowledge=knowledge_for(graph),
+        )))
+    return points
+
+
 class TestIntegrationWithRealSweeps:
     def test_path_algorithm_energy_sublinear(self):
         from repro.broadcast.path import path_broadcast_protocol
-        from repro.experiments.harness import sweep
         from repro.graphs import path_graph
         from repro.sim import LOCAL
 
-        points = sweep(
-            "path", path_graph, (32, 128, 512),
-            lambda g: path_broadcast_protocol(oriented=True),
-            LOCAL, seeds=(0, 1, 2),
+        points = _sweep(
+            path_graph, (32, 128, 512),
+            path_broadcast_protocol(oriented=True), LOCAL, seeds=(0, 1, 2),
         )
         exponent = fit_power_law(points, metric=lambda p: p.mean_energy_median)
         assert exponent < 0.45  # O(log n), not polynomial
 
     def test_path_algorithm_time_linear(self):
         from repro.broadcast.path import path_broadcast_protocol
-        from repro.experiments.harness import sweep
         from repro.graphs import path_graph
         from repro.sim import LOCAL
 
-        points = sweep(
-            "path", path_graph, (32, 128, 512),
-            lambda g: path_broadcast_protocol(oriented=True),
-            LOCAL, seeds=(0, 1),
+        points = _sweep(
+            path_graph, (32, 128, 512),
+            path_broadcast_protocol(oriented=True), LOCAL, seeds=(0, 1),
         )
         exponent = fit_power_law(points, metric=lambda p: p.time_median)
         assert 0.8 <= exponent <= 1.2  # Theta(n)
 
     def test_decay_energy_tracks_diameter(self):
         from repro.broadcast import decay_broadcast_protocol
-        from repro.experiments.harness import sweep
         from repro.graphs import path_graph
         from repro.sim import NO_CD
 
-        points = sweep(
-            "decay", path_graph, (16, 64, 256),
-            lambda g: decay_broadcast_protocol(failure=0.02),
-            NO_CD, seeds=(0,),
+        points = _sweep(
+            path_graph, (16, 64, 256),
+            decay_broadcast_protocol(failure=0.02), NO_CD, seeds=(0,),
         )
         exponent = fit_power_law(points)
         assert exponent > 0.6  # near-linear in D = n-1

@@ -25,7 +25,11 @@ from repro.campaign import (
     render_status,
     run_campaign,
 )
-from repro.cli import _TABLE1_ROWS
+from repro.cli import ABLATION_ROWS, TABLE1_ROWS
+
+_CONFIGS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs"
+)
 
 
 def _tiny_spec(**overrides):
@@ -145,7 +149,20 @@ class TestSpec:
         ]
 
     def test_registry_covers_all_cli_rows(self):
-        assert set(_TABLE1_ROWS) <= set(ROW_REGISTRY)
+        # repro table1 / repro ablations run exactly their config's rows.
+        table1 = CampaignSpec.from_json_file(
+            os.path.join(_CONFIGS, "table1.json")
+        )
+        assert [plan.to_dict() for plan in table1.rows] == [
+            {"row": row} for row in TABLE1_ROWS
+        ]
+        ablations = CampaignSpec.from_json_file(
+            os.path.join(_CONFIGS, "ablations.json")
+        )
+        assert [plan.to_dict() for plan in ablations.rows] == list(
+            ABLATION_ROWS
+        )
+        assert set(TABLE1_ROWS) <= set(ROW_REGISTRY)
 
     def test_non_int_axis_literals_hash_like_ints(self, tmp_path):
         # JSON configs may carry 8.0 or "8"; keys must match the worker's
@@ -235,7 +252,9 @@ class TestRunner:
         assert by_seed(store) == by_seed(fresh)
 
     def test_blocked_campaign_matches_serial_sweep_aggregates(self, tmp_path):
-        from repro.experiments.table1 import registry_row
+        from repro.campaign import knowledge_for, run_cells
+        from repro.campaign.registry import GRAPH_FAMILIES, get_row
+        from repro.sim.models import MODELS
 
         spec = CampaignSpec.from_dict({
             "name": "x",
@@ -244,9 +263,15 @@ class TestRunner:
         store = _store(tmp_path)
         assert run_campaign(spec, store).all_ok
         campaign_points = aggregate_campaign(spec, store, extended=False)
-        serial_points, _ = registry_row(
-            "bounded", sizes=(8, 12), seeds=(0, 1, 2)
-        )
+        definition = get_row("bounded")
+        serial_points = []
+        for size in (8, 12):
+            graph = GRAPH_FAMILIES[definition.graph_family](size)
+            serial_points.append(aggregate_cells(run_cells(
+                graph, MODELS[definition.model],
+                definition.builder(graph, {}), label="bounded", size=size,
+                seeds=(0, 1, 2), knowledge=knowledge_for(graph),
+            )))
         assert [p.__dict__ for p in campaign_points["bounded"]] == [
             p.__dict__ for p in serial_points
         ]
@@ -702,13 +727,15 @@ class TestAggregate:
         assert metric == "energy"
         assert fn_quarter(point) == pytest.approx(2 * fn_half(point))
 
-    def test_serial_table1_rows_share_registry(self):
-        # The serial runners are thin wrappers over the registry; a row's
-        # table must carry the registry title and bounds columns.
-        from repro.experiments.table1 import registry_row
-
-        points, table = registry_row("bounded", sizes=(8,), seeds=(0,))
-        assert points[0].n == 8
+    def test_serial_table1_rows_share_registry(self, tmp_path):
+        # A row's table carries the registry title and bounds columns.
+        spec = CampaignSpec.from_dict({
+            "name": "x", "rows": [{"row": "bounded", "sizes": [8], "seeds": [0]}],
+        })
+        store = _store(tmp_path)
+        assert run_campaign(spec, store).all_ok
+        assert aggregate_campaign(spec, store)["bounded"][0].n == 8
+        table = render_report(spec, store)
         assert "Corollary 13" in table and "log n ratio" in table
 
     def test_option_variants_aggregate_separately(self, tmp_path):
@@ -802,6 +829,107 @@ class TestCampaignCLI:
         assert len(list(spec.jobs())) == 2
 
 
+class TestOneDoorTables:
+    """``repro table1`` and ``repro ablations`` print what ``campaign
+    report`` prints for a config listing the same row entries."""
+
+    def _campaign_report(self, tmp_path, capsys, config):
+        from repro.cli import main
+
+        out = str(tmp_path / "out")
+        assert main(["campaign", "run", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", config, "--out", out]) == 0
+        return capsys.readouterr().out
+
+    def test_table1_equals_campaign_report(self, tmp_path, capsys):
+        from repro.cli import main
+
+        config = tmp_path / "scaled.json"
+        config.write_text(json.dumps({"name": "scaled", "rows": [
+            {"row": "bounded", "sizes": [4, 6, 8], "seeds": [0]},
+            {"row": "lb-reduction", "sizes": [2, 4, 8], "seeds": [0]},
+        ]}))
+        expected = self._campaign_report(tmp_path, capsys, str(config))
+        assert main([
+            "table1", "bounded", "lb-reduction",
+            "--seeds", "1", "--sizes-scale", "0.5",
+        ]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_ablations_equal_campaign_report(self, tmp_path, capsys):
+        from repro.cli import main
+
+        expected = self._campaign_report(
+            tmp_path, capsys, os.path.join(_CONFIGS, "ablations.json")
+        )
+        assert main(["ablations"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_leaves_no_files_behind(self, tmp_path, monkeypatch, capsys):
+        import tempfile
+
+        from repro.cli import main
+
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        monkeypatch.chdir(tmp_path)
+        assert main(["table1", "bounded", "--seeds", "1",
+                     "--sizes-scale", "0.25"]) == 0
+        assert "Corollary 13" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["tmp"]
+        assert os.listdir(temp_root) == []
+
+    def test_failed_cell_exits_1_with_summary(self, crashing_row, capsys):
+        from repro.cli import main
+
+        assert main(["table1", crashing_row]) == 1
+        out = capsys.readouterr().out
+        assert "1 errors" in out and "(no completed cells)" in out
+
+    def test_unhonorable_option_exits_2_naming_the_row(self, capsys):
+        from repro.cli import main
+
+        assert main(["table1", "abl-beta", "--contention-hist"]) == 2
+        out = capsys.readouterr().out
+        assert "'abl-beta'" in out and "contention_hist" in out
+        assert main(["table1", "bounded", "--churn", "bogus"]) == 2
+        out = capsys.readouterr().out
+        assert "'bounded'" in out and "churn" in out
+
+    def test_report_never_imports_experiments(self, tmp_path, capsys):
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import main
+
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"name": "c", "rows": [
+            {"row": "bounded", "sizes": [4], "seeds": [0]},
+            {"row": "figure1", "sizes": [8], "seeds": [0]},
+        ]}))
+        out = str(tmp_path / "out")
+        assert main(["campaign", "run", str(config), "--out", out]) == 0
+        script = (
+            "import sys, repro.cli\n"
+            f"code = repro.cli.main(['campaign', 'report', {str(config)!r},"
+            f" '--out', {out!r}])\n"
+            "loaded = [m for m in sys.modules"
+            " if m.startswith('repro.experiments')]\n"
+            "assert code == 0 and not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Fig.1" in done.stdout
+
+
 class TestTable1Passthrough:
     def test_seeds_and_scale_flags(self, capsys):
         from repro.cli import main
@@ -825,22 +953,17 @@ class TestTable1Passthrough:
     def test_contention_hist_flag(self, capsys):
         from repro.cli import main
 
-        # Registry-backed row: runs with the observer attached and the
-        # ch_* columns rendered.
-        assert main(
-            ["table1", "bounded", "--seeds", "1",
-             "--sizes-scale", "0.5", "--contention-hist"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Corollary 13" in out and "ch_mean_load" in out
-        # Bespoke lower-bound rows cannot fold the histogram anywhere,
-        # so the flag fails loudly there instead of being dropped
-        # (tests/test_exec_config.py pins the same contract).
-        assert main(
-            ["table1", "lb-reduction", "--seeds", "1",
-             "--sizes-scale", "0.5", "--contention-hist"]
-        ) == 2
-        assert "contention_hist" in capsys.readouterr().out
+        # Every row runs with the histogram attached and the ch_*
+        # columns rendered, the lower-bound rows included.
+        for row, title in (
+            ("bounded", "Corollary 13"), ("lb-reduction", "K_{2,k}"),
+        ):
+            assert main(
+                ["table1", row, "--seeds", "1",
+                 "--sizes-scale", "0.5", "--contention-hist"]
+            ) == 0
+            out = capsys.readouterr().out
+            assert title in out and "ch_mean_load" in out
 
     def test_campaign_contention_hist_changes_cell_identity(
         self, tmp_path, capsys

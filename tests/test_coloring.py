@@ -59,6 +59,26 @@ class TestLearnDegree:
         result = Simulator(g, NO_CD, seed=2).run(proto)
         assert result.outputs == [g.degree(v) for v in range(g.n)]
 
+    def test_single_edge_learns_both_ids(self):
+        # At Delta = 1 a 1/Delta transmit probability would have both
+        # endpoints send in every slot; neither would ever hear the other.
+        g = path_graph(2)
+        params = ColoringParams(max_degree=1, n=g.n)
+
+        def proto(ctx):
+            heard = yield from learn_degree(ctx, params, 1000 + ctx.index)
+            return heard
+
+        for seed in range(20):
+            result = Simulator(g, NO_CD, seed=seed).run(proto)
+            assert result.outputs == [{1001}, {1000}], seed
+
+    def test_bounded_row_delivers_at_its_minimum_size(self):
+        from repro.campaign.registry import execute_cell_block
+
+        cells = execute_cell_block("bounded", 2, tuple(range(20)), {})
+        assert sum(cell.delivered for cell in cells) == 19
+
 
 class TestTwoHopColoring:
     @pytest.mark.parametrize("maker,seed", [(lambda: cycle_graph(12), 3),

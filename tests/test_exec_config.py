@@ -27,9 +27,13 @@ import json
 import pytest
 
 from repro.broadcast.base import run_broadcast, run_broadcast_trials
-from repro.campaign.cells import EXECUTION_OPTION_KEYS, run_cell, run_cells
+from repro.campaign.cells import (
+    EXECUTION_OPTION_KEYS,
+    aggregate_cells,
+    run_cell,
+    run_cells,
+)
 from repro.campaign.spec import CampaignSpec, RowPlan
-from repro.experiments.harness import sweep
 from repro.graphs import clique
 from repro.sim import (
     NO_CD,
@@ -520,16 +524,9 @@ def _run_broadcast(exec_config=None, **kwargs):
     return [outcome.sim]
 
 
-def _run_sweep(exec_config=None, protocol=bcast_proto, **kwargs):
-    return sweep(
-        "cell", clique, (3,), lambda g: protocol, NO_CD,
-        seeds=(0, 1), exec_config=exec_config, **kwargs,
-    )
-
-
-def _run_cells(exec_config=None, **kwargs):
+def _run_cells(exec_config=None, protocol=bcast_proto, **kwargs):
     return run_cells(
-        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seeds=(0, 1),
+        GRAPH, NO_CD, protocol, label="cell", size=3, seeds=(0, 1),
         knowledge=KNOWLEDGE, exec_config=exec_config, **kwargs,
     )
 
@@ -661,9 +658,6 @@ _ENTRIES = {
         "observer_factory",
     )),
     "run_broadcast": (_run_broadcast, ("time_limit", "record_trace")),
-    "sweep": (_run_sweep, (
-        "record_trace", "resolution", "lockstep", "contention_hist",
-    )),
     "run_cells": (_run_cells, (
         "record_trace", "resolution", "lockstep", "contention_hist",
     )),
@@ -707,13 +701,15 @@ class TestOneDoor:
 
 class TestSweepFullControl:
     def test_sweep_stepping_and_lockstep_are_byte_identical(self):
-        base = _run_sweep()
+        base = aggregate_cells(_run_cells())
         for protocol, config in (
             (per_slot(bcast_proto), None),
             (bcast_proto, ExecutionConfig(lockstep=True)),
             (per_slot(bcast_proto), ExecutionConfig(lockstep=True)),
         ):
-            assert _run_sweep(exec_config=config, protocol=protocol) == base
+            assert aggregate_cells(
+                _run_cells(exec_config=config, protocol=protocol)
+            ) == base
 
     def test_sweep_per_seed_observers(self):
         seen = []
@@ -731,10 +727,10 @@ class TestSweepFullControl:
             seen.append(observer)
             return (observer,)
 
-        points = _run_sweep(
+        cells = _run_cells(
             exec_config=ExecutionConfig(observer_factory=factory)
         )
-        assert points == _run_sweep()
+        assert cells == _run_cells()
         assert sorted(o.seed for o in seen) == [0, 1]
         assert all(o.slots > 0 for o in seen)
 
@@ -744,9 +740,9 @@ class TestSweepFullControl:
             contention_hist=True,
             observer_factory=lambda seed: seen.append(seed) or (),
         )
-        points = _run_sweep(exec_config=config)
+        cells = _run_cells(exec_config=config)
         assert sorted(seen) == [0, 1]
-        assert any(key.startswith("ch_") for key in points[0].extras)
+        assert any(key.startswith("ch_") for key in cells[0].extras)
 
     def test_table1_cli_accepts_execution_flags(self, capsys):
         from repro.cli import main
@@ -760,19 +756,20 @@ class TestSweepFullControl:
     def test_table1_lb_rows_honor_execution_flags(self, capsys):
         from repro.cli import main
 
-        # The bespoke lower-bound runners take the same options, so the
-        # shared flags reach every row rather than being dropped.
+        # The lower-bound rows are campaign rows like the others, so the
+        # shared flags reach them rather than being dropped...
         assert main([
             "table1", "lb-reduction", "--seeds", "1", "--sizes-scale",
             "0.5", "--resolution", "numpy",
         ]) == 0
         assert "T_LE" in capsys.readouterr().out
-        # ...and an option no layer can honor fails loudly, not silently.
+        # ...the contention histogram included.
         assert main([
             "table1", "lb-path", "--seeds", "1", "--sizes-scale", "0.05",
             "--contention-hist",
-        ]) == 2
-        assert "contention_hist" in capsys.readouterr().out
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Theorem 1" in out and "ch_mean_load" in out
 
     def test_campaign_cli_accepts_execution_flags(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,42 +1,51 @@
-"""Tests for the experiment harness, Table 1 runners, and Figure 1."""
+"""Tests for table rendering, the Table 1 and ablation rows, and Figure 1."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    ablate_beta,
-    figure1,
-    format_table,
-    geometric_sizes,
-    render_path_timeline,
-    sweep,
-    t1_lb_local_path,
-    t1_lb_reduction,
-    t1_local_clustering,
+from repro.campaign import (
+    CampaignSpec,
+    CampaignStore,
+    SweepPoint,
+    aggregate_campaign,
+    aggregate_cells,
+    knowledge_for,
+    render_report,
+    run_campaign,
+    run_cells,
 )
-from repro.experiments.harness import SweepPoint
+from repro.campaign.aggregate import format_table
+from repro.experiments import figure1, render_path_timeline
 from repro.graphs import path_graph
 from repro.sim import LOCAL, ExecutionConfig
+
+
+def _row_points(tmp_path, entries):
+    """Run campaign row entries as ``repro table1`` does: each variant's
+    points, and the printed report."""
+    spec = CampaignSpec.from_dict({"name": "rows", "rows": entries})
+    store = CampaignStore(str(tmp_path / "results.jsonl"))
+    assert run_campaign(spec, store).all_ok
+    return aggregate_campaign(spec, store), render_report(spec, store)
 
 
 class TestHarness:
     def test_sweep_aggregates_medians(self):
         from repro.broadcast import local_flood_protocol
 
-        points = sweep(
-            "flood", path_graph, (4, 8),
-            lambda g: local_flood_protocol(),
-            LOCAL, seeds=(0, 1, 2),
-        )
+        points = []
+        for n in (4, 8):
+            graph = path_graph(n)
+            points.append(aggregate_cells(run_cells(
+                graph, LOCAL, local_flood_protocol(), label="flood", size=n,
+                seeds=(0, 1, 2), knowledge=knowledge_for(graph),
+            )))
         assert [p.n for p in points] == [4, 8]
         for point in points:
             assert point.delivered == 3
             assert point.time_median >= point.diameter
             assert point.max_energy_median >= 1
-
-    def test_geometric_sizes(self):
-        assert geometric_sizes(4, 2, 3) == [4, 8, 16]
 
     def test_format_table_contains_ratios(self):
         point = SweepPoint(
@@ -50,6 +59,20 @@ class TestHarness:
         assert "logn ratio" in text
         assert "10.00" in text  # 40 / 4
 
+    def test_format_table_keeps_three_decimals(self):
+        point = SweepPoint(
+            label="x", n=40, max_degree=2, diameter=20, seeds=3, delivered=3,
+            time_median=235521.0, max_energy_median=1.2,
+            mean_energy_median=10.023,
+            extras={"beta": 0.15, "edge_cut_rate": 0.075, "whole": 3.0},
+        )
+        text = format_table("t", [point], columns=(
+            "time_median", "max_energy_median", "mean_energy_median",
+            "beta", "edge_cut_rate", "whole",
+        ))
+        values = text.splitlines()[-1].split()
+        assert values == ["235521.0", "1.2", "10.023", "0.15", "0.075", "3.0"]
+
     def test_sweep_point_ratio_helpers(self):
         point = SweepPoint(
             label="x", n=16, max_degree=4, diameter=5, seeds=1, delivered=1,
@@ -60,24 +83,41 @@ class TestHarness:
 
 
 class TestTable1Runners:
-    def test_local_clustering_row(self):
-        points, table = t1_local_clustering(sizes=(8,), seeds=(0,))
-        assert points[0].delivered == 1
+    """The Table 1 and ablation rows as ``repro table1`` runs them."""
+
+    def test_local_clustering_row(self, tmp_path):
+        points, table = _row_points(
+            tmp_path, [{"row": "local", "sizes": [8], "seeds": [0]}]
+        )
+        assert points["local"][0].delivered == 1
         assert "Theorem 11" in table
 
-    def test_lb_local_path_row(self):
-        rows, table = t1_lb_local_path(sizes=(32,), seeds=(0, 1))
-        assert rows[0]["satisfied"]
+    def test_lb_local_path_row(self, tmp_path):
+        points, table = _row_points(
+            tmp_path, [{"row": "lb-path", "sizes": [32], "seeds": [0, 1]}]
+        )
+        extras = points["lb-path"][0].extras
+        assert extras["lb_ok"] == 1.0
+        assert extras["worst_pre_reception"] >= extras["lower_bound"]
         assert "Theorem 1" in table
 
-    def test_lb_reduction_row(self):
-        rows, table = t1_lb_reduction(ks=(2, 4), seeds=(0,))
-        assert all(row["inequality_holds"] for row in rows)
-        assert "K_{2,k}" in table
+    def test_lb_reduction_row(self, tmp_path):
+        points, table = _row_points(tmp_path, [
+            {"row": "lb-reduction", "sizes": [2, 4], "seeds": [0]},
+            {"row": "lb-reduction-cd", "sizes": [2, 4], "seeds": [0]},
+        ])
+        for row in ("lb-reduction", "lb-reduction-cd"):
+            assert all(p.extras["bound_holds"] == 1.0 for p in points[row])
+        assert "K_{2,k}" in table and "T1.CD.LB" in table
 
-    def test_ablate_beta_rows(self):
-        rows, table = ablate_beta(n=20, betas=(0.2, 0.5), seeds=(0,))
-        assert rows[0]["beta"] == 0.2
+    def test_ablate_beta_rows(self, tmp_path):
+        points, table = _row_points(tmp_path, [
+            {"row": "abl-beta", "sizes": [20], "seeds": [0],
+             "options": {"beta": 0.2}},
+            {"row": "abl-beta", "sizes": [20], "seeds": [0],
+             "options": {"beta": 0.5}},
+        ])
+        assert points["abl-beta[beta=0.2]"][0].extras["beta"] == 0.2
         assert "Partition" in table
 
 

@@ -54,10 +54,11 @@ from repro.campaign.registry import (
     GRAPH_FAMILIES,
     GRAPH_FAMILY_MIN_SIZES,
     row_min_size,
+    scaled_sizes,
 )
 from repro.campaign.runner import execute_job, plan_pending
 from repro.campaign.store import STATUS_QUARANTINED, make_record
-from repro.cli import _row_overrides, main
+from repro.cli import main
 from repro.sim import ExecutionConfig, Simulator
 from repro.sim.config import ExecutionConfigError
 from repro.sim.models import LOCAL
@@ -643,6 +644,42 @@ class TestPooledRunAll:
             if r["status"] == STATUS_QUARANTINED
         } == {"bounded"}
 
+    def test_worker_dying_mid_message_tears_only_its_own_pipe(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+        import struct
+
+        real_main = workers_mod.fabric_worker_main
+        real_execute = workers_mod.execute_block_payload
+        pipe = {}
+
+        def keep_pipe(worker_id, task_queue, result_conn, heartbeat):
+            pipe["conn"] = result_conn
+            return real_main(worker_id, task_queue, result_conn, heartbeat)
+
+        def tear_on_bounded(payload):
+            if any(job["row"] == "bounded" for job in payload["jobs"]):
+                # Half a frame (length header, then part of the pickle),
+                # then death: the parent must not read the next worker's
+                # bytes as the rest of this message.
+                frame = pickle.dumps(("done", -1, -1, [[(0, "ok")] * 500]))
+                os.write(
+                    pipe["conn"].fileno(),
+                    struct.pack("!i", len(frame)) + frame[: len(frame) // 2],
+                )
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_execute(payload)
+
+        monkeypatch.setattr(workers_mod, "fabric_worker_main", keep_pipe)
+        monkeypatch.setattr(
+            workers_mod, "execute_block_payload", tear_on_bounded
+        )
+        alpha, beta = self._pooled(tmp_path, self._specs(), workers=2, retries=1)
+        assert alpha.all_ok and alpha.ok == 7
+        assert beta.quarantined == 2 and beta.ok == 4
+        assert beta.workers_died == 2
+
     def test_campaigns_sharing_a_store_refused(self, tmp_path):
         spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
         store = _store(tmp_path)
@@ -981,13 +1018,12 @@ class TestSizesScaleClamp:
         assert row_min_size("path") == 2
 
     def test_scale_clamps_to_family_minimum(self):
-        def fake_row(sizes=(32, 64, 128), seeds=(0,)):
-            return None
-
-        kwargs = _row_overrides(fake_row, None, 0.01, min_size=3)
-        assert kwargs["sizes"] == (3,)  # min-2 would have crashed a cycle
-        kwargs = _row_overrides(fake_row, None, 0.01, min_size=2)
-        assert kwargs["sizes"] == (2,)
+        # dtime runs on cycles: a min-2 clamp would have crashed it.
+        assert scaled_sizes("dtime", 0.01) == (3,)
+        assert scaled_sizes("bounded", 0.01) == (2,)
+        # Rounded, then deduplicated in order after the clamp.
+        assert scaled_sizes("lb-reduction", 0.5) == (2, 4, 8)
+        assert scaled_sizes("path", 1.5) == (96, 384, 1536)
 
     def test_cycle_family_rejects_n2(self):
         from repro.graphs import cycle_graph
