@@ -48,10 +48,8 @@ from repro.campaign.registry import (
 )
 from repro.campaign.fabric import (
     FabricRunReport,
-    aggregate_campaign_streaming,
     run_campaign_fabric,
     run_campaigns_fabric,
-    stream_points,
 )
 from repro.campaign.runner import (
     CampaignRunReport,
@@ -90,13 +88,11 @@ __all__ = [
     "CampaignRunReport",
     "CellTimeout",
     "FabricRunReport",
-    "aggregate_campaign_streaming",
     "execute_job",
     "plan_pending",
     "run_campaign",
     "run_campaign_fabric",
     "run_campaigns_fabric",
-    "stream_points",
     "CampaignSpec",
     "JobSpec",
     "RowPlan",

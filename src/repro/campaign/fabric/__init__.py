@@ -4,16 +4,15 @@ Layers (one module each), all riding on the content-hash store that
 already makes every cell idempotent:
 
 * :mod:`~repro.campaign.fabric.workers` — persistent worker processes
-  fed seed blocks via queues, with heartbeats and crash injection;
+  fed seed blocks via queues, sending each block's records back on
+  their own result pipe, with heartbeats and crash injection; a worker
+  dies with its parent;
 * :mod:`~repro.campaign.fabric.runner` — the dispatch/repair loop over
   one pool for one or more campaigns, running each distinct simulation
   once: retry with exponential backoff, poison-block quarantine, worker
-  replacement; ``run_campaigns_fabric`` is the entry point and
+  replacement; the parent appends every block's records to the stores,
+  their only writer; ``run_campaigns_fabric`` is the entry point and
   ``run_campaign_fabric`` its one-campaign call;
-* :mod:`~repro.campaign.fabric.shards` — per-worker result shards and
-  their dedup-merge into the canonical store;
-* :mod:`~repro.campaign.fabric.reduce` — one-pass streaming
-  aggregation (O(matrix) memory, byte-identical points);
 * :mod:`~repro.campaign.fabric.events` — the structured events ledger;
 * :mod:`~repro.campaign.fabric.status` — events-replay live progress
   (``campaign status --watch``);
@@ -32,22 +31,11 @@ from repro.campaign.fabric.events import (
     render_events_summary,
     summarize_events,
 )
-from repro.campaign.fabric.reduce import (
-    StreamingCampaignAggregator,
-    aggregate_campaign_streaming,
-    stream_points,
-)
 from repro.campaign.fabric.runall import load_campaigns, resolve_run_all
 from repro.campaign.fabric.runner import (
     FabricRunReport,
     run_campaign_fabric,
     run_campaigns_fabric,
-)
-from repro.campaign.fabric.shards import (
-    list_shards,
-    merge_shards,
-    shard_dir_for,
-    shard_path,
 )
 from repro.campaign.fabric.status import (
     live_progress,
@@ -60,22 +48,15 @@ __all__ = [
     "CRASH_ENV",
     "EventLog",
     "FabricRunReport",
-    "StreamingCampaignAggregator",
-    "aggregate_campaign_streaming",
     "fabric_context",
-    "list_shards",
     "live_progress",
     "load_campaigns",
-    "merge_shards",
     "read_events",
     "render_events_summary",
     "render_live_status",
     "resolve_run_all",
     "run_campaign_fabric",
     "run_campaigns_fabric",
-    "shard_dir_for",
-    "shard_path",
-    "stream_points",
     "summarize_events",
     "watch_campaign",
 ]

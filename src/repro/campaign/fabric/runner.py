@@ -31,33 +31,31 @@ retries, quarantine records, :class:`FabricRunReport` and events ledger
 (:mod:`repro.campaign.fabric.events`).  A fused block appears in each
 member campaign's ledger with only that campaign's cells and their
 share of the elapsed time; worker births and deaths go to every
-ledger.  Results flow through per-worker shards in each campaign's
-shard directory (:mod:`repro.campaign.fabric.shards`) and are folded
-into that campaign's store when the run ends — and adopted at start-up
-if a previous run died with unmerged shards.
+ledger.  Workers send each block's records back on their result pipe,
+and this parent is the only writer of every store: it appends a
+block's records to each member campaign's store before it counts them
+or writes ``block_completed``, so every block the ledger reports as
+completed is durable, even if the parent is killed the next moment.
+A block still running when the parent dies is recomputed on resume.
 
 With ``workers <= 1`` the same plan and retry/quarantine/events
-semantics run in-process (no pool, no shards) — this is also what
-``campaign run-all`` uses by default.  The serial runner, which runs
-every block on its own, remains the differential oracle: a fabric
-run's aggregates are byte-identical to its, crashes and all (pinned by
-the fault-injection suite).
+semantics run in-process (no pool) — this is also what ``campaign
+run-all`` uses by default.  The serial runner, which runs every block
+on its own, remains the differential oracle: a fabric run's aggregates
+are byte-identical to its, crashes and all (pinned by the
+fault-injection suite).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.fabric.events import EventLog
-from repro.campaign.fabric.shards import merge_shards, shard_dir_for
-from repro.campaign.fabric.workers import (
-    WorkerHandle,
-    fabric_context,
-    status_row,
-)
+from repro.campaign.fabric.workers import WorkerHandle, fabric_context
 from repro.campaign.registry import simulation_key
 from repro.campaign.runner import CampaignRunReport, execute_block, plan_pending
 from repro.campaign.spec import CampaignSpec, JobSpec
@@ -67,15 +65,44 @@ from repro.campaign.store import (
     CampaignStore,
     make_record,
 )
-from repro.sim.config import ExecutionConfig
+from repro.sim.config import ExecutionConfig, ExecutionConfigError
 
-__all__ = ["FabricRunReport", "run_campaign_fabric", "run_campaigns_fabric"]
+__all__ = [
+    "FabricRunReport",
+    "check_runner_options",
+    "run_campaign_fabric",
+    "run_campaigns_fabric",
+]
 
-_RUNNER_DEFAULTS = {
-    spec.name: spec.default
-    for spec in ExecutionConfig.field_specs()
-    if spec.metadata["runner"]
-}
+
+def check_runner_options(
+    workers: Optional[int] = None,
+    retries: Optional[int] = None,
+    heartbeat: Optional[float] = None,
+    timeout: Optional[float] = None,
+) -> ExecutionConfig:
+    """Check a run's runner values before anything runs.
+
+    ``workers``/``retries``/``heartbeat`` go through the checks of the
+    matching :class:`~repro.sim.config.ExecutionConfig` fields (None
+    takes the field default), and ``timeout`` must be None or a finite
+    number of seconds > 0.  Returns the config whose runner fields the run
+    uses; raises :class:`~repro.sim.config.ExecutionConfigError`.
+    """
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not timeout > 0
+        or not math.isfinite(timeout)
+    ):
+        raise ExecutionConfigError(
+            f"timeout must be a finite number of seconds > 0, "
+            f"got {timeout!r}"
+        )
+    given = {"workers": workers, "retries": retries, "heartbeat": heartbeat}
+    return ExecutionConfig(
+        **{name: value for name, value in given.items() if value is not None}
+    )
 
 
 @dataclass
@@ -141,7 +168,6 @@ class _Campaign:
     events: EventLog
     say: Callable[[str], None]
     prefix: str
-    shard_dir: str = ""
     total: int = 0
     pending_cells: int = 0
     counts: Dict[str, int] = field(default_factory=dict)
@@ -158,19 +184,28 @@ class _Campaign:
 
     def completed(self, block_id: int, worker: int, parts) -> None:
         """Count and log this campaign's cells of a finished block;
-        ``parts`` pairs each of its members with its status rows."""
-        rows = [row for _, member_rows in parts for row in member_rows]
-        ok = [row for row in rows if row[1] == STATUS_OK]
+        ``parts`` pairs each of its members with its records."""
+        records = [record for _, member in parts for record in member]
+        ok = [record for record in records if record["status"] == STATUS_OK]
         self.count(STATUS_OK, len(ok))
-        for job, member_rows in parts:
-            for seed, status, elapsed, _, _ in member_rows:
-                if status == STATUS_OK:
-                    self.say(f"  ok {self.tag(job, seed)} ({elapsed:.2f}s)")
-        # Fallback taxonomy: count lock-step cells by SoA verdict string
-        # ("ok", "jammer", "burst_loss", ...) so the ledger
-        # records *why* vectorization disengaged, not just how often.
+        for job, member in parts:
+            for record in member:
+                if record["status"] == STATUS_OK:
+                    self.say(
+                        f"  ok {self.tag(job, record['job']['seed'])} "
+                        f"({record['elapsed']:.2f}s)"
+                    )
+        # SoA engagement (the cell's extras say 1.0 engaged, 0.0 fell
+        # back, nothing when it did not run lock-step) and the fallback
+        # taxonomy: lock-step cells counted by verdict string ("ok",
+        # "jammer", "burst_loss", ...), so the ledger records *why*
+        # vectorization disengaged, not just how often.
+        soa = 0
         soa_reasons: Dict[str, int] = {}
-        for _, _, _, _, reason in rows:
+        for record in records:
+            extras = record.get("result", {}).get("extras", {})
+            soa += extras.get("soa") == 1.0
+            reason = _soa_reason(extras)
             if reason is not None:
                 soa_reasons[reason] = soa_reasons.get(reason, 0) + 1
         self.events.emit(
@@ -178,9 +213,9 @@ class _Campaign:
             block=block_id,
             worker=worker,
             ok=len(ok),
-            failed=len(rows) - len(ok),
-            elapsed=round(sum(row[2] for row in rows), 3),
-            soa=sum(1 for row in rows if row[3] == 1.0),
+            failed=len(records) - len(ok),
+            elapsed=round(sum(record["elapsed"] for record in records), 3),
+            soa=soa,
             soa_reasons=soa_reasons,
         )
         self.finished = time.monotonic()
@@ -229,6 +264,14 @@ class _Campaign:
             workers=workers,
             workers_died=workers_died,
         )
+
+
+def _soa_reason(extras: Dict) -> Optional[str]:
+    """Recover the SoA verdict string from a cell's one-hot extras key."""
+    for key in extras:
+        if key.startswith("soa_reason_"):
+            return key[len("soa_reason_"):]
+    return None
 
 
 def _describe(prefix: str, jobs: Sequence[JobSpec]) -> str:
@@ -311,20 +354,27 @@ class _Bookkeeper:
             )
 
     def block_done(
-        self, assignment: _Assignment, statuses, worker: int
+        self, assignment: _Assignment, records, worker: int
     ) -> None:
-        """A block completed and its records are durable: count the ok
-        cells now, retry or finalize the failed ones.
+        """A block completed: make its records durable in each member
+        campaign's store, then count the ok cells and retry or finalize
+        the failed ones.
 
-        ``statuses`` holds one list of
-        :func:`~repro.campaign.fabric.workers.status_row` tuples per
-        member, in member order.
+        ``records`` holds one list of store records per member, in
+        member order, as :func:`~repro.campaign.runner.execute_block`
+        returns them.
         """
         parts: Dict[int, List] = {}
         failing: List[Tuple[_Member, List[Tuple[int, str]]]] = []
-        for member, rows in zip(assignment.members, statuses):
-            parts.setdefault(member[0], []).append((member[1], rows))
-            failed = [(row[0], row[1]) for row in rows if row[1] != STATUS_OK]
+        for member, member_records in zip(assignment.members, records):
+            index, job = member
+            self.campaigns[index].store.append_many(member_records)
+            parts.setdefault(index, []).append((job, member_records))
+            failed = [
+                (record["job"]["seed"], record["status"])
+                for record in member_records
+                if record["status"] != STATUS_OK
+            ]
             if failed:
                 failing.append((member, failed))
         for index, campaign_parts in parts.items():
@@ -427,7 +477,9 @@ def run_campaigns_fabric(
 
     Cells that are the same simulation run once, and each campaign's
     store still gets its own records.  ``workers``/``retries``/
-    ``heartbeat`` default to the matching
+    ``heartbeat``/``timeout`` are checked by
+    :func:`check_runner_options` before anything is written;
+    the first three default to the matching
     :class:`~repro.sim.config.ExecutionConfig` field defaults.  A
     campaign's events ledger goes to its ``events_path`` (default:
     ``<store dir>/events.jsonl``).  ``backoff`` is the base of the
@@ -436,13 +488,8 @@ def run_campaigns_fabric(
     campaign's last cell.
     """
     say = progress or (lambda message: None)
-    workers = _RUNNER_DEFAULTS["workers"] if workers is None else int(workers)
-    retries = _RUNNER_DEFAULTS["retries"] if retries is None else int(retries)
-    heartbeat = (
-        _RUNNER_DEFAULTS["heartbeat"] if heartbeat is None else float(heartbeat)
-    )
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    runner = check_runner_options(workers, retries, heartbeat, timeout)
+    workers = runner.workers
     seen: Dict[str, str] = {}
     for spec, store, _ in campaigns:
         spec.validate()
@@ -466,16 +513,7 @@ def run_campaigns_fabric(
             ),
             say=say,
             prefix=f"{spec.name}:" if len(campaigns) > 1 else "",
-            shard_dir=shard_dir_for(store),
         )
-        # Adopt whatever an aborted previous run computed before it
-        # died; the resume plan below then covers only the true delta.
-        leftovers = merge_shards(store, run.shard_dir)
-        if leftovers["records"]:
-            say(
-                f"adopted {leftovers['records']} record(s) from "
-                f"{leftovers['shards']} leftover shard(s) of {spec.name}"
-            )
         run.total, pending = plan_pending(spec, store.completed_keys())
         run.pending_cells = sum(len(block.seeds) for block in pending)
         say(
@@ -498,7 +536,7 @@ def run_campaigns_fabric(
     if len(waiting) < blocks:
         say(f"fused {blocks} block(s) into {len(waiting)}")
     start = time.monotonic()
-    books = _Bookkeeper(runs, say, retries, backoff)
+    books = _Bookkeeper(runs, say, runner.retries, backoff)
     workers_died = 0
     try:
         if workers <= 1 or len(waiting) <= 1:
@@ -506,11 +544,10 @@ def run_campaigns_fabric(
         else:
             workers_died = _run_pool(
                 waiting, books, timeout, min(workers, len(waiting)),
-                heartbeat,
+                runner.heartbeat,
             )
     finally:
         for run in runs:
-            merge_shards(run.store, run.shard_dir)
             run.events.emit(
                 "run_completed",
                 ok=run.counts.get(STATUS_OK, 0),
@@ -541,7 +578,7 @@ def _run_inline(
     books: _Bookkeeper,
     timeout: Optional[float],
 ) -> None:
-    """The workers<=1 path: same semantics, no processes, no shards."""
+    """The workers<=1 path: same semantics, no processes."""
     while waiting or books.requeued:
         waiting.extend(books.requeued)
         books.requeued = []
@@ -554,13 +591,8 @@ def _run_inline(
             continue
         assignment = ready[0]
         books.dispatched(assignment, worker=0)
-        records = execute_block(assignment.payload(timeout))
-        for (index, _), member_records in zip(assignment.members, records):
-            books.campaigns[index].store.append_many(member_records)
         books.block_done(
-            assignment,
-            [[status_row(r) for r in member] for member in records],
-            worker=0,
+            assignment, execute_block(assignment.payload(timeout)), worker=0
         )
 
 
@@ -632,14 +664,7 @@ def _run_pool(
             for handle, assignment in zip(
                 idle, _pop_ready(waiting, limit=len(idle))
             ):
-                handle.dispatch(
-                    assignment,
-                    assignment.payload(timeout),
-                    [
-                        books.campaigns[index].shard_dir
-                        for index, _ in assignment.members
-                    ],
-                )
+                handle.dispatch(assignment, assignment.payload(timeout))
                 books.dispatched(assignment, worker=handle.id)
             # Drain worker messages (briefly block until one arrives).
             # A pipe at end-of-file leaves the wait set; the liveness
@@ -650,12 +675,12 @@ def _run_pool(
                 for message in handle.receive():
                     if message[0] != "done":
                         continue
-                    _, wid, block_id, statuses = message
+                    _, wid, block_id, records = message
                     assignment = handle.assignment
                     if assignment is None or assignment.block_id != block_id:
                         continue
                     handle.clear()
-                    books.block_done(assignment, statuses, worker=wid)
+                    books.block_done(assignment, records, worker=wid)
             # Liveness: death, stale heartbeat, blown budget.
             now = time.monotonic()
             for handle in list(handles.values()):

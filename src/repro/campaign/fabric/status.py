@@ -1,11 +1,11 @@
 """Live campaign progress: the events-replay view behind ``--watch``.
 
-The canonical store only learns about fabric results when shards merge
-(end of run), so a live progress view cannot be built from the store
-alone.  Instead this module replays the events ledger — which the
-fabric parent appends to in real time — and combines it with the
-store's cached baseline: cells done/total, throughput, ETA, and
-per-worker state, refreshed on every call.
+The fabric parent appends each finished block's records to the store
+before it logs the block, so the store's accounting is current while a
+run goes.  What the store cannot tell is how the run is going: this
+module replays the events ledger — which the parent appends to in real
+time — for this run's cells done, throughput, ETA and per-worker
+state, beside the store's accounting, refreshed on every call.
 
 Everything here is read-only and crash-tolerant (torn event lines are
 skipped), so ``campaign status --watch`` can run in a second terminal

@@ -4,17 +4,21 @@ Each worker is one long-lived process running :func:`fabric_worker_main`:
 it pulls block payloads off its private task queue, executes them with
 the same never-raising :func:`repro.campaign.runner.execute_block` the
 serial runner uses (per-cell SIGALRM budgets work because the block
-runs on the worker's main thread), appends each member's records to its
-own shard in that member campaign's shard directory (the task names
-one directory per member, so one pool serves several campaigns), and
-reports compact status tuples — never result payloads — on its own
-result pipe.  A daemon heartbeat thread posts liveness while a block
-is running, so the parent can tell "slow" from "wedged".
+runs on the worker's main thread), and sends each block's records back
+on its own result pipe.  Workers write no file: the parent appends the
+records to each member campaign's store, so every store has one
+writer.  A daemon heartbeat thread posts liveness while a block is
+running, so the parent can tell "slow" from "wedged".
 
 Every worker has a pipe of its own, not a share of one queue: a worker
 killed part-way through a message tears only its own pipe, which the
 parent then reads as end-of-file, while every other worker's messages
 still arrive whole.
+
+A worker dies with its parent: a daemon watchdog thread checks the
+parent's pid every ``_PARENT_POLL`` seconds and SIGKILLs the worker
+once it changes, whether the worker is idle, mid-block or blocked on a
+send.
 
 The parent-side :class:`WorkerHandle` owns the process, its task queue
 and the read end of its result pipe.  Handles are disposable: when the
@@ -39,20 +43,19 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.fabric.shards import shard_path
-from repro.campaign.store import CampaignStore
-
 __all__ = [
     "CRASH_ENV",
     "WorkerHandle",
     "fabric_context",
     "fabric_worker_main",
-    "status_row",
 ]
 
 #: Environment hook: set to a marker-file path to make exactly one
 #: worker die (SIGKILL) on its first block dispatch.
 CRASH_ENV = "REPRO_FABRIC_INJECT_CRASH"
+
+#: How often a worker checks that its parent is still there.
+_PARENT_POLL = 1.0
 
 
 def fabric_context():
@@ -86,18 +89,17 @@ def fabric_worker_main(
     result_conn,
     heartbeat: float,
 ) -> None:
-    """Worker loop: block in, records to shards, status tuples out.
+    """Worker loop: block in, records out on the result pipe.
 
-    A task is ``{"block_id", "payload", "shards"}``: the
-    :func:`~repro.campaign.runner.execute_block` payload and one shard
-    directory per member.  Messages on ``result_conn``, the write end
-    of this worker's result pipe (all lead with a tag and worker id):
+    A task is ``{"block_id", "payload"}``, the payload being
+    :func:`~repro.campaign.runner.execute_block`'s.  Messages on
+    ``result_conn``, the write end of this worker's result pipe (all
+    lead with a tag and worker id):
 
     * ``("hello", wid, pid)`` — alive, ready for work;
     * ``("hb", wid, block_id)`` — still executing ``block_id``;
-    * ``("done", wid, block_id, statuses)`` — block finished and its
-      records are durably in the shards; ``statuses`` holds one list
-      per member of :func:`status_row` tuples;
+    * ``("done", wid, block_id, records)`` — block finished;
+      ``records`` holds one list of store records per member;
     * ``("exit", wid)`` — clean shutdown after the ``None`` sentinel.
     """
     # The main and heartbeat threads both send; one frame at a time.
@@ -107,6 +109,16 @@ def fabric_worker_main(
         with lock:
             result_conn.send(message)
 
+    parent = multiprocessing.parent_process().pid
+
+    def watch() -> None:
+        # An orphan's parent pid is its reaper's, whichever process
+        # that is; so is a worker's whose parent died before this ran.
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    threading.Thread(target=watch, daemon=True).start()
     send(("hello", worker_id, os.getpid()))
     current: Dict[str, Optional[int]] = {"block": None}
     stop = threading.Event()
@@ -126,42 +138,10 @@ def fabric_worker_main(
         block_id = task["block_id"]
         current["block"] = block_id
         records = execute_block_payload(task["payload"])
-        for shard_dir, member_records in zip(task["shards"], records):
-            CampaignStore(shard_path(shard_dir, worker_id)).append_many(
-                member_records
-            )
         current["block"] = None
-        statuses = [
-            [status_row(record) for record in member_records]
-            for member_records in records
-        ]
-        send(("done", worker_id, block_id, statuses))
+        send(("done", worker_id, block_id, records))
     stop.set()
     send(("exit", worker_id))
-
-
-def status_row(record: Dict) -> Tuple:
-    """A record's ``(seed, status, elapsed, soa, soa_reason)`` row:
-    ``soa`` is the cell's SoA-engagement flag (1.0 engaged / 0.0 fell
-    back / None when the cell did not run lock-step) and ``soa_reason``
-    the verdict string behind it (``"ok"``, ``"jammer"``,
-    ``"burst_loss"``, ... / None)."""
-    extras = record.get("result", {}).get("extras", {})
-    return (
-        record["job"]["seed"],
-        record["status"],
-        record["elapsed"],
-        extras.get("soa"),
-        _soa_reason(extras),
-    )
-
-
-def _soa_reason(extras: Dict) -> Optional[str]:
-    """Recover the SoA verdict string from a cell's one-hot extras key."""
-    for key in extras:
-        if key.startswith("soa_reason_"):
-            return key[len("soa_reason_"):]
-    return None
 
 
 def execute_block_payload(payload: Dict):
@@ -203,14 +183,12 @@ class WorkerHandle:
     def busy(self) -> bool:
         return self.assignment is not None
 
-    def dispatch(self, assignment, payload: Dict, shards: List[str]) -> None:
+    def dispatch(self, assignment, payload: Dict) -> None:
         self.assignment = assignment
         self.dispatched_at = time.monotonic()
         self.last_seen = time.monotonic()
         self.task_queue.put({
-            "block_id": assignment.block_id,
-            "payload": payload,
-            "shards": shards,
+            "block_id": assignment.block_id, "payload": payload,
         })
 
     def clear(self) -> None:

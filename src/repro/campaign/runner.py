@@ -117,6 +117,11 @@ def _alarm_handler(signum, frame):
     raise CellTimeout("cell exceeded its time budget")
 
 
+#: The longest alarm ``signal.alarm`` takes, in seconds (a C int); a
+#: longer budget is clamped to it (some 68 years).
+_ALARM_MAX = 2**31 - 1
+
+
 class _Alarm:
     """SIGALRM budget as a context manager; inert off-main-thread or
     when no budget is given."""
@@ -130,7 +135,7 @@ class _Alarm:
         if self.budget and hasattr(signal, "SIGALRM"):
             try:
                 self.previous = signal.signal(signal.SIGALRM, _alarm_handler)
-                signal.alarm(max(1, math.ceil(self.budget)))
+                signal.alarm(max(1, math.ceil(min(self.budget, _ALARM_MAX))))
                 self.armed = True
             except ValueError:  # not the main thread: run without a budget
                 self.armed = False

@@ -12,13 +12,14 @@ computes nothing.  Failed cells are recorded too (``status`` of
 ``"error"``, ``"timeout"``, or the fabric's ``"quarantined"``) and are
 retried on the next run — only ``"ok"`` records count as completed.
 
-Crash safety: every record is written as one ``write()`` call of a
-complete line and fsynced before ``append`` returns, so a worker
-killed mid-append can tear at most the final line of its own shard.
-Reading skips such torn or truncated lines with a ``RuntimeWarning``
-(the cell is simply recomputed), and bulk rewrites (``compact``) go
-through a temp file + ``os.replace`` so the canonical store is never
-observable half-written.
+Crash safety: each store has one writer (the serial runner, or the
+campaign fabric's parent, which receives its workers' records), and
+every record is written as one ``write()`` call of a complete line and
+fsynced before ``append`` returns, so a writer killed mid-append can
+tear at most the final line.  Reading skips such torn or truncated
+lines with a ``RuntimeWarning`` (the cell is simply recomputed), and
+bulk rewrites (``compact``) go through a temp file + ``os.replace`` so
+the canonical store is never observable half-written.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class CampaignStore:
         """Yield records in file order, skipping corrupt lines.
 
         A line can be torn (no trailing newline — a writer died
-        mid-``write``) or unparseable (overlapping writes from a crashed
-        worker).  Either way the record is dropped with a
+        mid-``write``) or unparseable (a torn tail that a later append
+        continued).  Either way the record is dropped with a
         ``RuntimeWarning`` naming the store, and the affected cell is
         simply recomputed on the next run; one bad line never poisons
         the rest of the ledger.
@@ -156,7 +157,7 @@ class CampaignStore:
         One write per line (not one buffered write of the batch) keeps
         the torn-line blast radius at a single record even if the
         process dies mid-batch; the batched fsync is what makes block
-        appends cheap for fabric workers.
+        appends cheap.
         """
         if not records:
             return

@@ -15,9 +15,12 @@ Commands:
   [--out DIR] [--timeout S]`` — execute a declarative sweep campaign
   with results cached in an append-only store (re-runs compute only the
   delta).  ``--workers`` engages the fault-tolerant fabric: persistent
-  worker processes, per-worker result shards, retry with backoff,
-  poison-block quarantine, and a live events ledger.  Without a fabric
-  flag the campaign runs serially in-process, the differential oracle.
+  worker processes that send their records to the parent, the store's
+  one writer, retry with backoff, poison-block quarantine, and a live
+  events ledger.  Without a fabric flag the campaign runs serially
+  in-process, the differential oracle.  A bad runner value (``--workers
+  0``, ``--retries -1``, ``--heartbeat -1``, ``--timeout 0``) exits 2
+  before anything runs.
 * ``campaign status CONFIG [--out DIR] [--watch] [--interval S]`` —
   per-row completion accounting; ``--watch`` adds the live fabric view
   (throughput, ETA, per-worker state) replayed from the events ledger.
@@ -30,8 +33,7 @@ Commands:
   by a manifest (or directory of configs) through one fabric run: one
   worker pool, each distinct simulation once, one store per campaign.
 * ``store compact PATH`` / ``store merge DEST SRC ...`` — rewrite a
-  store to one line per cell / fold other stores (or leftover worker
-  shards) into it.
+  store to one line per cell / fold other stores into it.
 * ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the
   engine microbenchmarks, write them to ``bench_results.json`` (an
   untracked file; the committed ``BENCH_engine.json`` is history), and
@@ -216,6 +218,19 @@ def _campaign_command(fn):
     return wrapped
 
 
+def _runner_flags(args):
+    """The runner flags given, checked with ``--timeout`` before
+    anything runs: a bad value exits 2 with a one-line message."""
+    from repro.campaign.fabric.runner import check_runner_options
+
+    flags = runner_overrides(args)
+    try:
+        check_runner_options(timeout=args.timeout, **flags)
+    except ValueError as exc:
+        raise _ConfigError(f"bad runner flag: {exc}") from None
+    return flags
+
+
 def _events_path(store) -> str:
     """The fabric events ledger lives beside the campaign store."""
     return os.path.join(
@@ -227,8 +242,8 @@ def _events_path(store) -> str:
 def _cmd_campaign_run(args) -> int:
     from repro.campaign import render_report, run_campaign, run_campaign_fabric
 
+    fabric = _runner_flags(args)
     spec, store = _campaign_store(args)
-    fabric = runner_overrides(args)
     if fabric:
         # Any fabric flag engages the fault-tolerant runner; the plain
         # serial path below stays the differential oracle it is tested
@@ -287,10 +302,12 @@ def _cmd_campaign_report(args) -> int:
     return 0
 
 
+@_campaign_command
 def _cmd_campaign_run_all(args) -> int:
     from repro.campaign import CampaignStore, run_campaigns_fabric
     from repro.campaign.fabric import load_campaigns, resolve_run_all
 
+    runner = _runner_flags(args)
     try:
         name, configs = resolve_run_all(args.target)
         campaigns, bad = load_campaigns(configs)
@@ -309,7 +326,7 @@ def _cmd_campaign_run_all(args) -> int:
     # One pool for every campaign: cells that are the same simulation
     # run once, and each campaign's store still gets its own records.
     reports = run_campaigns_fabric(
-        runs, timeout=args.timeout, progress=print, **runner_overrides(args)
+        runs, timeout=args.timeout, progress=print, **runner
     )
     failures = [path for path, _ in bad]
     for (path, spec), report in zip(campaigns, reports):
@@ -356,8 +373,8 @@ def _cmd_store_merge(args) -> int:
     before = len(merged)
     for src in sources:
         for key, record in CampaignStore(src).load().items():
-            # Same rule as the fabric shard merge: never let an error
-            # record shadow an ok one; otherwise later sources win.
+            # Never let an error record shadow an ok one; otherwise
+            # later sources win.
             current = merged.get(key)
             keep_current = (
                 current is not None
@@ -544,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cell wall-clock budget in seconds",
     )
     # --workers/--retries/--heartbeat: any of them engages the fabric
-    # runner (persistent workers, shards, retry, quarantine, events).
+    # runner (persistent workers, retry, quarantine, events).
     add_runner_args(p_run)
     p_run.set_defaults(func=_cmd_campaign_run)
 

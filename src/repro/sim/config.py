@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -220,11 +221,14 @@ class ExecutionConfig:
                     if (
                         isinstance(value, bool)
                         or not isinstance(value, (int, float))
-                        or value < 0
+                        # NaN fails both bounds; the top one is the
+                        # longest wait a worker's beat thread can take.
+                        or not 0 <= value <= threading.TIMEOUT_MAX
                     ):
                         raise ExecutionConfigError(
-                            f"heartbeat must be a number of seconds >= 0 "
-                            f"(0 disables liveness checks), got {value!r}"
+                            f"heartbeat must be a number of seconds from "
+                            f"0 (no liveness checks) to "
+                            f"{threading.TIMEOUT_MAX:.0f}, got {value!r}"
                         )
                 else:
                     minimum = 1 if spec.name == "workers" else 0

@@ -360,6 +360,15 @@ class TestRunner:
         report = run_campaign(spec, store, timeout=1)
         assert report.timeouts == 1 and report.ok == 1
 
+    def test_budget_past_what_alarm_takes_is_clamped(self):
+        # signal.alarm takes a C int of seconds, and this block's budget
+        # (timeout x seeds) overflows to inf: clamped, never an error.
+        records = execute_job({
+            "job": {"row": "path", "size": 16, "seeds": [0, 1]},
+            "timeout": 1e308,
+        })
+        assert [r["status"] for r in records] == ["ok", "ok"]
+
     def test_failed_cells_retry_on_rerun(self, tmp_path, crashing_row):
         spec = CampaignSpec.from_dict({
             "name": "x", "rows": [{"row": crashing_row, "sizes": [4], "seeds": [0]}]

@@ -2,22 +2,23 @@
 
 The contract under test: whatever the fabric is subjected to — SIGKILL
 mid-block, a wedged (SIGSTOPped) worker, cells that raise, cells that
-sleep past their budget — the canonical store ends up with aggregates
-byte-identical to the serial oracle's, and a resume computes only the
-true delta.  Plus the subsystems the fabric rides on: crash-safe store
-appends, prefer-ok shard merging, the O(aggregates) streaming reducer,
-the events ledger, live status, run-all resolution, and the CLI/config
-surface.
+sleep past their budget, a SIGKILLed parent — the store ends up with
+aggregates byte-identical to the serial oracle's, and a resume computes
+only the true delta.  The parent is every store's one writer: a block
+its ledger reports as completed is already in the store, and its
+workers die with it.  Plus the subsystems the fabric rides on:
+crash-safe store appends, the events ledger, live status, run-all
+resolution, and the CLI/config surface.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
-import weakref
 
 import pytest
 
@@ -28,35 +29,29 @@ from repro.campaign import (
     CampaignStore,
     RowDefinition,
     aggregate_campaign,
-    aggregate_campaign_streaming,
     register_row,
     run_campaign,
     run_campaign_fabric,
     run_campaigns_fabric,
-    stream_points,
 )
 from repro.campaign.fabric import (
     CRASH_ENV,
     EventLog,
     live_progress,
-    merge_shards,
     read_events,
     render_events_summary,
     render_live_status,
     resolve_run_all,
-    shard_dir_for,
-    shard_path,
     summarize_events,
     watch_campaign,
 )
-from repro.campaign.fabric.reduce import StreamingCampaignAggregator
 from repro.campaign.registry import (
     GRAPH_FAMILIES,
     GRAPH_FAMILY_MIN_SIZES,
     row_min_size,
     scaled_sizes,
 )
-from repro.campaign.runner import execute_job, plan_pending
+from repro.campaign.runner import plan_pending
 from repro.campaign.store import STATUS_QUARANTINED, make_record
 from repro.cli import main
 from repro.sim import ExecutionConfig, Simulator
@@ -204,122 +199,6 @@ class TestStoreCrashSafety:
         assert leftovers == []
 
 
-class TestShardMerge:
-    def test_ok_beats_later_error(self, tmp_path):
-        store = _store(tmp_path)
-        shard_dir = shard_dir_for(store)
-        os.makedirs(shard_dir)
-        ok = make_record("cell", {"seed": 0}, "ok", result={"n": 1})
-        CampaignStore(shard_path(shard_dir, 0)).append(ok)
-        time.sleep(0.01)
-        CampaignStore(shard_path(shard_dir, 1)).append(
-            make_record("cell", {"seed": 0}, "error", error="late crash")
-        )
-        stats = merge_shards(store, shard_dir)
-        assert stats == {"shards": 2, "records": 1}
-        assert store.load()["cell"]["status"] == "ok"
-        assert not os.path.isdir(shard_dir)  # pruned after merge
-
-    def test_latest_ts_wins_among_equals(self, tmp_path):
-        store = _store(tmp_path)
-        shard_dir = shard_dir_for(store)
-        os.makedirs(shard_dir)
-        old = make_record("cell", {}, "error", error="first")
-        new = make_record("cell", {}, "error", error="second")
-        new["ts"] = old["ts"] + 10
-        CampaignStore(shard_path(shard_dir, 0)).append(new)
-        CampaignStore(shard_path(shard_dir, 1)).append(old)
-        merge_shards(store, shard_dir)
-        assert store.load()["cell"]["error"] == "second"
-
-    def test_empty_dir_is_noop(self, tmp_path):
-        store = _store(tmp_path)
-        assert merge_shards(store, shard_dir_for(store)) == {
-            "shards": 0, "records": 0,
-        }
-
-
-class TestStreamingReducer:
-    def test_matches_batch_aggregation(self, tmp_path):
-        spec = _spec([
-            {"row": "figure1", "sizes": [8, 12], "seeds": [0, 1]},
-            {"row": "bounded", "sizes": [8], "seeds": [0, 1]},
-        ])
-        store = _store(tmp_path)
-        run_campaign(spec, store, progress=None)
-        assert _points_blob(aggregate_campaign(spec, store, extended=True)) \
-            == _points_blob(aggregate_campaign_streaming(spec, store))
-
-    def test_matches_batch_on_partial_store(self, tmp_path):
-        spec = _spec([{"row": "bounded", "sizes": [8, 12], "seeds": [0, 1]}])
-        store = _store(tmp_path)
-        run_campaign(spec, store, progress=None)
-        partial = _store(tmp_path, "partial.jsonl")
-        partial.append_many(list(store.iter_records())[:-1])
-        assert _points_blob(aggregate_campaign(spec, partial, extended=True)) \
-            == _points_blob(aggregate_campaign_streaming(spec, partial))
-
-    def test_failure_never_displaces_success(self, tmp_path):
-        spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
-        store = _store(tmp_path)
-        run_campaign(spec, store, progress=None)
-        (ok,) = store.ok_records()
-        failure = make_record(ok["key"], ok["job"], "error", error="late")
-        points = stream_points(spec, [ok, failure])
-        assert _points_blob(points) == _points_blob(stream_points(spec, [ok]))
-
-    def test_ignores_out_of_matrix_records(self):
-        spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
-        aggregator = StreamingCampaignAggregator(spec)
-        foreign = execute_job(
-            {"job": {"row": "path", "size": 16, "seed": 3}, "timeout": None}
-        )[0]
-        assert aggregator.add(foreign) is False
-        assert aggregator.completed_cells() == 0
-
-    def test_memory_stays_o_aggregates_on_10k_cells(self):
-        """≥10k synthetic cells: the reducer retains at most one open
-        bucket of CellResults and never the record dicts themselves."""
-        sizes = list(range(4, 104))   # 100 sizes
-        seeds = list(range(100))      # x 100 seeds = 10,000 cells
-        spec = _spec([{"row": "path", "sizes": sizes, "seeds": seeds}])
-        aggregator = StreamingCampaignAggregator(spec)
-
-        class Record(dict):
-            """Weakref-able record (plain dicts are not)."""
-
-        refs = []
-        max_open = 0
-        for size in sizes:
-            for seed in seeds:
-                record = Record(
-                    key=f"{size}-{seed}",
-                    job={"row": "path", "size": size, "seed": seed,
-                         "options": {}},
-                    status="ok",
-                    result={
-                        "label": "path", "size": size, "n": size,
-                        "max_degree": 2, "diameter": size - 1, "seed": seed,
-                        "delivered": True, "duration": float(seed % 7 + size),
-                        "max_energy": 3.0, "mean_energy": 1.5, "extras": {},
-                    },
-                )
-                if seed == 0:
-                    refs.append(weakref.ref(record))
-                assert aggregator.add(record)
-                max_open = max(max_open, aggregator.open_cells())
-                del record
-        assert aggregator.completed_cells() == 10_000
-        assert aggregator.open_cells() == 0
-        # One bucket (100 seeds) is the most ever buffered: O(aggregates),
-        # not O(cells).
-        assert max_open <= len(seeds)
-        gc.collect()
-        assert all(ref() is None for ref in refs)  # no record retained
-        points = aggregator.points()
-        assert len(points["path"]) == len(sizes)
-
-
 class TestFabricDifferential:
     def test_matches_serial_oracle(self, tmp_path):
         # path at n=8 is figure1's simulation: the fabric fuses the two
@@ -344,8 +223,7 @@ class TestFabricDifferential:
         assert {"row": "figure1+path", "size": 8, "seeds": 4}.items() \
             <= next(e for e in dispatched if "+" in e["row"]).items()
         assert _points_blob(aggregate_campaign(spec, serial, extended=True)) \
-            == _points_blob(aggregate_campaign(spec, fabric, extended=True)) \
-            == _points_blob(aggregate_campaign_streaming(spec, fabric))
+            == _points_blob(aggregate_campaign(spec, fabric, extended=True))
 
     def test_lossy_row_matches_serial_oracle(self, tmp_path):
         """The PR acceptance shape: a lossy many-seed row through
@@ -504,20 +382,6 @@ class TestFabricDifferential:
         monkeypatch.setattr(workers_mod, "execute_block_payload", real)
         healed = _fabric(spec, store, workers=2)
         assert healed.all_ok and healed.ok == 2 and healed.skipped == 1
-
-    def test_adopts_leftover_shards_from_aborted_run(self, tmp_path):
-        spec = _spec([{"row": "path", "sizes": [8, 12], "seeds": [0]}])
-        store = _store(tmp_path)
-        # Simulate a run that died after one worker wrote its shard but
-        # before the parent merged it.
-        shard_dir = shard_dir_for(store)
-        os.makedirs(shard_dir)
-        records = execute_job(
-            {"job": {"row": "path", "size": 8, "seed": 0}, "timeout": None}
-        )
-        CampaignStore(shard_path(shard_dir, 0)).append_many(records)
-        report = _fabric(spec, store, workers=1)
-        assert report.skipped == 1 and report.ok == 1  # adopted, not rerun
 
 
 def _results(store):
@@ -685,6 +549,88 @@ class TestPooledRunAll:
         store = _store(tmp_path)
         with pytest.raises(ValueError, match="share the store directory"):
             run_campaigns_fabric([(spec, store, None), (spec, store, None)])
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie counts as exited,
+    since nothing may reap an orphan here."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+class TestKilledParent:
+    """A SIGKILLed ``campaign run --workers 2`` parent."""
+
+    ROWS = [{
+        "row": "path", "sizes": [256, 384, 512, 640, 768, 896, 1024],
+        "seeds": [0],
+    }]
+
+    def test_store_is_consistent_resumable_and_workers_exit(self, tmp_path):
+        import repro
+
+        config = tmp_path / "killed.json"
+        config.write_text(json.dumps({"name": "killed", "rows": self.ROWS}))
+        out = tmp_path / "out"
+        events_path = str(out / "events.jsonl")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run", str(config),
+             "--workers", "2", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(
+                e["ev"] == "block_completed" for e in read_events(events_path)
+            ):
+                assert parent.poll() is None, "the run ended first"
+                assert time.monotonic() < deadline, "no block completed"
+                time.sleep(0.02)
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+        events = list(read_events(events_path))
+        # The workers die with their parent (survivors are killed here
+        # before the assert, so a failure leaves no orphans behind).
+        pids = [e["pid"] for e in events if e["ev"] == "worker_born"]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+        # Every block the ledger reports as completed is in the store.
+        store = CampaignStore(str(out / "results.jsonl"))
+        completed = sum(
+            e["ok"] for e in events if e["ev"] == "block_completed"
+        )
+        assert len(store.ok_records()) >= completed
+        assert not (out / "shards").exists()
+        # A resume computes only the missing cells, to the serial
+        # oracle's aggregates.
+        spec = CampaignSpec.from_json_file(str(config))
+        done = len(store.completed_keys())
+        assert done < 7
+        resumed = _fabric(spec, store, workers=2)
+        assert resumed.all_ok
+        assert (resumed.skipped, resumed.ran) == (done, 7 - done)
+        serial = _store(tmp_path / "serial")
+        run_campaign(spec, serial, progress=None)
+        assert _points_blob(aggregate_campaign(spec, store, extended=True)) \
+            == _points_blob(aggregate_campaign(spec, serial, extended=True))
 
 
 class TestEventsLedger:
@@ -995,6 +941,43 @@ class TestRunnerConfigSurface:
         spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
         with pytest.raises(ValueError, match="workers"):
             run_campaign_fabric(spec, _store(tmp_path), workers=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("retries", -1), ("heartbeat", -1.0), ("heartbeat", float("nan")),
+        ("heartbeat", float("inf")), ("timeout", 0), ("timeout", -1.0),
+        ("timeout", True), ("timeout", float("inf")),
+    ])
+    def test_fabric_checks_runner_values_before_writing(
+        self, tmp_path, name, value
+    ):
+        spec = _spec([{"row": "path", "sizes": [8, 12], "seeds": [0]}])
+        store = _store(tmp_path / "out")
+        with pytest.raises(ExecutionConfigError, match=name):
+            run_campaigns_fabric([(spec, store, None)], **{name: value})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--workers=0", "--retries=-1", "--heartbeat=-1", "--heartbeat=nan",
+        "--timeout=0", "--timeout=-1", "--timeout=inf",
+    ])
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_cli_bad_runner_flag_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command, flag
+    ):
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({
+            "name": "clibad",
+            "rows": [{"row": "path", "sizes": [8, 12], "seeds": [0]}],
+        }))
+        out = tmp_path / "out"
+        where = "--out" if command == "run" else "--out-root"
+        assert main([
+            "campaign", command, str(config), where, str(out), flag,
+        ]) == 2
+        message = capsys.readouterr().out
+        assert message.count("\n") == 1
+        assert message.startswith("bad runner flag: " + flag[2:].split("=")[0])
+        assert not out.exists()
 
     def test_cli_flags_route_to_fabric_defaults(self):
         from repro.sim.config import runner_overrides

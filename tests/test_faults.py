@@ -581,7 +581,7 @@ class TestEventsLedger:
         assert "quantum_decoherence=1" in text
 
     def test_worker_status_tuple_recovers_reason(self):
-        from repro.campaign.fabric.workers import _soa_reason
+        from repro.campaign.fabric.runner import _soa_reason
 
         assert _soa_reason({"soa": 0.0, "soa_reason_churn": 1.0}) == "churn"
         assert _soa_reason({"soa": 1.0, "soa_reason_ok": 1.0}) == "ok"
