@@ -66,18 +66,15 @@ def decay_broadcast_protocol(
             ctx.inputs.get("payload") if ctx.inputs.get("source") else None
         )
         sends_left = relay_rounds if relay_rounds is not None else rounds
-        one_frame = DecayParams(
-            slots_per_phase=params.slots_per_phase, phases=params.phases
-        )
         for _ in range(rounds):
             if payload is not None:
                 if sends_left > 0:
-                    yield from sr_nocd(ctx, Role.SENDER, payload, one_frame)
+                    yield from sr_nocd(ctx, Role.SENDER, payload, params)
                     sends_left -= 1
                 else:
-                    yield from sr_nocd(ctx, Role.IDLE, None, one_frame)
+                    yield from sr_nocd(ctx, Role.IDLE, None, params)
             else:
-                received = yield from sr_nocd(ctx, Role.RECEIVER, None, one_frame)
+                received = yield from sr_nocd(ctx, Role.RECEIVER, None, params)
                 if received is not None:
                     payload = received
         return payload

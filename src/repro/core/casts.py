@@ -50,7 +50,6 @@ def down_cast(
     one frame earlier, which is how a value washes down the layers).
     """
     frames = max_layers - 1
-    frame_len = scheme.frame_length
     recv_frame = layer - 1  # I am in R = layer-(i+1) when i = layer-1
     send_frame = layer  # I am in S = layer-i when i = layer
     cursor = 0
@@ -87,8 +86,6 @@ def up_cast(
     i = layer+1 and send in frame i = layer; descending order makes those
     consecutive, so a value washes up toward layer 0."""
     frames = max_layers - 1  # frame indices i = max_layers-1 .. 1
-    frame_len = scheme.frame_length
-    del frame_len
     recv_frame = layer + 1  # I am in R = layer-(i-1) when i = layer+1
     send_frame = layer  # I am in S = layer-i when i = layer
     cursor = 0  # position in sweep order: position p handles i = max_layers-1-p

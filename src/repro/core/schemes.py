@@ -13,10 +13,12 @@ synchronization contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Optional, Union
 
 from repro.core import sr_comm
 from repro.core.sr_comm import CDParams, DecayParams, Role
+from repro.sim.actions import Idle
 from repro.sim.node import NodeCtx
 
 __all__ = ["SRScheme"]
@@ -53,22 +55,25 @@ class SRScheme:
 
     # -- geometry ----------------------------------------------------------
 
-    @property
+    @cached_property
+    def params(self) -> Optional[Union[DecayParams, CDParams]]:
+        """The frame geometry: :class:`DecayParams` under No-CD,
+        :class:`CDParams` under CD, None under LOCAL.  Built on first use
+        and kept, so a protocol that runs many frames on one scheme
+        computes it once."""
+        if self.model_name == "CD":
+            return CDParams.for_graph(
+                self.max_degree, self.failure, probe=self.probe, ack=self.ack
+            )
+        if self.model_name == "No-CD":
+            return DecayParams.for_graph(self.max_degree, self.failure)
+        return None
+
+    @cached_property
     def frame_length(self) -> int:
         """Slots consumed by one SR-communication invocation."""
-        if self.model_name == "LOCAL":
-            return 1
-        if self.model_name == "CD":
-            return self._cd_params().frame_length
-        return self._decay_params().frame_length
-
-    def _decay_params(self) -> DecayParams:
-        return DecayParams.for_graph(self.max_degree, self.failure)
-
-    def _cd_params(self) -> CDParams:
-        return CDParams.for_graph(
-            self.max_degree, self.failure, probe=self.probe, ack=self.ack
-        )
+        params = self.params
+        return 1 if params is None else params.frame_length
 
     # -- execution ----------------------------------------------------------
 
@@ -82,15 +87,11 @@ class SRScheme:
         if self.model_name == "LOCAL":
             return sr_comm.sr_local(ctx, role, message, accept=accept)
         if self.model_name == "CD":
-            return sr_comm.sr_cd(ctx, role, message, self._cd_params(), accept=accept)
-        return sr_comm.sr_nocd(
-            ctx, role, message, self._decay_params(), accept=accept
-        )
+            return sr_comm.sr_cd(ctx, role, message, self.params, accept=accept)
+        return sr_comm.sr_nocd(ctx, role, message, self.params, accept=accept)
 
     def idle_frames(self, count: int):
         """Idle through ``count`` whole frames (generator)."""
         slots = count * self.frame_length
         if slots > 0:
-            from repro.sim.actions import Idle
-
             yield Idle(slots)

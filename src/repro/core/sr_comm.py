@@ -21,18 +21,20 @@ vertex — sender, receiver, or bystander (role IDLE) — consumes *exactly*
 ``frame_length`` slots, so concurrent invocations across the network stay
 slot-synchronized.  Early finishers pad with Idle.
 
-The hot frames are *phase-compiled* (:mod:`repro.sim.plan`): decay
-senders pre-draw their burst length and yield one ``Repeat(Send, k)``
-per phase, decay receivers yield a single padded ``ListenUntil`` for the
-whole frame, and the CD / deterministic interval schedules yield
-``Steps`` sequences — so a frame costs O(phases) generator entries
-instead of O(frame_length).  All rewirings preserve the per-slot rng
-draw order and slot-for-slot action sequence, so results are
+The hot frames are *phase-compiled* (:mod:`repro.sim.plan`).  A sender's
+schedule depends on nothing it hears, so decay senders and CD senders
+without the ack slot draw every burst at frame start and yield the whole
+frame as one ``Steps`` plan; decay receivers yield a single padded
+``ListenUntil``; the deterministic interval schedules yield one ``Steps``
+per round.  A sender frame thus costs O(1) generator entries instead of
+O(frame_length).  Each node's rng is its own and nothing else draws from
+it inside a frame, so drawing up front draws the same numbers in the same
+order as a per-slot loop: slot pattern, rng stream and results are
 byte-identical to the per-slot path (the reference simulator, which
 expands every plan per slot, pins this).
 Adaptive parts whose next slot depends on the previous feedback (probe
-slots, ack slots, the Lemma 8 controller) stay per-slot — the escape
-hatch plans are designed around.
+slots, ack slots, the Lemma 8 controller) stay per-slot or per-epoch —
+the escape hatch plans are designed around.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Any, Optional
 from repro.sim.actions import Idle, Listen, Send
 from repro.sim.feedback import NOISE, SILENCE, is_message
 from repro.sim.node import NodeCtx
-from repro.sim.plan import ListenUntil, Repeat, Steps
+from repro.sim.plan import ListenUntil, Steps
 from repro.util import ceil_log2
 
 __all__ = [
@@ -138,12 +140,12 @@ def sr_nocd(
     passing ``accept`` (default: any message), then idle out the rest of
     the frame.  Returns the received message (receivers) or None.
 
-    Phase-compiled: the sender pre-draws each phase's geometric burst
-    length (same draws, same order as the per-slot loop) and yields one
-    ``Repeat(Send, length)`` burst per phase; the receiver's whole frame
-    is a single padded ``ListenUntil`` — listen until an accepted
-    message, idle out the rest — exactly the per-slot path's slot
-    pattern with O(1) generator entries.
+    Phase-compiled: the sender draws every phase's geometric burst
+    length at frame start (same draws, same order as the per-slot loop)
+    and yields the whole frame as one ``Steps`` plan; the receiver's
+    whole frame is a single padded ``ListenUntil`` — listen until an
+    accepted message, idle out the rest.  Both are exactly the per-slot
+    path's slot pattern with O(1) generator entries.
     """
     slots, phases = params.slots_per_phase, params.phases
     if role is Role.IDLE:
@@ -151,15 +153,16 @@ def sr_nocd(
         return None
     if role is Role.SENDER:
         rand = ctx.rng.random
+        send = Send(message)
+        acts = []
         for _ in range(phases):
             length = 1
             while length < slots and rand() < 0.5:
                 length += 1
-            if length == 1:
-                yield Send(message)
-            else:
-                yield Repeat(Send(message), length)
-            yield from _idle(slots - length)
+            acts += (send,) * length
+            if length < slots:
+                acts.append(Idle(slots - length))
+        yield Steps(tuple(acts))
         return None
     # Receiver: one plan for the whole frame.
     received = yield ListenUntil(slots * phases, accept=accept, pad=True)
@@ -265,6 +268,29 @@ class _Controller:
                 self.lo = max(0, self.hi - 1)
 
 
+def _cd_send_schedule(rand, send: Send, slots: int, epochs: int) -> tuple:
+    """A CD sender's actions for ``epochs`` epochs of ``slots`` slots.
+
+    In every epoch each slot i draws ``rand() < 2^-(i+1)``, in slot order
+    (all ``slots`` draws happen), and the sender transmits ``send`` in the
+    first two slots that hit; idle gaps merge across epoch boundaries.
+    """
+    probs = [2.0 ** -(i + 1) for i in range(slots)]
+    acts = []
+    cursor = 0
+    for base in range(0, epochs * slots, slots):
+        picks = [i for i in range(slots) if rand() < probs[i]][:2]
+        for i in picks:
+            at = base + i
+            if at > cursor:
+                acts.append(Idle(at - cursor))
+            acts.append(send)
+            cursor = at + 1
+    if epochs * slots > cursor:
+        acts.append(Idle(epochs * slots - cursor))
+    return tuple(acts)
+
+
 def sr_cd(
     ctx: NodeCtx,
     role: Role,
@@ -280,6 +306,14 @@ def sr_cd(
     and spend O(1) energy.  With ``params.ack`` (the Lemma 8 special case),
     receivers that already got a message transmit an ack at the end of each
     epoch and their neighboring senders shut down.
+
+    Phase-compiled: without the ack slot a sender draws every epoch's
+    picks at frame start (same draws, same order as the per-epoch loop)
+    and yields all its epochs as one ``Steps`` plan; with it, each epoch
+    is one ``Steps`` plan followed by the per-slot ack listen.  A
+    receiver yields one ``Steps`` plan per epoch (the controller needs
+    each epoch's feedback) and, once it holds a message, one ``Idle``
+    for the rest of the frame.
     """
     total = params.frame_length
     spent = 0
@@ -314,35 +348,23 @@ def sr_cd(
 
     slots = params.slots_per_epoch
     if role is Role.SENDER:
+        # The schedule depends only on the rng draws, so it goes out as
+        # Steps plans: every epoch at once without the ack slot, one per
+        # epoch with it — the ack slot stays per-slot, because its
+        # feedback decides the early exit.
+        rand = ctx.rng.random
+        send = Send(message)
+        if not params.ack:
+            yield Steps(_cd_send_schedule(rand, send, slots, params.epochs))
+            return None
         for _ in range(params.epochs):
-            # Phase-compiled epoch: the picks are fully determined by the
-            # (unchanged) rng draws, so the whole idle/send interval
-            # schedule goes out as one Steps plan.  The ack slot stays
-            # per-slot — its feedback decides the early exit.
-            picks = [
-                i for i in range(slots) if ctx.rng.random() < 2.0 ** -(i + 1)
-            ][:2]
-            acts = []
-            cursor = 0
-            for i in picks:
-                if i > cursor:
-                    acts.append(Idle(i - cursor))
-                acts.append(Send(message))
-                cursor = i + 1
-            if slots > cursor:
-                acts.append(Idle(slots - cursor))
-            if len(acts) == 1:
-                yield acts[0]
-            else:
-                yield Steps(tuple(acts))
-            spent += slots
-            if params.ack:
-                feedback = yield Listen()
-                spent += 1
-                if feedback is not SILENCE:
-                    # Some neighboring receiver is satisfied; stop early.
-                    yield from idle_rest()
-                    return None
+            yield Steps(_cd_send_schedule(rand, send, slots, 1))
+            feedback = yield Listen()
+            spent += slots + 1
+            if feedback is not SILENCE:
+                # Some neighboring receiver is satisfied; stop early.
+                yield from idle_rest()
+                return None
         return None
 
     # Receiver: one listening slot per epoch, controller-chosen.  The
@@ -352,40 +374,36 @@ def sr_cd(
     controller = _Controller(max_k=slots)
     received: Optional[Any] = None
     for _ in range(params.epochs):
-        if received is None:
-            k = controller.next_k()  # 1-based exponent = slot index k-1
-            acts = []
-            if k > 1:
-                acts.append(Idle(k - 1))
-            acts.append(Listen())
-            if slots > k:
-                acts.append(Idle(slots - k))
-            if len(acts) == 1:
-                feedback = yield acts[0]
-            else:
-                feedback = (yield Steps(tuple(acts)))[0]
-            if is_message(feedback):
-                if accept is None or accept(feedback):
-                    received = feedback
-                # A rejected message still proves a lone transmitter; do
-                # not update the contention controller from it.
-            else:
-                controller.observe(k, feedback)
-            spent += slots
-            if params.ack:
-                if received is not None:
-                    yield Send(_ACK)
-                else:
-                    yield from _idle(1)
-                spent += 1
+        k = controller.next_k()  # 1-based exponent = slot index k-1
+        acts = []
+        if k > 1:
+            acts.append(Idle(k - 1))
+        acts.append(Listen())
+        if slots > k:
+            acts.append(Idle(slots - k))
+        if len(acts) == 1:
+            feedback = yield acts[0]
         else:
-            if params.ack:
-                # Stay on schedule but free of charge once satisfied
-                # (ack already sent in the epoch of reception).
-                yield from idle_rest()
-                break
-            yield from _idle(slots)
-            spent += slots
+            feedback = (yield Steps(tuple(acts)))[0]
+        if is_message(feedback):
+            if accept is None or accept(feedback):
+                received = feedback
+            # A rejected message still proves a lone transmitter; do
+            # not update the contention controller from it.
+        else:
+            controller.observe(k, feedback)
+        spent += slots
+        if params.ack:
+            if received is not None:
+                yield Send(_ACK)
+            else:
+                yield from _idle(1)
+            spent += 1
+        if received is not None:
+            # Stay on schedule but free of charge once satisfied (with
+            # the ack variant, the ack went out in this epoch).
+            yield from idle_rest()
+            break
     return received
 
 

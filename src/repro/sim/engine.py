@@ -58,6 +58,7 @@ from repro.sim.plan import (
     OP_UNTIL,
     Plan,
     ProtocolError,
+    exact_action,
     plan_feedback,
     plan_resume,
     start_plan,
@@ -329,13 +330,13 @@ class Simulator:
         for v, action in first:
             while True:
                 cls = action.__class__
-                if cls is Idle or isinstance(action, Idle):
+                if cls is Idle:
                     heappush(heap, (action.duration, v, _RESUME))
-                elif cls is Send or isinstance(action, Send):
+                elif cls is Send:
                     bucket_senders[v] = action.message
-                elif cls is Listen or isinstance(action, Listen):
+                elif cls is Listen:
                     bucket_listeners.append(v)
-                elif cls is SendListen or isinstance(action, SendListen):
+                elif cls is SendListen:
                     if not full_duplex:
                         raise ProtocolError(
                             f"SendListen is illegal in the {model_name} model"
@@ -345,9 +346,8 @@ class Simulator:
                     plans[v], action = start_plan(action, ctxs[v])
                     continue
                 else:
-                    raise ProtocolError(
-                        f"protocol yielded non-action {action!r}"
-                    )
+                    action = exact_action(action)
+                    continue
                 break
 
         # Hot-loop locals: resolved once, not per slot.  The backend
@@ -398,13 +398,13 @@ class Simulator:
                         continue
                 while True:
                     cls = action.__class__
-                    if cls is Idle or isinstance(action, Idle):
+                    if cls is Idle:
                         heappush(heap, (slot + action.duration, v, _RESUME))
-                    elif cls is Send or isinstance(action, Send):
+                    elif cls is Send:
                         senders[v] = action.message
-                    elif cls is Listen or isinstance(action, Listen):
+                    elif cls is Listen:
                         listeners.append(v)
-                    elif cls is SendListen or isinstance(action, SendListen):
+                    elif cls is SendListen:
                         if not full_duplex:
                             raise ProtocolError(
                                 f"SendListen is illegal in the {model_name} model"
@@ -414,9 +414,8 @@ class Simulator:
                         plans[v], action = start_plan(action, ctxs[v])
                         continue
                     else:
-                        raise ProtocolError(
-                            f"protocol yielded non-action {action!r}"
-                        )
+                        action = exact_action(action)
+                        continue
                     break
 
             if not (senders or listeners or duplexers):
@@ -480,27 +479,14 @@ class Simulator:
                 ps = plans[v]
                 if ps is not None:
                     op = ps[0]
-                    if op == OP_SEND:  # mid send-run
-                        rem = ps[1]
-                        if rem > 1:
-                            ps[1] = rem - 1
-                            bucket_senders[v] = ps[2]
-                            continue
-                        action, result = plan_feedback(ps, None)
-                    elif op == OP_LISTEN:  # mid listen-run
-                        ps[3].append(feedbacks[v])
-                        rem = ps[1]
-                        if rem > 1:
-                            ps[1] = rem - 1
-                            bucket_listeners.append(v)
-                            continue
-                        action, result = plan_resume(ps)
-                    elif op == OP_UNTIL:
+                    # Hottest first: SR frames run as ListenUntil (decay
+                    # receivers) and Steps (senders, CD receivers) plans.
+                    if op == OP_UNTIL:
                         fb = feedbacks[v]
                         if (
-                            fb is None
-                            or fb is SILENCE
+                            fb is SILENCE
                             or fb is NOISE
+                            or fb is None
                             or fb is BEEP
                             or (fb.__class__ is tuple and not fb)
                         ):
@@ -541,6 +527,21 @@ class Simulator:
                             bucket_duplexers[v] = act.message
                             continue
                         action, result = plan_resume(ps)
+                    elif op == OP_SEND:  # mid send-run
+                        rem = ps[1]
+                        if rem > 1:
+                            ps[1] = rem - 1
+                            bucket_senders[v] = ps[2]
+                            continue
+                        action, result = plan_feedback(ps, None)
+                    elif op == OP_LISTEN:  # mid listen-run
+                        ps[3].append(feedbacks[v])
+                        rem = ps[1]
+                        if rem > 1:
+                            ps[1] = rem - 1
+                            bucket_listeners.append(v)
+                            continue
+                        action, result = plan_resume(ps)
                     else:  # duplex runs and other cold opcodes
                         action, result = plan_feedback(ps, feedbacks[v])
                     if action is None:
@@ -566,13 +567,13 @@ class Simulator:
                         continue
                 while True:
                     cls = action.__class__
-                    if cls is Idle or isinstance(action, Idle):
+                    if cls is Idle:
                         heappush(heap, (next_slot + action.duration, v, _RESUME))
-                    elif cls is Send or isinstance(action, Send):
+                    elif cls is Send:
                         bucket_senders[v] = action.message
-                    elif cls is Listen or isinstance(action, Listen):
+                    elif cls is Listen:
                         bucket_listeners.append(v)
-                    elif cls is SendListen or isinstance(action, SendListen):
+                    elif cls is SendListen:
                         if not full_duplex:
                             raise ProtocolError(
                                 f"SendListen is illegal in the {model_name} model"
@@ -582,9 +583,8 @@ class Simulator:
                         plans[v], action = start_plan(action, ctxs[v])
                         continue
                     else:
-                        raise ProtocolError(
-                            f"protocol yielded non-action {action!r}"
-                        )
+                        action = exact_action(action)
+                        continue
                     break
 
         return SimResult(

@@ -258,6 +258,26 @@ _PRIMITIVES = (Send, Listen, SendListen, Idle)
 _EMPTY_SEGS = ()
 
 
+def exact_action(action):
+    """``action`` on its exact primitive class.
+
+    The engines dispatch on the exact classes ``Idle``/``Send``/``Listen``/
+    ``SendListen``; an instance of a subclass of one of them is rebuilt on
+    its base class.  Raises :class:`ProtocolError` for a non-action.
+    """
+    if action.__class__ in _PRIMITIVES:
+        return action
+    if isinstance(action, Idle):
+        return Idle(action.duration)
+    if isinstance(action, Send):
+        return Send(action.message)
+    if isinstance(action, Listen):
+        return _LISTEN
+    if isinstance(action, SendListen):
+        return SendListen(action.message)
+    raise ProtocolError(f"protocol yielded non-action {action!r}")
+
+
 def start_plan(plan: Plan, ctx):
     """Start ``plan`` for the node whose context is ``ctx``: returns
     ``(ps, first_action)`` — the fresh plan state and the primitive
@@ -319,15 +339,7 @@ def start_plan(plan: Plan, ctx):
             )
         if isinstance(action, _PRIMITIVES):
             # Action subclass: normalize and retry on the exact class.
-            if isinstance(action, Send):
-                base: Any = Send(action.message)
-            elif isinstance(action, Listen):
-                base = _LISTEN
-            elif isinstance(action, SendListen):
-                base = SendListen(action.message)
-            else:
-                base = Idle(action.duration)
-            return start_plan(Repeat(base, count), ctx)
+            return start_plan(Repeat(exact_action(action), count), ctx)
         raise ProtocolError(f"Repeat of non-action {action!r}")
     if cls is Steps or isinstance(plan, Steps):
         actions = tuple(plan.actions)
@@ -351,13 +363,7 @@ def start_plan(plan: Plan, ctx):
         if normalize:
             # Action subclasses: rebuild on the exact base classes so the
             # engines' exact-class fast paths dispatch them correctly.
-            actions = tuple(
-                Send(a.message) if isinstance(a, Send)
-                else _LISTEN if isinstance(a, Listen)
-                else SendListen(a.message) if isinstance(a, SendListen)
-                else Idle(a.duration)
-                for a in actions
-            )
+            actions = tuple(exact_action(a) for a in actions)
         return (
             [OP_STEPS, 1, actions, [], _EMPTY_SEGS, 0,
              RESULT_COLLECT, None, False],

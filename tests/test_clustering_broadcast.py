@@ -13,6 +13,7 @@ from repro.broadcast import (
 from repro.core.clustering import refine_labeling
 from repro.core.labeling import is_good_labeling, layer_zero
 from repro.core.schemes import SRScheme
+from repro.core.sr_comm import CDParams, DecayParams
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_gnp, star_graph
 from repro.sim import CD, LOCAL, NO_CD, Simulator
 
@@ -171,3 +172,35 @@ class TestSchemeValidation:
     def test_frame_lengths_positive(self):
         for name in ("LOCAL", "CD", "No-CD"):
             assert SRScheme(name, 8, failure=0.05).frame_length >= 1
+
+
+class TestSchemeGeometry:
+    """Each SRScheme builds its frame geometry once, not once per frame."""
+
+    @pytest.mark.parametrize(
+        "model,params",
+        [(NO_CD, theorem11_params(9, "No-CD")), (CD, theorem12_params(9))],
+        ids=["theorem11-nocd", "theorem12-cd"],
+    )
+    def test_for_graph_once_per_node(self, monkeypatch, model, params):
+        calls = []
+
+        def counting(params_cls):
+            build = params_cls.for_graph.__func__
+
+            def for_graph(cls, *args, **kwargs):
+                calls.append(cls)
+                return build(cls, *args, **kwargs)
+
+            return classmethod(for_graph)
+
+        for params_cls in (DecayParams, CDParams):
+            monkeypatch.setattr(params_cls, "for_graph", counting(params_cls))
+        g = grid_graph(3, 3)
+        outcome = run_broadcast(
+            g, model, cluster_broadcast_protocol(params), seed=1,
+            knowledge=knowledge_for(g),
+        )
+        assert outcome.delivered
+        # Every node builds one scheme; its frames reuse the geometry.
+        assert 0 < len(calls) <= g.n

@@ -19,6 +19,7 @@ from repro.sim import (
     Idle,
     Listen,
     ProtocolError,
+    Repeat,
     Send,
     SendListen,
     Simulator,
@@ -167,6 +168,76 @@ def test_non_action_yield_raises():
         yield "not an action"
 
     with pytest.raises(ProtocolError):
+        Simulator(path_graph(2), NO_CD, seed=0).run(proto)
+
+
+class _MyIdle(Idle):
+    pass
+
+
+class _MySend(Send):
+    pass
+
+
+class _MyListen(Listen):
+    pass
+
+
+class _MySendListen(SendListen):
+    pass
+
+
+def test_action_subclasses_at_every_dispatch_site():
+    # The slot loop tests the exact primitive classes first; a subclass
+    # instance must still act as its base class where a node's action is
+    # classified: its first action, the action after an idle wake-up,
+    # and the action after an active slot.
+    from repro.sim.reference import ReferenceSimulator
+
+    def proto(ctx):
+        if ctx.index == 0:
+            yield _MySend("a")  # first action, slot 0
+            yield _MyIdle(2)  # after an active slot
+            yield _MySend("b")  # after an idle wake-up, slot 3
+            yield _MySend("c")  # after an active slot, slot 4
+            return "sent"
+        if ctx.index == 1:
+            first = yield _MyListen()  # first action, slot 0
+            yield _MyIdle(2)  # after an active slot
+            second = yield _MyListen()  # after an idle wake-up, slot 3
+            third = yield _MyListen()  # after an active slot, slot 4
+            return (first, second, third)
+        yield _MyIdle(3)  # first action
+        return (yield _MyListen())  # after an idle wake-up, slot 3
+
+    fast = Simulator(clique(3), NO_CD, seed=0).run(proto)
+    slow = ReferenceSimulator(clique(3), NO_CD, seed=0).run(proto)
+    assert fast.outputs == ["sent", ("a", "b", "c"), "b"]
+    assert fast.outputs == slow.outputs
+    assert fast.energy == slow.energy
+    assert fast.finish_slot == slow.finish_slot
+    assert fast.duration == slow.duration == 5
+
+
+def test_sendlisten_subclass_at_every_dispatch_site():
+    from repro.sim.reference import ReferenceSimulator
+
+    def proto(ctx):
+        if ctx.index == 0:
+            first = yield _MySendListen("a")  # first action, slot 0
+            yield _MyIdle(1)  # after an active slot
+            second = yield _MySendListen("b")  # after an idle wake-up
+            third = yield _MySendListen("c")  # after an active slot
+            return (first, second, third)
+        return (yield Repeat(Listen(), 4))
+
+    fast = Simulator(path_graph(2), CD_FD, seed=0).run(proto)
+    slow = ReferenceSimulator(path_graph(2), CD_FD, seed=0).run(proto)
+    assert fast.outputs == [(SILENCE, SILENCE, SILENCE), ("a", SILENCE, "b", "c")]
+    assert fast.outputs == slow.outputs
+    assert fast.energy == slow.energy
+    assert fast.finish_slot == slow.finish_slot
+    with pytest.raises(ProtocolError, match="SendListen is illegal"):
         Simulator(path_graph(2), NO_CD, seed=0).run(proto)
 
 

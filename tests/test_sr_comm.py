@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from typing import Any, Optional
+
 import pytest
 
 from repro.core.sr_comm import (
+    _ACK,
+    _PROBE,
     CDParams,
     DecayParams,
     Role,
+    _Controller,
     det_frame_length,
     sr_cd,
     sr_det_cd,
@@ -15,8 +21,22 @@ from repro.core.sr_comm import (
     sr_local,
     sr_nocd,
 )
-from repro.graphs import Graph, clique, k2k_gadget, path_graph, star_graph
-from repro.sim import CD, LOCAL, NO_CD, Simulator
+from repro.graphs import Graph, clique, k2k_gadget, path_graph, random_gnp, star_graph
+from repro.sim import (
+    CD,
+    LOCAL,
+    NO_CD,
+    SILENCE,
+    ExecutionConfig,
+    Idle,
+    Listen,
+    Repeat,
+    Send,
+    Simulator,
+    Steps,
+)
+from repro.sim.feedback import is_message
+from repro.sim.models import LossyModel
 
 
 def _run_sr(graph, model, roles, messages, maker, seed=0):
@@ -292,3 +312,222 @@ class TestDeterministicCD:
         result = Simulator(g, CD, seed=0).run(proto)
         # Lowest sender uid is vertex 1 (uid 2).
         assert result.outputs[0] == (2, payloads[1])
+
+
+# ---------------------------------------------------------------------------
+# Whole-frame sender plans against the per-phase / per-epoch loops
+# ---------------------------------------------------------------------------
+
+
+def _sr_nocd_per_phase(ctx, role, message, params, accept=None):
+    """``sr_nocd`` with its earlier per-phase sender loop: one ``Send`` or
+    ``Repeat`` burst and one ``Idle`` per phase (receivers and bystanders
+    run today's code, which that change left alone)."""
+    if role is not Role.SENDER:
+        return (yield from sr_nocd(ctx, role, message, params, accept))
+    slots, phases = params.slots_per_phase, params.phases
+    rand = ctx.rng.random
+    for _ in range(phases):
+        length = 1
+        while length < slots and rand() < 0.5:
+            length += 1
+        if length == 1:
+            yield Send(message)
+        else:
+            yield Repeat(Send(message), length)
+        if slots > length:
+            yield Idle(slots - length)
+    return None
+
+
+def _sr_cd_per_epoch(ctx, role, message, params, accept=None):
+    """``sr_cd`` as it was with per-epoch sender plans: one ``Steps`` per
+    epoch for senders, and one ``Idle`` per epoch for a receiver that
+    already holds its message."""
+    total = params.frame_length
+    spent = 0
+
+    def idle_rest():
+        if total > spent:
+            yield Idle(total - spent)
+
+    if role is Role.IDLE:
+        yield from idle_rest()
+        return None
+
+    if params.probe:
+        if role is Role.SENDER:
+            yield Send(_PROBE)
+            fb_r = None
+        else:
+            fb_r = yield Listen()
+        if role is Role.RECEIVER:
+            yield Send(_PROBE)
+        else:
+            fb_s = yield Listen()
+        spent += 2
+        if role is Role.RECEIVER and fb_r is SILENCE:
+            yield from idle_rest()
+            return None
+        if role is Role.SENDER and fb_s is SILENCE:
+            yield from idle_rest()
+            return None
+
+    slots = params.slots_per_epoch
+    if role is Role.SENDER:
+        for _ in range(params.epochs):
+            picks = [
+                i for i in range(slots) if ctx.rng.random() < 2.0 ** -(i + 1)
+            ][:2]
+            acts = []
+            cursor = 0
+            for i in picks:
+                if i > cursor:
+                    acts.append(Idle(i - cursor))
+                acts.append(Send(message))
+                cursor = i + 1
+            if slots > cursor:
+                acts.append(Idle(slots - cursor))
+            if len(acts) == 1:
+                yield acts[0]
+            else:
+                yield Steps(tuple(acts))
+            spent += slots
+            if params.ack:
+                feedback = yield Listen()
+                spent += 1
+                if feedback is not SILENCE:
+                    yield from idle_rest()
+                    return None
+        return None
+
+    controller = _Controller(max_k=slots)
+    received: Optional[Any] = None
+    for _ in range(params.epochs):
+        if received is None:
+            k = controller.next_k()
+            acts = []
+            if k > 1:
+                acts.append(Idle(k - 1))
+            acts.append(Listen())
+            if slots > k:
+                acts.append(Idle(slots - k))
+            feedback = (yield Steps(tuple(acts)))[0]
+            if is_message(feedback):
+                if accept is None or accept(feedback):
+                    received = feedback
+            else:
+                controller.observe(k, feedback)
+            spent += slots
+            if params.ack:
+                if received is not None:
+                    yield Send(_ACK)
+                else:
+                    yield Idle(1)
+                spent += 1
+        else:
+            if params.ack:
+                yield from idle_rest()
+                break
+            yield Idle(slots)
+            spent += slots
+    return received
+
+
+#: frame kind -> (params for (max_degree, failure), today's frame, oracle)
+_FRAMES = {
+    "nocd": (DecayParams.for_graph, sr_nocd, _sr_nocd_per_phase),
+    "cd": (CDParams.for_graph, sr_cd, _sr_cd_per_epoch),
+    "cd-probe": (
+        lambda d, f: CDParams.for_graph(d, f, probe=True), sr_cd, _sr_cd_per_epoch,
+    ),
+    "cd-ack": (
+        lambda d, f: CDParams.for_graph(d, f, ack=True), sr_cd, _sr_cd_per_epoch,
+    ),
+}
+
+#: channel -> (model for a seed, churn spec)
+_CHANNELS = {
+    "No-CD": (lambda seed: NO_CD, None),
+    "CD": (lambda seed: CD, None),
+    "lossy": (lambda seed: LossyModel(NO_CD, 0.3, seed=seed + 50), None),
+    "churn": (lambda seed: CD, "random:p=0.4,period=12,down=5"),
+}
+
+
+class TestWholeFrameSenders:
+    """Senders yield one plan per frame; the slots, rng stream, energy and
+    outputs are those of the per-phase (decay) and per-epoch (CD) loops."""
+
+    @staticmethod
+    def _run(frame, channel, seed):
+        graph = random_gnp(10, 0.4, random.Random(7))
+        make_params, new, old = _FRAMES[frame]
+        params = make_params(graph.max_degree, 0.05)
+        model_for, churn = _CHANNELS[channel]
+        pick = random.Random(seed)
+        roles = [
+            [pick.choice((Role.SENDER, Role.RECEIVER, Role.IDLE))
+             for _ in range(graph.n)]
+            for _ in range(2)
+        ]
+        config = ExecutionConfig(record_trace=True, churn=churn)
+
+        def protocol(maker):
+            def proto(ctx):
+                got = []
+                for frame_roles in roles:
+                    got.append((yield from maker(
+                        ctx, frame_roles[ctx.index], f"m{ctx.index}", params,
+                    )))
+                # The draw after the frames pins the node's rng stream.
+                return got, ctx.rng.random()
+
+            return proto
+
+        return [
+            Simulator(graph, model_for(seed), seed=seed, exec_config=config)
+            .run(protocol(maker))
+            for maker in (new, old)
+        ]
+
+    @pytest.mark.parametrize("channel", sorted(_CHANNELS))
+    @pytest.mark.parametrize("frame", sorted(_FRAMES))
+    def test_matches_per_phase_loop(self, frame, channel):
+        for seed in range(3):
+            new, old = self._run(frame, channel, seed)
+            assert new.outputs == old.outputs
+            assert new.energy == old.energy
+            assert new.duration == old.duration
+            assert new.finish_slot == old.finish_slot
+            assert list(new.trace) == list(old.trace)
+
+    @pytest.mark.parametrize(
+        "model,params",
+        [(NO_CD, DecayParams.for_graph(5, 0.02)), (CD, CDParams.for_graph(5, 0.02))],
+        ids=["nocd", "cd"],
+    )
+    def test_sender_frame_costs_two_entries(self, model, params):
+        frame = sr_nocd if model is NO_CD else sr_cd
+
+        def proto(ctx):
+            yield from frame(ctx, Role.SENDER, "m", params)
+
+        n = 6
+        result = Simulator(clique(n), model, seed=1).run(proto)
+        assert result.duration == params.frame_length
+        # Per sender: the entry that yields the frame's plan, and the
+        # one that resumes after it.
+        assert result.gen_entries == 2 * n
+
+    def test_satisfied_cd_receiver_idles_out_in_one_idle(self):
+        params = CDParams.for_graph(2, 0.01)
+        roles = {0: Role.SENDER, 1: Role.RECEIVER}
+        result = _run_sr(path_graph(2), CD, roles, {0: "m"},
+                         lambda c, r, m: sr_cd(c, r, m, params))
+        assert result.outputs[1] == "m"
+        epochs_listened = result.energy[1].listens
+        assert epochs_listened < params.epochs
+        # Sender: 2 entries.  Receiver: the first entry, one per listened
+        # epoch, then one after the Idle that covers the rest.
+        assert result.gen_entries == 2 + (1 + epochs_listened + 1)
