@@ -32,7 +32,6 @@ from repro.campaign.cells import (
     SweepPoint,
     aggregate_cells,
     bootstrap_median_ci,
-    execution_options,
     knowledge_for,
     run_cell,
     run_cells,
@@ -54,6 +53,7 @@ from repro.campaign.fabric import (
 from repro.campaign.runner import (
     CampaignRunReport,
     CellTimeout,
+    RunnerOptions,
     execute_job,
     plan_pending,
     run_campaign,
@@ -74,7 +74,6 @@ __all__ = [
     "SweepPoint",
     "aggregate_cells",
     "bootstrap_median_ci",
-    "execution_options",
     "knowledge_for",
     "run_cell",
     "run_cells",
@@ -88,6 +87,7 @@ __all__ = [
     "CampaignRunReport",
     "CellTimeout",
     "FabricRunReport",
+    "RunnerOptions",
     "execute_job",
     "plan_pending",
     "run_campaign",

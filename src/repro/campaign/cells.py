@@ -28,8 +28,6 @@ from repro.sim.observers import ContentionHistogramObserver, SlotObserver
 __all__ = [
     "SweepPoint",
     "CellResult",
-    "EXECUTION_OPTION_KEYS",
-    "execution_options",
     "knowledge_for",
     "run_cell",
     "run_cells",
@@ -37,30 +35,6 @@ __all__ = [
     "aggregate_cells",
     "bootstrap_median_ci",
 ]
-
-# Cell options that steer *how* a cell executes rather than what it
-# measures.  They ride in the same per-row ``options`` dict as protocol
-# knobs (so campaign configs can set them per row) and are consumed by
-# run_cells(); protocol builders ignore them.  The set is derived from
-# the :class:`~repro.sim.config.ExecutionConfig` schema (fields flagged
-# ``cell_option``) — there is no second hand-maintained list to keep in
-# sync: a new knob added to the config shows up here, in campaign spec
-# validation, and in the shared CLI group at once.
-EXECUTION_OPTION_KEYS = ExecutionConfig.option_keys()
-
-
-def execution_options(options: Optional[Dict]) -> Dict[str, object]:
-    """Extract the execution-steering subset of a cell options dict.
-
-    A thin alias of the :class:`~repro.sim.config.ExecutionConfig`
-    schema door: values are validated and explicit defaults are dropped
-    (the minimal, content-hash-stable shape), so this can never return
-    an option set the engine would later reject.
-    """
-    if not options:
-        return {}
-    return ExecutionConfig.from_options(options).cell_options()
-
 
 @dataclass
 class SweepPoint:

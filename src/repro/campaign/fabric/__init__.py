@@ -12,10 +12,13 @@ already makes every cell idempotent:
   once: retry with exponential backoff, poison-block quarantine, worker
   replacement; the parent appends every block's records to the stores,
   their only writer; ``run_campaigns_fabric`` is the entry point and
-  ``run_campaign_fabric`` its one-campaign call;
-* :mod:`~repro.campaign.fabric.events` — the structured events ledger;
-* :mod:`~repro.campaign.fabric.status` — events-replay live progress
-  (``campaign status --watch``);
+  ``run_campaign_fabric`` its one-campaign call, both steered by the
+  values of :class:`repro.campaign.runner.RunnerOptions`;
+* :mod:`~repro.campaign.fabric.events` — the structured events ledger
+  and its one fold, ``summarize_events``, which ``campaign report
+  --events`` renders;
+* :mod:`~repro.campaign.fabric.status` — the same fold rendered as live
+  progress (``campaign status --watch``);
 * :mod:`~repro.campaign.fabric.runall` — manifest resolution and
   config loading for ``campaign run-all``.
 
@@ -37,11 +40,7 @@ from repro.campaign.fabric.runner import (
     run_campaign_fabric,
     run_campaigns_fabric,
 )
-from repro.campaign.fabric.status import (
-    live_progress,
-    render_live_status,
-    watch_campaign,
-)
+from repro.campaign.fabric.status import render_live_status, watch_campaign
 from repro.campaign.fabric.workers import CRASH_ENV, fabric_context
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "EventLog",
     "FabricRunReport",
     "fabric_context",
-    "live_progress",
     "load_campaigns",
     "read_events",
     "render_events_summary",

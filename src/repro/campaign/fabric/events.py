@@ -6,8 +6,8 @@ one JSON line to ``<out>/events.jsonl``.  The ledger is *descriptive*,
 never load-bearing: results live in the stores, and deleting the events
 file loses only history.  That split keeps the write path cheap (flush,
 no fsync) and lets the live ``campaign status --watch`` view and the
-post-run ``campaign report --events`` summary be pure replays of the
-same file.
+post-run ``campaign report --events`` summary be two renderings of one
+fold of the same file (:func:`summarize_events`).
 
 Event schema (all events carry ``ev`` and ``ts``; the rest varies)::
 
@@ -97,19 +97,35 @@ def read_events(path: str) -> Iterator[Dict]:
                 yield event
 
 
-def summarize_events(events) -> Dict:
-    """Fold an event stream into one summary dict.
+def _worker(workers: Dict, event: Dict) -> Dict:
+    return workers.setdefault(event.get("worker"), {
+        "blocks": 0, "cells": 0, "died": None,
+        "state": "idle", "block": None, "since": None,
+    })
 
-    Counts cover the whole ledger; the ``last_run`` block tracks the
-    most recent ``run_started`` (cells completed, wall clock, cells/s,
-    whether it finished).  ``events`` is any iterable of event dicts —
-    typically ``read_events(path)``.
+
+def summarize_events(events) -> Dict:
+    """Fold an event stream into one summary dict: the one reading of
+    the ledger, behind both ``campaign report --events``
+    (:func:`render_events_summary`) and ``campaign status --watch``
+    (:func:`repro.campaign.fabric.status.render_live_status`).
+
+    ``counts`` covers the whole ledger; the rest tracks the most recent
+    ``run_started``: ``last_run`` (cells completed, wall clock, cells/s,
+    whether it finished), ``workers`` (per-worker tallies of every
+    attempt, plus what each is doing now), and the run's retry and
+    quarantine events.  A retried block's failed cells stop counting
+    in ``last_run`` once the block is dispatched again, so a cell that
+    failed on every attempt counts once.  ``events`` is any iterable of
+    event dicts — typically ``read_events(path)``.
     """
     counts: Dict[str, int] = {}
     workers: Dict[int, Dict] = {}
     retried: List[Dict] = []
     quarantined: List[Dict] = []
     last_run: Dict = {}
+    # block id -> failed cells of its last completion, until redispatched
+    open_failures: Dict[int, int] = {}
     for event in events:
         ev = event.get("ev", "?")
         counts[ev] = counts.get(ev, 0) + 1
@@ -133,24 +149,38 @@ def summarize_events(events) -> Dict:
             workers = {}
             retried = []
             quarantined = []
+            open_failures = {}
         elif ev == "worker_born":
             workers[event.get("worker")] = {
                 "blocks": 0, "cells": 0, "died": None,
+                "state": "idle", "block": None, "since": event.get("ts"),
             }
         elif ev == "worker_died":
-            state = workers.setdefault(
-                event.get("worker"), {"blocks": 0, "cells": 0, "died": None}
-            )
+            state = _worker(workers, event)
             state["died"] = event.get("reason", "?")
-        elif ev == "block_completed":
-            state = workers.setdefault(
-                event.get("worker"), {"blocks": 0, "cells": 0, "died": None}
+            state["state"] = "dead"
+        elif ev == "block_dispatched":
+            _worker(workers, event).update(
+                state="run",
+                block=event.get("block"),
+                row=event.get("row"),
+                size=event.get("size"),
+                since=event.get("ts"),
             )
+            if last_run:
+                last_run["cells_failed"] -= open_failures.pop(
+                    event.get("block"), 0
+                )
+        elif ev == "block_completed":
+            state = _worker(workers, event)
             state["blocks"] += 1
             state["cells"] += event.get("ok", 0) + event.get("failed", 0)
+            if state["state"] == "run":
+                state.update(state="idle", block=None, since=event.get("ts"))
             if last_run:
                 last_run["cells_ok"] += event.get("ok", 0)
                 last_run["cells_failed"] += event.get("failed", 0)
+                open_failures[event.get("block")] = event.get("failed", 0)
                 last_run["blocks"] += 1
                 soa = event.get("soa")
                 if soa is not None:

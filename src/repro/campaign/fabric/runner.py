@@ -38,17 +38,19 @@ or writes ``block_completed``, so every block the ledger reports as
 completed is durable, even if the parent is killed the next moment.
 A block still running when the parent dies is recomputed on resume.
 
-With ``workers <= 1`` the same plan and retry/quarantine/events
-semantics run in-process (no pool) — this is also what ``campaign
-run-all`` uses by default.  The serial runner, which runs every block
-on its own, remains the differential oracle: a fabric run's aggregates
-are byte-identical to its, crashes and all (pinned by the
-fault-injection suite).
+The run's dispatch values — ``workers``, ``retries``, ``heartbeat``
+and the per-cell ``timeout`` — are one
+:class:`~repro.campaign.runner.RunnerOptions`, checked before anything
+is written.  With ``workers <= 1`` the same plan and
+retry/quarantine/events semantics run in-process (no pool) — this is
+also what ``campaign run-all`` uses by default.  The serial runner,
+which runs every block on its own, remains the differential oracle: a
+fabric run's aggregates are byte-identical to its, crashes and all
+(pinned by the fault-injection suite).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -57,7 +59,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.campaign.fabric.events import EventLog
 from repro.campaign.fabric.workers import WorkerHandle, fabric_context
 from repro.campaign.registry import simulation_key
-from repro.campaign.runner import CampaignRunReport, execute_block, plan_pending
+from repro.campaign.runner import (
+    CampaignRunReport,
+    RunnerOptions,
+    execute_block,
+    plan_pending,
+)
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import (
     STATUS_OK,
@@ -65,44 +72,12 @@ from repro.campaign.store import (
     CampaignStore,
     make_record,
 )
-from repro.sim.config import ExecutionConfig, ExecutionConfigError
 
 __all__ = [
     "FabricRunReport",
-    "check_runner_options",
     "run_campaign_fabric",
     "run_campaigns_fabric",
 ]
-
-
-def check_runner_options(
-    workers: Optional[int] = None,
-    retries: Optional[int] = None,
-    heartbeat: Optional[float] = None,
-    timeout: Optional[float] = None,
-) -> ExecutionConfig:
-    """Check a run's runner values before anything runs.
-
-    ``workers``/``retries``/``heartbeat`` go through the checks of the
-    matching :class:`~repro.sim.config.ExecutionConfig` fields (None
-    takes the field default), and ``timeout`` must be None or a finite
-    number of seconds > 0.  Returns the config whose runner fields the run
-    uses; raises :class:`~repro.sim.config.ExecutionConfigError`.
-    """
-    if timeout is not None and (
-        isinstance(timeout, bool)
-        or not isinstance(timeout, (int, float))
-        or not timeout > 0
-        or not math.isfinite(timeout)
-    ):
-        raise ExecutionConfigError(
-            f"timeout must be a finite number of seconds > 0, "
-            f"got {timeout!r}"
-        )
-    given = {"workers": workers, "retries": retries, "heartbeat": heartbeat}
-    return ExecutionConfig(
-        **{name: value for name, value in given.items() if value is not None}
-    )
 
 
 @dataclass
@@ -477,18 +452,20 @@ def run_campaigns_fabric(
 
     Cells that are the same simulation run once, and each campaign's
     store still gets its own records.  ``workers``/``retries``/
-    ``heartbeat``/``timeout`` are checked by
-    :func:`check_runner_options` before anything is written;
-    the first three default to the matching
-    :class:`~repro.sim.config.ExecutionConfig` field defaults.  A
-    campaign's events ledger goes to its ``events_path`` (default:
+    ``heartbeat``/``timeout`` are checked as
+    :class:`~repro.campaign.runner.RunnerOptions` before anything is
+    written; None takes the option's default.  A campaign's events
+    ledger goes to its ``events_path`` (default:
     ``<store dir>/events.jsonl``).  ``backoff`` is the base of the
     exponential retry delay — tests shrink it; the CLI keeps the
     default.  A report's ``elapsed`` runs from the pool's start to the
     campaign's last cell.
     """
     say = progress or (lambda message: None)
-    runner = check_runner_options(workers, retries, heartbeat, timeout)
+    runner = RunnerOptions.given(
+        workers=workers, retries=retries, heartbeat=heartbeat,
+        timeout=timeout,
+    )
     workers = runner.workers
     seen: Dict[str, str] = {}
     for spec, store, _ in campaigns:

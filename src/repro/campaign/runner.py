@@ -23,12 +23,19 @@ differential oracle for the worker fabric
 same simulation (:func:`repro.campaign.registry.simulation_key`), across
 campaigns too, and runs them through the same :func:`execute_block` on
 persistent worker processes.
+
+:class:`RunnerOptions` is the one home of the values that steer how a
+run dispatches its cells — never what they measure — and
+:func:`add_runner_args` is the one definition of their CLI flags.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import math
 import signal
+import threading
 import time
 import traceback
 from collections import Counter
@@ -43,15 +50,122 @@ from repro.campaign.store import (
     CampaignStore,
     make_record,
 )
+from repro.sim.config import ExecutionConfigError
 
 __all__ = [
     "CellTimeout",
     "CampaignRunReport",
+    "RunnerOptions",
+    "add_runner_args",
     "execute_block",
     "execute_job",
     "plan_pending",
     "run_campaign",
 ]
+
+
+def _option(default, kind, help: str):
+    return field(default=default, metadata={"type": kind, "help": help})
+
+
+@dataclass(frozen=True)
+class RunnerOptions:
+    """How a campaign run dispatches its cells — never what they measure.
+
+    ``workers``, ``retries`` and ``heartbeat`` steer the worker fabric
+    (:mod:`repro.campaign.fabric`); ``timeout`` is the per-cell
+    wall-clock budget that both runners enforce.  None of them is part
+    of a cell's content-hash identity.  Validated on construction
+    (raising :class:`~repro.sim.config.ExecutionConfigError`), so a bad
+    value fails before anything is planned or written.
+    """
+
+    workers: int = _option(
+        1, int,
+        "campaign fabric worker processes (1 = in-process serial)",
+    )
+    retries: int = _option(
+        2, int,
+        "per-block retry budget before the campaign fabric quarantines "
+        "the block instead of aborting the sweep",
+    )
+    heartbeat: float = _option(
+        1.0, float,
+        "seconds between fabric worker heartbeats; a worker silent for "
+        "several beats is declared hung and replaced (0 disables)",
+    )
+    timeout: Optional[float] = _option(
+        None, float, "per-cell wall-clock budget in seconds",
+    )
+
+    def __post_init__(self) -> None:
+        timeout = self.timeout
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not timeout > 0
+            or not math.isfinite(timeout)
+        ):
+            raise ExecutionConfigError(
+                f"timeout must be a finite number of seconds > 0, "
+                f"got {timeout!r}"
+            )
+        for name, minimum in (("workers", 1), ("retries", 0)):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < minimum
+            ):
+                raise ExecutionConfigError(
+                    f"{name} must be an int >= {minimum}, got {value!r}"
+                )
+        heartbeat = self.heartbeat
+        if (
+            isinstance(heartbeat, bool)
+            or not isinstance(heartbeat, (int, float))
+            # NaN fails both bounds; the top one is the longest wait a
+            # worker's beat thread can take.
+            or not 0 <= heartbeat <= threading.TIMEOUT_MAX
+        ):
+            raise ExecutionConfigError(
+                f"heartbeat must be a number of seconds from 0 (no "
+                f"liveness checks) to {threading.TIMEOUT_MAX:.0f}, "
+                f"got {heartbeat!r}"
+            )
+
+    @classmethod
+    def given(cls, **values) -> "RunnerOptions":
+        """The options with ``values`` set; a None value takes the
+        field's default."""
+        return cls(**{
+            name: value for name, value in values.items() if value is not None
+        })
+
+
+def add_runner_args(parser: argparse.ArgumentParser):
+    """Add the runner flags (``--workers``, ``--retries``,
+    ``--heartbeat``, ``--timeout``) to an argparse parser, one per
+    :class:`RunnerOptions` field.
+
+    Defaults are None ("not given"): any of the first three engages the
+    fabric, and :meth:`RunnerOptions.given` fills in the rest.
+    """
+    group = parser.add_argument_group(
+        "runner",
+        "how the campaign dispatches its cells — results are identical "
+        "to a serial run (see repro.campaign.fabric)",
+    )
+    for spec in dataclasses.fields(RunnerOptions):
+        default = "none" if spec.default is None else spec.default
+        group.add_argument(
+            "--" + spec.name,
+            dest=spec.name,
+            type=spec.metadata["type"],
+            default=None,
+            help=f"{spec.metadata['help']} (default: {default})",
+        )
+    return group
 
 
 def plan_pending(spec: CampaignSpec, done) -> "tuple[int, List[JobSpec]]":
@@ -269,8 +383,11 @@ def run_campaign(
 
     Work is dispatched as (row, size) seed blocks; each block carries
     only the seeds whose cells are not yet completed, so resuming a
-    half-finished campaign re-runs exactly the missing cells.
+    half-finished campaign re-runs exactly the missing cells.  A bad
+    ``timeout`` raises :class:`~repro.sim.config.ExecutionConfigError`
+    before anything is written.
     """
+    RunnerOptions(timeout=timeout)
     spec.validate()
     say = progress or (lambda message: None)
     total_cells, pending = plan_pending(spec, store.completed_keys())

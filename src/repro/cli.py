@@ -20,7 +20,9 @@ Commands:
   events ledger.  Without a fabric flag the campaign runs serially
   in-process, the differential oracle.  A bad runner value (``--workers
   0``, ``--retries -1``, ``--heartbeat -1``, ``--timeout 0``) exits 2
-  before anything runs.
+  before anything runs.  The four runner flags are the fields of
+  :class:`repro.campaign.runner.RunnerOptions`; ``campaign run`` and
+  ``run-all`` share them.
 * ``campaign status CONFIG [--out DIR] [--watch] [--interval S]`` —
   per-row completion accounting; ``--watch`` adds the live fabric view
   (throughput, ETA, per-worker state) replayed from the events ledger.
@@ -36,9 +38,8 @@ Commands:
   store to one line per cell / fold other stores into it.
 * ``bench [--out PATH] [--quick] [--min-ref-speedup X]`` — run the
   engine microbenchmarks, write them to ``bench_results.json`` (an
-  untracked file; the committed ``BENCH_engine.json`` is history), and
-  optionally fail if the engine is not fast enough (the CI perf-smoke
-  tripwire).
+  untracked file), and optionally fail if the engine is not fast enough
+  (the CI perf-smoke tripwire).
 
 The ``figure1``, ``table1``, ``ablations``, and ``campaign``
 subcommands share one execution-options group (``--resolution``,
@@ -55,17 +56,17 @@ away and alias the flag-free cells.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
 
+from repro.campaign.runner import RunnerOptions, add_runner_args
 from repro.sim.config import (
     add_execution_args,
-    add_runner_args,
     config_from_args,
     execution_overrides,
     normalize_execution_options,
-    runner_overrides,
 )
 
 __all__ = ["main"]
@@ -218,17 +219,25 @@ def _campaign_command(fn):
     return wrapped
 
 
-def _runner_flags(args):
-    """The runner flags given, checked with ``--timeout`` before
-    anything runs: a bad value exits 2 with a one-line message."""
-    from repro.campaign.fabric.runner import check_runner_options
-
-    flags = runner_overrides(args)
+def _runner_options(args) -> RunnerOptions:
+    """The runner flags, checked before anything runs: a bad value
+    exits 2 with a one-line message."""
     try:
-        check_runner_options(timeout=args.timeout, **flags)
+        return RunnerOptions.given(**{
+            spec.name: getattr(args, spec.name)
+            for spec in dataclasses.fields(RunnerOptions)
+        })
     except ValueError as exc:
         raise _ConfigError(f"bad runner flag: {exc}") from None
-    return flags
+
+
+def _engages_fabric(args) -> bool:
+    """Any of ``--workers``/``--retries``/``--heartbeat`` engages the
+    fault-tolerant fabric; ``--timeout`` alone does not."""
+    return any(
+        getattr(args, name) is not None
+        for name in ("workers", "retries", "heartbeat")
+    )
 
 
 def _events_path(store) -> str:
@@ -242,19 +251,18 @@ def _events_path(store) -> str:
 def _cmd_campaign_run(args) -> int:
     from repro.campaign import render_report, run_campaign, run_campaign_fabric
 
-    fabric = _runner_flags(args)
+    options = _runner_options(args)
     spec, store = _campaign_store(args)
-    if fabric:
-        # Any fabric flag engages the fault-tolerant runner; the plain
-        # serial path below stays the differential oracle it is tested
-        # against (tests/test_fabric.py).
+    if _engages_fabric(args):
+        # The plain serial path below stays the differential oracle the
+        # fabric is tested against (tests/test_fabric.py).
         report = run_campaign_fabric(
-            spec, store, timeout=args.timeout, progress=print,
-            events_path=_events_path(store), **fabric,
+            spec, store, progress=print, events_path=_events_path(store),
+            **dataclasses.asdict(options),
         )
     else:
         report = run_campaign(
-            spec, store, timeout=args.timeout, progress=print
+            spec, store, timeout=options.timeout, progress=print
         )
     print(report.summary())
     print()
@@ -307,7 +315,7 @@ def _cmd_campaign_run_all(args) -> int:
     from repro.campaign import CampaignStore, run_campaigns_fabric
     from repro.campaign.fabric import load_campaigns, resolve_run_all
 
-    runner = _runner_flags(args)
+    options = _runner_options(args)
     try:
         name, configs = resolve_run_all(args.target)
         campaigns, bad = load_campaigns(configs)
@@ -326,7 +334,7 @@ def _cmd_campaign_run_all(args) -> int:
     # One pool for every campaign: cells that are the same simulation
     # run once, and each campaign's store still gets its own records.
     reports = run_campaigns_fabric(
-        runs, timeout=args.timeout, progress=print, **runner
+        runs, progress=print, **dataclasses.asdict(options)
     )
     failures = [path for path, _ in bad]
     for (path, spec), report in zip(campaigns, reports):
@@ -489,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--out", default="bench_results.json",
         help="output JSON path (default: bench_results.json, which git "
-             "ignores; the committed BENCH_engine.json is history)",
+             "ignores)",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -556,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = camp_sub.add_parser("run", help="execute pending campaign cells")
     add_campaign_common(p_run)
-    p_run.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-cell wall-clock budget in seconds",
-    )
     # --workers/--retries/--heartbeat: any of them engages the fabric
     # runner (persistent workers, retry, quarantine, events).
     add_runner_args(p_run)
@@ -606,10 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-root", default="campaigns",
         help="parent results directory; each campaign gets "
              "<out-root>/<name>/ (default: campaigns)",
-    )
-    p_all.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-cell wall-clock budget in seconds",
     )
     add_runner_args(p_all)
     p_all.set_defaults(func=_cmd_campaign_run_all)

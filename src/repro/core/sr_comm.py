@@ -435,20 +435,6 @@ def sr_local(ctx: NodeCtx, role: Role, message: Any, slots: int = 1, accept=None
     return None
 
 
-def sr_local_all(ctx: NodeCtx, role: Role, message: Any):
-    """LOCAL variant returning *all* messages heard (tuple), for protocols
-    that exploit collision-freeness (e.g. deterministic ruling sets)."""
-    del ctx
-    if role is Role.SENDER:
-        yield Send(message)
-        return ()
-    if role is Role.RECEIVER:
-        feedback = yield Listen()
-        return tuple(feedback)
-    yield Idle(1)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Lemma 24: deterministic CD
 # ---------------------------------------------------------------------------

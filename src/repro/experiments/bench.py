@@ -15,8 +15,7 @@
 
 verifies they produce identical outputs/energy/duration, and writes the
 timings to a JSON file (``repro bench --out``, default
-``bench_results.json``, which git ignores; the committed
-``BENCH_engine.json`` is PR-2-era history).  CI uploads its file as a
+``bench_results.json``, which git ignores).  CI uploads its file as a
 per-run artifact, so the perf trajectory accumulates run over run.  CI runs the quick variant
 and fails if the event-heap engine is not measurably faster than the
 reference oracle — the tripwire for silent O(n * slots) regressions —
@@ -377,7 +376,7 @@ def _runners(
     if slot_protocol is None:
         # No explicit per-slot variant: expand plans per slot.
         def slot_protocol(ctx):
-            return expand_plans(protocol(ctx), ctx)
+            return expand_plans(protocol(ctx))
 
     runners = {
         "engine": (sim(config), protocol),

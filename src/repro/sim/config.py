@@ -14,8 +14,7 @@ replaces that plumbing with config-as-data:
   :meth:`~ExecutionConfig.from_dict`;
 * the dataclass *fields themselves* are the schema: per-field metadata
   marks which fields are campaign cell options
-  (:meth:`~ExecutionConfig.option_keys` feeds
-  ``repro.campaign.cells.EXECUTION_OPTION_KEYS``) and which get CLI
+  (:meth:`~ExecutionConfig.option_keys`), and exactly those get CLI
   flags (:func:`add_execution_args` builds one shared argparse group for
   the ``table1``, ``campaign``, ``ablations``, and ``figure1``
   subcommands);
@@ -24,7 +23,10 @@ replaces that plumbing with config-as-data:
 
 Adding the next knob is one edit here: a new field (with metadata) shows
 up in validation, serialization, the campaign option schema, and the CLI
-group automatically — engine code then reads it off the config.
+group automatically — engine code then reads it off the config.  How a
+campaign *dispatches* its cells (worker count, retries, heartbeat,
+per-cell timeout) is not a trial's business: those values live in
+:class:`repro.campaign.runner.RunnerOptions`.
 
 Semantics contract: ``resolution`` and ``lockstep`` steer *how* a cell
 executes, never what it measures (byte-identical results, pinned by the
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -52,10 +53,8 @@ __all__ = [
     "ExecutionConfig",
     "ExecutionConfigError",
     "add_execution_args",
-    "add_runner_args",
     "config_from_args",
     "execution_overrides",
-    "runner_overrides",
     "normalize_execution_options",
     "resolve_exec_config",
     "validate_execution_options",
@@ -77,18 +76,14 @@ def _meta(
     help: str,
     choices: Optional[Tuple[str, ...]] = None,
     cell_option: bool = False,
-    cli: bool = False,
     hook: bool = False,
-    runner: bool = False,
     fault: bool = False,
 ) -> Dict[str, Any]:
     return {
         "help": help,
         "choices": choices,
         "cell_option": cell_option,
-        "cli": cli,
         "hook": hook,
-        "runner": runner,
         "fault": fault,
     }
 
@@ -105,12 +100,12 @@ class ExecutionConfig:
 
     resolution: str = field(default="bitmask", metadata=_meta(
         "reception-resolution backend (see repro.sim.resolution)",
-        choices=RESOLUTION_MODES, cell_option=True, cli=True,
+        choices=RESOLUTION_MODES, cell_option=True,
     ))
     lockstep: bool = field(default=False, metadata=_meta(
         "run a trial batch on the trial-SoA engine when eligible, else "
         "serially (repro.sim.batch); byte-identical results",
-        cell_option=True, cli=True,
+        cell_option=True,
     ))
     time_limit: Optional[int] = field(default=None, metadata=_meta(
         "slot budget per run; None uses the entry point's default",
@@ -121,41 +116,26 @@ class ExecutionConfig:
     contention_hist: bool = field(default=False, metadata=_meta(
         "attach a per-trial ContentionHistogramObserver and fold its "
         "summary into cell extras as ch_* keys (changes cell identity)",
-        cell_option=True, cli=True,
+        cell_option=True,
     ))
     churn: Optional[str] = field(default=None, metadata=_meta(
         "node churn schedule: 'periodic:period=P,down=D[,stagger=S]' or "
         "'random:p=R,period=P,down=D' — down nodes neither transmit nor "
         "hear; deterministic per trial seed (repro.sim.faults; changes "
         "what cells measure, like any fault knob)",
-        cell_option=True, cli=True, fault=True,
+        cell_option=True, fault=True,
     ))
     jam: Optional[str] = field(default=None, metadata=_meta(
         "slot-level jamming adversary: 'periodic:period=P[,offset=K]', "
         "'random:rate=R', or 'reactive[:min=K]' — jammed slots resolve "
         "to the model's collision feedback (repro.sim.faults)",
-        cell_option=True, cli=True, fault=True,
+        cell_option=True, fault=True,
     ))
     burst_loss: Optional[str] = field(default=None, metadata=_meta(
         "Gilbert-Elliott bursty loss: 'p_gb=R,p_bg=R[,good=R][,bad=R]' "
         "— two-state Markov fade wrapping the row's model "
         "(repro.sim.faults)",
-        cell_option=True, cli=True, fault=True,
-    ))
-    workers: int = field(default=1, metadata=_meta(
-        "campaign fabric worker processes (1 = in-process serial; "
-        "consumed by repro.campaign.fabric, never by the engine)",
-        runner=True,
-    ))
-    retries: int = field(default=2, metadata=_meta(
-        "per-block retry budget before the campaign fabric quarantines "
-        "the block instead of aborting the sweep",
-        runner=True,
-    ))
-    heartbeat: float = field(default=1.0, metadata=_meta(
-        "seconds between fabric worker heartbeats; a worker silent for "
-        "several beats is declared hung and replaced (0 disables)",
-        runner=True,
+        cell_option=True, fault=True,
     ))
     observer_factory: Optional[Callable[[int], Sequence[Any]]] = field(
         default=None, metadata=_meta(
@@ -216,31 +196,6 @@ class ExecutionConfig:
                         f"time_limit must be a positive int or None, "
                         f"got {value!r}"
                     )
-            elif meta["runner"]:
-                if spec.name == "heartbeat":
-                    if (
-                        isinstance(value, bool)
-                        or not isinstance(value, (int, float))
-                        # NaN fails both bounds; the top one is the
-                        # longest wait a worker's beat thread can take.
-                        or not 0 <= value <= threading.TIMEOUT_MAX
-                    ):
-                        raise ExecutionConfigError(
-                            f"heartbeat must be a number of seconds from "
-                            f"0 (no liveness checks) to "
-                            f"{threading.TIMEOUT_MAX:.0f}, got {value!r}"
-                        )
-                else:
-                    minimum = 1 if spec.name == "workers" else 0
-                    if (
-                        isinstance(value, bool)
-                        or not isinstance(value, int)
-                        or value < minimum
-                    ):
-                        raise ExecutionConfigError(
-                            f"{spec.name} must be an int >= {minimum}, "
-                            f"got {value!r}"
-                        )
             elif not isinstance(value, bool):
                 raise ExecutionConfigError(
                     f"{spec.name} must be true or false, got {value!r}"
@@ -306,16 +261,6 @@ class ExecutionConfig:
         keys = cls.option_keys()
         return cls(**{key: options[key] for key in keys if key in options})
 
-    def cell_options(self, include_defaults: bool = False) -> Dict[str, Any]:
-        """The campaign-cell-option view of this config (minimal by
-        default — the content-hash-stable shape)."""
-        keys = set(self.option_keys())
-        return {
-            key: value
-            for key, value in self.to_dict(include_defaults=include_defaults).items()
-            if key in keys
-        }
-
     def replace(self, **changes: Any) -> "ExecutionConfig":
         """A validated copy with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
@@ -332,8 +277,8 @@ _OPTION_DEFAULTS = {
 }
 
 # Execution fields that are NOT campaign cell options (record_trace
-# serves the Figure 1 timeline and direct callers, time_limit is a runner
-# property, hooks are process-local).  They are reserved names: a cell options dict using
+# serves the Figure 1 timeline and direct callers, time_limit can abort
+# a run, hooks are process-local).  They are reserved names: a cell options dict using
 # one would otherwise pass as an opaque protocol knob — silently
 # ignored, yet still part of the content-hash identity.
 _RESERVED_NON_OPTION_FIELDS = frozenset(
@@ -342,10 +287,18 @@ _RESERVED_NON_OPTION_FIELDS = frozenset(
 
 # Retired execution fields, refused for the same reason: a stale config
 # naming one would otherwise pass as an opaque protocol knob.
+_RUNNER_OPTION = (
+    "it steers how a campaign run dispatches cells "
+    "(repro.campaign.runner.RunnerOptions); pass it to campaign run / "
+    "run-all as a runner flag"
+)
 _RETIRED_FIELDS = {
     "stepping": "engines always run plans phase-compiled; wrap a "
                 "protocol in repro.sim.expand_plans for per-slot yields",
     "meter_energy": "every run meters energy, the paper's measure",
+    "workers": _RUNNER_OPTION,
+    "retries": _RUNNER_OPTION,
+    "heartbeat": _RUNNER_OPTION,
 }
 
 
@@ -366,9 +319,8 @@ def validate_execution_options(options: Optional[Dict]) -> None:
     if reserved:
         raise ExecutionConfigError(
             f"{reserved} are execution fields but not campaign cell "
-            f"options (rows measure with observers, not traces; time limits, "
-            f"hooks, and the fabric's workers/retries/heartbeat belong "
-            f"to the runner); cell options are "
+            f"options (rows measure with observers, not traces; time "
+            f"limits and hooks belong to the caller); cell options are "
             f"{sorted(ExecutionConfig.option_keys())}"
         )
     ExecutionConfig.from_options(options)
@@ -436,9 +388,10 @@ def add_execution_args(
 ):
     """Add the shared execution-options group to an argparse parser.
 
-    One flag per CLI-enabled :class:`ExecutionConfig` field, generated
-    from the field schema — subcommands share identical flags and help
-    text, and a new knob added to the schema appears everywhere at once.
+    One flag per campaign cell option of :class:`ExecutionConfig`,
+    generated from the field schema — subcommands share identical flags
+    and help text, and a new knob added to the schema appears everywhere
+    at once.
     Defaults are ``None`` ("not given"), so :func:`execution_overrides`
     can layer CLI > cell options > defaults.  ``exclude`` names fields a
     subcommand cannot honor (e.g. ``contention_hist`` on ``figure1``):
@@ -450,7 +403,7 @@ def add_execution_args(
         "help says otherwise (see repro.sim.config.ExecutionConfig)",
     )
     for spec in ExecutionConfig.field_specs():
-        if not spec.metadata["cli"] or spec.name in exclude:
+        if not spec.metadata["cell_option"] or spec.name in exclude:
             continue
         if spec.metadata["choices"] is not None:
             group.add_argument(
@@ -479,56 +432,13 @@ def add_execution_args(
     return group
 
 
-def add_runner_args(parser: argparse.ArgumentParser):
-    """Add the campaign-fabric runner flags (``--workers``, ``--retries``,
-    ``--heartbeat``) to an argparse parser.
-
-    Generated from the ``runner``-flagged :class:`ExecutionConfig`
-    fields, the same way :func:`add_execution_args` generates the
-    execution group.  These steer the *fabric* (how work is dispatched),
-    never the cells, so they are not part of any content-hash identity
-    and only the ``campaign run``/``run-all`` subcommands expose them.
-    """
-    group = parser.add_argument_group(
-        "fabric",
-        "how the campaign fabric dispatches work — results are identical "
-        "to a serial run (see repro.campaign.fabric)",
-    )
-    for spec in ExecutionConfig.field_specs():
-        if not spec.metadata["runner"]:
-            continue
-        kind = float if spec.name == "heartbeat" else int
-        group.add_argument(
-            _flag(spec.name),
-            dest=spec.name,
-            type=kind,
-            default=None,
-            help=f"{spec.metadata['help']} (default: {spec.default})",
-        )
-    return group
-
-
-def runner_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    """The fabric runner options explicitly given on the command line."""
-    overrides: Dict[str, Any] = {}
-    for spec in ExecutionConfig.field_specs():
-        if not spec.metadata["runner"]:
-            continue
-        value = getattr(args, spec.name, None)
-        if value is not None:
-            overrides[spec.name] = value
-    return overrides
-
-
 def execution_overrides(args: argparse.Namespace) -> Dict[str, Any]:
     """The execution options explicitly given on the command line."""
     overrides: Dict[str, Any] = {}
-    for spec in ExecutionConfig.field_specs():
-        if not spec.metadata["cli"]:
-            continue
-        value = getattr(args, spec.name, None)
+    for name in ExecutionConfig.option_keys():
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[spec.name] = value
+            overrides[name] = value
     return overrides
 
 

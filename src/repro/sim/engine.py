@@ -23,7 +23,7 @@ every backend.  The differential tests drive all backends against the
 reference oracle.
 
 Protocols may also yield multi-slot *phase plans* (:mod:`repro.sim.plan`:
-``Repeat``, ``SendProb``, ``ListenUntil``, ``Steps``).  The engine caches
+``Repeat``, ``ListenUntil``, ``Steps``).  The engine caches
 each node's active plan in a compact state record and steps it with plain
 list/dict operations, re-entering the generator only at feedback-relevant
 boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
@@ -207,13 +207,6 @@ class Simulator:
                 "by run_trials(); a Simulator takes concrete observers= and "
                 "model arguments"
             )
-        for spec in config.field_specs():
-            if spec.metadata["runner"] and getattr(config, spec.name) != spec.default:
-                raise ExecutionConfigError(
-                    f"{spec.name} steers the campaign fabric, not the "
-                    f"engine; pass it to run_campaign_fabric() / "
-                    f"`campaign run --{spec.name.replace('_', '-')}` instead"
-                )
         self.graph = graph
         self.model = model
         self.seed = seed
@@ -343,7 +336,7 @@ class Simulator:
                         )
                     bucket_duplexers[v] = action.message
                 elif isinstance(action, Plan):
-                    plans[v], action = start_plan(action, ctxs[v])
+                    plans[v], action = start_plan(action)
                     continue
                 else:
                     action = exact_action(action)
@@ -411,7 +404,7 @@ class Simulator:
                             )
                         duplexers[v] = action.message
                     elif isinstance(action, Plan):
-                        plans[v], action = start_plan(action, ctxs[v])
+                        plans[v], action = start_plan(action)
                         continue
                     else:
                         action = exact_action(action)
@@ -580,7 +573,7 @@ class Simulator:
                             )
                         bucket_duplexers[v] = action.message
                     elif isinstance(action, Plan):
-                        plans[v], action = start_plan(action, ctxs[v])
+                        plans[v], action = start_plan(action)
                         continue
                     else:
                         action = exact_action(action)

@@ -678,11 +678,6 @@ class FaultPlan:
         self.jam_params = parse_jam_spec(jam) if jam else None
         self.burst_params = parse_burst_loss_spec(burst_loss) if burst_loss else None
 
-    def wraps_model(self) -> bool:
-        """True when the plan replaces the channel model per trial
-        (jamming or burst loss); churn alone leaves the model shared."""
-        return self.jam_params is not None or self.burst_params is not None
-
     def build_churn(self, seed: int) -> Optional[CrashSchedule]:
         params = self.churn_params
         if params is None:

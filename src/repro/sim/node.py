@@ -134,8 +134,6 @@ class NodeCtx:
         exactly the stream a per-slot ``if ctx.rng.random() < p`` loop
         over the same ``k`` slots would consume, so a protocol that
         pre-draws stays byte-identical to its per-slot form.
-        (:class:`~repro.sim.plan.SendProb` uses the same draw order
-        internally.)
         """
         if k < 0:
             raise ValueError(f"block size must be >= 0, got {k}")

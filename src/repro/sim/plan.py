@@ -14,17 +14,19 @@ A *phase plan* lets a protocol yield one object covering many slots:
 * :class:`Repeat` — the same ``Send``/``Listen``/``SendListen`` action
   for ``count`` consecutive slots (``Repeat(Idle(d), k)`` normalizes to
   one idle block);
-* :class:`SendProb` — "transmit with probability p, else idle, for
-  ``rounds`` slots", with all Bernoulli decisions drawn in bulk from the
-  node's rng at plan start (one ``rng.random()`` per round, in round
-  order — exactly the stream a per-slot loop would consume);
 * :class:`ListenUntil` — listen up to ``slots`` slots, stopping at the
   first feedback that :func:`~repro.sim.feedback.is_message` and passes
   ``accept``; with ``pad=True`` the remaining slots are idled out so the
   plan always occupies exactly ``slots`` slots (the SR fixed-frame
   contract);
 * :class:`Steps` — an arbitrary fixed sequence of per-slot actions
-  (the heterogeneous escape hatch for interval schedules à la Lemma 24).
+  (the heterogeneous escape hatch for interval schedules à la Lemma 24,
+  and the shape of a whole SR sender frame whose bursts the protocol
+  drew from ``ctx.rng`` before yielding it).
+
+A plan draws no randomness of its own: every slot of it is fixed when
+the protocol yields it, so the engines and the per-slot oracle consume
+the node's rng stream identically by construction.
 
 The engine (:mod:`repro.sim.engine`) and the trial-SoA engine
 (:mod:`repro.sim.trialsoa`) cache each node's active plan in a compact
@@ -41,7 +43,6 @@ the previous feedback).
 ``Repeat(Send)``   ``None``
 ``Repeat(Listen)`` tuple of the ``count`` feedbacks, in slot order
 ``Repeat(SendListen)`` tuple of the ``count`` feedbacks
-``SendProb``       ``None``
 ``ListenUntil``    the matched feedback, or ``None`` if none matched
 ``Steps``          tuple of feedbacks of the listening slots
                    (``Listen``/``SendListen``), in slot order
@@ -64,7 +65,6 @@ from repro.sim.feedback import is_message
 __all__ = [
     "Plan",
     "Repeat",
-    "SendProb",
     "ListenUntil",
     "Steps",
     "ProtocolError",
@@ -115,37 +115,6 @@ class Repeat(Plan):
             other.__class__ is Repeat
             and other.action == self.action
             and other.count == self.count
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-class SendProb(Plan):
-    """Transmit ``message`` with probability ``p`` (else idle) for
-    ``rounds`` slots.
-
-    The Bernoulli decisions are drawn in bulk when the plan starts —
-    one ``rng.random() < p`` per round, in round order, from the node's
-    private rng — so the stream consumption is identical to a per-slot
-    ``if ctx.rng.random() < p`` loop over the same rounds.
-    """
-
-    __slots__ = ("message", "p", "rounds")
-
-    def __init__(self, message: Any, p: float, rounds: int) -> None:
-        self.message = message
-        self.p = p
-        self.rounds = rounds
-
-    def __repr__(self) -> str:
-        return f"SendProb({self.message!r}, {self.p!r}, {self.rounds!r})"
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            other.__class__ is SendProb
-            and other.message == self.message
-            and other.p == self.p
-            and other.rounds == self.rounds
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -215,7 +184,7 @@ class Steps(Plan):
 
 # --- compiled plan state ---------------------------------------------------
 #
-# A started plan is a 9-slot mutable list (no attribute lookups in the
+# A started plan is a 7-slot mutable list (no attribute lookups in the
 # engines' hot loops):
 #
 #   ps[0] op       active opcode (see OP_*): what the node is doing *now*
@@ -224,27 +193,22 @@ class Steps(Plan):
 #   ps[2] payload  message (send/duplex runs), accept (OP_UNTIL),
 #                  actions tuple (OP_STEPS)
 #   ps[3] acc      collected listen feedbacks
-#   ps[4] segs     compiled segment tuple
-#   ps[5] si       index of the next segment to load
-#   ps[6] mode     result mode (RESULT_*)
-#   ps[7] value    ListenUntil matched feedback
-#   ps[8] pad      ListenUntil pad flag
+#   ps[4] mode     result mode (RESULT_*)
+#   ps[5] value    ListenUntil matched feedback
+#   ps[6] pad      ListenUntil pad flag
 #
-# Segments: (OP_SEND, count, message) | (OP_LISTEN, count)
-#         | (OP_DUPLEX, count, message) | (OP_IDLE, count)
-#         | (OP_UNTIL, count, accept, pad) | (OP_STEPS, actions)
-#
-# The engines inline the within-run continuations (send run, listen run,
-# unmatched listen-until, steps) and fall back to plan_feedback /
-# plan_resume at segment boundaries, so the semantics live here once.
+# A plan keeps one opcode from start to finish (a matched ListenUntil
+# pads out as OP_PENDING).  The engines inline the within-run
+# continuations (send run, listen run, unmatched listen-until, steps) and
+# fall back to plan_feedback / plan_resume at the end, so the semantics
+# live here once.
 
-OP_PENDING = 0  # nothing active: the next emission loads segs[si]
+OP_PENDING = 0  # nothing active: the next emission finishes the plan
 OP_SEND = 1
 OP_LISTEN = 2
 OP_DUPLEX = 3
 OP_UNTIL = 4
 OP_STEPS = 5
-OP_IDLE = 6
 
 RESULT_NONE = 0
 RESULT_COLLECT = 1
@@ -253,9 +217,6 @@ RESULT_UNTIL = 2
 _LISTEN = Listen()  # shared: Listen carries no per-slot state
 
 _PRIMITIVES = (Send, Listen, SendListen, Idle)
-
-
-_EMPTY_SEGS = ()
 
 
 def exact_action(action):
@@ -278,20 +239,13 @@ def exact_action(action):
     raise ProtocolError(f"protocol yielded non-action {action!r}")
 
 
-def start_plan(plan: Plan, ctx):
-    """Start ``plan`` for the node whose context is ``ctx``: returns
-    ``(ps, first_action)`` — the fresh plan state and the primitive
-    action for the plan's first slot.
+def start_plan(plan: Plan):
+    """Start ``plan``: returns ``(ps, first_action)`` — the fresh plan
+    state and the primitive action for the plan's first slot.
 
-    Raises :class:`ProtocolError` on malformed plans.  This is the only
-    place plan randomness is drawn (:class:`SendProb`, the one branch
-    that reads ``ctx.rng``, so a plan that draws nothing never builds
-    the node's lazy rng), and the engines and the :func:`expand_plans`
-    oracle consume identical rng streams.  The
-    single-segment plans (``Repeat``, ``ListenUntil``, ``Steps``) are
-    constructed without touching the segment machinery at all — one list
+    Raises :class:`ProtocolError` on malformed plans.  One list
     allocation, first action emitted for free (``Repeat`` re-emits the
-    protocol's own action object) — because protocols start one plan per
+    protocol's own action object), because protocols start one plan per
     phase on the hot path.
     """
     cls = plan.__class__
@@ -302,8 +256,8 @@ def start_plan(plan: Plan, ctx):
                 f"ListenUntil slots must be >= 1, got {slots!r}"
             )
         return (
-            [OP_UNTIL, slots, plan.accept, None, _EMPTY_SEGS, 0,
-             RESULT_UNTIL, None, plan.pad],
+            [OP_UNTIL, slots, plan.accept, None, RESULT_UNTIL, None,
+             plan.pad],
             _LISTEN,
         )
     if cls is Repeat:
@@ -314,32 +268,30 @@ def start_plan(plan: Plan, ctx):
         acls = action.__class__
         if acls is Send:
             return (
-                [OP_SEND, count, action.message, None, _EMPTY_SEGS, 0,
-                 RESULT_NONE, None, False],
+                [OP_SEND, count, action.message, None, RESULT_NONE, None,
+                 False],
                 action,
             )
         if acls is Listen:
             return (
-                [OP_LISTEN, count, None, [], _EMPTY_SEGS, 0,
-                 RESULT_COLLECT, None, False],
+                [OP_LISTEN, count, None, [], RESULT_COLLECT, None, False],
                 action,
             )
         if acls is SendListen:
             return (
-                [OP_DUPLEX, count, action.message, [], _EMPTY_SEGS, 0,
-                 RESULT_COLLECT, None, False],
+                [OP_DUPLEX, count, action.message, [], RESULT_COLLECT,
+                 None, False],
                 action,
             )
         if acls is Idle:
             total = count * action.duration
             return (
-                [OP_PENDING, 0, None, None, _EMPTY_SEGS, 0,
-                 RESULT_NONE, None, False],
+                [OP_PENDING, 0, None, None, RESULT_NONE, None, False],
                 action if total == action.duration else Idle(total),
             )
         if isinstance(action, _PRIMITIVES):
             # Action subclass: normalize and retry on the exact class.
-            return start_plan(Repeat(exact_action(action), count), ctx)
+            return start_plan(Repeat(exact_action(action), count))
         raise ProtocolError(f"Repeat of non-action {action!r}")
     if cls is Steps or isinstance(plan, Steps):
         actions = tuple(plan.actions)
@@ -365,43 +317,13 @@ def start_plan(plan: Plan, ctx):
             # engines' exact-class fast paths dispatch them correctly.
             actions = tuple(exact_action(a) for a in actions)
         return (
-            [OP_STEPS, 1, actions, [], _EMPTY_SEGS, 0,
-             RESULT_COLLECT, None, False],
+            [OP_STEPS, 1, actions, [], RESULT_COLLECT, None, False],
             actions[0],
         )
-    if cls is SendProb or isinstance(plan, SendProb):
-        rounds = plan.rounds
-        if rounds.__class__ is not int or rounds < 1:
-            raise ProtocolError(
-                f"SendProb rounds must be >= 1, got {rounds!r}"
-            )
-        # Bulk Bernoulli block: one draw per round, in round order (the
-        # audited pre-draw order; NodeCtx.rand_bernoulli_block matches).
-        p = plan.p
-        random = ctx.rng.random
-        decisions = [random() < p for _ in range(rounds)]
-        segs = []
-        message = plan.message
-        i = 0
-        while i < rounds:
-            j = i + 1
-            if decisions[i]:
-                while j < rounds and decisions[j]:
-                    j += 1
-                segs.append((OP_SEND, j - i, message))
-            else:
-                while j < rounds and not decisions[j]:
-                    j += 1
-                segs.append((OP_IDLE, j - i))
-            i = j
-        ps = [OP_PENDING, 0, None, None, tuple(segs), 0,
-              RESULT_NONE, None, False]
-        action, _ = plan_resume(ps)
-        return ps, action
     if isinstance(plan, ListenUntil):
-        return start_plan(ListenUntil(plan.slots, plan.accept, plan.pad), ctx)
+        return start_plan(ListenUntil(plan.slots, plan.accept, plan.pad))
     if isinstance(plan, Repeat):
-        return start_plan(Repeat(plan.action, plan.count), ctx)
+        return start_plan(Repeat(plan.action, plan.count))
     raise ProtocolError(f"unsupported plan {plan!r}")
 
 
@@ -410,57 +332,21 @@ def plan_resume(ps: list):
 
     Returns ``(action, None)`` with a primitive action for the next slot,
     or ``(None, result)`` when the plan has finished.  Called at idle
-    wake-ups and after :func:`plan_feedback` consumed a segment's last
+    wake-ups and after :func:`plan_feedback` consumed the run's last
     slot.
     """
-    op = ps[0]
-    if op == OP_STEPS:
+    if ps[0] == OP_STEPS:
         acts = ps[2]
         i = ps[1]
         if i < len(acts):
             ps[1] = i + 1
             return acts[i], None
         ps[0] = OP_PENDING
-    segs = ps[4]
-    si = ps[5]
-    if si < len(segs):
-        seg = segs[si]
-        ps[5] = si + 1
-        sop = seg[0]
-        if sop == OP_SEND:
-            ps[0] = OP_SEND
-            ps[1] = seg[1]
-            ps[2] = seg[2]
-            return Send(seg[2]), None
-        if sop == OP_LISTEN:
-            ps[0] = OP_LISTEN
-            ps[1] = seg[1]
-            return _LISTEN, None
-        if sop == OP_IDLE:
-            ps[0] = OP_PENDING
-            return Idle(seg[1]), None
-        if sop == OP_UNTIL:
-            ps[0] = OP_UNTIL
-            ps[1] = seg[1]
-            ps[2] = seg[2]
-            ps[8] = seg[3]
-            return _LISTEN, None
-        if sop == OP_DUPLEX:
-            ps[0] = OP_DUPLEX
-            ps[1] = seg[1]
-            ps[2] = seg[2]
-            return SendListen(seg[2]), None
-        # OP_STEPS segment
-        acts = seg[1]
-        ps[0] = OP_STEPS
-        ps[1] = 1
-        ps[2] = acts
-        return acts[0], None
-    mode = ps[6]
+    mode = ps[4]
     if mode == RESULT_COLLECT:
         return None, tuple(ps[3])
     if mode == RESULT_UNTIL:
-        return None, ps[7]
+        return None, ps[5]
     return None, None
 
 
@@ -488,11 +374,10 @@ def plan_feedback(ps: list, feedback):
     if op == OP_UNTIL:
         accept = ps[2]
         if is_message(feedback) and (accept is None or accept(feedback)):
-            ps[7] = feedback
+            ps[5] = feedback
             left = ps[1] - 1
             ps[0] = OP_PENDING
-            ps[5] = len(ps[4])  # an UNTIL segment is always the last one
-            if ps[8] and left > 0:
+            if ps[6] and left > 0:
                 return Idle(left), None
             return plan_resume(ps)
         rem = ps[1]
@@ -610,23 +495,21 @@ def run_descriptor(ps: list, action):
 # --- per-slot oracle -------------------------------------------------------
 
 
-def expand_plans(gen, ctx):
-    """Interpret a (possibly plan-yielding) protocol generator per slot;
-    ``ctx`` is the context of the node running it.
+def expand_plans(gen):
+    """Interpret a (possibly plan-yielding) protocol generator per slot.
 
     A driver generator that yields only primitive per-slot actions,
     compiling each yielded plan with the same :func:`start_plan` the
-    engine uses (so :class:`SendProb` randomness is drawn at the same
-    point of the same stream) and walking it one slot at a time.  By
-    construction this is byte-identical to the engine's phase-compiled
-    execution: same slots, same energy, same rng consumption — the
-    differential-testing oracle for phase-compiled stepping.
+    engine uses and walking it one slot at a time.  By construction this
+    is byte-identical to the engine's phase-compiled execution: same
+    slots, same energy, same rng consumption — the differential-testing
+    oracle for phase-compiled stepping.
     """
     try:
         action = next(gen)
         while True:
             if isinstance(action, Plan):
-                ps, act = start_plan(action, ctx)
+                ps, act = start_plan(action)
                 result = None
                 while act is not None:
                     fb = yield act

@@ -84,7 +84,7 @@ class ReferenceSimulator:
     def run(self, protocol_factory, inputs=None) -> SimResult:
         model, churn = self.setup.faults(self.model, self.seed)
         ctxs, gens, outputs, first = self.setup.start(
-            lambda ctx: expand_plans(protocol_factory(ctx), ctx),
+            lambda ctx: expand_plans(protocol_factory(ctx)),
             self.seed, inputs,
         )
         nodes = [_Node(gen, ctx) for gen, ctx in zip(gens, ctxs)]

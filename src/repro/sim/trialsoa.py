@@ -44,16 +44,16 @@ rounds).  The history is truncated to the oldest in-flight collecting
 run, bounding memory.
 
 What vectorizes (runs longer than one slot): ``Repeat`` of
-Send/Listen/SendListen, ``SendProb`` pre-drawn segments, ``ListenUntil``
+Send/Listen/SendListen, ``ListenUntil``
 countdowns (accept callbacks are evaluated only on message-bearing
 candidate cells), and maximal same-action stretches inside ``Steps``.
 Everything else — plain per-slot yields from adaptive generators, plan
 starts, idle wake-ups — takes the per-node Python path, one call per
 boundary, which is exactly the serial engine's cost for those states.
 
-rng draw-order identity holds by construction: generator entries and
-``start_plan`` calls (the only rng consumers) happen at exactly the
-slots the serial engine performs them; only within-run continuations are
+rng draw-order identity holds by construction: generator entries (the
+only rng consumers; a plan draws nothing) happen at exactly the slots
+the serial engine performs them; only within-run continuations are
 vectorized.  The differential matrix in tests/test_lockstep.py pins the
 results byte-identical to the serial engine across models x backends x
 plan-emitting and per-slot protocols.
@@ -495,7 +495,7 @@ class _SoAEngine:
                     )
                 kind = RUN_DUPLEX
             elif isinstance(action, Plan):
-                plans_row[v], action = start_plan(action, self.ctxs[t][v])
+                plans_row[v], action = start_plan(action)
                 continue
             elif isinstance(action, Idle):
                 pend[0].append(t)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import diameter
-from repro.sim import Knowledge, expand_plans
+from repro.sim import Idle, Knowledge, Send, Steps, expand_plans
 
 
 def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None):
@@ -21,7 +21,17 @@ def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None
 def per_slot(factory):
     """``factory``'s protocol with every phase plan expanded into
     per-slot yields: the same run, one generator entry per slot."""
-    return lambda ctx: expand_plans(factory(ctx), ctx)
+    return lambda ctx: expand_plans(factory(ctx))
+
+
+def bernoulli_steps(ctx, message, p: float, rounds: int) -> Steps:
+    """One plan that transmits ``message`` with probability ``p``, else
+    idles, for ``rounds`` slots: the decisions are drawn up front with
+    ``ctx.rand_bernoulli_block``, as a per-slot loop would draw them."""
+    return Steps(tuple(
+        Send(message) if hit else Idle(1)
+        for hit in ctx.rand_bernoulli_block(p, rounds)
+    ))
 
 
 @pytest.fixture

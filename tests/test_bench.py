@@ -170,7 +170,7 @@ class TestBenchHarness:
         assert violations and "disagree" in violations[0]
 
     def test_write_results_round_trips(self, report, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
+        path = tmp_path / "bench_results.json"
         write_results(report, str(path))
         loaded = json.loads(path.read_text())
         assert loaded["workloads"]["tiny"]["slots"] == 3

@@ -11,8 +11,8 @@ Four contracts are pinned here:
   reaches every one of them, changing only what it exists to change.
 * **Round-trips** — ``to_dict``/``from_dict`` are inverses, campaign
   cell options and CLI args are views of the same schema, and
-  ``EXECUTION_OPTION_KEYS`` / the CLI flag group are *derived* from the
-  field definitions (no second hand-maintained list).
+  ``ExecutionConfig.option_keys()`` / the CLI flag group are *derived*
+  from the field definitions (no second hand-maintained list).
 * **Key stability** — an execution option explicitly set to its default
   normalizes away, so it hashes (and resumes) identically to an omitted
   one.
@@ -27,12 +27,7 @@ import json
 import pytest
 
 from repro.broadcast.base import run_broadcast, run_broadcast_trials
-from repro.campaign.cells import (
-    EXECUTION_OPTION_KEYS,
-    aggregate_cells,
-    run_cell,
-    run_cells,
-)
+from repro.campaign.cells import aggregate_cells, run_cell, run_cells
 from repro.campaign.spec import CampaignSpec, RowPlan
 from repro.graphs import clique
 from repro.sim import (
@@ -165,19 +160,30 @@ class TestValidation:
 
 class TestSchema:
     def test_option_keys_drive_campaign_schema(self):
-        assert EXECUTION_OPTION_KEYS == ExecutionConfig.option_keys()
-        assert set(EXECUTION_OPTION_KEYS) == {
+        assert set(ExecutionConfig.option_keys()) == {
             "resolution", "lockstep", "contention_hist",
             "churn", "jam", "burst_loss",
         }
 
     def test_cli_flags_derive_from_schema(self):
+        # Exactly the campaign cell options get a flag: the execution
+        # group is the CLI view of the option schema.
         parser = argparse.ArgumentParser()
         add_execution_args(parser)
-        text = parser.format_help()
+        flags = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        expected = set()
         for spec in ExecutionConfig.field_specs():
-            flag = "--" + spec.name.replace("_", "-")
-            assert (flag in text) == bool(spec.metadata["cli"])
+            if spec.metadata["cell_option"]:
+                flag = spec.name.replace("_", "-")
+                expected.add("--" + flag)
+                if isinstance(spec.default, bool):
+                    expected.add("--no-" + flag)
+        assert flags == expected
 
     def test_excluded_flags_are_absent(self):
         parser = argparse.ArgumentParser()
@@ -228,7 +234,6 @@ class TestRoundTrip:
         assert set(data) == {
             "resolution", "lockstep", "time_limit",
             "record_trace", "contention_hist",
-            "workers", "retries", "heartbeat",
             "churn", "jam", "burst_loss",
         }
 
@@ -319,7 +324,9 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match=reserved):
             CampaignSpec.from_dict(self._spec({reserved: True}))
 
-    @pytest.mark.parametrize("retired", ["stepping", "meter_energy"])
+    @pytest.mark.parametrize("retired", [
+        "stepping", "meter_energy", "workers", "retries", "heartbeat",
+    ])
     def test_retired_fields_rejected_at_load(self, retired):
         # A retired field would otherwise pass as an opaque protocol
         # knob: ignored by the row, yet splitting the content hash.
@@ -463,21 +470,16 @@ class TestKeyStability:
         assert [j.key() for j in bare.jobs()] != [j.key() for j in tuned.jobs()]
 
     def test_cell_options_view_is_minimal(self):
+        # A config's cell options are its option-key subset; normalized,
+        # only the non-default values remain (the content-hash shape).
         config = ExecutionConfig(lockstep=True, time_limit=99)
-        assert config.cell_options() == {"lockstep": True}
-        assert set(config.cell_options(include_defaults=True)) == set(
-            EXECUTION_OPTION_KEYS
-        )
-
-    def test_execution_options_alias_validates_and_normalizes(self):
-        from repro.campaign.cells import execution_options
-
-        assert execution_options(None) == {}
-        assert execution_options({
-            "lockstep": True, "resolution": "bitmask", "failure": 0.1,
-        }) == {"lockstep": True}
-        with pytest.raises(ValueError, match="resolution"):
-            execution_options({"resolution": "quantum"})
+        options = {
+            key: value
+            for key, value in config.to_dict(include_defaults=True).items()
+            if key in ExecutionConfig.option_keys()
+        }
+        assert set(options) == set(ExecutionConfig.option_keys())
+        assert normalize_execution_options(options) == {"lockstep": True}
 
 
 # --- one door: every knob is an ExecutionConfig field, at every entry -------

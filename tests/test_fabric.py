@@ -13,6 +13,7 @@ resolution, and the CLI/config surface.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -30,6 +31,7 @@ from repro.campaign import (
     RowDefinition,
     aggregate_campaign,
     register_row,
+    render_status,
     run_campaign,
     run_campaign_fabric,
     run_campaigns_fabric,
@@ -37,7 +39,6 @@ from repro.campaign import (
 from repro.campaign.fabric import (
     CRASH_ENV,
     EventLog,
-    live_progress,
     read_events,
     render_events_summary,
     render_live_status,
@@ -51,12 +52,11 @@ from repro.campaign.registry import (
     row_min_size,
     scaled_sizes,
 )
-from repro.campaign.runner import plan_pending
+from repro.campaign.runner import RunnerOptions, plan_pending
 from repro.campaign.store import STATUS_QUARANTINED, make_record
-from repro.cli import main
-from repro.sim import ExecutionConfig, Simulator
+from repro.cli import build_parser, main
+from repro.sim import ExecutionConfig
 from repro.sim.config import ExecutionConfigError
-from repro.sim.models import LOCAL
 
 
 def _store(tmp_path, name="results.jsonl"):
@@ -111,6 +111,23 @@ def flaky_row(tmp_path):
     register_row(RowDefinition(
         name=name, title="flaky", model="LOCAL", graph_family="path",
         builder=lambda g, o: None, default_sizes=(8,), default_seeds=(0, 1),
+        custom_cell=cell,
+    ))
+    yield name
+    ROW_REGISTRY.pop(name, None)
+
+
+@pytest.fixture
+def failing_row():
+    """Raises on every attempt, so the fabric retries it to exhaustion."""
+
+    def cell(row, size, seed, options):
+        raise ValueError("always fails")
+
+    name = "_test-failing"
+    register_row(RowDefinition(
+        name=name, title="failing", model="LOCAL", graph_family="path",
+        builder=lambda g, o: None, default_sizes=(8,), default_seeds=(0,),
         custom_cell=cell,
     ))
     yield name
@@ -764,9 +781,197 @@ class TestLiveStatus:
             log.emit("worker_died", worker=0, reason="no heartbeat", block=0)
             log.emit("block_retried", block=0, attempt=1, reason="x",
                      backoff=0.1)
-        progress = live_progress(events_path)
-        assert progress["workers"][0]["state"] == "dead"
-        assert progress["retries"] == 1
+        summary = summarize_events(read_events(events_path))
+        assert summary["workers"][0]["state"] == "dead"
+        assert summary["workers"][0]["died"] == "no heartbeat"
+        assert len(summary["retried"]) == 1
+
+
+def _ev(name, ts, **fields):
+    return dict(ev=name, ts=ts, **fields)
+
+
+def _sent(ts, block, worker, attempt=0, row="path"):
+    return _ev("block_dispatched", ts, block=block, worker=worker, row=row,
+               size=8, seeds=2, attempt=attempt)
+
+
+def _done(ts, block, worker, ok, failed, soa=0, reasons=None):
+    fields = dict(block=block, worker=worker, ok=ok, failed=failed,
+                  elapsed=0.5)
+    if soa is not None:
+        fields.update(soa=soa, soa_reasons=reasons or {})
+    return _ev("block_completed", ts, **fields)
+
+
+def _started(workers=2, cached=0):
+    return _ev("run_started", 100.0, campaign="fold", total=4,
+               cached=cached, pending=4 - cached, workers=workers)
+
+
+def _finished(elapsed, **counts):
+    return _ev("run_completed", 100.0 + elapsed, elapsed=elapsed, **counts)
+
+
+def _born(ts, *wids):
+    return [_ev("worker_born", ts, worker=wid, pid=10 + wid) for wid in wids]
+
+
+def _died(ts, wid, block):
+    return _ev("worker_died", ts, worker=wid, reason="worker process died",
+               block=block)
+
+
+#: One synthetic ledger per case: (events, the --events summary, the
+#: fabric lines of the --watch view rendered at ts 102.0).  The texts
+#: are a compatibility pin: only the retried failure's may differ from
+#: what these views printed when each read the ledger on its own.
+_FOLD_CASES = {
+    "clean": (
+        [_started(), *_born(100.1, 0, 1), _sent(100.2, 0, 0),
+         _sent(100.2, 1, 1), _done(101.0, 0, 0, 2, 0),
+         _done(101.5, 1, 1, 2, 0), _finished(1.5)],
+        """fabric events:
+  last run (fold): completed; 4 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
+  wall 1.5s, 2.7 cells/s
+  SoA engagement: 0/2 block(s) (0%), 0 cell(s) on the trial-SoA engine
+  events: run_started=1, worker_born=2, block_dispatched=2, block_completed=2, run_completed=1
+  worker 0: 1 block(s), 2 cell(s)
+  worker 1: 1 block(s), 2 cell(s)""",
+        """fabric finished: 4/4 cells this run (0 failed, 0 quarantined, 0 retries) | 2.7 cells/s
+workers: w0 IDLE  w1 IDLE""",
+    ),
+    "worker_death": (
+        [_started(), *_born(100.1, 0, 1), _sent(100.2, 0, 0),
+         _sent(100.2, 1, 1), _died(100.8, 1, 1),
+         _ev("block_retried", 100.8, block=1, attempt=1,
+             reason="worker process died", backoff=0.5),
+         *_born(100.9, 2), _done(101.0, 0, 0, 2, 0),
+         _sent(101.3, 1, 2, attempt=1)],
+        """fabric events:
+  last run (fold): IN PROGRESS / ABORTED; 2 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
+  SoA engagement: 0/1 block(s) (0%), 0 cell(s) on the trial-SoA engine
+  events: run_started=1, worker_born=3, worker_died=1, block_dispatched=3, block_completed=1, block_retried=1
+  worker 0: 1 block(s), 2 cell(s)
+  worker 1: 0 block(s), 0 cell(s)  DIED: worker process died
+  worker 2: 0 block(s), 0 cell(s)
+  retry  block 1 attempt 1: worker process died""",
+        """fabric running: 2/4 cells this run (0 failed, 0 quarantined, 1 retries) | 1.0 cells/s | ETA 2s
+workers: w0 IDLE  w1 DEAD (worker process died)  w2 RUN path/n=8 (block 1, 0.7s)""",
+    ),
+    # Block 0's one cell fails on all three attempts: it counts once
+    # in the run's cells and rate, while worker tallies count attempts.
+    "retried_failure": (
+        [_started(workers=1), _sent(100.1, 0, 0, row="_poison"),
+         _done(100.2, 0, 0, 0, 1),
+         _ev("block_retried", 100.2, block=0, attempt=1,
+             reason="1 cell(s) failed (error)", backoff=0.5),
+         _sent(100.3, 1, 0), _done(100.9, 1, 0, 3, 0),
+         _sent(101.0, 0, 0, attempt=1, row="_poison"),
+         _done(101.1, 0, 0, 0, 1),
+         _ev("block_retried", 101.1, block=0, attempt=2,
+             reason="1 cell(s) failed (error)", backoff=1.0),
+         _sent(102.1, 0, 0, attempt=2, row="_poison"),
+         _done(102.2, 0, 0, 0, 1), _finished(2.0)],
+        """fabric events:
+  last run (fold): completed; 3 ok / 1 failed of 4 pending (0 cached of 4 total), 1 worker(s)
+  wall 2.0s, 2.0 cells/s
+  SoA engagement: 0/4 block(s) (0%), 0 cell(s) on the trial-SoA engine
+  events: run_started=1, block_dispatched=4, block_completed=4, block_retried=2, run_completed=1
+  worker 0: 4 block(s), 6 cell(s)
+  retry  block 0 attempt 1: 1 cell(s) failed (error)
+  retry  block 0 attempt 2: 1 cell(s) failed (error)""",
+        """fabric finished: 3/4 cells this run (1 failed, 0 quarantined, 2 retries) | 2.0 cells/s
+workers: w0 IDLE""",
+    ),
+    "quarantine": (
+        [_started(), *_born(100.1, 0, 1), _sent(100.2, 0, 0, row="figure1"),
+         _sent(100.2, 1, 1), _died(100.5, 0, 0),
+         _ev("block_retried", 100.5, block=0, attempt=1,
+             reason="worker process died", backoff=0.5),
+         *_born(100.6, 2), _done(100.9, 1, 1, 2, 0),
+         _sent(101.0, 0, 2, attempt=1, row="figure1"), _died(101.2, 2, 0),
+         _ev("block_quarantined", 101.2, block=0,
+             reason="worker process died", cells=2),
+         _finished(1.2)],
+        """fabric events:
+  last run (fold): completed; 2 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
+  wall 1.2s, 1.7 cells/s
+  SoA engagement: 0/1 block(s) (0%), 0 cell(s) on the trial-SoA engine
+  events: run_started=1, worker_born=3, worker_died=2, block_dispatched=3, block_completed=1, block_retried=1, block_quarantined=1, run_completed=1
+  worker 0: 0 block(s), 0 cell(s)  DIED: worker process died
+  worker 1: 1 block(s), 2 cell(s)
+  worker 2: 0 block(s), 0 cell(s)  DIED: worker process died
+  retry  block 0 attempt 1: worker process died
+  QUARANTINED block 0 (2 cell(s)): worker process died""",
+        """fabric finished: 2/4 cells this run (0 failed, 2 quarantined, 1 retries) | 1.7 cells/s
+workers: w0 DEAD (worker process died)  w1 IDLE  w2 DEAD (worker process died)""",
+    ),
+    "soa_verdicts": (
+        [_started(), *_born(100.1, 0, 1), _sent(100.2, 0, 0, row="bounded"),
+         _sent(100.2, 1, 1), _done(101.0, 0, 0, 2, 0, 2, {"ok": 2}),
+         _done(101.5, 1, 1, 2, 0, 0, {"observers": 1, "churn": 1}),
+         _finished(1.5)],
+        """fabric events:
+  last run (fold): completed; 4 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
+  wall 1.5s, 2.7 cells/s
+  SoA engagement: 1/2 block(s) (50%), 2 cell(s) on the trial-SoA engine
+  SoA verdicts: churn=1, observers=1, ok=2
+  events: run_started=1, worker_born=2, block_dispatched=2, block_completed=2, run_completed=1
+  worker 0: 1 block(s), 2 cell(s)
+  worker 1: 1 block(s), 2 cell(s)""",
+        """fabric finished: 4/4 cells this run (0 failed, 0 quarantined, 0 retries) | 2.7 cells/s
+workers: w0 IDLE  w1 IDLE""",
+    ),
+    "pre_soa": (
+        [_started(workers=1, cached=2), _sent(100.1, 0, 0),
+         _done(100.7, 0, 0, 2, 0, soa=None), _finished(0.7)],
+        """fabric events:
+  last run (fold): completed; 2 ok / 0 failed of 2 pending (2 cached of 4 total), 1 worker(s)
+  wall 0.7s, 2.9 cells/s
+  events: run_started=1, block_dispatched=1, block_completed=1, run_completed=1
+  worker 0: 1 block(s), 2 cell(s)""",
+        """fabric finished: 2/2 cells this run (0 failed, 0 quarantined, 0 retries) | 2.9 cells/s
+workers: w0 IDLE""",
+    ),
+}
+
+
+class TestOneFold:
+    """``report --events`` and ``status --watch`` render one fold."""
+
+    @pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+    def test_both_renderers_read_one_fold(self, tmp_path, case):
+        events, summary_text, live_text = _FOLD_CASES[case]
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in events
+        ))
+        assert render_events_summary(
+            summarize_events(read_events(str(path)))
+        ) == summary_text
+        spec = _spec([{"row": "path", "sizes": [8], "seeds": [0, 1, 2, 3]}])
+        store = _store(tmp_path)
+        live = render_live_status(spec, store, str(path), now=102.0)
+        assert live == render_status(spec, store) + "\n" + live_text
+
+    def test_retried_failure_counts_once_on_a_real_run(
+        self, tmp_path, failing_row
+    ):
+        spec = _spec([
+            {"row": failing_row, "sizes": [8], "seeds": [0]},
+            {"row": "path", "sizes": [8], "seeds": [0, 1, 2]},
+        ])
+        store = _store(tmp_path)
+        report = _fabric(spec, store, workers=1, retries=2)
+        assert (report.ok, report.errors, report.retries) == (3, 1, 2)
+        events_path = os.path.join(str(tmp_path), "events.jsonl")
+        summary = summarize_events(read_events(events_path))
+        assert summary["workers"][0]["cells"] == 6  # every attempt
+        assert "3 ok / 1 failed of 4 pending" in render_events_summary(summary)
+        assert "3/4 cells this run (1 failed, 0 quarantined, 2 retries)" in (
+            render_live_status(spec, store, events_path)
+        )
 
 
 class TestRunAll:
@@ -907,15 +1112,27 @@ class TestFabricCLI:
 
 class TestRunnerConfigSurface:
     def test_runner_fields_validate(self):
-        ExecutionConfig(workers=4, retries=0, heartbeat=0.0)  # all legal
-        with pytest.raises(ExecutionConfigError, match="workers"):
-            ExecutionConfig(workers=0)
-        with pytest.raises(ExecutionConfigError, match="retries"):
-            ExecutionConfig(retries=-1)
-        with pytest.raises(ExecutionConfigError, match="heartbeat"):
-            ExecutionConfig(heartbeat=-0.5)
-        with pytest.raises(ExecutionConfigError, match="heartbeat"):
-            ExecutionConfig(heartbeat=True)
+        assert RunnerOptions() == RunnerOptions(
+            workers=1, retries=2, heartbeat=1.0, timeout=None
+        )
+        RunnerOptions(workers=4, retries=0, heartbeat=0.0, timeout=0.5)
+        RunnerOptions(heartbeat=3, timeout=2)  # ints are seconds too
+        assert RunnerOptions.given(workers=None, retries=5) == RunnerOptions(
+            retries=5
+        )
+
+    @pytest.mark.parametrize("name, value", [
+        ("workers", 0), ("workers", -1), ("workers", 1.0), ("workers", True),
+        ("workers", "2"), ("retries", -1), ("retries", 0.5),
+        ("retries", False), ("heartbeat", -0.5), ("heartbeat", True),
+        ("heartbeat", "1"), ("heartbeat", float("nan")),
+        ("heartbeat", float("inf")), ("timeout", 0), ("timeout", -1.0),
+        ("timeout", True), ("timeout", "5"), ("timeout", float("nan")),
+        ("timeout", float("inf")),
+    ])
+    def test_runner_fields_refuse_bad_values(self, name, value):
+        with pytest.raises(ExecutionConfigError, match=name):
+            RunnerOptions(**{name: value})
 
     def test_runner_fields_are_not_cell_options(self):
         from repro.sim.config import validate_execution_options
@@ -925,17 +1142,13 @@ class TestRunnerConfigSurface:
         with pytest.raises(ExecutionConfigError, match="heartbeat"):
             validate_execution_options({"heartbeat": 0.1})
 
-    def test_engine_rejects_runner_fields(self):
-        from repro.graphs import path_graph
-        from repro.sim import Knowledge
-
-        config = ExecutionConfig(workers=2)
-        with pytest.raises(ExecutionConfigError, match="campaign fabric"):
-            Simulator(
-                path_graph(4), LOCAL,
-                knowledge=Knowledge(n=4, max_degree=2, diameter=3),
-                exec_config=config,
-            )
+    def test_execution_config_has_no_runner_fields(self):
+        runner = {spec.name for spec in dataclasses.fields(RunnerOptions)}
+        assert not runner & {
+            spec.name for spec in ExecutionConfig.field_specs()
+        }
+        with pytest.raises(TypeError, match="workers"):
+            ExecutionConfig(workers=2)
 
     def test_fabric_rejects_zero_workers(self, tmp_path):
         spec = _spec([{"row": "path", "sizes": [8], "seeds": [0]}])
@@ -954,6 +1167,21 @@ class TestRunnerConfigSurface:
         store = _store(tmp_path / "out")
         with pytest.raises(ExecutionConfigError, match=name):
             run_campaigns_fabric([(spec, store, None)], **{name: value})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [
+        -1, 0, -0.5, float("nan"), float("inf"), True,
+    ])
+    def test_serial_runner_checks_timeout_before_writing(
+        self, tmp_path, value
+    ):
+        # Library callers reach run_campaign without the CLI's check;
+        # unchecked, the cell alarm would turn -1 into a 1 s budget and
+        # 0 or NaN into none.
+        spec = _spec([{"row": "path", "sizes": [8, 12], "seeds": [0]}])
+        store = _store(tmp_path / "out")
+        with pytest.raises(ExecutionConfigError, match="timeout"):
+            run_campaign(spec, store, timeout=value)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [
@@ -980,14 +1208,26 @@ class TestRunnerConfigSurface:
         assert not out.exists()
 
     def test_cli_flags_route_to_fabric_defaults(self):
-        from repro.sim.config import runner_overrides
+        from repro.cli import _engages_fabric, _runner_options
 
-        parser_args = type("A", (), {
-            "workers": 3, "retries": None, "heartbeat": 0.5,
-        })()
-        assert runner_overrides(parser_args) == {
-            "workers": 3, "heartbeat": 0.5,
-        }
+        parser = build_parser()
+        for command in (["campaign", "run", "c.json"],
+                        ["campaign", "run-all", "configs"]):
+            given = parser.parse_args(
+                command + ["--workers", "3", "--heartbeat", "0.5"]
+            )
+            assert _runner_options(given) == RunnerOptions(
+                workers=3, heartbeat=0.5
+            )
+            assert _engages_fabric(given)
+            timeout_only = parser.parse_args(command + ["--timeout", "5"])
+            assert _runner_options(timeout_only) == RunnerOptions(
+                timeout=5.0
+            )
+            assert not _engages_fabric(timeout_only)
+            bare = parser.parse_args(command)
+            assert _runner_options(bare) == RunnerOptions()
+            assert not _engages_fabric(bare)
 
 
 class TestSizesScaleClamp:

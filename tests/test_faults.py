@@ -37,7 +37,6 @@ from repro.sim import (
     Repeat,
     Send,
     SendListen,
-    SendProb,
     Steps,
     numpy_available,
     run_trials,
@@ -64,7 +63,7 @@ from repro.sim.faults import (
 from repro.sim.feedback import BEEP, NOISE, SILENCE
 from repro.sim.models import MODELS, LossyModel
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import per_slot
+from tests.conftest import bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -377,7 +376,7 @@ def _churn_plan_protocol(duplex: bool):
         yield Repeat(Send(("r", ctx.index)), 1 + ctx.index % 3)
         if duplex:
             yield Repeat(SendListen(("d", ctx.index)), 2)
-        yield SendProb(("p", ctx.index), 0.5, 4)
+        yield bernoulli_steps(ctx, ("p", ctx.index), 0.5, 4)
         match = yield ListenUntil(6, pad=True)
         steps = (Listen(), Send(("s", ctx.index)), Idle(2), Listen(), Listen())
         if duplex:

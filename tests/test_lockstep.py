@@ -30,7 +30,6 @@ from repro.sim import (
     Repeat,
     Send,
     SendListen,
-    SendProb,
     SimulationTimeout,
     Steps,
     numpy_available,
@@ -39,7 +38,7 @@ from repro.sim import (
 from repro.sim.models import LossyModel
 from repro.sim.observers import SlotObserver
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import per_slot
+from tests.conftest import bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -442,7 +441,7 @@ def _plan_rich_protocol(ctx):
     """Every vectorizable plan primitive, then an adaptive generator tail."""
     yield Idle(1 + ctx.index % 3)
     yield Repeat(Send(("r", ctx.index)), 1 + ctx.index % 2)
-    yield SendProb(("p", ctx.index), 0.5, 3)
+    yield bernoulli_steps(ctx, ("p", ctx.index), 0.5, 3)
     match = yield ListenUntil(
         5,
         accept=lambda m: (
@@ -490,7 +489,10 @@ def _rng_heavy_protocol(steps: int):
     def protocol(ctx):
         total = 0
         for _ in range(steps):
-            yield SendProb(("h", ctx.index), ctx.rng.random(), 1 + ctx.rng.randrange(3))
+            yield bernoulli_steps(
+                ctx, ("h", ctx.index), ctx.rng.random(),
+                1 + ctx.rng.randrange(3),
+            )
             fb = yield ListenUntil(1 + ctx.rng.randrange(2))
             if fb is not None:
                 total += 1

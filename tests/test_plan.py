@@ -4,9 +4,9 @@ Covers the slots-at-a-time stepping ABI:
 
 * unit semantics of every plan primitive (resume values, padding,
   early exit, validation errors);
-* the bulk-randomness contract: ``NodeCtx.rand_bernoulli_block`` and
-  ``SendProb`` consume exactly the stream a per-slot loop would (draw
-  order pinned);
+* the bulk-randomness contract: ``NodeCtx.rand_bernoulli_block``
+  consumes exactly the stream a per-slot loop would (draw order
+  pinned);
 * the differential matrix: a protocol exercising every primitive (plus
   per-slot escape hatches) must be byte-identical phase-compiled, with
   its plans expanded per slot (``expand_plans``), and on the reference
@@ -41,7 +41,6 @@ from repro.sim import (
     Repeat,
     Send,
     SendListen,
-    SendProb,
     SILENCE,
     Simulator,
     Steps,
@@ -50,9 +49,9 @@ from repro.sim import (
 )
 from repro.sim.models import LossyModel
 from repro.sim.node import NodeCtx
-from repro.sim.plan import expand_plans, start_plan
+from repro.sim.plan import expand_plans
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import per_slot
+from tests.conftest import bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -153,19 +152,6 @@ class TestPlanSemantics:
         assert result.outputs[1] is None
         assert result.energy[1].listens == 5
 
-    def test_send_prob_draw_order_matches_per_slot_loop(self):
-        # The engine draws SendProb decisions exactly like a per-slot
-        # `rng.random() < p` loop: pin against a manual replay.
-        def proto(ctx):
-            yield SendProb("m", 0.5, 12)
-            return ctx.rng.random()  # stream position after the plan
-
-        result = self._run(proto, n=1)
-        rng = random.Random(random.Random(1).getrandbits(64))
-        expected_sends = sum(rng.random() < 0.5 for _ in range(12))
-        assert result.energy[0].sends == expected_sends
-        assert result.outputs[0] == rng.random()
-
     def test_steps_collects_listening_feedbacks(self):
         def proto(ctx):
             if ctx.index == 0:
@@ -212,7 +198,6 @@ class TestPlanSemantics:
             Repeat(Send("m"), 0),
             Repeat("junk", 2),
             ListenUntil(0),
-            SendProb("m", 0.5, 0),
             Steps(()),
             Steps((Send("m"), "junk")),
             Steps((Repeat(Send("m"), 2),)),  # no nested plans
@@ -305,16 +290,6 @@ class TestBernoulliBlock:
         with pytest.raises(ValueError):
             ctx.rand_bernoulli_block(0.5, -1)
 
-    def test_sendprob_uses_same_stream(self):
-        # start_plan(SendProb) and rand_bernoulli_block agree draw for
-        # draw, so protocols may pre-draw and hand decisions to either.
-        knowledge = Knowledge(n=1, max_degree=1)
-        ctx_a = NodeCtx(index=0, uid=1, knowledge=knowledge, seed=99)
-        ctx_b = NodeCtx(index=0, uid=1, knowledge=knowledge, seed=99)
-        start_plan(SendProb("m", 0.25, 30), ctx_a)
-        ctx_b.rand_bernoulli_block(0.25, 30)
-        assert ctx_a.rng.random() == ctx_b.rng.random()
-
 
 # ---------------------------------------------------------------------------
 # Differential matrix
@@ -347,7 +322,9 @@ def _plan_protocol(steps: int, duplex: bool):
                 if fb is not None:
                     heard += 1
             elif roll < 0.58:
-                yield SendProb(("p", ctx.index), 0.4, 1 + ctx.rng.randrange(5))
+                yield bernoulli_steps(
+                    ctx, ("p", ctx.index), 0.4, 1 + ctx.rng.randrange(5)
+                )
             elif roll < 0.70:
                 acts = []
                 for _ in range(1 + ctx.rng.randrange(4)):
@@ -578,7 +555,7 @@ class TestExpandPlans:
             fb = yield Listen()
             return ("done", fb)
 
-        driver = expand_plans(gen(), _ctx())
+        driver = expand_plans(gen())
         assert next(driver) == Send("a")
         assert driver.send(None) == Listen()
         with pytest.raises(StopIteration) as stop:
@@ -590,7 +567,7 @@ class TestExpandPlans:
             fbs = yield Repeat(Listen(), 3)
             return fbs
 
-        driver = expand_plans(gen(), _ctx())
+        driver = expand_plans(gen())
         assert next(driver) == Listen()
         assert driver.send("a") == Listen()
         assert driver.send("b") == Listen()
