@@ -33,14 +33,12 @@ from repro.campaign.cells import (
     aggregate_cells,
     bootstrap_median_ci,
     knowledge_for,
-    run_cell,
     run_cells,
 )
 from repro.campaign.registry import (
     GRAPH_FAMILIES,
     ROW_REGISTRY,
     RowDefinition,
-    execute_cell,
     execute_cell_block,
     get_row,
     register_row,
@@ -75,12 +73,10 @@ __all__ = [
     "aggregate_cells",
     "bootstrap_median_ci",
     "knowledge_for",
-    "run_cell",
     "run_cells",
     "GRAPH_FAMILIES",
     "ROW_REGISTRY",
     "RowDefinition",
-    "execute_cell",
     "execute_cell_block",
     "get_row",
     "register_row",

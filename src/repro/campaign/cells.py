@@ -29,7 +29,6 @@ __all__ = [
     "SweepPoint",
     "CellResult",
     "knowledge_for",
-    "run_cell",
     "run_cells",
     "run_fused_cells",
     "aggregate_cells",
@@ -284,37 +283,6 @@ def _cell_result(
         mean_energy=outcome.mean_energy,
         extras=extras,
     )
-
-
-def run_cell(
-    graph: Graph,
-    model: ChannelModel,
-    protocol_factory: Callable,
-    *,
-    label: str,
-    size: int,
-    seed: int,
-    source: int = 0,
-    knowledge: Optional[Knowledge] = None,
-    id_space_from_n: bool = False,
-    observer: Optional[Callable[[Graph], SlotObserver]] = None,
-    exec_config: Optional[ExecutionConfig] = None,
-) -> CellResult:
-    """Execute one broadcast cell (a single-seed batch) and reduce it to
-    storable numbers — the unit the sharded campaign runner executes."""
-    return run_cells(
-        graph,
-        model,
-        protocol_factory,
-        label=label,
-        size=size,
-        seeds=(seed,),
-        source=source,
-        knowledge=knowledge,
-        id_space_from_n=id_space_from_n,
-        observer=observer,
-        exec_config=exec_config,
-    )[0]
 
 
 def bootstrap_median_ci(

@@ -68,7 +68,6 @@ __all__ = [
     "scaled_sizes",
     "check_row_supports_options",
     "simulation_key",
-    "execute_cell",
     "execute_cell_block",
     "execute_fused_block",
 ]
@@ -250,12 +249,6 @@ def simulation_key(row: str, size: int, options: Dict) -> Optional[Tuple]:
     )
 
 
-def execute_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
-    """Run one (row, size, seed) cell — the single-seed worker entry
-    point (a one-seed block)."""
-    return execute_cell_block(row, size, (seed,), options)[0]
-
-
 def execute_cell_block(
     row: str, size: int, seeds: Sequence[int], options: Dict
 ) -> List[CellResult]:
@@ -298,7 +291,7 @@ def execute_fused_block(
     # Same door policy as CampaignSpec validation: reserved execution
     # fields (record_trace, time_limit, hooks) in an options dict are
     # rejected, never silently dropped — this also covers direct
-    # execute_cell/execute_cell_block callers that bypass a spec.
+    # execute_cell_block callers that bypass a spec.
     try:
         validate_execution_options(options)
     except ExecutionConfigError as exc:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import List, Optional
@@ -101,6 +102,11 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
+def _finite_positive(value: float) -> bool:
+    """True for a float flag's usable values (False for nan too)."""
+    return 0 < value < math.inf
+
+
 def _cmd_table1(args) -> int:
     from repro.campaign.registry import ROW_REGISTRY, scaled_sizes
 
@@ -112,8 +118,8 @@ def _cmd_table1(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         print("--seeds must be >= 1")
         return 2
-    if args.sizes_scale is not None and args.sizes_scale <= 0:
-        print("--sizes-scale must be > 0")
+    if args.sizes_scale is not None and not _finite_positive(args.sizes_scale):
+        print("--sizes-scale must be a finite number > 0")
         return 2
     entries = []
     for row in rows:
@@ -275,6 +281,9 @@ def _cmd_campaign_status(args) -> int:
     from repro.campaign import render_status
     from repro.campaign.fabric import watch_campaign
 
+    if not _finite_positive(args.interval):
+        print("--interval must be a finite number > 0")
+        return 2
     spec, store = _campaign_store(args)
     if args.watch:
         watch_campaign(

@@ -16,21 +16,79 @@ Participation scheduling: a vertex at layer l can only act in the frame
 where layer l receives and the frame where layer l sends, which are
 consecutive in sweep order; it sleeps through everything else in O(1)
 yields.  That is what gives Lemma 10 its per-vertex energy bound.
+:func:`sweep` is that schedule, written once: the cluster casts
+(Lemma 17), the deterministic tree grids (Lemma 28) and the colored
+tree-cluster grids (Section 7.1) run their layered sweeps through it too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.core.schemes import SRScheme
 from repro.core.sr_comm import Role
+from repro.sim.actions import Idle
 from repro.sim.node import NodeCtx
 
-__all__ = ["down_cast", "all_cast", "up_cast", "cast_sequence_slots", "identity"]
+__all__ = [
+    "sweep",
+    "down_cast",
+    "all_cast",
+    "up_cast",
+    "cast_sequence_slots",
+    "identity",
+]
 
 
 def identity(message: Any) -> Any:
     return message
+
+
+def sweep(
+    positions: int,
+    unit: int,
+    recv_at: int,
+    send_at: int,
+    value: Optional[Any],
+    receive: Callable[[int], Generator],
+    send: Callable[[int, Any], Generator],
+    transform: Callable[[Any], Any],
+):
+    """Lemma 10's schedule: one vertex's part in a sweep of ``positions``
+    frames of ``unit`` slots each.  Generator; returns the (possibly
+    updated) value.
+
+    The vertex acts in at most two positions.  At ``recv_at``, if it
+    holds nothing, it runs ``receive(recv_at)`` and adopts
+    ``transform(received)`` when that returns a message; at
+    ``send_at``, if it holds something (possibly what it received one
+    position earlier, which is how a value washes along the layers), it
+    runs ``send(send_at, value)``.  A position outside ``[0,
+    positions)`` is skipped.  The vertex sleeps through every other slot,
+    a position where it has nothing to do included, in one ``Idle`` per
+    stretch: O(1) yields however long the sweep.
+    """
+    cursor = 0  # first position not yet covered
+    for at in (recv_at, send_at):
+        if not cursor <= at < positions:
+            continue
+        if value is None:
+            if at != recv_at:
+                continue
+            step = receive(at)
+        elif at == send_at:
+            step = send(at, value)
+        else:
+            continue
+        if at > cursor:
+            yield Idle((at - cursor) * unit)
+        got = yield from step
+        if value is None and got is not None:
+            value = transform(got)
+        cursor = at + 1
+    if positions > cursor:
+        yield Idle((positions - cursor) * unit)
+    return value
 
 
 def down_cast(
@@ -49,27 +107,12 @@ def down_cast(
     ``layer`` (if it holds something — possibly something it just received
     one frame earlier, which is how a value washes down the layers).
     """
-    frames = max_layers - 1
-    recv_frame = layer - 1  # I am in R = layer-(i+1) when i = layer-1
-    send_frame = layer  # I am in S = layer-i when i = layer
-    cursor = 0
-    for i in (recv_frame, send_frame):
-        if not 0 <= i < frames:
-            continue
-        if i > cursor:
-            yield from scheme.idle_frames(i - cursor)
-        if i == recv_frame and value is None:
-            received = yield from scheme.communicate(ctx, Role.RECEIVER, accept=accept)
-            if received is not None:
-                value = transform(received)
-        elif i == send_frame and value is not None:
-            yield from scheme.communicate(ctx, Role.SENDER, value)
-        else:
-            yield from scheme.communicate(ctx, Role.IDLE)
-        cursor = i + 1
-    if frames > cursor:
-        yield from scheme.idle_frames(frames - cursor)
-    return value
+    return sweep(
+        max_layers - 1, scheme.frame_length, layer - 1, layer, value,
+        lambda at: scheme.communicate(ctx, Role.RECEIVER, accept=accept),
+        lambda at, held: scheme.communicate(ctx, Role.SENDER, held),
+        transform,
+    )
 
 
 def up_cast(
@@ -81,32 +124,18 @@ def up_cast(
     transform: Callable[[Any], Any] = identity,
     accept=None,
 ):
-    """One Up-cast sweep (frames i = max_layers-1 down to 1); returns the
-    (possibly updated) value.  A vertex at ``layer`` may receive in frame
-    i = layer+1 and send in frame i = layer; descending order makes those
-    consecutive, so a value washes up toward layer 0."""
-    frames = max_layers - 1  # frame indices i = max_layers-1 .. 1
-    recv_frame = layer + 1  # I am in R = layer-(i-1) when i = layer+1
-    send_frame = layer  # I am in S = layer-i when i = layer
-    cursor = 0  # position in sweep order: position p handles i = max_layers-1-p
-    for i in (recv_frame, send_frame):
-        if not 1 <= i <= max_layers - 1:
-            continue
-        position = max_layers - 1 - i
-        if position > cursor:
-            yield from scheme.idle_frames(position - cursor)
-        if i == recv_frame and value is None:
-            received = yield from scheme.communicate(ctx, Role.RECEIVER, accept=accept)
-            if received is not None:
-                value = transform(received)
-        elif i == send_frame and value is not None:
-            yield from scheme.communicate(ctx, Role.SENDER, value)
-        else:
-            yield from scheme.communicate(ctx, Role.IDLE)
-        cursor = position + 1
-    if frames > cursor:
-        yield from scheme.idle_frames(frames - cursor)
-    return value
+    """One Up-cast sweep (frames i = max_layers-1 down to 1, so position
+    p runs frame i = max_layers-1-p); returns the (possibly updated)
+    value.  A vertex at ``layer`` may receive in frame i = layer+1 and
+    send in frame i = layer; descending order makes those consecutive,
+    so a value washes up toward layer 0."""
+    return sweep(
+        max_layers - 1, scheme.frame_length,
+        max_layers - 2 - layer, max_layers - 1 - layer, value,
+        lambda at: scheme.communicate(ctx, Role.RECEIVER, accept=accept),
+        lambda at, held: scheme.communicate(ctx, Role.SENDER, held),
+        transform,
+    )
 
 
 def all_cast(

@@ -11,7 +11,9 @@ SR-communication delivers.
 
 Receivers filter by cluster id: ``accept`` decides which messages count
 (same-cluster for Downward/Upward transmission, any-other-cluster for the
-All-cast between clusters).
+All-cast between clusters).  The layered Downward/Upward casts keep
+Lemma 10's two positions per vertex by running through
+:func:`repro.core.casts.sweep`, one position being ``reps`` SR frames.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional
 
+from repro.core.casts import sweep
 from repro.core.schemes import SRScheme
 from repro.core.sr_comm import Role
 from repro.sim.node import NodeCtx
@@ -69,49 +72,40 @@ def cluster_sr(
     return received
 
 
-def _sweep(
+def _cluster_cast(
     ctx: NodeCtx,
     scheme: SRScheme,
-    recv_position: int,
-    send_position: int,
-    positions: int,
+    recv_at: int,
+    send_at: int,
+    cid: int,
+    seed: int,
     value,
-    send_message: Callable[[Any], Any],
-    seed: Optional[int],
-    tag,
+    max_layers: int,
     contention: int,
     reps: int,
-    accept: Callable[[Any], bool],
+    tag,
     transform: Callable[[Any], Any],
 ):
-    """Shared engine for layered cluster casts: one cast is ``positions``
-    frames of ``reps`` SR repetitions; this vertex may receive at
-    ``recv_position`` and send at ``send_position`` (either may be out of
-    range, disabling it)."""
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield from scheme.idle_frames((position - cursor) * reps)
-        if position == recv_position and value is None:
-            got = yield from cluster_sr(
-                ctx, scheme, Role.RECEIVER, None, seed,
-                (tag, position), contention, reps, accept,
-            )
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from cluster_sr(
-                ctx, scheme, Role.SENDER, send_message(value), seed,
-                (tag, position), contention, reps, accept,
-            )
-        else:
-            yield from scheme.idle_frames(reps)
-        cursor = position + 1
-    if positions > cursor:
-        yield from scheme.idle_frames((positions - cursor) * reps)
-    return value
+    """A layered cast inside the cluster ``cid``: :func:`casts.sweep
+    <repro.core.casts.sweep>` over ``max_layers - 1`` positions of
+    ``reps`` SR frames each, where messages from other clusters are
+    filtered out."""
+
+    def accept(message) -> bool:
+        return message[0] == cid
+
+    return sweep(
+        max_layers - 1, reps * scheme.frame_length, recv_at, send_at, value,
+        lambda at: cluster_sr(
+            ctx, scheme, Role.RECEIVER, None, seed,
+            (tag, at), contention, reps, accept,
+        ),
+        lambda at, held: cluster_sr(
+            ctx, scheme, Role.SENDER, (cid, held), seed,
+            (tag, at), contention, reps, accept,
+        ),
+        lambda message: transform(message[1]),
+    )
 
 
 def cluster_down_cast(
@@ -130,20 +124,9 @@ def cluster_down_cast(
     """Downward transmission sweep: values flow layer i -> i+1 inside the
     cluster identified by ``cid`` (messages from other clusters are
     filtered out)."""
-
-    def accept(message) -> bool:
-        return message[0] == cid
-
-    return _sweep(
-        ctx, scheme,
-        recv_position=layer - 1,
-        send_position=layer,
-        positions=max_layers - 1,
-        value=value,
-        send_message=lambda val: (cid, val),
-        seed=seed, tag=("dc", tag), contention=contention, reps=reps,
-        accept=accept,
-        transform=lambda msg: transform(msg[1]),
+    return _cluster_cast(
+        ctx, scheme, layer - 1, layer, cid, seed, value, max_layers,
+        contention, reps, ("dc", tag), transform,
     )
 
 
@@ -162,20 +145,9 @@ def cluster_up_cast(
 ):
     """Upward transmission sweep: values flow layer i -> i-1 inside the
     cluster (sweep positions run from the deepest layer toward 0)."""
-
-    def accept(message) -> bool:
-        return message[0] == cid
-
-    return _sweep(
-        ctx, scheme,
-        recv_position=(max_layers - 1) - (layer + 1),
-        send_position=(max_layers - 1) - layer if layer >= 1 else -1,
-        positions=max_layers - 1,
-        value=value,
-        send_message=lambda val: (cid, val),
-        seed=seed, tag=("uc", tag), contention=contention, reps=reps,
-        accept=accept,
-        transform=lambda msg: transform(msg[1]),
+    return _cluster_cast(
+        ctx, scheme, max_layers - 2 - layer, max_layers - 1 - layer, cid,
+        seed, value, max_layers, contention, reps, ("uc", tag), transform,
     )
 
 

@@ -14,19 +14,22 @@ split into N intervals, one per ID:
   participant.
 
 ``det_down_cast`` / ``det_up_cast`` sweep these grids over the layers of a
-good labeling with the usual two-positions-per-vertex scheduling, and
-``DetCDScheme`` adapts Lemma 24 to the SRScheme interface so the plain
-Lemma 10 casts work deterministically for the final broadcast.
+good labeling through :func:`repro.core.casts.sweep`, Lemma 10's
+two-positions-per-vertex schedule, and ``DetCDScheme`` adapts Lemma 24
+to the SRScheme interface so the plain Lemma 10 casts work
+deterministically for the final broadcast.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.core.casts import identity, sweep
 from repro.core.sr_comm import Role, det_frame_length, sr_det_cd_payload
-from repro.sim.actions import Idle, Listen, Send
+from repro.sim.actions import Listen, Send
 from repro.sim.feedback import is_message
 from repro.sim.node import NodeCtx
+from repro.sim.plan import Steps, timeline
 
 __all__ = [
     "det_downward",
@@ -37,6 +40,8 @@ __all__ = [
     "downward_slots",
     "upward_slots",
 ]
+
+_LISTEN = Listen()
 
 
 def downward_slots(id_space: int) -> int:
@@ -58,30 +63,28 @@ def det_downward(
 
     A vertex holding ``value`` transmits at its own interval; a
     ``listening`` vertex with a parent listens at the parent's interval.
-    Returns the received message or None.
+    The grid is a fixed schedule, so it goes out as one ``Steps`` plan
+    (a lone ``Idle`` for a vertex that does neither).  Returns the
+    received message or None.
     """
     send_slot = (ctx.uid - 1) if value is not None else None
     listen_slot = (parent_uid - 1) if (listening and parent_uid is not None) else None
     if listen_slot is not None and listen_slot == send_slot:
         listen_slot = None  # cannot happen for distinct IDs; defensive
-    received: Optional[Any] = None
-    cursor = 0
-    for slot in sorted(
-        ({send_slot} if send_slot is not None else set())
-        | ({listen_slot} if listen_slot is not None else set())
-    ):
-        if slot > cursor:
-            yield Idle(slot - cursor)
-        if slot == send_slot:
-            yield Send(("dt", value))
-        else:
-            feedback = yield Listen()
-            if is_message(feedback) and feedback[0] == "dt":
-                received = feedback[1]
-        cursor = slot + 1
-    if id_space > cursor:
-        yield Idle(id_space - cursor)
-    return received
+    events = []
+    if send_slot is not None:
+        events.append((send_slot, Send(("dt", value))))
+    if listen_slot is not None:
+        events.append((listen_slot, _LISTEN))
+        events.sort()
+    acts = timeline(events, id_space)
+    if listen_slot is None:
+        yield acts[0] if len(acts) == 1 else Steps(acts)
+        return None
+    (feedback,) = yield Steps(acts)
+    if is_message(feedback) and feedback[0] == "dt":
+        return feedback[1]
+    return None
 
 
 def det_upward(
@@ -94,66 +97,24 @@ def det_upward(
     """One Upward grid: children -> parent via Lemma 24 per interval.
 
     A vertex holding ``value`` acts as deterministic SR sender in its
-    parent's interval; a ``listening`` vertex receives in its own interval.
-    Returns (child_uid, message) or None.
+    parent's interval; a ``listening`` vertex receives in its own interval
+    (one :func:`~repro.core.casts.sweep` over the ``id_space`` intervals).
+    A vertex does one or the other: a call that both holds a value and
+    listens raises ``ValueError``.  Returns (child_uid, message) for a
+    listening vertex that heard a child, else None.
     """
-    frame = det_frame_length(id_space) + id_space
-    send_block = (parent_uid - 1) if (value is not None and parent_uid is not None) else None
-    listen_block = (ctx.uid - 1) if listening else None
-    received = None
-    cursor = 0
-    for block in sorted(
-        ({send_block} if send_block is not None else set())
-        | ({listen_block} if listen_block is not None else set())
-    ):
-        if block > cursor:
-            yield Idle((block - cursor) * frame)
-        if block == send_block:
-            yield from sr_det_cd_payload(
-                ctx, Role.SENDER, ctx.uid, value, id_space
-            )
-        else:
-            got = yield from sr_det_cd_payload(
-                ctx, Role.RECEIVER, None, None, id_space
-            )
-            if got is not None:
-                received = got
-        cursor = block + 1
-    if id_space > cursor:
-        yield Idle((id_space - cursor) * frame)
-    return received
-
-
-def _det_sweep(
-    ctx: NodeCtx,
-    recv_position: int,
-    send_position: int,
-    positions: int,
-    grid,
-    grid_len: int,
-    parent_uid,
-    value,
-    transform,
-    id_space: int,
-):
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield Idle((position - cursor) * grid_len)
-        if position == recv_position and value is None:
-            got = yield from grid(ctx, parent_uid, None, True, id_space)
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from grid(ctx, parent_uid, value, False, id_space)
-        else:
-            yield Idle(grid_len)
-        cursor = position + 1
-    if positions > cursor:
-        yield Idle((positions - cursor) * grid_len)
-    return value
+    if value is not None and listening:
+        raise ValueError("det_upward: a vertex either sends or listens")
+    got = yield from sweep(
+        id_space, det_frame_length(id_space) + id_space,
+        ctx.uid - 1 if listening else -1,
+        parent_uid - 1 if (value is not None and parent_uid is not None) else -1,
+        value,
+        lambda at: sr_det_cd_payload(ctx, Role.RECEIVER, None, None, id_space),
+        lambda at, held: sr_det_cd_payload(ctx, Role.SENDER, ctx.uid, held, id_space),
+        identity,
+    )
+    return got if listening else None
 
 
 def det_down_cast(
@@ -166,17 +127,11 @@ def det_down_cast(
     transform: Callable[[Any], Any],
 ):
     """Layered Downward sweep along tree edges (deterministic)."""
-    return _det_sweep(
-        ctx,
-        recv_position=layer - 1,
-        send_position=layer,
-        positions=max_layers - 1,
-        grid=det_downward,
-        grid_len=downward_slots(id_space),
-        parent_uid=parent_uid,
-        value=value,
-        transform=transform,
-        id_space=id_space,
+    return sweep(
+        max_layers - 1, downward_slots(id_space), layer - 1, layer, value,
+        lambda at: det_downward(ctx, parent_uid, None, True, id_space),
+        lambda at, held: det_downward(ctx, parent_uid, held, False, id_space),
+        transform,
     )
 
 
@@ -191,17 +146,12 @@ def det_up_cast(
 ):
     """Layered Upward sweep along tree edges (deterministic).  The
     transform receives (child_uid, message) pairs."""
-    return _det_sweep(
-        ctx,
-        recv_position=(max_layers - 1) - (layer + 1),
-        send_position=(max_layers - 1) - layer if layer >= 1 else -1,
-        positions=max_layers - 1,
-        grid=det_upward,
-        grid_len=upward_slots(id_space),
-        parent_uid=parent_uid,
-        value=value,
-        transform=transform,
-        id_space=id_space,
+    return sweep(
+        max_layers - 1, upward_slots(id_space),
+        max_layers - 2 - layer, max_layers - 1 - layer, value,
+        lambda at: det_upward(ctx, parent_uid, None, True, id_space),
+        lambda at, held: det_upward(ctx, parent_uid, held, False, id_space),
+        transform,
     )
 
 
@@ -237,8 +187,3 @@ class DetCDScheme:
             return payload
 
         return run()
-
-    def idle_frames(self, count: int):
-        slots = count * self.frame_length
-        if slots > 0:
-            yield Idle(slots)

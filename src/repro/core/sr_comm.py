@@ -26,12 +26,14 @@ schedule depends on nothing it hears, so decay senders and CD senders
 without the ack slot draw every burst at frame start and yield the whole
 frame as one ``Steps`` plan; decay receivers yield a single padded
 ``ListenUntil``; the deterministic interval schedules yield one ``Steps``
-per round.  A sender frame thus costs O(1) generator entries instead of
-O(frame_length).  Each node's rng is its own and nothing else draws from
-it inside a frame, so drawing up front draws the same numbers in the same
-order as a per-slot loop: slot pattern, rng stream and results are
-byte-identical to the per-slot path (the reference simulator, which
-expands every plan per slot, pins this).
+per round.  :func:`~repro.sim.plan.timeline` lays out the CD and the
+deterministic schedules from the slots where they act.  A sender frame
+thus costs O(1) generator entries instead of O(frame_length).  Each
+node's rng is its own and nothing else draws from it inside a frame, so
+drawing up front draws the same numbers in the same order as a per-slot
+loop: slot pattern, rng stream and results are byte-identical to the
+per-slot path (the reference simulator, which expands every plan per
+slot, pins this).
 Adaptive parts whose next slot depends on the previous feedback (probe
 slots, ack slots, the Lemma 8 controller) stay per-slot or per-epoch —
 the escape hatch plans are designed around.
@@ -46,7 +48,7 @@ from typing import Any, Optional
 from repro.sim.actions import Idle, Listen, Send
 from repro.sim.feedback import NOISE, SILENCE, is_message
 from repro.sim.node import NodeCtx
-from repro.sim.plan import ListenUntil, Steps
+from repro.sim.plan import ListenUntil, Steps, timeline
 from repro.util import ceil_log2
 
 __all__ = [
@@ -62,6 +64,7 @@ __all__ = [
 
 _PROBE = ("sr-probe",)
 _ACK = ("sr-ack",)
+_LISTEN = Listen()  # shared: Listen carries no per-slot state
 
 
 class Role(enum.Enum):
@@ -276,19 +279,11 @@ def _cd_send_schedule(rand, send: Send, slots: int, epochs: int) -> tuple:
     first two slots that hit; idle gaps merge across epoch boundaries.
     """
     probs = [2.0 ** -(i + 1) for i in range(slots)]
-    acts = []
-    cursor = 0
+    events = []
     for base in range(0, epochs * slots, slots):
         picks = [i for i in range(slots) if rand() < probs[i]][:2]
-        for i in picks:
-            at = base + i
-            if at > cursor:
-                acts.append(Idle(at - cursor))
-            acts.append(send)
-            cursor = at + 1
-    if epochs * slots > cursor:
-        acts.append(Idle(epochs * slots - cursor))
-    return tuple(acts)
+        events += [(base + i, send) for i in picks]
+    return timeline(events, epochs * slots)
 
 
 def sr_cd(
@@ -375,16 +370,11 @@ def sr_cd(
     received: Optional[Any] = None
     for _ in range(params.epochs):
         k = controller.next_k()  # 1-based exponent = slot index k-1
-        acts = []
-        if k > 1:
-            acts.append(Idle(k - 1))
-        acts.append(Listen())
-        if slots > k:
-            acts.append(Idle(slots - k))
+        acts = timeline(((k - 1, _LISTEN),), slots)
         if len(acts) == 1:
             feedback = yield acts[0]
         else:
-            feedback = (yield Steps(tuple(acts)))[0]
+            feedback = (yield Steps(acts))[0]
         if is_message(feedback):
             if accept is None or accept(feedback):
                 received = feedback
@@ -488,43 +478,29 @@ def sr_det_cd(ctx: NodeCtx, role: Role, value: Optional[int], space: int):
         shift = bits - x - 1
         own_prefix = (value >> shift) if value is not None else None
 
-        events = []  # (slot, is_send)
+        events = []  # (slot, action)
+        listen_slots = []  # in slot order
         cand0 = cand1 = None
         if sending:
-            events.append((own_prefix, True))
+            events.append((own_prefix, Send(("det", own_prefix))))
         if listening and not dead:
             cand0, cand1 = 2 * prefix, 2 * prefix + 1
-            for cand in (cand0, cand1):
-                if cand != own_prefix:
-                    events.append((cand, False))
+            listen_slots = [c for c in (cand0, cand1) if c != own_prefix]
+            events += [(slot, _LISTEN) for slot in listen_slots]
+            events.sort()
 
         # Phase-compiled round: the interval schedule is fixed once the
         # events are known, so it goes out as one Steps plan; the listen
         # outcomes come back as the plan result (they are only consumed
         # at the round boundary below, like the per-slot path).
         occupied = {}
-        acts = []
-        listen_slots = []
-        cursor = 0
-        for slot, is_send in sorted(events):
-            if slot > cursor:
-                acts.append(Idle(slot - cursor))
-            if is_send:
-                acts.append(Send(("det", slot)))
-            else:
-                acts.append(Listen())
-                listen_slots.append(slot)
-            cursor = slot + 1
-        if round_slots > cursor:
-            acts.append(Idle(round_slots - cursor))
+        acts = timeline(events, round_slots)
         if listen_slots:
-            heard = yield Steps(tuple(acts))
+            heard = yield Steps(acts)
             for slot, feedback in zip(listen_slots, heard):
                 occupied[slot] = feedback is not SILENCE
-        elif len(acts) == 1:
-            yield acts[0]
-        elif acts:
-            yield Steps(tuple(acts))
+        else:
+            yield acts[0] if len(acts) == 1 else Steps(acts)
 
         if listening and not dead:
             occ0 = occupied.get(cand0, False) or own_prefix == cand0
@@ -571,46 +547,22 @@ def sr_det_cd_payload(
     # Phase 2 is a fixed one-slot-per-ID schedule once ``learned`` is
     # known: emit it as a single Steps plan and read the (at most one)
     # listen outcome from the plan result.
-    result = None
-    own_payload = False
-    listened = False
-    acts = []
-    cursor = 0
+    send = Send(("payload", uid, payload)) if sending else None
+    events = []
+    own_payload = listened = False
     if role in (Role.RECEIVER, Role.BOTH) and learned is not None:
-        if learned > cursor:
-            acts.append(Idle(learned - cursor))
-        if sending and learned == value:
-            # Own payload is the minimum; nothing to hear.
-            acts.append(Send(("payload", uid, payload)))
-            own_payload = True
-        else:
-            acts.append(Listen())
-            listened = True
-        cursor = learned + 1
-        if sending and learned != value:
-            if value > cursor:
-                acts.append(Idle(value - cursor))
-            acts.append(Send(("payload", uid, payload)))
-            cursor = value + 1
-    elif sending:
-        if value > cursor:
-            acts.append(Idle(value - cursor))
-        acts.append(Send(("payload", uid, payload)))
-        cursor = value + 1
-    if id_space > cursor:
-        acts.append(Idle(id_space - cursor))
-    if acts:
-        if len(acts) == 1 and not listened:
-            yield acts[0]
-            heard = ()
-        else:
-            heard = yield Steps(tuple(acts))
-    else:
-        heard = ()
-    if own_payload:
-        result = (uid, payload)
-    elif listened:
-        feedback = heard[0]
+        # Own payload is the minimum: nothing to hear.  A listener that
+        # also sends learned a smaller ID, so its listen comes first.
+        own_payload = sending and learned == value
+        listened = not own_payload
+        events.append((learned, send if own_payload else _LISTEN))
+    if sending and not own_payload:
+        events.append((value, send))
+    acts = timeline(events, id_space)
+    if listened:
+        (feedback,) = yield Steps(acts)
         if is_message(feedback) and feedback[0] == "payload":
-            result = (feedback[1], feedback[2])
-    return result
+            return (feedback[1], feedback[2])
+        return None
+    yield acts[0] if len(acts) == 1 else Steps(acts)
+    return (uid, payload) if own_payload else None

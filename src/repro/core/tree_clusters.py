@@ -16,8 +16,9 @@ w.h.p. when c = O(1/xi), and it buys:
   optimizations, so each block costs the sender O(log log Delta) energy in
   expectation.
 
-Layered cast sweeps (tree_down_cast / tree_up_cast) then mirror Lemma 10's
-participation scheduling, one (j, k) grid per layer position.
+Layered cast sweeps (tree_down_cast / tree_up_cast) then run Lemma 10's
+participation scheduling, :func:`repro.core.casts.sweep`, with one (j, k)
+grid per layer position.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
+from repro.core.casts import identity, sweep
 from repro.core.sr_comm import CDParams, Role, sr_cd
-from repro.sim.actions import Idle, Listen, Send
-from repro.sim.feedback import SILENCE, is_message
+from repro.sim.actions import Listen, Send
+from repro.sim.feedback import is_message
 from repro.sim.node import NodeCtx
+from repro.sim.plan import Steps, timeline
 
 __all__ = [
     "TreeParams",
@@ -40,6 +43,8 @@ __all__ = [
     "tree_down_cast",
     "tree_up_cast",
 ]
+
+_LISTEN = Listen()
 
 
 @dataclass(frozen=True)
@@ -98,30 +103,27 @@ def learn_ind(
 
     Every vertex transmits at its own color slot of every coloring; a
     vertex with a parent listens at the parent's color slot (skipped when
-    it coincides with its own, which makes that coloring unusable).
+    it coincides with its own, which makes that coloring unusable).  The
+    grid is a fixed schedule, so it goes out as one ``Steps`` plan.
     Returns the smallest usable coloring index, or None.
     """
-    ind: Optional[int] = None
+    colors = params.num_colors
+    events = []
+    listened = []  # colorings with a listen slot, in slot order
     for j in range(params.num_colorings):
+        base = j * colors
         own_k = my_colors[j]
-        listen_k = None
-        if parent_colors is not None and parent_colors[j] != own_k:
-            listen_k = parent_colors[j]
-        events = sorted({own_k} | ({listen_k} if listen_k is not None else set()))
-        cursor = 0
-        for k in events:
-            if k > cursor:
-                yield Idle(k - cursor)
-            if k == own_k:
-                yield Send(("ind", j, own_k))
-            else:
-                feedback = yield Listen()
-                if ind is None and is_message(feedback):
-                    ind = j
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle(params.num_colors - cursor)
-    return ind
+        own = (base + own_k, Send(("ind", j, own_k)))
+        if parent_colors is None or parent_colors[j] == own_k:
+            events.append(own)
+        else:
+            events += sorted((own, (base + parent_colors[j], _LISTEN)))
+            listened.append(j)
+    heard = yield Steps(timeline(events, params.num_colorings * colors))
+    for j, feedback in zip(listened, heard):
+        if is_message(feedback):
+            return j
+    return None
 
 
 def tree_downward(
@@ -136,39 +138,32 @@ def tree_downward(
     """One Downward-transmission grid: failure-free parent -> children.
 
     A vertex holding ``value`` transmits it at its own color slot in every
-    coloring; a ``listening`` vertex tunes to (ind, parent color).
-    Returns the received message or None.
+    coloring; a ``listening`` vertex tunes to (ind, parent color).  The
+    grid is a fixed schedule, so it goes out as one ``Steps`` plan (a
+    lone ``Idle`` for a vertex that does neither).  Returns the received
+    message or None.
     """
-    received: Optional[Any] = None
-    for j in range(params.num_colorings):
-        send_k = my_colors[j] if value is not None else None
-        listen_k = None
-        if (
-            listening
-            and ind == j
-            and parent_colors is not None
-            and received is None
-            and parent_colors[j] != send_k
-        ):
-            listen_k = parent_colors[j]
-        events = sorted(
-            ({send_k} if send_k is not None else set())
-            | ({listen_k} if listen_k is not None else set())
-        )
-        cursor = 0
-        for k in events:
-            if k > cursor:
-                yield Idle(k - cursor)
-            if k == send_k:
-                yield Send(value)
-            else:
-                feedback = yield Listen()
-                if is_message(feedback):
-                    received = feedback
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle(params.num_colors - cursor)
-    return received
+    colors = params.num_colors
+    events = []
+    if value is not None:
+        send = Send(value)
+        events = [(j * colors + k, send) for j, k in enumerate(my_colors)]
+    listen_at = None
+    if (
+        listening
+        and ind is not None
+        and parent_colors is not None
+        and (value is None or parent_colors[ind] != my_colors[ind])
+    ):
+        listen_at = ind * colors + parent_colors[ind]
+        events.append((listen_at, _LISTEN))
+        events.sort()
+    acts = timeline(events, params.downward_slots)
+    if listen_at is None:
+        yield acts[0] if len(acts) == 1 else Steps(acts)
+        return None
+    (feedback,) = yield Steps(acts)
+    return feedback if is_message(feedback) else None
 
 
 def tree_upward(
@@ -184,83 +179,33 @@ def tree_upward(
 
     A vertex holding ``value`` acts as SR sender in the single block
     (ind, parent color); a ``listening`` vertex acts as SR receiver in the
-    c blocks (j, own color).  Footnote 6 guarantees only parent-child
-    pairs meet inside a block; the probe and ack options keep bystander
-    energy O(1) per block.  Returns the received message or None.
+    c blocks (j, own color) until one delivers.  Each coloring is one
+    :func:`~repro.core.casts.sweep` over its ``num_colors`` blocks.
+    Footnote 6 guarantees only parent-child pairs meet inside a block;
+    the probe and ack options keep bystander energy O(1) per block.  A
+    vertex does one or the other: a call that both holds a value and
+    listens raises ``ValueError``.  Returns the received message or None.
     """
-    frame = params.sr.frame_length
-    received: Optional[Any] = None
-    send_block = None
-    if value is not None and ind is not None and parent_colors is not None:
-        send_block = (ind, parent_colors[ind])
+    if value is not None and listening:
+        raise ValueError("tree_upward: a vertex either sends or listens")
+    sr = params.sr
+
+    def receive(at):
+        return sr_cd(ctx, Role.RECEIVER, None, sr)
+
+    def send(at, message):
+        return sr_cd(ctx, Role.SENDER, message, sr)
+
+    send_j = ind if (value is not None and parent_colors is not None) else None
+    held = value
     for j in range(params.num_colorings):
-        listen_k = my_colors[j] if listening else None
-        send_k = send_block[1] if (send_block is not None and send_block[0] == j) else None
-        blocks = sorted(
-            ({send_k} if send_k is not None else set())
-            | ({listen_k} if listen_k is not None else set())
+        held = yield from sweep(
+            params.num_colors, sr.frame_length,
+            my_colors[j] if listening else -1,
+            parent_colors[j] if j == send_j else -1,
+            held, receive, send, identity,
         )
-        cursor = 0
-        for k in blocks:
-            if k > cursor:
-                yield Idle((k - cursor) * frame)
-            if k == send_k and k == listen_k:
-                # Sending to the parent takes precedence; a vertex cannot
-                # simultaneously run both SR roles in one block.
-                yield from sr_cd(ctx, Role.SENDER, value, params.sr)
-            elif k == send_k:
-                yield from sr_cd(ctx, Role.SENDER, value, params.sr)
-            else:
-                got = yield from sr_cd(
-                    ctx,
-                    Role.RECEIVER if received is None else Role.IDLE,
-                    None,
-                    params.sr,
-                )
-                if got is not None:
-                    received = got
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle((params.num_colors - cursor) * frame)
-    return received
-
-
-def _tree_sweep(
-    ctx: NodeCtx,
-    params: TreeParams,
-    recv_position: int,
-    send_position: int,
-    positions: int,
-    grid,
-    grid_slots: int,
-    value: Optional[Any],
-    transform: Callable[[Any], Any],
-    my_colors,
-    parent_colors,
-    ind,
-):
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield Idle((position - cursor) * grid_slots)
-        if position == recv_position and value is None:
-            got = yield from grid(
-                ctx, params, my_colors, parent_colors, ind, None, True
-            )
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from grid(
-                ctx, params, my_colors, parent_colors, ind, value, False
-            )
-        else:
-            yield Idle(grid_slots)
-        cursor = position + 1
-    if positions > cursor:
-        yield Idle((positions - cursor) * grid_slots)
-    return value
+    return held if listening else None
 
 
 def tree_down_cast(
@@ -276,16 +221,15 @@ def tree_down_cast(
 ):
     """Layered Downward sweep: frame i moves values layer i -> i+1 along
     tree edges; every vertex is active in at most two positions."""
-    return _tree_sweep(
-        ctx, params,
-        recv_position=layer - 1,
-        send_position=layer,
-        positions=max_layers - 1,
-        grid=tree_downward,
-        grid_slots=params.downward_slots,
-        value=value,
-        transform=transform,
-        my_colors=my_colors, parent_colors=parent_colors, ind=ind,
+    return sweep(
+        max_layers - 1, params.downward_slots, layer - 1, layer, value,
+        lambda at: tree_downward(
+            ctx, params, my_colors, parent_colors, ind, None, True
+        ),
+        lambda at, held: tree_downward(
+            ctx, params, my_colors, parent_colors, ind, held, False
+        ),
+        transform,
     )
 
 
@@ -302,14 +246,14 @@ def tree_up_cast(
 ):
     """Layered Upward sweep: frame i moves values layer i -> i-1 along
     tree edges (deepest layer first)."""
-    return _tree_sweep(
-        ctx, params,
-        recv_position=(max_layers - 1) - (layer + 1),
-        send_position=(max_layers - 1) - layer if layer >= 1 else -1,
-        positions=max_layers - 1,
-        grid=tree_upward,
-        grid_slots=params.upward_slots,
-        value=value,
-        transform=transform,
-        my_colors=my_colors, parent_colors=parent_colors, ind=ind,
+    return sweep(
+        max_layers - 1, params.upward_slots,
+        max_layers - 2 - layer, max_layers - 1 - layer, value,
+        lambda at: tree_upward(
+            ctx, params, my_colors, parent_colors, ind, None, True
+        ),
+        lambda at, held: tree_upward(
+            ctx, params, my_colors, parent_colors, ind, held, False
+        ),
+        transform,
     )

@@ -285,8 +285,9 @@ _RESERVED_NON_OPTION_FIELDS = frozenset(
     spec.name for spec in ExecutionConfig.field_specs()
 ) - set(ExecutionConfig.option_keys())
 
-# Retired execution fields, refused for the same reason: a stale config
-# naming one would otherwise pass as an opaque protocol knob.
+# Retired execution fields and the runner options (timeout never was an
+# execution field, yet reads like one), refused for the same reason: a
+# config naming one would otherwise pass as an opaque protocol knob.
 _RUNNER_OPTION = (
     "it steers how a campaign run dispatches cells "
     "(repro.campaign.runner.RunnerOptions); pass it to campaign run / "
@@ -299,6 +300,7 @@ _RETIRED_FIELDS = {
     "workers": _RUNNER_OPTION,
     "retries": _RUNNER_OPTION,
     "heartbeat": _RUNNER_OPTION,
+    "timeout": _RUNNER_OPTION,
 }
 
 

@@ -22,7 +22,8 @@ A *phase plan* lets a protocol yield one object covering many slots:
 * :class:`Steps` — an arbitrary fixed sequence of per-slot actions
   (the heterogeneous escape hatch for interval schedules à la Lemma 24,
   and the shape of a whole SR sender frame whose bursts the protocol
-  drew from ``ctx.rng`` before yielding it).
+  drew from ``ctx.rng`` before yielding it); :func:`timeline` builds
+  one from the slots where a fixed schedule acts.
 
 A plan draws no randomness of its own: every slot of it is fixed when
 the protocol yields it, so the engines and the per-slot oracle consume
@@ -57,7 +58,7 @@ engines' phase-compiled path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.feedback import is_message
@@ -67,6 +68,7 @@ __all__ = [
     "Repeat",
     "ListenUntil",
     "Steps",
+    "timeline",
     "ProtocolError",
     "expand_plans",
 ]
@@ -180,6 +182,25 @@ class Steps(Plan):
         return other.__class__ is Steps and other.actions == self.actions
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def timeline(events: Iterable[Tuple[int, Any]], length: int) -> Tuple[Any, ...]:
+    """The per-slot actions of a fixed ``length``-slot schedule that acts
+    only at its ``events``: ``(slot, action)`` pairs in increasing slot
+    order, each slot in ``[0, length)``.  Every gap between events, and
+    the tail after the last one, becomes one ``Idle``; a schedule with no
+    events is a single ``Idle(length)``.  Yield the result as a
+    :class:`Steps` plan."""
+    acts = []
+    cursor = 0
+    for slot, action in events:
+        if slot > cursor:
+            acts.append(Idle(slot - cursor))
+        acts.append(action)
+        cursor = slot + 1
+    if length > cursor:
+        acts.append(Idle(length - cursor))
+    return tuple(acts)
 
 
 # --- compiled plan state ---------------------------------------------------

@@ -152,7 +152,7 @@ class TestRunBroadcastTrials:
     def test_sweep_and_sharded_cells_agree(self):
         """The serial sweep (multi-seed batch) and the campaign path
         (single-seed batches) reduce to identical CellResults."""
-        from repro.campaign.cells import knowledge_for, run_cell, run_cells
+        from repro.campaign.cells import knowledge_for, run_cells
 
         graph = path_graph(8)
         protocol = decay_broadcast_protocol(failure=0.02)
@@ -163,8 +163,8 @@ class TestRunBroadcastTrials:
             label="row", size=8, seeds=seeds, knowledge=knowledge,
         )
         for seed, cell in zip(seeds, batched):
-            solo = run_cell(
+            (solo,) = run_cells(
                 graph, NO_CD, protocol,
-                label="row", size=8, seed=seed, knowledge=knowledge,
+                label="row", size=8, seeds=(seed,), knowledge=knowledge,
             )
             assert cell == solo

@@ -18,7 +18,7 @@ from repro.campaign import (
     aggregate_campaign,
     aggregate_cells,
     bootstrap_median_ci,
-    execute_cell,
+    execute_cell_block,
     execute_job,
     register_row,
     render_report,
@@ -685,7 +685,7 @@ class TestAggregate:
 
         with monkeypatch.context() as patched:
             patched.setattr(Trace, "record", no_trace)
-            cell = execute_cell("lb-path", 64, 0, {})
+            (cell,) = execute_cell_block("lb-path", 64, (0,), {})
         assert cell.extras["lower_bound"] == pytest.approx(6 / 5)
         assert cell.extras["lb_ok"] == 1.0
         assert cell.extras["worst_pre_reception"] >= cell.extras["lower_bound"]
@@ -767,7 +767,7 @@ class TestAggregate:
         assert "beta=0.15" in report and "beta=0.6" in report
 
     def test_ablation_cell_extras(self):
-        cell = execute_cell("abl-beta", 20, 0, {"beta": 0.5})
+        (cell,) = execute_cell_block("abl-beta", 20, (0,), {"beta": 0.5})
         assert cell.extras["lemma14_bound"] == 1.0
         assert 0.0 <= cell.extras["edge_cut_rate"] <= 1.0
 
@@ -950,6 +950,15 @@ class TestTable1Passthrough:
         out = capsys.readouterr().out
         # Default sizes (8, 12, 16) scaled by 0.5 -> (4, 6, 8).
         assert "\n4  " in out and "\n8  " in out and "\n16 " not in out
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_scale_exits_2_with_one_line(self, capsys, scale):
+        from repro.cli import main
+
+        assert main(["table1", "bounded", f"--sizes-scale={scale}"]) == 2
+        assert capsys.readouterr().out == (
+            "--sizes-scale must be a finite number > 0\n"
+        )
 
     def test_scale_applies_to_ks_rows(self, capsys):
         from repro.cli import main

@@ -27,7 +27,7 @@ import json
 import pytest
 
 from repro.broadcast.base import run_broadcast, run_broadcast_trials
-from repro.campaign.cells import aggregate_cells, run_cell, run_cells
+from repro.campaign.cells import aggregate_cells, run_cells
 from repro.campaign.spec import CampaignSpec, RowPlan
 from repro.graphs import clique
 from repro.sim import (
@@ -326,6 +326,7 @@ class TestCampaignValidation:
 
     @pytest.mark.parametrize("retired", [
         "stepping", "meter_energy", "workers", "retries", "heartbeat",
+        "timeout",
     ])
     def test_retired_fields_rejected_at_load(self, retired):
         # A retired field would otherwise pass as an opaque protocol
@@ -342,12 +343,12 @@ class TestCampaignValidation:
         assert job.options_dict == {"failure": 0.1}
 
     def test_custom_cell_rows_honor_or_reject_execution_options(self):
-        from repro.campaign.registry import execute_cell
+        from repro.campaign.registry import execute_cell_block
 
         # The bare-Simulator ablation honors engine-level options...
-        base = execute_cell("abl-beta", 12, 0, {"beta": 0.3})
-        tuned = execute_cell(
-            "abl-beta", 12, 0, {"beta": 0.3, "resolution": "numpy"}
+        (base,) = execute_cell_block("abl-beta", 12, (0,), {"beta": 0.3})
+        (tuned,) = execute_cell_block(
+            "abl-beta", 12, (0,), {"beta": 0.3, "resolution": "numpy"}
         )
         assert (tuned.duration, tuned.max_energy, tuned.extras) == (
             base.duration, base.max_energy, base.extras
@@ -357,7 +358,9 @@ class TestCampaignValidation:
         # default-execution results under that key would be a lie.
         for bad in ({"contention_hist": True}, {"lockstep": True}):
             with pytest.raises(ValueError):
-                execute_cell("abl-beta", 12, 0, {"beta": 0.3, **bad})
+                execute_cell_block(
+                    "abl-beta", 12, (0,), {"beta": 0.3, **bad}
+                )
 
     def test_custom_cell_unsupported_options_rejected_at_spec_validate(
         self, tmp_path, capsys
@@ -533,11 +536,12 @@ def _run_cells(exec_config=None, protocol=bcast_proto, **kwargs):
     )
 
 
-def _run_cell(exec_config=None, **kwargs):
-    return [run_cell(
-        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seed=1,
+def _one_seed_cell(exec_config=None, **kwargs):
+    """A one-seed cell: ``run_cells`` over ``seeds=(1,)``."""
+    return run_cells(
+        GRAPH, NO_CD, bcast_proto, label="cell", size=3, seeds=(1,),
         knowledge=KNOWLEDGE, exec_config=exec_config, **kwargs,
-    )]
+    )
 
 
 def _outcome(record):
@@ -663,7 +667,7 @@ _ENTRIES = {
     "run_cells": (_run_cells, (
         "record_trace", "resolution", "lockstep", "contention_hist",
     )),
-    "run_cell": (_run_cell, ("resolution", "contention_hist")),
+    "one_seed_cell": (_one_seed_cell, ("resolution", "contention_hist")),
 }
 
 _KNOB_CASES = [

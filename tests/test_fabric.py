@@ -95,7 +95,7 @@ def flaky_row(tmp_path):
     marker = str(tmp_path / "flaky.attempts")
 
     def cell(row, size, seed, options):
-        from repro.campaign.registry import execute_cell
+        from repro.campaign.registry import execute_cell_block
 
         if seed == 1:
             attempts = (
@@ -105,7 +105,7 @@ def flaky_row(tmp_path):
                 with open(marker, "ab") as handle:
                     handle.write(b"x")
                 raise ValueError("flaky boom")
-        return execute_cell("path", size, seed, options)
+        return execute_cell_block("path", size, (seed,), options)[0]
 
     name = "_test-flaky"
     register_row(RowDefinition(
@@ -1082,6 +1082,32 @@ class TestFabricCLI:
         assert "run-all" in stdout and "all ok" in stdout
         assert os.path.exists(
             os.path.join(out_root, "clifab", "results.jsonl")
+        )
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+    def test_watch_bad_interval_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, interval
+    ):
+        # A ledger holding only run_started reads as a live run: the
+        # watch would sleep on the interval (nan, inf and -1 raise in
+        # time.sleep) or spin without a pause (0).
+        config = self._config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with EventLog(str(out / "events.jsonl")) as log:
+            log.emit("run_started", campaign="clifab", total=2, cached=0,
+                     pending=2, workers=2)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"the watch loop slept {seconds!r}")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        assert main([
+            "campaign", "status", config, "--out", str(out), "--watch",
+            f"--interval={interval}",
+        ]) == 2
+        assert capsys.readouterr().out == (
+            "--interval must be a finite number > 0\n"
         )
 
     def test_store_compact_cli(self, tmp_path, capsys):

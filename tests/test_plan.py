@@ -49,7 +49,7 @@ from repro.sim import (
 )
 from repro.sim.models import LossyModel
 from repro.sim.node import NodeCtx
-from repro.sim.plan import expand_plans
+from repro.sim.plan import expand_plans, timeline
 from repro.sim.reference import ReferenceSimulator
 from tests.conftest import bernoulli_steps, per_slot
 
@@ -253,6 +253,38 @@ class TestPlanSemantics:
         runs = {"phase": self._run(proto), "slot": self._run(per_slot(proto))}
         assert runs["phase"].outputs[1] == (SILENCE, "a")
         _assert_same(runs["phase"], runs["slot"])
+
+
+class TestTimeline:
+    """timeline(events, length): a fixed schedule's per-slot actions."""
+
+    def test_one_idle_per_gap_and_for_the_tail(self):
+        send, listen = Send("m"), Listen()
+        assert timeline([(2, send), (3, listen), (7, send)], 10) == (
+            Idle(2), send, listen, Idle(3), send, Idle(2),
+        )
+
+    def test_events_at_both_ends_leave_no_edge_idle(self):
+        send, listen = Send("m"), Listen()
+        assert timeline([(0, listen), (4, send)], 5) == (listen, Idle(3), send)
+
+    def test_no_events_is_one_idle(self):
+        assert timeline([], 6) == (Idle(6),)
+        assert timeline((), 1) == (Idle(1),)
+
+    def test_runs_length_slots_as_one_steps_plan(self):
+        # Vertex 0 sends at slot 3 of a 9-slot schedule; vertex 1
+        # listens at slots 2 and 3.
+        events = {0: [(3, Send("m"))], 1: [(2, Listen()), (3, Listen())]}
+
+        def proto(ctx):
+            heard = yield Steps(timeline(events[ctx.index], 9))
+            return heard
+
+        result = Simulator(path_graph(2), NO_CD, seed=0).run(proto)
+        assert result.outputs == [(), (SILENCE, "m")]
+        assert result.duration == 9
+        assert result.gen_entries == 4
 
 
 class TestBernoulliBlock:
