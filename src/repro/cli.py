@@ -94,6 +94,9 @@ ABLATION_ROWS = (
 def _cmd_figure1(args) -> int:
     from repro.experiments import figure1
 
+    if args.n < 1:
+        print("--n must be >= 1")
+        return 2
     # Every flag the subcommand exposes is honorable (unusable ones are
     # excluded from its parser), so runtime errors keep their tracebacks.
     print(figure1(
@@ -416,6 +419,9 @@ def _cmd_bench(args) -> int:
         write_results,
     )
 
+    if args.seeds < 1:
+        print("--seeds must be >= 1")
+        return 2
     report = run_engine_benchmarks(quick=args.quick, lockstep_seeds=args.seeds)
     write_results(report, args.out)
     print(format_report(report))
@@ -424,7 +430,6 @@ def _cmd_bench(args) -> int:
         report,
         min_ref_speedup=args.min_ref_speedup,
         min_numpy_speedup=args.min_numpy_speedup,
-        min_phase_speedup=args.min_phase_speedup,
         min_lockstep_speedup=args.min_lockstep_speedup,
         min_lossy_soa_speedup=args.min_lossy_soa_speedup,
     )
@@ -524,12 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
              "workloads (requires numpy)",
     )
     p_bench.add_argument(
-        "--min-phase-speedup", type=float, default=None,
-        help="fail unless phase-compiled stepping beats the per-slot "
-             "path end-to-end by this factor on the phase-gated "
-             "workloads",
-    )
-    p_bench.add_argument(
         "--min-lockstep-speedup", type=float, default=None,
         help="fail unless the SoA lock-step engine beats the serial "
              "engine, both phase-stepped, by this factor on the "
@@ -538,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--min-lossy-soa-speedup", type=float, default=None,
-        help="fail unless the vectorized lossy-channel SoA path beats "
-             "the serial oracle by this factor on the per-seed "
-             "LossyModel workload (lossy_sr_frame_n256; requires the "
+        help="fail unless the SoA lock-step engine beats the serial "
+             "engine, both phase-stepped, by this factor on the per-seed "
+             "LossyModel workload lossy_lockstep_trials (requires the "
              "SoA dispatch verdict to be 'ok', i.e. numpy)",
     )
     p_bench.add_argument(
         "--seeds", type=int, default=64,
-        help="trial count for the many-seed lockstep_trials section "
-             "(default: 64)",
+        help="trial count for the many-seed lockstep_trials and "
+             "lossy_lockstep_trials sections (default: 64)",
     )
     # No execution flags: the bench times one fixed runner matrix.
     p_bench.set_defaults(func=_cmd_bench)

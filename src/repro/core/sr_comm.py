@@ -60,6 +60,7 @@ __all__ = [
     "sr_local",
     "sr_det_cd",
     "det_frame_length",
+    "UniformController",
 ]
 
 _PROBE = ("sr-probe",)
@@ -228,13 +229,15 @@ class CDParams:
         return (2 if self.probe else 0) + self.epoch_length * self.epochs
 
 
-class _Controller:
-    """The uniform [30]-style listening controller.
+class UniformController:
+    """The uniform [30]-style contention controller.
 
-    Maintains which probability exponent k (1-based slot index) to listen
-    at: doubling until the channel stops being noisy, then binary search,
-    then alternate around the located contention level.  ``k`` depends only
-    on past feedback, matching the paper's uniformity requirement.
+    Maintains a probability exponent k: doubling until the channel stops
+    being noisy, then binary search, then alternate around the located
+    contention level.  ``k`` depends only on past ``NOISE``/``SILENCE``
+    feedback, matching the paper's uniformity requirement.  A CD SR
+    receiver listens at slot k of each epoch; uniform leader election
+    transmits with probability 2^-k.
     """
 
     def __init__(self, max_k: int) -> None:
@@ -366,7 +369,7 @@ def sr_cd(
     # epoch's idle/listen/idle schedule is one Steps plan; the feedback
     # comes back at the epoch boundary, which is exactly when the
     # controller needs it (the per-slot path also only acted on it then).
-    controller = _Controller(max_k=slots)
+    controller = UniformController(max_k=slots)
     received: Optional[Any] = None
     for _ in range(params.epochs):
         k = controller.next_k()  # 1-based exponent = slot index k-1

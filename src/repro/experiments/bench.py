@@ -1,14 +1,12 @@
 """Engine microbenchmarks: slots/sec on fixed workloads.
 
-``repro bench`` runs each workload on up to four simulators —
+``repro bench`` runs each workload on up to three simulators —
 
-* ``engine`` — the current bitmask-resolution engine, which steps
-  plan-emitting protocols slots at a time (:mod:`repro.sim.plan`),
-* ``engine_slot`` — the same engine on per-slot yields: the workload's
-  per-slot protocol variant when one exists (``slot_build``), else the
-  same protocol wrapped in :func:`~repro.sim.plan.expand_plans` — the
-  stepping baseline the phase ABI is measured against,
-* ``engine_numpy`` — the phase engine on the vectorized numpy
+* ``engine`` — the serial event-heap engine on the bitmask resolution
+  backend, stepping plan-emitting protocols slots at a time
+  (:mod:`repro.sim.plan`): the best simple configuration, which every
+  ratio is taken against,
+* ``engine_numpy`` — the same engine on the vectorized numpy
   resolution backend (present when numpy is installed),
 * ``reference`` — the naive slot-by-slot oracle
   (:class:`~repro.sim.reference.ReferenceSimulator`),
@@ -16,27 +14,27 @@
 verifies they produce identical outputs/energy/duration, and writes the
 timings to a JSON file (``repro bench --out``, default
 ``bench_results.json``, which git ignores).  CI uploads its file as a
-per-run artifact, so the perf trajectory accumulates run over run.  CI runs the quick variant
-and fails if the event-heap engine is not measurably faster than the
-reference oracle — the tripwire for silent O(n * slots) regressions —
-and if phase stepping stops beating the per-slot path on the
-``phase_gate`` workloads (``--min-phase-speedup``).
+per-run artifact, so the perf trajectory accumulates run over run.  CI
+runs the quick variant and fails if the event-heap engine is not
+measurably faster than the reference oracle — the tripwire for silent
+O(n * slots) regressions.
 
 Because wall-clock is noisy on shared runners, every tracked runner also
 reports ``entries_per_slot`` — generator entries (``gen.send`` calls)
 per simulated slot, the deterministic stepping-cost metric: a stepping
 regression moves it even when the timings wobble.
 
-Two extra sections isolate resolution and batching from stepping:
+Extra sections isolate resolution and batching from stepping:
 
 * workloads flagged ``backend_bench`` re-play their recorded slot
   activity straight through each :mod:`repro.sim.resolution` backend
   (no protocol stepping), reported under ``resolution_backends`` —
   that is where the numpy-vs-bitmask acceptance bar (and CI's
   ``--min-numpy-speedup`` gate) is measured;
-* a ``lockstep_trials`` section times a multi-seed cell on the serial
-  engine (per-slot and phase stepping) and on the lock-step dispatch
-  (the trial-SoA engine when eligible), and cross-checks their results.
+* the ``lockstep_trials`` and ``lossy_lockstep_trials`` sections time a
+  multi-seed SR-frame cell, clean and under a per-seed lossy channel,
+  on the serial engine and on the lock-step dispatch (the trial-SoA
+  engine when eligible), and cross-check their results.
 
 The matrix is fixed: every runner and variant uses the default
 :class:`~repro.sim.config.ExecutionConfig` except on the one axis it
@@ -74,11 +72,9 @@ from repro.sim import (
     Send,
     Simulator,
 )
-from repro.sim.feedback import is_message
 from repro.sim.batch import run_trials
 from repro.sim.models import MODELS, ChannelModel, LossyModel
 from repro.sim.observers import SlotObserver
-from repro.sim.plan import expand_plans
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import RESOLUTION_MODES, create_backend, numpy_available
 
@@ -106,20 +102,11 @@ class BenchWorkload:
     # — the numpy-vs-bitmask acceptance measurement, gated by
     # --min-numpy-speedup.
     backend_bench: bool = False
-    # Optional builder of an explicit per-slot protocol variant,
-    # byte-identical to build()'s (plan-emitting) protocol.  When given,
-    # the engine_slot runner uses it directly (the honest pre-phase-ABI
-    # baseline); when None it wraps build()'s protocol in expand_plans.
-    slot_build: Optional[Callable[[], Callable]] = None
-    # Whether --min-phase-speedup gates this workload's end-to-end
-    # engine-vs-engine_slot ratio (the phase-stepping acceptance bar).
-    phase_gate: bool = False
 
 
 def _dense_protocol(slots: int):
     """Every node is active every slot (send w.p. 1/16, else listen):
-    the channel-resolution stress test.  Per-slot variant — one
-    generator entry per slot."""
+    the channel-resolution stress test, one generator entry per slot."""
 
     def protocol(ctx):
         heard = 0
@@ -136,64 +123,26 @@ def _dense_protocol(slots: int):
     return protocol
 
 
-def _dense_protocol_phase(slots: int):
-    """Phase-compiled dense protocol, byte-identical to
-    :func:`_dense_protocol`: the whole schedule's Bernoulli decisions are
-    pre-drawn in one block (same draws, same order), consecutive listen
-    slots collapse into ``Repeat(Listen, k)`` plans, and heard counts are
-    recovered from the collected feedback tuples."""
-
-    def protocol(ctx):
-        heard = 0
-        decisions = ctx.rand_bernoulli_block(1.0 / 16.0, slots)
-        step = 0
-        while step < slots:
-            if decisions[step]:
-                yield Send(("m", ctx.index, step))
-                step += 1
-                continue
-            run = step + 1
-            while run < slots and not decisions[run]:
-                run += 1
-            if run - step == 1:
-                feedback = yield Listen()
-                if feedback is not None:
-                    heard += 1
-            else:
-                for feedback in (yield Repeat(Listen(), run - step)):
-                    if feedback is not None:
-                        heard += 1
-            step = run
-        return heard
-
-    return protocol
-
-
 def _dense_single_hop(n: int, slots: int):
     def build():
         graph = clique(n)
         knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-        return graph, NO_CD, _dense_protocol_phase(slots), knowledge, {}
+        return graph, NO_CD, _dense_protocol(slots), knowledge, {}
 
     return build
 
 
-def _sr_frame_protocol(windows: int, phase: bool, senders: int = 2):
+def _sr_frame_protocol(windows: int, senders: int = 2):
     """The paper's hottest communication shape at scale: a decay-style
-    SR frame on a clique.  Two designated senders burst in lock-step (so
-    burst slots always collide and no listener is ever released); every
-    other node listens continuously for the whole schedule.  All nodes
-    are active nearly every slot — dense — but the activity is
-    *phase-structured*: per-window idle+burst for senders, one long
-    listen-until for receivers.  This is the workload where generator
-    stepping dominates end-to-end and the phase ABI must win
-    (``--min-phase-speedup``); the mixed per-slot dense workload above
-    stays the resolution-backend stress test.
-
-    ``phase=False`` builds the byte-identical per-slot variant (the
-    protocol is deterministic — no rng — so equivalence is structural).
-    ``senders`` widens the colliding burst (the lossy bench raises it so
-    collisions survive erasure w.h.p. and listeners stay dense).
+    SR frame on a clique.  ``senders`` designated senders burst in
+    lock-step (so burst slots always collide and no listener is ever
+    released); every other node listens continuously for the whole
+    schedule.  All nodes are active nearly every slot — dense — but the
+    activity is *phase-structured*: per-window idle+burst for senders,
+    one long listen-until for receivers, so generator stepping weighs
+    more here than on the mixed per-slot dense workload above.  The lossy
+    section raises ``senders`` so collisions survive erasure w.h.p. and
+    listeners stay dense.
     """
     W, B = 32, 4  # window length, burst length
     total = windows * W
@@ -203,25 +152,9 @@ def _sr_frame_protocol(windows: int, phase: bool, senders: int = 2):
             send_act = Send(("m", ctx.index))
             for _ in range(windows):
                 yield Idle(W - B)
-                if phase:
-                    yield Repeat(send_act, B)
-                else:
-                    for _ in range(B):
-                        yield send_act
+                yield Repeat(send_act, B)
             return None
-        if phase:
-            return (yield ListenUntil(total, pad=True))
-        got = None
-        listened = 0
-        while listened < total:
-            feedback = yield Listen()
-            listened += 1
-            if is_message(feedback):
-                got = feedback
-                break
-        if listened < total:
-            yield Idle(total - listened)
-        return got
+        return (yield ListenUntil(total, pad=True))
 
     return protocol
 
@@ -230,7 +163,7 @@ def _sr_frame_cell(n: int, windows: int):
     def build():
         graph = clique(n)
         knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-        return graph, NO_CD, _sr_frame_protocol(windows, True), knowledge, {}
+        return graph, NO_CD, _sr_frame_protocol(windows), knowledge, {}
 
     return build
 
@@ -261,13 +194,13 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
 
     * ``dense_single_hop_n512`` — every device active every slot on a
       clique, mixed send/listen per slot: resolution cost dominates (the
-      backend gate's home turf; phase plans help only modestly here —
-      Amdahl — which the recorded ``speedup_phase_vs_slot`` documents).
+      backend gate's home turf).  It keeps its full n=512 clique in
+      quick mode: the numpy-vs-bitmask backend bar is defined at n=512,
+      and a smaller n would soften the vector advantage the gate
+      protects.
     * ``dense_sr_frame_n512`` — the decay SR-frame shape at n=512: 510
       continuous listeners + lock-step colliding burst senders.  Dense,
-      but phase-structured — generator stepping dominates, so this
-      workload carries the phase-ABI acceptance bar
-      (``--min-phase-speedup``).
+      but phase-structured.
     * ``table1_clustering_row`` — the Table 1 No-CD clustering row
       (Theorem 11), sleep-heavy with realistic activity patterns: the
       per-slot engine overhead test.
@@ -278,69 +211,33 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
     ``quick`` shrinks sizes for CI smoke use; speedup *ratios* shrink
     with them, so thresholds for quick runs must be conservative.
     """
-    if quick:
-        return [
-            # The dense workload keeps its full n=512 clique even in
-            # quick mode: the numpy-vs-bitmask backend bar is defined at
-            # n=512, and shrinking n would soften the vector advantage
-            # the CI gate is meant to protect.  16 slots keep per-run
-            # setup (node contexts, rng seeding) from swamping the
-            # per-slot stepping signal the phase gate measures.
-            BenchWorkload(
-                "dense_single_hop_n512",
-                "clique n=512, No-CD, 16 all-active slots (quick variant)",
-                _dense_single_hop(512, 16),
-                reps=3,
-                backend_bench=True,
-                slot_build=lambda: _dense_protocol(16),
-            ),
-            BenchWorkload(
-                "dense_sr_frame_n512",
-                "decay SR frame, clique n=512, 510 listeners + colliding "
-                "bursts, 10 windows (quick variant)",
-                _sr_frame_cell(512, 10),
-                reps=3,
-                slot_build=lambda: _sr_frame_protocol(10, False),
-                phase_gate=True,
-            ),
-            BenchWorkload(
-                "table1_clustering_row",
-                "T1.noCD.1 clustering cell, gnp n=16, seed 0 (quick variant)",
-                _clustering_row(16),
-                reps=3,
-            ),
-            BenchWorkload(
-                "path_idle_n1024",
-                "Thm 21 path algorithm, n=512, idle-dominated (quick variant)",
-                _path_idle(512),
-                reps=3,
-            ),
-        ]
+    slots, windows, size, path_n = (
+        (16, 10, 16, 512) if quick else (24, 12, 32, 1024)
+    )
+    variant = " (quick variant)" if quick else ""
     return [
         BenchWorkload(
             "dense_single_hop_n512",
-            "clique n=512, No-CD, 24 all-active slots",
-            _dense_single_hop(512, 24),
+            f"clique n=512, No-CD, {slots} all-active slots{variant}",
+            _dense_single_hop(512, slots),
             backend_bench=True,
-            slot_build=lambda: _dense_protocol(24),
         ),
         BenchWorkload(
             "dense_sr_frame_n512",
             "decay SR frame, clique n=512, 510 listeners + colliding "
-            "bursts, 12 windows",
-            _sr_frame_cell(512, 12),
-            slot_build=lambda: _sr_frame_protocol(12, False),
-            phase_gate=True,
+            f"bursts, {windows} windows{variant}",
+            _sr_frame_cell(512, windows),
         ),
         BenchWorkload(
             "table1_clustering_row",
-            "T1.noCD.1 clustering cell (Theorem 11, No-CD), gnp n=32, seed 0",
-            _clustering_row(32),
+            "T1.noCD.1 clustering cell (Theorem 11, No-CD), "
+            f"gnp n={size}, seed 0{variant}",
+            _clustering_row(size),
         ),
         BenchWorkload(
             "path_idle_n1024",
-            "Thm 21 path algorithm, n=1024, idle-dominated",
-            _path_idle(1024),
+            f"Thm 21 path algorithm, n={path_n}, idle-dominated{variant}",
+            _path_idle(path_n),
         ),
     ]
 
@@ -358,40 +255,23 @@ def _time_best(make_runner: Callable[[], Any], protocol, inputs, reps: int):
     return best, result
 
 
-def _runners(
-    graph, model, knowledge, time_limit, protocol, slot_protocol,
-) -> Dict[str, Tuple[Callable[[], Any], Callable]]:
-    """name -> (make_runner, protocol) pairs.
-
-    ``slot_protocol`` is the workload's explicit per-slot variant (or
-    None); ``engine_slot`` runs it when given, so the phase-vs-slot ratio
-    compares against the honest pre-phase-ABI stepping cost.
-    """
+def _runners(graph, model, knowledge, time_limit) -> Dict[str, Callable[[], Any]]:
+    """name -> runner factory; every runner steps the workload's one
+    protocol."""
     config = ExecutionConfig(time_limit=time_limit)
     common = dict(seed=0, knowledge=knowledge)
 
     def sim(config: ExecutionConfig) -> Callable[[], Simulator]:
         return lambda: Simulator(graph, model, exec_config=config, **common)
 
-    if slot_protocol is None:
-        # No explicit per-slot variant: expand plans per slot.
-        def slot_protocol(ctx):
-            return expand_plans(protocol(ctx))
-
     runners = {
-        "engine": (sim(config), protocol),
-        "engine_slot": (sim(config), slot_protocol),
-        "reference": (
-            lambda: ReferenceSimulator(
-                graph, model, time_limit=time_limit, **common
-            ),
-            protocol,
+        "engine": sim(config),
+        "reference": lambda: ReferenceSimulator(
+            graph, model, time_limit=time_limit, **common
         ),
     }
     if numpy_available():
-        runners["engine_numpy"] = (
-            sim(config.replace(resolution="numpy")), protocol
-        )
+        runners["engine_numpy"] = sim(config.replace(resolution="numpy"))
     return runners
 
 
@@ -474,24 +354,59 @@ def _backend_replay(
     return entry
 
 
-def _time_batches(
-    graph: Graph,
-    knowledge: Knowledge,
+def _lockstep_section(
+    n: int,
+    windows: int,
+    senders: int,
     seeds: Sequence[int],
-    variants: Dict[str, Tuple[Callable, ExecutionConfig]],
     reps: int,
-) -> Tuple[Dict[str, float], Dict[str, List], bool]:
-    """Best-of-``reps`` wall time of each ``name -> (protocol, config)``
-    batch over ``seeds`` on the No-CD ``graph``, the last results of
-    each, and whether every variant's outputs, durations and per-node
-    energy totals match the first variant's."""
+    loss_rate: float = 0.0,
+) -> Dict:
+    """Serial vs lock-step batched trials on one many-seed SR-frame cell.
+
+    The cell is :func:`_sr_frame_protocol` on a clique — the paper's
+    hottest communication shape — run across many seeds, the shape
+    million-trial campaigns batch.  ``serial_phase`` runs it on the
+    serial engine (the best simple configuration) and ``lockstep_phase``
+    on the lock-step dispatch, which rides the trial-axis
+    struct-of-arrays engine (:mod:`repro.sim.trialsoa`) whenever numpy
+    is importable.  A ``loss_rate`` wraps each seed's channel in a fresh
+    ``LossyModel(NO_CD, loss_rate, seed=s)`` through ``model_factory`` —
+    the shape every erasure-sensitivity campaign row runs — where the
+    SoA engine draws each round's erasures in one vectorized call that
+    reproduces the serial engine's stream, so results stay
+    byte-identical.  Each variant takes the best of ``reps`` timings,
+    and the section reports ``speedup_vs_serial_phase`` together with
+    the lock-step variant's dispatch verdict ``soa_reason``, so a
+    silent fallback to the serial engine shows instead of hiding in a
+    slower-but-green run.
+    """
+    graph = clique(n)
+    knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
+    protocol = _sr_frame_protocol(windows, senders)
+    serial = ExecutionConfig()
+    channel = "No-CD"
+    if loss_rate:
+        def factory(seed: int) -> LossyModel:
+            # A fresh model per run: LossyModel is stateful (its erasure
+            # rng advances), so each timing rep restarts the per-seed
+            # stream.
+            return LossyModel(NO_CD, loss_rate, seed=seed)
+
+        serial = ExecutionConfig(model_factory=factory)
+        channel = f"LossyModel(No-CD, rate={loss_rate}) per seed"
+    soa_res = "numpy" if numpy_available() else "bitmask"
+    variants = {
+        "serial_phase": serial,
+        "lockstep_phase": serial.replace(lockstep=True, resolution=soa_res),
+    }
     seconds: Dict[str, float] = {}
-    results: Dict[str, List] = {}
-    for name, (protocol, config) in variants.items():
+    batches: Dict[str, List] = {}
+    for name, config in variants.items():
         best = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
-            results[name] = run_trials(
+            batches[name] = run_trials(
                 graph, NO_CD, protocol, seeds, knowledge=knowledge,
                 exec_config=config,
             )
@@ -504,147 +419,26 @@ def _time_batches(
             for r in batch
         ]
 
-    baseline = measured(next(iter(results.values())))
-    equivalent = all(
-        measured(batch) == baseline for batch in results.values()
-    )
-    return seconds, results, equivalent
-
-
-def _soa_resolution() -> str:
-    """The lock-step variants' backend: the SoA engine needs numpy."""
-    return "numpy" if numpy_available() else "bitmask"
-
-
-def _lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
-    """Serial vs lock-step batched trials on one many-seed dense cell.
-
-    The workload is the paper's hottest communication shape — the
-    SR-frame clique (every node active nearly every slot, receivers in
-    one long listen window per frame) — run across many seeds, which is
-    the shape million-trial campaigns batch.  ``lockstep_phase`` rides
-    the trial-axis struct-of-arrays engine (:mod:`repro.sim.trialsoa`)
-    whenever numpy is importable, and its ratio to the best serial
-    configuration, ``speedup_lockstep_vs_serial_phase``, carries the
-    perf-smoke ``--min-lockstep-speedup`` gate.  ``--seeds`` scales the
-    trial count.
-    """
-    n, windows = (256, 4) if quick else (512, 4)
-    seeds = list(range(seeds_count))
-    graph = clique(n)
-    knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-    phase_protocol = _sr_frame_protocol(windows, phase=True)
-    soa_res = _soa_resolution()
-    seconds, results, equivalent = _time_batches(graph, knowledge, seeds, {
-        "serial_slot": (
-            _sr_frame_protocol(windows, phase=False), ExecutionConfig()
-        ),
-        "serial_phase": (phase_protocol, ExecutionConfig()),
-        "lockstep_phase": (
-            phase_protocol,
-            ExecutionConfig(lockstep=True, resolution=soa_res),
-        ),
-    }, reps=3)
-    lockstep = results["lockstep_phase"]
-    soa_active = bool(lockstep) and lockstep[0].soa_reason == "ok"
+    soa_reason = batches["lockstep_phase"][0].soa_reason
+    soa_active = soa_reason == "ok"
     return {
         "description": (
-            f"SR-frame clique n={n}, No-CD, {windows} windows x 32 slots "
-            f"x {len(seeds)} seeds (lockstep_phase resolution: {soa_res}, "
-            f"SoA engine {'active' if soa_active else 'inactive'})"
+            f"SR-frame clique n={n}, {channel}, {senders} bursting senders, "
+            f"{windows} windows x 32 slots x {len(seeds)} seeds "
+            f"(lockstep_phase resolution: {soa_res}, SoA engine "
+            f"{'active' if soa_active else 'inactive'})"
         ),
         "seeds": len(seeds),
+        "loss_rate": loss_rate,
         "soa_active": soa_active,
+        "soa_reason": soa_reason,
         "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "equivalent": equivalent,
-        # The batched executor with phase stepping vs the serial
-        # per-slot path (a diagnostic; the per-slot path is no baseline).
-        "speedup_lockstep_phase_vs_serial_slot": round(
-            seconds["serial_slot"] / seconds["lockstep_phase"], 3
+        "equivalent": (
+            measured(batches["serial_phase"])
+            == measured(batches["lockstep_phase"])
         ),
-        # Stepping win isolated on the serial engine.
-        "speedup_phase_vs_slot_serial": round(
-            seconds["serial_slot"] / seconds["serial_phase"], 3
-        ),
-        # Gated: the batching win under phase stepping, SoA vs the best
-        # serial configuration.
-        "speedup_lockstep_vs_serial_phase": round(
+        "speedup_vs_serial_phase": round(
             seconds["serial_phase"] / seconds["lockstep_phase"], 3
-        ),
-    }
-
-
-def _lossy_lockstep_section(quick: bool, seeds_count: int = 64) -> Dict:
-    """Serial vs lock-step batched trials under a per-seed lossy channel.
-
-    The workload (``lossy_sr_frame_n256``) is the SR-frame clique from
-    :func:`_lockstep_section` wrapped in a per-seed
-    ``model_factory=lambda s: LossyModel(NO_CD, rate, seed=s)`` — the
-    shape every erasure-sensitivity campaign row runs.  The lock-step
-    numpy variant rides the SoA engine's vectorized drop-mask path
-    (:mod:`repro.sim.trialsoa`): per trial per round, one transplanted
-    ``RandomState.random_sample`` call replaces the serial oracle's
-    per-transmission ``random.random()`` loop while drawing the exact
-    same stream, so results stay byte-identical.  The headline ratio
-    ``speedup_lossy_soa_vs_serial`` carries the perf-smoke
-    ``--min-lossy-soa-speedup`` gate, and ``soa_reason`` records which
-    dispatch verdict each variant actually got — the gate also requires
-    ``soa_active`` (the numpy variant reporting ``"ok"``), so a silent
-    fallback to the serial engine fails CI rather than hiding in a
-    slower-but-green run.
-    """
-    # Eight bursting senders (vs the clean section's two): with eight
-    # on-air transmissions per burst slot at rate 0.3, the chance a
-    # receiver sees exactly one survivor — and is released from its
-    # listen window — is ~0.1% per slot, so the cell stays dense for
-    # the whole schedule while erasure draws dominate the channel work.
-    n, windows, rate, senders = 256, (2 if quick else 4), 0.3, 8
-    seeds = list(range(seeds_count))
-    graph = clique(n)
-    knowledge = Knowledge(n=n, max_degree=n - 1, diameter=1)
-
-    def factory(seed: int) -> LossyModel:
-        # Fresh models per run_trials call: LossyModel is stateful (its
-        # erasure rng advances), so each timing rep must restart the
-        # per-seed stream to stay deterministic.
-        return LossyModel(NO_CD, rate, seed=seed)
-
-    lossy = ExecutionConfig(model_factory=factory)
-    soa_res = _soa_resolution()
-    # Best-of-2 (not 3): the serial lossy oracle draws one python rng
-    # sample per on-air transmission per receiver, making it the
-    # slowest leg of the whole bench.
-    seconds, results, equivalent = _time_batches(graph, knowledge, seeds, {
-        "serial_slot": (
-            _sr_frame_protocol(windows, phase=False, senders=senders), lossy
-        ),
-        "lockstep_phase": (
-            _sr_frame_protocol(windows, phase=True, senders=senders),
-            lossy.replace(lockstep=True, resolution=soa_res),
-        ),
-    }, reps=2)
-    reasons = {
-        name: outcome[0].soa_reason if outcome else None
-        for name, outcome in results.items()
-    }
-    soa_active = reasons["lockstep_phase"] == "ok"
-    return {
-        "workload": "lossy_sr_frame_n256",
-        "description": (
-            f"SR-frame clique n={n} under LossyModel(No-CD, rate={rate}) "
-            f"per seed, {senders} bursting senders, {windows} windows x "
-            f"32 slots x {len(seeds)} seeds (lockstep_phase resolution: "
-            f"{soa_res}, SoA engine {'active' if soa_active else 'inactive'})"
-        ),
-        "seeds": len(seeds),
-        "loss_rate": rate,
-        "soa_active": soa_active,
-        "soa_reason": reasons,
-        "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "equivalent": equivalent,
-        # Headline: the vectorized lossy SoA path vs the serial oracle.
-        "speedup_lossy_soa_vs_serial": round(
-            seconds["serial_slot"] / seconds["lockstep_phase"], 3
         ),
     }
 
@@ -656,10 +450,14 @@ def run_engine_benchmarks(
 ) -> Dict:
     """Time every workload on every runner; verify equivalence; report.
 
-    The runner matrix is fixed (see :func:`_runners` and the two
-    lock-step sections): every runner uses the default execution config
-    except for the axis it exists to compare.
+    The runner matrix is fixed (see :func:`_runners` and
+    :func:`_lockstep_section`): every runner uses the default execution
+    config except for the axis it exists to compare.
+    ``lockstep_seeds`` (at least 1) is the trial count of both
+    lock-step sections.
     """
+    if lockstep_seeds < 1:
+        raise ValueError(f"lockstep_seeds must be >= 1, got {lockstep_seeds}")
     if workloads is None:
         workloads = default_workloads(quick=quick)
     report: Dict[str, Any] = {
@@ -670,15 +468,13 @@ def run_engine_benchmarks(
     }
     for workload in workloads:
         graph, model, protocol, knowledge, inputs = workload.build()
-        slot_protocol = workload.slot_build() if workload.slot_build else None
         timings: Dict[str, float] = {}
         results = {}
-        for name, (make_runner, runner_protocol) in _runners(
-            graph, model, knowledge, workload.time_limit,
-            protocol, slot_protocol,
+        for name, make_runner in _runners(
+            graph, model, knowledge, workload.time_limit
         ).items():
             timings[name], results[name] = _time_best(
-                make_runner, runner_protocol, inputs, workload.reps
+                make_runner, protocol, inputs, workload.reps
             )
         baseline = results["engine"]
         equivalent = all(
@@ -706,11 +502,7 @@ def run_engine_benchmarks(
                 for k, r in results.items()
             },
             "speedup_vs_reference": round(timings["reference"] / engine_seconds, 3),
-            "speedup_phase_vs_slot": round(
-                timings["engine_slot"] / engine_seconds, 3
-            ),
             "equivalent": equivalent,
-            "phase_gate": workload.phase_gate,
         }
         if "engine_numpy" in timings:
             # Whole-run ratio: generator stepping (backend-independent)
@@ -726,9 +518,20 @@ def run_engine_benchmarks(
             )
         report["workloads"][workload.name] = entry
     report["numpy_available"] = numpy_available()
-    report["lockstep_trials"] = _lockstep_section(quick, lockstep_seeds)
-    report["lossy_lockstep_trials"] = _lossy_lockstep_section(
-        quick, lockstep_seeds
+    seeds = list(range(lockstep_seeds))
+    report["lockstep_trials"] = _lockstep_section(
+        256 if quick else 512, windows=4, senders=2, seeds=seeds, reps=3,
+    )
+    # Eight bursting senders: with eight on-air transmissions per burst
+    # slot at rate 0.3, the chance a receiver sees exactly one survivor —
+    # and is released from its listen window — is ~0.1% per slot, so the
+    # cell stays dense for the whole schedule while erasure draws
+    # dominate the channel work.  Best-of-2: the serial lossy run draws
+    # one python rng sample per on-air transmission per receiver, the
+    # slowest leg of the whole bench.
+    report["lossy_lockstep_trials"] = _lockstep_section(
+        256, windows=2 if quick else 4, senders=8, seeds=seeds, reps=2,
+        loss_rate=0.3,
     )
     ref_ratios = [
         entry["speedup_vs_reference"]
@@ -737,13 +540,6 @@ def run_engine_benchmarks(
     report["summary"] = (
         {"min_speedup_vs_reference": min(ref_ratios)} if ref_ratios else {}
     )
-    phase_ratios = [
-        entry["speedup_phase_vs_slot"]
-        for entry in report["workloads"].values()
-        if entry.get("phase_gate")
-    ]
-    if phase_ratios:
-        report["summary"]["min_phase_vs_slot"] = min(phase_ratios)
     backend_ratios = [
         entry["resolution_backends"]["speedup_numpy_vs_bitmask"]
         for entry in report["workloads"].values()
@@ -758,7 +554,6 @@ def check_thresholds(
     report: Dict,
     min_ref_speedup: Optional[float] = None,
     min_numpy_speedup: Optional[float] = None,
-    min_phase_speedup: Optional[float] = None,
     min_lockstep_speedup: Optional[float] = None,
     min_lossy_soa_speedup: Optional[float] = None,
 ) -> List[str]:
@@ -768,73 +563,47 @@ def check_thresholds(
     ratio on every ``backend_bench`` workload; asking for it without
     numpy installed is itself a violation (the CI perf job installs the
     ``fast`` extra precisely so this gate is meaningful).
-    ``min_phase_speedup`` gates the end-to-end phase-vs-per-slot
-    stepping ratio on every ``phase_gate`` workload.
-    ``min_lockstep_speedup`` gates the lockstep_trials ratio against the
-    best serial configuration (``speedup_lockstep_vs_serial_phase``: the
-    SoA engine vs the serial engine, both phase-stepped) and requires the
-    SoA trial-axis engine to actually be the path measured — a run where
-    it silently fell back to the serial engine is itself a violation.
-    ``min_lossy_soa_speedup`` applies the same discipline to the
-    lossy-channel workload (``lossy_lockstep_trials``): it gates
-    ``speedup_lossy_soa_vs_serial`` and demands ``soa_active`` — the
-    lossy variant must report dispatch verdict ``"ok"``, proving the
-    vectorized drop-mask path (not the serial fallback) was timed.
+    ``min_lockstep_speedup`` and ``min_lossy_soa_speedup`` gate the
+    ``speedup_vs_serial_phase`` of the ``lockstep_trials`` and
+    ``lossy_lockstep_trials`` sections — the SoA engine against the best
+    serial configuration, the serial engine with phase stepping — and
+    require the SoA engine to be the path measured: a section whose
+    lock-step variant fell back to the serial engine (dispatch verdict
+    other than ``"ok"``) is itself a violation.  A section whose
+    lock-step results diverge from the serial ones always is.
     """
     violations = []
     if min_numpy_speedup is not None and not report.get("numpy_available"):
         violations.append(
             "min-numpy-speedup requested but numpy is not installed"
         )
-    lockstep = report.get("lockstep_trials")
-    if lockstep is not None and not lockstep.get("equivalent", True):
-        violations.append(
-            "lockstep_trials: lock-step results diverge from serial"
-        )
-    if min_lockstep_speedup is not None:
-        if lockstep is None:
+    for key, flag, bar in (
+        ("lockstep_trials", "min-lockstep-speedup", min_lockstep_speedup),
+        ("lossy_lockstep_trials", "min-lossy-soa-speedup",
+         min_lossy_soa_speedup),
+    ):
+        section = report.get(key)
+        if section is not None and not section["equivalent"]:
+            violations.append(f"{key}: lock-step results diverge from serial")
+        if bar is None:
+            continue
+        if section is None:
             violations.append(
-                "min-lockstep-speedup requested but the lockstep_trials "
-                "section is missing from the report"
+                f"{flag} requested but the {key} section is missing from "
+                "the report"
             )
-        else:
-            if not lockstep.get("soa_active"):
-                violations.append(
-                    "min-lockstep-speedup requested but the SoA lock-step "
-                    "engine was inactive (numpy missing)"
-                )
-            ratio = lockstep.get("speedup_lockstep_vs_serial_phase")
-            if ratio is not None and ratio < min_lockstep_speedup:
-                violations.append(
-                    f"lockstep_trials: speedup_lockstep_vs_serial_phase "
-                    f"{ratio}x < required {min_lockstep_speedup}x"
-                )
-    lossy = report.get("lossy_lockstep_trials")
-    if lossy is not None and not lossy.get("equivalent", True):
-        violations.append(
-            "lossy_lockstep_trials: lossy lock-step results diverge "
-            "from the serial oracle"
-        )
-    if min_lossy_soa_speedup is not None:
-        if lossy is None:
+            continue
+        if not section["soa_active"]:
             violations.append(
-                "min-lossy-soa-speedup requested but the "
-                "lossy_lockstep_trials section is missing from the report"
+                f"{flag} requested but the SoA lock-step engine was "
+                f"inactive (dispatch verdict {section['soa_reason']!r} "
+                "instead of 'ok')"
             )
-        else:
-            if not lossy.get("soa_active"):
-                violations.append(
-                    "min-lossy-soa-speedup requested but the SoA lossy "
-                    "path was inactive (dispatch verdict "
-                    f"{lossy.get('soa_reason', {}).get('lockstep_phase')!r} "
-                    "instead of 'ok')"
-                )
-            ratio = lossy.get("speedup_lossy_soa_vs_serial")
-            if ratio is not None and ratio < min_lossy_soa_speedup:
-                violations.append(
-                    f"lossy_lockstep_trials: speedup_lossy_soa_vs_serial "
-                    f"{ratio}x < required {min_lossy_soa_speedup}x"
-                )
+        ratio = section["speedup_vs_serial_phase"]
+        if ratio < bar:
+            violations.append(
+                f"{key}: speedup_vs_serial_phase {ratio}x < required {bar}x"
+            )
     for name, entry in report["workloads"].items():
         if not entry["equivalent"]:
             violations.append(f"{name}: runners disagree (equivalence failed)")
@@ -862,16 +631,6 @@ def check_thresholds(
                 f"{name}: speedup_vs_reference {entry['speedup_vs_reference']}x "
                 f"< required {min_ref_speedup}x"
             )
-        phase_ratio = entry["speedup_phase_vs_slot"]
-        if (
-            min_phase_speedup is not None
-            and entry.get("phase_gate")
-            and phase_ratio < min_phase_speedup
-        ):
-            violations.append(
-                f"{name}: speedup_phase_vs_slot {phase_ratio}x "
-                f"< required {min_phase_speedup}x"
-            )
     return violations
 
 
@@ -887,10 +646,9 @@ def format_report(report: Dict) -> str:
     for name, entry in report["workloads"].items():
         lines.append(f"  {name}: {entry['description']}")
         lines.append(
-            "    engine {engine:>12.1f} slots/s | phase-vs-slot x{phase:.2f} | "
-            "reference x{ref:.2f} | equivalent={eq}".format(
+            "    engine {engine:>12.1f} slots/s | reference x{ref:.2f} | "
+            "equivalent={eq}".format(
                 engine=entry["slots_per_sec"]["engine"],
-                phase=entry["speedup_phase_vs_slot"],
                 ref=entry["speedup_vs_reference"],
                 eq=entry["equivalent"],
             )
@@ -920,34 +678,14 @@ def format_report(report: Dict) -> str:
                 f"    backend replay ({backends['slots_replayed']} slots): "
                 f"{numpy_part} | equivalent={backends['equivalent']}"
             )
-    lockstep = report.get("lockstep_trials")
-    if lockstep is not None:
-        lines.append(f"  lockstep_trials: {lockstep['description']}")
+    for key in ("lockstep_trials", "lossy_lockstep_trials"):
+        section = report.get(key)
+        if section is None:
+            continue
+        lines.append(f"  {key}: {section['description']}")
         lines.append(
-            "    lock-step-vs-serial (phase) x{d:.2f} (SoA={soa}) | "
-            "lock-step+phase x{a:.2f} vs serial per-slot | "
-            "phase-vs-slot serial x{b:.2f} | equivalent={eq}".format(
-                soa=lockstep.get("soa_active", False),
-                a=lockstep["speedup_lockstep_phase_vs_serial_slot"],
-                b=lockstep["speedup_phase_vs_slot_serial"],
-                d=lockstep["speedup_lockstep_vs_serial_phase"],
-                eq=lockstep["equivalent"],
-            )
-        )
-    lossy = report.get("lossy_lockstep_trials")
-    if lossy is not None:
-        lines.append(f"  lossy_lockstep_trials: {lossy['description']}")
-        reasons = lossy.get("soa_reason", {})
-        lines.append(
-            "    lossy SoA x{a:.2f} vs serial (SoA={soa}) | equivalent={eq} | "
-            "soa_reason: {reasons}".format(
-                a=lossy["speedup_lossy_soa_vs_serial"],
-                soa=lossy.get("soa_active", False),
-                eq=lossy["equivalent"],
-                reasons=", ".join(
-                    f"{name}={reason}"
-                    for name, reason in sorted(reasons.items())
-                ),
-            )
+            f"    lock-step x{section['speedup_vs_serial_phase']:.2f} vs "
+            f"serial (phase) | soa_reason={section['soa_reason']} | "
+            f"equivalent={section['equivalent']}"
         )
     return "\n".join(lines)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["Knowledge", "NodeCtx", "validate_input_keys"]
 
@@ -124,21 +124,6 @@ class NodeCtx:
             self.rng = rng
         self.inputs = {} if inputs is None else inputs
         self.time = time
-
-    def rand_bernoulli_block(self, p: float, k: int) -> List[bool]:
-        """Pre-draw ``k`` Bernoulli(``p``) decisions in bulk.
-
-        The audited way for protocols to front-load a phase's transmit
-        randomness before yielding a phase plan (:mod:`repro.sim.plan`):
-        draw ``i`` is ``rng.random() < p``, consumed in index order —
-        exactly the stream a per-slot ``if ctx.rng.random() < p`` loop
-        over the same ``k`` slots would consume, so a protocol that
-        pre-draws stays byte-identical to its per-slot form.
-        """
-        if k < 0:
-            raise ValueError(f"block size must be >= 0, got {k}")
-        rand = self.rng.random
-        return [rand() < p for _ in range(k)]
 
     @property
     def n(self) -> int:

@@ -3,9 +3,11 @@
 * :func:`uniform_le_cd_protocol` — the uniform leader-election algorithm
   in the style of Nakano-Olariu [30], used by Lemma 8's generic
   transformation: all stations observe the channel (full-duplex CD); the
-  per-slot transmission probability 2^-k follows a shared controller
-  (doubling, then binary search, then steady alternation), so k depends
-  only on the channel history — exactly the uniformity Lemma 8 needs.
+  per-slot transmission probability 2^-k follows the shared
+  :class:`~repro.core.sr_comm.UniformController` (doubling, then binary
+  search, then steady alternation; a CD SR receiver listens by the same
+  controller), so k depends only on the channel history — exactly the
+  uniformity Lemma 8 needs.
   Time O(log log n') + exponential tail.
 * :func:`deterministic_le_cd_protocol` — deterministic CD leader election
   by electing the minimum ID via the Lemma 24 bit-by-bit binary search;
@@ -17,10 +19,10 @@ run is correct when all outputs agree and name an actual participant.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
-from repro.core.sr_comm import Role, sr_det_cd
-from repro.sim.actions import Idle, Listen, SendListen
+from repro.core.sr_comm import Role, UniformController, sr_det_cd
+from repro.sim.actions import Listen, SendListen
 from repro.sim.feedback import NOISE, SILENCE, is_message
 from repro.sim.node import NodeCtx
 from repro.util import ceil_log2
@@ -29,45 +31,6 @@ __all__ = [
     "uniform_le_cd_protocol",
     "deterministic_le_cd_protocol",
 ]
-
-
-class _SharedController:
-    """Channel-outcome-driven probability controller.
-
-    Outcomes are reduced so that every station (transmitting or not)
-    computes the same next exponent: a transmitter that hears a message
-    knows there were >= 2 transmitters (same knowledge as a listener's
-    NOISE); a transmitter that hears silence knows it is alone and wins.
-    """
-
-    def __init__(self, max_k: int) -> None:
-        self.max_k = max_k
-        self.lo = 0
-        self.hi: Optional[int] = None
-        self._doubling = 1
-        self._flip = False
-
-    def next_k(self) -> int:
-        if self.hi is None:
-            return min(self._doubling, self.max_k)
-        if self.hi - self.lo > 1:
-            return (self.hi + self.lo) // 2
-        self._flip = not self._flip
-        return min(max(self.hi if self._flip else max(self.lo, 1), 1), self.max_k)
-
-    def observe(self, k: int, outcome: str) -> None:
-        if outcome == "noise":
-            self.lo = max(self.lo, k)
-            if self.hi is None:
-                if k >= self.max_k:
-                    self.hi = self.max_k
-                else:
-                    self._doubling = min(self._doubling * 2, self.max_k)
-        elif outcome == "silence":
-            if self.hi is None or k < self.hi:
-                self.hi = k
-            if self.hi <= self.lo:
-                self.lo = max(0, self.hi - 1)
 
 
 def uniform_le_cd_protocol(max_slots: Optional[int] = None):
@@ -85,7 +48,11 @@ def uniform_le_cd_protocol(max_slots: Optional[int] = None):
             max(2, ctx.n)
         )
         my_tag = ctx.rng.getrandbits(60)
-        controller = _SharedController(max_k=ceil_log2(max(2, ctx.n)) + 2)
+        # Every station feeds the controller the same outcome, so all of
+        # them compute the same k: a transmitter that hears anything but
+        # silence knows there were >= 2 transmitters, as a listener's
+        # NOISE does.
+        controller = UniformController(max_k=ceil_log2(max(2, ctx.n)) + 2)
         for _ in range(budget):
             k = controller.next_k()
             transmit = ctx.rng.random() < 2.0**-k
@@ -95,7 +62,7 @@ def uniform_le_cd_protocol(max_slots: Optional[int] = None):
                     # Unique transmitter: claim leadership.
                     yield SendListen(("leader", my_tag))
                     return my_tag
-                outcome = "noise"  # >= 2 transmitters (incl. me)
+                outcome = NOISE  # >= 2 transmitters (incl. me)
             else:
                 feedback = yield Listen()
                 if is_message(feedback):
@@ -106,11 +73,11 @@ def uniform_le_cd_protocol(max_slots: Optional[int] = None):
                     if is_message(confirm) and confirm[0] == "leader":
                         return confirm[1]
                     # Claim lost (cannot happen in a clique); resync below.
-                    outcome = "noise"
+                    outcome = NOISE
                 elif feedback is NOISE:
-                    outcome = "noise"
+                    outcome = NOISE
                 else:
-                    outcome = "silence"
+                    outcome = SILENCE
             controller.observe(k, outcome)
             if not transmit and is_message(feedback):
                 continue

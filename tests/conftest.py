@@ -26,11 +26,11 @@ def per_slot(factory):
 
 def bernoulli_steps(ctx, message, p: float, rounds: int) -> Steps:
     """One plan that transmits ``message`` with probability ``p``, else
-    idles, for ``rounds`` slots: the decisions are drawn up front with
-    ``ctx.rand_bernoulli_block``, as a per-slot loop would draw them."""
+    idles, for ``rounds`` slots: the decisions are drawn up front from
+    ``ctx.rng``, in slot order, as a per-slot loop would draw them."""
+    rand = ctx.rng.random
     return Steps(tuple(
-        Send(message) if hit else Idle(1)
-        for hit in ctx.rand_bernoulli_block(p, rounds)
+        Send(message) if rand() < p else Idle(1) for _ in range(rounds)
     ))
 
 

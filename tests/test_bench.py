@@ -70,13 +70,14 @@ class TestBenchHarness:
         assert entry["equivalent"] is True
         assert entry["n"] == 5
         assert entry["slots"] == 3
-        expected_runners = {"engine", "engine_slot", "reference"}
+        # The serial engine (the best simple configuration), its numpy
+        # twin when numpy is installed, and the oracle; nothing per-slot.
+        expected_runners = {"engine", "reference"}
         if numpy_available():
             expected_runners.add("engine_numpy")
         assert set(entry["seconds"]) == expected_runners
         for value in entry["seconds"].values():
             assert value >= 0
-        assert "speedup_phase_vs_slot" in entry
         # The tiny per-slot workload enters its generator once per slot
         # per node (+ the init and final entries) on every tracked runner.
         assert entry["entries_per_slot"]["engine"] > 0
@@ -114,41 +115,53 @@ class TestBenchHarness:
         assert len(violations) == len(report["workloads"])
         # ...no bars, no violations.
         assert check_thresholds(report) == []
-        # The phase bar applies only to phase_gate workloads.
-        assert check_thresholds(report, min_phase_speedup=1e9) == []
-        gated = copy.deepcopy(report)
-        gated["workloads"]["tiny"]["phase_gate"] = True
-        violations = check_thresholds(gated, min_phase_speedup=1e9)
-        assert len(violations) == 1 and "phase_vs_slot" in violations[0]
 
-    def test_lockstep_gate_reads_the_best_serial_ratio(self, report):
-        # The gate compares the SoA engine with the serial engine, both
-        # phase-stepped; the per-slot ratio is a diagnostic only.
+    def test_report_names_no_per_slot_runner(self, report):
+        # Ratios are taken against serial phase stepping only.
+        text = json.dumps(report) + format_report(report)
+        for retired in ("engine_slot", "serial_slot", "phase_vs_slot"):
+            assert retired not in text
+
+    @pytest.mark.parametrize("key", ["lockstep_trials", "lossy_lockstep_trials"])
+    def test_lockstep_sections_time_serial_phase_against_lockstep(
+        self, report, key
+    ):
+        section = report[key]
+        assert set(section["seconds"]) == {"serial_phase", "lockstep_phase"}
+        assert section["seeds"] == 8
+        assert section["equivalent"] is True
+        assert section["speedup_vs_serial_phase"] > 0
+        assert section["soa_active"] is (section["soa_reason"] == "ok")
+
+    @pytest.mark.parametrize("key, bar", [
+        ("lockstep_trials", "min_lockstep_speedup"),
+        ("lossy_lockstep_trials", "min_lossy_soa_speedup"),
+    ])
+    def test_lockstep_gates_read_the_best_serial_ratio(self, report, key, bar):
+        # Each gate compares the SoA engine with the serial engine, both
+        # phase-stepped, on its own section only.
         gated = copy.deepcopy(report)
-        lockstep = gated["lockstep_trials"]
-        lockstep["soa_active"] = True
-        lockstep["speedup_lockstep_phase_vs_serial_slot"] = 10.0
-        lockstep["speedup_lockstep_vs_serial_phase"] = 1.2
-        assert check_thresholds(gated, min_lockstep_speedup=1.5) == [
-            "lockstep_trials: speedup_lockstep_vs_serial_phase 1.2x "
-            "< required 1.5x"
+        for section in ("lockstep_trials", "lossy_lockstep_trials"):
+            gated[section]["soa_active"] = True
+            gated[section]["speedup_vs_serial_phase"] = 1.2
+        assert check_thresholds(gated, **{bar: 1.5}) == [
+            f"{key}: speedup_vs_serial_phase 1.2x < required 1.5x"
         ]
-        lockstep["speedup_lockstep_phase_vs_serial_slot"] = 1.0
-        lockstep["speedup_lockstep_vs_serial_phase"] = 1.6
-        assert check_thresholds(gated, min_lockstep_speedup=1.5) == []
+        gated[key]["speedup_vs_serial_phase"] = 1.6
+        assert check_thresholds(gated, **{bar: 1.5}) == []
 
     def test_lossy_soa_section_and_gate(self, report):
         lossy = report["lossy_lockstep_trials"]
-        assert lossy["workload"] == "lossy_sr_frame_n256"
-        assert lossy["equivalent"] is True
-        # The dispatch verdict is surfaced per variant: the serial
-        # oracle never routes through the lock-step dispatcher (None).
-        assert lossy["soa_reason"]["serial_slot"] is None
+        assert lossy["loss_rate"] == 0.3
+        assert report["lockstep_trials"]["loss_rate"] == 0.0
         if numpy_available():
             assert lossy["soa_active"] is True
-            assert lossy["soa_reason"]["lockstep_phase"] == "ok"
+            assert lossy["soa_reason"] == "ok"
             violations = check_thresholds(report, min_lossy_soa_speedup=1e9)
-            assert any("speedup_lossy_soa_vs_serial" in v for v in violations)
+            assert any(
+                v.startswith("lossy_lockstep_trials: speedup_vs_serial_phase")
+                for v in violations
+            )
         else:
             assert lossy["soa_active"] is False
             violations = check_thresholds(report, min_lossy_soa_speedup=0.0)
@@ -177,9 +190,15 @@ class TestBenchHarness:
         assert "tiny" in format_report(loaded)
 
     def test_default_workloads_cover_acceptance_set(self):
-        for quick in (False, True):
-            names = {w.name for w in default_workloads(quick=quick)}
-            assert {"dense_single_hop_n512", "table1_clustering_row"} <= names
+        full, quick = default_workloads(), default_workloads(quick=True)
+        # One list: quick shrinks sizes, never the workload set.
+        assert [w.name for w in quick] == [w.name for w in full]
+        names = {w.name for w in full}
+        assert {"dense_single_hop_n512", "table1_clustering_row"} <= names
+
+    def test_empty_lockstep_batches_are_refused(self):
+        with pytest.raises(ValueError, match="lockstep_seeds must be >= 1"):
+            run_engine_benchmarks(workloads=[], lockstep_seeds=0)
 
 
 class TestBenchCli:
@@ -205,12 +224,28 @@ class TestBenchCli:
         ["--churn", "periodic:period=2,down=1"],
         ["--stepping", "slot"],
         ["--resolution", "numpy"],
-    ], ids=["churn", "stepping", "resolution"])
+        ["--min-phase-speedup", "2.0"],
+    ], ids=["churn", "stepping", "resolution", "min-phase-speedup"])
     def test_cli_takes_no_execution_flags(self, flags):
         # The bench runs one fixed matrix: execution flags are usage
-        # errors, not a re-centered base config.
+        # errors, not a re-centered base config, and so is the retired
+        # phase-vs-per-slot gate (no per-slot runner is timed).
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["bench", "--quick", *flags])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_exit_2_before_anything_runs(
+        self, capsys, monkeypatch, seeds
+    ):
+        import repro.experiments.bench as bench
+        from repro.cli import main
+
+        def refuse(**kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr(bench, "run_engine_benchmarks", refuse)
+        assert main(["bench", "--quick", "--seeds", seeds]) == 2
+        assert capsys.readouterr().out == "--seeds must be >= 1\n"

@@ -207,6 +207,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 1 reproduction" in out
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_figure1_n_below_one_exits_2_with_one_line(self, capsys, n):
+        from repro.cli import main
+
+        assert main(["figure1", "--n", n]) == 2
+        assert capsys.readouterr().out == "--n must be >= 1\n"
+
+    def test_figure1_renders_one_vertex(self, capsys):
+        from repro.cli import main
+
+        assert main(["figure1", "--n", "1"]) == 0
+        assert "1-vertex path" in capsys.readouterr().out
+
     def test_table1_unknown_row(self, capsys):
         from repro.cli import main
 

@@ -4,9 +4,6 @@ Covers the slots-at-a-time stepping ABI:
 
 * unit semantics of every plan primitive (resume values, padding,
   early exit, validation errors);
-* the bulk-randomness contract: ``NodeCtx.rand_bernoulli_block``
-  consumes exactly the stream a per-slot loop would (draw order
-  pinned);
 * the differential matrix: a protocol exercising every primitive (plus
   per-slot escape hatches) must be byte-identical phase-compiled, with
   its plans expanded per slot (``expand_plans``), and on the reference
@@ -285,42 +282,6 @@ class TestTimeline:
         assert result.outputs == [(), (SILENCE, "m")]
         assert result.duration == 9
         assert result.gen_entries == 4
-
-
-class TestBernoulliBlock:
-    def test_draw_order_pinned(self):
-        ctx = NodeCtx(
-            index=0, uid=1, knowledge=Knowledge(n=1, max_degree=1),
-            rng=random.Random(1234),
-        )
-        block = ctx.rand_bernoulli_block(0.3, 50)
-        mirror = random.Random(1234)
-        expected = [mirror.random() < 0.3 for _ in range(50)]
-        assert block == expected
-        # The stream continues where a per-slot loop would have left it.
-        assert ctx.rng.random() == mirror.random()
-
-    def test_exact_sequence_is_stable(self):
-        # Regression pin: the audited draw order must never change (it
-        # is what keeps pre-drawing protocols byte-identical to their
-        # per-slot forms).
-        ctx = NodeCtx(
-            index=0, uid=1, knowledge=Knowledge(n=1, max_degree=1),
-            rng=random.Random(7),
-        )
-        block = ctx.rand_bernoulli_block(0.5, 12)
-        assert block == [
-            True, True, False, True, False, True, True, False, True,
-            True, True, True,
-        ]
-
-    def test_rejects_negative(self):
-        ctx = NodeCtx(
-            index=0, uid=1, knowledge=Knowledge(n=1, max_degree=1),
-            rng=random.Random(0),
-        )
-        with pytest.raises(ValueError):
-            ctx.rand_bernoulli_block(0.5, -1)
 
 
 # ---------------------------------------------------------------------------

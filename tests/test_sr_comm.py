@@ -13,7 +13,7 @@ from repro.core.sr_comm import (
     CDParams,
     DecayParams,
     Role,
-    _Controller,
+    UniformController,
     det_frame_length,
     sr_cd,
     sr_det_cd,
@@ -401,7 +401,7 @@ def _sr_cd_per_epoch(ctx, role, message, params, accept=None):
                     return None
         return None
 
-    controller = _Controller(max_k=slots)
+    controller = UniformController(max_k=slots)
     received: Optional[Any] = None
     for _ in range(params.epochs):
         if received is None:
