@@ -30,11 +30,9 @@ neighbors sent this" information a radio gets for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Optional
 
 from repro.sim.actions import Idle, Listen, Send, SendListen
-from repro.sim.plan import Steps
 from repro.sim.node import NodeCtx
 from repro.util import ceil_log2, geometric
 
@@ -42,6 +40,7 @@ __all__ = ["path_broadcast_protocol", "sample_blocking_time"]
 
 _SYNC = "sync"  # part = (_SYNC, i): "next message after i timesteps"
 _PAYLOAD = "payload"  # part = (_PAYLOAD, m)
+_LISTEN = Listen()  # shared: Listen carries no per-slot state
 
 
 def sample_blocking_time(rng, n_pow2: int) -> int:
@@ -51,103 +50,110 @@ def sample_blocking_time(rng, n_pow2: int) -> int:
     return 2 ** min(b, log_n)
 
 
-@dataclass
 class _Instance:
-    """One directional run of Algorithm 1 at one vertex."""
+    """One directional run of Algorithm 1 at one vertex.
 
-    upstream: Optional[int]
-    downstream: Optional[int]
-    blocking_time: int
-    is_source: bool
-    payload: Any = None
-    sends: Dict[int, Any] = field(default_factory=dict)  # paper-time -> part
-    listens: Set[int] = field(default_factory=set)
-    send_alarm: Optional[int] = None
-    got_payload: bool = False
-    done: bool = False
-    _quit_after: Optional[int] = None
+    An instance listens only at times its upstream promised, and each part
+    it hears promises at most one more, so it has at most one pending
+    listen, ``listen_at``.  It sends only at its SendAlarm or one slot
+    after a reception, so it has at most one pending send: the
+    ``(downstream, part)`` pair ``send``, due at ``send_at``.  ``next`` is
+    its next event time, None once nothing is pending (it is done).
+    """
 
-    def start(self) -> None:
-        if self.is_source:
-            self.got_payload = True
-            if self.downstream is not None:
-                self.sends[1] = (_PAYLOAD, self.payload)
-                self._quit_after = 1
+    __slots__ = (
+        "vertex", "upstream", "downstream", "blocking_time", "payload",
+        "got_payload", "listen_at", "send_at", "send", "send_alarm", "next",
+    )
+
+    def __init__(
+        self,
+        vertex: int,
+        upstream: Optional[int],
+        downstream: Optional[int],
+        blocking_time: int,
+        is_source: bool,
+        payload: Any,
+    ) -> None:
+        self.vertex = vertex
+        self.upstream = upstream
+        self.downstream = downstream
+        self.blocking_time = blocking_time
+        self.payload = payload
+        self.got_payload = is_source
+        self.listen_at: Optional[int] = None
+        self.send_at: Optional[int] = None
+        self.send: Any = None
+        self.send_alarm: Optional[int] = None
+        # Paper-time 1: the source releases the payload; every other
+        # vertex promises its next message (at B) and listens upstream.
+        if downstream is not None:
+            self.send_at = 1
+            if is_source:
+                self.send = (downstream, (_PAYLOAD, payload))
             else:
-                self.done = True
-            return
-        if self.downstream is not None:
-            self.sends[1] = (_SYNC, self.blocking_time - 1)
-            self.send_alarm = self.blocking_time
-        if self.upstream is not None:
-            self.listens.add(1)
-        if self.downstream is None and self.upstream is None:
-            self.done = True
+                self.send = (downstream, (_SYNC, blocking_time - 1))
+                self.send_alarm = blocking_time
+        if upstream is not None and not is_source:
+            self.listen_at = 1
+        self.next = (
+            1 if self.send_at is not None or self.listen_at is not None
+            else None
+        )
 
-    # -- event handling ------------------------------------------------
+    def before(self, t: int):
+        """Fire the SendAlarm due at paper-time t (its content may not
+        depend on what arrives during t), then return the ``(downstream,
+        part)`` pair to send at t (or None) and whether to listen at t."""
+        if self.send_alarm == t:
+            self.send_alarm = None
+            if self.got_payload:
+                self.send_at = t
+                self.send = (self.downstream, (_PAYLOAD, self.payload))
+            elif self.listen_at is not None:
+                # Promise the slot after the next upstream message.
+                self.send_at = t
+                self.send = (self.downstream, (_SYNC, self.listen_at + 1 - t))
+            # Otherwise upstream went silent without delivering: there is
+            # nothing to promise, and after(t) finds nothing pending.
+        return (
+            self.send if self.send_at == t else None,
+            self.listen_at == t,
+        )
 
-    def before_slot(self, t: int) -> None:
-        """Decide the SendAlarm transmission for paper-time t (the content
-        may not depend on what arrives during slot t itself)."""
-        if self.send_alarm != t or self.done:
-            return
-        self.send_alarm = None
-        if self.got_payload:
-            self.sends[t] = (_PAYLOAD, self.payload)
-            self._quit_after = t
-            return
-        future = [x for x in self.listens if x >= t]
-        if future:
-            next_alarm = min(future)
-            self.sends[t] = (_SYNC, next_alarm + 1 - t)
-        else:
-            # Upstream went silent without delivering; nothing to promise.
-            self._quit_after = t if t in self.sends else None
-            if self._quit_after is None:
-                self.done = True
-
-    def receive(self, t: int, part) -> None:
-        kind = part[0]
-        if kind == _SYNC:
-            self.listens.add(t + part[1])
-        elif kind == _PAYLOAD:
-            self.got_payload = True
-            self.payload = part[1]
-        if t >= self.blocking_time:
-            # Forwarding mode: relay the verbatim part one slot later.
-            if self.downstream is not None:
-                self.sends[t + 1] = part
-                if kind == _PAYLOAD:
-                    self._quit_after = t + 1
-            elif kind == _PAYLOAD:
-                self.done = True
-
-    def heard_nothing(self, t: int) -> None:
-        """A scheduled listen produced silence: upstream quit."""
-        if not any(x > t for x in self.listens) and self.send_alarm is None:
-            if not any(x > t for x in self.sends):
-                self.done = True
-
-    def after_slot(self, t: int) -> None:
-        self.listens.discard(t)
-        self.sends.pop(t, None)
-        if self._quit_after is not None and t >= self._quit_after:
-            self.done = True
-        if (
-            not self.done
-            and not self.listens
-            and not self.sends
-            and self.send_alarm is None
-        ):
-            self.done = True
-
-    def next_event(self) -> Optional[int]:
-        if self.done:
-            return None
-        times: List[int] = list(self.listens) + list(self.sends)
-        if self.send_alarm is not None:
-            times.append(self.send_alarm)
-        return min(times) if times else None
+    def after(self, t: int, feedback) -> Optional[int]:
+        """Finish paper-time t: take in the part that upstream addressed
+        to this vertex in ``feedback`` (hearing nothing means upstream
+        quit, so nothing new is pending), clear t, and return the next
+        event time, or None when nothing is pending."""
+        if self.send_at == t:
+            self.send_at = None
+        if self.listen_at == t:
+            self.listen_at = None
+            part = None
+            if feedback:
+                upstream, vertex = self.upstream, self.vertex
+                for tag, sender, parts in feedback:
+                    if sender == upstream and tag == "path":
+                        for to, sent in parts:
+                            if to == vertex:
+                                part = sent
+            if part is not None:
+                if part[0] == _SYNC:
+                    self.listen_at = t + part[1]
+                else:
+                    self.got_payload = True
+                    self.payload = part[1]
+                if t >= self.blocking_time and self.downstream is not None:
+                    # Forwarding mode: relay the verbatim part one slot later.
+                    self.send_at = t + 1
+                    self.send = (self.downstream, part)
+        at, send_at, alarm = self.listen_at, self.send_at, self.send_alarm
+        if send_at is not None and (at is None or send_at < at):
+            at = send_at
+        if alarm is not None and (at is None or alarm < at):
+            at = alarm
+        return at
 
 
 def path_broadcast_protocol(oriented: bool = True):
@@ -171,89 +177,58 @@ def path_broadcast_protocol(oriented: bool = True):
         if oriented and is_source and v != 0:
             raise ValueError("oriented mode assumes the source is vertex 0")
 
-        instances: List[_Instance] = []
-        if oriented:
-            instances.append(
-                _Instance(left, right, sample_blocking_time(ctx.rng, n_pow2),
-                          is_source, payload)
-            )
-        else:
-            for upstream, downstream in ((left, right), (right, left)):
-                instances.append(
-                    _Instance(upstream, downstream,
-                              sample_blocking_time(ctx.rng, n_pow2),
-                              is_source, payload)
-                )
-        for inst in instances:
-            inst.start()
+        links = (
+            ((left, right),) if oriented else ((left, right), (right, left))
+        )
+        instances = tuple(
+            _Instance(v, upstream, downstream,
+                      sample_blocking_time(ctx.rng, n_pow2),
+                      is_source, payload)
+            for upstream, downstream in links
+        )
 
-        now = 0  # paper-time of the previous processed slot
+        # One event per paper-time t at which some instance acts.  Plain
+        # loops over the instances, and the idle gap and the slot's action
+        # as two plain yields: both measured cheaper per event than
+        # comprehensions and a two-action Steps plan.
+        now = 0  # paper-time of the previous event
         while True:
-            upcoming = [
-                t for t in (inst.next_event() for inst in instances)
-                if t is not None
-            ]
-            if not upcoming:
-                break
-            t = min(upcoming)
+            t = None
             for inst in instances:
-                inst.before_slot(t)
-            # (before_slot may schedule sends at t)
-            outgoing = []
+                at = inst.next
+                if at is not None and (t is None or at < t):
+                    t = at
+            if t is None:
+                break
+            out = ()
             listening = False
             for inst in instances:
-                if inst.done:
-                    continue
-                part = inst.sends.get(t)
-                if part is not None and inst.downstream is not None:
-                    outgoing.append((inst.downstream, part))
-                if t in inst.listens:
-                    listening = True
-            # Each event step is one generator entry: the idle gap and the
-            # slot's action travel together as a Steps plan (the feedback,
-            # if any, is the plan result) — the per-slot equivalent yielded
-            # Idle(gap) and the action separately.
-            gap = (t - 1) - now  # engine slot for paper-time t is t-1
-            feedback = None
-            if outgoing and listening:
-                act: Any = SendListen(("path", v, tuple(outgoing)))
-            elif outgoing:
-                act = Send(("path", v, tuple(outgoing)))
-            elif listening:
-                act = Listen()
-            else:
-                act = Idle(1)
-            if gap > 0:
-                if act.__class__ is Idle:
-                    yield Idle(gap + 1)
-                else:
-                    heard_fb = yield Steps((Idle(gap), act))
-                    if listening:
-                        feedback = heard_fb[0]
-            else:
-                feedback = yield act
-                if not listening:
-                    feedback = None
+                if inst.next == t:
+                    send, listen = inst.before(t)
+                    if send is not None:
+                        out += (send,)
+                    if listen:
+                        listening = True
+            gap = t - 1 - now  # the engine slot of paper-time t is t - 1
             now = t
-
-            heard: Dict[int, Any] = {}
-            if feedback:
-                for msg in feedback:
-                    if isinstance(msg, tuple) and msg and msg[0] == "path":
-                        _, sender, parts = msg
-                        for to, part in parts:
-                            if to == v:
-                                heard[sender] = part
+            if out:
+                msg = ("path", v, out)
+                act: Any = SendListen(msg) if listening else Send(msg)
+            elif listening:
+                act = _LISTEN
+            else:
+                act = None
+            if act is None:
+                # Nothing to do at t either: sleep through it.
+                yield Idle(gap + 1)
+                feedback = None
+            else:
+                if gap:
+                    yield Idle(gap)
+                feedback = yield act
             for inst in instances:
-                if inst.done:
-                    continue
-                if t in inst.listens:
-                    part = heard.get(inst.upstream)
-                    if part is not None:
-                        inst.receive(t, part)
-                    else:
-                        inst.heard_nothing(t)
-                inst.after_slot(t)
+                if inst.next == t:
+                    inst.next = inst.after(t, feedback)
 
         for inst in instances:
             if inst.got_payload:

@@ -265,8 +265,6 @@ class UniformController:
                     self.hi = self.max_k  # cap: treat top as bracket
                 else:
                     self._doubling = min(self._doubling * 2, self.max_k)
-            elif self.hi - self.lo <= 1:
-                pass  # steady state; keep alternating
         elif feedback is SILENCE:
             if self.hi is None or k < self.hi:
                 self.hi = k

@@ -21,8 +21,10 @@ O(n * slots) regressions.
 
 Because wall-clock is noisy on shared runners, every tracked runner also
 reports ``entries_per_slot`` — generator entries (``gen.send`` calls)
-per simulated slot, the deterministic stepping-cost metric: a stepping
-regression moves it even when the timings wobble.
+per simulated slot, a deterministic stand-in for stepping cost through
+deep ``yield from`` chains: a stepping regression there moves it even
+when the timings wobble.  It does not price shallow generators, where
+two plain yields cost less than one entry that starts a plan.
 
 Extra sections isolate resolution and batching from stepping:
 
@@ -204,9 +206,9 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
     * ``table1_clustering_row`` — the Table 1 No-CD clustering row
       (Theorem 11), sleep-heavy with realistic activity patterns: the
       per-slot engine overhead test.
-    * ``path_idle_n1024`` — the Theorem 21 path algorithm, almost all
-      idle: the event-heap vs slot-by-slot (reference) gap, guarding
-      "idle time is free".
+    * ``path_idle`` — the Theorem 21 path algorithm, almost all idle:
+      the event-heap vs slot-by-slot (reference) gap, guarding "idle
+      time is free".
 
     ``quick`` shrinks sizes for CI smoke use; speedup *ratios* shrink
     with them, so thresholds for quick runs must be conservative.
@@ -235,7 +237,7 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
             _clustering_row(size),
         ),
         BenchWorkload(
-            "path_idle_n1024",
+            "path_idle",
             f"Thm 21 path algorithm, n={path_n}, idle-dominated{variant}",
             _path_idle(path_n),
         ),

@@ -15,29 +15,65 @@ the model's "idle time is free".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Tuple
 
 __all__ = ["Send", "Listen", "SendListen", "Idle", "Action"]
 
 
-@dataclass(frozen=True)
-class Send:
+# Plain __slots__ classes, like the plan classes in repro.sim.plan and
+# for the same reason: protocols build one or more per step on the hot
+# path, and a frozen dataclass's __init__ (object.__setattr__ per field)
+# costs over twice a plain attribute store.  Instances are immutable by
+# convention; there is deliberately no __setattr__ guard, which would
+# give back over half of that saving.
+
+
+class _Action:
+    """Value semantics shared by the actions: equality on the exact class
+    and the field tuple, the hash of the field tuple, and a
+    ``Name(field=value)`` repr."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Send(_Action):
     """Transmit ``message`` this slot.  Costs 1 energy.  Feedback: ``None``."""
 
-    message: Any
+    __slots__ = ("message",)
+    _fields = ("message",)
+
+    def __init__(self, message: Any) -> None:
+        self.message = message
 
 
-@dataclass(frozen=True)
-class Listen:
+class Listen(_Action):
     """Listen this slot.  Costs 1 energy.
 
     Feedback depends on the collision model; see :mod:`repro.sim.models`.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SendListen:
+
+class SendListen(_Action):
     """Transmit ``message`` and listen in the same slot (full duplex).
 
     Costs 1 energy (one slot of transceiver usage).  Only legal in models
@@ -45,18 +81,23 @@ class SendListen:
     The sender does not hear its own transmission.
     """
 
-    message: Any
+    __slots__ = ("message",)
+    _fields = ("message",)
+
+    def __init__(self, message: Any) -> None:
+        self.message = message
 
 
-@dataclass(frozen=True)
-class Idle:
+class Idle(_Action):
     """Sleep for ``duration`` consecutive slots.  Free.  Feedback: ``None``."""
 
-    duration: int = 1
+    __slots__ = ("duration",)
+    _fields = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 1:
-            raise ValueError(f"Idle duration must be >= 1, got {self.duration}")
+    def __init__(self, duration: int = 1) -> None:
+        if duration < 1:
+            raise ValueError(f"Idle duration must be >= 1, got {duration}")
+        self.duration = duration
 
 
 Action = (Send, Listen, SendListen, Idle)

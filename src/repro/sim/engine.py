@@ -111,7 +111,12 @@ class SimResult:
         trace: event trace if tracing was enabled, else None.
         gen_entries: how many times the run entered a protocol generator
             (``next``/``send`` calls, including the final StopIteration
-            ones).  The stepping-cost metric phase plans minimize.
+            ones).  It stands for stepping cost where an entry resumes a
+            deep ``yield from`` chain (an SR frame under a cast under a
+            broadcast), which phase plans cut.  It does not price a
+            shallow generator: there a second entry costs less than
+            starting and resuming a plan, so Algorithm 1 yields its idle
+            gap and its action as two entries.
         soa_reason: why the trial-SoA engine did ("ok") or did not (a
             fallback reason such as "resolution" or "jammer", see
             :func:`repro.sim.trialsoa.soa_fallback_reason`) run this

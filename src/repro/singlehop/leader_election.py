@@ -79,10 +79,6 @@ def uniform_le_cd_protocol(max_slots: Optional[int] = None):
                 else:
                     outcome = SILENCE
             controller.observe(k, outcome)
-            if not transmit and is_message(feedback):
-                continue
-            # Mirror the winner's confirmation slot to stay synchronized:
-            # non-transmitting silence/noise slots do not have one.
         return None
 
     return protocol

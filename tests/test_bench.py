@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -195,6 +196,17 @@ class TestBenchHarness:
         assert [w.name for w in quick] == [w.name for w in full]
         names = {w.name for w in full}
         assert {"dense_single_hop_n512", "table1_clustering_row"} <= names
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_a_size_in_a_workload_key_is_the_size_it_runs(self, quick):
+        # A size belongs in the key only if quick runs keep it; the path
+        # workload shrinks in quick mode, so its key names no size.
+        workloads = default_workloads(quick=quick)
+        assert "path_idle" in {w.name for w in workloads}
+        for w in workloads:
+            size = re.search(r"_n(\d+)$", w.name)
+            if size:
+                assert f"n={size.group(1)}" in w.description, w.name
 
     def test_empty_lockstep_batches_are_refused(self):
         with pytest.raises(ValueError, match="lockstep_seeds must be >= 1"):
