@@ -2,10 +2,9 @@
 
 A slot-synchronous multi-hop radio-network simulator with per-device energy
 accounting, the paper's broadcast algorithms in every collision model
-(LOCAL / CD / No-CD / CD*), the single-hop substrates they build on,
-experiment harnesses reproducing Table 1 and Figure 1, and a campaign
-subsystem for config-driven, sharded, resumable sweeps
-(``python -m repro campaign run configs/table1.json --workers 4``).
+(LOCAL / CD / No-CD / CD*), experiment harnesses reproducing Table 1 and
+Figure 1, and a campaign subsystem for config-driven, sharded, resumable
+sweeps (``python -m repro campaign run configs/table1.json --workers 4``).
 """
 
 __version__ = "1.1.0"

@@ -60,7 +60,6 @@ __all__ = [
     "sr_local",
     "sr_det_cd",
     "det_frame_length",
-    "UniformController",
 ]
 
 _PROBE = ("sr-probe",)
@@ -236,8 +235,7 @@ class UniformController:
     being noisy, then binary search, then alternate around the located
     contention level.  ``k`` depends only on past ``NOISE``/``SILENCE``
     feedback, matching the paper's uniformity requirement.  A CD SR
-    receiver listens at slot k of each epoch; uniform leader election
-    transmits with probability 2^-k.
+    receiver listens at slot k of each epoch.
     """
 
     def __init__(self, max_k: int) -> None:

@@ -373,8 +373,7 @@ class LossyModel(ChannelModel):
 
 # Full-duplex variants used by the paper's single-hop settings: Theorem 2's
 # reduction explicitly allows devices to "send and listen simultaneously
-# (the full duplex model)", and the uniform leader-election substrate of
-# [30] assumes every station observes the channel status.
+# (the full duplex model)".
 CD_FD = _CDModel("CD-FD", full_duplex=True)
 NO_CD_FD = _NoCDModel("No-CD-FD", full_duplex=True)
 

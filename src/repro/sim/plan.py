@@ -35,8 +35,8 @@ mutable state record and advance it with plain list/dict operations,
 re-entering the generator only at feedback-relevant boundaries: a k-slot
 phase costs O(1) generator entries instead of k.  Yielding plain per-slot
 actions remains fully supported (and is the right choice for adaptive
-protocols such as the single-hop controllers, whose every slot depends on
-the previous feedback).
+protocols such as the CD SR receiver's controller, whose every slot
+depends on the previous feedback).
 
 **Resume values** (what ``yield <plan>`` evaluates to):
 
