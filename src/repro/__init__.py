@@ -18,7 +18,6 @@ from repro.graphs import (
     k2k_gadget,
     path_graph,
     random_gnp,
-    random_regular,
     random_tree,
 )
 from repro.campaign import (
@@ -60,7 +59,6 @@ __all__ = [
     "k2k_gadget",
     "path_graph",
     "random_gnp",
-    "random_regular",
     "random_tree",
     "BEEPING",
     "CD",

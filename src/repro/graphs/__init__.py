@@ -10,16 +10,12 @@ from repro.graphs.properties import (
     is_connected,
 )
 from repro.graphs.topologies import (
-    binary_tree,
-    caterpillar,
     clique,
     cycle_graph,
     grid_graph,
     k2k_gadget,
-    lollipop,
     path_graph,
     random_gnp,
-    random_regular,
     random_tree,
     star_graph,
 )
@@ -32,16 +28,12 @@ __all__ = [
     "distance",
     "eccentricity",
     "is_connected",
-    "binary_tree",
-    "caterpillar",
     "clique",
     "cycle_graph",
     "grid_graph",
     "k2k_gadget",
-    "lollipop",
     "path_graph",
     "random_gnp",
-    "random_regular",
     "random_tree",
     "star_graph",
 ]

@@ -3,8 +3,7 @@
 Covers every graph family the paper's proofs and algorithms reference:
 paths (Theorem 1, Section 8), cliques / single-hop networks (Section 1.1),
 the K_{2,k} lower-bound gadget (Theorem 2), plus the standard families used
-to exercise multi-hop broadcast (grids, cycles, random graphs, trees,
-bounded-degree expanders via random regular graphs).
+to exercise multi-hop broadcast (grids, cycles, random graphs, trees).
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ __all__ = [
     "grid_graph",
     "random_gnp",
     "random_tree",
-    "random_regular",
-    "caterpillar",
-    "lollipop",
-    "binary_tree",
 ]
 
 
@@ -107,70 +102,4 @@ def random_gnp(
                 edges.append((i, j))
     if ensure_connected:
         edges.extend((rng.randrange(i), i) for i in range(1, n))
-    return Graph(n, edges)
-
-
-def random_regular(n: int, d: int, rng: Optional[random.Random] = None) -> Graph:
-    """Random d-regular-ish graph via the configuration model with retries.
-
-    Self-loops and multi-edges are discarded, so a few vertices may end up
-    with degree slightly below d; connectivity is patched with a path
-    backbone only if needed.  Good enough as a bounded-degree expander-like
-    workload.
-    """
-    if n * d % 2 != 0:
-        raise ValueError("n*d must be even")
-    rng = rng or random.Random(0)
-    stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(50):
-        rng.shuffle(stubs)
-        pairs = {
-            (min(a, b), max(a, b))
-            for a, b in zip(stubs[::2], stubs[1::2])
-            if a != b
-        }
-        graph = Graph(n, pairs)
-        from repro.graphs.properties import is_connected
-
-        if is_connected(graph):
-            return graph
-    # Fall back: add a path backbone to guarantee connectivity.
-    edges = set(pairs)
-    edges.update((i, i + 1) for i in range(n - 1))
-    return Graph(n, edges)
-
-
-def caterpillar(spine: int, legs: int) -> Graph:
-    """Path of length ``spine`` with ``legs`` pendant vertices per spine node.
-
-    High-Delta, high-D workload that stresses both cost sources the paper
-    identifies (synchronization and local contention).
-    """
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for s in range(spine):
-        for _ in range(legs):
-            edges.append((s, nxt))
-            nxt += 1
-    return Graph(spine * (legs + 1), edges)
-
-
-def lollipop(clique_size: int, tail: int) -> Graph:
-    """Clique with a path tail: small D inside, long D outside."""
-    edges = [(i, j) for i in range(clique_size) for j in range(i + 1, clique_size)]
-    prev = 0
-    nxt = clique_size
-    for _ in range(tail):
-        edges.append((prev, nxt))
-        prev = nxt
-        nxt += 1
-    return Graph(clique_size + tail, edges)
-
-
-def binary_tree(depth: int) -> Graph:
-    """Complete binary tree of the given depth (root = 0)."""
-    n = 2 ** (depth + 1) - 1
-    edges = []
-    for v in range(1, n):
-        edges.append(((v - 1) // 2, v))
     return Graph(n, edges)
