@@ -3,7 +3,6 @@
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
     bfs_distances,
-    bfs_layers,
     diameter,
     distance,
     eccentricity,
@@ -23,7 +22,6 @@ from repro.graphs.topologies import (
 __all__ = [
     "Graph",
     "bfs_distances",
-    "bfs_layers",
     "diameter",
     "distance",
     "eccentricity",

@@ -7,13 +7,12 @@ and the verification logic used by tests and experiments.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.graphs.graph import Graph
 
 __all__ = [
     "bfs_distances",
-    "bfs_layers",
     "eccentricity",
     "diameter",
     "is_connected",
@@ -42,15 +41,6 @@ def bfs_distances(graph: Graph, source: int) -> List[int]:
     return dist
 
 
-def bfs_layers(graph: Graph, source: int) -> Dict[int, List[int]]:
-    """Vertices grouped by BFS distance from ``source``."""
-    layers: Dict[int, List[int]] = {}
-    for v, d in enumerate(bfs_distances(graph, source)):
-        if d >= 0:
-            layers.setdefault(d, []).append(v)
-    return layers
-
-
 def distance(graph: Graph, u: int, v: int) -> int:
     """Hop distance between u and v; -1 if disconnected."""
     return bfs_distances(graph, u)[v]
@@ -64,28 +54,21 @@ def eccentricity(graph: Graph, v: int) -> int:
     return max(dist)
 
 
-def diameter(graph: Graph, exact: bool = True, sample: Optional[int] = None) -> int:
+def diameter(graph: Graph) -> int:
     """The paper's D = max_{u,v} dist(u, v).
 
-    Args:
-        exact: the exact diameter.  A tree (n - 1 edges, and a BFS from
-            vertex 0 reaches every vertex) takes two BFS passes: the
-            vertex farthest from any start is an end of a longest path,
-            so its eccentricity is the diameter.  Any other graph runs a
-            BFS from every vertex (O(nm)).
-        sample: if ``exact`` is False, number of BFS sources to sample
-            (lower-bounds the diameter; good enough for workload labeling).
+    A tree (n - 1 edges, and a BFS from vertex 0 reaches every vertex)
+    takes two BFS passes: the vertex farthest from any start is an end
+    of a longest path, so its eccentricity is the diameter.  Any other
+    graph runs a BFS from every vertex (O(nm)).
     """
     if graph.n == 1:
         return 0
-    if exact:
-        if len(graph.edges) == graph.n - 1:
-            dist = bfs_distances(graph, 0)
-            if min(dist) >= 0:
-                return eccentricity(graph, dist.index(max(dist)))
-        return max(eccentricity(graph, v) for v in range(graph.n))
-    sources = range(min(graph.n, sample or 8))
-    return max(eccentricity(graph, v) for v in sources)
+    if len(graph.edges) == graph.n - 1:
+        dist = bfs_distances(graph, 0)
+        if min(dist) >= 0:
+            return eccentricity(graph, dist.index(max(dist)))
+    return max(eccentricity(graph, v) for v in range(graph.n))
 
 
 def is_connected(graph: Graph) -> bool:
