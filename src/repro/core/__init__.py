@@ -8,13 +8,7 @@ stay slot-synchronized across the network without any explicit barrier.
 
 from repro.core.casts import all_cast, cast_sequence_slots, down_cast, identity, up_cast
 from repro.core.clustering import broadcast_on_labeling, refine_labeling, refine_slots
-from repro.core.labeling import (
-    clusters_from_labeling,
-    gl_diameter,
-    gl_graph_edges,
-    is_good_labeling,
-    layer_zero,
-)
+from repro.core.labeling import is_good_labeling, layer_zero
 from repro.core.schemes import SRScheme
 from repro.core.sr_comm import (
     CDParams,
@@ -37,9 +31,6 @@ __all__ = [
     "broadcast_on_labeling",
     "refine_labeling",
     "refine_slots",
-    "clusters_from_labeling",
-    "gl_diameter",
-    "gl_graph_edges",
     "is_good_labeling",
     "layer_zero",
     "SRScheme",

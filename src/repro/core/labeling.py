@@ -1,4 +1,4 @@
-"""Good labelings (Section 5): data model, validation, and the graph G_L.
+"""Good labelings (Section 5): data model and validation.
 
 A labeling L : V -> {0..n-1} is *good* when every vertex v with L(v) > 0
 has a neighbor u with L(u) = L(v) - 1.  A good labeling encodes a
@@ -11,17 +11,13 @@ the in-protocol state is just each node's integer label.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence
 
 from repro.graphs.graph import Graph
 
 __all__ = [
     "is_good_labeling",
     "layer_zero",
-    "gl_graph_edges",
-    "gl_diameter",
-    "clusters_from_labeling",
 ]
 
 
@@ -40,81 +36,3 @@ def is_good_labeling(graph: Graph, labels: Sequence[int]) -> bool:
 
 def layer_zero(labels: Sequence[int]) -> List[int]:
     return [v for v, value in enumerate(labels) if value == 0]
-
-
-def gl_graph_edges(graph: Graph, labels: Sequence[int]) -> Set[Tuple[int, int]]:
-    """Edges of G_L: layer-0 vertices u, v are L-adjacent when a path
-    u, u_1..u_a, v_b..v_1, v exists with L(u_i) = i and L(v_j) = j.
-
-    Computed by growing monotone-label regions from each root and marking
-    roots whose regions touch.  A vertex may belong to several regions.
-    """
-    roots = layer_zero(labels)
-    # region[v] = set of roots reachable from v by a strictly descending
-    # label path v -> ... -> root (labels decreasing by exactly 1).
-    region: List[Set[int]] = [set() for _ in range(graph.n)]
-    order = sorted(range(graph.n), key=lambda v: labels[v])
-    for v in order:
-        if labels[v] == 0:
-            region[v].add(v)
-            continue
-        for u in graph.neighbors(v):
-            if labels[u] == labels[v] - 1:
-                region[v] |= region[u]
-
-    edges: Set[Tuple[int, int]] = set()
-    for u, v in graph.edges:
-        for ru in region[u]:
-            for rv in region[v]:
-                if ru != rv:
-                    edges.add((min(ru, rv), max(ru, rv)))
-    # L-adjacency also allows the "bent" path through a shared edge where
-    # one endpoint serves both ascents; the loop above covers it because
-    # region[] already contains all descent targets of each endpoint.
-    del roots
-    return edges
-
-
-def gl_diameter(graph: Graph, labels: Sequence[int]) -> int:
-    """Diameter of G_L (0 for a single root; -1 if G_L is disconnected)."""
-    roots = layer_zero(labels)
-    if len(roots) <= 1:
-        return 0
-    edges = gl_graph_edges(graph, labels)
-    adj: Dict[int, List[int]] = {r: [] for r in roots}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    best = 0
-    for source in roots:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        if len(dist) < len(roots):
-            return -1
-        best = max(best, max(dist.values()))
-    return best
-
-
-def clusters_from_labeling(graph: Graph, labels: Sequence[int]) -> List[int]:
-    """Assign each vertex to a root by following minimum-index parents.
-
-    Returns ``assignment`` with assignment[v] = root vertex.  One of the
-    (generally non-unique) clusterings a good labeling induces.
-    """
-    assignment = [-1] * graph.n
-    order = sorted(range(graph.n), key=lambda v: labels[v])
-    for v in order:
-        if labels[v] == 0:
-            assignment[v] = v
-            continue
-        parents = [u for u in graph.neighbors(v) if labels[u] == labels[v] - 1]
-        if not parents:
-            raise ValueError("not a good labeling")
-        assignment[v] = assignment[min(parents)]
-    return assignment

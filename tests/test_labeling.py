@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.labeling import (
-    clusters_from_labeling,
-    gl_diameter,
-    gl_graph_edges,
-    is_good_labeling,
-    layer_zero,
-)
-from repro.graphs import Graph, cycle_graph, path_graph
+from repro.core.labeling import is_good_labeling, layer_zero
+from repro.graphs import cycle_graph, path_graph
 
 
 def test_trivial_all_zero_is_good():
@@ -39,49 +31,7 @@ def test_layer_zero():
     assert layer_zero([0, 1, 0, 2]) == [0, 2]
 
 
-def test_gl_edges_two_clusters_on_path():
-    # 0 1 | 1 0 : two roots (0 and 3) whose layer-1 vertices are adjacent.
-    g = path_graph(4)
-    labels = [0, 1, 1, 0]
-    edges = gl_graph_edges(g, labels)
-    assert edges == {(0, 3)}
-
-
-def test_gl_edges_adjacent_roots():
-    g = path_graph(2)
-    labels = [0, 0]
-    assert gl_graph_edges(g, labels) == {(0, 1)}
-
-
-def test_gl_diameter_single_root_is_zero():
-    g = path_graph(5)
-    assert gl_diameter(g, [0, 1, 2, 3, 4]) == 0
-
-
-def test_gl_diameter_chain_of_roots():
-    # Roots at 0, 2, 4 on a path 0..4 with labels 0,1,0,1,0.
-    g = path_graph(5)
-    labels = [0, 1, 0, 1, 0]
-    assert gl_diameter(g, labels) == 2
-
-
-def test_clusters_from_labeling_partition():
-    g = path_graph(6)
-    labels = [0, 1, 2, 2, 1, 0]
-    assignment = clusters_from_labeling(g, labels)
-    assert assignment[0] == 0 and assignment[5] == 5
-    assert assignment[1] == 0 and assignment[4] == 5
-    assert set(assignment) <= {0, 5}
-
-
-def test_clusters_rejects_bad_labeling():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        clusters_from_labeling(g, [0, 2, 1])
-
-
 def test_cycle_labeling_good():
     g = cycle_graph(6)
     labels = [0, 1, 2, 3, 2, 1]
     assert is_good_labeling(g, labels)
-    assert gl_diameter(g, labels) == 0
