@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Sequence, TypeVar
 
 __all__ = [
     "ceil_log2",
-    "floor_log2",
-    "ceil_div",
     "geometric",
-    "median",
-    "mean",
-    "max_or",
 ]
-
-T = TypeVar("T")
 
 
 def ceil_log2(x: int) -> int:
@@ -24,17 +16,6 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError(f"ceil_log2 needs x >= 1, got {x}")
     return (x - 1).bit_length()
-
-
-def floor_log2(x: int) -> int:
-    """Largest k with 2**k <= x (x >= 1)."""
-    if x < 1:
-        raise ValueError(f"floor_log2 needs x >= 1, got {x}")
-    return x.bit_length() - 1
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def geometric(rng: random.Random, p: float = 0.5) -> int:
@@ -47,24 +28,3 @@ def geometric(rng: random.Random, p: float = 0.5) -> int:
     if p == 1.0:
         return 1
     return int(math.floor(math.log(1.0 - u) / math.log(1.0 - p))) + 1
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def mean(values: Iterable[float]) -> float:
-    values = list(values)
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
-
-
-def max_or(values: Iterable[int], default: int = 0) -> int:
-    return max(values, default=default)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import ceil_div, ceil_log2, floor_log2, geometric, max_or, mean, median
+from repro.util import ceil_log2, geometric
 
 
 @given(st.integers(min_value=1, max_value=10**9))
@@ -18,23 +18,9 @@ def test_ceil_log2_definition(x):
     assert k == 0 or 2 ** (k - 1) < x
 
 
-@given(st.integers(min_value=1, max_value=10**9))
-def test_floor_log2_definition(x):
-    k = floor_log2(x)
-    assert 2**k <= x < 2 ** (k + 1)
-
-
 def test_log_helpers_reject_nonpositive():
     with pytest.raises(ValueError):
         ceil_log2(0)
-    with pytest.raises(ValueError):
-        floor_log2(0)
-
-
-@given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=50))
-def test_ceil_div(a, b):
-    assert ceil_div(a, b) == -(-a // b)
-    assert ceil_div(a, b) * b >= a
 
 
 def test_geometric_support_and_mean():
@@ -54,15 +40,3 @@ def test_geometric_rejects_bad_p():
         geometric(random.Random(0), 0.0)
     with pytest.raises(ValueError):
         geometric(random.Random(0), 1.5)
-
-
-def test_median_mean_max_or():
-    assert median([3, 1, 2]) == 2
-    assert median([4, 1, 2, 3]) == 2.5
-    assert mean([1, 2, 3]) == 2
-    assert max_or([], default=-1) == -1
-    assert max_or([3, 5]) == 5
-    with pytest.raises(ValueError):
-        median([])
-    with pytest.raises(ValueError):
-        mean([])
