@@ -22,9 +22,12 @@ the trial seed, and the slot — never of which worker or block ran it):
   :class:`ReactiveJammer`) decide per slot whether the adversary floods
   the spectrum.  :class:`JammedModel` applies the decision in
   ``ChannelModel``-composition form, so it stacks on all paper models:
-  on a jammed slot every listener gets the wrapped model's collision
-  feedback (see :data:`JAM_FEEDBACK`), and the inner model's rng is
-  *not* consumed (the jammer drowns the channel before reception).
+  on a jammed slot every listener gets the wrapped model's jam feedback
+  (see :data:`JAM_FEEDBACK`), and the inner model's rng is *not*
+  consumed (the jammer drowns the channel before reception).  The jam
+  feedback is noise under CD and CD*, a beep under BEEP, and the
+  model's empty reception (an erasure) under No-CD and LOCAL, which
+  have no noise symbol.
 
 * **Correlated (bursty) loss** — :class:`GilbertElliottModel` extends
   :class:`~repro.sim.models.LossyModel` with the classic two-state
@@ -318,16 +321,17 @@ class ReactiveJammer(Jammer):
         return n_transmitters >= self.minimum
 
 
-#: What a listener hears on a jammed slot, per stock model: the model's
-#: own collision/noise feedback.  CD-class listeners detect the jammer
-#: as noise; No-CD listeners cannot tell jamming from silence (the
-#: paper's point about missing collision detection); BEEP listeners
-#: hear a beep; CD* collision resolution is drowned (noise, like CD);
-#: LOCAL has no native collision feedback, so jamming manifests as
-#: NOISE — the one place the adversary adds a symbol the clean model
-#: never produces.
+#: What a listener hears on a jammed slot, per stock model.  CD-class
+#: listeners detect the jammer as noise; No-CD listeners cannot tell
+#: jamming from silence (the paper's point about missing collision
+#: detection); BEEP listeners hear a beep; CD* collision resolution is
+#: drowned (noise, like CD — the one jam value its clean model never
+#: produces).  LOCAL has no collisions and no noise symbol, so a jammed
+#: LOCAL listener hears its model's empty reception ``()``, an erasure,
+#: just as No-CD's jam value is its own empty reception, SILENCE.  Both
+#: equal what :func:`down_feedback` gives a down listener.
 JAM_FEEDBACK = {
-    "LOCAL": NOISE,
+    "LOCAL": (),
     "CD": NOISE,
     "CD-FD": NOISE,
     "No-CD": SILENCE,
@@ -372,7 +376,7 @@ class JammedModel(ChannelModel):
     :class:`GilbertElliottModel` wrappings).
 
     On a jammed slot every reception resolves to the wrapped model's
-    collision feedback and the inner model's rng is *not* consumed —
+    jam feedback and the inner model's rng is *not* consumed —
     byte-identically in every engine, because the jam decision is made
     once per slot in :meth:`begin_slot` from (slot, on-air count).
     """

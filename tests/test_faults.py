@@ -311,6 +311,13 @@ class TestFeedback:
         assert down_feedback(CD) is SILENCE
         assert down_feedback(GilbertElliottModel(LOCAL, 0.1, 0.5)) == ()
 
+    def test_jam_is_an_erasure_where_the_model_has_no_noise(self):
+        # LOCAL protocols iterate their feedback as a message tuple, so a
+        # jammed LOCAL listener hears the empty one, as a down one does.
+        assert jam_feedback(LOCAL) == ()
+        for model in (LOCAL, NO_CD):
+            assert jam_feedback(model) == down_feedback(model)
+
     def test_jam_feedback_rejects_unknown_models(self):
         class Odd:
             name = "exotic"
