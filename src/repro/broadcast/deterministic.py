@@ -111,13 +111,20 @@ def det_local_broadcast_protocol(
                 ctx, scheme, label,
                 ctx.uid if label == 0 else None, n,
             )
-            id0 = cid - 1
+            # A faulted channel (churn, jam, burst loss) can leave a
+            # member without its root's ID.  Its prefix is then None, so
+            # it accepts no mark (marks carry roots' prefixes), but it
+            # still runs every cast and the fixed frame holds.
+            id0 = None if cid is None else cid - 1
 
             # Parallel prefix-merge ruling set over G_L.
             in_ruling = label == 0
             for lvl in range(bits - 1, -1, -1):
-                my_prefix = id0 >> (bits - lvl)
-                my_bit = (id0 >> (bits - lvl - 1)) & 1
+                if id0 is None:
+                    my_prefix = my_bit = None
+                else:
+                    my_prefix = id0 >> (bits - lvl)
+                    my_bit = (id0 >> (bits - lvl - 1)) & 1
                 marked = in_ruling and my_bit == 0
                 # Members learn `marked` from the root implicitly: only
                 # roots seed marks, members just relay (down_cast starts
