@@ -10,7 +10,8 @@ top: spec-grammar and parameter validation, schedule determinism and
 query-order independence (sharding cannot change a fault realization),
 the GE chain's convergence to its stationary loss rate, the SoA
 fallback taxonomy, the events-ledger rendering of unknown future
-verdicts, and the fabric's injected-crash harness under faults.
+verdicts, the fabric's injected-crash harness under faults, and every
+registry row under each fault family.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import random
 
 import pytest
 
-from repro.graphs import clique, path_graph, random_gnp, star_graph
+from repro.broadcast.base import source_inputs
+from repro.campaign import CampaignSpec
+from repro.campaign.cells import knowledge_for
+from repro.campaign.registry import ROW_REGISTRY, get_row
+from repro.campaign.runner import execute_job
+from repro.graphs import clique, cycle_graph, path_graph, random_gnp, star_graph
 from repro.sim import (
     BEEPING,
     CD,
@@ -37,6 +43,7 @@ from repro.sim import (
     Repeat,
     Send,
     SendListen,
+    Simulator,
     Steps,
     numpy_available,
     run_trials,
@@ -738,6 +745,64 @@ class TestFaultedCampaigns:
         assert first.ok == 6 and first.skipped == 0
         second = run_campaign(spec, store, progress=None)
         assert second.ok == 0 and second.skipped == 6
+
+
+# --- registry rows under faults --------------------------------------------
+
+
+ROW_FAULTS = {
+    "churn": "periodic:period=16,down=4,stagger=1",
+    "jam": "random:rate=0.15",
+    "burst_loss": "p_gb=0.1,p_bg=0.3",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+@pytest.mark.parametrize("row", sorted(ROW_REGISTRY))
+def test_every_row_runs_under_each_fault_or_fails_at_load(row, fault):
+    """Each registry row under each fault family, at its smallest
+    default size and seed 0: spec load refuses the pair naming the row,
+    or every cell comes back ok."""
+    size = min(get_row(row).default_sizes)
+    try:
+        spec = CampaignSpec.from_dict({
+            "name": "row-faults",
+            "rows": [{"row": row, "sizes": [size], "seeds": [0],
+                      "options": {fault: ROW_FAULTS[fault]}}],
+        })
+        spec.validate()
+    except ValueError as exc:
+        assert repr(row) in str(exc)
+        return
+    for block in spec.job_blocks():
+        for record in execute_job({"job": block.to_dict()}):
+            assert record["status"] == "ok", record["error"]
+
+
+@pytest.mark.parametrize("row,graph,fault", [
+    ("path", path_graph(24), dict(jam="random:rate=0.3")),
+    ("det-local", cycle_graph(6), dict(churn=ROW_FAULTS["churn"])),
+], ids=["path-jam", "det-local-churn"])
+def test_faulted_local_rows_match_the_oracle(row, graph, fault):
+    """A jammed Algorithm 1 run and a churned Theorem 25 run (whose
+    members can miss their root's ID) end, and the engine equals the
+    reference oracle on them."""
+    definition = get_row(row)
+    protocol = definition.builder(graph, {})
+    knowledge = knowledge_for(graph, definition.id_space_from_n)
+    config = ExecutionConfig(**fault)
+    inputs = source_inputs(0, "m")
+    for seed in (0, 1):
+        engine = Simulator(
+            graph, LOCAL, seed, knowledge=knowledge, exec_config=config,
+        ).run(protocol, inputs)
+        oracle = ReferenceSimulator(
+            graph, LOCAL, seed=seed, knowledge=knowledge,
+            faults=parse_fault_specs(config),
+        ).run(protocol, inputs)
+        assert engine.outputs == oracle.outputs
+        assert engine.energy == oracle.energy
+        assert engine.duration == oracle.duration
 
 
 # --- hypothesis properties -------------------------------------------------
