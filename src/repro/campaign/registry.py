@@ -208,12 +208,16 @@ def check_row_supports_options(row: str, options: Optional[Dict]) -> None:
     The one honorability door shared by campaign spec validation and
     the worker entry points.  Checked on the *normalized* options: an
     option explicitly set to its default aliases an omitted one and
-    therefore demands nothing of the row.
+    therefore demands nothing of the row.  A row with a ``custom_cell``
+    also refuses ``loss_rate``: its bespoke cell has no channel-model
+    layer to wrap in an erasure channel.
     """
     definition = get_row(row)
+    refused = set(definition.unsupported_exec_options)
+    if definition.custom_cell is not None:
+        refused.add("loss_rate")
     unsupported = sorted(
-        set(normalize_execution_options(dict(options or {})))
-        & set(definition.unsupported_exec_options)
+        set(normalize_execution_options(dict(options or {}))) & refused
     )
     if unsupported:
         raise ExecutionConfigError(
@@ -309,11 +313,6 @@ def execute_fused_block(
                 f"simulation at size {size}"
             )
     if definition.custom_cell is not None:
-        if "loss_rate" in options:
-            raise ExecutionConfigError(
-                f"row {row!r} cannot honor loss_rate (it runs a bespoke "
-                f"cell with no channel-model layer to wrap)"
-            )
         return [[
             definition.custom_cell(row, size, seed, options)
             for seed in members[0][1]

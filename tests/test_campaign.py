@@ -448,6 +448,26 @@ class TestLossyRows:
         with pytest.raises(ExecutionConfigError, match="loss_rate"):
             execute_cell_block(crashing_row, 4, (0,), {"loss_rate": 0.1})
 
+    def test_loss_rate_on_a_custom_cell_row_fails_at_the_door(
+        self, tmp_path, capsys
+    ):
+        """Spec load refuses the pair with one line naming the row and
+        the option: exit 2, and no cell runs, so no store is written."""
+        from repro.cli import main
+
+        config = tmp_path / "lossy-beta.json"
+        config.write_text(json.dumps({
+            "name": "lossy-beta",
+            "rows": [{"row": "abl-beta", "seeds": [0],
+                      "options": {"loss_rate": 0.2}}],
+        }))
+        out = tmp_path / "out"
+        assert main(["campaign", "run", str(config), "--out", str(out)]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert "'abl-beta'" in lines[0] and "loss_rate" in lines[0]
+        assert not out.exists()
+
 
 class TestFusion:
     """Rows that are one simulation run once for all of them."""
