@@ -3,9 +3,10 @@
 This is the substrate everything else runs on.  Devices are generator-based
 protocols; each yielded action occupies one slot (``Send``/``Listen``/
 ``SendListen``) or several (``Idle(k)``).  The engine keeps an event heap
-keyed by the slot at which each device next acts, so long sleeps cost O(1)
-work — mirroring the paper's "idle time is free" in both the energy model
-and simulator wall time.
+keyed by the slot at which each sleeping device next acts — where its
+idle ends, or where its posted plan ends (below) — so long sleeps cost
+O(1) work, mirroring the paper's "idle time is free" in both the energy
+model and simulator wall time.
 
 Channel semantics are delegated to a :class:`~repro.sim.models.ChannelModel`
 (LOCAL, CD, No-CD, CD*, BEEP).  Reception resolution is pluggable
@@ -30,9 +31,31 @@ boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
 The reference oracle runs the same protocols through
 :func:`repro.sim.plan.expand_plans`, one slot at a time.
 
+**Posted sends.**  A plan that only sends and idles (``Repeat(Send, k)``,
+or a ``Steps`` of ``Send``/``Idle`` actions) needs no feedback, so when
+the energy meter is a trial's only observer the engine *posts* it
+instead of stepping it: its sends go onto a per-trial calendar (slot ->
+{vertex: message}), the meter charges them in one call
+(:meth:`~repro.sim.observers.EnergyObserver.charge_sends`), and the node
+sleeps on the heap until the plan ends, where it resumes exactly as a
+stepped plan would.  A slot the engine processes anyway — someone
+listens there, or another node acts — pops its calendar row into the
+air before churn filtering, ``begin_slot`` and resolution, so listeners,
+lossy draws and the reactive jammer see every transmitter.  A slot that
+holds only posted sends is never processed: a send nobody hears costs
+nothing per slot.  Trials with any other observer (a trace, a row
+measurement, a contention histogram) step every plan, because those
+observers read every slot's senders.
+
 Energy metering and trace recording live in :mod:`repro.sim.observers`
 hooks, keeping the slot loop free of instrumentation branches — tracing
 costs zero when disabled.
+
+**Slot budget.**  As in the oracle, a run may finish in slot
+``time_limit + 1`` (a node whose idle or posted plan ends there wakes
+and returns); the engine raises :class:`SimulationTimeout` once the next
+slot lies beyond that, or when a protocol is still running after that
+slot's wake-ups.
 """
 
 from __future__ import annotations
@@ -53,11 +76,16 @@ from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge, NodeCtx
 from repro.sim.plan import (
     OP_LISTEN,
+    OP_PENDING,
     OP_SEND,
     OP_STEPS,
     OP_UNTIL,
+    RESULT_COLLECT,
+    RESULT_NONE,
     Plan,
     ProtocolError,
+    Repeat,
+    Steps,
     exact_action,
     plan_feedback,
     plan_resume,
@@ -87,6 +115,21 @@ ProtocolFactory = Callable[[NodeCtx], Protocol]
 
 _RESUME = object()  # heap payload marker: wake a sleeping generator
 
+# post() prunes the calendar when it holds more rows than this plus
+# twice what it kept at the last prune.
+_CALENDAR_ROWS = 4096
+
+# A Repeat(Send, k) is one small object whatever k is, but posting it
+# takes k calendar entries, so longer send runs are stepped instead.
+_POST_MAX_REPEAT = 4096
+
+# The plan state a posted plan leaves behind while its node sleeps: on
+# wake-up plan_resume() ends it with the value the stepped plan returns,
+# None after Repeat(Send) and () after Steps.  Finished states are only
+# read, so every posted node shares one tuple.
+_POSTED_REPEAT = (OP_PENDING, 0, None, None, RESULT_NONE, None, False)
+_POSTED_STEPS = (OP_PENDING, 0, None, (), RESULT_COLLECT, None, False)
+
 #: The default slot budget of a bare Simulator run; batch/broadcast
 #: layers apply their own defaults when ``exec_config.time_limit`` is
 #: None (see :meth:`repro.sim.config.ExecutionConfig.resolved_time_limit`).
@@ -95,6 +138,15 @@ DEFAULT_TIME_LIMIT = 50_000_000
 
 class SimulationTimeout(RuntimeError):
     """The run exceeded its slot budget without all protocols terminating."""
+
+
+def timeout_error(time_limit: int, remaining: int, seed: int) -> SimulationTimeout:
+    """The :class:`SimulationTimeout` every executor raises for a run
+    with ``remaining`` protocols still running past ``time_limit``."""
+    return SimulationTimeout(
+        f"simulation exceeded {time_limit} slots "
+        f"({remaining} protocols still running, seed {seed})"
+    )
 
 
 @dataclass
@@ -249,8 +301,8 @@ class Simulator:
         Raises:
             ValueError: if ``inputs`` contains a key that is not a vertex
                 index in ``[0, n)``.
-            SimulationTimeout: if any protocol is still running at
-                ``time_limit`` slots.
+            SimulationTimeout: if any protocol is still running after
+                slot ``time_limit + 1``'s wake-ups.
             ProtocolError: on full-duplex actions in half-duplex models or
                 other illegal yields.
         """
@@ -303,14 +355,14 @@ class Simulator:
         # executes at exactly the next processed slot, so those actions are
         # classified straight into the next slot's sender/listener sets
         # ("the bucket") and never touch the heap.  The heap holds only
-        # Idle wake-ups — (wake_slot, vertex, _RESUME) timers — whether the
-        # idle came from a yielded Idle or from inside an active plan
-        # (``plans[v]`` decides which on wake-up).
+        # wake-ups — (wake_slot, vertex, _RESUME) timers — at the end of
+        # an idle, whether yielded or inside an active plan, or at the end
+        # of a posted plan (``plans[v]`` decides which on wake-up).
         n = graph.n
         ctxs, gens, outputs, first = self.setup.start(
             protocol_factory, seed, inputs
         )
-        plans: List[Optional[list]] = [None] * n
+        plans: List[Optional[Sequence]] = [None] * n
         finish_slot = [-1] * n
         entries = n  # every generator was entered once by start()
 
@@ -318,6 +370,80 @@ class Simulator:
         heappush, heappop = heapq.heappush, heapq.heappop
         full_duplex = model.full_duplex
         model_name = model.name
+
+        # Posted sends (see the module docstring): the calendar maps a
+        # slot to the {vertex: message} row of the sends posted there.
+        # Only the energy meter may watch a posted trial; every other
+        # observer reads each slot's senders, so it keeps plans stepped.
+        # Most rows are never popped (nobody listens in their slot), so
+        # post() drops the past ones once the calendar has doubled.
+        posting = len(observers) == 1
+        calendar: Dict[int, Dict[int, Any]] = {}
+        prune_above = _CALENDAR_ROWS
+        charge_sends = energy.charge_sends
+
+        def post(v: int, plan: Plan, start: int) -> bool:
+            """Post ``v``'s ``plan`` from slot ``start`` if it only sends
+            and idles: lay its sends on the calendar, charge them, and
+            sleep ``v`` until the plan ends.  False, with no effect,
+            for any other plan (including malformed ones, which
+            start_plan then refuses)."""
+            nonlocal prune_above
+            cls = plan.__class__
+            if cls is Repeat:
+                action = plan.action
+                count = plan.count
+                if (
+                    action.__class__ is not Send
+                    or count.__class__ is not int
+                    or not 1 <= count <= _POST_MAX_REPEAT
+                ):
+                    return False
+                message = action.message
+                end = start + count
+                for t in range(start, end):
+                    row = calendar.get(t)
+                    if row is None:
+                        calendar[t] = {v: message}
+                    else:
+                        row[v] = message
+                charge_sends(v, count, end - 1)
+                plans[v] = _POSTED_REPEAT
+            elif cls is Steps:
+                acts = plan.actions
+                if not acts:
+                    return False
+                for act in acts:
+                    acls = act.__class__
+                    if acls is not Send and acls is not Idle:
+                        return False
+                end = start
+                sends = 0
+                for act in acts:
+                    if act.__class__ is Idle:
+                        end += act.duration
+                        continue
+                    row = calendar.get(end)
+                    if row is None:
+                        calendar[end] = {v: act.message}
+                    else:
+                        row[v] = act.message
+                    sends += 1
+                    last = end
+                    end += 1
+                if sends:
+                    charge_sends(v, sends, last)
+                plans[v] = _POSTED_STEPS
+            else:
+                return False
+            heappush(heap, (end, v, _RESUME))
+            if len(calendar) > prune_above:
+                # Every slot before ``start`` is behind the slot loop:
+                # its row was merged, or its slot will never be processed.
+                for t in [t for t in calendar if t < start]:
+                    del calendar[t]
+                prune_above = 2 * len(calendar) + _CALENDAR_ROWS
+            return True
 
         bucket_slot = 0
         bucket_senders: Dict[int, Any] = {}
@@ -341,6 +467,8 @@ class Simulator:
                         )
                     bucket_duplexers[v] = action.message
                 elif isinstance(action, Plan):
+                    if posting and post(v, action, 0):
+                        break
                     plans[v], action = start_plan(action)
                     continue
                 else:
@@ -354,6 +482,7 @@ class Simulator:
         resolve_slot = self.backend.slot_resolver(model)
         count_based = model.supports_count
         time_limit = self.time_limit
+        last_slot = time_limit + 1  # the slot a run may still end in
 
         duration = 0
         while remaining:
@@ -366,11 +495,8 @@ class Simulator:
                 slot = heap[0][0]
                 senders, listeners, duplexers = {}, [], {}
             bucket_senders, bucket_listeners, bucket_duplexers = {}, [], {}
-            if slot > time_limit:
-                raise SimulationTimeout(
-                    f"simulation exceeded {time_limit} slots "
-                    f"({remaining} protocols still running, seed {seed})"
-                )
+            if slot > last_slot:
+                raise timeout_error(time_limit, remaining, seed)
 
             # Wake every sleeper due at this slot; a resumed generator (or
             # plan) may immediately act, joining the slot it woke in.
@@ -409,6 +535,8 @@ class Simulator:
                             )
                         duplexers[v] = action.message
                     elif isinstance(action, Plan):
+                        if posting and post(v, action, slot):
+                            break
                         plans[v], action = start_plan(action)
                         continue
                     else:
@@ -416,6 +544,8 @@ class Simulator:
                         continue
                     break
 
+            if slot == last_slot and remaining:
+                raise timeout_error(time_limit, remaining, seed)
             if not (senders or listeners or duplexers):
                 continue
 
@@ -426,6 +556,12 @@ class Simulator:
             else:
                 transmitting = senders
                 receivers = listeners
+            # The sends posted here go on the air too; their senders
+            # sleep, so they take no part in the rest of the slot.
+            row = calendar.pop(slot, None)
+            if row is not None:
+                row.update(transmitting)
+                transmitting = row
             if not count_based:
                 # Stateful models (LossyModel) consume channel randomness
                 # per reception: resolve in ascending vertex order, exactly
@@ -578,6 +714,8 @@ class Simulator:
                             )
                         bucket_duplexers[v] = action.message
                     elif isinstance(action, Plan):
+                        if posting and post(v, action, next_slot):
+                            break
                         plans[v], action = start_plan(action)
                         continue
                     else:

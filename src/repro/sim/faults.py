@@ -41,7 +41,11 @@ the trial seed, and the slot — never of which worker or block ran it):
 
 Slot context reaches the models through the
 :meth:`~repro.sim.models.ChannelModel.begin_slot` hook (models with
-``slot_aware = True``).  Engines may skip slots nothing happens in, so
+``slot_aware = True``).  Engines may skip slots nothing happens in, and
+slots no one listens in (the serial engine never processes a slot that
+holds only posted sends, see :mod:`repro.sim.engine`); a slot an engine
+does process still counts every on-air transmitter, posted ones
+included, in the ``n_transmitters`` the reactive jammer keys on.  So
 slot-aware state must be *path-independent*: ``GilbertElliottModel``
 advances its chain lazily — catching up from the last seen slot to the
 current one always consumes exactly ``(current - last)`` rng draws — so

@@ -10,6 +10,10 @@ costs nothing when disabled instead of an ``if trace`` branch per slot.
 Observer call order is the installation order; the engine always installs
 :class:`EnergyObserver` first (energy is part of :class:`SimResult`), then
 :class:`TraceObserver` when tracing is on, then any user observers.
+
+Installing any observer besides the energy meter also decides which slots
+are seen: the serial engine posts send-only plans (see
+:mod:`repro.sim.engine`) only in trials the energy meter watches alone.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ __all__ = [
 
 class SlotObserver:
     """Base class: sees every active slot of a run.
+
+    An active slot is one in which some device sends, listens or does
+    both.  A trial with any observer besides :class:`EnergyObserver`
+    posts no plans (see :mod:`repro.sim.engine`), so its observers see
+    every active slot with all of its senders.
 
     ``on_slot`` receives the slot number and the slot's complete activity:
     ``senders``/``duplexers`` map vertex -> outgoing message, ``listeners``
@@ -87,6 +96,12 @@ class EnergyObserver(SlotObserver):
     active device, every active slot), and ``listens[v] += 1`` beats a
     method call per charge.  :meth:`reports` snapshots the arrays into
     the same :class:`EnergyReport` records the meters produce.
+
+    It sees only the slots the engine processes, and in them only the
+    devices that step: a posted plan's sends (see :mod:`repro.sim.engine`)
+    arrive as one :meth:`charge_sends` call when the plan starts, and
+    the slots that hold nothing but posted sends never reach
+    :meth:`on_slot`.  The totals equal per-slot metering either way.
     """
 
     def __init__(self) -> None:
@@ -115,6 +130,12 @@ class EnergyObserver(SlotObserver):
         for v in duplexers:
             counts[v] += 1
             last[v] = slot
+
+    def charge_sends(self, v: int, count: int, last: int) -> None:
+        """Charge ``v`` for ``count`` sends at once, the last at slot
+        ``last``: a posted plan's whole run, charged as it starts."""
+        self.sends[v] += count
+        self.last_active[v] = last
 
     def reports(self) -> List[EnergyReport]:
         return [

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.graphs.graph import Graph
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.energy import EnergyMeter
-from repro.sim.engine import ProtocolError, SimResult, SimulationTimeout
+from repro.sim.engine import ProtocolError, SimResult, timeout_error
 from repro.sim.faults import FaultPlan, down_feedback
 from repro.sim.feedback import SILENCE
 from repro.sim.models import ChannelModel
@@ -101,10 +101,10 @@ class ReferenceSimulator:
         down_fb = SILENCE if churn is None else down_feedback(model)
         while any(not node.done for node in nodes):
             if slot > self.time_limit:
-                remaining = sum(not node.done for node in nodes)
-                raise SimulationTimeout(
-                    f"simulation exceeded {self.time_limit} slots "
-                    f"({remaining} protocols still running, seed {self.seed})"
+                raise timeout_error(
+                    self.time_limit,
+                    sum(not node.done for node in nodes),
+                    self.seed,
                 )
             # Begin idle periods.
             for node in nodes:

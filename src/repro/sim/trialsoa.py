@@ -117,8 +117,8 @@ from repro.sim.engine import (
     ProtocolError,
     ProtocolFactory,
     SimResult,
-    SimulationTimeout,
     Simulator,
+    timeout_error,
 )
 from repro.sim.faults import CrashSchedule, GilbertElliottModel, down_feedback
 from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
@@ -706,11 +706,14 @@ class _SoAEngine:
 
     def _stage(self, round_idx: int):
         """Bring every unfinished trial to its next active slot (firing
-        due wake-ups), mirroring the engine's bucket/heap scheduling.
-        Returns the boolean [T] mask of staged trials."""
+        due wake-ups), mirroring the engine's bucket/heap scheduling and
+        its slot budget: a trial may still finish at slot
+        ``time_limit + 1``'s wake-ups, never later.  Returns the boolean
+        [T] mask of staged trials."""
         np = _np
         st = self.st
         wake = self.wake
+        last_slot = self.time_limit + 1
         staged = np.zeros(self.T, dtype=bool)
         while True:
             alive = self.remaining > 0
@@ -719,22 +722,24 @@ class _SoAEngine:
                 return staged
             has_active = ((st >= _SEND) & (st <= _DUPLEX)).any(axis=1)
             cand = np.where(has_active, self.bucket, wake.min(axis=1))
-            over = todo & (cand > self.time_limit)
-            if over.any():
-                t = int(np.nonzero(over)[0][0])
-                raise SimulationTimeout(
-                    f"simulation exceeded {self.time_limit} slots "
-                    f"({int(self.remaining[t])} protocols still running, "
-                    f"seed {self.seeds[t]})"
-                )
+            beyond = todo & (cand > last_slot)
             self.cur[todo] = cand[todo]
-            due = (st == _IDLE) & (wake == cand[:, None]) & todo[:, None]
+            due = (
+                (st == _IDLE) & (wake == cand[:, None])
+                & (todo & ~beyond)[:, None]
+            )
             if due.any():
                 dt, dv = np.nonzero(due)
                 cand_list = cand.tolist()
                 for t, v in zip(dt.tolist(), dv.tolist()):
                     self._wake(t, v, cand_list[t], round_idx)
                 self._flush()
+            over = beyond | (todo & (cand == last_slot) & (self.remaining > 0))
+            if over.any():
+                t = int(np.nonzero(over)[0][0])
+                raise timeout_error(
+                    self.time_limit, int(self.remaining[t]), self.seeds[t]
+                )
             now_active = ((st >= _SEND) & (st <= _DUPLEX)).any(axis=1)
             staged |= todo & now_active
             # Trials still all-idle re-lap onto their (strictly later)

@@ -3,7 +3,10 @@
 Random generator protocols (randomized actions, per-node divergence,
 feedback-dependent behaviour) must produce byte-identical results under
 :class:`Simulator` and :class:`ReferenceSimulator`: same outputs, same
-energy meters, same finish slots, same duration.
+energy reports, same finish slots, same duration.  Plan-yielding
+protocols also pin the engine's posted sends against its per-slot path,
+and the slot budget's edge (a run may still end in slot
+``time_limit + 1``) against the oracle in every engine.
 """
 
 from __future__ import annotations
@@ -25,10 +28,17 @@ from repro.sim import (
     NO_CD,
     Idle,
     Listen,
+    ListenUntil,
+    Repeat,
     Send,
     Simulator,
+    SimulationTimeout,
+    SlotObserver,
+    Steps,
+    run_trials,
 )
 from repro.sim.actions import SendListen
+from repro.sim.faults import parse_fault_specs
 from repro.sim.models import LossyModel
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import numpy_available
@@ -73,9 +83,8 @@ def _random_protocol(steps: int, duplex: bool):
 
 def _assert_same(fast, slow):
     assert fast.outputs == slow.outputs
-    assert [e.total for e in fast.energy] == [e.total for e in slow.energy]
-    assert [e.sends for e in fast.energy] == [e.sends for e in slow.energy]
-    assert [e.listens for e in fast.energy] == [e.listens for e in slow.energy]
+    # Whole reports: duplex counts and last_active_slot included.
+    assert fast.energy == slow.energy
     assert fast.finish_slot == slow.finish_slot
     assert fast.duration == slow.duration
 
@@ -223,3 +232,187 @@ class TestAllModelsBothPaths:
             11,
             model_factory=factory,
         )
+
+
+# --- plans, fault families and the slot budget ------------------------------
+
+
+FAULTS = (
+    {},
+    {"churn": "periodic:period=7,down=2,stagger=1"},
+    {"churn": "random:p=0.4,period=9,down=3"},
+    {"jam": "random:rate=0.3"},
+    {"jam": "reactive:min=2"},
+    {"burst_loss": "p_gb=0.2,p_bg=0.4,good=0.05,bad=0.9"},
+)
+
+
+def _plan_protocol(steps: int, duplex: bool):
+    """A protocol mixing every plan shape with per-slot actions: send-only
+    ``Steps`` and ``Repeat(Send)`` (which the engine posts), padded and
+    unpadded ``ListenUntil``, mixed ``Steps``, and single actions."""
+
+    def protocol(ctx):
+        rng = ctx.rng
+        heard = []
+        for step in range(steps):
+            roll = rng.random()
+            message = ("m", ctx.index, step)
+            if roll < 0.2:
+                acts = tuple(
+                    Send(message) if rng.random() < 0.5
+                    else Idle(1 + rng.randrange(3))
+                    for _ in range(1 + rng.randrange(4))
+                )
+                heard.append((yield Steps(acts)))
+            elif roll < 0.3:
+                heard.append((yield Repeat(Send(message), 1 + rng.randrange(4))))
+            elif roll < 0.45:
+                heard.append((yield ListenUntil(
+                    1 + rng.randrange(5), pad=rng.random() < 0.5
+                )))
+            elif roll < 0.55:
+                kinds = [Send(message), Listen(), Idle(1 + rng.randrange(2))]
+                if duplex:
+                    kinds.append(SendListen(message))
+                acts = tuple(
+                    rng.choice(kinds) for _ in range(1 + rng.randrange(4))
+                )
+                heard.append((yield Steps(acts)))
+            elif roll < 0.65:
+                yield Send(message)
+            elif roll < 0.8:
+                heard.append((yield Listen()))
+            elif duplex and roll < 0.85:
+                heard.append((yield SendListen(message)))
+            else:
+                yield Idle(1 + rng.randrange(3))
+        return (ctx.index, heard)
+
+    return protocol
+
+
+def _outcome(run):
+    """``run()``'s comparable fields, or its SimulationTimeout message."""
+    try:
+        result = run()
+    except SimulationTimeout as exc:
+        return str(exc)
+    return (result.outputs, result.energy, result.finish_slot,
+            result.duration, result.gen_entries)
+
+
+def _without_entries(outcome):
+    # The oracle enters its per-slot plan driver once per slot, so its
+    # generator-entry count is not the engines'.
+    return outcome if isinstance(outcome, str) else outcome[:4]
+
+
+class TestPlansFaultsAndBudgets:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=2, max_value=7),
+        model_name=st.sampled_from(sorted(FIVE_MODELS)),
+        lossy=st.booleans(),
+        fault=st.sampled_from(range(len(FAULTS))),
+        steps=st.integers(min_value=1, max_value=12),
+        time_limit=st.integers(min_value=1, max_value=40),
+    )
+    def test_plan_protocols_match_the_oracle(
+        self, seed, n, model_name, lossy, fault, steps, time_limit
+    ):
+        """Posted and stepped runs of the serial engine equal the oracle,
+        under every model, lossy or not, under each fault family, with
+        budgets that often cut the run: the same results or the same
+        timeout message."""
+        base = FIVE_MODELS[model_name]
+        graph = random_gnp(n, 0.5, random.Random(seed))
+        protocol = _plan_protocol(steps, base.full_duplex)
+        config = ExecutionConfig(time_limit=time_limit, **FAULTS[fault])
+
+        def make():
+            return LossyModel(base, 0.3, seed=seed) if lossy else base
+
+        oracle = _outcome(lambda: ReferenceSimulator(
+            graph, make(), seed=seed, time_limit=time_limit,
+            faults=parse_fault_specs(config),
+        ).run(protocol))
+        posted = _outcome(lambda: Simulator(
+            graph, make(), seed=seed, exec_config=config,
+        ).run(protocol))
+        # Any observer besides the energy meter turns posting off.
+        stepped = _outcome(lambda: Simulator(
+            graph, make(), seed=seed, exec_config=config,
+            observers=[SlotObserver()],
+        ).run(protocol))
+        assert _without_entries(posted) == _without_entries(oracle)
+        assert stepped == posted
+
+
+def _idle_then_return(ctx):
+    yield Idle(3)
+    return ctx.index
+
+
+def _edge_engines(graph, protocol, time_limit):
+    """Every executor's outcome on one run: the oracle, the serial
+    engine posted and stepped, and the lock-step dispatch."""
+    config = ExecutionConfig(time_limit=time_limit)
+    return {
+        "oracle": _without_entries(_outcome(lambda: ReferenceSimulator(
+            graph, NO_CD, seed=0, time_limit=time_limit,
+        ).run(protocol))),
+        "posted": _without_entries(_outcome(lambda: Simulator(
+            graph, NO_CD, seed=0, exec_config=config,
+        ).run(protocol))),
+        "stepped": _without_entries(_outcome(lambda: Simulator(
+            graph, NO_CD, seed=0, exec_config=config,
+            observers=[SlotObserver()],
+        ).run(protocol))),
+        "lockstep": _without_entries(_outcome(lambda: run_trials(
+            graph, NO_CD, protocol, [0],
+            exec_config=config.replace(
+                lockstep=True, resolution=RESOLUTIONS[-1]
+            ),
+        )[0])),
+    }
+
+
+class TestSlotBudgetEdge:
+    """A run may still end in slot ``time_limit + 1``: the oracle
+    advances an idle in the slot where it ends, so a node whose idle or
+    posted plan ends at ``time_limit + 1`` wakes and returns.  Every
+    executor must agree, on results and on timeout messages."""
+
+    def test_idle_ending_past_the_limit_completes(self):
+        outcomes = _edge_engines(path_graph(2), _idle_then_return, 2)
+        assert outcomes["oracle"] == ([0, 1], outcomes["oracle"][1],
+                                      [2, 2], 3)
+        assert set(map(repr, outcomes.values())) == {
+            repr(outcomes["oracle"])
+        }
+
+    def test_posted_plan_ending_at_the_edge_completes(self):
+        def protocol(ctx):
+            yield Steps((Idle(2), Send("m"), Send("m")))
+            return ctx.index
+
+        outcomes = _edge_engines(path_graph(2), protocol, 3)
+        assert outcomes["oracle"][3] == 4
+        assert set(map(repr, outcomes.values())) == {
+            repr(outcomes["oracle"])
+        }
+
+    def test_timeout_counts_protocols_after_the_edge_wakeups(self):
+        def protocol(ctx):
+            yield Idle(3)
+            if ctx.index:
+                yield Idle(5)
+            return ctx.index
+
+        outcomes = _edge_engines(path_graph(2), protocol, 2)
+        assert outcomes["oracle"] == (
+            "simulation exceeded 2 slots (1 protocols still running, seed 0)"
+        )
+        assert set(outcomes.values()) == {outcomes["oracle"]}
