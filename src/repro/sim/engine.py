@@ -410,8 +410,10 @@ class Simulator:
                 charge_sends(v, count, end - 1)
                 plans[v] = _POSTED_REPEAT
             elif cls is Steps:
+                # Two passes over the actions: anything but a non-empty
+                # tuple (say, a one-shot iterable) is left to start_plan.
                 acts = plan.actions
-                if not acts:
+                if acts.__class__ is not tuple or not acts:
                     return False
                 for act in acts:
                     acls = act.__class__

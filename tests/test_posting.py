@@ -119,6 +119,22 @@ def test_a_long_send_run_is_stepped(monkeypatch):
     _same_run(result, _run(path_graph(2), NO_CD, protocol, observed=True))
 
 
+def test_steps_over_a_one_shot_iterable_runs_as_stepped():
+    """Posting reads a plan's actions twice, so only a tuple is posted;
+    ``Steps`` over a generator still runs, through the stepped path."""
+
+    def protocol(ctx):
+        if ctx.index == 0:
+            yield Steps(Send(k) for k in range(3))
+            return None
+        yield Idle(2)
+        return (yield Listen())
+
+    posted = _run(path_graph(2), NO_CD, protocol)
+    assert posted.outputs == [None, 2]
+    assert posted.energy[0].sends == 3
+
+
 def _posted_then_listened(listen_at):
     """Vertex 0 posts a frame; the others listen once at ``listen_at``."""
 
