@@ -309,7 +309,7 @@ def _without_entries(outcome):
 
 
 class TestPlansFaultsAndBudgets:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=2, max_value=7),
