@@ -10,10 +10,6 @@ costs nothing when disabled instead of an ``if trace`` branch per slot.
 Observer call order is the installation order; the engine always installs
 :class:`EnergyObserver` first (energy is part of :class:`SimResult`), then
 :class:`TraceObserver` when tracing is on, then any user observers.
-
-Installing any observer besides the energy meter also decides which slots
-are seen: the serial engine posts send-only plans (see
-:mod:`repro.sim.engine`) only in trials the energy meter watches alone.
 """
 
 from __future__ import annotations

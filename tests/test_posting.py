@@ -17,7 +17,7 @@ from repro.campaign.cells import knowledge_for
 from repro.campaign.registry import GRAPH_FAMILIES, ROW_REGISTRY, get_row
 from repro.graphs import path_graph, star_graph
 from repro.sim import (
-    CD,
+    CD_STAR,
     NO_CD,
     NOISE,
     SILENCE,
@@ -173,9 +173,10 @@ def test_a_down_posted_sender_is_off_the_air_but_charged():
 
 
 def test_the_reactive_jammer_counts_posted_transmitters():
-    """Two posted leaves reach the threshold of ``reactive:min=2``, so
-    the hub hears the jam (noise under CD), not the collision's noise
-    from resolution; with one sender the slot is clean."""
+    """Under CD* the hub hears the lowest leaf's message however many
+    leaves send, unless the slot is jammed.  Two posted leaves reach the
+    threshold of ``reactive:min=2``, so the hub hears the jam (noise);
+    one does not."""
 
     def protocol(ctx):
         if ctx.index == 0:
@@ -188,7 +189,7 @@ def test_the_reactive_jammer_counts_posted_transmitters():
         inputs = {v: {"senders": senders} for v in range(4)}
         runs = [
             Simulator(
-                star_graph(4), CD, seed=0,
+                star_graph(4), CD_STAR, seed=0,
                 exec_config=ExecutionConfig(jam="reactive:min=2"),
                 observers=observers,
             ).run(protocol, inputs=inputs)

@@ -350,33 +350,31 @@ class TestPlansFaultsAndBudgets:
         assert stepped == posted
 
 
-def _idle_then_return(ctx):
-    yield Idle(3)
-    return ctx.index
-
-
-def _edge_engines(graph, protocol, time_limit):
-    """Every executor's outcome on one run: the oracle, the serial
-    engine posted and stepped, and the lock-step dispatch."""
+def _edge_outcomes(graph, protocol, time_limit):
+    """The oracle's outcome of one run, after asserting that the serial
+    engine, posted and stepped, and the lock-step dispatch all equal it."""
     config = ExecutionConfig(time_limit=time_limit)
-    return {
-        "oracle": _without_entries(_outcome(lambda: ReferenceSimulator(
-            graph, NO_CD, seed=0, time_limit=time_limit,
-        ).run(protocol))),
-        "posted": _without_entries(_outcome(lambda: Simulator(
+    oracle = _without_entries(_outcome(lambda: ReferenceSimulator(
+        graph, NO_CD, seed=0, time_limit=time_limit,
+    ).run(protocol)))
+    engines = {
+        "posted": lambda: Simulator(
             graph, NO_CD, seed=0, exec_config=config,
-        ).run(protocol))),
-        "stepped": _without_entries(_outcome(lambda: Simulator(
+        ).run(protocol),
+        "stepped": lambda: Simulator(
             graph, NO_CD, seed=0, exec_config=config,
             observers=[SlotObserver()],
-        ).run(protocol))),
-        "lockstep": _without_entries(_outcome(lambda: run_trials(
+        ).run(protocol),
+        "lockstep": lambda: run_trials(
             graph, NO_CD, protocol, [0],
             exec_config=config.replace(
                 lockstep=True, resolution=RESOLUTIONS[-1]
             ),
-        )[0])),
+        )[0],
     }
+    for name, run in engines.items():
+        assert _without_entries(_outcome(run)) == oracle, name
+    return oracle
 
 
 class TestSlotBudgetEdge:
@@ -386,23 +384,20 @@ class TestSlotBudgetEdge:
     executor must agree, on results and on timeout messages."""
 
     def test_idle_ending_past_the_limit_completes(self):
-        outcomes = _edge_engines(path_graph(2), _idle_then_return, 2)
-        assert outcomes["oracle"] == ([0, 1], outcomes["oracle"][1],
-                                      [2, 2], 3)
-        assert set(map(repr, outcomes.values())) == {
-            repr(outcomes["oracle"])
-        }
+        def protocol(ctx):
+            yield Idle(3)
+            return ctx.index
+
+        outputs, _, _, duration = _edge_outcomes(path_graph(2), protocol, 2)
+        assert (outputs, duration) == ([0, 1], 3)
 
     def test_posted_plan_ending_at_the_edge_completes(self):
         def protocol(ctx):
             yield Steps((Idle(2), Send("m"), Send("m")))
             return ctx.index
 
-        outcomes = _edge_engines(path_graph(2), protocol, 3)
-        assert outcomes["oracle"][3] == 4
-        assert set(map(repr, outcomes.values())) == {
-            repr(outcomes["oracle"])
-        }
+        outputs, _, _, duration = _edge_outcomes(path_graph(2), protocol, 3)
+        assert (outputs, duration) == ([0, 1], 4)
 
     def test_timeout_counts_protocols_after_the_edge_wakeups(self):
         def protocol(ctx):
@@ -411,8 +406,6 @@ class TestSlotBudgetEdge:
                 yield Idle(5)
             return ctx.index
 
-        outcomes = _edge_engines(path_graph(2), protocol, 2)
-        assert outcomes["oracle"] == (
+        assert _edge_outcomes(path_graph(2), protocol, 2) == (
             "simulation exceeded 2 slots (1 protocols still running, seed 0)"
         )
-        assert set(outcomes.values()) == {outcomes["oracle"]}
