@@ -31,14 +31,14 @@ boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
 The reference oracle runs the same protocols through
 :func:`repro.sim.plan.expand_plans`, one slot at a time.
 
-**Posted sends.**  A plan that only sends and idles (``Repeat(Send, k)``,
-or a ``Steps`` of ``Send``/``Idle`` actions) needs no feedback, so when
-the energy meter is a trial's only observer the engine *posts* it
-instead of stepping it: its sends go onto a per-trial calendar (slot ->
-{vertex: message}), the meter charges them in one call
-(:meth:`~repro.sim.observers.EnergyObserver.charge_sends`), and the node
-sleeps on the heap until the plan ends, where it resumes exactly as a
-stepped plan would.  A slot the engine processes anyway — someone
+**Posted sends.**  A plan that only sends and idles (``Repeat(Send, k)``
+with k up to 4096, or a ``Steps`` tuple of ``Send``/``Idle`` actions)
+needs no feedback, so when the energy meter is a trial's only observer
+the engine *posts* it instead of stepping it: its sends go onto a
+per-trial calendar (slot -> {vertex: message}), the meter charges them
+in one call (:meth:`~repro.sim.observers.EnergyObserver.charge_sends`),
+and the node sleeps on the heap until the plan ends, where it resumes
+exactly as a stepped plan would.  A slot the engine processes anyway — someone
 listens there, or another node acts — pops its calendar row into the
 air before churn filtering, ``begin_slot`` and resolution, so listeners,
 lossy draws and the reactive jammer see every transmitter.  A slot that
