@@ -713,7 +713,6 @@ class _SoAEngine:
         np = _np
         st = self.st
         wake = self.wake
-        last_slot = self.time_limit + 1
         staged = np.zeros(self.T, dtype=bool)
         while True:
             alive = self.remaining > 0
@@ -722,24 +721,28 @@ class _SoAEngine:
                 return staged
             has_active = ((st >= _SEND) & (st <= _DUPLEX)).any(axis=1)
             cand = np.where(has_active, self.bucket, wake.min(axis=1))
-            beyond = todo & (cand > last_slot)
+            late = todo & (cand > self.time_limit)
+            any_late = late.any()
+            waking = todo
+            if any_late:
+                beyond = late & (cand > self.time_limit + 1)
+                waking = todo & ~beyond
             self.cur[todo] = cand[todo]
-            due = (
-                (st == _IDLE) & (wake == cand[:, None])
-                & (todo & ~beyond)[:, None]
-            )
+            due = (st == _IDLE) & (wake == cand[:, None]) & waking[:, None]
             if due.any():
                 dt, dv = np.nonzero(due)
                 cand_list = cand.tolist()
                 for t, v in zip(dt.tolist(), dv.tolist()):
                     self._wake(t, v, cand_list[t], round_idx)
                 self._flush()
-            over = beyond | (todo & (cand == last_slot) & (self.remaining > 0))
-            if over.any():
-                t = int(np.nonzero(over)[0][0])
-                raise timeout_error(
-                    self.time_limit, int(self.remaining[t]), self.seeds[t]
-                )
+            if any_late:
+                over = beyond | (late & (self.remaining > 0))
+                if over.any():
+                    t = int(np.nonzero(over)[0][0])
+                    raise timeout_error(
+                        self.time_limit, int(self.remaining[t]),
+                        self.seeds[t],
+                    )
             now_active = ((st >= _SEND) & (st <= _DUPLEX)).any(axis=1)
             staged |= todo & now_active
             # Trials still all-idle re-lap onto their (strictly later)
