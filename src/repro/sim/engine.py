@@ -140,7 +140,9 @@ class SimulationTimeout(RuntimeError):
     """The run exceeded its slot budget without all protocols terminating."""
 
 
-def timeout_error(time_limit: int, remaining: int, seed: int) -> SimulationTimeout:
+def timeout_error(
+    time_limit: int, remaining: int, seed: int
+) -> SimulationTimeout:
     """The :class:`SimulationTimeout` every executor raises for a run
     with ``remaining`` protocols still running past ``time_limit``."""
     return SimulationTimeout(

@@ -266,7 +266,9 @@ def _plan_protocol(steps: int, duplex: bool):
                 )
                 heard.append((yield Steps(acts)))
             elif roll < 0.3:
-                heard.append((yield Repeat(Send(message), 1 + rng.randrange(4))))
+                heard.append((yield Repeat(
+                    Send(message), 1 + rng.randrange(4)
+                )))
             elif roll < 0.45:
                 heard.append((yield ListenUntil(
                     1 + rng.randrange(5), pad=rng.random() < 0.5
