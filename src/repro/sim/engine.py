@@ -31,20 +31,21 @@ boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
 The reference oracle runs the same protocols through
 :func:`repro.sim.plan.expand_plans`, one slot at a time.
 
-**Posted sends.**  A plan that only sends and idles (``Repeat(Send, k)``
-with k up to 4096, or a ``Steps`` tuple of ``Send``/``Idle`` actions)
-needs no feedback, so when the energy meter is a trial's only observer
-the engine *posts* it instead of stepping it: its sends go onto a
-per-trial calendar (slot -> {vertex: message}), the meter charges them
-in one call (:meth:`~repro.sim.observers.EnergyObserver.charge_sends`),
-and the node sleeps on the heap until the plan ends, where it resumes
-exactly as a stepped plan would.  A slot the engine processes anyway — someone
+**Posted sends.**  A ``Steps`` plan whose actions are all ``Send`` or
+``Idle`` (an SR sender's frame) needs no feedback, so when the energy
+meter is a trial's only observer the engine *posts* it instead of
+stepping it: its sends go onto a per-trial calendar (slot -> {vertex:
+message}), the meter charges them in one call
+(:meth:`~repro.sim.observers.EnergyObserver.charge_sends`), and the node
+sleeps on the heap until the plan ends, where it resumes exactly as a
+stepped plan would.  A slot the engine processes anyway — someone
 listens there, or another node acts — pops its calendar row into the
 air before churn filtering, ``begin_slot`` and resolution, so listeners,
 lossy draws and the reactive jammer see every transmitter.  A slot that
 holds only posted sends is never processed: a send nobody hears costs
-nothing per slot.  Trials with any other observer (a trace, a row
-measurement, a contention histogram) step every plan, because those
+nothing per slot.  Every other plan, ``Repeat(Send, k)`` included, is
+stepped, and so is every plan of a trial with any other observer (a
+trace, a row measurement, a contention histogram), because those
 observers read every slot's senders.
 
 Energy metering and trace recording live in :mod:`repro.sim.observers`
@@ -81,10 +82,8 @@ from repro.sim.plan import (
     OP_STEPS,
     OP_UNTIL,
     RESULT_COLLECT,
-    RESULT_NONE,
     Plan,
     ProtocolError,
-    Repeat,
     Steps,
     exact_action,
     plan_feedback,
@@ -119,15 +118,10 @@ _RESUME = object()  # heap payload marker: wake a sleeping generator
 # twice what it kept at the last prune.
 _CALENDAR_ROWS = 4096
 
-# A Repeat(Send, k) is one small object whatever k is, but posting it
-# takes k calendar entries, so longer send runs are stepped instead.
-_POST_MAX_REPEAT = 4096
-
 # The plan state a posted plan leaves behind while its node sleeps: on
 # wake-up plan_resume() ends it with the value the stepped plan returns,
-# None after Repeat(Send) and () after Steps.  Finished states are only
-# read, so every posted node shares one tuple.
-_POSTED_REPEAT = (OP_PENDING, 0, None, None, RESULT_NONE, None, False)
+# the () of a Steps that never listened.  Finished states are only read,
+# so every posted node shares one tuple.
 _POSTED_STEPS = (OP_PENDING, 0, None, (), RESULT_COLLECT, None, False)
 
 #: The default slot budget of a bare Simulator run; batch/broadcast
@@ -385,61 +379,40 @@ class Simulator:
         charge_sends = energy.charge_sends
 
         def post(v: int, plan: Plan, start: int) -> bool:
-            """Post ``v``'s ``plan`` from slot ``start`` if it only sends
-            and idles: lay its sends on the calendar, charge them, and
-            sleep ``v`` until the plan ends.  False, with no effect,
-            for any other plan (including malformed ones, which
-            start_plan then refuses)."""
+            """Post ``v``'s ``plan`` from slot ``start`` if it is a
+            ``Steps`` that only sends and idles: lay its sends on the
+            calendar, charge them, and sleep ``v`` until the plan ends.
+            False, with no effect, for any other plan (including
+            malformed ones, which start_plan then refuses)."""
             nonlocal prune_above
-            cls = plan.__class__
-            if cls is Repeat:
-                action = plan.action
-                count = plan.count
-                if (
-                    action.__class__ is not Send
-                    or count.__class__ is not int
-                    or not 1 <= count <= _POST_MAX_REPEAT
-                ):
-                    return False
-                message = action.message
-                end = start + count
-                for t in range(start, end):
-                    row = calendar.get(t)
-                    if row is None:
-                        calendar[t] = {v: message}
-                    else:
-                        row[v] = message
-                charge_sends(v, count, end - 1)
-                plans[v] = _POSTED_REPEAT
-            elif cls is Steps:
-                # Two passes over the actions: anything but a non-empty
-                # tuple (say, a one-shot iterable) is left to start_plan.
-                acts = plan.actions
-                if acts.__class__ is not tuple or not acts:
-                    return False
-                for act in acts:
-                    acls = act.__class__
-                    if acls is not Send and acls is not Idle:
-                        return False
-                end = start
-                sends = 0
-                for act in acts:
-                    if act.__class__ is Idle:
-                        end += act.duration
-                        continue
-                    row = calendar.get(end)
-                    if row is None:
-                        calendar[end] = {v: act.message}
-                    else:
-                        row[v] = act.message
-                    sends += 1
-                    last = end
-                    end += 1
-                if sends:
-                    charge_sends(v, sends, last)
-                plans[v] = _POSTED_STEPS
-            else:
+            if plan.__class__ is not Steps:
                 return False
+            # Two passes over the actions: anything but a non-empty
+            # tuple (say, a one-shot iterable) is left to start_plan.
+            acts = plan.actions
+            if acts.__class__ is not tuple or not acts:
+                return False
+            for act in acts:
+                acls = act.__class__
+                if acls is not Send and acls is not Idle:
+                    return False
+            end = start
+            sends = 0
+            for act in acts:
+                if act.__class__ is Idle:
+                    end += act.duration
+                    continue
+                row = calendar.get(end)
+                if row is None:
+                    calendar[end] = {v: act.message}
+                else:
+                    row[v] = act.message
+                sends += 1
+                last = end
+                end += 1
+            if sends:
+                charge_sends(v, sends, last)
+            plans[v] = _POSTED_STEPS
             heappush(heap, (end, v, _RESUME))
             if len(calendar) > prune_above:
                 # Every slot before ``start`` is behind the slot loop:

@@ -24,7 +24,6 @@ from repro.sim import (
     ExecutionConfig,
     Idle,
     Listen,
-    Repeat,
     Send,
     Simulator,
     SlotObserver,
@@ -78,7 +77,7 @@ def test_a_slot_of_posted_sends_only_is_never_processed(monkeypatch):
     def protocol(ctx):
         if ctx.index == 0:
             yield Steps((Send("a"), Idle(2), Send("b"), Send("b")))
-            yield Repeat(Send("c"), 3)
+            yield Steps((Send("c"),) * 3)
         else:
             yield Idle(9)
         return ctx.index
@@ -92,31 +91,6 @@ def test_a_slot_of_posted_sends_only_is_never_processed(monkeypatch):
     stepped = _run(path_graph(2), NO_CD, protocol, observed=True)
     assert slots == [0, 3, 4, 5, 6, 7]
     _same_run(posted, stepped)
-
-
-def test_a_long_send_run_is_stepped(monkeypatch):
-    """A ``Repeat(Send, k)`` past the posting bound would need k calendar
-    entries for one small plan object, so the engine steps it."""
-    import repro.sim.engine as engine
-
-    monkeypatch.setattr(engine, "_POST_MAX_REPEAT", 3)
-    charged = []
-    charge_sends = EnergyObserver.charge_sends
-
-    def recording(self, v, count, last):
-        charged.append(count)
-        charge_sends(self, v, count, last)
-
-    monkeypatch.setattr(EnergyObserver, "charge_sends", recording)
-
-    def protocol(ctx):
-        yield Repeat(Send("x"), 4 - ctx.index)
-        return ctx.index
-
-    result = _run(path_graph(2), NO_CD, protocol)
-    assert charged == [3]  # vertex 1's run of 3 posted, vertex 0's stepped
-    assert [e.sends for e in result.energy] == [4, 3]
-    _same_run(result, _run(path_graph(2), NO_CD, protocol, observed=True))
 
 
 def test_steps_over_a_one_shot_iterable_runs_as_stepped():
@@ -182,7 +156,7 @@ def test_the_reactive_jammer_counts_posted_transmitters():
         if ctx.index == 0:
             return (yield Listen())
         if ctx.index <= ctx.inputs["senders"]:
-            yield Repeat(Send(("leaf", ctx.index)), 2)
+            yield Steps((Send(("leaf", ctx.index)),) * 2)
         return None
 
     for senders, heard in ((2, NOISE), (1, ("leaf", 1))):

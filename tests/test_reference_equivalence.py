@@ -249,7 +249,7 @@ FAULTS = (
 
 def _plan_protocol(steps: int, duplex: bool):
     """A protocol mixing every plan shape with per-slot actions: send-only
-    ``Steps`` and ``Repeat(Send)`` (which the engine posts), padded and
+    ``Steps`` (which the engine posts), ``Repeat(Send)``, padded and
     unpadded ``ListenUntil``, mixed ``Steps``, and single actions."""
 
     def protocol(ctx):
