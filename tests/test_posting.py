@@ -1,7 +1,7 @@
 """Posted sends: the serial engine's send-only plans.
 
-With the energy meter as a trial's only observer, the engine posts a plan
-that only sends and idles instead of stepping it (see
+With the energy meter as a trial's only observer, the engine posts a
+``Steps`` plan that only sends and idles instead of stepping it (see
 :mod:`repro.sim.engine`).  Posting must change nothing but the work done:
 these tests pin what a posted plan puts on the air, what it charges,
 which slots the engine still processes, and, for every registry row,
