@@ -26,24 +26,34 @@ schedule depends on nothing it hears, so decay senders and CD senders
 without the ack slot draw every burst at frame start and yield the whole
 frame as one ``Steps`` plan; decay receivers yield a single padded
 ``ListenUntil``; the deterministic interval schedules yield one ``Steps``
-per round.  :func:`~repro.sim.plan.timeline` lays out the CD and the
-deterministic schedules from the slots where they act.  A sender frame
-thus costs O(1) generator entries instead of O(frame_length).  Each
-node's rng is its own and nothing else draws from it inside a frame, so
-drawing up front draws the same numbers in the same order as a per-slot
-loop: slot pattern, rng stream and results are byte-identical to the
-per-slot path (the reference simulator, which expands every plan per
-slot, pins this).
+per round.  Both sender schedules are laid out inside their draw loops;
+:func:`~repro.sim.plan.timeline` lays out the deterministic grids and the
+CD receiver epochs from the slots where they act.  A sender frame thus
+costs O(1) generator entries instead of O(frame_length).  Each node's rng
+is its own and nothing else draws from it inside a frame, so drawing up
+front draws the same numbers in the same order as a per-slot loop: slot
+pattern, rng stream and results are byte-identical to the per-slot path
+(the reference simulator, which expands every plan per slot, pins this).
 Adaptive parts whose next slot depends on the previous feedback (probe
 slots, ack slots, the Lemma 8 controller) stay per-slot or per-epoch —
 the escape hatch plans are designed around.
+
+Whatever is the same in every frame of one geometry (:class:`DecayParams`,
+:class:`CDParams`) is built once, on first use, and kept on the params:
+the bystander's and the satisfied node's idles, the decay sender's phase
+tails, the CD slot probabilities and the CD receiver's epoch plans.  The
+probe and ack actions are module constants.  Sharing them between frames
+and nodes is safe because actions and plans are immutable by convention:
+the engines and the oracle only read them.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Optional, Tuple
 
 from repro.sim.actions import Idle, Listen, Send
 from repro.sim.feedback import NOISE, SILENCE, is_message
@@ -64,7 +74,11 @@ __all__ = [
 
 _PROBE = ("sr-probe",)
 _ACK = ("sr-ack",)
-_LISTEN = Listen()  # shared: Listen carries no per-slot state
+# Shared actions: none carries per-slot state.
+_LISTEN = Listen()
+_SEND_PROBE = Send(_PROBE)
+_SEND_ACK = Send(_ACK)
+_IDLE_ONE = Idle(1)
 
 
 class Role(enum.Enum):
@@ -81,10 +95,9 @@ class Role(enum.Enum):
     IDLE = "idle"
 
 
-def _idle(slots: int):
-    """Yield one Idle covering ``slots`` slots (no-op when slots == 0)."""
-    if slots > 0:
-        yield Idle(slots)
+def _idle_or_none(slots: int) -> Optional[Idle]:
+    """One Idle covering ``slots`` slots, or None when there are none."""
+    return Idle(slots) if slots > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +125,13 @@ class DecayParams:
 
         One decay phase with K = ceil(log2 Delta) + 2 slots delivers with
         probability >= 1/4 for any contention level m <= Delta (standard
-        decay analysis), hence phases = ceil(log_{4/3}(1/f)) suffices; we
-        use the slightly conservative ceil(5 ln(1/f)).
+        decay analysis), hence phases = ceil(log_{4/3}(1/f)), about
+        ceil(3.48 ln(1/f)), suffices; we use the slightly conservative
+        ceil(5 ln(1/f) / ln 4) = ceil(5 log_4(1/f)): 15 phases at
+        f = 0.02.
         """
         if not 0 < failure < 1:
             raise ValueError(f"failure must be in (0,1), got {failure}")
-        import math
-
         slots = ceil_log2(max(2, max_degree)) + 2
         phases = max(1, math.ceil(5.0 * math.log(1.0 / failure) / math.log(4.0)))
         return cls(slots_per_phase=slots, phases=phases)
@@ -126,6 +139,24 @@ class DecayParams:
     @property
     def frame_length(self) -> int:
         return self.slots_per_phase * self.phases
+
+    @cached_property
+    def idle_frame(self) -> Optional[Idle]:
+        """A bystander's whole frame as one Idle (None if empty)."""
+        return _idle_or_none(self.frame_length)
+
+    @cached_property
+    def listen_frame(self) -> ListenUntil:
+        """A receiver's whole frame when it accepts any message."""
+        return ListenUntil(self.frame_length, pad=True)
+
+    @cached_property
+    def sender_tails(self) -> Tuple[Optional[Idle], ...]:
+        """``sender_tails[length]`` idles out a phase after a burst of
+        ``length`` sends: ``Idle(slots_per_phase - length)``, or None for
+        a burst that fills the phase."""
+        slots = self.slots_per_phase
+        return tuple(_idle_or_none(slots - length) for length in range(slots + 1))
 
 
 def sr_nocd(
@@ -150,26 +181,29 @@ def sr_nocd(
     accepted message, idle out the rest.  Both are exactly the per-slot
     path's slot pattern with O(1) generator entries.
     """
-    slots, phases = params.slots_per_phase, params.phases
     if role is Role.IDLE:
-        yield from _idle(params.frame_length)
+        if params.idle_frame is not None:
+            yield params.idle_frame
         return None
     if role is Role.SENDER:
+        slots = params.slots_per_phase
+        tails = params.sender_tails
         rand = ctx.rng.random
         send = Send(message)
         acts = []
-        for _ in range(phases):
+        for _ in range(params.phases):
             length = 1
             while length < slots and rand() < 0.5:
                 length += 1
             acts += (send,) * length
             if length < slots:
-                acts.append(Idle(slots - length))
+                acts.append(tails[length])
         yield Steps(tuple(acts))
         return None
     # Receiver: one plan for the whole frame.
-    received = yield ListenUntil(slots * phases, accept=accept, pad=True)
-    return received
+    if accept is None:
+        return (yield params.listen_frame)
+    return (yield ListenUntil(params.frame_length, accept=accept, pad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +241,6 @@ class CDParams:
         epochs, after which each epoch succeeds with probability >= 1/8."""
         if not 0 < failure < 1:
             raise ValueError(f"failure must be in (0,1), got {failure}")
-        import math
-
         slots = ceil_log2(max(2, max_degree)) + 2
         search = 2 * (ceil_log2(slots) + 1)
         steady = max(1, math.ceil(18.0 * math.log(1.0 / failure) / math.log(4.0)))
@@ -226,6 +258,43 @@ class CDParams:
     @property
     def frame_length(self) -> int:
         return (2 if self.probe else 0) + self.epoch_length * self.epochs
+
+    @cached_property
+    def idle_frame(self) -> Optional[Idle]:
+        """A bystander's whole frame as one Idle (None if empty)."""
+        return _idle_or_none(self.frame_length)
+
+    @cached_property
+    def after_probe(self) -> Optional[Idle]:
+        """The Idle that ends the frame of a vertex the probe let out."""
+        return _idle_or_none(self.epoch_length * self.epochs)
+
+    @cached_property
+    def after_epoch(self) -> Tuple[Optional[Idle], ...]:
+        """``after_epoch[e]`` idles out the frame after epoch ``e`` (None
+        after the last one)."""
+        length, epochs = self.epoch_length, self.epochs
+        return tuple(
+            _idle_or_none(length * (epochs - 1 - e)) for e in range(epochs)
+        )
+
+    @cached_property
+    def slot_probs(self) -> Tuple[float, ...]:
+        """A sender's transmit probability in each slot i of an epoch,
+        2^-(i+1)."""
+        return tuple(2.0 ** -(i + 1) for i in range(self.slots_per_epoch))
+
+    @cached_property
+    def listen_epochs(self) -> Tuple[Any, ...]:
+        """``listen_epochs[k - 1]``: a receiver's epoch plan that listens
+        in slot k - 1 and idles in the others (a bare Listen when the
+        epoch has one slot)."""
+        slots = self.slots_per_epoch
+        plans = []
+        for slot in range(slots):
+            acts = timeline(((slot, _LISTEN),), slots)
+            plans.append(acts[0] if len(acts) == 1 else Steps(acts))
+        return tuple(plans)
 
 
 class UniformController:
@@ -270,19 +339,32 @@ class UniformController:
                 self.lo = max(0, self.hi - 1)
 
 
-def _cd_send_schedule(rand, send: Send, slots: int, epochs: int) -> tuple:
-    """A CD sender's actions for ``epochs`` epochs of ``slots`` slots.
+def _cd_send_schedule(rand, send: Send, probs, epochs: int) -> tuple:
+    """A CD sender's actions for ``epochs`` epochs, one slot per entry of
+    ``probs`` (:attr:`CDParams.slot_probs`).
 
-    In every epoch each slot i draws ``rand() < 2^-(i+1)``, in slot order
-    (all ``slots`` draws happen), and the sender transmits ``send`` in the
-    first two slots that hit; idle gaps merge across epoch boundaries.
+    In every epoch each slot i draws ``rand() < probs[i]``, in slot order
+    (all of an epoch's draws happen), and the sender transmits ``send``
+    in the first two slots that hit; idle gaps merge across epoch
+    boundaries.  The actions are laid out in the draw loop itself: a hit
+    closes the idle gap before it, and a miss lengthens it.
     """
-    probs = [2.0 ** -(i + 1) for i in range(slots)]
-    events = []
-    for base in range(0, epochs * slots, slots):
-        picks = [i for i in range(slots) if rand() < probs[i]][:2]
-        events += [(base + i, send) for i in picks]
-    return timeline(events, epochs * slots)
+    acts = []
+    gap = 0
+    for _ in range(epochs):
+        hits = 0
+        for p in probs:
+            if rand() < p and hits < 2:
+                if gap:
+                    acts.append(Idle(gap))
+                    gap = 0
+                acts.append(send)
+                hits += 1
+            else:
+                gap += 1
+    if gap:
+        acts.append(Idle(gap))
+    return tuple(acts)
 
 
 def sr_cd(
@@ -305,42 +387,34 @@ def sr_cd(
     picks at frame start (same draws, same order as the per-epoch loop)
     and yields all its epochs as one ``Steps`` plan; with it, each epoch
     is one ``Steps`` plan followed by the per-slot ack listen.  A
-    receiver yields one ``Steps`` plan per epoch (the controller needs
+    receiver yields one shared epoch plan per epoch (the controller needs
     each epoch's feedback) and, once it holds a message, one ``Idle``
     for the rest of the frame.
     """
-    total = params.frame_length
-    spent = 0
-
-    def idle_rest():
-        yield from _idle(total - spent)
-
     if role is Role.IDLE:
-        yield from idle_rest()
+        if params.idle_frame is not None:
+            yield params.idle_frame
         return None
 
     if params.probe:
-        # Probe slot 1: senders transmit, receivers listen.  In CD, any
-        # feedback other than silence proves a sender neighbor exists.
+        # Probe slot 1: senders transmit, receivers listen.  Probe slot 2:
+        # receivers transmit, senders listen.  In CD, any feedback other
+        # than silence proves a counterpart neighbor exists.
         if role is Role.SENDER:
-            yield Send(_PROBE)
-            fb_r = None
+            yield _SEND_PROBE
+            heard = yield _LISTEN
         else:
-            fb_r = yield Listen()
-        # Probe slot 2: receivers transmit, senders listen.
-        if role is Role.RECEIVER:
-            yield Send(_PROBE)
-        else:
-            fb_s = yield Listen()
-        spent += 2
-        if role is Role.RECEIVER and fb_r is SILENCE:
-            yield from idle_rest()
-            return None
-        if role is Role.SENDER and fb_s is SILENCE:
-            yield from idle_rest()
+            heard = yield _LISTEN
+            if role is Role.RECEIVER:
+                yield _SEND_PROBE
+            else:  # Role.BOTH listens in both slots and never opts out
+                yield _LISTEN
+                heard = None
+        if heard is SILENCE:
+            if params.after_probe is not None:
+                yield params.after_probe
             return None
 
-    slots = params.slots_per_epoch
     if role is Role.SENDER:
         # The schedule depends only on the rng draws, so it goes out as
         # Steps plans: every epoch at once without the ack slot, one per
@@ -348,16 +422,16 @@ def sr_cd(
         # feedback decides the early exit.
         rand = ctx.rng.random
         send = Send(message)
+        probs = params.slot_probs
         if not params.ack:
-            yield Steps(_cd_send_schedule(rand, send, slots, params.epochs))
+            yield Steps(_cd_send_schedule(rand, send, probs, params.epochs))
             return None
-        for _ in range(params.epochs):
-            yield Steps(_cd_send_schedule(rand, send, slots, 1))
-            feedback = yield Listen()
-            spent += slots + 1
-            if feedback is not SILENCE:
+        for rest in params.after_epoch:
+            yield Steps(_cd_send_schedule(rand, send, probs, 1))
+            if (yield _LISTEN) is not SILENCE:
                 # Some neighboring receiver is satisfied; stop early.
-                yield from idle_rest()
+                if rest is not None:
+                    yield rest
                 return None
         return None
 
@@ -365,15 +439,16 @@ def sr_cd(
     # epoch's idle/listen/idle schedule is one Steps plan; the feedback
     # comes back at the epoch boundary, which is exactly when the
     # controller needs it (the per-slot path also only acted on it then).
-    controller = UniformController(max_k=slots)
+    plans = params.listen_epochs
+    controller = UniformController(max_k=params.slots_per_epoch)
     received: Optional[Any] = None
-    for _ in range(params.epochs):
+    for rest in params.after_epoch:
         k = controller.next_k()  # 1-based exponent = slot index k-1
-        acts = timeline(((k - 1, _LISTEN),), slots)
-        if len(acts) == 1:
-            feedback = yield acts[0]
+        plan = plans[k - 1]
+        if plan is _LISTEN:
+            feedback = yield plan
         else:
-            feedback = (yield Steps(acts))[0]
+            feedback = (yield plan)[0]
         if is_message(feedback):
             if accept is None or accept(feedback):
                 received = feedback
@@ -381,17 +456,13 @@ def sr_cd(
             # not update the contention controller from it.
         else:
             controller.observe(k, feedback)
-        spent += slots
         if params.ack:
-            if received is not None:
-                yield Send(_ACK)
-            else:
-                yield from _idle(1)
-            spent += 1
+            yield _IDLE_ONE if received is None else _SEND_ACK
         if received is not None:
             # Stay on schedule but free of charge once satisfied (with
             # the ack variant, the ack went out in this epoch).
-            yield from idle_rest()
+            if rest is not None:
+                yield rest
             break
     return received
 
@@ -457,9 +528,8 @@ def sr_det_cd(ctx: NodeCtx, role: Role, value: Optional[int], space: int):
     """
     del ctx
     bits = max(1, ceil_log2(max(2, space)))
-    total = det_frame_length(space)
     if role is Role.IDLE:
-        yield from _idle(total)
+        yield Idle(det_frame_length(space))
         return None
 
     sending = role in (Role.SENDER, Role.BOTH)

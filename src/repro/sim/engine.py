@@ -385,34 +385,40 @@ class Simulator:
             """Post ``v``'s ``plan`` from slot ``start`` if it is a
             ``Steps`` that only sends and idles: lay its sends on the
             calendar, charge them, and sleep ``v`` until the plan ends.
-            False, with no effect, for any other plan (including
+            False, with no result changed, for any other plan (including
             malformed ones, which start_plan then refuses)."""
             nonlocal prune_above
             if plan.__class__ is not Steps:
                 return False
-            # Two passes over the actions: anything but a non-empty
-            # tuple (say, a one-shot iterable) is left to start_plan.
+            # Anything but a non-empty tuple (say, a one-shot iterable)
+            # is left to start_plan, which reads the actions again.
             acts = plan.actions
             if acts.__class__ is not tuple or not acts:
                 return False
-            for act in acts:
-                acls = act.__class__
-                if acls is not Send and acls is not Idle:
-                    return False
+            # One pass: each send is laid as it is checked.  A plan
+            # turned down half-way leaves the rows it laid, and they are
+            # invisible: start_plan steps the same plan from ``start``,
+            # so ``v`` sends the same message in each of those slots.
+            # Such a slot is processed for that stepped send, pops its
+            # row and merges ``v``'s entry with the same message, so the
+            # air is what the stepped run alone would put there.
             end = start
             sends = 0
             for act in acts:
-                if act.__class__ is Idle:
+                acls = act.__class__
+                if acls is Send:
+                    row = calendar.get(end)
+                    if row is None:
+                        calendar[end] = {v: act.message}
+                    else:
+                        row[v] = act.message
+                    sends += 1
+                    last = end
+                    end += 1
+                elif acls is Idle:
                     end += act.duration
-                    continue
-                row = calendar.get(end)
-                if row is None:
-                    calendar[end] = {v: act.message}
                 else:
-                    row[v] = act.message
-                sends += 1
-                last = end
-                end += 1
+                    return False
             if sends:
                 charge_sends(v, sends, last)
             plans[v] = _POSTED_STEPS

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import Any, Optional
 
 import pytest
 
 from repro.core.sr_comm import (
-    _ACK,
-    _PROBE,
     CDParams,
     DecayParams,
     Role,
-    UniformController,
     det_frame_length,
     sr_cd,
     sr_det_cd,
@@ -21,21 +18,8 @@ from repro.core.sr_comm import (
     sr_local,
     sr_nocd,
 )
-from repro.graphs import Graph, clique, k2k_gadget, path_graph, random_gnp, star_graph
-from repro.sim import (
-    CD,
-    LOCAL,
-    NO_CD,
-    SILENCE,
-    ExecutionConfig,
-    Idle,
-    Listen,
-    Repeat,
-    Send,
-    Simulator,
-    Steps,
-)
-from repro.sim.feedback import is_message
+from repro.graphs import clique, path_graph, random_gnp, star_graph
+from repro.sim import CD, LOCAL, NO_CD, ExecutionConfig, Simulator
 from repro.sim.models import LossyModel
 
 
@@ -315,135 +299,15 @@ class TestDeterministicCD:
 
 
 # ---------------------------------------------------------------------------
-# Whole-frame sender plans against the per-phase / per-epoch loops
+# Whole-frame sender plans, pinned by result
 # ---------------------------------------------------------------------------
 
-
-def _sr_nocd_per_phase(ctx, role, message, params, accept=None):
-    """``sr_nocd`` with its earlier per-phase sender loop: one ``Send`` or
-    ``Repeat`` burst and one ``Idle`` per phase (receivers and bystanders
-    run today's code, which that change left alone)."""
-    if role is not Role.SENDER:
-        return (yield from sr_nocd(ctx, role, message, params, accept))
-    slots, phases = params.slots_per_phase, params.phases
-    rand = ctx.rng.random
-    for _ in range(phases):
-        length = 1
-        while length < slots and rand() < 0.5:
-            length += 1
-        if length == 1:
-            yield Send(message)
-        else:
-            yield Repeat(Send(message), length)
-        if slots > length:
-            yield Idle(slots - length)
-    return None
-
-
-def _sr_cd_per_epoch(ctx, role, message, params, accept=None):
-    """``sr_cd`` as it was with per-epoch sender plans: one ``Steps`` per
-    epoch for senders, and one ``Idle`` per epoch for a receiver that
-    already holds its message."""
-    total = params.frame_length
-    spent = 0
-
-    def idle_rest():
-        if total > spent:
-            yield Idle(total - spent)
-
-    if role is Role.IDLE:
-        yield from idle_rest()
-        return None
-
-    if params.probe:
-        if role is Role.SENDER:
-            yield Send(_PROBE)
-            fb_r = None
-        else:
-            fb_r = yield Listen()
-        if role is Role.RECEIVER:
-            yield Send(_PROBE)
-        else:
-            fb_s = yield Listen()
-        spent += 2
-        if role is Role.RECEIVER and fb_r is SILENCE:
-            yield from idle_rest()
-            return None
-        if role is Role.SENDER and fb_s is SILENCE:
-            yield from idle_rest()
-            return None
-
-    slots = params.slots_per_epoch
-    if role is Role.SENDER:
-        for _ in range(params.epochs):
-            picks = [
-                i for i in range(slots) if ctx.rng.random() < 2.0 ** -(i + 1)
-            ][:2]
-            acts = []
-            cursor = 0
-            for i in picks:
-                if i > cursor:
-                    acts.append(Idle(i - cursor))
-                acts.append(Send(message))
-                cursor = i + 1
-            if slots > cursor:
-                acts.append(Idle(slots - cursor))
-            if len(acts) == 1:
-                yield acts[0]
-            else:
-                yield Steps(tuple(acts))
-            spent += slots
-            if params.ack:
-                feedback = yield Listen()
-                spent += 1
-                if feedback is not SILENCE:
-                    yield from idle_rest()
-                    return None
-        return None
-
-    controller = UniformController(max_k=slots)
-    received: Optional[Any] = None
-    for _ in range(params.epochs):
-        if received is None:
-            k = controller.next_k()
-            acts = []
-            if k > 1:
-                acts.append(Idle(k - 1))
-            acts.append(Listen())
-            if slots > k:
-                acts.append(Idle(slots - k))
-            feedback = (yield Steps(tuple(acts)))[0]
-            if is_message(feedback):
-                if accept is None or accept(feedback):
-                    received = feedback
-            else:
-                controller.observe(k, feedback)
-            spent += slots
-            if params.ack:
-                if received is not None:
-                    yield Send(_ACK)
-                else:
-                    yield Idle(1)
-                spent += 1
-        else:
-            if params.ack:
-                yield from idle_rest()
-                break
-            yield Idle(slots)
-            spent += slots
-    return received
-
-
-#: frame kind -> (params for (max_degree, failure), today's frame, oracle)
+#: frame kind -> (params for (max_degree, failure), frame generator)
 _FRAMES = {
-    "nocd": (DecayParams.for_graph, sr_nocd, _sr_nocd_per_phase),
-    "cd": (CDParams.for_graph, sr_cd, _sr_cd_per_epoch),
-    "cd-probe": (
-        lambda d, f: CDParams.for_graph(d, f, probe=True), sr_cd, _sr_cd_per_epoch,
-    ),
-    "cd-ack": (
-        lambda d, f: CDParams.for_graph(d, f, ack=True), sr_cd, _sr_cd_per_epoch,
-    ),
+    "nocd": (DecayParams.for_graph, sr_nocd),
+    "cd": (CDParams.for_graph, sr_cd),
+    "cd-probe": (lambda d, f: CDParams.for_graph(d, f, probe=True), sr_cd),
+    "cd-ack": (lambda d, f: CDParams.for_graph(d, f, ack=True), sr_cd),
 }
 
 #: channel -> (model for a seed, churn spec)
@@ -455,52 +319,130 @@ _CHANNELS = {
 }
 
 
+def _frame_run(frame, channel, seed, traced):
+    """Two ``frame`` frames back to back on a 10-vertex gnp graph, each
+    vertex's role in each frame drawn from ``seed``.  ``traced`` records
+    the trace, which keeps every plan stepped; untraced, the engine
+    posts the send-only plans."""
+    graph = random_gnp(10, 0.4, random.Random(7))
+    make_params, maker = _FRAMES[frame]
+    params = make_params(graph.max_degree, 0.05)
+    model_for, churn = _CHANNELS[channel]
+    pick = random.Random(seed)
+    roles = [
+        [pick.choice((Role.SENDER, Role.RECEIVER, Role.IDLE))
+         for _ in range(graph.n)]
+        for _ in range(2)
+    ]
+
+    def proto(ctx):
+        got = []
+        for frame_roles in roles:
+            got.append((yield from maker(
+                ctx, frame_roles[ctx.index], f"m{ctx.index}", params,
+            )))
+        # The draw after the frames pins the node's rng stream.
+        return got, ctx.rng.random()
+
+    config = ExecutionConfig(record_trace=traced, churn=churn)
+    return Simulator(
+        graph, model_for(seed), seed=seed, exec_config=config
+    ).run(proto)
+
+
+def _digest(result) -> str:
+    """A short hash of what a run pins: outputs (each ending with the
+    node's next rng draw), ``EnergyReport``s, duration, finish slots,
+    ``gen_entries`` and the trace (empty when untraced)."""
+    energy = [
+        (e.sends, e.listens, e.duplex, e.total, e.last_active_slot)
+        for e in result.energy
+    ]
+    trace = [
+        (e.slot, e.node, e.kind, repr(e.message), repr(e.feedback))
+        for e in (result.trace or ())
+    ]
+    blob = repr((
+        result.outputs, energy, result.duration, result.finish_slot,
+        result.gen_entries, trace,
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: (frame, channel, seed) -> digests of the traced (stepped) and the
+#: untraced (posted) run.  Recorded from frames that matched, slot for
+#: slot and draw for draw, the per-phase decay sender loop (one burst
+#: and one Idle per phase) and the per-epoch CD loops (one Steps per
+#: sender epoch, one Idle per epoch for a satisfied receiver).
+_PINNED = {
+    ('cd', 'CD', 0): ('9c8985ad60c399b6', 'df189e16bcf897b5'),
+    ('cd', 'CD', 1): ('d5ef7ca99b98d5f2', '5c146c804269ddfb'),
+    ('cd', 'CD', 2): ('dfbe29a3bbd5eff3', 'a42267186a7f16a4'),
+    ('cd', 'No-CD', 0): ('fd981c0d2e308e5d', 'df189e16bcf897b5'),
+    ('cd', 'No-CD', 1): ('d5ef7ca99b98d5f2', '5c146c804269ddfb'),
+    ('cd', 'No-CD', 2): ('8da289b7e63aeb89', '86a169ad194e99ac'),
+    ('cd', 'churn', 0): ('a20ece3ad2aceae7', 'f42332fe0fbd36dd'),
+    ('cd', 'churn', 1): ('d32dcb2887da9242', 'a84cd1c4be0c4436'),
+    ('cd', 'churn', 2): ('444ec8e25dc3d211', 'c29bf7483b93d416'),
+    ('cd', 'lossy', 0): ('32f06f768c439d08', 'e7b069f729a90139'),
+    ('cd', 'lossy', 1): ('70f8bb0c863e1f53', '99b6167f315e5618'),
+    ('cd', 'lossy', 2): ('380770ac28a172a6', 'aec7af20c19528ff'),
+    ('cd-ack', 'CD', 0): ('ca813f61f223c86f', 'cf5a3626ea081a78'),
+    ('cd-ack', 'CD', 1): ('d0a9e2cefa2337ac', '696843dbf8767093'),
+    ('cd-ack', 'CD', 2): ('98541c84d5abc060', 'c3426a043892f83d'),
+    ('cd-ack', 'No-CD', 0): ('eb4cd0fadd35ea2b', 'c8a112408d0737d4'),
+    ('cd-ack', 'No-CD', 1): ('74da9daf942748b1', '96ad04c455cd40f3'),
+    ('cd-ack', 'No-CD', 2): ('1b53721c480eb077', 'ecdb1a7d4e7f18c0'),
+    ('cd-ack', 'churn', 0): ('3f7e2f3929c58648', '7af4abc2091641a6'),
+    ('cd-ack', 'churn', 1): ('6831a1edbe169c18', '1a29358189a6f00e'),
+    ('cd-ack', 'churn', 2): ('4e0a8bea72219c2c', 'a728f048943f8c1e'),
+    ('cd-ack', 'lossy', 0): ('1f66916996898de1', 'f6cb5284136b2c62'),
+    ('cd-ack', 'lossy', 1): ('0d42877b094a33e7', '084a6049d8b95853'),
+    ('cd-ack', 'lossy', 2): ('3adea185c063fdce', '183eeb53206f2f28'),
+    ('cd-probe', 'CD', 0): ('437f93eac9125f30', '0efffa950629d33a'),
+    ('cd-probe', 'CD', 1): ('b68993ef8a6b9aa6', '30b6bf2f0fe68654'),
+    ('cd-probe', 'CD', 2): ('fb0489a806058dfd', '9cc53f2dcb9d6f72'),
+    ('cd-probe', 'No-CD', 0): ('577118d56004d7e2', '657982b54ff36a3c'),
+    ('cd-probe', 'No-CD', 1): ('350bd47096e3152b', 'ac21a65edd55c92e'),
+    ('cd-probe', 'No-CD', 2): ('0224f8cbfecc3cf3', '931d52d92c068470'),
+    ('cd-probe', 'churn', 0): ('89dc51d97acba6b2', 'c6cd8c41e26fd32d'),
+    ('cd-probe', 'churn', 1): ('57d9ee6fe3a3e253', 'cc484cf62d17203d'),
+    ('cd-probe', 'churn', 2): ('41b6ddc3f8b23f0e', '18e1b1b0138641f4'),
+    ('cd-probe', 'lossy', 0): ('8687768a6d1f81de', '22d3950d75d23caf'),
+    ('cd-probe', 'lossy', 1): ('6e69d17f465af4e1', '8885d3356073e15c'),
+    ('cd-probe', 'lossy', 2): ('0191f1e4d8661770', 'c67f97e42cdc5243'),
+    ('nocd', 'CD', 0): ('562df857c9977d8d', 'c70e8c0617ebbc4f'),
+    ('nocd', 'CD', 1): ('91ebba7da9aa86e8', 'ccbedd01db61c090'),
+    ('nocd', 'CD', 2): ('ab2b9e6f0d10f033', 'b43c623492c42b5e'),
+    ('nocd', 'No-CD', 0): ('61103679a046a019', 'c70e8c0617ebbc4f'),
+    ('nocd', 'No-CD', 1): ('956f39591cfda287', 'ccbedd01db61c090'),
+    ('nocd', 'No-CD', 2): ('0552768273ea0244', 'b43c623492c42b5e'),
+    ('nocd', 'churn', 0): ('734b79f549e3bbb0', '389442515217908a'),
+    ('nocd', 'churn', 1): ('9dfd4e54427f126d', '299793a0f1da8d5b'),
+    ('nocd', 'churn', 2): ('74c31547dc0eb986', '1f1cf3aa44497b29'),
+    ('nocd', 'lossy', 0): ('292337a025b62598', 'b495e3cabdba1c0e'),
+    ('nocd', 'lossy', 1): ('9390ea9b625aab6f', '4f1aa039816db94e'),
+    ('nocd', 'lossy', 2): ('79cb15d0447a3d5d', '6a9405ca5cf81077'),
+}
+
+
 class TestWholeFrameSenders:
-    """Senders yield one plan per frame; the slots, rng stream, energy and
-    outputs are those of the per-phase (decay) and per-epoch (CD) loops."""
-
-    @staticmethod
-    def _run(frame, channel, seed):
-        graph = random_gnp(10, 0.4, random.Random(7))
-        make_params, new, old = _FRAMES[frame]
-        params = make_params(graph.max_degree, 0.05)
-        model_for, churn = _CHANNELS[channel]
-        pick = random.Random(seed)
-        roles = [
-            [pick.choice((Role.SENDER, Role.RECEIVER, Role.IDLE))
-             for _ in range(graph.n)]
-            for _ in range(2)
-        ]
-        config = ExecutionConfig(record_trace=True, churn=churn)
-
-        def protocol(maker):
-            def proto(ctx):
-                got = []
-                for frame_roles in roles:
-                    got.append((yield from maker(
-                        ctx, frame_roles[ctx.index], f"m{ctx.index}", params,
-                    )))
-                # The draw after the frames pins the node's rng stream.
-                return got, ctx.rng.random()
-
-            return proto
-
-        return [
-            Simulator(graph, model_for(seed), seed=seed, exec_config=config)
-            .run(protocol(maker))
-            for maker in (new, old)
-        ]
+    """Senders yield one plan per frame; the slots, rng stream, energy,
+    outputs and generator entries stay those of the per-phase (decay)
+    and per-epoch (CD) loops, pinned by digest."""
 
     @pytest.mark.parametrize("channel", sorted(_CHANNELS))
     @pytest.mark.parametrize("frame", sorted(_FRAMES))
     def test_matches_per_phase_loop(self, frame, channel):
-        for seed in range(3):
-            new, old = self._run(frame, channel, seed)
-            assert new.outputs == old.outputs
-            assert new.energy == old.energy
-            assert new.duration == old.duration
-            assert new.finish_slot == old.finish_slot
-            assert list(new.trace) == list(old.trace)
+        for seed in (0, 1, 2):
+            got = tuple(
+                _digest(_frame_run(frame, channel, seed, traced))
+                for traced in (True, False)
+            )
+            assert got == _PINNED[frame, channel, seed], (
+                f"SR frame {frame!r} on channel {channel!r}, seed {seed}: "
+                f"(traced, untraced) digests {got} moved"
+            )
 
     @pytest.mark.parametrize(
         "model,params",
