@@ -190,10 +190,22 @@ def timeline(events: Iterable[Tuple[int, Any]], length: int) -> Tuple[Any, ...]:
     order, each slot in ``[0, length)``.  Every gap between events, and
     the tail after the last one, becomes one ``Idle``; a schedule with no
     events is a single ``Idle(length)``.  Yield the result as a
-    :class:`Steps` plan."""
+    :class:`Steps` plan.
+
+    Raises ValueError, naming the event, when a slot repeats, goes
+    backwards or lies outside ``[0, length)``: the schedule would not
+    last exactly ``length`` slots, which every fixed frame relies on.
+    """
     acts = []
     cursor = 0
     for slot, action in events:
+        if slot < cursor or slot >= length:
+            problem = (
+                f"lies outside the {length}-slot schedule"
+                if slot < 0 or slot >= length
+                else f"does not come after slot {cursor - 1}"
+            )
+            raise ValueError(f"timeline event {(slot, action)!r} {problem}")
         if slot > cursor:
             acts.append(Idle(slot - cursor))
         acts.append(action)

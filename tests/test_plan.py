@@ -18,6 +18,7 @@ Covers the slots-at-a-time stepping ABI:
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -268,6 +269,21 @@ class TestTimeline:
     def test_no_events_is_one_idle(self):
         assert timeline([], 6) == (Idle(6),)
         assert timeline((), 1) == (Idle(1),)
+
+    @pytest.mark.parametrize("events,length,where", [
+        ([(2, "a"), (2, "b")], 5, "(2, 'b') does not come after slot 2"),
+        ([(3, "a"), (1, "b")], 5, "(1, 'b') does not come after slot 3"),
+        ([(7, "a")], 5, "(7, 'a') lies outside the 5-slot schedule"),
+        ([(0, "a"), (5, "b")], 5, "(5, 'b') lies outside the 5-slot schedule"),
+        ([(-1, "a")], 5, "(-1, 'a') lies outside the 5-slot schedule"),
+    ], ids=["repeat", "backwards", "beyond", "at-length", "negative"])
+    def test_a_malformed_schedule_raises_naming_the_event(
+        self, events, length, where
+    ):
+        # Unchecked, the repeat laid out 6 slots and the beyond case 8
+        # for a 5-slot schedule: a frame silently longer than its peers'.
+        with pytest.raises(ValueError, match=re.escape(where)):
+            timeline(events, length)
 
     def test_runs_length_slots_as_one_steps_plan(self):
         # Vertex 0 sends at slot 3 of a 9-slot schedule; vertex 1
