@@ -10,13 +10,20 @@ that a posted run equals the same run stepped.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from functools import cached_property
+from types import SimpleNamespace
+
 import pytest
 
 from repro.broadcast.base import BROADCAST_TIME_LIMIT, source_inputs
 from repro.campaign.cells import knowledge_for
 from repro.campaign.registry import GRAPH_FAMILIES, ROW_REGISTRY, get_row
-from repro.graphs import path_graph, star_graph
+from repro.core.sr_comm import CDParams, DecayParams, Role, sr_cd, sr_nocd
+from repro.graphs import path_graph, random_gnp, star_graph
 from repro.sim import (
+    CD,
     CD_STAR,
     NO_CD,
     NOISE,
@@ -28,11 +35,14 @@ from repro.sim import (
     Simulator,
     SlotObserver,
     Steps,
+    numpy_available,
     run_trials,
 )
 from repro.sim.energy import EnergyReport
+from repro.sim.faults import parse_fault_specs
 from repro.sim.models import MODELS
 from repro.sim.observers import EnergyObserver
+from repro.sim.reference import ReferenceSimulator
 
 
 def _run(graph, model, protocol, observed=False, **config):
@@ -171,6 +181,183 @@ def test_the_reactive_jammer_counts_posted_transmitters():
         ]
         assert runs[0].outputs[0] == heard
         _same_run(*runs)
+
+
+def _half_posted(ctx):
+    """Vertex 0's plan sends in slots 0 and 2, then listens in slot 3:
+    ``post`` lays both sends before it reaches the listen and turns the
+    plan down.  Vertex 1 listens in every other slot and answers in 3."""
+    if ctx.index == 0:
+        return (yield Steps((Send("a"), Idle(1), Send("a"), Listen(), Idle(2))))
+    heard = []
+    for slot in range(6):
+        if slot == 3:
+            yield Send("b")
+        else:
+            heard.append((yield Listen()))
+    return tuple(heard)
+
+
+@pytest.mark.parametrize("faults", [
+    {}, {"churn": "periodic:period=3,down=1"}, {"jam": "reactive:min=1"},
+], ids=["clean", "churn", "jam"])
+def test_a_plan_turned_down_half_way_runs_as_stepped(faults):
+    """The rows ``post`` laid before it met the listen change nothing:
+    the run equals the stepped one and the oracle's."""
+    graph = path_graph(2)
+    config = ExecutionConfig(**faults)
+    posted = _run(graph, CD, _half_posted, **faults)
+    _same_run(posted, _run(graph, CD, _half_posted, observed=True, **faults))
+    oracle = ReferenceSimulator(
+        graph, CD, seed=0, faults=parse_fault_specs(config),
+    ).run(_half_posted)
+    assert posted.outputs == oracle.outputs
+    assert posted.energy == oracle.energy
+    assert posted.finish_slot == oracle.finish_slot
+    assert posted.duration == oracle.duration
+    if not faults:
+        assert posted.outputs == [("b",), ("a", SILENCE, "a", SILENCE, SILENCE)]
+
+
+# --- SR frames: shared per-geometry plans ------------------------------------
+
+#: frame kind -> (params, frame generator); one params instance each, so
+#: every run below shares its cached plans
+SHARED_FRAMES = {
+    "nocd": (DecayParams.for_graph(5, 0.05), sr_nocd),
+    "cd": (CDParams.for_graph(5, 0.05), sr_cd),
+    "cd-probe": (CDParams.for_graph(5, 0.05, probe=True), sr_cd),
+    "cd-ack": (CDParams.for_graph(5, 0.05, ack=True), sr_cd),
+}
+
+
+def _shared_parts(params):
+    """Every per-geometry part ``params`` builds once and keeps."""
+    return {
+        name: getattr(params, name)
+        for name, attr in vars(type(params)).items()
+        if isinstance(attr, cached_property)
+    }
+
+
+def _frame_outcomes(executor, graph):
+    """Two frames of each kind per seed, every vertex's roles drawn from
+    the seed, run by ``executor``: (kind, seed) -> what the run pins."""
+    soa = "numpy" if numpy_available() else "bitmask"
+    run = {
+        "engine": lambda proto, seed: Simulator(graph, CD, seed=seed).run(proto),
+        "lockstep": lambda proto, seed: run_trials(
+            graph, CD, proto, [seed],
+            exec_config=ExecutionConfig(lockstep=True, resolution=soa),
+        )[0],
+        "reference": lambda proto, seed: ReferenceSimulator(
+            graph, CD, seed=seed,
+        ).run(proto),
+    }[executor]
+    outcomes = {}
+    for kind, (params, frame) in sorted(SHARED_FRAMES.items()):
+        for seed in range(3):
+            pick = random.Random(seed)
+            roles = [
+                [pick.choice((Role.SENDER, Role.RECEIVER, Role.IDLE))
+                 for _ in range(graph.n)]
+                for _ in range(2)
+            ]
+
+            def proto(ctx, roles=roles, params=params, frame=frame):
+                got = []
+                for frame_roles in roles:
+                    got.append((yield from frame(
+                        ctx, frame_roles[ctx.index], f"m{ctx.index}", params,
+                    )))
+                return got, ctx.rng.random()
+
+            result = run(proto, seed)
+            outcomes[kind, seed] = (
+                result.outputs, result.energy, result.finish_slot,
+                result.duration,
+            )
+    return outcomes
+
+
+def test_shared_frame_plans_give_the_same_runs_everywhere_and_stay_intact():
+    """Every executor, run twice in one process, sees the same frames:
+    results agree across executors and runs, and afterwards each
+    params' shared plans still equal freshly built ones."""
+    graph = random_gnp(12, 0.4, random.Random(3))
+    runs = [
+        {ex: _frame_outcomes(ex, graph) for ex in ("engine", "lockstep", "reference")}
+        for _ in range(2)
+    ]
+    first = runs[0]["engine"]
+    assert any(
+        message is not None
+        for outputs, *_ in first.values()
+        for got, _ in outputs
+        for message in got
+    )
+    for by_executor in runs:
+        for executor, outcomes in by_executor.items():
+            assert outcomes == first, executor
+    for kind, (params, _) in SHARED_FRAMES.items():
+        shared = _shared_parts(params)
+        assert shared, kind
+        assert shared == _shared_parts(dataclasses.replace(params)), kind
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _cd_sender_slots(params, seed):
+    """Drive one CD sender frame (no probe; nobody acks): per epoch
+    slot, whether it sends, and the rng draws the frame made."""
+    rng = _CountingRandom(seed)
+    frame = sr_cd(SimpleNamespace(rng=rng), Role.SENDER, "m", params)
+    sends = []
+    feedback = None
+    try:
+        while True:
+            plan = frame.send(feedback)
+            if plan.__class__ is Listen:  # the ack slot
+                feedback = SILENCE
+                continue
+            for act in plan.actions:
+                if act.__class__ is Idle:
+                    sends += [False] * act.duration
+                else:
+                    sends.append(True)
+            feedback = ()
+    except StopIteration:
+        pass
+    return sends, rng.draws
+
+
+@pytest.mark.parametrize("ack", [False, True], ids=["no-ack", "ack"])
+@pytest.mark.parametrize("max_degree", [2, 9, 40])
+def test_a_cd_sender_draws_every_slot_and_sends_at_most_twice_an_epoch(
+    max_degree, ack
+):
+    """Every epoch slot i draws once, in slot order; the sender sends in
+    the first two slots whose draw is below 2^-(i+1)."""
+    params = CDParams.for_graph(max_degree, 0.05, ack=ack)
+    slots, epochs = params.slots_per_epoch, params.epochs
+    for seed in range(10):
+        sends, draws = _cd_sender_slots(params, seed)
+        assert draws == slots * epochs
+        assert len(sends) == slots * epochs
+        same = random.Random(seed)
+        for base in range(0, slots * epochs, slots):
+            sent = [i for i in range(slots) if sends[base + i]]
+            assert len(sent) <= 2
+            hits = [i for i in range(slots) if same.random() < 2.0 ** -(i + 1)]
+            assert sent == hits[:2]
 
 
 # --- every registry row: posted == stepped ---------------------------------
