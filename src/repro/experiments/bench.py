@@ -50,6 +50,7 @@ comparable across runners of the *same* workload.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -246,11 +247,17 @@ def default_workloads(quick: bool = False) -> List[BenchWorkload]:
 
 def _time_best(make_runner: Callable[[], Any], protocol, inputs, reps: int):
     """Best-of-``reps`` wall time; a fresh runner per rep so per-run state
-    (masks are graph-cached and shared, deliberately) is realistic."""
+    (masks are graph-cached and shared, deliberately) is realistic.
+
+    Every timed repetition here and in the other sections starts right
+    after a full garbage collection, outside the timed region, so a
+    reading does not depend on how many objects earlier work left for
+    the collector."""
     best = float("inf")
     result = None
     for _ in range(reps):
         runner = make_runner()
+        gc.collect()
         start = time.perf_counter()
         result = runner.run(protocol, inputs=inputs)
         best = min(best, time.perf_counter() - start)
@@ -335,6 +342,7 @@ def _backend_replay(
             resolved.append(feedbacks)
         best = float("inf")
         for _ in range(max(reps, 5)):
+            gc.collect()
             start = time.perf_counter()
             for _ in range(inner):
                 for transmitting, receivers in slots:
@@ -407,6 +415,7 @@ def _lockstep_section(
     for name, config in variants.items():
         best = float("inf")
         for _ in range(reps):
+            gc.collect()
             start = time.perf_counter()
             batches[name] = run_trials(
                 graph, NO_CD, protocol, seeds, knowledge=knowledge,
