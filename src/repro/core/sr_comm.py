@@ -50,7 +50,6 @@ the engines and the oracle only read them.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional, Tuple
@@ -132,6 +131,8 @@ class DecayParams:
         """
         if not 0 < failure < 1:
             raise ValueError(f"failure must be in (0,1), got {failure}")
+        import math
+
         slots = ceil_log2(max(2, max_degree)) + 2
         phases = max(1, math.ceil(5.0 * math.log(1.0 / failure) / math.log(4.0)))
         return cls(slots_per_phase=slots, phases=phases)
@@ -144,11 +145,6 @@ class DecayParams:
     def idle_frame(self) -> Optional[Idle]:
         """A bystander's whole frame as one Idle (None if empty)."""
         return _idle_or_none(self.frame_length)
-
-    @cached_property
-    def listen_frame(self) -> ListenUntil:
-        """A receiver's whole frame when it accepts any message."""
-        return ListenUntil(self.frame_length, pad=True)
 
     @cached_property
     def sender_tails(self) -> Tuple[Optional[Idle], ...]:
@@ -181,17 +177,17 @@ def sr_nocd(
     accepted message, idle out the rest.  Both are exactly the per-slot
     path's slot pattern with O(1) generator entries.
     """
+    slots, phases = params.slots_per_phase, params.phases
     if role is Role.IDLE:
         if params.idle_frame is not None:
             yield params.idle_frame
         return None
     if role is Role.SENDER:
-        slots = params.slots_per_phase
         tails = params.sender_tails
         rand = ctx.rng.random
         send = Send(message)
         acts = []
-        for _ in range(params.phases):
+        for _ in range(phases):
             length = 1
             while length < slots and rand() < 0.5:
                 length += 1
@@ -201,9 +197,8 @@ def sr_nocd(
         yield Steps(tuple(acts))
         return None
     # Receiver: one plan for the whole frame.
-    if accept is None:
-        return (yield params.listen_frame)
-    return (yield ListenUntil(params.frame_length, accept=accept, pad=True))
+    received = yield ListenUntil(slots * phases, accept=accept, pad=True)
+    return received
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +236,8 @@ class CDParams:
         epochs, after which each epoch succeeds with probability >= 1/8."""
         if not 0 < failure < 1:
             raise ValueError(f"failure must be in (0,1), got {failure}")
+        import math
+
         slots = ceil_log2(max(2, max_degree)) + 2
         search = 2 * (ceil_log2(slots) + 1)
         steady = max(1, math.ceil(18.0 * math.log(1.0 / failure) / math.log(4.0)))

@@ -38,15 +38,19 @@ stepping it: its sends go onto a per-trial calendar (slot -> {vertex:
 message}), the meter charges them in one call
 (:meth:`~repro.sim.observers.EnergyObserver.charge_sends`), and the node
 sleeps on the heap until the plan ends, where it resumes exactly as a
-stepped plan would.  A slot the engine processes anyway — someone
-listens there, or another node acts — pops its calendar row into the
-air before churn filtering, ``begin_slot`` and resolution, so listeners,
-lossy draws and the reactive jammer see every transmitter.  A slot that
-holds only posted sends is never processed: a send nobody hears costs
-nothing per slot.  Every other plan, ``Repeat(Send, k)`` included, is
-stepped, and so is every plan of a trial with any other observer (a
-trace, a row measurement, a contention histogram), because those
-observers read every slot's senders.
+stepped plan would.  Posting reads the actions once, laying each send as
+it checks it; a plan it turns down half-way (say, at a ``Listen``) is
+stepped from the same slot, and that sends the same messages in the
+slots already laid, so their rows change nothing.  A slot the engine
+processes anyway — someone listens there, or another node acts — pops
+its calendar row into the air before churn filtering, ``begin_slot``
+and resolution, so listeners, lossy draws and the reactive jammer see
+every transmitter.  A slot that holds only posted sends is never
+processed: a send nobody hears costs nothing per slot.  Every other
+plan, ``Repeat(Send, k)`` included, is stepped, and so is every plan of
+a trial with any other observer (a trace, a row measurement, a
+contention histogram), because those observers read every slot's
+senders.
 
 Energy metering and trace recording live in :mod:`repro.sim.observers`
 hooks, keeping the slot loop free of instrumentation branches — tracing
