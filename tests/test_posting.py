@@ -4,8 +4,12 @@ With the energy meter as a trial's only observer, the engine posts a
 ``Steps`` plan that only sends and idles instead of stepping it (see
 :mod:`repro.sim.engine`).  Posting must change nothing but the work done:
 these tests pin what a posted plan puts on the air, what it charges,
-which slots the engine still processes, and, for every registry row,
-that a posted run equals the same run stepped.
+which slots the engine still processes, what a plan turned down half-way
+leaves behind, and, for every registry row, that a posted run equals the
+same run stepped.  The SR frames that posting serves share their
+per-geometry plans across frames and nodes; the SR frame tests pin that
+every executor runs them alike and leaves them intact, and how a CD
+sender draws its schedule.
 """
 
 from __future__ import annotations
