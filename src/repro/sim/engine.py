@@ -66,6 +66,7 @@ slot's wake-ups.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
@@ -86,6 +87,7 @@ from repro.sim.plan import (
     OP_STEPS,
     OP_UNTIL,
     RESULT_COLLECT,
+    ListenUntil,
     Plan,
     ProtocolError,
     Steps,
@@ -95,8 +97,12 @@ from repro.sim.plan import (
     start_plan,
 )
 from repro.sim.faults import down_feedback, parse_fault_specs
-from repro.sim.feedback import BEEP, NOISE, SILENCE
-from repro.sim.resolution import RESOLUTION_MODES, create_backend
+from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
+from repro.sim.resolution import (
+    RESOLUTION_MODES,
+    BitmaskBackend,
+    create_backend,
+)
 from repro.sim.observers import (
     EnergyObserver,
     SlotObserver,
@@ -130,6 +136,9 @@ _CALENDAR_ROWS = 64
 # the () of a Steps that never listened.  Finished states are only read,
 # so every posted node shares one tuple.
 _POSTED_STEPS = (OP_PENDING, 0, None, (), RESULT_COLLECT, None, False)
+
+# The wake-up slot of a finished node: later than any window's end.
+_NEVER = sys.maxsize
 
 #: The default slot budget of a bare Simulator run; batch/broadcast
 #: layers apply their own defaults when ``exec_config.time_limit`` is
@@ -385,14 +394,40 @@ class Simulator:
         prune_above = _CALENDAR_ROWS
         charge_sends = energy.charge_sends
 
+        # Posted listens (see the module docstring) need a listener's
+        # receptions to be a function of the calendar alone: a count
+        # model (no per-reception draws), no slot-aware wrapper (jam,
+        # burst loss) and no churn.  wake[v] is the slot where v next
+        # acts, kept at every heap push and finish; a node acting in the
+        # slot being processed has one no later than that slot.  A
+        # padded ListenUntil waits in ``opening`` until its first slot's
+        # wake-ups are done, since neighbours starting the same frame
+        # there may be classified after it.
+        listen_posting = (
+            posting and model.supports_count and not slot_aware
+            and churn is None
+        )
+        wake = [_NEVER] * n
+        opening: List[int] = []
+        neighbors = graph.neighbors
+        charge_listens = energy.charge_listens
+        heard: Dict[int, Any] = {}
+
         def post(v: int, plan: Plan, start: int) -> bool:
             """Post ``v``'s ``plan`` from slot ``start`` if it is a
             ``Steps`` that only sends and idles: lay its sends on the
             calendar, charge them, and sleep ``v`` until the plan ends.
             False, with no result changed, for any other plan (including
-            malformed ones, which start_plan then refuses)."""
+            malformed ones, which start_plan then refuses); a padded
+            ``ListenUntil`` is also queued in ``opening``."""
             nonlocal prune_above
             if plan.__class__ is not Steps:
+                if (
+                    listen_posting
+                    and plan.__class__ is ListenUntil
+                    and plan.pad
+                ):
+                    opening.append(v)
                 return False
             # Anything but a non-empty tuple (say, a one-shot iterable)
             # is left to start_plan, which reads the actions again.
@@ -427,12 +462,54 @@ class Simulator:
                 charge_sends(v, sends, last)
             plans[v] = _POSTED_STEPS
             heappush(heap, (end, v, _RESUME))
+            wake[v] = end
             if len(calendar) > prune_above:
                 # Every slot before ``start`` is behind the slot loop:
                 # its row was merged, or its slot will never be processed.
                 for t in [t for t in calendar if t < start]:
                     del calendar[t]
                 prune_above = 2 * len(calendar) + _CALENDAR_ROWS
+            return True
+
+        def listen_through(v: int, slot: int) -> bool:
+            """Resolve ``v``'s padded ListenUntil, whose window starts at
+            ``slot``, whole if every neighbour is fixed through the
+            window's end: finished, asleep until then (its sends, if
+            posted, are on the calendar), or in a padded ListenUntil
+            that lasts as long.  Its receptions are then the calendar
+            rows'.  Charge its listens up to the first accepted message,
+            keep the plan's result and sleep ``v`` until the window
+            ends.  False, with nothing changed, otherwise."""
+            ps = plans[v]
+            end = slot + ps[1]
+            loud = False  # whether a posted plan's sends may reach v
+            for u in neighbors(v):
+                if wake[u] < end:
+                    pu = plans[u]
+                    if (
+                        pu is None or pu[0] != OP_UNTIL or not pu[6]
+                        or slot + pu[1] < end
+                    ):
+                        return False
+                elif plans[u] is _POSTED_STEPS:
+                    loud = True
+            t = end - 1
+            if loud:
+                accept = ps[2]
+                for t in range(slot, end):
+                    row = calendar.get(t)
+                    if row is not None:
+                        resolve_listen(row, (v,), heard)
+                        fb = heard[v]
+                        if is_message(fb) and (accept is None or accept(fb)):
+                            ps[5] = fb
+                            break
+            charge_listens(v, t - slot + 1, t)
+            # plan_resume() ends an OP_PENDING state with ps[5] on wake-up,
+            # as it does a matched window idled out.
+            ps[0] = OP_PENDING
+            heappush(heap, (end, v, _RESUME))
+            wake[v] = end
             return True
 
         bucket_slot = 0
@@ -442,9 +519,11 @@ class Simulator:
 
         remaining = len(first)
         for v, action in first:
+            wake[v] = 0
             while True:
                 cls = action.__class__
                 if cls is Idle:
+                    wake[v] = action.duration
                     heappush(heap, (action.duration, v, _RESUME))
                 elif cls is Send:
                     bucket_senders[v] = action.message
@@ -470,6 +549,12 @@ class Simulator:
         # specializes a per-slot resolver for this model (silence cache,
         # count-path dispatch) so the loop pays one call per active slot.
         resolve_slot = self.backend.slot_resolver(model)
+        if listen_posting:
+            # A posted listen resolves one listener: bitmasks beat numpy.
+            resolve_listen = (
+                resolve_slot if isinstance(self.backend, BitmaskBackend)
+                else BitmaskBackend(graph).slot_resolver(model)
+            )
         count_based = model.supports_count
         time_limit = self.time_limit
         last_slot = time_limit + 1  # the slot a run may still end in
@@ -506,6 +591,7 @@ class Simulator:
                     except StopIteration as stop:
                         outputs[v] = stop.value
                         finish_slot[v] = slot - 1
+                        wake[v] = _NEVER
                         remaining -= 1
                         if duration < slot:
                             duration = slot
@@ -513,7 +599,8 @@ class Simulator:
                 while True:
                     cls = action.__class__
                     if cls is Idle:
-                        heappush(heap, (slot + action.duration, v, _RESUME))
+                        wake[v] = at = slot + action.duration
+                        heappush(heap, (at, v, _RESUME))
                     elif cls is Send:
                         senders[v] = action.message
                     elif cls is Listen:
@@ -536,6 +623,16 @@ class Simulator:
 
             if slot == last_slot and remaining:
                 raise timeout_error(time_limit, remaining, seed)
+            if opening:
+                # Every node acting in this slot is classified now.  A
+                # window resolved whole leaves the slot's listeners.
+                settled = [v for v in opening if listen_through(v, slot)]
+                opening.clear()
+                if len(settled) == len(listeners):
+                    listeners = []
+                elif settled:
+                    settled = set(settled)
+                    listeners = [v for v in listeners if v not in settled]
             if not (senders or listeners or duplexers):
                 continue
 
@@ -638,10 +735,8 @@ class Simulator:
                                 bucket_listeners.append(v)
                                 continue
                             if acls is Idle:
-                                heappush(
-                                    heap,
-                                    (next_slot + act.duration, v, _RESUME),
-                                )
+                                wake[v] = at = next_slot + act.duration
+                                heappush(heap, (at, v, _RESUME))
                                 continue
                             if not full_duplex:
                                 raise ProtocolError(
@@ -677,6 +772,7 @@ class Simulator:
                         except StopIteration as stop:
                             outputs[v] = stop.value
                             finish_slot[v] = slot
+                            wake[v] = _NEVER
                             remaining -= 1
                             continue
                 else:
@@ -687,12 +783,14 @@ class Simulator:
                     except StopIteration as stop:
                         outputs[v] = stop.value
                         finish_slot[v] = slot
+                        wake[v] = _NEVER
                         remaining -= 1
                         continue
                 while True:
                     cls = action.__class__
                     if cls is Idle:
-                        heappush(heap, (next_slot + action.duration, v, _RESUME))
+                        wake[v] = at = next_slot + action.duration
+                        heappush(heap, (at, v, _RESUME))
                     elif cls is Send:
                         bucket_senders[v] = action.message
                     elif cls is Listen:

@@ -133,6 +133,13 @@ class EnergyObserver(SlotObserver):
         self.sends[v] += count
         self.last_active[v] = last
 
+    def charge_listens(self, v: int, count: int, last: int) -> None:
+        """Charge ``v`` for ``count`` listens at once, the last at slot
+        ``last``: a posted listen's window up to the slot it heard an
+        accepted message in, charged at the window's first slot."""
+        self.listens[v] += count
+        self.last_active[v] = last
+
     def reports(self) -> List[EnergyReport]:
         return [
             EnergyReport(
