@@ -3,9 +3,9 @@ them as tables.
 
 The store holds raw per-seed cells; this module groups them back into
 :class:`~repro.campaign.cells.SweepPoint` rows via
-:func:`aggregate_cells`, adds min/max/stdev plus bootstrap confidence
-intervals on top, and renders each row as a ratio-to-bound table
-(:func:`format_table`).
+:func:`aggregate_cells` (:func:`aggregate_campaign` adds min/max/stdev
+plus bootstrap confidence intervals on top by default), and renders each
+row as a ratio-to-bound table (:func:`format_table`).
 
 The paper's Table 1 is a matrix of asymptotic bounds.  The
 reproduction sweeps each row's workload size, measures time (slots)
@@ -220,8 +220,12 @@ def render_report(spec: CampaignSpec, store: CampaignStore) -> str:
     """Render every row entry's table, in config order: the row's
     title, its columns (plus the ``ch_*`` columns when the entry sets
     ``contention_hist``) and its measured/bound ratios.  ``campaign
-    report``, ``repro table1`` and ``repro ablations`` all print this."""
-    points = aggregate_campaign(spec, store, extended=True)
+    report``, ``repro table1`` and ``repro ablations`` all print this.
+
+    It aggregates without the extended extras: no row's columns read
+    them (a registry test checks), and their bootstrap intervals cost
+    more than the rest of the report."""
+    points = aggregate_campaign(spec, store, extended=False)
     sections = []
     for plan in spec.rows:
         definition = get_row(plan.row)

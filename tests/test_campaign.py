@@ -725,6 +725,18 @@ class TestAggregate:
         point = aggregate_cells(self._cells([10.0, 20.0]))
         assert "time_min" not in point.extras
 
+    def test_no_row_column_reads_an_extended_extra(self):
+        """Reports aggregate without the extended extras, so a column
+        naming one would print blank cells."""
+        cells = self._cells([10.0, 20.0])
+        extended = set(aggregate_cells(cells, extended=True).extras)
+        extended -= set(aggregate_cells(cells).extras)
+        assert "time_ci_lo" in extended
+        hist = ("ch_mean_load", "ch_collision_rate")
+        for name, definition in ROW_REGISTRY.items():
+            columns = set(definition.columns) | set(hist)
+            assert not columns & extended, name
+
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             aggregate_cells([])
@@ -802,6 +814,24 @@ class TestReportRendering:
         assert "2/2 cells complete" in render_status(spec, store)
         report = render_report(spec, store)
         assert "Corollary 13" in report and "log n ratio" in report
+
+    def test_the_report_computes_no_bootstrap_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """No column prints an interval, so rendering draws none."""
+        from repro.campaign import cells
+
+        spec, store = _tiny_spec(), _store(tmp_path)
+        run_campaign(spec, store)
+        expected = render_report(spec, store)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("render_report drew a bootstrap interval")
+
+        monkeypatch.setattr(cells, "bootstrap_median_ci", refuse)
+        assert render_report(spec, store) == expected
+        with pytest.raises(AssertionError):
+            aggregate_campaign(spec, store)
 
 
 class TestCampaignCLI:
