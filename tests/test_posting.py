@@ -1,12 +1,14 @@
-"""Posted sends: the serial engine's send-only plans.
+"""Posted sends and posted listens: the serial engine's fixed plans.
 
 With the energy meter as a trial's only observer, the engine posts a
-``Steps`` plan that only sends and idles instead of stepping it (see
-:mod:`repro.sim.engine`).  Posting must change nothing but the work done:
-these tests pin what a posted plan puts on the air, what it charges,
-which slots the engine still processes, what a plan turned down half-way
-leaves behind, and, for every registry row, that a posted run equals the
-same run stepped.  The SR frames that posting serves share their
+``Steps`` plan that only sends and idles instead of stepping it, and
+resolves a padded ``ListenUntil`` whole at its first slot when every
+neighbour is fixed through its end (see :mod:`repro.sim.engine`).
+Posting must change nothing but the work done: these tests pin what a
+posted plan puts on the air, what it charges, which slots the engine
+still processes, what a plan turned down half-way leaves behind, which
+listen windows are resolved whole and which stay stepped, and, for every
+registry row, that a posted run equals the same run stepped.  The SR frames that posting serves share their
 per-geometry plans across frames and nodes; the SR frame tests pin that
 every executor runs them alike and leaves them intact, and how a CD
 sender draws its schedule.
@@ -25,7 +27,8 @@ from repro.broadcast.base import BROADCAST_TIME_LIMIT, source_inputs
 from repro.campaign.cells import knowledge_for
 from repro.campaign.registry import GRAPH_FAMILIES, ROW_REGISTRY, get_row
 from repro.core.sr_comm import CDParams, DecayParams, Role, sr_cd, sr_nocd
-from repro.graphs import path_graph, random_gnp, star_graph
+from repro.experiments.bench import _sr_frame_protocol
+from repro.graphs import clique, path_graph, random_gnp, star_graph
 from repro.sim import (
     CD,
     CD_STAR,
@@ -35,7 +38,10 @@ from repro.sim import (
     ExecutionConfig,
     Idle,
     Listen,
+    ListenUntil,
+    LossyModel,
     Send,
+    SimulationTimeout,
     Simulator,
     SlotObserver,
     Steps,
@@ -72,6 +78,16 @@ def test_charge_sends_is_one_run_level_charge():
     meter.charge_sends(1, 4, 9)
     assert meter.reports()[1] == EnergyReport(
         sends=4, listens=1, duplex=0, total=5, last_active_slot=9
+    )
+
+
+def test_charge_listens_is_one_run_level_charge():
+    meter = EnergyObserver()
+    meter.on_run_start(2)
+    meter.on_slot(0, {0: "m"}, [], {}, {0: None})
+    meter.charge_listens(0, 5, 7)
+    assert meter.reports()[0] == EnergyReport(
+        sends=1, listens=5, duplex=0, total=6, last_active_slot=7
     )
 
 
@@ -221,6 +237,202 @@ def test_a_plan_turned_down_half_way_runs_as_stepped(faults):
     assert posted.duration == oracle.duration
     if not faults:
         assert posted.outputs == [("b",), ("a", SILENCE, "a", SILENCE, SILENCE)]
+
+
+# --- posted listens -----------------------------------------------------------
+
+
+def _spies(monkeypatch):
+    """Count the energy meter's per-slot calls and its run-level listen
+    charges: (slots seen by ``on_slot``, ``charge_listens`` arguments)."""
+    slots, charges = [], []
+    on_slot = EnergyObserver.on_slot
+    charge_listens = EnergyObserver.charge_listens
+
+    def counting_slot(self, slot, *rest):
+        slots.append(slot)
+        on_slot(self, slot, *rest)
+
+    def counting_charge(self, v, count, last):
+        charges.append((v, count, last))
+        charge_listens(self, v, count, last)
+
+    monkeypatch.setattr(EnergyObserver, "on_slot", counting_slot)
+    monkeypatch.setattr(EnergyObserver, "charge_listens", counting_charge)
+    return slots, charges
+
+
+def _like_the_oracle(graph, model, protocol, run, **faults):
+    """``run`` (a posted one) equals the stepped run and the oracle."""
+    _same_run(run, _run(graph, model, protocol, observed=True, **faults))
+    oracle = ReferenceSimulator(
+        graph, model, seed=0,
+        faults=parse_fault_specs(ExecutionConfig(**faults)),
+    ).run(protocol)
+    assert run.outputs == oracle.outputs
+    assert run.energy == oracle.energy
+    assert run.finish_slot == oracle.finish_slot
+    assert run.duration == oracle.duration
+
+
+#: One No-CD SR frame on a 5-path: two senders around a receiver that
+#: hears them collide, a receiver beside an idle vertex, and that vertex.
+DECAY = DecayParams.for_graph(2, 0.05)
+DECAY_ROLES = (Role.SENDER, Role.RECEIVER, Role.SENDER, Role.RECEIVER, Role.IDLE)
+
+
+def _decay_frame(ctx):
+    heard = yield from sr_nocd(
+        ctx, DECAY_ROLES[ctx.index], ("m", ctx.index), DECAY
+    )
+    return heard, ctx.rng.random()
+
+
+def test_a_decay_frame_is_resolved_without_a_processed_slot(monkeypatch):
+    """Every neighbour of each receiver is fixed for the whole frame, so
+    both windows are resolved at slot 0, and no slot reaches the
+    meter's per-slot hook: the senders' bursts are posted, and the
+    receivers' listens charged at once."""
+    slots, charges = _spies(monkeypatch)
+    graph = path_graph(5)
+    posted = _run(graph, NO_CD, _decay_frame)
+    assert slots == []
+    assert [v for v, _, _ in charges] == [1, 3]
+    frame = DECAY.slots_per_phase * DECAY.phases
+    assert posted.duration == frame
+    # Vertex 3's only sender sends in the frame's first slot.
+    assert posted.outputs[3][0] == ("m", 2)
+    assert posted.energy[3].listens == 1
+    assert posted.outputs[1][0] in (("m", 0), ("m", 2))
+    _like_the_oracle(graph, NO_CD, _decay_frame, posted)
+
+
+def test_the_lockstep_gate_frame_processes_every_slot(monkeypatch):
+    """CI's lock-step gate frame: its senders idle, then burst with a
+    stepped ``Repeat(Send)``, so every receiver's window has a neighbour
+    that wakes inside it and is stepped, slot by slot."""
+    slots, charges = _spies(monkeypatch)
+    protocol = _sr_frame_protocol(windows=2)
+    graph = clique(8)
+    posted = _run(graph, NO_CD, protocol)
+    assert charges == []
+    assert slots == list(range(64))
+    assert [e.listens for e in posted.energy[2:]] == [64] * 6
+    _like_the_oracle(graph, NO_CD, protocol, posted)
+
+
+def _first_rejected(ctx):
+    """Vertex 0 posts "first" in slot 0 and "second" in slot 2; vertex 1
+    accepts only "second"."""
+    if ctx.index == 0:
+        yield Steps((Send("first"), Idle(1), Send("second"), Idle(3)))
+        return None
+    return (yield ListenUntil(6, accept=lambda m: m == "second", pad=True))
+
+
+def test_a_rejected_message_keeps_the_window_listening(monkeypatch):
+    slots, charges = _spies(monkeypatch)
+    posted = _run(path_graph(2), NO_CD, _first_rejected)
+    assert posted.outputs == [None, "second"]
+    assert charges == [(1, 3, 2)]
+    assert slots == []
+    assert posted.duration == 6
+    _like_the_oracle(path_graph(2), NO_CD, _first_rejected, posted)
+
+
+def test_an_unpadded_listen_until_is_stepped(monkeypatch):
+    """After an early match an unpadded window hands control back to its
+    protocol, which may act inside the window: it is never resolved
+    whole, and it keeps a padded neighbour's window stepped.  On a
+    3-path, vertex 1 hears vertex 2 in slot 0 and relays in slot 1,
+    where vertex 0 hears it."""
+
+    def protocol(ctx):
+        if ctx.index == 2:
+            yield Steps((Send("go"), Idle(3)))
+            return None
+        if ctx.index == 1:
+            heard = yield ListenUntil(4)
+            yield Send("relay")
+            return heard
+        return (yield ListenUntil(4, pad=True))
+
+    slots, charges = _spies(monkeypatch)
+    posted = _run(path_graph(3), NO_CD, protocol)
+    assert posted.outputs == ["relay", "go", None]
+    assert charges == []
+    assert slots == [0, 1]
+    _like_the_oracle(path_graph(3), NO_CD, protocol, posted)
+
+
+def test_a_neighbour_whose_window_ends_first_keeps_the_listener_stepped(
+    monkeypatch,
+):
+    """Vertex 1's padded window ends two slots before vertex 0's, then
+    it sends: vertex 0, judged first, must hear that send.  Vertex 1's
+    own window is resolved whole, since vertex 0 listens longer."""
+
+    def protocol(ctx):
+        if ctx.index == 1:
+            yield ListenUntil(2, pad=True)
+            yield Send("late")
+            return None
+        return (yield ListenUntil(4, pad=True))
+
+    _, charges = _spies(monkeypatch)
+    posted = _run(path_graph(2), NO_CD, protocol)
+    assert posted.outputs == ["late", None]
+    assert charges == [(1, 2, 1)]
+    _like_the_oracle(path_graph(2), NO_CD, protocol, posted)
+
+
+def test_a_window_cut_by_the_budget_times_out_as_stepped(monkeypatch):
+    """The receiver's window is resolved at slot 0 and outlasts the
+    budget: the run raises the stepped run's (and the oracle's)
+    timeout message."""
+    _, charges = _spies(monkeypatch)
+    graph = path_graph(5)
+    messages = set()
+    for observed in (False, True):
+        with pytest.raises(SimulationTimeout) as raised:
+            _run(graph, NO_CD, _decay_frame, observed=observed, time_limit=5)
+        messages.add(str(raised.value))
+    with pytest.raises(SimulationTimeout) as raised:
+        ReferenceSimulator(graph, NO_CD, seed=0, time_limit=5).run(
+            _decay_frame
+        )
+    messages.add(str(raised.value))
+    assert charges
+    assert messages == {
+        "simulation exceeded 5 slots (5 protocols still running, seed 0)"
+    }
+
+
+@pytest.mark.parametrize("faults", [
+    {"churn": "periodic:period=3,down=1"},
+    {"jam": "random:rate=0.2"},
+    {"burst_loss": "p_gb=0.2,p_bg=0.4"},
+    {"loss_rate": 0.3},
+], ids=["churn", "jam", "burst_loss", "loss_rate"])
+def test_faulted_and_lossy_windows_stay_stepped(faults, monkeypatch):
+    """Under churn, a slot-aware channel (jam, burst loss) or per-
+    reception draws (loss rate), a window's receptions are not the
+    calendar's alone: every window is stepped, and the run equals the
+    stepped one."""
+    _, charges = _spies(monkeypatch)
+    graph = path_graph(5)
+    faults = dict(faults)
+    if faults.pop("loss_rate", None) is not None:
+        posted, stepped = (
+            Simulator(graph, LossyModel(NO_CD, 0.3, seed=0), seed=0,
+                      observers=observers).run(_decay_frame)
+            for observers in ((), [SlotObserver()])
+        )
+    else:
+        posted = _run(graph, NO_CD, _decay_frame, **faults)
+        stepped = _run(graph, NO_CD, _decay_frame, observed=True, **faults)
+    assert charges == []
+    _same_run(posted, stepped)
 
 
 # --- SR frames: shared per-geometry plans ------------------------------------

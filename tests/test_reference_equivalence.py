@@ -4,17 +4,18 @@ Random generator protocols (randomized actions, per-node divergence,
 feedback-dependent behaviour) must produce byte-identical results under
 :class:`Simulator` and :class:`ReferenceSimulator`: same outputs, same
 energy reports, same finish slots, same duration.  Plan-yielding
-protocols also pin the engine's posted sends against its per-slot path,
-and the slot budget's edge (a run may still end in slot
-``time_limit + 1``) against the oracle in every engine.
+protocols also pin the engine's posted sends and posted listens against
+its per-slot path, and the slot budget's edge (a run may still end in
+slot ``time_limit + 1``) against the oracle in every engine.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import clique, grid_graph, path_graph, random_gnp, star_graph
@@ -40,6 +41,7 @@ from repro.sim import (
 from repro.sim.actions import SendListen
 from repro.sim.faults import parse_fault_specs
 from repro.sim.models import LossyModel
+from repro.sim.observers import EnergyObserver
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import numpy_available
 
@@ -247,15 +249,73 @@ FAULTS = (
 )
 
 
-def _plan_protocol(steps: int, duplex: bool):
+#: The longest a step of :func:`_plan_protocol` can last, in slots: a
+#: send-only ``Steps`` of four ``Idle(3)``.
+_LONGEST_STEP = 12
+
+
+def _accept_from(parity: int):
+    """An ``accept`` filter: a message (or LOCAL's tuple of messages,
+    by its first one) whose sender's index has ``parity``."""
+
+    def accept(feedback):
+        message = feedback[0] if feedback[0].__class__ is tuple else feedback
+        return message[1] % 2 == parity
+
+    return accept
+
+
+_ACCEPTS = (None, _accept_from(0), _accept_from(1))
+
+
+def _frame(rng, k: int, message):
+    """One node's part of a k-slot SR-style frame, by its own draws: a
+    send-only ``Steps`` sender (posted), a padded ``ListenUntil``
+    receiver with a random ``accept``, or an ``Idle(k)`` bystander."""
+    roll = rng.random()
+    if roll < 0.35:
+        acts = []
+        left = k
+        while left:
+            if rng.random() < 0.5:
+                acts.append(Send(message))
+                left -= 1
+            else:
+                idle = 1 + rng.randrange(left)
+                acts.append(Idle(idle))
+                left -= idle
+        return Steps(tuple(acts))
+    if roll < 0.8:
+        return ListenUntil(k, accept=rng.choice(_ACCEPTS), pad=True)
+    return Idle(k)
+
+
+def _plan_protocol(steps: int, duplex: bool, frames=()):
     """A protocol mixing every plan shape with per-slot actions: send-only
     ``Steps`` (which the engine posts), ``Repeat(Send)``, padded and
-    unpadded ``ListenUntil``, mixed ``Steps``, and single actions."""
+    unpadded ``ListenUntil``, mixed ``Steps``, and single actions.
+
+    ``frames`` holds ``(position, k)`` frame rounds, shared by every
+    node: before step ``position`` (after the last step if none is left)
+    every node idles to a slot none of them can have passed, so all
+    enter one k-slot frame together (:func:`_frame`), as the SR frames
+    of Table 1's schedules do."""
 
     def protocol(ctx):
         rng = ctx.rng
         heard = []
-        for step in range(steps):
+        pending = sorted(frames)
+        start = 0  # no node is past this slot when it reaches the step
+        for step in range(steps + 1):
+            while pending and min(pending[0][0], steps) == step:
+                _, k = pending.pop(0)
+                if ctx.time < start:
+                    yield Idle(start - ctx.time)
+                heard.append((yield _frame(rng, k, ("f", ctx.index, step))))
+                start += k
+            if step == steps:
+                break
+            start += _LONGEST_STEP
             roll = rng.random()
             message = ("m", ctx.index, step)
             if roll < 0.2:
@@ -310,46 +370,95 @@ def _without_entries(outcome):
     return outcome if isinstance(outcome, str) else outcome[:4]
 
 
-class TestPlansFaultsAndBudgets:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        n=st.integers(min_value=2, max_value=7),
-        model_name=st.sampled_from(sorted(FIVE_MODELS)),
-        lossy=st.booleans(),
-        fault=st.sampled_from(range(len(FAULTS))),
-        steps=st.integers(min_value=1, max_value=12),
-        time_limit=st.integers(min_value=1, max_value=40),
-    )
-    def test_plan_protocols_match_the_oracle(
-        self, seed, n, model_name, lossy, fault, steps, time_limit
+#: What the plan differential's posted runs charged through
+#: ``charge_listens``: examples run, examples that charged, and calls.
+_POSTED_LISTENS = {"examples": 0, "posting": 0, "charges": 0}
+_charge_listens = EnergyObserver.charge_listens
+
+
+def _counting_charge_listens(self, v, count, last):
+    _POSTED_LISTENS["charges"] += 1
+    _charge_listens(self, v, count, last)
+
+
+def _frame_examples(test):
+    """One explicit example per model in which every node enters two
+    frame rounds on a clean channel, so the posted run resolves listen
+    windows whole."""
+    for seed, model_name in enumerate(sorted(FIVE_MODELS)):
+        test = example(
+            seed=seed, n=6, model_name=model_name, lossy=False, fault=0,
+            steps=2, time_limit=40, frames=[(0, 6), (2, 4)],
+        )(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@_frame_examples
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=2, max_value=7),
+    model_name=st.sampled_from(sorted(FIVE_MODELS)),
+    lossy=st.booleans(),
+    fault=st.sampled_from(range(len(FAULTS))),
+    steps=st.integers(min_value=1, max_value=12),
+    time_limit=st.integers(min_value=1, max_value=40),
+    frames=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=1, max_value=8),
+        ),
+        max_size=3,
+    ),
+)
+def _plan_differential(
+    seed, n, model_name, lossy, fault, steps, time_limit, frames
+):
+    """One example of the plan differential: the oracle, and the serial
+    engine posted (counting ``charge_listens`` calls) and stepped."""
+    base = FIVE_MODELS[model_name]
+    graph = random_gnp(n, 0.5, random.Random(seed))
+    protocol = _plan_protocol(steps, base.full_duplex, frames)
+    config = ExecutionConfig(time_limit=time_limit, **FAULTS[fault])
+
+    def make():
+        return LossyModel(base, 0.3, seed=seed) if lossy else base
+
+    oracle = _outcome(lambda: ReferenceSimulator(
+        graph, make(), seed=seed, time_limit=time_limit,
+        faults=parse_fault_specs(config),
+    ).run(protocol))
+    charged = _POSTED_LISTENS["charges"]
+    with mock.patch.object(
+        EnergyObserver, "charge_listens", _counting_charge_listens
     ):
-        """Posted and stepped runs of the serial engine equal the oracle,
-        under every model, lossy or not, under each fault family, with
-        budgets that often cut the run: the same results or the same
-        timeout message."""
-        base = FIVE_MODELS[model_name]
-        graph = random_gnp(n, 0.5, random.Random(seed))
-        protocol = _plan_protocol(steps, base.full_duplex)
-        config = ExecutionConfig(time_limit=time_limit, **FAULTS[fault])
-
-        def make():
-            return LossyModel(base, 0.3, seed=seed) if lossy else base
-
-        oracle = _outcome(lambda: ReferenceSimulator(
-            graph, make(), seed=seed, time_limit=time_limit,
-            faults=parse_fault_specs(config),
-        ).run(protocol))
         posted = _outcome(lambda: Simulator(
             graph, make(), seed=seed, exec_config=config,
         ).run(protocol))
-        # Any observer besides the energy meter turns posting off.
-        stepped = _outcome(lambda: Simulator(
-            graph, make(), seed=seed, exec_config=config,
-            observers=[SlotObserver()],
-        ).run(protocol))
-        assert _without_entries(posted) == _without_entries(oracle)
-        assert stepped == posted
+    _POSTED_LISTENS["examples"] += 1
+    _POSTED_LISTENS["posting"] += _POSTED_LISTENS["charges"] > charged
+    # Any observer besides the energy meter turns posting off.
+    stepped = _outcome(lambda: Simulator(
+        graph, make(), seed=seed, exec_config=config,
+        observers=[SlotObserver()],
+    ).run(protocol))
+    assert _without_entries(posted) == _without_entries(oracle)
+    assert stepped == posted
+
+
+class TestPlansFaultsAndBudgets:
+    def test_plan_protocols_match_the_oracle(self):
+        """Posted and stepped runs of the serial engine equal the oracle,
+        under every model, lossy or not, under each fault family, with
+        budgets that often cut the run: the same results or the same
+        timeout message (200 generated examples).  Frame rounds put
+        every node into one frame, where the posted run resolves
+        receivers' windows whole: at least the five explicit frame
+        examples, one per model, must do so, where unsynchronised steps
+        alone almost never leave a listener's neighbours all fixed."""
+        _POSTED_LISTENS.update(examples=0, posting=0, charges=0)
+        _plan_differential()
+        assert _POSTED_LISTENS["posting"] >= 5, _POSTED_LISTENS
 
 
 def _edge_outcomes(graph, protocol, time_limit):
