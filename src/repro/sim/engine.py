@@ -46,11 +46,29 @@ processes anyway — someone listens there, or another node acts — pops
 its calendar row into the air before churn filtering, ``begin_slot``
 and resolution, so listeners, lossy draws and the reactive jammer see
 every transmitter.  A slot that holds only posted sends is never
-processed: a send nobody hears costs nothing per slot.  Every other
-plan, ``Repeat(Send, k)`` included, is stepped, and so is every plan of
-a trial with any other observer (a trace, a row measurement, a
-contention histogram), because those observers read every slot's
-senders.
+processed: a send nobody hears costs nothing per slot.
+
+**Posted listens.**  A padded ``ListenUntil`` (an SR receiver's frame)
+is resolved whole at its first slot when every neighbour is fixed
+through the window's end: finished, asleep until at least then (in an
+idle, or in a posted plan whose sends are on the calendar), or itself
+in a padded ``ListenUntil`` that lasts at least as long.  Its receptions
+are then the calendar rows', read with the slot resolver up to the first
+message ``accept`` takes; the meter charges those listens in one
+call (:meth:`~repro.sim.observers.EnergyObserver.charge_listens`), and
+the node sleeps until the window ends, where it resumes with the value
+the stepped plan returns.  The check runs when the first slot is
+processed, after its wake-ups, since neighbours starting the same frame
+there may be classified after the listener; it reads each node's next
+wake-up slot, kept at every heap push and finish.  A slot left with only
+such listeners is not resolved.  Listens are posted only on count
+models with no slot-aware wrapper and no churn, where a reception is a
+function of its slot's transmitters alone.
+
+Every other plan, ``Repeat(Send, k)`` included, is stepped, and so is
+every plan of a trial with any other observer (a trace, a row
+measurement, a contention histogram), because those observers read
+every slot's senders and listeners.
 
 Energy metering and trace recording live in :mod:`repro.sim.observers`
 hooks, keeping the slot loop free of instrumentation branches — tracing
@@ -98,11 +116,7 @@ from repro.sim.plan import (
 )
 from repro.sim.faults import down_feedback, parse_fault_specs
 from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
-from repro.sim.resolution import (
-    RESOLUTION_MODES,
-    BitmaskBackend,
-    create_backend,
-)
+from repro.sim.resolution import RESOLUTION_MODES, create_backend
 from repro.sim.observers import (
     EnergyObserver,
     SlotObserver,
@@ -499,7 +513,7 @@ class Simulator:
                 for t in range(slot, end):
                     row = calendar.get(t)
                     if row is not None:
-                        resolve_listen(row, (v,), heard)
+                        resolve_slot(row, (v,), heard)
                         fb = heard[v]
                         if is_message(fb) and (accept is None or accept(fb)):
                             ps[5] = fb
@@ -549,12 +563,6 @@ class Simulator:
         # specializes a per-slot resolver for this model (silence cache,
         # count-path dispatch) so the loop pays one call per active slot.
         resolve_slot = self.backend.slot_resolver(model)
-        if listen_posting:
-            # A posted listen resolves one listener: bitmasks beat numpy.
-            resolve_listen = (
-                resolve_slot if isinstance(self.backend, BitmaskBackend)
-                else BitmaskBackend(graph).slot_resolver(model)
-            )
         count_based = model.supports_count
         time_limit = self.time_limit
         last_slot = time_limit + 1  # the slot a run may still end in
@@ -626,12 +634,9 @@ class Simulator:
             if opening:
                 # Every node acting in this slot is classified now.  A
                 # window resolved whole leaves the slot's listeners.
-                settled = [v for v in opening if listen_through(v, slot)]
+                settled = {v for v in opening if listen_through(v, slot)}
                 opening.clear()
-                if len(settled) == len(listeners):
-                    listeners = []
-                elif settled:
-                    settled = set(settled)
+                if settled:
                     listeners = [v for v in listeners if v not in settled]
             if not (senders or listeners or duplexers):
                 continue

@@ -33,8 +33,9 @@ class SlotObserver:
 
     An active slot is one in which some device sends, listens or does
     both.  A trial with any observer besides :class:`EnergyObserver`
-    posts no plans (see :mod:`repro.sim.engine`), so its observers see
-    every active slot with all of its senders.
+    posts no plans, sends or listens (see :mod:`repro.sim.engine`), so
+    its observers see every active slot with all of its senders and
+    listeners.
 
     ``on_slot`` receives the slot number and the slot's complete activity:
     ``senders``/``duplexers`` map vertex -> outgoing message, ``listeners``
@@ -95,9 +96,11 @@ class EnergyObserver(SlotObserver):
 
     It sees only the slots the engine processes, and in them only the
     devices that step: a posted plan's sends (see :mod:`repro.sim.engine`)
-    arrive as one :meth:`charge_sends` call when the plan starts, and
-    the slots that hold nothing but posted sends never reach
-    :meth:`on_slot`.  The totals equal per-slot metering either way.
+    arrive as one :meth:`charge_sends` call when the plan starts, a
+    listen window resolved whole arrives as one :meth:`charge_listens`
+    call at its first slot, and the slots that hold nothing but posted
+    sends and such windows never reach :meth:`on_slot`.  The totals
+    equal per-slot metering either way.
     """
 
     def __init__(self) -> None:

@@ -131,6 +131,12 @@ class ListenUntil(Plan):
     slots passed without a match.  With ``pad=True`` the remaining slots
     after a match are idled out, so the plan occupies exactly ``slots``
     slots either way — the SR-communication fixed-frame contract.
+
+    ``accept`` must be a pure function of the feedback: an engine may
+    call it before the slot the feedback belongs to is processed (the
+    serial engine resolves a padded window whole at its first slot when
+    its neighbours' actions are already fixed; see
+    :mod:`repro.sim.engine`).
     """
 
     __slots__ = ("slots", "accept", "pad")
