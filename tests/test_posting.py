@@ -8,7 +8,8 @@ Posting must change nothing but the work done: these tests pin what a
 posted plan puts on the air, what it charges, which slots the engine
 still processes, what a plan turned down half-way leaves behind, which
 listen windows are resolved whole and which stay stepped, and, for every
-registry row, that a posted run equals the same run stepped.  The SR frames that posting serves share their
+registry row, that a posted run equals the same run stepped.  The SR
+frames that posting serves share their
 per-geometry plans across frames and nodes; the SR frame tests pin that
 every executor runs them alike and leaves them intact, and how a CD
 sender draws its schedule.
@@ -69,6 +70,19 @@ def _same_run(a, b):
     assert a.finish_slot == b.finish_slot
     assert a.duration == b.duration
     assert a.gen_entries == b.gen_entries
+
+
+def _like_the_oracle(graph, model, protocol, run, **faults):
+    """``run`` (a posted one) equals the stepped run and the oracle."""
+    _same_run(run, _run(graph, model, protocol, observed=True, **faults))
+    oracle = ReferenceSimulator(
+        graph, model, seed=0,
+        faults=parse_fault_specs(ExecutionConfig(**faults)),
+    ).run(protocol)
+    assert run.outputs == oracle.outputs
+    assert run.energy == oracle.energy
+    assert run.finish_slot == oracle.finish_slot
+    assert run.duration == oracle.duration
 
 
 def test_charge_sends_is_one_run_level_charge():
@@ -225,16 +239,8 @@ def test_a_plan_turned_down_half_way_runs_as_stepped(faults):
     """The rows ``post`` laid before it met the listen change nothing:
     the run equals the stepped one and the oracle's."""
     graph = path_graph(2)
-    config = ExecutionConfig(**faults)
     posted = _run(graph, CD, _half_posted, **faults)
-    _same_run(posted, _run(graph, CD, _half_posted, observed=True, **faults))
-    oracle = ReferenceSimulator(
-        graph, CD, seed=0, faults=parse_fault_specs(config),
-    ).run(_half_posted)
-    assert posted.outputs == oracle.outputs
-    assert posted.energy == oracle.energy
-    assert posted.finish_slot == oracle.finish_slot
-    assert posted.duration == oracle.duration
+    _like_the_oracle(graph, CD, _half_posted, posted, **faults)
     if not faults:
         assert posted.outputs == [("b",), ("a", SILENCE, "a", SILENCE, SILENCE)]
 
@@ -260,19 +266,6 @@ def _spies(monkeypatch):
     monkeypatch.setattr(EnergyObserver, "on_slot", counting_slot)
     monkeypatch.setattr(EnergyObserver, "charge_listens", counting_charge)
     return slots, charges
-
-
-def _like_the_oracle(graph, model, protocol, run, **faults):
-    """``run`` (a posted one) equals the stepped run and the oracle."""
-    _same_run(run, _run(graph, model, protocol, observed=True, **faults))
-    oracle = ReferenceSimulator(
-        graph, model, seed=0,
-        faults=parse_fault_specs(ExecutionConfig(**faults)),
-    ).run(protocol)
-    assert run.outputs == oracle.outputs
-    assert run.energy == oracle.energy
-    assert run.finish_slot == oracle.finish_slot
-    assert run.duration == oracle.duration
 
 
 #: One No-CD SR frame on a 5-path: two senders around a receiver that
@@ -408,29 +401,26 @@ def test_a_window_cut_by_the_budget_times_out_as_stepped(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("faults", [
-    {"churn": "periodic:period=3,down=1"},
-    {"jam": "random:rate=0.2"},
-    {"burst_loss": "p_gb=0.2,p_bg=0.4"},
-    {"loss_rate": 0.3},
+@pytest.mark.parametrize("faults,lossy", [
+    ({"churn": "periodic:period=3,down=1"}, False),
+    ({"jam": "random:rate=0.2"}, False),
+    ({"burst_loss": "p_gb=0.2,p_bg=0.4"}, False),
+    ({}, True),
 ], ids=["churn", "jam", "burst_loss", "loss_rate"])
-def test_faulted_and_lossy_windows_stay_stepped(faults, monkeypatch):
+def test_faulted_and_lossy_windows_stay_stepped(faults, lossy, monkeypatch):
     """Under churn, a slot-aware channel (jam, burst loss) or per-
-    reception draws (loss rate), a window's receptions are not the
+    reception draws (a loss rate), a window's receptions are not the
     calendar's alone: every window is stepped, and the run equals the
     stepped one."""
     _, charges = _spies(monkeypatch)
-    graph = path_graph(5)
-    faults = dict(faults)
-    if faults.pop("loss_rate", None) is not None:
-        posted, stepped = (
-            Simulator(graph, LossyModel(NO_CD, 0.3, seed=0), seed=0,
-                      observers=observers).run(_decay_frame)
-            for observers in ((), [SlotObserver()])
+    posted, stepped = (
+        _run(
+            path_graph(5),
+            LossyModel(NO_CD, 0.3, seed=0) if lossy else NO_CD,
+            _decay_frame, observed=observed, **faults,
         )
-    else:
-        posted = _run(graph, NO_CD, _decay_frame, **faults)
-        stepped = _run(graph, NO_CD, _decay_frame, observed=True, **faults)
+        for observed in (False, True)
+    )
     assert charges == []
     _same_run(posted, stepped)
 
