@@ -260,16 +260,6 @@ def _cell_result(
         extras.update({
             f"ch_{key}": value for key, value in histogram.summary().items()
         })
-    # SoA engagement diagnostic: only lock-step runs set soa_reason,
-    # so default-path cells (and their stores/aggregates) are
-    # byte-unchanged.
-    if outcome.sim.soa_reason is not None:
-        extras["soa"] = 1.0 if outcome.sim.soa_reason == "ok" else 0.0
-        # The verdict itself rides along as a one-hot key so the
-        # fabric ledger can count *why* the SoA engine disengaged
-        # (fallback taxonomy: jammer, burst_loss, ...), not
-        # just that it did.
-        extras[f"soa_reason_{outcome.sim.soa_reason}"] = 1.0
     return CellResult(
         label=label,
         size=size,
@@ -331,15 +321,6 @@ def aggregate_cells(cells: Sequence[CellResult], extended: bool = False) -> Swee
     extras_acc: Dict[str, List[float]] = {}
     for cell in cells:
         for key, value in cell.extras.items():
-            if key == "soa" or key.startswith("soa_reason_"):
-                # Execution-path diagnostics (which engine ran the
-                # cell and why), not measurements: they vary with
-                # execution options by design, and aggregates must
-                # not.  Note soa_reason_ok would otherwise hit the
-                # conjunctive ``_ok`` rule below — skip first.  Cell
-                # stores keep the flags; the fabric events ledger is
-                # the aggregate engagement view.
-                continue
             extras_acc.setdefault(key, []).append(value)
     extras = {
         key: (

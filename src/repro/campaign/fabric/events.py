@@ -16,13 +16,10 @@ Event schema (all events carry ``ev`` and ``ts``; the rest varies)::
     worker_died        worker, reason, block (the assignment it held)
     block_dispatched   block, worker, row (a fused block's rows of this
                        campaign, joined by "+"), size, seeds, attempt
-    block_completed    block, worker, ok, failed, elapsed, soa (cells
-                       that ran on the trial-SoA engine; absent in
-                       pre-soa ledgers, read as 0), soa_reasons (cell
-                       counts by SoA verdict string, e.g. {"ok": 3,
-                       "jammer": 1}; absent in older ledgers — readers
-                       must render *any* reason string gracefully,
-                       since new fault families mint new verdicts)
+    block_completed    block, worker, ok, failed, elapsed (older
+                       ledgers may also carry soa and soa_reasons,
+                       from when campaigns could run lock-step; the
+                       fold ignores them)
     block_retried      block, attempt, reason, backoff
     block_quarantined  block, reason, cells
     run_completed      ok, errors, timeouts, quarantined, retries, elapsed
@@ -139,11 +136,6 @@ def summarize_events(events) -> Dict:
                 "workers": event.get("workers", 1),
                 "cells_ok": 0,
                 "cells_failed": 0,
-                "blocks": 0,
-                "soa_blocks": 0,
-                "soa_cells": 0,
-                "soa_reasons": {},
-                "soa_seen": False,
                 "completed": False,
             }
             workers = {}
@@ -181,24 +173,6 @@ def summarize_events(events) -> Dict:
                 last_run["cells_ok"] += event.get("ok", 0)
                 last_run["cells_failed"] += event.get("failed", 0)
                 open_failures[event.get("block")] = event.get("failed", 0)
-                last_run["blocks"] += 1
-                soa = event.get("soa")
-                if soa is not None:
-                    last_run["soa_seen"] = True
-                    last_run["soa_cells"] += soa
-                    if soa > 0:
-                        last_run["soa_blocks"] += 1
-                # Verdict counts arrive as an open string->count map;
-                # fold whatever strings appear (old ledgers omit the
-                # field, future fault families mint new reasons).
-                reasons = event.get("soa_reasons")
-                if isinstance(reasons, dict):
-                    acc = last_run["soa_reasons"]
-                    for reason, count in reasons.items():
-                        try:
-                            acc[str(reason)] = acc.get(str(reason), 0) + int(count)
-                        except (TypeError, ValueError):
-                            continue
         elif ev == "block_retried":
             retried.append(event)
         elif ev == "block_quarantined":
@@ -239,22 +213,6 @@ def render_events_summary(summary: Dict) -> str:
                 f"  wall {run['elapsed']:.1f}s, "
                 f"{run.get('cells_per_sec', 0.0):.1f} cells/s"
             )
-        if run.get("soa_seen"):
-            blocks = run.get("blocks", 0)
-            soa_blocks = run.get("soa_blocks", 0)
-            rate = soa_blocks / blocks if blocks else 0.0
-            lines.append(
-                f"  SoA engagement: {soa_blocks}/{blocks} block(s) "
-                f"({rate:.0%}), {run.get('soa_cells', 0)} cell(s) on the "
-                f"trial-SoA engine"
-            )
-            reasons = run.get("soa_reasons") or {}
-            if reasons:
-                breakdown = ", ".join(
-                    f"{reason}={count}"
-                    for reason, count in sorted(reasons.items())
-                )
-                lines.append(f"  SoA verdicts: {breakdown}")
     order = (
         "run_started", "worker_born", "worker_died", "block_dispatched",
         "block_completed", "block_retried", "block_quarantined",

@@ -170,19 +170,6 @@ class _Campaign:
                         f"  ok {self.tag(job, record['job']['seed'])} "
                         f"({record['elapsed']:.2f}s)"
                     )
-        # SoA engagement (the cell's extras say 1.0 engaged, 0.0 fell
-        # back, nothing when it did not run lock-step) and the fallback
-        # taxonomy: lock-step cells counted by verdict string ("ok",
-        # "jammer", "burst_loss", ...), so the ledger records *why*
-        # vectorization disengaged, not just how often.
-        soa = 0
-        soa_reasons: Dict[str, int] = {}
-        for record in records:
-            extras = record.get("result", {}).get("extras", {})
-            soa += extras.get("soa") == 1.0
-            reason = _soa_reason(extras)
-            if reason is not None:
-                soa_reasons[reason] = soa_reasons.get(reason, 0) + 1
         self.events.emit(
             "block_completed",
             block=block_id,
@@ -190,8 +177,6 @@ class _Campaign:
             ok=len(ok),
             failed=len(records) - len(ok),
             elapsed=round(sum(record["elapsed"] for record in records), 3),
-            soa=soa,
-            soa_reasons=soa_reasons,
         )
         self.finished = time.monotonic()
 
@@ -239,14 +224,6 @@ class _Campaign:
             workers=workers,
             workers_died=workers_died,
         )
-
-
-def _soa_reason(extras: Dict) -> Optional[str]:
-    """Recover the SoA verdict string from a cell's one-hot extras key."""
-    for key in extras:
-        if key.startswith("soa_reason_"):
-            return key[len("soa_reason_"):]
-    return None
 
 
 def _describe(prefix: str, jobs: Sequence[JobSpec]) -> str:

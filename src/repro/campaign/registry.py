@@ -272,21 +272,19 @@ def execute_fused_block(
     worker amortizes graph construction and engine setup, and a seed
     two members ask for runs once; each
     member's cells carry its own row's label and observer extras.
-    Execution-steering options (the
+    Execution options (the
     :meth:`~repro.sim.config.ExecutionConfig.option_keys` subset of the
-    cell's ``options`` dict — ``resolution``, ``lockstep``,
-    ``contention_hist`` and the fault specs) become the block's
-    :class:`~repro.sim.config.ExecutionConfig`; a row with a
-    ``custom_cell`` is always a one-member block and runs seed by seed.
+    cell's ``options`` dict — ``contention_hist`` and the fault specs)
+    become the block's :class:`~repro.sim.config.ExecutionConfig`; the
+    block runs on the serial engine with the bitmask backend.  A row
+    with a ``custom_cell`` is always a one-member block and runs seed by
+    seed.
 
     A ``loss_rate`` row option runs the row's protocol under an erasure
     channel: every seed gets its own
     :class:`~repro.sim.models.LossyModel` wrapper (seeded by the trial
     seed, so results are sharding-independent) around the row's model
-    via a per-block ``model_factory``.  Under ``lockstep: true`` +
-    ``resolution: "numpy"`` such blocks run on the trial-SoA engine's
-    vectorized drop-mask path, whole-block — this is how ``campaign run
-    --workers N`` gets array speed per worker on lossy rows.
+    via a per-block ``model_factory``.
 
     Returns one :class:`CellResult` list per member, in member order.
     """
@@ -626,11 +624,11 @@ register_row(RowDefinition(
 def _beta_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
     """Partition(beta) statistics on a cycle — not a broadcast run.
 
-    Execution options are honored where the bare engine can
-    (``resolution`` and the fault specs); batch-level ones (``lockstep``,
-    ``contention_hist``) make the cell *fail loudly* — they are part of
-    the cell's content-hash identity, so silently ignoring them would
-    store unmarked default-execution results under a different key.
+    Execution options are honored where the bare engine can (the fault
+    specs); the batch-level one (``contention_hist``) makes the cell
+    *fail loudly* — it is part of the cell's content-hash identity, so
+    silently ignoring it would store unmarked default-execution results
+    under a different key.
     """
     from repro.core.partition import (
         PartitionParams,
@@ -651,7 +649,7 @@ def _beta_cell(row: str, size: int, seed: int, options: Dict) -> CellResult:
         out = yield from partition_once(ctx, scheme, params)
         return out
 
-    # Simulator itself rejects lockstep/contention_hist configs.
+    # Simulator itself rejects contention_hist configs.
     result = Simulator(
         graph, NO_CD, seed=seed,
         exec_config=ExecutionConfig.from_options(options),
@@ -718,7 +716,7 @@ register_row(RowDefinition(
     default_seeds=(0, 1, 2),
     custom_cell=_beta_cell,
     columns=("n", "beta", "edge_cut_rate", "lemma14_bound", "clusters"),
-    # The partition runs on a bare Simulator: batch-level options have
-    # no layer to consume them here (see _beta_cell).
-    unsupported_exec_options=("lockstep", "contention_hist"),
+    # The partition runs on a bare Simulator: the batch-level option has
+    # no layer to consume it here (see _beta_cell).
+    unsupported_exec_options=("contention_hist",),
 ))

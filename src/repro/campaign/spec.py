@@ -26,7 +26,9 @@ Example config (``configs/table1.json``)::
 
 Sizes and seeds omitted from a row entry fall back first to the
 campaign-level ``defaults`` block, then to the registry's per-row
-defaults.
+defaults.  Every size and seed is a whole number (``16.0`` and ``"0"``
+coerce); a size below the row's smallest graph or a negative seed
+fails at load, naming the row.
 """
 
 from __future__ import annotations
@@ -47,13 +49,53 @@ __all__ = ["JobSpec", "RowPlan", "CampaignSpec", "job_key"]
 # Deliberately NOT bumped for the PR-5 execution-option normalization:
 # bumping would re-key every existing store.  One narrow migration note
 # instead: a pre-PR-5 store built from a config that *explicitly* set an
-# execution option to its default (e.g. {"resolution": "bitmask"}) was
+# execution option to its default (e.g. {"contention_hist": false}) was
 # keyed with that option embedded; such cells now normalize to the
 # option-free key and will recompute once (the old records stay in the
 # append-only store, simply unreferenced).  Configs that never spelled
 # out default options — including every config in this repo — resume
 # unchanged.
 SPEC_VERSION = 2
+
+
+def _axis_values(
+    values, where: str, axis: str, low: int = 0
+) -> Tuple[int, ...]:
+    """One ``sizes``/``seeds`` list as ints, refusing entries that would
+    not run as written: booleans, non-integral numbers and strings, and
+    values below ``low`` (the row's minimum size, or 0 for seeds).
+
+    Integral floats and integer strings (``16.0``, ``"0"``) coerce, so
+    they hash like the ints a worker's round-tripped payload carries.
+    ``where`` names the row (or ``'defaults'``) in the one-line error.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where} has {axis!r} {values!r}; expected a list")
+    out = []
+    for raw in values:
+        value = None
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            value = raw
+        elif isinstance(raw, float) and raw.is_integer():
+            value = int(raw)
+        elif isinstance(raw, str):
+            try:
+                value = int(raw)
+            except ValueError:
+                pass
+        if value is None:
+            raise ValueError(
+                f"{where} has a bad {axis!r} entry {raw!r}; expected a "
+                f"whole number"
+            )
+        if value < low:
+            bound = (
+                f"the row's minimum size {low}" if axis == "sizes"
+                else "0 (seeds -1 and 1 draw the same trial)"
+            )
+            raise ValueError(f"{where} has {axis!r} entry {raw!r} below {bound}")
+        out.append(value)
+    return tuple(out)
 
 
 def _canonical(data: Dict) -> str:
@@ -226,6 +268,16 @@ class CampaignSpec:
         for axis in ("sizes", "seeds"):
             if axis in defaults and not defaults[axis]:
                 raise ValueError(f"'defaults' has empty {axis!r}")
+        from repro.campaign.registry import ROW_REGISTRY, row_min_size
+
+        default_sizes = (
+            _axis_values(defaults["sizes"], "'defaults'", "sizes")
+            if "sizes" in defaults else None
+        )
+        default_seeds = (
+            _axis_values(defaults["seeds"], "'defaults'", "seeds")
+            if "seeds" in defaults else None
+        )
         rows = []
         for entry in raw_rows:
             if isinstance(entry, str):
@@ -249,9 +301,26 @@ class CampaignSpec:
             # Coerce axes to int at parse time: job keys are content
             # hashes, so 8.0 vs 8 would silently split cache identities
             # between the parent and the worker's round-tripped payload.
-            #
-            # Execution options are validated here — an invalid mode
-            # (e.g. "resolution": "quantum") fails at config load with the
+            # A size below the row's minimum is refused here, whether
+            # the row lists it or takes it from 'defaults'; an unknown
+            # row is left to validate(), which names every one.
+            where = f"row {entry['row']!r}"
+            low = (
+                row_min_size(entry["row"])
+                if entry["row"] in ROW_REGISTRY else 0
+            )
+            sizes = seeds = None
+            if "sizes" in entry:
+                sizes = _axis_values(entry["sizes"], where, "sizes", low)
+            elif default_sizes and min(default_sizes) < low:
+                raise ValueError(
+                    f"{where} takes 'sizes' entry {min(default_sizes)} "
+                    f"from 'defaults', below the row's minimum size {low}"
+                )
+            if "seeds" in entry:
+                seeds = _axis_values(entry["seeds"], where, "seeds")
+            # Execution options are validated here — an invalid spec
+            # (e.g. "jam": "quantum") fails at config load with the
             # allowed values, before any cell runs — and normalized to
             # their minimal shape: an option explicitly set to its
             # default hashes identically to an omitted one, so such a
@@ -264,32 +333,15 @@ class CampaignSpec:
                 raise ValueError(
                     f"row {entry['row']!r} has a bad execution option: {exc}"
                 ) from None
-            rows.append(
-                RowPlan(
-                    row=entry["row"],
-                    sizes=(
-                        tuple(int(s) for s in entry["sizes"])
-                        if "sizes" in entry else None
-                    ),
-                    seeds=(
-                        tuple(int(s) for s in entry["seeds"])
-                        if "seeds" in entry else None
-                    ),
-                    options=options,
-                )
-            )
+            rows.append(RowPlan(
+                row=entry["row"], sizes=sizes, seeds=seeds, options=options,
+            ))
         return cls(
             name=data["name"],
             rows=rows,
             description=data.get("description", ""),
-            default_sizes=(
-                tuple(int(s) for s in defaults["sizes"])
-                if "sizes" in defaults else None
-            ),
-            default_seeds=(
-                tuple(int(s) for s in defaults["seeds"])
-                if "seeds" in defaults else None
-            ),
+            default_sizes=default_sizes,
+            default_seeds=default_seeds,
         )
 
     @classmethod

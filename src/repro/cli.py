@@ -42,15 +42,18 @@ Commands:
   (the CI perf-smoke tripwire).
 
 The ``figure1``, ``table1``, ``ablations``, and ``campaign``
-subcommands share one execution-options group (``--resolution``,
-``--lockstep``/``--no-lockstep``,
-``--contention-hist``/``--no-contention-hist``, and the fault specs
+subcommands share one execution-options group
+(``--contention-hist``/``--no-contention-hist`` and the fault specs
 ``--churn``/``--jam``/``--burst-loss``), generated from the
 :class:`repro.sim.config.ExecutionConfig` field schema.  Precedence is
 CLI > cell options > defaults; on campaigns the flags become part of
 each cell's content-hash identity (pass the same flags to
 ``status``/``report``), except that explicit default values normalize
-away and alias the flag-free cells.
+away and alias the flag-free cells.  Every subcommand runs on the
+serial engine with the bitmask backend; the ``resolution`` and
+``lockstep`` fields are for library callers of
+:func:`repro.sim.batch.run_trials`, and ``--resolution`` or
+``--lockstep`` is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Subcommands get only the flags they can honor: figure1's single
     # run has no extras channel for contention_hist, and the beta
-    # ablation runs on a bare Simulator (no lockstep, no histogram).
+    # ablation runs on a bare Simulator (no histogram).
     p_fig = sub.add_parser("figure1", help="render the Figure 1 timeline")
     p_fig.add_argument("--n", type=int, default=32)
     p_fig.add_argument("--seed", type=int, default=0)
@@ -502,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=_cmd_table1)
 
     p_abl = sub.add_parser("ablations", help="run the ablations")
-    add_execution_args(p_abl, exclude=("contention_hist", "lockstep"))
+    add_execution_args(p_abl, exclude=("contention_hist",))
     p_abl.set_defaults(func=_cmd_ablations)
 
     p_bench = sub.add_parser(

@@ -16,6 +16,8 @@ Two executors share this entry point:
   (:mod:`repro.sim.trialsoa`); every other batch runs on the serial
   engine, seed after seed.  Every lock-step result records the verdict
   in ``SimResult.soa_reason``.  Results are byte-identical either way.
+  Only direct callers choose it (``repro bench`` and perfbench time
+  it); campaign cells always run serially.
 
 The campaign's cell layer (:mod:`repro.campaign.cells`) rides on this
 core: every (row, size) seed block is one call, whether the serial
@@ -142,18 +144,14 @@ def run_trials(
     trial_models = None if all(m is model for m in models) else models
     churns = [churn for _, churn, _ in trials]
     trial_churn = None if all(c is None for c in churns) else churns
-    trial_observers = (
-        None if config.observer_factory is None
-        else [extra for _, _, extra in trials]
-    )
+    observed = any(extra for _, _, extra in trials)
     reason = soa_fallback_reason(
-        model, config, simulator.backend, trial_models, trial_observers
+        model, config, simulator.backend, trial_models, observed
     )
     if reason is None and seeds:
         results = run_trials_soa(
             simulator, protocol_factory, seeds, inputs,
-            trial_models=trial_models, trial_observers=trial_observers,
-            trial_churn=trial_churn,
+            trial_models=trial_models, trial_churn=trial_churn,
         )
     else:
         # The serial loop itself, not run_trials: a batch is one call.

@@ -28,16 +28,20 @@ campaign *dispatches* its cells (worker count, retries, heartbeat,
 per-cell timeout) is not a trial's business: those values live in
 :class:`repro.campaign.runner.RunnerOptions`.
 
-Semantics contract: ``resolution`` and ``lockstep`` steer *how* a cell
-executes, never what it measures (byte-identical results, pinned by the
-differential suites).  The remaining fields are honest-by-name
-exceptions: ``record_trace`` attaches a per-slot trace to each result
-(the Figure 1 timeline reads it; campaign rows measure with observers
-instead) and ``contention_hist`` adds ``ch_*`` extras (which is why the
-latter is part of a campaign cell's content-hash identity), the fault
-specs change the
-channel itself, and ``time_limit`` can abort a run — which is why it is
-not a campaign cell option.
+Semantics contract: ``resolution`` and ``lockstep`` steer *how* a
+batch executes, never what it measures (byte-identical results, pinned
+by the differential suites).  They are library fields for direct
+callers of the simulator API such as :func:`repro.sim.batch.run_trials`
+(``repro bench`` and perfbench time them), not campaign cell options:
+no reproduced number runs faster under them, so a config naming one
+fails at spec load and no subcommand has a flag for them.  The
+remaining fields are honest-by-name exceptions: ``record_trace``
+attaches a per-slot trace to each result (the Figure 1 timeline reads
+it; campaign rows measure with observers instead) and
+``contention_hist`` adds ``ch_*`` extras (which is why the latter is
+part of a campaign cell's content-hash identity), the fault specs
+change the channel itself, and ``time_limit`` can abort a run — which
+is why it is not a campaign cell option.
 """
 
 from __future__ import annotations
@@ -100,12 +104,11 @@ class ExecutionConfig:
 
     resolution: str = field(default="bitmask", metadata=_meta(
         "reception-resolution backend (see repro.sim.resolution)",
-        choices=RESOLUTION_MODES, cell_option=True,
+        choices=RESOLUTION_MODES,
     ))
     lockstep: bool = field(default=False, metadata=_meta(
         "run a trial batch on the trial-SoA engine when eligible, else "
         "serially (repro.sim.batch); byte-identical results",
-        cell_option=True,
     ))
     time_limit: Optional[int] = field(default=None, metadata=_meta(
         "slot budget per run; None uses the entry point's default",
@@ -140,7 +143,8 @@ class ExecutionConfig:
     observer_factory: Optional[Callable[[int], Sequence[Any]]] = field(
         default=None, metadata=_meta(
             "per-seed SlotObserver constructor (seed -> observers); the "
-            "required observer form under lockstep",
+            "required observer form for run_trials (a lock-step batch "
+            "with observers runs serially)",
             hook=True,
         ))
     model_factory: Optional[Callable[[int], Any]] = field(
@@ -278,7 +282,8 @@ _OPTION_DEFAULTS = {
 
 # Execution fields that are NOT campaign cell options (record_trace
 # serves the Figure 1 timeline and direct callers, time_limit can abort
-# a run, hooks are process-local).  They are reserved names: a cell options dict using
+# a run, hooks are process-local; resolution and lockstep are retired
+# as options below).  They are reserved names: a cell options dict using
 # one would otherwise pass as an opaque protocol knob — silently
 # ignored, yet still part of the content-hash identity.
 _RESERVED_NON_OPTION_FIELDS = frozenset(
@@ -293,6 +298,11 @@ _RUNNER_OPTION = (
     "(repro.campaign.runner.RunnerOptions); pass it to campaign run / "
     "run-all as a runner flag"
 )
+_LIBRARY_FIELD = (
+    "campaign cells always run serially on the bitmask backend; it "
+    "stays an ExecutionConfig field for library callers of "
+    "repro.sim.batch.run_trials"
+)
 _RETIRED_FIELDS = {
     "stepping": "engines always run plans phase-compiled; wrap a "
                 "protocol in repro.sim.expand_plans for per-slot yields",
@@ -301,6 +311,8 @@ _RETIRED_FIELDS = {
     "retries": _RUNNER_OPTION,
     "heartbeat": _RUNNER_OPTION,
     "timeout": _RUNNER_OPTION,
+    "resolution": _LIBRARY_FIELD,
+    "lockstep": _LIBRARY_FIELD,
 }
 
 
@@ -349,7 +361,7 @@ def normalize_execution_options(options: Dict) -> Dict:
     explicitly set to their default value.
 
     Campaign content-hash keys are built from the options dict, so
-    ``{"resolution": "bitmask"}`` and ``{}`` must alias the same stored
+    ``{"contention_hist": False}`` and ``{}`` must alias the same stored
     cell — the minimal shape is the durable identity.  Non-execution
     entries (protocol knobs) pass through untouched, in order.
     """

@@ -45,18 +45,10 @@ class SlotObserver:
     generators yield them); observers that need a canonical order sort,
     as :class:`TraceObserver` does.
 
-    **Batch ABI (optional).**  Observers that can consume a whole slot as
-    boolean/count rows may set ``batch_capable = True`` and implement
-    :meth:`observe_matrix`; the trial-SoA engine
-    (:mod:`repro.sim.trialsoa`) then keeps batches with observers on the
-    vectorized path instead of falling back to the serial engine.
-    Both entry points must tally identically — the differential suite
-    compares runs across the two engines.
+    A lock-step batch whose trials carry observers runs on the serial
+    engine (see :func:`repro.sim.trialsoa.soa_fallback_reason`), so
+    ``on_slot`` is the one entry point.
     """
-
-    #: True when :meth:`observe_matrix` is implemented and equivalent to
-    #: :meth:`on_slot`; the SoA engine checks this per observer instance.
-    batch_capable = False
 
     def on_run_start(self, n: int) -> None:
         """Called once before the first slot; ``n`` is the vertex count."""
@@ -70,17 +62,6 @@ class SlotObserver:
         feedbacks: Dict[int, Any],
     ) -> None:
         """Called once per slot in which at least one device was active."""
-
-    def observe_matrix(self, slot: int, sending, receiving, counts) -> None:
-        """Batch form of :meth:`on_slot`, used by the SoA engine when
-        ``batch_capable``: one call per trial per active slot with the
-        trial's rows — ``sending``/``receiving`` are boolean ``[node]``
-        vectors (senders + duplexers / listeners + duplexers) and
-        ``counts`` is the per-node count of neighbors in ``sending``
-        (before erasures under lossy channels and before churn takes
-        down radios off the air, matching :meth:`on_slot`'s
-        neighbor-bitmask view)."""
-        raise NotImplementedError
 
 
 class EnergyObserver(SlotObserver):
@@ -174,14 +155,10 @@ class ContentionHistogramObserver(SlotObserver):
 
     Model-independent by design: it counts transmissions on the air, not
     what the model turned them into, so the same numbers overlay any
-    channel model (Figure 1 overlays, model-mismatch studies).  That is
-    also why :meth:`observe_matrix` reduces over the SoA engine's
-    *pre-drop* count matrix: erasures are the model's doing.  Under
-    churn it likewise counts *attempted* (pre-churn) transmissions and
-    receptions, down radios included, in both engines.
+    channel model (Figure 1 overlays, model-mismatch studies): erasures
+    are the model's doing.  Under churn it likewise counts *attempted*
+    (pre-churn) transmissions and receptions, down radios included.
     """
-
-    batch_capable = True
 
     def __init__(self, graph) -> None:
         self.graph = graph
@@ -227,23 +204,6 @@ class ContentionHistogramObserver(SlotObserver):
                 self.clean_receptions += 1
             else:
                 self.collisions += 1
-
-    def observe_matrix(self, slot, sending, receiving, counts) -> None:
-        load = int(sending.sum())
-        self.active_slots += 1
-        self.transmissions += load
-        histogram = self.load_histogram
-        histogram[load] = histogram.get(load, 0) + 1
-        receivers = int(receiving.sum())
-        if not load:
-            self.silent_receptions += receivers
-            return
-        k = counts[receiving]
-        silent = int((k == 0).sum())
-        clean = int((k == 1).sum())
-        self.silent_receptions += silent
-        self.clean_receptions += clean
-        self.collisions += receivers - silent - clean
 
     @property
     def receptions(self) -> int:

@@ -60,17 +60,16 @@ plan-emitting and per-slot protocols.
 
 Eligibility (:func:`soa_fallback_reason`, the one place it is decided):
 numpy importable, ``resolution == "numpy"``, no trace recording, no
-jamming, and a vectorizable channel — either a shared
-count-based stateless model, or per-trial
-:class:`~repro.sim.models.LossyModel` (or uniform Gilbert-Elliott)
-wrappers around one shared stateless inner model (the erasure channel
-is lowered to per-trial Bernoulli drop masks, see below).  Batches with
-observers stay eligible when every observer advertises the batch ABI
-(``SlotObserver.batch_capable``).  The lock-step dispatch in
-:func:`repro.sim.batch.run_trials` probes the materialized per-seed
-products and records the verdict as ``SimResult.soa_reason``;
+jamming, no Gilbert-Elliott burst loss, no observers besides the
+engine's own energy meters, and one of the five paper models'
+classification rules (:func:`_stock_spec`) — either as a shared
+model, or as the inner model of per-trial
+:class:`~repro.sim.models.LossyModel` wrappers (the erasure channel is
+lowered to per-trial Bernoulli drop masks, see below).  The lock-step
+dispatch in :func:`repro.sim.batch.run_trials` probes the materialized
+per-seed products and records the verdict as ``SimResult.soa_reason``;
 everything else — including every no-numpy environment — runs on the
-serial engine, seed after seed.
+serial engine, seed after seed, with byte-identical results.
 
 **Lossy channels.**  The serial oracle draws one ``rng.random()`` per
 on-the-air transmission per reception, receivers ascending (the
@@ -100,9 +99,8 @@ see only on-air senders (``sending & ~down``) and live receivers
 (``receiving & ~down``), and down receivers hear
 :func:`~repro.sim.faults.down_feedback`, so ``ListenUntil`` early
 exit matches on post-churn counts and on what each cell heard.
-Energy meters, run countdowns, boundaries and batch observers keep
-the attempted rows, and observers get the pre-churn counts, as
-``on_slot`` does.
+Energy meters, run countdowns and boundaries keep the attempted
+rows.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ from repro.sim.engine import (
     Simulator,
     timeout_error,
 )
-from repro.sim.faults import CrashSchedule, GilbertElliottModel, down_feedback
+from repro.sim.faults import CrashSchedule, down_feedback
 from repro.sim.feedback import BEEP, NOISE, SILENCE, is_message
 from repro.sim.models import (
     BEEPING,
@@ -179,71 +177,50 @@ def soa_fallback_reason(
     config: ExecutionConfig,
     backend,
     trial_models: Optional[Sequence[ChannelModel]],
-    trial_observers: Optional[Sequence[Sequence[Any]]],
+    observed: bool,
 ) -> Optional[str]:
     """Why a lock-step batch cannot run on the SoA engine, or None when
     it can.
 
     ``backend`` is the batch's resolution backend, ``trial_models`` the
     per-trial models when they differ per seed (``model_factory``
-    products, fault wrappers) and ``trial_observers`` the per-seed
-    observer tuples — the materialized products, so uniform
-    ``LossyModel`` / Gilbert-Elliott batches over a shared stateless
-    inner (vectorized drop masks) and observer sets whose every member
-    advertises the batch ABI are admitted.  The returned string lands in
-    ``SimResult.soa_reason`` so fallbacks are diagnosable, not silent.
+    products, fault wrappers), and ``observed`` says whether any trial
+    carries an observer.  Per-trial models are the materialized
+    products, so uniform ``LossyModel`` batches over one shared stock
+    inner model (vectorized drop masks) are admitted.  The returned
+    string lands in ``SimResult.soa_reason`` so fallbacks are
+    diagnosable, not silent.
     """
     if config.resolution != "numpy" or not isinstance(backend, NumpyBackend):
         return "resolution"
+    _load_numpy()  # the numpy backend imported it; _stock_spec boxes cells
     if config.record_trace:
         return "record_trace"
     # Churn runs as a per-trial down mask (see the module docstring).
-    # Jamming needs per-slot adversary state the engine does not carry,
-    # so it reports its own reason.  Burst loss (Gilbert-Elliott) is
-    # vectorizable when the batch is uniform over one shared stateless
-    # count-based inner (admitted below); anything else reports
-    # "burst_loss".
+    # Jamming and Gilbert-Elliott fades need per-slot channel state the
+    # engine does not carry.
     if config.jam:
         return "jammer"
+    if config.burst_loss:
+        return "burst_loss"
     if trial_models is not None:
         first = trial_models[0] if trial_models else None
-        if first is not None and type(first) is GilbertElliottModel:
-            if not (
-                first.inner.supports_count
-                and not first.inner.stateful
-                and all(
-                    type(m) is GilbertElliottModel
-                    and m.inner is first.inner
-                    and m.p_gb == first.p_gb
-                    and m.p_bg == first.p_bg
-                    and m.good_rate == first.good_rate
-                    and m.bad_rate == first.bad_rate
-                    for m in trial_models
-                )
-            ):
-                return "burst_loss"
-        elif not (
-            first is not None
-            and type(first) is LossyModel
-            and first.inner.supports_count
-            and not first.inner.stateful
+        if not (
+            type(first) is LossyModel
             and all(
                 type(m) is LossyModel and m.inner is first.inner
                 for m in trial_models
             )
         ):
-            return "burst_loss" if config.burst_loss else "model_factory"
+            return "model_factory"
+        model = first.inner
     elif model.stateful:
         # A shared stateful channel consumes one rng stream across
         # trials, which the trial axis cannot reorder.
         return "stateful_model"
-    elif not model.supports_count:
+    if _stock_spec(model) is None:
         return "model"
-    if trial_observers is not None and not all(
-        getattr(observer, "batch_capable", False)
-        for observers in trial_observers
-        for observer in observers
-    ):
+    if observed:
         return "observers"
     return None
 
@@ -293,8 +270,9 @@ def _stock_spec(model: ChannelModel):
     "never"); candidate cells are still re-checked per element with
     :func:`is_message` + accept, so a ``Send(None)`` cannot fake a match.
 
-    Keyed on exact type: a subclass overriding resolution semantics
-    falls back to the generic ``resolve_count_array`` path.
+    Keyed on exact type: any other model, a subclass overriding
+    resolution semantics included, gets None, and
+    :func:`soa_fallback_reason` sends its batch to the serial engine.
     """
     tp = type(model)
     if tp is type(NO_CD):
@@ -325,20 +303,6 @@ def _cell_messages(mask_words, msg_row) -> List[Any]:
     return messages
 
 
-class _RowMap:
-    """Dict-shaped view of one trial's message row for
-    ``ChannelModel.resolve_count_array`` (which looks up
-    ``transmitting[vertex]`` for clean receptions only)."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row) -> None:
-        self.row = row
-
-    def __getitem__(self, v):
-        return self.row[v]
-
-
 class _SoAEngine:
     """The batched executor.  Mirrors the serial engine's semantics state
     for state; any divergence is a bug the differential suite catches."""
@@ -350,7 +314,6 @@ class _SoAEngine:
         seeds: Sequence[int],
         inputs: Optional[Dict[int, Dict[str, Any]]],
         trial_models: Optional[Sequence[Any]] = None,
-        trial_observers: Optional[Sequence[Sequence[Any]]] = None,
         trial_churn: Optional[Sequence[CrashSchedule]] = None,
     ) -> None:
         _load_numpy()
@@ -362,7 +325,7 @@ class _SoAEngine:
         model = simulator.model
         if trial_models is not None:
             # Lossy batch: per-trial LossyModel wrappers over one shared
-            # stateless inner (the dispatch validated this).  The wrapper
+            # stock inner (the dispatch validated this).  The wrapper
             # supplies full_duplex/name; classification runs under the
             # *inner* model's spec on post-drop counts.
             model = trial_models[0]
@@ -376,48 +339,24 @@ class _SoAEngine:
             list(trial_models) if trial_models is not None else None
         )
         if self.lossy_models is not None:
-            first = self.lossy_models[0]
-            inner = first.inner
+            inner = self.lossy_models[0].inner
             self.inner = inner
             self.loss_rates = [float(m.loss_rate) for m in self.lossy_models]
             self._lossy_rs = [
                 _transplant_rng(m._rng) for m in self.lossy_models
             ]
-            if type(first) is GilbertElliottModel:
-                # Bursty-loss batch (uniform params, validated by the
-                # dispatch): the chain state/slot live here as plain
-                # lists and advance lazily per trial in _classify_lossy,
-                # consuming transition draws from the same transplanted
-                # stream as the drop draws — the serial path-independence
-                # contract (see repro.sim.faults).
-                self.ge = (
-                    first.p_gb, first.p_bg, first.good_rate, first.bad_rate
-                )
-                self.ge_state = [m._state for m in self.lossy_models]
-                self.ge_slot = [m._slot for m in self.lossy_models]
-            else:
-                self.ge = None
             # Post-drop firsts are computed inside _classify_lossy; the
             # whole-matrix pre-drop firsts would name dropped senders.
             self.needs_first = None
             self.spec = _stock_spec(inner)
         else:
             self.inner = None
-            self.ge = None
             self.needs_first = model.needs_first_message
             self.spec = _stock_spec(model)
-        self.until_rule = self.spec[3] if self.spec is not None else None
+        self.until_rule = self.spec[3]
         self.churn = list(trial_churn) if trial_churn is not None else None
         if self.churn is not None:
             self.down_fb = _cell(down_feedback(model))
-        self.observers = (
-            [tuple(obs) for obs in trial_observers]
-            if trial_observers is not None else None
-        )
-        if self.observers is not None:
-            for obs_row in self.observers:
-                for observer in obs_row:
-                    observer.on_run_start(N)
 
         self.st = np.zeros((T, N), dtype=np.int8)
         self.rem = np.zeros((T, N), dtype=np.int64)
@@ -764,8 +703,8 @@ class _SoAEngine:
             ) & run_col
             active = sending | receiving
             # Churn: resolution sees only on-air senders and classifies
-            # only live receivers; meters, countdowns, boundaries and
-            # observers keep the attempted rows, as in the serial engine.
+            # only live receivers; meters, countdowns and boundaries
+            # keep the attempted rows, as in the serial engine.
             air = sending
             live = receiving
             down = None if self.churn is None else self._down(staged, active)
@@ -775,11 +714,6 @@ class _SoAEngine:
                 if off_air.any():
                     air = sending ^ off_air
             counts, masked = self._resolve(air)
-            if self.observers is not None:
-                self._observe(
-                    staged, sending, receiving,
-                    counts if air is sending else self._resolve(sending)[0],
-                )
             if self.lossy_models is not None:
                 # Erasure channel: draw each staged trial's Bernoulli
                 # mask in serial order, classify post-drop.
@@ -831,14 +765,6 @@ class _SoAEngine:
             # oracle would: the next draw continues the same stream.
             for m, rs in zip(self.lossy_models, self._lossy_rs):
                 _store_rng(m._rng, rs)
-            if self.ge is not None:
-                # Persist the chain position too (note the *slot* is
-                # the last drop slot, not the last processed slot — an
-                # engine-dependent detail the lazy catch-up makes
-                # observationally irrelevant).
-                for i, m in enumerate(self.lossy_models):
-                    m._state = self.ge_state[i]
-                    m._slot = self.ge_slot[i]
 
     def _until_matches(self, until_cells, counts, fb):
         """Boolean [T, N] mask of ListenUntil cells whose current
@@ -851,10 +777,8 @@ class _SoAEngine:
             cand = until_cells & (counts == 1)
         elif rule == "ge1":
             cand = until_cells & (counts >= 1)
-        elif rule == "never":
+        else:  # "never": no count carries a message
             return None
-        else:  # unknown model: inspect every until feedback
-            cand = until_cells
         if not cand.any():
             return None
         matched = np.zeros(cand.shape, dtype=bool)
@@ -894,25 +818,6 @@ class _SoAEngine:
         down[ts[hit], vs[hit]] = True
         return down
 
-    def _observe(self, staged, sending, receiving, counts) -> None:
-        """Fire each staged trial's batch-capable observers for this
-        round — one :meth:`SlotObserver.observe_matrix` call per observer
-        per trial, at the trial's own slot number, with the *pre-drop*
-        count row (on-the-air semantics, matching ``on_slot``)."""
-        np = _np
-        cur = self.cur
-        observers = self.observers
-        for t in np.nonzero(staged)[0].tolist():
-            obs_row = observers[t]
-            if not obs_row:
-                continue
-            slot = int(cur[t])
-            srow = sending[t]
-            rrow = receiving[t]
-            crow = counts[t]
-            for observer in obs_row:
-                observer.observe_matrix(slot, srow, rrow, crow)
-
     # --- feedback classification ---------------------------------------
 
     def _classify_lossy(self, staged, sending, receiving, masked):
@@ -935,21 +840,14 @@ class _SoAEngine:
         ``LossyModel.resolve([])``.
         """
         np = _np
-        spec = self.spec
+        k0, one_mode, many_mode, _ = self.spec
         fb = np.empty((self.T, self.N), dtype=object)
-        if spec is not None:
-            fb[...] = spec[0]
+        fb[...] = k0
         post = np.zeros((self.T, self.N), dtype=np.int64)
         msg = self.msg
         inner = self.inner
         rates = self.loss_rates
         rss = self._lossy_rs
-        ge = self.ge
-        if ge is not None:
-            p_gb, p_bg, good_rate, bad_rate = ge
-            ge_state = self.ge_state
-            ge_slot = self.ge_slot
-            cur = self.cur
         one = np.uint64(1)
         for t in np.nonzero(staged)[0].tolist():
             rows = np.nonzero(receiving[t])[0]
@@ -967,53 +865,18 @@ class _SoAEngine:
             else:
                 pair_row = pair_col = send_idx
             if pair_row.size:
-                if ge is not None:
-                    # Lazy Gilbert-Elliott catch-up: exactly one
-                    # transition draw per simulated slot since the chain
-                    # was last advanced, consumed *before* this slot's
-                    # drop draws — the same absolute stream positions as
-                    # the serial begin_slot/resolve pair.
-                    slot = int(cur[t])
-                    state = ge_state[t]
-                    steps = slot - ge_slot[t]
-                    if steps > 0:
-                        for r in rss[t].random_sample(steps).tolist():
-                            if state == 0:
-                                if r < p_gb:
-                                    state = 1
-                            elif r < p_bg:
-                                state = 0
-                        ge_state[t] = state
-                        ge_slot[t] = slot
-                    rate = bad_rate if state else good_rate
-                else:
-                    rate = rates[t]
                 draws = rss[t].random_sample(pair_row.size)
-                keep = draws >= rate
+                keep = draws >= rates[t]
                 kept_rows = pair_row[keep]
                 kept_senders = send_idx[pair_col[keep]]
             else:
                 kept_rows = pair_row
                 kept_senders = pair_row
-            if spec is not None and not kept_rows.size:
+            if not kept_rows.size:
                 continue  # every cell keeps k0 feedback, zero count
             counts_row = np.bincount(kept_rows, minlength=n_rows)
             post[t, rows] = counts_row
             msg_row = msg[t]
-            if spec is None:
-                # Non-stock inner: materialize each cell's surviving
-                # messages (already in lowest-sender-first order) and
-                # delegate, exactly the serial wrapper's call.
-                lists: List[List[Any]] = [[] for _ in range(n_rows)]
-                for r, s in zip(kept_rows.tolist(), kept_senders.tolist()):
-                    lists[r].append(msg_row[s])
-                resolve = inner.resolve
-                cells = np.empty(n_rows, dtype=object)
-                for i in range(n_rows):
-                    cells[i] = resolve(lists[i])
-                fb[t, rows] = cells
-                continue
-            _, one_mode, many_mode, _ = spec
             # First surviving sender per cell: pairs are in (receiver,
             # sender) ascending order and np.unique returns the first
             # occurrence index, so this is the lowest survivor.
@@ -1050,10 +913,7 @@ class _SoAEngine:
     def _classify(self, counts, receiving, firsts, masked):
         """[T, N] feedback object matrix for this round's receivers."""
         np = _np
-        spec = self.spec
-        if spec is None:
-            return self._classify_generic(counts, receiving, firsts, masked)
-        k0, one_mode, many_mode, _ = spec
+        k0, one_mode, many_mode, _ = self.spec
         fb = np.empty(counts.shape, dtype=object)
         fb[...] = k0
         one = receiving & (counts == 1)
@@ -1079,34 +939,6 @@ class _SoAEngine:
             resolve = self.model.resolve
             for t, v in zip(ts.tolist(), vs.tolist()):
                 fb[t, v] = resolve(_cell_messages(masked[t, v], msg[t]))
-
-    def _classify_generic(self, counts, receiving, firsts, masked):
-        """Correctness path for count-based models without a stock spec:
-        one ``resolve_count_array`` call per trial per round."""
-        np = _np
-        fb = np.empty(counts.shape, dtype=object)
-        model = self.model
-        resolve = model.resolve
-        msg = self.msg
-        for t in range(self.T):
-            row = np.nonzero(receiving[t])[0]
-            if not row.size:
-                continue
-            out, needs = model.resolve_count_array(
-                counts[t, row],
-                None if firsts is None else firsts[t, row],
-                _RowMap(msg[t]),
-            )
-            if needs:
-                for i in needs:
-                    out[i] = resolve(
-                        _cell_messages(masked[t, row[i]], msg[t])
-                    )
-            cells = np.empty(len(out), dtype=object)
-            for i, value in enumerate(out):
-                cells[i] = value
-            fb[t, row] = cells
-        return fb
 
     def _truncate_hist(self, next_round: int) -> None:
         """Drop history rounds no in-flight collecting run still needs."""
@@ -1163,7 +995,6 @@ def run_trials_soa(
     inputs: Optional[Dict[int, Dict[str, Any]]] = None,
     *,
     trial_models: Optional[Sequence[Any]] = None,
-    trial_observers: Optional[Sequence[Sequence[Any]]] = None,
     trial_churn: Optional[Sequence[CrashSchedule]] = None,
 ) -> List[SimResult]:
     """Run one cell's seeds through the SoA batched executor.
@@ -1173,18 +1004,15 @@ def run_trials_soa(
     is the batch's prepared engine: its graph, shared model, trial
     setup, slot budget and (numpy) backend.
     ``trial_models`` (when given) are the per-trial models — uniform
-    ``LossyModel`` wrappers over one shared stateless inner, run via
-    vectorized drop masks.  ``trial_observers`` (when given) are the
-    per-seed observer tuples, every one batch-capable, fired through
-    ``observe_matrix``.  ``trial_churn`` (when given) holds each trial's
+    ``LossyModel`` wrappers over one shared stock inner, run via
+    vectorized drop masks.  ``trial_churn`` (when given) holds each trial's
     :class:`~repro.sim.faults.CrashSchedule`, asked per round which
     active cells are down.  Results are byte-identical to the serial
     engine, in ``seeds`` order.
     """
     engine = _SoAEngine(
         simulator, protocol_factory, seeds, inputs,
-        trial_models=trial_models, trial_observers=trial_observers,
-        trial_churn=trial_churn,
+        trial_models=trial_models, trial_churn=trial_churn,
     )
     engine.run()
     return engine.results()

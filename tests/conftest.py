@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs import diameter
 from repro.sim import Idle, Knowledge, Send, Steps, expand_plans
+from repro.sim.models import ChannelModel
 
 
 def knowledge_for(graph, with_diameter: bool = True, id_space: int | None = None):
@@ -32,6 +33,19 @@ def bernoulli_steps(ctx, message, p: float, rounds: int) -> Steps:
     return Steps(tuple(
         Send(message) if rand() < p else Idle(1) for _ in range(rounds)
     ))
+
+
+class CountingModel(ChannelModel):
+    """A count model that is none of the paper's five: listeners hear
+    ``("heard", k)``, so the trial-SoA engine has no rule for it."""
+
+    supports_count = True
+
+    def resolve(self, transmissions):
+        return ("heard", len(transmissions))
+
+    def resolve_count(self, k, first_message):
+        return ("heard", k)
 
 
 @pytest.fixture

@@ -76,14 +76,17 @@ class TestRunTrials:
 class TestPerTrialProductsBuiltOnce:
     """Whichever executor runs a batch, each seed's factory products and
     fault realization are built exactly once, and the executor uses
-    those instances."""
+    those instances.  The SoA path carries no observers: a batch with
+    observers runs on the serial engine."""
 
     BURST = "p_gb=0.2,p_bg=0.4"
     # path -> (extra config fields, expected soa_reason)
     PATHS = {
         "serial": (dict(burst_loss=BURST), None),
         "soa": (
-            dict(lockstep=True, resolution="numpy", burst_loss=BURST), "ok"
+            dict(lockstep=True, resolution="numpy",
+                 churn="periodic:period=5,down=2"),
+            "ok",
         ),
         "fallback": (
             dict(lockstep=True, resolution="numpy", jam="periodic:period=3"),
@@ -98,6 +101,7 @@ class TestPerTrialProductsBuiltOnce:
             pytest.skip("the SoA engine needs numpy")
         graph = clique(6)
         seeds = [3, 1, 4]
+        observed = path != "soa"
         calls = {"model": [], "observer": [], "faults": []}
         observers = {}
         for_trial = FaultPlan.for_trial
@@ -120,14 +124,19 @@ class TestPerTrialProductsBuiltOnce:
             graph, NO_CD, _chatter, seeds,
             exec_config=ExecutionConfig(
                 model_factory=model_factory,
-                observer_factory=observer_factory,
+                observer_factory=observer_factory if observed else None,
                 **fields,
             ),
         )
         assert [r.soa_reason for r in results] == [reason] * len(seeds)
-        assert calls == {"model": seeds, "observer": seeds, "faults": seeds}
+        assert calls == {
+            "model": seeds,
+            "observer": seeds if observed else [],
+            "faults": seeds,
+        }
         # The executor fed the very observers the factory built.
-        assert all(observers[s].active_slots > 0 for s in seeds)
+        assert all(observers[s].active_slots > 0 for s in observers)
+        assert len(observers) == (len(seeds) if observed else 0)
 
 
 class TestRunBroadcastTrials:

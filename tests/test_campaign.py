@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import time
@@ -184,6 +185,58 @@ class TestSpec:
         assert again.ran == 0 and again.skipped == 1
         assert aggregate_campaign(float_spec, store)["path"][0].n == 16
 
+    @pytest.mark.parametrize("entry,axis", [
+        ({"sizes": [8.5]}, "sizes"),
+        ({"sizes": ["8.5"]}, "sizes"),
+        ({"sizes": [True]}, "sizes"),
+        ({"seeds": [True]}, "seeds"),
+        ({"sizes": [0]}, "sizes"),
+        ({"sizes": [1]}, "sizes"),  # row_min_size("path") is 2
+        ({"seeds": [-1, 1]}, "seeds"),  # Random(-1) draws like Random(1)
+        ({"sizes": 16}, "sizes"),
+    ], ids=[
+        "fraction", "fraction-string", "bool-size", "bool-seed", "zero",
+        "below-min", "negative-seed", "not-a-list",
+    ])
+    def test_bad_axis_entries_fail_at_load(self, entry, axis):
+        with pytest.raises(ValueError) as exc:
+            CampaignSpec.from_dict({
+                "name": "x", "rows": [{"row": "path", **entry}],
+            })
+        message = str(exc.value)
+        assert "row 'path'" in message and repr(axis) in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("defaults,where", [
+        ({"sizes": [8.5]}, "'defaults'"),
+        ({"seeds": [True]}, "'defaults'"),
+        ({"seeds": [-2]}, "'defaults'"),
+        ({"sizes": [1]}, "row 'path'"),  # below the row that takes it
+    ])
+    def test_bad_default_axis_entries_fail_at_load(self, defaults, where):
+        (axis,) = defaults
+        with pytest.raises(ValueError) as exc:
+            CampaignSpec.from_dict({
+                "name": "x", "defaults": defaults, "rows": [{"row": "path"}],
+            })
+        assert where in str(exc.value) and repr(axis) in str(exc.value)
+
+    def test_bad_axis_entry_exits_2_before_anything_runs(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "name": "c", "rows": [{"row": "path", "sizes": [0]}],
+        }))
+        out = tmp_path / "out"
+        assert main(["campaign", "run", str(config), "--out", str(out)]) == 2
+        printed = capsys.readouterr().out.strip()
+        assert "row 'path'" in printed and "'sizes'" in printed
+        assert len(printed.splitlines()) == 1
+        assert not out.exists()
+
     def test_overlapping_rows_execute_and_count_once(self, tmp_path):
         from repro.campaign import campaign_status
 
@@ -277,40 +330,29 @@ class TestRunner:
         ]
 
     def test_execution_options_do_not_change_measurements(self, tmp_path):
-        from repro.sim.resolution import numpy_available
-
+        # contention_hist is the one cell option that is not a fault: it
+        # adds ch_* analytics extras and leaves every measurement alone.
         base = lambda opts: CampaignSpec.from_dict({
             "name": "x",
             "rows": [{"row": "bounded", "sizes": [8], "seeds": [0, 1],
                       "options": opts}],
         })
-        plain_store, fast_store = _store(tmp_path / "a"), _store(tmp_path / "b")
+        plain_store, hist_store = _store(tmp_path / "a"), _store(tmp_path / "b")
         run_campaign(base({}), plain_store)
-        options = {"lockstep": True}
-        if numpy_available():
-            options["resolution"] = "numpy"
-        run_campaign(base(options), fast_store)
-        plain = [r["result"] for r in sorted(
-            plain_store.load().values(), key=lambda r: r["job"]["seed"]
-        )]
-        fast = [r["result"] for r in sorted(
-            fast_store.load().values(), key=lambda r: r["job"]["seed"]
-        )]
-        # The ``soa`` and ``soa_reason_*`` extras keys are execution-path
-        # diagnostics (which engine ran the cell, and its dispatch
-        # verdict) — they vary with execution options by design.
-        # Measurements must still be identical.
-        def strip_diagnostics(r):
-            extras = r["extras"]
-            for key in [k for k in extras if k.startswith("soa_reason_")]:
-                del extras[key]
-            return extras.pop("soa", None)
+        run_campaign(base({"contention_hist": True}), hist_store)
 
-        soa_flags = [strip_diagnostics(r) for r in fast]
-        for r in plain:
-            strip_diagnostics(r)
-        assert plain == fast
-        assert all(flag in (None, 0.0, 1.0) for flag in soa_flags)
+        def results(store):
+            return [r["result"] for r in sorted(
+                store.load().values(), key=lambda r: r["job"]["seed"]
+            )]
+
+        plain, hist = results(plain_store), results(hist_store)
+        for r in hist:
+            analytics = [k for k in r["extras"] if k.startswith("ch_")]
+            assert analytics
+            for key in analytics:
+                del r["extras"][key]
+        assert plain == hist
 
     def test_contention_hist_option_adds_extras(self, tmp_path):
         spec = CampaignSpec.from_dict({
@@ -421,26 +463,6 @@ class TestLossyRows:
         )
         assert [c.to_dict() for c in both] == [c.to_dict() for c in solo]
 
-    def test_loss_rate_soa_matches_serial_measurements(self):
-        from repro.campaign.registry import execute_cell_block
-        from repro.sim.resolution import numpy_available
-
-        if not numpy_available():
-            pytest.skip("the SoA lossy path needs numpy")
-        opts = {"loss_rate": 0.4}
-        serial = execute_cell_block("bounded", 8, (0, 1, 2), opts)
-        fast = execute_cell_block(
-            "bounded", 8, (0, 1, 2),
-            {**opts, "lockstep": True, "resolution": "numpy"},
-        )
-        fast_dicts = [c.to_dict() for c in fast]
-        for cell in fast_dicts:
-            # The whole block rode the vectorized drop-mask path...
-            assert cell["extras"].pop("soa") == 1.0
-            assert cell["extras"].pop("soa_reason_ok") == 1.0
-        # ...and every measurement matches the serial oracle exactly.
-        assert [c.to_dict() for c in serial] == fast_dicts
-
     def test_loss_rate_rejected_on_custom_cell_rows(self, crashing_row):
         from repro.campaign.registry import execute_cell_block
         from repro.sim.config import ExecutionConfigError
@@ -505,7 +527,7 @@ class TestFusion:
             "decay", 16, {"jam": "random:rate=0.15"}
         )
         # An explicit default aliases the omitted option, as in cell keys.
-        assert simulation_key("path", 16, {"resolution": "bitmask"}) \
+        assert simulation_key("path", 16, {"contention_hist": False}) \
             == simulation_key("lb-path", 16, {})
 
     def test_theorem11_cd_params_are_the_probe_params(self):
@@ -554,23 +576,6 @@ class TestFusion:
             execute_fused_block(8, {}, [("path", (0,)), ("bounded", (0,))])
         with pytest.raises(ValueError, match="do not share one simulation"):
             execute_fused_block(40, {}, [("abl-beta", (0,))] * 2)
-
-    def test_lockstep_observer_member_falls_back_for_every_seed(self):
-        from repro.campaign.registry import execute_fused_block
-        from repro.sim.resolution import numpy_available
-
-        if not numpy_available():
-            pytest.skip("lock-step dispatch verdicts need numpy")
-        options = {"lockstep": True, "resolution": "numpy"}
-        path, lb_path = execute_fused_block(
-            64, options, [("path", (0, 1)), ("lb-path", (0, 1))]
-        )
-        for cell in path + lb_path:
-            assert cell.extras["soa_reason_observers"] == 1.0
-        serial_path, _ = execute_fused_block(
-            64, {}, [("path", (0, 1)), ("lb-path", (0, 1))]
-        )
-        assert aggregate_cells(path) == aggregate_cells(serial_path)
 
     def test_block_records_split_each_seed_time(self):
         from repro.campaign.runner import execute_block
@@ -873,10 +878,16 @@ class TestCampaignCLI:
 
     def test_shipped_configs_parse_and_validate(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        for name in ("table1.json", "ablations.json", "smoke.json"):
-            spec = CampaignSpec.from_json_file(
-                os.path.join(here, "configs", name)
-            )
+        paths = [
+            path
+            for folder in ("configs", os.path.join("perfbench", "configs"))
+            for path in glob.glob(os.path.join(here, folder, "*.json"))
+            # run_all.json is the run-all manifest, not a campaign.
+            if os.path.basename(path) != "run_all.json"
+        ]
+        assert len(paths) >= 6
+        for path in paths:
+            spec = CampaignSpec.from_json_file(path)
             spec.validate()
             assert list(spec.jobs())
 

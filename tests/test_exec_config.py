@@ -56,6 +56,7 @@ from tests.conftest import per_slot
 
 GRAPH = clique(3)
 KNOWLEDGE = Knowledge(n=3, max_degree=2, diameter=1)
+CHURN = "periodic:period=8,down=2"
 INPUTS = {0: {"source": True, "payload": "m"}}
 
 
@@ -160,10 +161,9 @@ class TestValidation:
 
 class TestSchema:
     def test_option_keys_drive_campaign_schema(self):
-        assert set(ExecutionConfig.option_keys()) == {
-            "resolution", "lockstep", "contention_hist",
-            "churn", "jam", "burst_loss",
-        }
+        assert ExecutionConfig.option_keys() == (
+            "contention_hist", "churn", "jam", "burst_loss",
+        )
 
     def test_cli_flags_derive_from_schema(self):
         # Exactly the campaign cell options get a flag: the execution
@@ -187,11 +187,12 @@ class TestSchema:
 
     def test_excluded_flags_are_absent(self):
         parser = argparse.ArgumentParser()
-        add_execution_args(parser, exclude=("contention_hist", "lockstep"))
+        add_execution_args(parser, exclude=("contention_hist",))
         text = parser.format_help()
-        assert "--resolution" in text and "--churn" in text
+        assert "--churn" in text and "--burst-loss" in text
         assert "--contention-hist" not in text
-        assert "--lockstep" not in text
+        # Library-only fields never get a flag.
+        assert "--resolution" not in text and "--lockstep" not in text
         # Absent flags read as "not given" to the overrides layer.
         assert execution_overrides(parser.parse_args([])) == {}
 
@@ -201,7 +202,7 @@ class TestSchema:
         parser = build_parser()
         for argv in (
             ["figure1", "--contention-hist"],
-            ["ablations", "--lockstep"],
+            ["ablations", "--contention-hist"],
             ["bench", "--contention-hist"],
         ):
             with pytest.raises(SystemExit):
@@ -215,9 +216,13 @@ class TestSchema:
             ["figure1"], ["table1"], ["ablations"],
             ["campaign", "run", "c.json"],
         ):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(command + ["--stepping", "slot"])
-            assert exc.value.code == 2
+            for retired in (
+                ["--stepping", "slot"], ["--lockstep"],
+                ["--resolution", "numpy"],
+            ):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(command + retired)
+                assert exc.value.code == 2
 
 
 # --- serialization round-trips --------------------------------------------
@@ -256,42 +261,41 @@ class TestRoundTrip:
 
     def test_from_options_ignores_protocol_knobs(self):
         config = ExecutionConfig.from_options(
-            {"failure": 0.1, "resolution": "numpy", "epsilon": 0.5}
+            {"failure": 0.1, "contention_hist": True, "epsilon": 0.5}
         )
-        assert config == ExecutionConfig(resolution="numpy")
+        assert config == ExecutionConfig(contention_hist=True)
 
     def test_campaign_json_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
+        options = {"contention_hist": True, "churn": CHURN}
         path.write_text(json.dumps({
             "name": "c",
             "rows": [{"row": "path", "sizes": [8], "seeds": [0],
-                      "options": {"resolution": "numpy", "lockstep": True}}],
+                      "options": options}],
         }))
         spec = CampaignSpec.from_json_file(str(path))
         (job,) = list(spec.jobs())
-        assert job.options_dict == {"resolution": "numpy", "lockstep": True}
+        assert job.options_dict == options
         config = ExecutionConfig.from_options(job.options_dict)
-        assert config.resolution == "numpy" and config.lockstep
+        assert config == ExecutionConfig(contention_hist=True, churn=CHURN)
 
     def test_cli_args_round_trip(self):
         parser = argparse.ArgumentParser()
         add_execution_args(parser)
-        args = parser.parse_args(
-            ["--resolution", "numpy", "--lockstep"]
-        )
+        args = parser.parse_args(["--churn", CHURN, "--contention-hist"])
         assert execution_overrides(args) == {
-            "resolution": "numpy", "lockstep": True,
+            "churn": CHURN, "contention_hist": True,
         }
         config = config_from_args(args)
-        assert config == ExecutionConfig(resolution="numpy", lockstep=True)
+        assert config == ExecutionConfig(churn=CHURN, contention_hist=True)
         # Nothing given -> nothing overridden.
         empty = parser.parse_args([])
         assert execution_overrides(empty) == {}
         assert config_from_args(empty) == ExecutionConfig()
-        # --no-lockstep is an explicit False (distinct from "not given")
-        # so the CLI can override a cell option downward.
-        off = parser.parse_args(["--no-lockstep"])
-        assert execution_overrides(off) == {"lockstep": False}
+        # --no-contention-hist is an explicit False (distinct from "not
+        # given") so the CLI can override a cell option downward.
+        off = parser.parse_args(["--no-contention-hist"])
+        assert execution_overrides(off) == {"contention_hist": False}
 
 
 # --- fail-fast campaign validation ----------------------------------------
@@ -306,13 +310,13 @@ class TestCampaignValidation:
         }
 
     def test_bad_mode_rejected_at_load_with_allowed_values(self):
-        with pytest.raises(ValueError, match="bitmask") as exc:
-            CampaignSpec.from_dict(self._spec({"resolution": "quantum"}))
+        with pytest.raises(ValueError, match="reactive") as exc:
+            CampaignSpec.from_dict(self._spec({"jam": "quantum"}))
         assert "'path'" in str(exc.value)
 
     def test_bad_bool_rejected_at_load(self):
-        with pytest.raises(ValueError, match="lockstep"):
-            CampaignSpec.from_dict(self._spec({"lockstep": "yes"}))
+        with pytest.raises(ValueError, match="contention_hist"):
+            CampaignSpec.from_dict(self._spec({"contention_hist": "yes"}))
 
     @pytest.mark.parametrize("reserved", [
         "record_trace", "time_limit", "meter_energy", "observer_factory",
@@ -326,7 +330,7 @@ class TestCampaignValidation:
 
     @pytest.mark.parametrize("retired", [
         "stepping", "meter_energy", "workers", "retries", "heartbeat",
-        "timeout",
+        "timeout", "lockstep", "resolution",
     ])
     def test_retired_fields_rejected_at_load(self, retired):
         # A retired field would otherwise pass as an opaque protocol
@@ -345,22 +349,23 @@ class TestCampaignValidation:
     def test_custom_cell_rows_honor_or_reject_execution_options(self):
         from repro.campaign.registry import execute_cell_block
 
-        # The bare-Simulator ablation honors engine-level options...
-        (base,) = execute_cell_block("abl-beta", 12, (0,), {"beta": 0.3})
+        # The bare-Simulator ablation honors engine-level options (the
+        # fault specs): bursty loss reaches its partition run...
         (tuned,) = execute_cell_block(
-            "abl-beta", 12, (0,), {"beta": 0.3, "resolution": "numpy"}
+            "abl-beta", 12, (0,),
+            {"beta": 0.3, "burst_loss": "p_gb=0.5,p_bg=0.1"},
         )
-        assert (tuned.duration, tuned.max_energy, tuned.extras) == (
-            base.duration, base.max_energy, base.extras
+        (base,) = execute_cell_block("abl-beta", 12, (0,), {"beta": 0.3})
+        assert (tuned.duration, tuned.max_energy) != (
+            base.duration, base.max_energy
         )
-        # ...and fails loudly on batch-level ones it cannot deliver —
-        # they are part of the cell's identity, so silently storing
+        # ...and fails loudly on the batch-level one it cannot deliver —
+        # it is part of the cell's identity, so silently storing
         # default-execution results under that key would be a lie.
-        for bad in ({"contention_hist": True}, {"lockstep": True}):
-            with pytest.raises(ValueError):
-                execute_cell_block(
-                    "abl-beta", 12, (0,), {"beta": 0.3, **bad}
-                )
+        with pytest.raises(ValueError, match="contention_hist"):
+            execute_cell_block(
+                "abl-beta", 12, (0,), {"beta": 0.3, "contention_hist": True}
+            )
 
     def test_custom_cell_unsupported_options_rejected_at_spec_validate(
         self, tmp_path, capsys
@@ -371,16 +376,16 @@ class TestCampaignValidation:
         spec = CampaignSpec.from_dict({
             "name": "c",
             "rows": [{"row": "abl-beta", "sizes": [12], "seeds": [0],
-                      "options": {"lockstep": True}}],
+                      "options": {"contention_hist": True}}],
         })
-        with pytest.raises(ValueError, match="lockstep"):
+        with pytest.raises(ValueError, match="contention_hist"):
             spec.validate()
         # An option explicitly set to its default aliases an omitted
         # one (normalization), so it demands nothing of the row.
         CampaignSpec(
             name="c",
             rows=[RowPlan(row="abl-beta", sizes=(12,), seeds=(0,),
-                          options={"lockstep": False})],
+                          options={"contention_hist": False})],
         ).validate()
         # Same via CLI flag injection: exit 2, nothing executed.
         from repro.cli import main
@@ -392,7 +397,8 @@ class TestCampaignValidation:
         }))
         out = str(tmp_path / "out")
         assert main([
-            "campaign", "run", str(config), "--out", out, "--lockstep",
+            "campaign", "run", str(config), "--out", out,
+            "--contention-hist",
         ]) == 2
         assert "abl-beta" in capsys.readouterr().out
 
@@ -400,19 +406,19 @@ class TestCampaignValidation:
         spec = CampaignSpec(
             name="bad",
             rows=[RowPlan(row="path", sizes=(8,), seeds=(0,),
-                          options={"resolution": "quantum"})],
+                          options={"jam": "quantum"})],
         )
-        with pytest.raises(ValueError, match="bitmask"):
+        with pytest.raises(ValueError, match="reactive"):
             spec.validate()
 
     def test_cli_reports_bad_config_cleanly(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(self._spec({"resolution": "quantum"})))
+        path.write_text(json.dumps(self._spec({"jam": "quantum"})))
         assert main(["campaign", "status", str(path)]) == 2
         out = capsys.readouterr().out
-        assert "bitmask" in out and "quantum" in out
+        assert "reactive" in out and "quantum" in out
 
 
 # --- content-hash key stability -------------------------------------------
@@ -421,15 +427,15 @@ class TestCampaignValidation:
 class TestKeyStability:
     def test_normalize_drops_explicit_defaults_only(self):
         assert normalize_execution_options({
-            "resolution": "bitmask",   # default: dropped
-            "lockstep": False,         # default: dropped
-            "contention_hist": True,   # non-default: kept
+            "contention_hist": False,  # default: dropped
+            "churn": None,             # default: dropped
+            "jam": "random:rate=0.1",  # non-default: kept
             "failure": 0.02,           # protocol knob: untouched
-        }) == {"contention_hist": True, "failure": 0.02}
+        }) == {"jam": "random:rate=0.1", "failure": 0.02}
 
     def test_normalize_validates(self):
-        with pytest.raises(ValueError, match="resolution"):
-            normalize_execution_options({"resolution": "quantum"})
+        with pytest.raises(ValueError, match="contention_hist"):
+            normalize_execution_options({"contention_hist": "yes"})
 
     def test_default_valued_options_hash_like_omitted_ones(self):
         bare = CampaignSpec.from_dict({
@@ -438,9 +444,8 @@ class TestKeyStability:
         explicit = CampaignSpec.from_dict({
             "name": "c",
             "rows": [{"row": "path", "sizes": [8], "seeds": [0],
-                      "options": {"resolution": "bitmask",
-                                  "lockstep": False,
-                                  "contention_hist": False}}],
+                      "options": {"contention_hist": False,
+                                  "churn": None}}],
         })
         bare_keys = [job.key() for job in bare.jobs()]
         explicit_keys = [job.key() for job in explicit.jobs()]
@@ -455,7 +460,7 @@ class TestKeyStability:
         explicit = CampaignSpec(
             name="c",
             rows=[RowPlan(row="path", sizes=(8,), seeds=(0,),
-                          options={"resolution": "bitmask"})],
+                          options={"contention_hist": False})],
         )
         assert [j.key() for j in bare.jobs()] == [
             j.key() for j in explicit.jobs()
@@ -468,21 +473,25 @@ class TestKeyStability:
         tuned = CampaignSpec.from_dict({
             "name": "c",
             "rows": [{"row": "path", "sizes": [8], "seeds": [0],
-                      "options": {"resolution": "numpy"}}],
+                      "options": {"contention_hist": True}}],
         })
         assert [j.key() for j in bare.jobs()] != [j.key() for j in tuned.jobs()]
 
     def test_cell_options_view_is_minimal(self):
         # A config's cell options are its option-key subset; normalized,
         # only the non-default values remain (the content-hash shape).
-        config = ExecutionConfig(lockstep=True, time_limit=99)
+        config = ExecutionConfig(
+            contention_hist=True, lockstep=True, time_limit=99
+        )
         options = {
             key: value
             for key, value in config.to_dict(include_defaults=True).items()
             if key in ExecutionConfig.option_keys()
         }
         assert set(options) == set(ExecutionConfig.option_keys())
-        assert normalize_execution_options(options) == {"lockstep": True}
+        assert normalize_execution_options(options) == {
+            "contention_hist": True,
+        }
 
 
 # --- one door: every knob is an ExecutionConfig field, at every entry -------
@@ -755,7 +764,7 @@ class TestSweepFullControl:
 
         assert main([
             "table1", "path", "--seeds", "1", "--sizes-scale", "0.05",
-            "--resolution", "bitmask", "--lockstep",
+            "--contention-hist", "--churn", CHURN,
         ]) == 0
         assert "delivered" in capsys.readouterr().out
 
@@ -766,7 +775,7 @@ class TestSweepFullControl:
         # shared flags reach them rather than being dropped...
         assert main([
             "table1", "lb-reduction", "--seeds", "1", "--sizes-scale",
-            "0.5", "--resolution", "numpy",
+            "0.5", "--jam", "random:rate=0.1",
         ]) == 0
         assert "T_LE" in capsys.readouterr().out
         # ...the contention histogram included.
@@ -787,12 +796,14 @@ class TestSweepFullControl:
         }))
         out = str(tmp_path / "out")
         assert main([
-            "campaign", "run", str(config), "--out", out, "--lockstep",
+            "campaign", "run", str(config), "--out", out,
+            "--contention-hist",
         ]) == 0
         first = capsys.readouterr().out
-        assert "1 cells" in first
+        assert "1 cells" in first and "ch_mean_load" in first
         # Same flags -> same identity -> full cache hit.
         assert main([
-            "campaign", "run", str(config), "--out", out, "--lockstep",
+            "campaign", "run", str(config), "--out", out,
+            "--contention-hist",
         ]) == 0
         assert "1 cached, 0 computed" in capsys.readouterr().out

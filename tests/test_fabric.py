@@ -243,18 +243,11 @@ class TestFabricDifferential:
             == _points_blob(aggregate_campaign(spec, fabric, extended=True))
 
     def test_lossy_row_matches_serial_oracle(self, tmp_path):
-        """The PR acceptance shape: a lossy many-seed row through
-        ``--workers 2`` stores the same results as the serial runner,
-        and (with numpy) the events ledger shows every block SoA-engaged.
-        """
-        from repro.sim.resolution import numpy_available
-
-        options = {"loss_rate": 0.3}
-        if numpy_available():
-            options.update({"lockstep": True, "resolution": "numpy"})
+        """A lossy many-seed row through ``--workers 2`` stores the same
+        results as the serial runner."""
         spec = _spec([{
             "row": "bounded", "sizes": [8, 12], "seeds": [0, 1],
-            "options": options,
+            "options": {"loss_rate": 0.3},
         }])
         serial = _store(tmp_path / "serial")
         run_campaign(spec, serial, progress=None)
@@ -272,13 +265,6 @@ class TestFabricDifferential:
             ]
 
         assert results(serial) == results(fabric)
-        if numpy_available():
-            done = [
-                e for e in read_events(events_path)
-                if e["ev"] == "block_completed"
-            ]
-            assert done and all(e.get("soa", 0) > 0 for e in done)
-            assert sum(e["soa"] for e in done) == 4
 
     def test_resume_computes_only_delta(self, tmp_path):
         spec = _spec([{"row": "path", "sizes": [8, 12], "seeds": [0, 1]}])
@@ -667,38 +653,37 @@ class TestEventsLedger:
         assert "cells/s" in text
 
     def test_soa_engagement_summary_and_rendering(self, tmp_path):
-        from repro.sim.resolution import numpy_available
-
-        if not numpy_available():
-            pytest.skip("the SoA lossy path needs numpy")
+        """Campaign cells never run lock-step, so a fabric run's ledger
+        carries no SoA fields and its summary prints no SoA lines (it
+        used to print "SoA engagement: 0/N block(s)" for every run)."""
         spec = _spec([{
             "row": "bounded", "sizes": [8], "seeds": [0, 1],
-            "options": {
-                "loss_rate": 0.3, "lockstep": True, "resolution": "numpy",
-            },
+            "options": {"loss_rate": 0.3},
         }])
         store = _store(tmp_path)
         events_path = os.path.join(str(tmp_path), "events.jsonl")
         _fabric(spec, store, workers=2, events_path=events_path)
+        done = [
+            e for e in read_events(events_path)
+            if e["ev"] == "block_completed"
+        ]
+        assert done and not any(
+            key.startswith("soa") for e in done for key in e
+        )
         summary = summarize_events(read_events(events_path))
-        run = summary["last_run"]
-        assert run["soa_seen"] is True
-        assert run["soa_cells"] == 2
-        assert run["soa_blocks"] == run["blocks"] > 0
-        text = render_events_summary(summary)
-        assert "SoA engagement" in text
-        assert "2 cell(s) on the trial-SoA engine" in text
+        assert summary["last_run"]["cells_ok"] == 2
+        assert "SoA" not in render_events_summary(summary)
 
     def test_pre_soa_ledger_renders_without_engagement_line(self):
-        # Ledgers written before the soa field existed (or by runs that
-        # never engaged lock-step) must summarize and render unchanged.
+        # Ledgers written before the soa field existed must summarize
+        # and render like any other.
         summary = summarize_events([
             {"ev": "run_started", "campaign": "x", "pending": 1},
             {"ev": "block_completed", "worker": 0, "ok": 1, "failed": 0},
             {"ev": "run_completed", "elapsed": 1.0},
         ])
         run = summary["last_run"]
-        assert run["soa_seen"] is False and run["blocks"] == 1
+        assert run["completed"] and run["cells_ok"] == 1
         assert "SoA engagement" not in render_events_summary(summary)
 
     def test_no_ledger_renders_placeholder(self):
@@ -796,7 +781,10 @@ def _sent(ts, block, worker, attempt=0, row="path"):
                size=8, seeds=2, attempt=attempt)
 
 
-def _done(ts, block, worker, ok, failed, soa=0, reasons=None):
+def _done(ts, block, worker, ok, failed, soa=None, reasons=None):
+    """A ``block_completed`` event; ``soa``/``reasons`` write the
+    fields older ledgers carried, from when campaigns could run
+    lock-step."""
     fields = dict(block=block, worker=worker, ok=ok, failed=failed,
                   elapsed=0.5)
     if soa is not None:
@@ -834,7 +822,6 @@ _FOLD_CASES = {
         """fabric events:
   last run (fold): completed; 4 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
   wall 1.5s, 2.7 cells/s
-  SoA engagement: 0/2 block(s) (0%), 0 cell(s) on the trial-SoA engine
   events: run_started=1, worker_born=2, block_dispatched=2, block_completed=2, run_completed=1
   worker 0: 1 block(s), 2 cell(s)
   worker 1: 1 block(s), 2 cell(s)""",
@@ -850,7 +837,6 @@ workers: w0 IDLE  w1 IDLE""",
          _sent(101.3, 1, 2, attempt=1)],
         """fabric events:
   last run (fold): IN PROGRESS / ABORTED; 2 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
-  SoA engagement: 0/1 block(s) (0%), 0 cell(s) on the trial-SoA engine
   events: run_started=1, worker_born=3, worker_died=1, block_dispatched=3, block_completed=1, block_retried=1
   worker 0: 1 block(s), 2 cell(s)
   worker 1: 0 block(s), 0 cell(s)  DIED: worker process died
@@ -876,7 +862,6 @@ workers: w0 IDLE  w1 DEAD (worker process died)  w2 RUN path/n=8 (block 1, 0.7s)
         """fabric events:
   last run (fold): completed; 3 ok / 1 failed of 4 pending (0 cached of 4 total), 1 worker(s)
   wall 2.0s, 2.0 cells/s
-  SoA engagement: 0/4 block(s) (0%), 0 cell(s) on the trial-SoA engine
   events: run_started=1, block_dispatched=4, block_completed=4, block_retried=2, run_completed=1
   worker 0: 4 block(s), 6 cell(s)
   retry  block 0 attempt 1: 1 cell(s) failed (error)
@@ -897,7 +882,6 @@ workers: w0 IDLE""",
         """fabric events:
   last run (fold): completed; 2 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
   wall 1.2s, 1.7 cells/s
-  SoA engagement: 0/1 block(s) (0%), 0 cell(s) on the trial-SoA engine
   events: run_started=1, worker_born=3, worker_died=2, block_dispatched=3, block_completed=1, block_retried=1, block_quarantined=1, run_completed=1
   worker 0: 0 block(s), 0 cell(s)  DIED: worker process died
   worker 1: 1 block(s), 2 cell(s)
@@ -907,6 +891,9 @@ workers: w0 IDLE""",
         """fabric finished: 2/4 cells this run (0 failed, 2 quarantined, 1 retries) | 1.7 cells/s
 workers: w0 DEAD (worker process died)  w1 IDLE  w2 DEAD (worker process died)""",
     ),
+    # An old ledger whose block_completed events carry the lock-step
+    # fields soa and soa_reasons still reads and renders; the fold
+    # ignores them.
     "soa_verdicts": (
         [_started(), *_born(100.1, 0, 1), _sent(100.2, 0, 0, row="bounded"),
          _sent(100.2, 1, 1), _done(101.0, 0, 0, 2, 0, 2, {"ok": 2}),
@@ -915,8 +902,6 @@ workers: w0 DEAD (worker process died)  w1 IDLE  w2 DEAD (worker process died)""
         """fabric events:
   last run (fold): completed; 4 ok / 0 failed of 4 pending (0 cached of 4 total), 2 worker(s)
   wall 1.5s, 2.7 cells/s
-  SoA engagement: 1/2 block(s) (50%), 2 cell(s) on the trial-SoA engine
-  SoA verdicts: churn=1, observers=1, ok=2
   events: run_started=1, worker_born=2, block_dispatched=2, block_completed=2, run_completed=1
   worker 0: 1 block(s), 2 cell(s)
   worker 1: 1 block(s), 2 cell(s)""",
@@ -925,7 +910,7 @@ workers: w0 IDLE  w1 IDLE""",
     ),
     "pre_soa": (
         [_started(workers=1, cached=2), _sent(100.1, 0, 0),
-         _done(100.7, 0, 0, 2, 0, soa=None), _finished(0.7)],
+         _done(100.7, 0, 0, 2, 0), _finished(0.7)],
         """fabric events:
   last run (fold): completed; 2 ok / 0 failed of 2 pending (2 cached of 4 total), 1 worker(s)
   wall 0.7s, 2.9 cells/s

@@ -34,7 +34,6 @@ from repro.sim import (
     CD_STAR,
     LOCAL,
     NO_CD,
-    ContentionHistogramObserver,
     ExecutionConfig,
     ExecutionConfigError,
     Idle,
@@ -70,7 +69,7 @@ from repro.sim.faults import (
 from repro.sim.feedback import BEEP, NOISE, SILENCE
 from repro.sim.models import MODELS, LossyModel
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import bernoulli_steps, per_slot
+from tests.conftest import CountingModel, bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -415,9 +414,9 @@ def _churn_plan_protocol(duplex: bool):
 ], ids=["periodic", "random"])
 def test_churn_runs_on_soa_like_serial(churn, model_name):
     """Churned lock-step batches run on the trial-SoA engine and match
-    the serial engine field for field — with a shared model, per-seed
-    lossy channels and per-seed contention observers — and the
-    shared-model arm matches the oracle."""
+    the serial engine field for field — with a shared model and with
+    per-seed lossy channels — and the shared-model arm matches the
+    oracle."""
     model = MODELS[model_name]
     protocol = _churn_plan_protocol(model.full_duplex)
     seeds = [0, 1, 2]
@@ -427,8 +426,7 @@ def test_churn_runs_on_soa_like_serial(churn, model_name):
         random_gnp(10, 0.4, random.Random(3), ensure_connected=True),
     )
     for graph in graphs:
-        for arm in ("shared", "lossy", "observer"):
-            observers = {"serial": {}, "soa": {}}
+        for arm in ("shared", "lossy"):
             runs = {}
             for name in ("serial", "soa"):
                 fields = {}
@@ -436,12 +434,6 @@ def test_churn_runs_on_soa_like_serial(churn, model_name):
                     fields["model_factory"] = (
                         lambda seed: LossyModel(model, 0.3, seed=seed)
                     )
-                elif arm == "observer":
-                    def observer_factory(seed, made=observers[name]):
-                        made[seed] = ContentionHistogramObserver(graph)
-                        return (made[seed],)
-
-                    fields["observer_factory"] = observer_factory
                 config = ExecutionConfig(
                     resolution="numpy", churn=churn,
                     lockstep=name == "soa", **fields,
@@ -456,12 +448,6 @@ def test_churn_runs_on_soa_like_serial(churn, model_name):
                 assert soa.duration == serial.duration, where
                 assert soa.energy == serial.energy, where
                 assert soa.gen_entries == serial.gen_entries, where
-            for seed in seeds if arm == "observer" else ():
-                serial_obs = observers["serial"][seed]
-                soa_obs = observers["soa"][seed]
-                assert soa_obs.summary() == serial_obs.summary(), where
-                assert soa_obs.load_histogram \
-                    == serial_obs.load_histogram, where
             if arm != "shared":
                 continue
             plan = parse_fault_specs(ExecutionConfig(churn=churn))
@@ -477,21 +463,11 @@ def test_churn_runs_on_soa_like_serial(churn, model_name):
 
 @pytest.mark.skipif(not numpy_available(), reason="the SoA engine needs numpy")
 def test_churn_on_soa_with_a_custom_count_model():
-    """A count model with no stock classification spec: down receivers
-    still hear the model's own empty reception on the SoA engine, with
-    a shared model and under per-seed lossy wrappers."""
-    from repro.sim.models import ChannelModel
-
-    class Counting(ChannelModel):
-        supports_count = True
-
-        def resolve(self, transmissions):
-            return ("heard", len(transmissions))
-
-        def resolve_count(self, k, first_message):
-            return ("heard", k)
-
-    model = Counting("counting")
+    """A count model without one of the paper models' classification
+    rules: a lock-step batch, shared or under per-seed lossy wrappers,
+    runs on the serial engine (verdict "model") and its down receivers
+    hear the model's own empty reception, as in a serial run."""
+    model = CountingModel("counting")
     graph = random_gnp(10, 0.4, random.Random(3), ensure_connected=True)
     protocol = _churn_plan_protocol(False)
     for fields in (
@@ -505,7 +481,7 @@ def test_churn_on_soa_with_a_custom_count_model():
                             exec_config=config)
         soa = run_trials(graph, model, protocol, [0, 1, 2],
                          exec_config=config.replace(lockstep=True))
-        assert [r.soa_reason for r in soa] == ["ok"] * 3
+        assert [r.soa_reason for r in soa] == ["model"] * 3
         _assert_same_results(serial, soa)
 
 
@@ -517,7 +493,7 @@ class TestSoAReasons:
     @pytest.mark.parametrize("fault,expected", [
         (dict(churn="periodic:period=8,down=2"), "ok"),
         (dict(jam="random:rate=0.2"), "jammer"),
-        (dict(burst_loss="p_gb=0.1,p_bg=0.3"), "ok"),
+        (dict(burst_loss="p_gb=0.1,p_bg=0.3"), "burst_loss"),
         (dict(), "ok"),
         (dict(churn="random:p=0.4,period=8,down=3"), "ok"),
     ])
@@ -548,26 +524,15 @@ class TestSoAReasons:
         )
         _assert_same_results(serial, results)
 
-    def test_aggregate_skips_soa_reason_keys(self):
-        from repro.campaign.cells import CellResult, aggregate_cells
 
-        cells = [
-            CellResult(label="x", size=8, n=8, max_degree=2, diameter=3,
-                       seed=s, delivered=True, duration=10.0,
-                       max_energy=4.0, mean_energy=2.0,
-                       extras={"soa": 1.0, "soa_reason_ok": 1.0})
-            for s in (0, 1)
-        ]
-        point = aggregate_cells(cells)
-        assert "soa" not in point.extras
-        assert not any(k.startswith("soa_reason_") for k in point.extras)
-
-
-# --- events ledger: open verdict vocabulary --------------------------------
+# --- events ledger: old lock-step fields ----------------------------------
 
 
 class TestEventsLedger:
     def test_unknown_reasons_render_gracefully(self):
+        """Ledgers from when campaigns could run lock-step carry ``soa``
+        and ``soa_reasons`` on ``block_completed``, verdicts of any
+        name included; they still fold and render, without SoA lines."""
         from repro.campaign.fabric import (
             render_events_summary,
             summarize_events,
@@ -576,10 +541,8 @@ class TestEventsLedger:
         events = [
             {"ev": "run_started", "campaign": "x", "total": 2, "cached": 0,
              "pending": 2, "workers": 1},
-            # Old-ledger event: no soa_reasons at all.
             {"ev": "block_completed", "block": 0, "worker": 0, "ok": 1,
              "failed": 0, "elapsed": 0.1, "soa": 1},
-            # Future-ledger event: a verdict this build has never heard of.
             {"ev": "block_completed", "block": 1, "worker": 0, "ok": 1,
              "failed": 0, "elapsed": 0.1, "soa": 0,
              "soa_reasons": {"quantum_decoherence": 1, "ok": 1}},
@@ -587,19 +550,10 @@ class TestEventsLedger:
              "quarantined": 0, "retries": 0, "elapsed": 0.2},
         ]
         summary = summarize_events(events)
-        assert summary["last_run"]["soa_reasons"] == {
-            "quantum_decoherence": 1, "ok": 1,
-        }
+        assert summary["last_run"]["cells_ok"] == 2
         text = render_events_summary(summary)
-        assert "quantum_decoherence=1" in text
-
-    def test_worker_status_tuple_recovers_reason(self):
-        from repro.campaign.fabric.runner import _soa_reason
-
-        assert _soa_reason({"soa": 0.0, "soa_reason_churn": 1.0}) == "churn"
-        assert _soa_reason({"soa": 1.0, "soa_reason_ok": 1.0}) == "ok"
-        assert _soa_reason({"soa": 1.0}) is None
-        assert _soa_reason({}) is None
+        assert "2 ok / 0 failed" in text
+        assert "SoA" not in text and "quantum_decoherence" not in text
 
 
 # --- degradation report ----------------------------------------------------

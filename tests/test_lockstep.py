@@ -38,7 +38,7 @@ from repro.sim import (
 from repro.sim.models import LossyModel
 from repro.sim.observers import SlotObserver
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import bernoulli_steps, per_slot
+from tests.conftest import CountingModel, bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -277,46 +277,6 @@ class TestObserverFactory:
         assert serial == lockstep
         assert set(serial) == set(seeds)
         assert all(s["active_slots"] > 0 for s in serial.values())
-
-    @pytest.mark.parametrize("lossy", (False, True), ids=("clean", "lossy"))
-    def test_batch_observer_matches_per_slot(self, lossy):
-        """ContentionHistogramObserver tallies identically through
-        ``observe_matrix`` (SoA engine, numpy) and ``on_slot`` (serial
-        fallback, bitmask) — including under erasure, where the histogram
-        must count *pre-drop* on-the-air transmissions."""
-        graph = random_gnp(8, 0.5, random.Random(2))
-        protocol = _random_protocol(10)
-        seeds = (0, 1, 2)
-        model_factory = (
-            (lambda seed: LossyModel(NO_CD, 0.3, seed=seed))
-            if lossy else None
-        )
-
-        def collect(resolution):
-            observers = {}
-
-            def factory(seed):
-                observer = ContentionHistogramObserver(graph)
-                observers[seed] = observer
-                return (observer,)
-
-            run_trials(
-                graph, NO_CD, protocol, seeds,
-                exec_config=ExecutionConfig(
-                    observer_factory=factory, model_factory=model_factory,
-                    lockstep=True, resolution=resolution,
-                ),
-            )
-            return {
-                seed: (observer.summary(), observer.load_histogram)
-                for seed, observer in observers.items()
-            }
-
-        per_slot = collect("bitmask")
-        if not numpy_available():
-            return
-        batched = collect("numpy")
-        assert per_slot == batched
 
 
 class TestStatefulReuseWarning:
@@ -570,27 +530,12 @@ class TestTrialSoADispatch:
         assert calls
         assert all(r.soa_reason == "ok" for r in results)
 
-    def test_engages_with_batch_observers(self, monkeypatch):
-        calls = self._spy(monkeypatch)
-        graph = clique(6)
-        results = run_trials(
-            graph, NO_CD, _plan_rich_protocol, (0, 1),
-            exec_config=ExecutionConfig(
-                lockstep=True, resolution="numpy",
-                observer_factory=lambda seed: (
-                    ContentionHistogramObserver(graph),
-                ),
-            ),
-        )
-        assert calls
-        assert all(r.soa_reason == "ok" for r in results)
-
     def test_soa_reason_surfaced(self):
         graph = clique(6)
 
-        def reason(**kwargs):
+        def reason(model=NO_CD, **kwargs):
             results = run_trials(
-                graph, NO_CD, _plan_rich_protocol, (0, 1),
+                graph, model, _plan_rich_protocol, (0, 1),
                 exec_config=ExecutionConfig(lockstep=True, **kwargs),
             )
             reasons = {r.soa_reason for r in results}
@@ -604,12 +549,28 @@ class TestTrialSoADispatch:
             resolution="numpy",
             observer_factory=lambda seed: (SlotObserver(),),
         ) == "observers"
+        # Observers run on the serial engine, the contention histogram
+        # included.
+        assert reason(
+            resolution="numpy",
+            observer_factory=lambda seed: (
+                ContentionHistogramObserver(graph),
+            ),
+        ) == "observers"
         assert reason(
             resolution="numpy",
             model_factory=lambda seed: LossyModel(
                 NO_CD if seed % 2 else CD, 0.3, seed=seed
             ),
         ) == "model_factory"
+        # A count model without one of the paper models' classification
+        # rules runs on the serial engine, shared or under lossy wrappers.
+        counting = CountingModel("counting")
+        assert reason(model=counting, resolution="numpy") == "model"
+        assert reason(
+            model=counting, resolution="numpy",
+            model_factory=lambda seed: LossyModel(counting, 0.3, seed=seed),
+        ) == "model"
         # Non-lockstep paths leave the diagnostic unset.
         serial = run_trials(graph, NO_CD, _plan_rich_protocol, (0, 1))
         assert all(r.soa_reason is None for r in serial)

@@ -312,12 +312,11 @@ class TestEveryExecutorStartsHere:
         if executor == "serial":
             run_trials(graph, NO_CD, _chatter, self.SEEDS, exec_config=config)
         elif executor == "soa":
-            run_trials(
+            results = run_trials(
                 graph, NO_CD, _chatter, self.SEEDS,
-                exec_config=ExecutionConfig(
-                    lockstep=True, resolution="numpy", burst_loss=BURST
-                ),
+                exec_config=config.replace(lockstep=True, resolution="numpy"),
             )
+            assert [r.soa_reason for r in results] == ["ok"] * len(self.SEEDS)
         elif executor == "fallback":
             run_trials(
                 graph, NO_CD, _chatter, self.SEEDS,
