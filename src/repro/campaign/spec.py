@@ -28,7 +28,8 @@ Sizes and seeds omitted from a row entry fall back first to the
 campaign-level ``defaults`` block, then to the registry's per-row
 defaults.  Every size and seed is a whole number (``16.0`` and ``"0"``
 coerce); a size below the row's smallest graph or a negative seed
-fails at load, naming the row.
+fails :meth:`CampaignSpec.validate`, naming the row, which the CLI and
+every runner call before any cell runs.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ SPEC_VERSION = 2
 
 
 def _axis_values(
-    values, where: str, axis: str, low: int = 0
+    values, where: str, axis: str, low: Optional[int] = None
 ) -> Tuple[int, ...]:
     """One ``sizes``/``seeds`` list as ints, refusing entries that would
     not run as written: booleans, non-integral numbers and strings, and
-    values below ``low`` (the row's minimum size, or 0 for seeds).
+    values below ``low`` when given (the row's minimum size, or 0 for
+    seeds).
 
     Integral floats and integer strings (``16.0``, ``"0"``) coerce, so
     they hash like the ints a worker's round-tripped payload carries.
@@ -88,7 +90,7 @@ def _axis_values(
                 f"{where} has a bad {axis!r} entry {raw!r}; expected a "
                 f"whole number"
             )
-        if value < low:
+        if low is not None and value < low:
             bound = (
                 f"the row's minimum size {low}" if axis == "sizes"
                 else "0 (seeds -1 and 1 draw the same trial)"
@@ -268,14 +270,12 @@ class CampaignSpec:
         for axis in ("sizes", "seeds"):
             if axis in defaults and not defaults[axis]:
                 raise ValueError(f"'defaults' has empty {axis!r}")
-        from repro.campaign.registry import ROW_REGISTRY, row_min_size
-
         default_sizes = (
             _axis_values(defaults["sizes"], "'defaults'", "sizes")
             if "sizes" in defaults else None
         )
         default_seeds = (
-            _axis_values(defaults["seeds"], "'defaults'", "seeds")
+            _axis_values(defaults["seeds"], "'defaults'", "seeds", 0)
             if "seeds" in defaults else None
         )
         rows = []
@@ -301,24 +301,14 @@ class CampaignSpec:
             # Coerce axes to int at parse time: job keys are content
             # hashes, so 8.0 vs 8 would silently split cache identities
             # between the parent and the worker's round-tripped payload.
-            # A size below the row's minimum is refused here, whether
-            # the row lists it or takes it from 'defaults'; an unknown
-            # row is left to validate(), which names every one.
+            # Sizes below the row's minimum are refused by validate(),
+            # which knows the registry.
             where = f"row {entry['row']!r}"
-            low = (
-                row_min_size(entry["row"])
-                if entry["row"] in ROW_REGISTRY else 0
-            )
             sizes = seeds = None
             if "sizes" in entry:
-                sizes = _axis_values(entry["sizes"], where, "sizes", low)
-            elif default_sizes and min(default_sizes) < low:
-                raise ValueError(
-                    f"{where} takes 'sizes' entry {min(default_sizes)} "
-                    f"from 'defaults', below the row's minimum size {low}"
-                )
+                sizes = _axis_values(entry["sizes"], where, "sizes")
             if "seeds" in entry:
-                seeds = _axis_values(entry["seeds"], where, "seeds")
+                seeds = _axis_values(entry["seeds"], where, "seeds", 0)
             # Execution options are validated here — an invalid spec
             # (e.g. "jam": "quantum") fails at config load with the
             # allowed values, before any cell runs — and normalized to
@@ -409,10 +399,13 @@ class CampaignSpec:
             yield from block.cells()
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on unknown rows or invalid execution
-        options (before any work starts) — a typo'd mode fails here with
-        the allowed values, not mid-run inside the engine."""
-        from repro.campaign.registry import ROW_REGISTRY
+        """Raise ``ValueError`` on unknown rows, bad axes or invalid
+        execution options (before any work starts) — a typo'd mode fails
+        here with the allowed values, and a size below the row's
+        smallest graph or a negative seed fails naming the row, whether
+        the spec was loaded or built in code, not mid-run inside the
+        engine."""
+        from repro.campaign.registry import ROW_REGISTRY, row_min_size
 
         unknown = sorted(
             {plan.row for plan in self.rows} - set(ROW_REGISTRY)
@@ -425,6 +418,10 @@ class CampaignSpec:
         from repro.sim.config import validate_execution_options
 
         for plan in self.rows:
+            where = f"row {plan.row!r}"
+            sizes, seeds = self.resolve_sizes_seeds(plan, (), ())
+            _axis_values(sizes, where, "sizes", row_min_size(plan.row))
+            _axis_values(seeds, where, "seeds", 0)
             try:
                 validate_execution_options(plan.options)
             except ValueError as exc:

@@ -26,6 +26,7 @@ from repro.campaign import (
     render_status,
     run_campaign,
 )
+from repro.campaign.spec import RowPlan
 from repro.cli import ABLATION_ROWS, TABLE1_ROWS
 
 _CONFIGS = os.path.join(
@@ -202,10 +203,15 @@ class TestSpec:
         with pytest.raises(ValueError) as exc:
             CampaignSpec.from_dict({
                 "name": "x", "rows": [{"row": "path", **entry}],
-            })
+            }).validate()
         message = str(exc.value)
         assert "row 'path'" in message and repr(axis) in message
         assert "\n" not in message
+        # A spec built in code is held to the same axes.
+        if isinstance(entry[axis], list):
+            plan = RowPlan(row="path", **{axis: tuple(entry[axis])})
+            with pytest.raises(ValueError, match=repr(axis)):
+                CampaignSpec(name="x", rows=[plan]).validate()
 
     @pytest.mark.parametrize("defaults,where", [
         ({"sizes": [8.5]}, "'defaults'"),
@@ -218,7 +224,7 @@ class TestSpec:
         with pytest.raises(ValueError) as exc:
             CampaignSpec.from_dict({
                 "name": "x", "defaults": defaults, "rows": [{"row": "path"}],
-            })
+            }).validate()
         assert where in str(exc.value) and repr(axis) in str(exc.value)
 
     def test_bad_axis_entry_exits_2_before_anything_runs(
