@@ -29,9 +29,7 @@ from repro.core.clustering import broadcast_on_labeling, refine_labeling
 from repro.core.det_tree import (
     DetCDScheme,
     det_down_cast,
-    det_downward,
     det_up_cast,
-    det_upward,
     downward_slots,
     upward_slots,
 )

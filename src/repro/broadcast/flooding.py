@@ -15,7 +15,6 @@ detection; LOCAL flooding is LOCAL-only).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional
 
 from repro.core.sr_comm import DecayParams, Role, sr_nocd

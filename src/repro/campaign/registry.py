@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 

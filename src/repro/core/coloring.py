@@ -21,7 +21,7 @@ Everything runs in No-CD (hence also CD).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
 from repro.sim.actions import Idle, Listen, Send, SendListen
 from repro.sim.feedback import is_message

@@ -22,7 +22,7 @@ trial of a sweep:
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 __all__ = ["Graph"]
 

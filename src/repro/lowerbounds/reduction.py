@@ -21,7 +21,7 @@ executes, with no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.broadcast.base import BroadcastOutcome
 from repro.sim.observers import SlotObserver

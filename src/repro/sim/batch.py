@@ -10,9 +10,11 @@ per-trial overhead is just the run itself.
 Two executors share this entry point:
 
 * **serial** (default) — one engine replayed seed after seed; and
-* **lock-step** (``lockstep=True``) — a dispatch: batches the trial-SoA
-  engine can vectorize (:func:`repro.sim.trialsoa.soa_fallback_reason`
-  returns None) advance all seeds together as ``[trial, node]`` arrays
+* **lock-step** (``lockstep=True``) — a dispatch: a half-duplex No-CD
+  batch, shared or under uniform per-seed ``LossyModel`` wrappers, that
+  the trial-SoA engine admits
+  (:func:`repro.sim.trialsoa.soa_fallback_reason` returns None)
+  advances all seeds together as ``[trial, node]`` arrays
   (:mod:`repro.sim.trialsoa`); every other batch runs on the serial
   engine, seed after seed.  Every lock-step result records the verdict
   in ``SimResult.soa_reason``.  Results are byte-identical either way.

@@ -151,7 +151,7 @@ class ExecutionConfig:
         default=None, metadata=_meta(
             "per-seed ChannelModel constructor for stateful channels "
             "(seed -> model); under lockstep, factories producing "
-            "LossyModel wrappers of one shared stock inner model stay "
+            "LossyModel wrappers of one shared No-CD inner model stay "
             "on the trial-SoA fast path (vectorized drop masks)",
             hook=True,
         ))
@@ -419,15 +419,7 @@ def add_execution_args(
     for spec in ExecutionConfig.field_specs():
         if not spec.metadata["cell_option"] or spec.name in exclude:
             continue
-        if spec.metadata["choices"] is not None:
-            group.add_argument(
-                _flag(spec.name),
-                dest=spec.name,
-                choices=list(spec.metadata["choices"]),
-                default=None,
-                help=f"{spec.metadata['help']} (default: {spec.default})",
-            )
-        elif spec.metadata["fault"]:
+        if spec.metadata["fault"]:
             group.add_argument(
                 _flag(spec.name),
                 dest=spec.name,

@@ -446,91 +446,6 @@ def plan_feedback(ps: list, feedback):
     return plan_resume(ps)
 
 
-# --- array-compilable run descriptors --------------------------------------
-#
-# The trial-SoA lock-step engine (:mod:`repro.sim.trialsoa`) executes a
-# started plan as *runs*: maximal stretches of slots the plan performs
-# without a decision point, advanced by whole-array countdowns instead of
-# per-slot plan_feedback calls.  run_descriptor() is the compiler from a
-# plan state to its current run; it lives here, next to the referee whose
-# semantics it must mirror, so a new opcode cannot land without its run
-# shape being decided in the same file.
-
-RUN_SEND = 0
-RUN_LISTEN = 1
-RUN_DUPLEX = 2
-RUN_UNTIL = 3
-
-
-def run_descriptor(ps: list, action):
-    """Describe the maximal fixed run behind ``action``, which ``ps``
-    just emitted (via :func:`start_plan` / :func:`plan_resume` /
-    :func:`plan_feedback`) and which is not an ``Idle``.
-
-    Returns ``(kind, count, payload, resume_index)`` or None when the
-    state has no array-compilable run (the caller then executes one slot
-    at a time through :func:`plan_feedback`):
-
-    * ``kind`` — one of ``RUN_SEND``/``RUN_LISTEN``/``RUN_DUPLEX``
-      (perform the same action for ``count`` slots; ``payload`` is the
-      message for send/duplex runs) or ``RUN_UNTIL`` (listen up to
-      ``count`` slots with early exit on an accepted message;
-      ``payload`` is the accept callback or None).
-    * ``resume_index`` — for runs carved out of an ``OP_STEPS`` action
-      list, the ``ps[1]`` value to restore before handing the run's last
-      feedback to :func:`plan_feedback`; ``-1`` for whole-opcode runs
-      (restore ``ps[1]`` to 1, or to the remaining count for
-      ``RUN_UNTIL``).
-
-    ``ps`` must not be advanced between the emission and this call: the
-    descriptor reads the post-emission counters (``OP_STEPS`` has
-    already stepped ``ps[1]`` past the emitted action).
-    """
-    op = ps[0]
-    if op == OP_SEND:
-        return (RUN_SEND, ps[1], ps[2], -1)
-    if op == OP_LISTEN:
-        return (RUN_LISTEN, ps[1], None, -1)
-    if op == OP_UNTIL:
-        return (RUN_UNTIL, ps[1], ps[2], -1)
-    if op == OP_DUPLEX:
-        return (RUN_DUPLEX, ps[1], ps[2], -1)
-    if op == OP_STEPS:
-        acts = ps[2]
-        i = ps[1] - 1  # index of the action just emitted
-        first = acts[i]
-        cls = first.__class__
-        end = len(acts)
-        j = i + 1
-        if cls is Send:
-            message = first.message
-            # Group only identical message *objects*: the run transmits
-            # one message reference for all its slots, and `is` grouping
-            # keeps that reference the very object the per-slot path
-            # would have delivered.
-            while (
-                j < end
-                and acts[j].__class__ is Send
-                and acts[j].message is message
-            ):
-                j += 1
-            return (RUN_SEND, j - i, message, j)
-        if cls is Listen:
-            while j < end and acts[j].__class__ is Listen:
-                j += 1
-            return (RUN_LISTEN, j - i, None, j)
-        if cls is SendListen:
-            message = first.message
-            while (
-                j < end
-                and acts[j].__class__ is SendListen
-                and acts[j].message is message
-            ):
-                j += 1
-            return (RUN_DUPLEX, j - i, message, j)
-    return None
-
-
 # --- per-slot oracle -------------------------------------------------------
 
 

@@ -337,11 +337,10 @@ class NumpyBackend(ResolutionBackend):
           AND + popcount sweep over the shared mask table, and
         * ``masked`` is the ``[trials, nodes, words]`` uint64 array of
           per-cell transmitting-neighbor masks (feed it to
-          :meth:`first_transmitter_matrix`; extract the transmitting
+          :meth:`first_transmitter_matrix`, or extract the transmitting
           senders' bit columns — ``(masked[..., s >> 6] >> (s & 63)) &
           1`` — for the lossy drop-mask path's (receiver, sender) pair
-          enumeration; or walk a row's bits for the ordered-message
-          slow path).
+          enumeration).
 
         The arrays are shaped like the caller's state matrices, so
         reception results scatter straight into struct-of-arrays trial

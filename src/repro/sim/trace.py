@@ -7,7 +7,7 @@ active slots); experiments that draw timelines enable it explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List
 
 __all__ = ["TraceEvent", "Trace"]
 

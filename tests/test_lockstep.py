@@ -48,6 +48,11 @@ FIVE_MODELS = {
     "BEEP": BEEPING,
 }
 
+# Every stock model the trial-SoA engine refuses.
+OTHER_MODELS = {
+    m.name: m for m in (LOCAL, CD, CD_STAR, BEEPING, CD_FD, NO_CD_FD)
+}
+
 RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
 
 
@@ -74,15 +79,31 @@ def _random_protocol(steps: int):
     return protocol
 
 
-def _assert_same_results(a, b):
+def _assert_same_results(a, b, same_form=True):
+    """Field-for-field equality of two result lists, whole energy
+    reports included.  ``same_form`` says both sides ran the protocol in
+    the same form; when one side ran it expanded per slot
+    (:func:`per_slot`, or the oracle, which expands every plan), their
+    generator-entry counts differ by design and are not compared."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert x.seed == y.seed
         assert x.outputs == y.outputs
         assert x.finish_slot == y.finish_slot
         assert x.duration == y.duration
-        assert [e.total for e in x.energy] == [e.total for e in y.energy]
-        assert [e.sends for e in x.energy] == [e.sends for e in y.energy]
+        assert x.energy == y.energy
+        if same_form:
+            assert x.gen_entries == y.gen_entries
+
+
+def _verdict(model, resolution="numpy"):
+    """The lock-step verdict of a batch whose model, shared or as the
+    inner of uniform per-seed lossy wrappers, is ``model``: only
+    half-duplex No-CD runs on the trial-SoA engine, and only with numpy
+    resolution."""
+    if resolution != "numpy" or not numpy_available():
+        return "resolution"
+    return "ok" if model is NO_CD else "model"
 
 
 class TestLockstepEquivalence:
@@ -398,10 +419,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def _plan_rich_protocol(ctx):
-    """Every vectorizable plan primitive, then an adaptive generator tail."""
+    """Every plan primitive — the send bursts and padded windows the
+    SoA engine counts down whole, and the ``Steps`` and
+    ``Repeat(Listen)`` plans it runs one slot at a time — then an
+    adaptive generator tail."""
     yield Idle(1 + ctx.index % 3)
     yield Repeat(Send(("r", ctx.index)), 1 + ctx.index % 2)
     yield bernoulli_steps(ctx, ("p", ctx.index), 0.5, 3)
+    listened = yield Repeat(Listen(), 1 + ctx.index % 2)
     match = yield ListenUntil(
         5,
         accept=lambda m: (
@@ -419,7 +444,16 @@ def _plan_rich_protocol(ctx):
                 heard += 1
         else:
             yield Send(("t", ctx.index, heard))
-    return (ctx.index, repr(match), repr(feedbacks), heard)
+    return (ctx.index, repr(listened), repr(match), repr(feedbacks), heard)
+
+
+def _duplex_protocol(ctx):
+    """SendListen, alone and repeated, then :func:`_plan_rich_protocol`:
+    for the full-duplex models."""
+    fb = yield SendListen(("d", ctx.index))
+    rep = yield Repeat(SendListen(("rep", ctx.index)), 2)
+    rest = yield from _plan_rich_protocol(ctx)
+    return (repr(fb), repr(rep), rest)
 
 
 def _mixed_fallback_protocol(ctx):
@@ -563,23 +597,28 @@ class TestTrialSoADispatch:
                 NO_CD if seed % 2 else CD, 0.3, seed=seed
             ),
         ) == "model_factory"
-        # A count model without one of the paper models' classification
-        # rules runs on the serial engine, shared or under lossy wrappers.
-        counting = CountingModel("counting")
-        assert reason(model=counting, resolution="numpy") == "model"
-        assert reason(
-            model=counting, resolution="numpy",
-            model_factory=lambda seed: LossyModel(counting, 0.3, seed=seed),
-        ) == "model"
+        # Besides the stock models (test_other_models_run_serially), a
+        # count model with rules of its own and a No-CD subclass (the
+        # check is on the exact type) run on the serial engine, shared
+        # or under lossy wrappers.
+        no_cd_sub = type("NoCDSub", (type(NO_CD),), {})("No-CD-sub")
+        for model in (CountingModel("counting"), no_cd_sub):
+            assert reason(model=model, resolution="numpy") == "model"
+            assert reason(
+                model=model, resolution="numpy",
+                model_factory=lambda seed: LossyModel(model, 0.3, seed=seed),
+            ) == "model"
         # Non-lockstep paths leave the diagnostic unset.
         serial = run_trials(graph, NO_CD, _plan_rich_protocol, (0, 1))
         assert all(r.soa_reason is None for r in serial)
 
 
 class TestTrialSoAEquivalence:
-    """Differential matrix for the SoA path.  Without numpy the same
-    configs land on the serial fallback, so the matrix stays valid on
-    the no-numpy CI leg (it just pins a different engine pair)."""
+    """Differential matrix for the SoA path, which runs the No-CD
+    cases; every other model's cases pin the serial fallback (verdict
+    "model").  Without numpy the same configs land on the serial
+    fallback, so the matrix stays valid on the no-numpy CI leg (it just
+    pins a different engine pair)."""
 
     SEEDS = (0, 1, 2, 5, 9)
 
@@ -594,7 +633,8 @@ class TestTrialSoAEquivalence:
             graph, model, _stepped(_plan_rich_protocol, stepping), self.SEEDS,
             exec_config=ExecutionConfig(lockstep=True, resolution=resolution),
         )
-        _assert_same_results(serial, lockstep)
+        assert {r.soa_reason for r in lockstep} == {_verdict(model, resolution)}
+        _assert_same_results(serial, lockstep, same_form=stepping == "phase")
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
     def test_plan_matrix_vs_reference(self, model_name):
@@ -604,24 +644,24 @@ class TestTrialSoAEquivalence:
             graph, model, _plan_rich_protocol, self.SEEDS[:2],
             exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
-        for result in lockstep:
-            ref = ReferenceSimulator(graph, model, seed=result.seed).run(
+        assert {r.soa_reason for r in lockstep} == {_verdict(model)}
+        oracle = [
+            ReferenceSimulator(graph, model, seed=seed).run(
                 _plan_rich_protocol
             )
-            assert ref.outputs == result.outputs
-            assert ref.duration == result.duration
-            assert [e.total for e in ref.energy] == [
-                e.total for e in result.energy
-            ]
+            for seed in self.SEEDS[:2]
+        ]
+        _assert_same_results(oracle, lockstep, same_form=False)
 
     @pytest.mark.parametrize("stepping", ("slot", "phase"))
     @pytest.mark.parametrize("resolution", RESOLUTIONS)
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
     def test_lossy_matrix_vs_serial(self, model_name, resolution, stepping):
         # Under "numpy" this pins the vectorized drop-mask path against
-        # the serial oracle for every inner model; under "bitmask" it
-        # pins the serial fallback (and the whole matrix stays valid
-        # on the no-numpy CI leg).
+        # the serial engine for a No-CD inner, and the serial fallback
+        # for every other inner; under "bitmask" it pins the serial
+        # fallback (and the whole matrix stays valid on the no-numpy CI
+        # leg).
         inner = FIVE_MODELS[model_name]
         graph = random_gnp(8, 0.6, random.Random(12))
         factory = lambda seed: LossyModel(inner, 0.35, seed=seed)
@@ -635,7 +675,8 @@ class TestTrialSoAEquivalence:
                 model_factory=factory, lockstep=True, resolution=resolution,
             ),
         )
-        _assert_same_results(serial, lockstep)
+        assert {r.soa_reason for r in lockstep} == {_verdict(inner, resolution)}
+        _assert_same_results(serial, lockstep, same_form=stepping == "phase")
 
     @pytest.mark.parametrize("stepping", ("slot", "phase"))
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
@@ -661,7 +702,12 @@ class TestTrialSoAEquivalence:
                     resolution=resolution,
                 ),
             )
-            _assert_same_results(oracle, lockstep)
+            assert {r.soa_reason for r in lockstep} == {
+                _verdict(inner, resolution)
+            }
+            _assert_same_results(
+                oracle, lockstep, same_form=stepping == "slot"
+            )
 
     @pytest.mark.parametrize("stepping", ("slot", "phase"))
     def test_mixed_generator_fallback(self, stepping):
@@ -669,30 +715,42 @@ class TestTrialSoAEquivalence:
         # Same protocol form on both sides: gen_entries is a
         # stepping-cost metric, so it only matches within one form.
         protocol = _stepped(_mixed_fallback_protocol, stepping)
-        serial = run_trials(graph, CD, protocol, self.SEEDS)
+        serial = run_trials(graph, NO_CD, protocol, self.SEEDS)
         lockstep = run_trials(
-            graph, CD, protocol, self.SEEDS,
+            graph, NO_CD, protocol, self.SEEDS,
             exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
+        assert {r.soa_reason for r in lockstep} == {_verdict(NO_CD)}
         _assert_same_results(serial, lockstep)
-        for a, b in zip(serial, lockstep):
-            assert a.gen_entries == b.gen_entries
 
-    @pytest.mark.parametrize("model", (CD_FD, NO_CD_FD), ids=("CD_FD", "NO_CD_FD"))
-    def test_full_duplex_send_listen(self, model):
-        def protocol(ctx):
-            fb = yield SendListen(("d", ctx.index))
-            yield Repeat(SendListen(("rep", ctx.index)), 2)
-            if ctx.index % 2:
-                yield Listen()
-            return (ctx.index, repr(fb))
-
-        graph = clique(6)
-        serial = run_trials(graph, model, protocol, self.SEEDS)
+    @pytest.mark.parametrize("arm", ("shared", "lossy"))
+    @pytest.mark.parametrize("model_name", sorted(OTHER_MODELS))
+    def test_other_models_run_serially(self, model_name, arm):
+        """Every model but half-duplex No-CD — full-duplex No-CD
+        included — runs a lock-step batch on the serial engine, shared
+        or as the inner of per-seed lossy wrappers, with the verdict
+        "model" and serial results."""
+        model = OTHER_MODELS[model_name]
+        protocol = (
+            _duplex_protocol if model.full_duplex else _plan_rich_protocol
+        )
+        fields = {}
+        if arm == "lossy":
+            fields["model_factory"] = (
+                lambda seed: LossyModel(model, 0.35, seed=seed)
+            )
+        graph = random_gnp(9, 0.5, random.Random(33))
+        serial = run_trials(
+            graph, model, protocol, self.SEEDS,
+            exec_config=ExecutionConfig(**fields),
+        )
         lockstep = run_trials(
             graph, model, protocol, self.SEEDS,
-            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+            exec_config=ExecutionConfig(
+                lockstep=True, resolution="numpy", **fields
+            ),
         )
+        assert {r.soa_reason for r in lockstep} == {_verdict(model)}
         _assert_same_results(serial, lockstep)
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
@@ -712,6 +770,7 @@ class TestTrialSoAEquivalence:
             graph, model, protocol, self.SEEDS[:3],
             exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
+        assert {r.soa_reason for r in lockstep} == {_verdict(model)}
         _assert_same_results(serial, lockstep)
 
     def test_timeout_message_parity(self):
@@ -763,6 +822,33 @@ class TestTrialSoAEquivalence:
             assert str(exc.value) == message, name
 
 
+    def test_protocol_error_names_the_trials_own_model(self):
+        """In a lossy batch whose trials carry different loss rates, the
+        error names the model of the trial that yielded SendListen."""
+        def protocol(ctx):
+            yield Listen()
+            if ctx.index == 0 and ctx.rng.random() < 0.5:
+                yield SendListen("x")
+
+        def message(lockstep):
+            with pytest.raises(ProtocolError) as exc:
+                run_trials(
+                    clique(3), NO_CD, protocol, (2, 3),
+                    exec_config=ExecutionConfig(
+                        lockstep=lockstep, resolution="numpy",
+                        model_factory=lambda seed: LossyModel(
+                            NO_CD, seed / 10, seed=seed
+                        ),
+                    ),
+                )
+            return str(exc.value)
+
+        # Seed 2's node 0 draws 0.5 or more; seed 3's does not.
+        expected = "SendListen is illegal in the lossy(No-CD,0.3) model"
+        assert message(lockstep=False) == expected
+        assert message(lockstep=True) == expected
+
+
 class TestTrialSoAProperty:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -802,8 +888,6 @@ class TestTrialSoAProperty:
         lockstep, soa_trailing = run(lockstep=True)
         _assert_same_results(serial, lockstep)
         assert serial_trailing == soa_trailing
-        for a, b in zip(serial, lockstep):
-            assert a.gen_entries == b.gen_entries
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -825,5 +909,3 @@ class TestTrialSoAProperty:
             exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
         )
         _assert_same_results(serial, lockstep)
-        for a, b in zip(serial, lockstep):
-            assert a.gen_entries == b.gen_entries
