@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.graphs import diameter
@@ -33,6 +35,41 @@ def bernoulli_steps(ctx, message, p: float, rounds: int) -> Steps:
     return Steps(tuple(
         Send(message) if rand() < p else Idle(1) for _ in range(rounds)
     ))
+
+
+def run_digest(result) -> str:
+    """A short hash of what a run pins: outputs (each ending with the
+    node's next rng draw), ``EnergyReport``s, duration, finish slots,
+    ``gen_entries`` and the trace (empty when untraced)."""
+    energy = [
+        (e.sends, e.listens, e.duplex, e.total, e.last_active_slot)
+        for e in result.energy
+    ]
+    trace = [
+        (e.slot, e.node, e.kind, repr(e.message), repr(e.feedback))
+        for e in (result.trace or ())
+    ]
+    blob = repr((
+        result.outputs, energy, result.duration, result.finish_slot,
+        result.gen_entries, trace,
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def assert_pinned(pinned, got):
+    """Assert that each entry of ``got`` (key -> digests of one case's
+    runs) equals its entry in the pin table ``pinned``.  A failure prints
+    one paste-ready ``key: digests,`` line per moved or missing entry.
+    Re-pinning is a reviewed change: CHANGES.md lists every moved key."""
+    moved = [
+        f"    {key!r}: {digests!r},"
+        for key, digests in got.items()
+        if pinned.get(key) != digests
+    ]
+    assert not moved, (
+        f"{len(moved)} of {len(got)} pinned runs moved or are not pinned; "
+        "after review, re-pin with:\n" + "\n".join(moved)
+    )
 
 
 class CountingModel(ChannelModel):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.broadcast import (
     BroadcastOutcome,
     local_flood_protocol,
@@ -11,7 +9,7 @@ from repro.broadcast import (
     source_inputs,
 )
 from repro.graphs import grid_graph, path_graph
-from repro.sim import LOCAL, ExecutionConfig, Knowledge
+from repro.sim import LOCAL, ExecutionConfig
 
 from tests.conftest import knowledge_for
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.casts import all_cast, down_cast, up_cast
 from repro.core.labeling import is_good_labeling
 from repro.core.schemes import SRScheme

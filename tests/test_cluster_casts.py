@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.cluster_casts import (
     cluster_all_cast,
     cluster_coin,
@@ -13,7 +11,7 @@ from repro.core.cluster_casts import (
 )
 from repro.core.schemes import SRScheme
 from repro.core.sr_comm import Role
-from repro.graphs import Graph, path_graph
+from repro.graphs import path_graph
 from repro.sim import NO_CD, Simulator
 
 

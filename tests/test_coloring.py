@@ -11,10 +11,9 @@ from repro.core.coloring import (
     coloring_preprocess,
     learn_degree,
     simulate_local,
-    two_hop_coloring,
 )
-from repro.graphs import bfs_distances, cycle_graph, grid_graph, path_graph
-from repro.sim import NO_CD, Knowledge, Simulator
+from repro.graphs import cycle_graph, grid_graph, path_graph
+from repro.sim import NO_CD, Simulator
 from repro.sim.actions import Idle, Listen, Send
 
 from tests.conftest import knowledge_for

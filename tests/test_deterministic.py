@@ -13,11 +13,10 @@ from repro.core.det_tree import (
     DetCDScheme,
     det_downward,
     det_upward,
-    downward_slots,
     upward_slots,
 )
 from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
-from repro.sim import CD, LOCAL, Knowledge, Simulator
+from repro.sim import CD, LOCAL, Simulator
 
 from tests.conftest import knowledge_for
 

@@ -50,7 +50,6 @@ from repro.sim import (
 from repro.sim.faults import (
     JAM_FEEDBACK,
     CrashSchedule,
-    FaultPlan,
     GilbertElliottModel,
     JammedModel,
     PeriodicChurn,

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/repro`` is used by its module.
+"""Every module-level import in ``src/repro``, ``tests/``,
+``benchmarks/`` and ``examples/`` is used by its module.
 
 An AST scan, not a linter: it binds each module-level import's name
 and looks for that name anywhere else in the module — in code, in
@@ -16,6 +17,7 @@ from typing import Iterator, List, Set, Tuple
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _module_imports(tree: ast.Module) -> Iterator[Tuple[str, int]]:
@@ -88,13 +90,26 @@ def unused_imports(path: Path) -> List[str]:
     ]
 
 
-def test_no_unused_module_imports():
+def _unused_under(folder: Path):
+    """``{path: unused imports}`` of each module under ``folder`` that
+    has some, ``__init__.py`` files exempt."""
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(folder.rglob("*.py")):
         if path.name != "__init__.py":
             unused = unused_imports(path)
             if unused:
-                found[str(path.relative_to(SRC))] = unused
+                found[str(path.relative_to(folder.parent))] = unused
+    return found
+
+
+def test_no_unused_module_imports():
+    assert _unused_under(SRC) == {}
+
+
+def test_no_unused_imports_in_tests_benchmarks_and_examples():
+    found = {}
+    for folder in ("tests", "benchmarks", "examples"):
+        found.update(_unused_under(ROOT / folder))
     assert found == {}
 
 

@@ -6,7 +6,6 @@ import statistics
 
 import pytest
 
-from repro.core.labeling import is_good_labeling
 from repro.core.partition import (
     PartitionParams,
     partition_once,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -21,6 +20,7 @@ from repro.core.sr_comm import (
 from repro.graphs import clique, path_graph, random_gnp, star_graph
 from repro.sim import CD, LOCAL, NO_CD, ExecutionConfig, Simulator
 from repro.sim.models import LossyModel
+from tests.conftest import assert_pinned, run_digest
 
 
 def _run_sr(graph, model, roles, messages, maker, seed=0):
@@ -350,30 +350,12 @@ def _frame_run(frame, channel, seed, traced):
     ).run(proto)
 
 
-def _digest(result) -> str:
-    """A short hash of what a run pins: outputs (each ending with the
-    node's next rng draw), ``EnergyReport``s, duration, finish slots,
-    ``gen_entries`` and the trace (empty when untraced)."""
-    energy = [
-        (e.sends, e.listens, e.duplex, e.total, e.last_active_slot)
-        for e in result.energy
-    ]
-    trace = [
-        (e.slot, e.node, e.kind, repr(e.message), repr(e.feedback))
-        for e in (result.trace or ())
-    ]
-    blob = repr((
-        result.outputs, energy, result.duration, result.finish_slot,
-        result.gen_entries, trace,
-    ))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-#: (frame, channel, seed) -> digests of the traced (stepped) and the
-#: untraced (posted) run.  Recorded from frames that matched, slot for
-#: slot and draw for draw, the per-phase decay sender loop (one burst
-#: and one Idle per phase) and the per-epoch CD loops (one Steps per
-#: sender epoch, one Idle per epoch for a satisfied receiver).
+#: (frame, channel, seed) -> run digests (``conftest.run_digest``) of
+#: the traced (stepped) and the untraced (posted) run.  Recorded from
+#: frames that matched, slot for slot and draw for draw, the per-phase
+#: decay sender loop (one burst and one Idle per phase) and the
+#: per-epoch CD loops (one Steps per sender epoch, one Idle per epoch
+#: for a satisfied receiver), which are no longer kept.
 _PINNED = {
     ('cd', 'CD', 0): ('9c8985ad60c399b6', 'df189e16bcf897b5'),
     ('cd', 'CD', 1): ('d5ef7ca99b98d5f2', '5c146c804269ddfb'),
@@ -434,15 +416,13 @@ class TestWholeFrameSenders:
     @pytest.mark.parametrize("channel", sorted(_CHANNELS))
     @pytest.mark.parametrize("frame", sorted(_FRAMES))
     def test_matches_per_phase_loop(self, frame, channel):
-        for seed in (0, 1, 2):
-            got = tuple(
-                _digest(_frame_run(frame, channel, seed, traced))
+        assert_pinned(_PINNED, {
+            (frame, channel, seed): tuple(
+                run_digest(_frame_run(frame, channel, seed, traced))
                 for traced in (True, False)
             )
-            assert got == _PINNED[frame, channel, seed], (
-                f"SR frame {frame!r} on channel {channel!r}, seed {seed}: "
-                f"(traced, untraced) digests {got} moved"
-            )
+            for seed in (0, 1, 2)
+        })
 
     @pytest.mark.parametrize(
         "model,params",

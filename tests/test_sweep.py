@@ -3,11 +3,12 @@
 :func:`repro.core.casts.sweep` is Lemma 10's two-positions-per-vertex
 schedule; :func:`repro.sim.plan.timeline` gives the per-slot actions of a
 fixed slot schedule.  The casts and grids that run through them are
-checked here against copies of the hand-written loops they replaced (the
-``_loop_*`` oracles): over random roles and seeds, the same outputs,
-energy, duration, finish slots, trace and next rng draw, on the engine
-and on the per-slot :class:`ReferenceSimulator`.  Only idle runs merge
-and generator entries drop.
+pinned here by run digest (:func:`tests.conftest.run_digest`) over
+random roles and seeds, and each run is checked against the per-slot
+:class:`ReferenceSimulator`.  The pins were recorded from runs that
+matched, in outputs, energy, duration, finish slots, trace and next rng
+draw, the hand-written loops the casts and grids replaced, which entered
+their generators no less often.
 """
 
 from __future__ import annotations
@@ -17,24 +18,16 @@ import random
 import pytest
 
 from repro.core.casts import down_cast, identity, sweep, up_cast
-from repro.core.cluster_casts import cluster_down_cast, cluster_sr, cluster_up_cast
+from repro.core.cluster_casts import cluster_down_cast, cluster_up_cast
 from repro.core.det_tree import (
     DetCDScheme,
     det_down_cast,
     det_downward,
     det_up_cast,
     det_upward,
-    downward_slots,
-    upward_slots,
 )
 from repro.core.schemes import SRScheme
-from repro.core.sr_comm import (
-    CDParams,
-    Role,
-    det_frame_length,
-    sr_cd,
-    sr_det_cd_payload,
-)
+from repro.core.sr_comm import CDParams, Role, sr_det_cd_payload
 from repro.core.tree_clusters import (
     TreeParams,
     learn_ind,
@@ -49,18 +42,15 @@ from repro.sim import (
     CD,
     LOCAL,
     NO_CD,
-    SILENCE,
     ExecutionConfig,
     Idle,
     Listen,
     Send,
     Simulator,
-    Steps,
 )
 from repro.sim.faults import parse_fault_specs
-from repro.sim.feedback import is_message
 from repro.sim.reference import ReferenceSimulator
-from repro.util import ceil_log2
+from tests.conftest import assert_pinned, run_digest
 
 
 # ---------------------------------------------------------------------------
@@ -169,522 +159,83 @@ class TestUpwardGridsRefuseSendAndListen:
 
 
 # ---------------------------------------------------------------------------
-# The loops sweep and timeline replaced (oracles)
+# Differential: the casts and grids over random roles, pinned by digest
 # ---------------------------------------------------------------------------
-
-
-def _idle(slots):
-    if slots > 0:
-        yield Idle(slots)
-
-
-def _loop_sr_det_cd(ctx, role, value, space):
-    bits = max(1, ceil_log2(max(2, space)))
-    total = det_frame_length(space)
-    if role is Role.IDLE:
-        yield from _idle(total)
-        return None
-    sending = role in (Role.SENDER, Role.BOTH)
-    listening = role in (Role.RECEIVER, Role.BOTH)
-    prefix = 0
-    dead = False
-    for x in range(bits):
-        round_slots = 2 ** (x + 1)
-        shift = bits - x - 1
-        own_prefix = (value >> shift) if value is not None else None
-        events = []
-        cand0 = cand1 = None
-        if sending:
-            events.append((own_prefix, True))
-        if listening and not dead:
-            cand0, cand1 = 2 * prefix, 2 * prefix + 1
-            for cand in (cand0, cand1):
-                if cand != own_prefix:
-                    events.append((cand, False))
-        occupied = {}
-        acts = []
-        listen_slots = []
-        cursor = 0
-        for slot, is_send in sorted(events):
-            if slot > cursor:
-                acts.append(Idle(slot - cursor))
-            if is_send:
-                acts.append(Send(("det", slot)))
-            else:
-                acts.append(Listen())
-                listen_slots.append(slot)
-            cursor = slot + 1
-        if round_slots > cursor:
-            acts.append(Idle(round_slots - cursor))
-        if listen_slots:
-            heard = yield Steps(tuple(acts))
-            for slot, feedback in zip(listen_slots, heard):
-                occupied[slot] = feedback is not SILENCE
-        elif len(acts) == 1:
-            yield acts[0]
-        elif acts:
-            yield Steps(tuple(acts))
-        if listening and not dead:
-            occ0 = occupied.get(cand0, False) or own_prefix == cand0
-            occ1 = occupied.get(cand1, False) or own_prefix == cand1
-            if occ0:
-                prefix = cand0
-            elif occ1:
-                prefix = cand1
-            else:
-                dead = True
-    if not listening:
-        return None
-    if dead:
-        return value
-    if value is not None:
-        return min(prefix, value)
-    return prefix
-
-
-def _loop_sr_det_cd_payload(ctx, role, uid, payload, id_space):
-    sending = role in (Role.SENDER, Role.BOTH)
-    value = (uid - 1) if (uid is not None and sending) else None
-    learned = yield from _loop_sr_det_cd(ctx, role, value, id_space)
-    result = None
-    own_payload = False
-    listened = False
-    acts = []
-    cursor = 0
-    if role in (Role.RECEIVER, Role.BOTH) and learned is not None:
-        if learned > cursor:
-            acts.append(Idle(learned - cursor))
-        if sending and learned == value:
-            acts.append(Send(("payload", uid, payload)))
-            own_payload = True
-        else:
-            acts.append(Listen())
-            listened = True
-        cursor = learned + 1
-        if sending and learned != value:
-            if value > cursor:
-                acts.append(Idle(value - cursor))
-            acts.append(Send(("payload", uid, payload)))
-            cursor = value + 1
-    elif sending:
-        if value > cursor:
-            acts.append(Idle(value - cursor))
-        acts.append(Send(("payload", uid, payload)))
-        cursor = value + 1
-    if id_space > cursor:
-        acts.append(Idle(id_space - cursor))
-    if acts:
-        if len(acts) == 1 and not listened:
-            yield acts[0]
-            heard = ()
-        else:
-            heard = yield Steps(tuple(acts))
-    else:
-        heard = ()
-    if own_payload:
-        result = (uid, payload)
-    elif listened:
-        feedback = heard[0]
-        if is_message(feedback) and feedback[0] == "payload":
-            result = (feedback[1], feedback[2])
-    return result
-
-
-class _LoopDetCDScheme(DetCDScheme):
-    """DetCDScheme on the loop form of Lemma 24's primitive."""
-
-    def communicate(self, ctx, role, message=None, accept=None):
-        def run():
-            got = yield from _loop_sr_det_cd_payload(
-                ctx, role, ctx.uid if role is Role.SENDER else None,
-                message, self.id_space,
-            )
-            if got is None:
-                return None
-            payload = got[1]
-            if accept is not None and not accept(payload):
-                return None
-            return payload
-
-        return run()
-
-
-def _loop_down_cast(ctx, scheme, layer, value, max_layers, transform=identity,
-                    accept=None):
-    frames = max_layers - 1
-    recv_frame = layer - 1
-    send_frame = layer
-    cursor = 0
-    for i in (recv_frame, send_frame):
-        if not 0 <= i < frames:
-            continue
-        if i > cursor:
-            yield from _idle((i - cursor) * scheme.frame_length)
-        if i == recv_frame and value is None:
-            received = yield from scheme.communicate(ctx, Role.RECEIVER, accept=accept)
-            if received is not None:
-                value = transform(received)
-        elif i == send_frame and value is not None:
-            yield from scheme.communicate(ctx, Role.SENDER, value)
-        else:
-            yield from scheme.communicate(ctx, Role.IDLE)
-        cursor = i + 1
-    if frames > cursor:
-        yield from _idle((frames - cursor) * scheme.frame_length)
-    return value
-
-
-def _loop_up_cast(ctx, scheme, layer, value, max_layers, transform=identity,
-                  accept=None):
-    frames = max_layers - 1
-    recv_frame = layer + 1
-    send_frame = layer
-    cursor = 0
-    for i in (recv_frame, send_frame):
-        if not 1 <= i <= max_layers - 1:
-            continue
-        position = max_layers - 1 - i
-        if position > cursor:
-            yield from _idle((position - cursor) * scheme.frame_length)
-        if i == recv_frame and value is None:
-            received = yield from scheme.communicate(ctx, Role.RECEIVER, accept=accept)
-            if received is not None:
-                value = transform(received)
-        elif i == send_frame and value is not None:
-            yield from scheme.communicate(ctx, Role.SENDER, value)
-        else:
-            yield from scheme.communicate(ctx, Role.IDLE)
-        cursor = position + 1
-    if frames > cursor:
-        yield from _idle((frames - cursor) * scheme.frame_length)
-    return value
-
-
-def _loop_cluster_sweep(ctx, scheme, recv_position, send_position, positions,
-                        value, send_message, seed, tag, contention, reps,
-                        accept, transform):
-    """``cluster_casts._sweep``."""
-    frame = scheme.frame_length
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield from _idle((position - cursor) * reps * frame)
-        if position == recv_position and value is None:
-            got = yield from cluster_sr(
-                ctx, scheme, Role.RECEIVER, None, seed,
-                (tag, position), contention, reps, accept,
-            )
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from cluster_sr(
-                ctx, scheme, Role.SENDER, send_message(value), seed,
-                (tag, position), contention, reps, accept,
-            )
-        else:
-            yield from _idle(reps * frame)
-        cursor = position + 1
-    if positions > cursor:
-        yield from _idle((positions - cursor) * reps * frame)
-    return value
-
-
-def _loop_cluster_down_cast(ctx, scheme, layer, cid, seed, value, max_layers,
-                            contention, reps, tag, transform):
-    return _loop_cluster_sweep(
-        ctx, scheme, layer - 1, layer, max_layers - 1, value,
-        lambda val: (cid, val), seed, ("dc", tag), contention, reps,
-        lambda message: message[0] == cid, lambda msg: transform(msg[1]),
-    )
-
-
-def _loop_cluster_up_cast(ctx, scheme, layer, cid, seed, value, max_layers,
-                          contention, reps, tag, transform):
-    return _loop_cluster_sweep(
-        ctx, scheme, (max_layers - 1) - (layer + 1),
-        (max_layers - 1) - layer if layer >= 1 else -1, max_layers - 1,
-        value, lambda val: (cid, val), seed, ("uc", tag), contention, reps,
-        lambda message: message[0] == cid, lambda msg: transform(msg[1]),
-    )
-
-
-def _loop_det_downward(ctx, parent_uid, value, listening, id_space):
-    send_slot = (ctx.uid - 1) if value is not None else None
-    listen_slot = (parent_uid - 1) if (listening and parent_uid is not None) else None
-    if listen_slot is not None and listen_slot == send_slot:
-        listen_slot = None
-    received = None
-    cursor = 0
-    for slot in sorted(
-        ({send_slot} if send_slot is not None else set())
-        | ({listen_slot} if listen_slot is not None else set())
-    ):
-        if slot > cursor:
-            yield Idle(slot - cursor)
-        if slot == send_slot:
-            yield Send(("dt", value))
-        else:
-            feedback = yield Listen()
-            if is_message(feedback) and feedback[0] == "dt":
-                received = feedback[1]
-        cursor = slot + 1
-    if id_space > cursor:
-        yield Idle(id_space - cursor)
-    return received
-
-
-def _loop_det_upward(ctx, parent_uid, value, listening, id_space):
-    frame = det_frame_length(id_space) + id_space
-    send_block = (parent_uid - 1) if (value is not None and parent_uid is not None) else None
-    listen_block = (ctx.uid - 1) if listening else None
-    received = None
-    cursor = 0
-    for block in sorted(
-        ({send_block} if send_block is not None else set())
-        | ({listen_block} if listen_block is not None else set())
-    ):
-        if block > cursor:
-            yield Idle((block - cursor) * frame)
-        if block == send_block:
-            yield from _loop_sr_det_cd_payload(ctx, Role.SENDER, ctx.uid, value, id_space)
-        else:
-            got = yield from _loop_sr_det_cd_payload(
-                ctx, Role.RECEIVER, None, None, id_space
-            )
-            if got is not None:
-                received = got
-        cursor = block + 1
-    if id_space > cursor:
-        yield Idle((id_space - cursor) * frame)
-    return received
-
-
-def _loop_det_sweep(ctx, recv_position, send_position, positions, grid,
-                    grid_len, parent_uid, value, transform, id_space):
-    """``det_tree._det_sweep``."""
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield Idle((position - cursor) * grid_len)
-        if position == recv_position and value is None:
-            got = yield from grid(ctx, parent_uid, None, True, id_space)
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from grid(ctx, parent_uid, value, False, id_space)
-        else:
-            yield Idle(grid_len)
-        cursor = position + 1
-    if positions > cursor:
-        yield Idle((positions - cursor) * grid_len)
-    return value
-
-
-def _loop_det_down_cast(ctx, layer, parent_uid, value, max_layers, id_space,
-                        transform):
-    return _loop_det_sweep(
-        ctx, layer - 1, layer, max_layers - 1, _loop_det_downward,
-        downward_slots(id_space), parent_uid, value, transform, id_space,
-    )
-
-
-def _loop_det_up_cast(ctx, layer, parent_uid, value, max_layers, id_space,
-                      transform):
-    return _loop_det_sweep(
-        ctx, (max_layers - 1) - (layer + 1),
-        (max_layers - 1) - layer if layer >= 1 else -1, max_layers - 1,
-        _loop_det_upward, upward_slots(id_space), parent_uid, value,
-        transform, id_space,
-    )
-
-
-def _loop_learn_ind(ctx, params, my_colors, parent_colors):
-    ind = None
-    for j in range(params.num_colorings):
-        own_k = my_colors[j]
-        listen_k = None
-        if parent_colors is not None and parent_colors[j] != own_k:
-            listen_k = parent_colors[j]
-        events = sorted({own_k} | ({listen_k} if listen_k is not None else set()))
-        cursor = 0
-        for k in events:
-            if k > cursor:
-                yield Idle(k - cursor)
-            if k == own_k:
-                yield Send(("ind", j, own_k))
-            else:
-                feedback = yield Listen()
-                if ind is None and is_message(feedback):
-                    ind = j
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle(params.num_colors - cursor)
-    return ind
-
-
-def _loop_tree_downward(ctx, params, my_colors, parent_colors, ind, value,
-                        listening):
-    received = None
-    for j in range(params.num_colorings):
-        send_k = my_colors[j] if value is not None else None
-        listen_k = None
-        if (
-            listening
-            and ind == j
-            and parent_colors is not None
-            and received is None
-            and parent_colors[j] != send_k
-        ):
-            listen_k = parent_colors[j]
-        events = sorted(
-            ({send_k} if send_k is not None else set())
-            | ({listen_k} if listen_k is not None else set())
-        )
-        cursor = 0
-        for k in events:
-            if k > cursor:
-                yield Idle(k - cursor)
-            if k == send_k:
-                yield Send(value)
-            else:
-                feedback = yield Listen()
-                if is_message(feedback):
-                    received = feedback
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle(params.num_colors - cursor)
-    return received
-
-
-def _loop_tree_upward(ctx, params, my_colors, parent_colors, ind, value,
-                      listening):
-    frame = params.sr.frame_length
-    received = None
-    send_block = None
-    if value is not None and ind is not None and parent_colors is not None:
-        send_block = (ind, parent_colors[ind])
-    for j in range(params.num_colorings):
-        listen_k = my_colors[j] if listening else None
-        send_k = send_block[1] if (send_block is not None and send_block[0] == j) else None
-        blocks = sorted(
-            ({send_k} if send_k is not None else set())
-            | ({listen_k} if listen_k is not None else set())
-        )
-        cursor = 0
-        for k in blocks:
-            if k > cursor:
-                yield Idle((k - cursor) * frame)
-            if k == send_k:
-                yield from sr_cd(ctx, Role.SENDER, value, params.sr)
-            else:
-                got = yield from sr_cd(
-                    ctx, Role.RECEIVER if received is None else Role.IDLE,
-                    None, params.sr,
-                )
-                if got is not None:
-                    received = got
-            cursor = k + 1
-        if params.num_colors > cursor:
-            yield Idle((params.num_colors - cursor) * frame)
-    return received
-
-
-def _loop_tree_sweep(ctx, params, recv_position, send_position, positions,
-                     grid, grid_slots, value, transform, my_colors,
-                     parent_colors, ind):
-    """``tree_clusters._tree_sweep``."""
-    cursor = 0
-    for position in sorted({recv_position, send_position}):
-        if not 0 <= position < positions:
-            continue
-        if position > cursor:
-            yield Idle((position - cursor) * grid_slots)
-        if position == recv_position and value is None:
-            got = yield from grid(ctx, params, my_colors, parent_colors, ind, None, True)
-            if got is not None:
-                value = transform(got)
-        elif position == send_position and value is not None:
-            yield from grid(ctx, params, my_colors, parent_colors, ind, value, False)
-        else:
-            yield Idle(grid_slots)
-        cursor = position + 1
-    if positions > cursor:
-        yield Idle((positions - cursor) * grid_slots)
-    return value
-
-
-def _loop_tree_down_cast(ctx, params, layer, value, max_layers, my_colors,
-                         parent_colors, ind, transform):
-    return _loop_tree_sweep(
-        ctx, params, layer - 1, layer, max_layers - 1, _loop_tree_downward,
-        params.downward_slots, value, transform, my_colors, parent_colors, ind,
-    )
-
-
-def _loop_tree_up_cast(ctx, params, layer, value, max_layers, my_colors,
-                       parent_colors, ind, transform):
-    return _loop_tree_sweep(
-        ctx, params, (max_layers - 1) - (layer + 1),
-        (max_layers - 1) - layer if layer >= 1 else -1, max_layers - 1,
-        _loop_tree_upward, params.upward_slots, value, transform, my_colors,
-        parent_colors, ind,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Differential: today's casts and grids against the loops
-# ---------------------------------------------------------------------------
-
-#: the casts and grids under test: today's and the loop each replaced
-_NEW = {
-    "down_cast": down_cast, "up_cast": up_cast, "DetCDScheme": DetCDScheme,
-    "cluster_down_cast": cluster_down_cast, "cluster_up_cast": cluster_up_cast,
-    "det_downward": det_downward, "det_upward": det_upward,
-    "det_down_cast": det_down_cast, "det_up_cast": det_up_cast,
-    "learn_ind": learn_ind, "tree_downward": tree_downward,
-    "tree_upward": tree_upward,
-    "tree_down_cast": tree_down_cast, "tree_up_cast": tree_up_cast,
-}
-_LOOP = {
-    "down_cast": _loop_down_cast, "up_cast": _loop_up_cast,
-    "DetCDScheme": _LoopDetCDScheme,
-    "cluster_down_cast": _loop_cluster_down_cast,
-    "cluster_up_cast": _loop_cluster_up_cast,
-    "det_downward": _loop_det_downward, "det_upward": _loop_det_upward,
-    "det_down_cast": _loop_det_down_cast, "det_up_cast": _loop_det_up_cast,
-    "learn_ind": _loop_learn_ind, "tree_downward": _loop_tree_downward,
-    "tree_upward": _loop_tree_upward,
-    "tree_down_cast": _loop_tree_down_cast, "tree_up_cast": _loop_tree_up_cast,
-}
 
 _CHURN = "random:p=0.3,period=15,down=4"
 
+#: case -> run digest of the engine run.  Recorded from runs that matched
+#: the loops each cast and grid replaced: the per-round loop of Lemma
+#: 24's primitive, the per-frame cast and cluster-cast loops, and the
+#: per-action grid loops.
+_PINNED = {
+    ('det_cd_payload', 0): '9bb0cc5f9eb77200',
+    ('det_cd_payload', 1): 'a983c04b2688f4da',
+    ('det_cd_payload', 2): '9221fb5b3a4cbd06',
+    ('det_cd_payload', 3): '3a36da2d67573a02',
+    ('casts', 'LOCAL', 0): '86e8285b30fed62a',
+    ('casts', 'CD', 0): '04dcb236f6a79559',
+    ('casts', 'No-CD', 0): 'ec441b7bdf0e4c1c',
+    ('casts', 'det-CD', 0): '2be5897d63c32ed4',
+    ('casts', 'LOCAL', 1): '995c8df64e5fd4f1',
+    ('casts', 'CD', 1): 'f465ce36c6f05477',
+    ('casts', 'No-CD', 1): '2e077675614a7e25',
+    ('casts', 'det-CD', 1): '82c29f08311b9a95',
+    ('casts', 'LOCAL', 2): '7c489e2437387083',
+    ('casts', 'CD', 2): '28a3d42c1751ca41',
+    ('casts', 'No-CD', 2): '7d5f3a9372ac0ac1',
+    ('casts', 'det-CD', 2): 'af1e9ed038ac6f26',
+    ('casts', 'LOCAL', 3): '7ddf9952d575a8ef',
+    ('casts', 'CD', 3): '8ecc3edfa7d9fa53',
+    ('casts', 'No-CD', 3): 'd6c4f793c4ddda01',
+    ('casts', 'det-CD', 3): '51214aa26488d69e',
+    ('cluster_casts', 'CD', 0): '75b3cff7264cce0a',
+    ('cluster_casts', 'No-CD', 0): '6c30d8584998fe6d',
+    ('cluster_casts', 'churn', 0): '75b3cff7264cce0a',
+    ('cluster_casts', 'CD', 1): '524d8ee77530cb3d',
+    ('cluster_casts', 'No-CD', 1): '8a9b8bdf82cd2aee',
+    ('cluster_casts', 'churn', 1): '524d8ee77530cb3d',
+    ('cluster_casts', 'CD', 2): '5910a6a8eb728dc5',
+    ('cluster_casts', 'No-CD', 2): 'cd5a0c9f1eeb941e',
+    ('cluster_casts', 'churn', 2): '88351157cebad611',
+    ('det_grids', 'clean', 0): 'fb4ed3b5e27d1c2e',
+    ('det_grids', 'churn', 0): 'fb4ed3b5e27d1c2e',
+    ('det_grids', 'clean', 1): '32a565056f4ef694',
+    ('det_grids', 'churn', 1): '1ad1f9d08cf5c3ed',
+    ('det_grids', 'clean', 2): '45ed9163ee75ca50',
+    ('det_grids', 'churn', 2): 'bb0812038076406c',
+    ('det_grids', 'clean', 3): '047c25a3c7722029',
+    ('det_grids', 'churn', 3): '047c25a3c7722029',
+    ('tree_grids', 'clean', 0): '79f470993bb25a69',
+    ('tree_grids', 'churn', 0): '8a617a4a626144f5',
+    ('tree_grids', 'clean', 1): 'bbbbfca33792ad04',
+    ('tree_grids', 'churn', 1): '8eb454d08fe8019e',
+    ('tree_grids', 'clean', 2): '6f9be4ee634f68e8',
+    ('tree_grids', 'churn', 2): 'ad8fa02233b358bf',
+    ('tree_grids', 'clean', 3): '79a8c385b10ade11',
+    ('tree_grids', 'churn', 3): '4aceed433edf7916',
+    ('one_plan', 'det_downward'): 'd0dd43dc946f7fdb',
+    ('one_plan', 'learn_ind_and_tree_downward'): 'c27838d337433b42',
+}
 
-def _assert_same(graph, model, scenario, seed, churn=None):
-    """Run ``scenario(impl)`` with today's casts and with the loops, on the
-    engine and on the reference: every run reports the same."""
-    config = ExecutionConfig(record_trace=True, churn=churn)
-    faults = parse_fault_specs(config)
-    runs = []
-    for impl in (_NEW, _LOOP):
-        protocol = scenario(impl)
-        runs.append(Simulator(graph, model, seed=seed, exec_config=config)
-                    .run(protocol))
-        runs.append(ReferenceSimulator(graph, model, seed=seed, faults=faults)
-                    .run(protocol))
-    engine_new, _, engine_loop, _ = runs
-    for other in runs[1:]:
-        assert other.outputs == runs[0].outputs
-        assert other.energy == runs[0].energy
-        assert other.duration == runs[0].duration
-        assert other.finish_slot == runs[0].finish_slot
-    assert list(engine_new.trace) == list(engine_loop.trace)
-    # Only idle runs merge: the loops never enter a generator less.
-    assert engine_new.gen_entries <= engine_loop.gen_entries
+
+def _pinned_run(key, graph, model, protocol, seed, churn=None, trace=True):
+    """``protocol``'s engine run, checked against the per-slot reference
+    (the same outputs, energy, duration and finish slots) and against the
+    pinned digest of case ``key``."""
+    config = ExecutionConfig(record_trace=trace, churn=churn)
+    engine = Simulator(
+        graph, model, seed=seed, exec_config=config
+    ).run(protocol)
+    reference = ReferenceSimulator(
+        graph, model, seed=seed, faults=parse_fault_specs(config)
+    ).run(protocol)
+    assert reference.outputs == engine.outputs
+    assert reference.energy == engine.energy
+    assert reference.duration == engine.duration
+    assert reference.finish_slot == engine.finish_slot
+    assert_pinned(_PINNED, {key: run_digest(engine)})
+    return engine
 
 
 def _layered(seed, n=8):
@@ -727,63 +278,60 @@ def _grid_roles(pick, n):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_det_cd_payload_matches_loop(seed):
-    # Lemma 24's rounds and its payload slot are timelines now; every
-    # role, Role.BOTH included, over two frames.
+    """Lemma 24's rounds and its payload slot, as timelines, for every
+    role (``Role.BOTH`` included) over two frames; pinned from runs that
+    matched the per-round loop."""
     graph, _ = _layered(seed)
     pick = random.Random(seed)
     roles = [
         [pick.choice(list(Role)) for _ in range(graph.n)] for _ in range(2)
     ]
 
-    def scenario(impl):
-        payload = sr_det_cd_payload if impl is _NEW else _loop_sr_det_cd_payload
+    def proto(ctx):
+        got = []
+        for frame in roles:
+            got.append((yield from sr_det_cd_payload(
+                ctx, frame[ctx.index], ctx.uid, f"p{ctx.index}", graph.n,
+            )))
+        return got, ctx.rng.random()
 
-        def proto(ctx):
-            got = []
-            for frame in roles:
-                role = frame[ctx.index]
-                got.append((yield from payload(
-                    ctx, role, ctx.uid, f"p{ctx.index}", graph.n,
-                )))
-            return got, ctx.rng.random()
-
-        return proto
-
-    _assert_same(graph, CD, scenario, seed)
+    _pinned_run(("det_cd_payload", seed), graph, CD, proto, seed)
 
 
 @pytest.mark.parametrize("scheme", ["LOCAL", "CD", "No-CD", "det-CD"])
 @pytest.mark.parametrize("seed", range(4))
 def test_casts_match_loops(scheme, seed):
+    """A Down-cast then an Up-cast; pinned from runs that matched the
+    per-frame loops, on the per-round loop of Lemma 24's primitive for
+    det-CD."""
     graph, tree = _layered(seed)
     pick = random.Random(seed)
     down_values, up_values = _values(pick, tree)
     max_layers = max(layer for _, layer in tree) + pick.randint(1, 2)
     model = {"LOCAL": LOCAL, "No-CD": NO_CD}.get(scheme, CD)
 
-    def scenario(impl):
-        def proto(ctx):
-            if scheme == "det-CD":
-                sr = impl["DetCDScheme"](graph.n)
-            else:
-                sr = SRScheme(scheme, graph.max_degree, failure=0.2)
-            v, layer = ctx.index, tree[ctx.index][1]
-            down = yield from impl["down_cast"](
-                ctx, sr, layer, down_values[v], max_layers, lambda m: m + "d",
-            )
-            up = yield from impl["up_cast"](
-                ctx, sr, layer, up_values[v], max_layers, lambda m: m + "u",
-            )
-            return down, up, ctx.rng.random()
+    def proto(ctx):
+        if scheme == "det-CD":
+            sr = DetCDScheme(graph.n)
+        else:
+            sr = SRScheme(scheme, graph.max_degree, failure=0.2)
+        v, layer = ctx.index, tree[ctx.index][1]
+        down = yield from down_cast(
+            ctx, sr, layer, down_values[v], max_layers, lambda m: m + "d",
+        )
+        up = yield from up_cast(
+            ctx, sr, layer, up_values[v], max_layers, lambda m: m + "u",
+        )
+        return down, up, ctx.rng.random()
 
-        return proto
-
-    _assert_same(graph, model, scenario, seed)
+    _pinned_run(("casts", scheme, seed), graph, model, proto, seed)
 
 
 @pytest.mark.parametrize("channel", ["CD", "No-CD", "churn"])
 @pytest.mark.parametrize("seed", range(3))
 def test_cluster_casts_match_loops(channel, seed):
+    """Lemma 17's cluster casts; pinned from runs that matched the
+    per-frame loop."""
     graph, tree = _layered(seed)
     pick = random.Random(seed)
     down_values, up_values = _values(pick, tree)
@@ -792,32 +340,31 @@ def test_cluster_casts_match_loops(channel, seed):
     reps = pick.randint(2, 4)
     model = NO_CD if channel == "No-CD" else CD
 
-    def scenario(impl):
-        def proto(ctx):
-            sr = SRScheme(
-                "No-CD" if channel == "No-CD" else "CD",
-                graph.max_degree, failure=0.3,
-            )
-            v, layer, cid = ctx.index, tree[ctx.index][1], cids[ctx.index]
-            down = yield from impl["cluster_down_cast"](
-                ctx, sr, layer, cid, 1000 + cid, down_values[v], max_layers,
-                2, reps, "t", lambda m: m + "d",
-            )
-            up = yield from impl["cluster_up_cast"](
-                ctx, sr, layer, cid, 1000 + cid, up_values[v], max_layers,
-                2, reps, "t", lambda m: m + "u",
-            )
-            return down, up, ctx.rng.random()
+    def proto(ctx):
+        sr = SRScheme(
+            "No-CD" if channel == "No-CD" else "CD",
+            graph.max_degree, failure=0.3,
+        )
+        v, layer, cid = ctx.index, tree[ctx.index][1], cids[ctx.index]
+        down = yield from cluster_down_cast(
+            ctx, sr, layer, cid, 1000 + cid, down_values[v], max_layers,
+            2, reps, "t", lambda m: m + "d",
+        )
+        up = yield from cluster_up_cast(
+            ctx, sr, layer, cid, 1000 + cid, up_values[v], max_layers,
+            2, reps, "t", lambda m: m + "u",
+        )
+        return down, up, ctx.rng.random()
 
-        return proto
-
-    _assert_same(graph, model, scenario, seed,
-                 churn=_CHURN if channel == "churn" else None)
+    _pinned_run(("cluster_casts", channel, seed), graph, model, proto, seed,
+                churn=_CHURN if channel == "churn" else None)
 
 
 @pytest.mark.parametrize("churn", [None, _CHURN], ids=["clean", "churn"])
 @pytest.mark.parametrize("seed", range(4))
 def test_det_grids_and_casts_match_loops(churn, seed):
+    """Lemma 28's Downward and Upward grids and their casts; pinned from
+    runs that matched the per-action grid loops."""
     graph, tree = _layered(seed)
     n = graph.n
     pick = random.Random(seed)
@@ -825,31 +372,31 @@ def test_det_grids_and_casts_match_loops(churn, seed):
     grid = _grid_roles(pick, n)
     max_layers = max(layer for _, layer in tree) + 1
 
-    def scenario(impl):
-        def proto(ctx):
-            v = ctx.index
-            parent, layer = tree[v]
-            parent_uid = None if parent is None else parent + 1
-            down = yield from impl["det_downward"](ctx, parent_uid, *grid[v], n)
-            up = yield from impl["det_upward"](ctx, parent_uid, *grid[v], n)
-            cast_down = yield from impl["det_down_cast"](
-                ctx, layer, parent_uid, down_values[v], max_layers, n,
-                lambda m: m + "d",
-            )
-            cast_up = yield from impl["det_up_cast"](
-                ctx, layer, parent_uid, up_values[v], max_layers, n,
-                lambda m: m[1] + "u",
-            )
-            return down, up, cast_down, cast_up, ctx.rng.random()
+    def proto(ctx):
+        v = ctx.index
+        parent, layer = tree[v]
+        parent_uid = None if parent is None else parent + 1
+        down = yield from det_downward(ctx, parent_uid, *grid[v], n)
+        up = yield from det_upward(ctx, parent_uid, *grid[v], n)
+        cast_down = yield from det_down_cast(
+            ctx, layer, parent_uid, down_values[v], max_layers, n,
+            lambda m: m + "d",
+        )
+        cast_up = yield from det_up_cast(
+            ctx, layer, parent_uid, up_values[v], max_layers, n,
+            lambda m: m[1] + "u",
+        )
+        return down, up, cast_down, cast_up, ctx.rng.random()
 
-        return proto
-
-    _assert_same(graph, CD, scenario, seed, churn=churn)
+    key = ("det_grids", "churn" if churn else "clean", seed)
+    _pinned_run(key, graph, CD, proto, seed, churn=churn)
 
 
 @pytest.mark.parametrize("churn", [None, _CHURN], ids=["clean", "churn"])
 @pytest.mark.parametrize("seed", range(4))
 def test_tree_grids_and_casts_match_loops(churn, seed):
+    """Section 7.1's Ind learning, colored grids and casts; pinned from
+    runs that matched the per-action grid loops."""
     graph, tree = _layered(seed, n=7)
     n = graph.n
     pick = random.Random(seed)
@@ -862,32 +409,30 @@ def test_tree_grids_and_casts_match_loops(churn, seed):
     grid = _grid_roles(pick, n)
     max_layers = max(layer for _, layer in tree) + 1
 
-    def scenario(impl):
-        def proto(ctx):
-            v = ctx.index
-            parent, layer = tree[v]
-            parent_colors = None if parent is None else colors[parent]
-            mine = colors[v]
-            ind = yield from impl["learn_ind"](ctx, params, mine, parent_colors)
-            down = yield from impl["tree_downward"](
-                ctx, params, mine, parent_colors, ind, *grid[v],
-            )
-            up = yield from impl["tree_upward"](
-                ctx, params, mine, parent_colors, ind, *grid[v],
-            )
-            cast_down = yield from impl["tree_down_cast"](
-                ctx, params, layer, down_values[v], max_layers, mine,
-                parent_colors, ind, lambda m: m + "d",
-            )
-            cast_up = yield from impl["tree_up_cast"](
-                ctx, params, layer, up_values[v], max_layers, mine,
-                parent_colors, ind, lambda m: m + "u",
-            )
-            return ind, down, up, cast_down, cast_up, ctx.rng.random()
+    def proto(ctx):
+        v = ctx.index
+        parent, layer = tree[v]
+        parent_colors = None if parent is None else colors[parent]
+        mine = colors[v]
+        ind = yield from learn_ind(ctx, params, mine, parent_colors)
+        down = yield from tree_downward(
+            ctx, params, mine, parent_colors, ind, *grid[v],
+        )
+        up = yield from tree_upward(
+            ctx, params, mine, parent_colors, ind, *grid[v],
+        )
+        cast_down = yield from tree_down_cast(
+            ctx, params, layer, down_values[v], max_layers, mine,
+            parent_colors, ind, lambda m: m + "d",
+        )
+        cast_up = yield from tree_up_cast(
+            ctx, params, layer, up_values[v], max_layers, mine,
+            parent_colors, ind, lambda m: m + "u",
+        )
+        return ind, down, up, cast_down, cast_up, ctx.rng.random()
 
-        return proto
-
-    _assert_same(graph, CD, scenario, seed, churn=churn)
+    key = ("tree_grids", "churn" if churn else "clean", seed)
+    _pinned_run(key, graph, CD, proto, seed, churn=churn)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +442,11 @@ def test_tree_grids_and_casts_match_loops(churn, seed):
 
 class TestGridsAreOnePlan:
     """Each vertex enters its generator twice for a whole grid: once to
-    get the grid's plan and once to resume after it (the loops entered
-    once per action: 1 + up to 5 for a sending and listening vertex)."""
+    get the grid's plan and once to resume after it (the per-action loops
+    these grids replaced entered once per action: 1 + up to 5 for a
+    sending and listening vertex).  Both runs are pinned by digest,
+    recorded from runs whose outputs, energy and slots matched those
+    loops'."""
 
     def test_det_downward(self):
         graph = random_gnp(8, 0.5, random.Random(3), ensure_connected=True)
@@ -912,18 +460,9 @@ class TestGridsAreOnePlan:
             )
             return out
 
-        result = Simulator(graph, CD, seed=0).run(proto)
+        key = ("one_plan", "det_downward")
+        result = _pinned_run(key, graph, CD, proto, 0, trace=False)
         assert result.gen_entries == 2 * n
-        # The loop's entries for the same grid: one per action.
-        loop = Simulator(graph, CD, seed=0).run(
-            lambda ctx: _loop_det_downward(
-                ctx, (ctx.index + 3) % n + 1 if ctx.index % 3 else None,
-                f"v{ctx.index}" if ctx.index % 2 else None,
-                ctx.index % 3 != 0, n,
-            )
-        )
-        assert loop.outputs == result.outputs
-        assert loop.gen_entries > result.gen_entries
 
     def test_learn_ind_and_tree_downward(self):
         graph = random_gnp(7, 0.5, random.Random(4), ensure_connected=True)
@@ -942,6 +481,7 @@ class TestGridsAreOnePlan:
             )
             return ind, got
 
-        result = Simulator(graph, CD, seed=0).run(proto)
+        key = ("one_plan", "learn_ind_and_tree_downward")
+        result = _pinned_run(key, graph, CD, proto, 0, trace=False)
         # Two grids: the first entry, one resume per grid.
         assert result.gen_entries == 3 * n

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.tree_clusters import (
     TreeParams,
     learn_ind,
@@ -15,7 +13,7 @@ from repro.core.tree_clusters import (
     tree_up_cast,
     tree_upward,
 )
-from repro.graphs import Graph, path_graph, star_graph
+from repro.graphs import path_graph, star_graph
 from repro.sim import CD, Simulator
 
 
