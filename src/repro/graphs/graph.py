@@ -4,10 +4,17 @@ Vertices are integers ``0..n-1``.  The structure is immutable after
 construction; adjacency lists are sorted tuples so channel resolution and
 LOCAL-model message ordering are deterministic.
 
-Two derived representations are computed lazily and cached, because the
+Construction makes one pass over the edges, appending each endpoint to
+its partner's list, then sorts each list and collapses repeated entries
+where a list has any: O(m) appends and one O(d log d) sort per vertex of
+degree d.  It keeps no edge set and no global edge order, so its cost
+and memory are the adjacency itself.
+
+Four derived representations are computed lazily and cached, because the
 engine resolves receptions against the same graph for every slot of every
 trial of a sweep:
 
+* the sorted edge tuple :attr:`Graph.edges`, read from the adjacency;
 * a CSR (compressed sparse row) adjacency — one flat ``array`` of neighbor
   indices plus an offset table, cache-friendlier than tuple-of-tuples for
   whole-graph scans (BFS, connectivity);
@@ -35,22 +42,25 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]) -> None:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        adj = [set() for _ in range(n)]
-        edge_set = set()
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in edge_set:
-                continue
-            edge_set.add((a, b))
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
+        for neighbors in adj:
+            neighbors.sort()
         self._n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._edges = tuple(sorted(edge_set))
+        # A repeated edge, in either orientation, repeats an entry in
+        # both endpoints' sorted lists; dict.fromkeys collapses each run
+        # of repeats and keeps the order.
+        self._adj = tuple(
+            tuple(a) if len(a) == len(set(a)) else tuple(dict.fromkeys(a))
+            for a in adj
+        )
+        self._edges = None
         self._csr = None
         self._masks = None
         self._mask_array = None
@@ -62,7 +72,15 @@ class Graph:
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Sorted tuple of edges (u, v) with u < v."""
+        """Sorted tuple of edges (u, v) with u < v; built on first read
+        from the sorted adjacency, which lists them in that order."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v)
+                for u, neighbors in enumerate(self._adj)
+                for v in neighbors
+                if v > u
+            )
         return self._edges
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
@@ -148,4 +166,5 @@ class Graph:
         return self._n
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, m={len(self._edges)})"
+        m = sum(len(neighbors) for neighbors in self._adj) // 2
+        return f"Graph(n={self._n}, m={m})"

@@ -60,11 +60,13 @@ def diameter(graph: Graph) -> int:
     A tree (n - 1 edges, and a BFS from vertex 0 reaches every vertex)
     takes two BFS passes: the vertex farthest from any start is an end
     of a longest path, so its eccentricity is the diameter.  Any other
-    graph runs a BFS from every vertex (O(nm)).
+    graph runs a BFS from every vertex (O(nm)).  The edge count is read
+    off the CSR the BFS scans, which lists each edge twice.
     """
     if graph.n == 1:
         return 0
-    if len(graph.edges) == graph.n - 1:
+    _, indices = graph.csr()
+    if len(indices) == 2 * (graph.n - 1):
         dist = bfs_distances(graph, 0)
         if min(dist) >= 0:
             return eccentricity(graph, dist.index(max(dist)))

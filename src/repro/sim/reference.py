@@ -13,6 +13,11 @@ back into per-slot primitive yields — so the oracle never needs (or has)
 a slots-at-a-time fast path of its own.  Trials start through the same
 :class:`~repro.sim.trial.TrialSetup` as the engines, faults included, so
 the oracle sees identical node contexts and fault realizations.
+
+With ``record_trace=True`` the oracle records its own trace, one
+:class:`~repro.sim.trace.TraceEvent` per active device per slot in
+:class:`~repro.sim.observers.TraceObserver`'s order, so differentials
+compare the engines' traces with it too.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.sim.feedback import SILENCE
 from repro.sim.models import ChannelModel
 from repro.sim.node import Knowledge
 from repro.sim.plan import expand_plans
+from repro.sim.trace import Trace, TraceEvent
 from repro.sim.trial import TrialSetup
 
 __all__ = ["ReferenceSimulator"]
@@ -62,7 +68,8 @@ class ReferenceSimulator:
 
     ``faults`` is the run's parsed fault plan (see
     :func:`repro.sim.faults.parse_fault_specs`), realized for ``seed``
-    exactly as the engines realize it.
+    exactly as the engines realize it.  ``record_trace`` records the
+    run's trace, as ``ExecutionConfig.record_trace`` does on the engines.
     """
 
     def __init__(
@@ -74,11 +81,13 @@ class ReferenceSimulator:
         knowledge: Optional[Knowledge] = None,
         uids: Optional[Sequence[int]] = None,
         faults: Optional[FaultPlan] = None,
+        record_trace: bool = False,
     ) -> None:
         self.graph = graph
         self.model = model
         self.seed = seed
         self.time_limit = time_limit
+        self.record_trace = record_trace
         self.setup = TrialSetup(graph, knowledge, uids, fault_plan=faults)
 
     def run(self, protocol_factory, inputs=None) -> SimResult:
@@ -96,6 +105,7 @@ class ReferenceSimulator:
                 node.done = True
                 node.output = outputs[v]
 
+        trace = Trace() if self.record_trace else None
         slot = 0
         duration = 0
         down_fb = SILENCE if churn is None else down_feedback(model)
@@ -144,6 +154,7 @@ class ReferenceSimulator:
                 model.begin_slot(slot, len(air))
 
             # Resolve and advance.
+            acted = [] if trace is not None else None
             for v, node in enumerate(nodes):
                 if node.done:
                     continue
@@ -175,7 +186,11 @@ class ReferenceSimulator:
                     else:
                         node.meter.charge_duplex(slot)
                 duration = max(duration, slot + 1)
+                if acted is not None:
+                    acted.append((v, action, feedback))
                 node.advance(feedback, slot + 1)
+            if acted:
+                _record_slot(trace, slot, acted)
             slot += 1
 
         return SimResult(
@@ -183,7 +198,24 @@ class ReferenceSimulator:
             energy=[node.meter.snapshot() for node in nodes],
             finish_slot=[node.finish_slot for node in nodes],
             duration=duration,
-            trace=None,
+            trace=trace,
             seed=self.seed,
             gen_entries=sum(node.entries for node in nodes),
         )
+
+
+def _record_slot(trace: Trace, slot: int, acted) -> None:
+    """Record one slot's ``(vertex, action, feedback)`` triples, listed
+    in ascending vertex order: senders, then listeners, then duplexers,
+    as :class:`~repro.sim.observers.TraceObserver` records them."""
+    for v, action, _ in acted:
+        if isinstance(action, Send):
+            trace.record(TraceEvent(slot, v, "send", action.message))
+    for v, action, feedback in acted:
+        if isinstance(action, Listen):
+            trace.record(TraceEvent(slot, v, "listen", None, feedback))
+    for v, action, feedback in acted:
+        if isinstance(action, SendListen):
+            trace.record(
+                TraceEvent(slot, v, "duplex", action.message, feedback)
+            )

@@ -37,6 +37,24 @@ def bernoulli_steps(ctx, message, p: float, rounds: int) -> Steps:
     ))
 
 
+def assert_same_run(a, b, where: str = "") -> None:
+    """Assert that two runs agree on all they report: outputs, whole
+    ``EnergyReport``s (``duplex`` and ``last_active_slot`` included),
+    finish slots, duration and the trace (``None`` when untraced).
+    ``a`` and ``b`` may also be equal-length lists of runs, one per
+    seed, compared pairwise.  ``where`` names the case on failure."""
+    if isinstance(a, list):
+        assert len(a) == len(b), where
+        for x, y in zip(a, b):
+            assert_same_run(x, y, where)
+        return
+    assert a.outputs == b.outputs, where
+    assert a.energy == b.energy, where
+    assert a.finish_slot == b.finish_slot, where
+    assert a.duration == b.duration, where
+    assert list(a.trace or ()) == list(b.trace or ()), where
+
+
 def run_digest(result) -> str:
     """A short hash of what a run pins: outputs (each ending with the
     node's next rng draw), ``EnergyReport``s, duration, finish slots,

@@ -68,7 +68,12 @@ from repro.sim.faults import (
 from repro.sim.feedback import BEEP, NOISE, SILENCE
 from repro.sim.models import MODELS, LossyModel
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import CountingModel, bernoulli_steps, per_slot
+from tests.conftest import (
+    CountingModel,
+    assert_same_run,
+    bernoulli_steps,
+    per_slot,
+)
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -115,17 +120,6 @@ def _random_protocol(steps: int):
         return (ctx.index, heard)
 
     return protocol
-
-
-def _assert_same_results(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.outputs == y.outputs
-        assert x.finish_slot == y.finish_slot
-        assert x.duration == y.duration
-        assert [e.total for e in x.energy] == [e.total for e in y.energy]
-        assert [e.sends for e in x.energy] == [e.sends for e in y.energy]
-        assert [e.listens for e in x.energy] == [e.listens for e in y.energy]
 
 
 # --- spec grammar and parameter validation ---------------------------------
@@ -351,17 +345,13 @@ def test_fault_matrix_serial_lockstep_reference(fault_name, model_name):
                                 exec_config=config)
             lock = run_trials(graph, model, form, seeds,
                               exec_config=config.replace(lockstep=True))
-            _assert_same_results(serial, lock)
+            assert_same_run(serial, lock)
             plan = parse_fault_specs(config)
             for seed, result in zip(seeds, serial):
                 oracle = ReferenceSimulator(
                     graph, model, seed=seed, faults=plan
                 ).run(protocol)
-                assert oracle.outputs == result.outputs
-                assert oracle.duration == result.duration
-                assert oracle.finish_slot == result.finish_slot
-                assert [e.total for e in oracle.energy] \
-                    == [e.total for e in result.energy]
+                assert_same_run(oracle, result)
 
 
 def test_fault_matrix_other_graphs():
@@ -377,7 +367,7 @@ def test_fault_matrix_other_graphs():
                             exec_config=config)
         lock = run_trials(graph, NO_CD, protocol, [0, 1],
                           exec_config=config.replace(lockstep=True))
-        _assert_same_results(serial, lock)
+        assert_same_run(serial, lock)
 
 
 def _churn_plan_protocol(duplex: bool):
@@ -484,7 +474,7 @@ def test_churn_on_soa_with_a_custom_count_model():
         soa = run_trials(graph, model, protocol, [0, 1, 2],
                          exec_config=config.replace(lockstep=True))
         assert [r.soa_reason for r in soa] == ["model"] * 3
-        _assert_same_results(serial, soa)
+        assert_same_run(serial, soa)
 
 
 # --- SoA engagement and fallback taxonomy ----------------------------------
@@ -524,7 +514,7 @@ class TestSoAReasons:
             graph, NO_CD, _random_protocol(15), [0, 1],
             exec_config=config.replace(lockstep=False, resolution="bitmask"),
         )
-        _assert_same_results(serial, results)
+        assert_same_run(serial, results)
 
 
 # --- events ledger: old lock-step fields ----------------------------------
@@ -822,4 +812,4 @@ class TestHypothesisProperties:
         protocol = _random_protocol(12)
         a = run_trials(graph, NO_CD, protocol, [seed], exec_config=config)
         b = run_trials(graph, NO_CD, protocol, [seed], exec_config=config)
-        _assert_same_results(a, b)
+        assert_same_run(a, b)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
@@ -24,6 +26,64 @@ from repro.graphs import (
 )
 
 
+def _set_based_graph(n, edges):
+    """The set-based constructor ``Graph`` used before it built its
+    adjacency in one streaming pass, kept as the oracle: returns
+    ``(adjacency, edges)`` or raises the same ``ValueError``."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    adj = [set() for _ in range(n)]
+    edge_set = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in edge_set:
+            continue
+        edge_set.add((a, b))
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj), tuple(sorted(edge_set))
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(n, edges)``: edges between distinct vertices, some repeated in
+    either orientation, with up to two self-loops or out-of-range
+    endpoints inserted anywhere."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = []
+    if n > 1:
+        edges = draw(st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=1, max_value=n - 1),
+            ).map(lambda p: (p[0], (p[0] + p[1]) % n)),
+            max_size=30,
+        ))
+    if edges:
+        for u, v in draw(st.lists(st.sampled_from(edges), max_size=10)):
+            at = draw(st.integers(min_value=0, max_value=len(edges)))
+            edges.insert(at, (v, u) if draw(st.booleans()) else (u, v))
+    endpoint = st.integers(min_value=-3, max_value=n + 3)
+    bad = st.one_of(
+        endpoint.map(lambda v: (v, v)), st.tuples(endpoint, endpoint)
+    )
+    for edge in draw(st.lists(bad, max_size=2)):
+        at = draw(st.integers(min_value=0, max_value=len(edges)))
+        edges.insert(at, edge)
+    return n, edges
+
+
+def _error(n, edges) -> str:
+    """The message of the ``ValueError`` that ``Graph(n, edges)`` raises."""
+    with pytest.raises(ValueError) as raised:
+        Graph(n, edges)
+    return str(raised.value)
+
+
 class TestGraphBasics:
     def test_dedup_and_sorted_adjacency(self):
         g = Graph(3, [(0, 1), (1, 0), (2, 1)])
@@ -31,12 +91,45 @@ class TestGraphBasics:
         assert g.neighbors(1) == (0, 2)
 
     def test_rejects_self_loops_and_bad_edges(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 0)])
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 5)])
-        with pytest.raises(ValueError):
-            Graph(0, [])
+        assert _error(2, [(0, 0)]) == "self-loop at vertex 0 is not allowed"
+        assert _error(2, [(0, 5)]) == "edge (0, 5) out of range for n=2"
+        assert _error(2, [(-1, 1)]) == "edge (-1, 1) out of range for n=2"
+        # The range check comes first, and the first failing edge is named.
+        assert _error(2, [(5, 5)]) == "edge (5, 5) out of range for n=2"
+        assert _error(3, [(0, 1), (2, 2), (0, 9)]) == (
+            "self-loop at vertex 2 is not allowed"
+        )
+        assert _error(0, []) == "graph needs at least one vertex, got n=0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_lists())
+    @example(case=(1, []))
+    @example(case=(1, [(0, 0)]))
+    def test_matches_set_based_oracle(self, case):
+        """Adjacency, edges, degrees, CSR, masks and repr equal the
+        set-based constructor's, or both raise the same error; a
+        one-shot generator of the edges builds the same graph."""
+        n, edges = case
+        try:
+            adj, oracle_edges = _set_based_graph(n, edges)
+        except ValueError as err:
+            assert _error(n, edges) == str(err)
+            assert _error(n, iter(edges)) == str(err)
+            return
+        indptr, indices = [0], []
+        for neighbors in adj:
+            indices.extend(neighbors)
+            indptr.append(len(indices))
+        for source in (edges, (edge for edge in edges)):
+            g = Graph(n, source)
+            assert repr(g) == f"Graph(n={n}, m={len(oracle_edges)})"
+            assert tuple(g.neighbors(v) for v in range(n)) == adj
+            assert g.edges == oracle_edges
+            assert g.max_degree == max(len(neighbors) for neighbors in adj)
+            assert [list(a) for a in g.csr()] == [indptr, indices]
+            assert g.neighbor_masks() == tuple(
+                sum(1 << w for w in neighbors) for neighbors in adj
+            )
 
     def test_degree_and_max_degree(self):
         g = star_graph(5)

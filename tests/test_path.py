@@ -16,7 +16,7 @@ from repro.graphs import path_graph
 from repro.sim import LOCAL, ExecutionConfig, Knowledge, Simulator
 from repro.sim.faults import parse_fault_specs
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import assert_pinned, run_digest
+from tests.conftest import assert_pinned, assert_same_run, run_digest
 
 
 def _knowledge(n):
@@ -294,7 +294,8 @@ class TestEventLoopMatchesStepsLoop:
     @staticmethod
     def _check(n, seed, oriented, source, channel):
         """Run Algorithm 1, traced, on the engine and on the reference;
-        check that they agree and return the engine's result."""
+        check that they agree, traces included, and return the engine's
+        result."""
         graph = path_graph(n)
         inputs = {source: {"source": True, "payload": ("m", seed)}}
         config = ExecutionConfig(record_trace=True, **_PATH_CHANNELS[channel])
@@ -306,12 +307,10 @@ class TestEventLoopMatchesStepsLoop:
             protocol, inputs
         )
         slow = ReferenceSimulator(
-            graph, LOCAL, seed=seed, faults=parse_fault_specs(config)
+            graph, LOCAL, seed=seed, faults=parse_fault_specs(config),
+            record_trace=True,
         ).run(protocol, inputs)
-        assert slow.outputs == fast.outputs, where
-        assert slow.energy == fast.energy, where
-        assert slow.duration == fast.duration, where
-        assert slow.finish_slot == fast.finish_slot, where
+        assert_same_run(fast, slow, where)
         return fast
 
     def _pinned(self, *keys):

@@ -49,7 +49,7 @@ from repro.sim.models import LossyModel
 from repro.sim.node import NodeCtx
 from repro.sim.plan import expand_plans, timeline
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import bernoulli_steps, per_slot
+from tests.conftest import assert_same_run, bernoulli_steps, per_slot
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -60,15 +60,6 @@ FIVE_MODELS = {
 }
 
 RESOLUTIONS = ("bitmask",) + (("numpy",) if numpy_available() else ())
-
-
-def _assert_same(fast, slow):
-    assert fast.outputs == slow.outputs
-    assert [e.total for e in fast.energy] == [e.total for e in slow.energy]
-    assert [e.sends for e in fast.energy] == [e.sends for e in slow.energy]
-    assert [e.listens for e in fast.energy] == [e.listens for e in slow.energy]
-    assert fast.finish_slot == slow.finish_slot
-    assert fast.duration == slow.duration
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +241,7 @@ class TestPlanSemantics:
 
         runs = {"phase": self._run(proto), "slot": self._run(per_slot(proto))}
         assert runs["phase"].outputs[1] == (SILENCE, "a")
-        _assert_same(runs["phase"], runs["slot"])
+        assert_same_run(runs["phase"], runs["slot"])
 
 
 class TestTimeline:
@@ -383,7 +374,7 @@ class TestPhaseSlotReferenceEquivalence:
                     graph, model, seed=seed,
                     exec_config=ExecutionConfig(resolution=resolution),
                 ).run(form)
-                _assert_same(fast, slow)
+                assert_same_run(fast, slow)
 
     def test_full_duplex_clique(self):
         graph = clique(5)
@@ -392,7 +383,7 @@ class TestPhaseSlotReferenceEquivalence:
             slow = ReferenceSimulator(graph, CD_FD, seed=seed).run(protocol)
             for form in (protocol, per_slot(protocol)):
                 fast = Simulator(graph, CD_FD, seed=seed).run(form)
-                _assert_same(fast, slow)
+                assert_same_run(fast, slow)
 
     @pytest.mark.parametrize("resolution", RESOLUTIONS)
     def test_lossy_model(self, resolution):
@@ -409,7 +400,7 @@ class TestPhaseSlotReferenceEquivalence:
                     graph, LossyModel(NO_CD, 0.3, seed=77), seed=seed,
                     exec_config=ExecutionConfig(resolution=resolution),
                 ).run(form)
-                _assert_same(fast, slow)
+                assert_same_run(fast, slow)
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
     @pytest.mark.parametrize("resolution", RESOLUTIONS)
@@ -427,7 +418,7 @@ class TestPhaseSlotReferenceEquivalence:
                 ),
             )
             for a, b in zip(serial, lockstep):
-                _assert_same(b, a)
+                assert_same_run(b, a)
                 assert b.seed == a.seed
 
     @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
@@ -449,7 +440,7 @@ class TestPhaseSlotReferenceEquivalence:
                     ),
                 )
                 for slow, fast in zip(oracle, lockstep):
-                    _assert_same(fast, slow)
+                    assert_same_run(fast, slow)
                     assert fast.seed == slow.seed
 
     def test_lossy_lockstep_matches_reference(self):
@@ -473,7 +464,7 @@ class TestPhaseSlotReferenceEquivalence:
                     ),
                 )
                 for slow, fast in zip(oracle, lockstep):
-                    _assert_same(fast, slow)
+                    assert_same_run(fast, slow)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +479,7 @@ class TestRewiredProtocols:
             "phase": sim.run(protocol, inputs=inputs),
             "slot": sim.run(per_slot(protocol), inputs=inputs),
         }
-        _assert_same(runs["phase"], runs["slot"])
+        assert_same_run(runs["phase"], runs["slot"])
         return runs
 
     def test_decay_broadcast(self):
@@ -544,7 +535,7 @@ class TestRewiredProtocols:
 
         sim = Simulator(clique(4), NO_CD, seed=0)
         runs = {"phase": sim.run(proto), "slot": sim.run(per_slot(proto))}
-        _assert_same(runs["phase"], runs["slot"])
+        assert_same_run(runs["phase"], runs["slot"])
         # 4 nodes x (5 per-action entries + 1 final StopIteration).
         assert runs["phase"].gen_entries == 4 * 6
         assert runs["slot"].gen_entries == 4 * 6

@@ -44,6 +44,7 @@ from repro.sim.models import LossyModel
 from repro.sim.observers import EnergyObserver
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.resolution import numpy_available
+from tests.conftest import assert_same_run
 
 # The numpy backend joins the sweep when numpy is installed; without it
 # the suite still passes (resolution="numpy" would just alias bitmask).
@@ -83,14 +84,6 @@ def _random_protocol(steps: int, duplex: bool):
     return protocol
 
 
-def _assert_same(fast, slow):
-    assert fast.outputs == slow.outputs
-    # Whole reports: duplex counts and last_active_slot included.
-    assert fast.energy == slow.energy
-    assert fast.finish_slot == slow.finish_slot
-    assert fast.duration == slow.duration
-
-
 def _compare(graph, model, protocol, seed, inputs=None, model_factory=None):
     """The engine, under every resolution backend, must match the
     reference oracle.
@@ -106,7 +99,7 @@ def _compare(graph, model, protocol, seed, inputs=None, model_factory=None):
             graph, make(), seed=seed,
             exec_config=ExecutionConfig(resolution=resolution),
         ).run(protocol, inputs=inputs)
-        _assert_same(fast, slow)
+        assert_same_run(fast, slow)
 
 
 class TestEquivalence:

@@ -158,6 +158,40 @@ class TestBackendRegistry:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_import_sim_leaves_campaign_layer_unloaded(self):
+        # repro's campaign names load repro.campaign on first access, so
+        # a process that only simulates never imports the campaign
+        # layer, its worker fabric or the protocol modules.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = "\n".join([
+            "import sys",
+            "import repro.sim",
+            "layers = ('repro.campaign', 'repro.broadcast',"
+            " 'repro.lowerbounds', 'multiprocessing')",
+            "loaded = [m for m in layers if m in sys.modules]",
+            "assert not loaded, loaded",
+            "import repro",
+            "names = {}",
+            "exec('from repro import *', names)",
+            "missing = [n for n in repro.__all__ if n not in names]",
+            "assert not missing, missing",
+            "assert repro.CampaignSpec is repro.campaign.CampaignSpec",
+            "assert names['run_campaign'] is repro.campaign.run_campaign",
+            "try:",
+            "    repro.no_such_name",
+            "except AttributeError as err:",
+            "    assert 'no_such_name' in str(err), err",
+            "else:",
+            "    raise AssertionError('repro.no_such_name resolved')",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestNeighborMaskArray:

@@ -50,7 +50,7 @@ from repro.sim import (
 )
 from repro.sim.faults import parse_fault_specs
 from repro.sim.reference import ReferenceSimulator
-from tests.conftest import assert_pinned, run_digest
+from tests.conftest import assert_pinned, assert_same_run, run_digest
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +221,17 @@ _PINNED = {
 
 def _pinned_run(key, graph, model, protocol, seed, churn=None, trace=True):
     """``protocol``'s engine run, checked against the per-slot reference
-    (the same outputs, energy, duration and finish slots) and against the
-    pinned digest of case ``key``."""
+    (the same outputs, energy, duration, finish slots and trace) and
+    against the pinned digest of case ``key``."""
     config = ExecutionConfig(record_trace=trace, churn=churn)
     engine = Simulator(
         graph, model, seed=seed, exec_config=config
     ).run(protocol)
     reference = ReferenceSimulator(
-        graph, model, seed=seed, faults=parse_fault_specs(config)
+        graph, model, seed=seed, faults=parse_fault_specs(config),
+        record_trace=trace,
     ).run(protocol)
-    assert reference.outputs == engine.outputs
-    assert reference.energy == engine.energy
-    assert reference.duration == engine.duration
-    assert reference.finish_slot == engine.finish_slot
+    assert_same_run(engine, reference, str(key))
     assert_pinned(_PINNED, {key: run_digest(engine)})
     return engine
 
