@@ -140,11 +140,7 @@ class TestEquivalence:
                 graph, NO_CD, seed=seed,
                 knowledge=Knowledge(n=6, max_degree=2, diameter=5),
             ).run(protocol, inputs=inputs)
-            assert fast.outputs == slow.outputs
-            assert fast.duration == slow.duration
-            assert [e.total for e in fast.energy] == [
-                e.total for e in slow.energy
-            ]
+            assert_same_run(fast, slow)
 
     def test_real_algorithm_path(self):
         from repro.broadcast import source_inputs
@@ -161,8 +157,7 @@ class TestEquivalence:
         slow = ReferenceSimulator(graph, LOCAL, seed=3, knowledge=knowledge).run(
             protocol, inputs=inputs
         )
-        assert fast.outputs == slow.outputs
-        assert fast.duration == slow.duration
+        assert_same_run(fast, slow)
 
     def test_star_contention(self):
         _compare(star_graph(6), CD, _random_protocol(14, duplex=False), 7)
