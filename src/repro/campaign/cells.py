@@ -8,6 +8,11 @@ ablations`` drive) and the fabric's workers both execute blocks through
 
 :class:`SweepPoint` is the aggregate of one (row, size) group of cells
 (:func:`aggregate_cells`).
+
+The stored-record half (:class:`CellResult`, :func:`aggregate_cells`)
+is what ``campaign report`` reads, so this module imports the protocol
+layer only inside :func:`run_fused_cells`, the one function that runs
+trials.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.broadcast.base import run_broadcast_trials
 from repro.graphs.graph import Graph
 from repro.graphs.properties import diameter as graph_diameter
 from repro.sim.config import ExecutionConfig, resolve_exec_config
@@ -190,6 +194,8 @@ def run_fused_cells(
     attaches one.  Returns one :class:`CellResult` list per member, in
     member and then ``seeds`` order.
     """
+    from repro.broadcast.base import run_broadcast_trials
+
     config = resolve_exec_config(exec_config)
     if knowledge is None:
         knowledge = knowledge_for(graph, id_space_from_n=id_space_from_n)

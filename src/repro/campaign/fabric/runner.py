@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.fabric.events import EventLog
 from repro.campaign.fabric.workers import WorkerHandle, fabric_context
-from repro.campaign.registry import simulation_key
+from repro.campaign.registry import load_protocols, simulation_key
 from repro.campaign.runner import (
     CampaignRunReport,
     RunnerOptions,
@@ -454,6 +454,9 @@ def run_campaigns_fabric(
                 f"store directory {directory}; give each its own"
             )
         seen[directory] = spec.name
+    # Before the first run_started: forked workers inherit the protocol
+    # modules, and the ledger's setup time still covers their import.
+    load_protocols()
     runs: List[_Campaign] = []
     plans: List[List[JobSpec]] = []
     for spec, store, events_path in campaigns:

@@ -8,6 +8,15 @@ name only, so :class:`~repro.campaign.spec.JobSpec` stays a plain
 picklable/JSON-able record and multiprocessing workers re-resolve the
 definition by importing this module.
 
+Importing this module loads row metadata only.  Each builder and row
+observer imports its protocol or measurement on first call, so a
+process that only reads a store (``campaign report``, ``campaign
+status``) never loads :mod:`repro.broadcast` or
+:mod:`repro.lowerbounds`; the run paths call :func:`load_protocols`
+before they plan.  Rows fuse by sharing a builder *object*
+(:func:`simulation_key`), so a builder that several rows share is one
+module-level function that each of their definitions names.
+
 The rows are the one definition of every table the repo prints:
 ``configs/table1.json``, ``configs/ablations.json`` and
 ``configs/figure1.json`` list them, and ``repro table1`` and ``repro
@@ -21,21 +30,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.broadcast import (
-    ClusterBroadcastParams,
-    cluster_broadcast_protocol,
-    decay_broadcast_protocol,
-    theorem11_params,
-    theorem12_params,
-)
-from repro.broadcast.cd_optimal import CDOptimalParams, cd_optimal_broadcast_protocol
-from repro.broadcast.deterministic import (
-    det_cd_broadcast_protocol,
-    det_local_broadcast_protocol,
-)
-from repro.broadcast.dtime import DTimeParams, dtime_broadcast_protocol
-from repro.broadcast.local_sim import local_sim_broadcast_protocol
-from repro.broadcast.path import path_broadcast_protocol
 from repro.campaign.cells import CellResult, run_fused_cells
 from repro.sim.config import (
     ExecutionConfig,
@@ -51,7 +45,6 @@ from repro.graphs import (
     random_gnp,
 )
 from repro.graphs.graph import Graph
-from repro.lowerbounds import LeaderElectionObserver, PreReceptionObserver
 from repro.sim.models import MODELS, LossyModel
 from repro.sim.observers import SlotObserver
 
@@ -61,6 +54,7 @@ __all__ = [
     "GRAPH_FAMILIES",
     "GRAPH_FAMILY_MIN_SIZES",
     "get_row",
+    "load_protocols",
     "register_row",
     "resolve_bounds",
     "row_min_size",
@@ -337,17 +331,47 @@ def execute_fused_block(
     )
 
 
+# --- builders and observers ----------------------------------------------
+
+
+def load_protocols() -> None:
+    """Import the modules the row builders and observers run.
+
+    The run paths call this before they plan, so the import is not paid
+    inside the first block (and its timeout budget), and forked fabric
+    workers inherit the modules instead of each importing them.
+    """
+    import repro.broadcast  # noqa: F401
+    import repro.lowerbounds  # noqa: F401
+
+
 def _path_builder(g: Graph, o: Dict):
+    from repro.broadcast import path_broadcast_protocol
+
     return path_broadcast_protocol(oriented=True)
 
 
+def _theorem11_builder(model_name: str):
+    def build(g: Graph, o: Dict):
+        from repro.broadcast import cluster_broadcast_protocol, theorem11_params
+
+        return cluster_broadcast_protocol(theorem11_params(
+            g.n, model_name, failure=o.get("failure", 0.02)
+        ))
+    return build
+
+
 def _theorem12_builder(g: Graph, o: Dict):
+    from repro.broadcast import cluster_broadcast_protocol, theorem12_params
+
     return cluster_broadcast_protocol(theorem12_params(
         g.n, epsilon=o.get("epsilon", 0.5), failure=o.get("failure", 0.02)
     ))
 
 
-def _probe_params(n: int, o: Dict, probe: bool) -> ClusterBroadcastParams:
+def _probe_params(n: int, o: Dict, probe: bool):
+    from repro.broadcast import ClusterBroadcastParams, theorem11_params
+
     base = theorem11_params(n, "CD", failure=o.get("failure", 0.02))
     return ClusterBroadcastParams(
         model_name="CD", survive_p=base.survive_p, spread_s=base.spread_s,
@@ -359,6 +383,8 @@ def _probe_params(n: int, o: Dict, probe: bool) -> ClusterBroadcastParams:
 
 def _probe_builder(probe: bool):
     def build(g: Graph, o: Dict):
+        from repro.broadcast import cluster_broadcast_protocol
+
         return cluster_broadcast_protocol(_probe_params(g.n, o, probe))
     return build
 
@@ -366,6 +392,66 @@ def _probe_builder(probe: bool):
 # Theorem 11's CD parameters already turn probes on, so this is also
 # the abl-ps-thm11 and lb-reduction-cd builder.
 _probes_on_builder = _probe_builder(True)
+
+
+def _decay_builder(default_failure: float):
+    def build(g: Graph, o: Dict):
+        from repro.broadcast import decay_broadcast_protocol
+
+        return decay_broadcast_protocol(
+            failure=o.get("failure", default_failure)
+        )
+    return build
+
+
+def _dtime_builder(g: Graph, o: Dict):
+    from repro.broadcast import DTimeParams, dtime_broadcast_protocol
+
+    return dtime_broadcast_protocol(
+        lambda n, d: DTimeParams.for_graph(
+            n, d, beta=o.get("beta", 0.4), iterations=2,
+            contention=2, reps=4, failure=o.get("failure", 0.05),
+        )
+    )
+
+
+def _local_sim_builder(g: Graph, o: Dict):
+    from repro.broadcast import local_sim_broadcast_protocol
+
+    return local_sim_broadcast_protocol(failure=o.get("failure", 0.02))
+
+
+def _cd_optimal_builder(g: Graph, o: Dict):
+    from repro.broadcast import CDOptimalParams, cd_optimal_broadcast_protocol
+
+    return cd_optimal_broadcast_protocol(
+        CDOptimalParams.for_graph(g.n, g.max_degree, iterations=3, rounds_s=2)
+    )
+
+
+def _det_local_builder(g: Graph, o: Dict):
+    from repro.broadcast import det_local_broadcast_protocol
+
+    return det_local_broadcast_protocol()
+
+
+def _det_cd_builder(g: Graph, o: Dict):
+    from repro.broadcast import det_cd_broadcast_protocol
+
+    return det_cd_broadcast_protocol()
+
+
+def _pre_reception_observer(graph: Graph) -> SlotObserver:
+    from repro.lowerbounds import PreReceptionObserver
+
+    return PreReceptionObserver()
+
+
+def _leader_election_observer(graph: Graph) -> SlotObserver:
+    from repro.lowerbounds import LeaderElectionObserver
+
+    # The K_{2,k} gadget always has s=0, t=1 (see k2k_gadget).
+    return LeaderElectionObserver(0, 1)
 
 
 # --- upper-bound rows ------------------------------------------------------
@@ -376,9 +462,7 @@ register_row(RowDefinition(
     title="T1.LOCAL.1  Theorem 11 (LOCAL): energy ~ log n, time ~ n log n",
     model="LOCAL",
     graph_family="gnp",
-    builder=lambda g, o: cluster_broadcast_protocol(
-        theorem11_params(g.n, "LOCAL", failure=o.get("failure", 0.02))
-    ),
+    builder=_theorem11_builder("LOCAL"),
     default_sizes=(8, 16, 32),
     default_seeds=(0, 1, 2),
     bounds={
@@ -392,9 +476,7 @@ register_row(RowDefinition(
     title="T1.noCD.1  Theorem 11 (No-CD): energy ~ log(Delta) log^2 n",
     model="No-CD",
     graph_family="gnp",
-    builder=lambda g, o: cluster_broadcast_protocol(
-        theorem11_params(g.n, "No-CD", failure=o.get("failure", 0.02))
-    ),
+    builder=_theorem11_builder("No-CD"),
     default_sizes=(8, 12, 16),
     default_seeds=(0, 1, 2),
     bounds={
@@ -409,12 +491,7 @@ register_row(RowDefinition(
     title="T1.noCD.2  Theorem 16 (No-CD): polylog energy at growing D",
     model="No-CD",
     graph_family="cycle",
-    builder=lambda g, o: dtime_broadcast_protocol(
-        lambda n, d: DTimeParams.for_graph(
-            n, d, beta=o.get("beta", 0.4), iterations=2,
-            contention=2, reps=4, failure=o.get("failure", 0.05),
-        )
-    ),
+    builder=_dtime_builder,
     default_sizes=(8, 12, 16),
     default_seeds=(0, 1),
     bounds={"log^4 n": ("energy", lambda p: _log2(p.n) ** 4)},
@@ -425,9 +502,7 @@ register_row(RowDefinition(
     title="T1.noCD.3  Corollary 13 (No-CD, Delta=2): energy ~ log n",
     model="No-CD",
     graph_family="path",
-    builder=lambda g, o: local_sim_broadcast_protocol(
-        failure=o.get("failure", 0.02)
-    ),
+    builder=_local_sim_builder,
     default_sizes=(8, 12, 16),
     default_seeds=(0, 1, 2),
     bounds={"log n": ("energy", lambda p: _log2(p.n))},
@@ -455,9 +530,7 @@ register_row(RowDefinition(
     title="T1.CD.2  Theorem 20 (CD): energy ~ log n (loglog Delta factors)",
     model="CD",
     graph_family="gnp",
-    builder=lambda g, o: cd_optimal_broadcast_protocol(
-        CDOptimalParams.for_graph(g.n, g.max_degree, iterations=3, rounds_s=2)
-    ),
+    builder=_cd_optimal_builder,
     default_sizes=(8, 12),
     default_seeds=(0, 1),
     bounds={"log n": ("energy", lambda p: _log2(p.n))},
@@ -468,7 +541,7 @@ register_row(RowDefinition(
     title="T1.det.LOCAL  Theorem 25: energy ~ log n log N",
     model="LOCAL",
     graph_family="cycle",
-    builder=lambda g, o: det_local_broadcast_protocol(),
+    builder=_det_local_builder,
     default_sizes=(6, 8, 12),
     default_seeds=(0,),
     id_space_from_n=True,
@@ -480,7 +553,7 @@ register_row(RowDefinition(
     title="T1.det.CD  Theorem 27: energy ~ log^3 N log n",
     model="CD",
     graph_family="cycle",
-    builder=lambda g, o: det_cd_broadcast_protocol(),
+    builder=_det_cd_builder,
     default_sizes=(4, 6, 8),
     default_seeds=(0,),
     id_space_from_n=True,
@@ -510,9 +583,7 @@ register_row(RowDefinition(
     title="Baseline (BGI decay, No-CD grid): energy ~ D log Delta log n",
     model="No-CD",
     graph_family="grid-square",
-    builder=lambda g, o: decay_broadcast_protocol(
-        failure=o.get("failure", 0.02)
-    ),
+    builder=_decay_builder(0.02),
     default_sizes=(16, 36, 64),
     default_seeds=(0, 1, 2),
     bounds={
@@ -535,7 +606,7 @@ register_row(RowDefinition(
     builder=_path_builder,
     default_sizes=(64, 256, 1024),
     default_seeds=(0, 1, 2, 3, 4),
-    observer=lambda g: PreReceptionObserver(),
+    observer=_pre_reception_observer,
     columns=(
         "n", "diameter", "delivered",
         "worst_pre_reception", "lower_bound", "lb_ok",
@@ -549,13 +620,10 @@ register_row(RowDefinition(
     title="T1.*.LB  Theorem 2 reduction on K_{2,k}: T_LE <= 2E",
     model="No-CD",
     graph_family="k2k",
-    builder=lambda g, o: decay_broadcast_protocol(
-        failure=o.get("failure", 0.01)
-    ),
+    builder=_decay_builder(0.01),
     default_sizes=(2, 4, 8, 16),
     default_seeds=(0, 1, 2),
-    # The K_{2,k} gadget always has s=0, t=1 (see k2k_gadget).
-    observer=lambda g: LeaderElectionObserver(0, 1),
+    observer=_leader_election_observer,
     columns=("n", "le_time", "broadcast_energy", "bound_holds"),
     bounds={},
 ))
@@ -570,7 +638,7 @@ register_row(RowDefinition(
     builder=_probes_on_builder,
     default_sizes=(2, 4, 8),
     default_seeds=(0, 1),
-    observer=lambda g: LeaderElectionObserver(0, 1),
+    observer=_leader_election_observer,
     columns=("n", "le_time", "broadcast_energy", "bound_holds"),
     bounds={},
 ))

@@ -387,8 +387,11 @@ def run_campaign(
     ``timeout`` raises :class:`~repro.sim.config.ExecutionConfigError`
     before anything is written.
     """
+    from repro.campaign.registry import load_protocols
+
     RunnerOptions(timeout=timeout)
     spec.validate()
+    load_protocols()
     say = progress or (lambda message: None)
     total_cells, pending = plan_pending(spec, store.completed_keys())
     pending_cells = sum(len(block.seeds) for block in pending)

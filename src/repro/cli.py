@@ -285,13 +285,14 @@ def _cmd_campaign_run(args) -> int:
 @_campaign_command
 def _cmd_campaign_status(args) -> int:
     from repro.campaign import render_status
-    from repro.campaign.fabric import watch_campaign
 
     if not _finite_positive(args.interval):
         print("--interval must be a finite number > 0")
         return 2
     spec, store = _campaign_store(args)
     if args.watch:
+        from repro.campaign.fabric import watch_campaign
+
         watch_campaign(
             spec, store, _events_path(store), interval=args.interval
         )

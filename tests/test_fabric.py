@@ -554,6 +554,68 @@ class TestPooledRunAll:
             run_campaigns_fabric([(spec, store, None), (spec, store, None)])
 
 
+class TestProtocolPreload:
+    """The row builders import their protocols on first call; the run
+    paths import them before they plan, so forked workers inherit them."""
+
+    # Rows that share one builder object.  lb-reduction-cd runs on the
+    # K_{2,k} family, so it fuses only with blocks on that family.
+    SHARED_BUILDERS = [
+        ("path", "lb-path", "figure1"),
+        ("cd", "abl-ps-thm12"),
+        ("abl-probe", "abl-ps-thm11", "lb-reduction-cd"),
+    ]
+
+    @pytest.mark.parametrize("rows", SHARED_BUILDERS)
+    def test_shared_builder_rows_share_one_simulation_key(self, rows):
+        from repro.campaign.registry import get_row, simulation_key
+
+        assert len({id(get_row(row).builder) for row in rows}) == 1
+        keys = [simulation_key(row, 8, {}) for row in rows]
+        families = {get_row(row).graph_family for row in rows}
+        # The key is (model, family, builder, id-space rule, size,
+        # options): equal but for the family, one per family.
+        assert len({key[:1] + key[2:] for key in keys}) == 1
+        assert len(set(keys)) == len(families)
+
+    def test_forked_workers_inherit_the_protocol_layer(self, tmp_path):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        store = str(tmp_path / "results.jsonl")
+        script = "\n".join([
+            "import sys",
+            "import repro.campaign.fabric.runner as fabric_runner",
+            "from repro.campaign import CampaignSpec, CampaignStore",
+            "PROTOCOLS = ('repro.broadcast.path', 'repro.lowerbounds.path_lb')",
+            "def loaded():",
+            "    return all(m in sys.modules for m in PROTOCOLS)",
+            "assert not any(m in sys.modules for m in PROTOCOLS)",
+            "seen = {}",
+            "real_plan = fabric_runner.plan_pending",
+            "def plan_pending(*args):",
+            "    seen.setdefault('plan', loaded())",
+            "    return real_plan(*args)",
+            "class WorkerHandle(fabric_runner.WorkerHandle):",
+            "    def __init__(self, *args, **kwargs):",
+            "        seen.setdefault('fork', loaded())",
+            "        super().__init__(*args, **kwargs)",
+            "fabric_runner.plan_pending = plan_pending",
+            "fabric_runner.WorkerHandle = WorkerHandle",
+            "spec = CampaignSpec.from_dict({'name': 'fork', 'rows': [",
+            "    {'row': 'lb-path', 'sizes': [4, 6], 'seeds': [0]}]})",
+            "report = fabric_runner.run_campaign_fabric(",
+            f"    spec, CampaignStore({store!r}), workers=2)",
+            "assert report.all_ok and report.ok == 2, report.summary()",
+            "assert seen == {'plan': True, 'fork': True}, seen",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+
+
 def _running(pid):
     """Whether ``pid`` is a live process; a zombie counts as exited,
     since nothing may reap an orphan here."""

@@ -746,9 +746,7 @@ def test_faulted_local_rows_match_the_oracle(row, graph, fault):
             graph, LOCAL, seed=seed, knowledge=knowledge,
             faults=parse_fault_specs(config),
         ).run(protocol, inputs)
-        assert engine.outputs == oracle.outputs
-        assert engine.energy == oracle.energy
-        assert engine.duration == oracle.duration
+        assert_same_run(engine, oracle, f"{row} seed={seed}")
 
 
 # --- hypothesis properties -------------------------------------------------

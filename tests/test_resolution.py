@@ -39,6 +39,7 @@ from repro.sim.resolution import (
     create_backend,
     numpy_available,
 )
+from tests.conftest import assert_same_run
 
 FIVE_MODELS = {
     "LOCAL": LOCAL,
@@ -191,6 +192,60 @@ class TestBackendRegistry:
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert result.returncode == 0, result.stderr
+
+    def test_report_and_status_load_only_the_report_layer(self, tmp_path):
+        # repro.campaign's names load on first access, and the row
+        # builders import their protocols on first call, so reading a
+        # store never loads the protocols, the fabric or multiprocessing.
+        import repro
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import CampaignSpec
+        from repro.campaign.store import CampaignStore
+
+        config = tmp_path / "light.json"
+        config.write_text(
+            '{"name": "light", "rows": [{"row": "lb-path", "sizes": [4], '
+            '"seeds": [0, 1]}]}'
+        )
+        out = tmp_path / "out"
+        run_campaign(
+            CampaignSpec.from_json_file(str(config)),
+            CampaignStore(str(out / "results.jsonl")),
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = "\n".join([
+            "import sys",
+            "from repro.cli import main",
+            "for command in ('report', 'status'):",
+            f"    assert main(['campaign', command, {str(config)!r},"
+            f" '--out', {str(out)!r}]) == 0",
+            "layers = ('repro.broadcast', 'repro.core', 'repro.lowerbounds',"
+            " 'repro.experiments', 'repro.campaign.fabric', 'multiprocessing')",
+            "loaded = [m for m in layers if m in sys.modules]",
+            "assert not loaded, loaded",
+            "import repro.campaign",
+            "names = {}",
+            "exec('from repro.campaign import *', names)",
+            "missing = [n for n in repro.campaign.__all__ if n not in names]",
+            "assert not missing, missing",
+            "assert repro.campaign.CampaignSpec"
+            " is repro.campaign.spec.CampaignSpec",
+            "assert names['run_campaigns_fabric']"
+            " is repro.campaign.fabric.run_campaigns_fabric",
+            "try:",
+            "    repro.campaign.no_such_name",
+            "except AttributeError as err:",
+            "    assert 'no_such_name' in str(err), err",
+            "else:",
+            "    raise AssertionError('repro.campaign.no_such_name resolved')",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "lb-path" in result.stdout
+        assert "2/2 cells complete" in result.stdout
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -458,11 +513,7 @@ class TestEngineLevelNumpy:
                 graph, NO_CD, seed=4,
                 exec_config=ExecutionConfig(resolution=mode),
             ).run(proto)
-            assert fast.outputs == slow.outputs
-            assert fast.duration == slow.duration
-            assert [e.total for e in fast.energy] == [
-                e.total for e in slow.energy
-            ]
+            assert_same_run(fast, slow, f"n={n} resolution={mode}")
 
     def test_dense_clique_n512(self):
         from repro.sim import Listen, Send
@@ -486,8 +537,5 @@ class TestEngineLevelNumpy:
             exec_config=ExecutionConfig(resolution="numpy"),
         ).run(proto)
         oracle = ReferenceSimulator(graph, NO_CD, seed=0).run(proto)
-        assert numpy_run.outputs == bitmask.outputs == oracle.outputs
-        assert numpy_run.duration == bitmask.duration == oracle.duration
-        assert [e.total for e in numpy_run.energy] == [
-            e.total for e in oracle.energy
-        ]
+        assert_same_run(bitmask, oracle, "bitmask")
+        assert_same_run(numpy_run, oracle, "numpy")
