@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.cells import CellResult, SweepPoint, aggregate_cells
+from repro.campaign.cells import (
+    CellResult,
+    SweepPoint,
+    aggregate_cells,
+    fault_degradation,
+)
 from repro.campaign.registry import get_row, resolve_bounds
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import STATUS_OK, CampaignStore
@@ -261,8 +266,6 @@ def render_degradation(spec: CampaignSpec, store: CampaignStore) -> str:
     completed cells yet) are reported, not errors — a half-finished run
     still renders whatever pairs exist.
     """
-    from repro.experiments.analysis import fault_degradation
-
     points = aggregate_campaign(spec, store, extended=False)
     seen = set()
     sections = []

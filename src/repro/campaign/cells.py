@@ -7,7 +7,9 @@ ablations`` drive) and the fabric's workers both execute blocks through
 — persistence and parallelism are layered on top.
 
 :class:`SweepPoint` is the aggregate of one (row, size) group of cells
-(:func:`aggregate_cells`).
+(:func:`aggregate_cells`); :func:`fault_degradation` pairs a faulted
+row's points with its clean twin's for ``campaign report
+--degradation``.
 
 The stored-record half (:class:`CellResult`, :func:`aggregate_cells`)
 is what ``campaign report`` reads, so this module imports the protocol
@@ -31,6 +33,7 @@ from repro.sim.observers import ContentionHistogramObserver, SlotObserver
 
 __all__ = [
     "SweepPoint",
+    "fault_degradation",
     "CellResult",
     "knowledge_for",
     "run_cells",
@@ -60,6 +63,40 @@ class SweepPoint:
 
     def time_ratio(self, bound: float) -> float:
         return self.time_median / max(bound, 1e-9)
+
+
+def fault_degradation(
+    clean: Sequence[SweepPoint],
+    faulted: Sequence[SweepPoint],
+) -> List[Dict[str, float]]:
+    """Per-size degradation rows for a faulted sweep vs its clean twin.
+
+    Pairs points by ``n`` (sizes present in only one sweep are skipped)
+    and reports, for each common size: median worst-vertex energy,
+    median broadcast time, and success rate (delivered seeds / seeds)
+    under both conditions, plus faulted/clean ratios for the two cost
+    metrics.  Ratios > 1 quantify how much the adversity layer (churn,
+    jamming, bursty loss) costs the protocol.
+    """
+    clean_by_n = {point.n: point for point in clean}
+    rows: List[Dict[str, float]] = []
+    for point in sorted(faulted, key=lambda p: p.n):
+        base = clean_by_n.get(point.n)
+        if base is None:
+            continue
+        rows.append({
+            "n": point.n,
+            "energy_clean": base.max_energy_median,
+            "energy_faulted": point.max_energy_median,
+            "energy_ratio": point.max_energy_median
+            / max(base.max_energy_median, 1e-9),
+            "time_clean": base.time_median,
+            "time_faulted": point.time_median,
+            "time_ratio": point.time_median / max(base.time_median, 1e-9),
+            "success_clean": base.delivered / max(base.seeds, 1),
+            "success_faulted": point.delivered / max(point.seeds, 1),
+        })
+    return rows
 
 
 @dataclass

@@ -26,35 +26,42 @@ The serial runner (:func:`repro.campaign.runner.run_campaign`) remains
 the differential oracle: fabric aggregates are byte-identical to its,
 under injected crashes, hangs, and timeouts (see
 ``tests/test_fabric.py``).
+
+Every public name below resolves on first access through a module
+``__getattr__`` (PEP 562) and imports only the submodule that defines
+it, as :mod:`repro.campaign` does.  So ``campaign report --events``
+loads :mod:`~repro.campaign.fabric.events` alone, and never the workers,
+the runner, the live status or ``multiprocessing``.  Submodule imports
+(``from repro.campaign.fabric import workers``) work as before.
 """
 
-from repro.campaign.fabric.events import (
-    EventLog,
-    read_events,
-    render_events_summary,
-    summarize_events,
-)
-from repro.campaign.fabric.runall import load_campaigns, resolve_run_all
-from repro.campaign.fabric.runner import (
-    FabricRunReport,
-    run_campaign_fabric,
-    run_campaigns_fabric,
-)
-from repro.campaign.fabric.status import render_live_status, watch_campaign
-from repro.campaign.fabric.workers import CRASH_ENV, fabric_context
+from importlib import import_module
 
-__all__ = [
-    "CRASH_ENV",
-    "EventLog",
-    "FabricRunReport",
-    "fabric_context",
-    "load_campaigns",
-    "read_events",
-    "render_events_summary",
-    "render_live_status",
-    "resolve_run_all",
-    "run_campaign_fabric",
-    "run_campaigns_fabric",
-    "summarize_events",
-    "watch_campaign",
-]
+#: The submodule that defines each public name.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("events", (
+            "EventLog", "read_events", "render_events_summary",
+            "summarize_events",
+        )),
+        ("runall", ("load_campaigns", "resolve_run_all")),
+        ("runner", (
+            "FabricRunReport", "run_campaign_fabric", "run_campaigns_fabric",
+        )),
+        ("status", ("render_live_status", "watch_campaign")),
+        ("workers", ("CRASH_ENV", "fabric_context")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

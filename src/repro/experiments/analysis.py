@@ -9,15 +9,18 @@ Turns sweep measurements into the quantities EXPERIMENTS.md reports:
 * :func:`crossover_size` — first size at which one algorithm's cost drops
   below another's (e.g. where clustering starts beating decay).
 * :func:`fault_degradation` — per-size clean-vs-faulted comparison of
-  energy, latency, and success rate (the adversity layer's report).
+  energy, latency, and success rate (the adversity layer's report),
+  defined beside :class:`~repro.campaign.cells.SweepPoint` so that
+  ``campaign report --degradation`` loads no protocol module, and
+  re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.campaign.cells import SweepPoint
+from repro.campaign.cells import SweepPoint, fault_degradation
 
 __all__ = [
     "fit_power_law",
@@ -79,37 +82,3 @@ def crossover_size(
         if other is not None and metric(point) < metric(other):
             return point.n
     return None
-
-
-def fault_degradation(
-    clean: Sequence[SweepPoint],
-    faulted: Sequence[SweepPoint],
-) -> List[Dict[str, float]]:
-    """Per-size degradation rows for a faulted sweep vs its clean twin.
-
-    Pairs points by ``n`` (sizes present in only one sweep are skipped)
-    and reports, for each common size: median worst-vertex energy,
-    median broadcast time, and success rate (delivered seeds / seeds)
-    under both conditions, plus faulted/clean ratios for the two cost
-    metrics.  Ratios > 1 quantify how much the adversity layer (churn,
-    jamming, bursty loss) costs the protocol.
-    """
-    clean_by_n = {point.n: point for point in clean}
-    rows: List[Dict[str, float]] = []
-    for point in sorted(faulted, key=lambda p: p.n):
-        base = clean_by_n.get(point.n)
-        if base is None:
-            continue
-        rows.append({
-            "n": point.n,
-            "energy_clean": base.max_energy_median,
-            "energy_faulted": point.max_energy_median,
-            "energy_ratio": point.max_energy_median
-            / max(base.max_energy_median, 1e-9),
-            "time_clean": base.time_median,
-            "time_faulted": point.time_median,
-            "time_ratio": point.time_median / max(base.time_median, 1e-9),
-            "success_clean": base.delivered / max(base.seeds, 1),
-            "success_faulted": point.delivered / max(point.seeds, 1),
-        })
-    return rows

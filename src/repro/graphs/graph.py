@@ -4,11 +4,19 @@ Vertices are integers ``0..n-1``.  The structure is immutable after
 construction; adjacency lists are sorted tuples so channel resolution and
 LOCAL-model message ordering are deterministic.
 
-Construction makes one pass over the edges, appending each endpoint to
-its partner's list, then sorts each list and collapses repeated entries
+``Graph(n, edges)`` is the one public constructor.  It validates every
+edge and makes one pass over them, appending each endpoint to its
+partner's list, then sorts each list and collapses repeated entries
 where a list has any: O(m) appends and one O(d log d) sort per vertex of
 degree d.  It keeps no edge set and no global edge order, so its cost
 and memory are the adjacency itself.
+
+:meth:`Graph._from_adjacency` is a private, trusted door that takes the
+finished adjacency and checks nothing.  Only
+:func:`repro.graphs.topologies.clique` may use it: a clique is the one
+family with a quadratic edge count, and it slices its rows out of
+``range(n)`` without a per-edge Python step.  Every other family, and
+every caller outside this package, goes through ``Graph(n, edges)``.
 
 Four derived representations are computed lazily and cached, because the
 engine resolves receptions against the same graph for every slot of every
@@ -20,7 +28,10 @@ trial of a sweep:
   whole-graph scans (BFS, connectivity);
 * per-vertex neighbor bitmasks — arbitrary-precision ints with bit ``w``
   set iff ``w`` is a neighbor, so "which of my neighbors transmitted" is a
-  single ``mask & transmit_mask`` instead of a per-neighbor loop;
+  single ``mask & transmit_mask`` instead of a per-neighbor loop.  A
+  complete row (degree n - 1: every other vertex, as in a clique) is
+  ``full ^ (1 << v)`` with ``full = (1 << n) - 1``; every other row
+  folds its neighbors in one at a time;
 * (when numpy is installed) the same masks packed into an ``(n, ceil(n/64))``
   ``uint64`` table, so a whole slot's contention counts resolve as one
   vectorized AND + popcount sweep (the ``resolution="numpy"`` backend).
@@ -64,6 +75,24 @@ class Graph:
         self._csr = None
         self._masks = None
         self._mask_array = None
+
+    @classmethod
+    def _from_adjacency(cls, adj: Tuple[Tuple[int, ...], ...]) -> "Graph":
+        """The graph whose row ``v`` is ``adj[v]``, taken as is.
+
+        Trusted and unchecked: every row must be a sorted tuple with no
+        repeats and no ``v`` in row ``v``, and the rows must be
+        symmetric (``w`` in row ``v`` iff ``v`` in row ``w``), which is
+        what ``__init__`` builds.  Only ``topologies.clique`` calls it.
+        """
+        graph = cls.__new__(cls)
+        graph._n = len(adj)
+        graph._adj = adj
+        graph._edges = None
+        graph._csr = None
+        graph._masks = None
+        graph._mask_array = None
+        return graph
 
     @property
     def n(self) -> int:
@@ -122,11 +151,18 @@ class Graph:
         """All neighbor bitmasks, indexed by vertex; computed once and
         cached so every simulation over this graph shares them."""
         if self._masks is None:
+            complete = self._n - 1
+            full = (1 << self._n) - 1
             masks = []
-            for neighbors in self._adj:
-                mask = 0
-                for w in neighbors:
-                    mask |= 1 << w
+            for v, neighbors in enumerate(self._adj):
+                if len(neighbors) == complete:
+                    # Rows hold no repeats and no loop, so degree n - 1
+                    # is every vertex but v.
+                    mask = full ^ (1 << v)
+                else:
+                    mask = 0
+                    for w in neighbors:
+                        mask |= 1 << w
                 masks.append(mask)
             self._masks = tuple(masks)
         return self._masks

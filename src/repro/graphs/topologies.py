@@ -38,8 +38,22 @@ def cycle_graph(n: int) -> Graph:
 
 
 def clique(n: int) -> Graph:
-    """Single-hop network: every pair of devices is adjacent."""
-    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    """Single-hop network: every pair of devices is adjacent.
+
+    Row ``v`` is ``range(n)`` without ``v``, sliced out of one tuple and
+    passed to ``Graph._from_adjacency``, the trusted door that only this
+    family uses: the n(n - 1)/2 edges (130,816 at n = 512) never go one
+    at a time through ``Graph.__init__``'s validating loop.  The result
+    equals ``Graph(n, all pairs)`` in every view.  Every row is
+    complete, so ``neighbor_masks`` builds row ``v`` as
+    ``full ^ (1 << v)`` instead of folding in n - 1 neighbors.
+    """
+    if n < 1:
+        return Graph(n, ())  # raises the public door's ValueError
+    full = tuple(range(n))
+    return Graph._from_adjacency(
+        tuple(full[:v] + full[v + 1:] for v in range(n))
+    )
 
 
 def star_graph(n: int) -> Graph:

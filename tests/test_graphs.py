@@ -77,6 +77,20 @@ def _edge_lists(draw):
     return n, edges
 
 
+@st.composite
+def _graphs_with_hubs(draw):
+    """``(n, edges)`` on 1..9 vertices: every hub is joined to every other
+    vertex, so its row is complete, and the other edges are random
+    pairs, which may repeat or leave a vertex isolated."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    hubs = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    edges = [(u, v) for u, v in pairs if u in hubs or v in hubs]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=12))
+    return n, edges
+
+
 def _error(n, edges) -> str:
     """The message of the ``ValueError`` that ``Graph(n, edges)`` raises."""
     with pytest.raises(ValueError) as raised:
@@ -146,6 +160,32 @@ class TestGraphBasics:
         # cached: same tuple object on every call
         assert g.neighbor_masks() is g.neighbor_masks()
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=_graphs_with_hubs())
+    @example(case=(1, []))
+    @example(case=(2, []))
+    @example(case=(2, [(0, 1)]))
+    @example(case=(4, [(0, 1), (0, 2), (0, 3)]))
+    @example(case=(5, [(1, 2), (2, 3)]))
+    def test_neighbor_masks_equal_a_per_neighbor_fold(self, case):
+        """Complete rows (degree n - 1) and the rest both equal one
+        ``mask |= 1 << w`` per neighbor, and so do a complete graph's
+        masks when ``clique`` builds it."""
+        n, edges = case
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        expected = []
+        for neighbors in adj:
+            mask = 0
+            for w in neighbors:
+                mask |= 1 << w
+            expected.append(mask)
+        assert Graph(n, edges).neighbor_masks() == tuple(expected)
+        if all(len(neighbors) == n - 1 for neighbors in adj):
+            assert clique(n).neighbor_masks() == tuple(expected)
+
     def test_csr_matches_adjacency(self):
         g = random_gnp(10, 0.5, random.Random(7))
         indptr, indices = g.csr()
@@ -189,6 +229,30 @@ class TestTopologies:
         g = clique(6)
         assert len(g.edges) == 15
         assert diameter(g) == 1
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 255, 256, 257, 512])
+    def test_clique_equals_the_edge_built_graph(self, n):
+        """``clique`` builds its rows without ``Graph.__init__``; every
+        view equals the graph built from all n(n - 1)/2 pairs."""
+        g = clique(n)
+        oracle = Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+        assert [g.neighbors(v) for v in range(n)] == [
+            oracle.neighbors(v) for v in range(n)
+        ]
+        assert g.edges == oracle.edges
+        assert g.csr() == oracle.csr()
+        assert g.neighbor_masks() == oracle.neighbor_masks() == tuple(
+            sum(1 << w for w in oracle.neighbors(v)) for v in range(n)
+        )
+        assert g.max_degree == oracle.max_degree == n - 1
+        assert repr(g) == repr(oracle) == f"Graph(n={n}, m={n * (n - 1) // 2})"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_clique_needs_a_vertex(self, n):
+        with pytest.raises(ValueError) as raised:
+            clique(n)
+        assert str(raised.value) == _error(n, [])
+        assert str(raised.value) == f"graph needs at least one vertex, got n={n}"
 
     def test_k2k_gadget(self):
         g, s, t = k2k_gadget(4)

@@ -194,58 +194,121 @@ class TestBackendRegistry:
         assert result.returncode == 0, result.stderr
 
     def test_report_and_status_load_only_the_report_layer(self, tmp_path):
-        # repro.campaign's names load on first access, and the row
-        # builders import their protocols on first call, so reading a
-        # store never loads the protocols, the fabric or multiprocessing.
+        # repro.campaign's and repro.campaign.fabric's names load on first
+        # access, the row builders import their protocols on first call,
+        # and the degradation table's reduction lives beside SweepPoint,
+        # so reading a store never loads the protocols, the fabric
+        # runner or multiprocessing.  Each command runs in its own
+        # process, since a module one loads would hide another's.
         import repro
+        from repro.campaign.fabric.events import EventLog
         from repro.campaign.runner import run_campaign
         from repro.campaign.spec import CampaignSpec
         from repro.campaign.store import CampaignStore
 
-        config = tmp_path / "light.json"
-        config.write_text(
-            '{"name": "light", "rows": [{"row": "lb-path", "sizes": [4], '
-            '"seeds": [0, 1]}]}'
+        def store_for(name, rows):
+            config = tmp_path / f"{name}.json"
+            config.write_text(
+                f'{{"name": "{name}", "rows": [{", ".join(rows)}]}}'
+            )
+            out = tmp_path / name
+            run_campaign(
+                CampaignSpec.from_json_file(str(config)),
+                CampaignStore(str(out / "results.jsonl")),
+            )
+            return str(config), str(out)
+
+        clean = '{"row": "lb-path", "sizes": [4], "seeds": [0, 1]}'
+        light, light_out = store_for("light", [clean])
+        faulted, faulted_out = store_for("faulted", [
+            clean,
+            '{"row": "lb-path", "sizes": [4], "seeds": [0, 1], '
+            '"options": {"jam": "random:rate=0.15"}}',
+        ])
+        with EventLog(os.path.join(faulted_out, "events.jsonl")) as log:
+            log.emit("run_started", campaign="faulted", total=4, cached=0,
+                     pending=4, workers=1)
+            log.emit("worker_born", worker=0, pid=1)
+            log.emit("block_dispatched", block=0, worker=0, row="lb-path",
+                     size=4, seeds=2, attempt=0)
+            log.emit("block_completed", block=0, worker=0, ok=2, failed=0,
+                     elapsed=0.1)
+            log.emit("run_completed", ok=2, failed=0)
+        report_layer = (
+            "repro.broadcast", "repro.core", "repro.lowerbounds",
+            "repro.experiments", "repro.campaign.fabric", "multiprocessing",
         )
-        out = tmp_path / "out"
-        run_campaign(
-            CampaignSpec.from_json_file(str(config)),
-            CampaignStore(str(out / "results.jsonl")),
+        # --events reads the ledger through fabric/events.py alone.
+        events_layer = tuple(
+            m for m in report_layer if m != "repro.campaign.fabric"
+        ) + (
+            "repro.campaign.fabric.workers", "repro.campaign.fabric.runner",
+            "repro.campaign.fabric.status",
+        )
+        def names_check(package, *extra):
+            """Every name in ``package.__all__`` resolves, and an unknown
+            name raises AttributeError."""
+            return [
+                f"import {package}",
+                "names = {}",
+                f"exec('from {package} import *', names)",
+                f"missing = [n for n in {package}.__all__ if n not in names]",
+                "assert not missing, missing",
+                *extra,
+                "try:",
+                f"    {package}.no_such_name",
+                "except AttributeError as err:",
+                "    assert 'no_such_name' in str(err), err",
+                "else:",
+                f"    raise AssertionError('{package}.no_such_name resolved')",
+            ]
+
+        cases = (
+            # (commands, modules none may load, checks after, output)
+            ([("report", light, light_out), ("status", light, light_out)],
+             report_layer,
+             names_check(
+                 "repro.campaign",
+                 "assert repro.campaign.CampaignSpec"
+                 " is repro.campaign.spec.CampaignSpec",
+                 "assert names['run_campaigns_fabric']"
+                 " is repro.campaign.fabric.run_campaigns_fabric",
+             ),
+             ("lb-path", "2/2 cells complete")),
+            ([("report", faulted, faulted_out, "--degradation")],
+             report_layer, [], ("vs clean twin lb-path",)),
+            ([("report", faulted, faulted_out, "--events")],
+             events_layer,
+             names_check(
+                 "repro.campaign.fabric",
+                 "from repro.campaign.fabric import workers",
+                 "assert repro.campaign.fabric.CRASH_ENV"
+                 " is workers.CRASH_ENV",
+             ),
+             ("fabric events:", "worker 0: 1 block(s)")),
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        script = "\n".join([
-            "import sys",
-            "from repro.cli import main",
-            "for command in ('report', 'status'):",
-            f"    assert main(['campaign', command, {str(config)!r},"
-            f" '--out', {str(out)!r}]) == 0",
-            "layers = ('repro.broadcast', 'repro.core', 'repro.lowerbounds',"
-            " 'repro.experiments', 'repro.campaign.fabric', 'multiprocessing')",
-            "loaded = [m for m in layers if m in sys.modules]",
-            "assert not loaded, loaded",
-            "import repro.campaign",
-            "names = {}",
-            "exec('from repro.campaign import *', names)",
-            "missing = [n for n in repro.campaign.__all__ if n not in names]",
-            "assert not missing, missing",
-            "assert repro.campaign.CampaignSpec"
-            " is repro.campaign.spec.CampaignSpec",
-            "assert names['run_campaigns_fabric']"
-            " is repro.campaign.fabric.run_campaigns_fabric",
-            "try:",
-            "    repro.campaign.no_such_name",
-            "except AttributeError as err:",
-            "    assert 'no_such_name' in str(err), err",
-            "else:",
-            "    raise AssertionError('repro.campaign.no_such_name resolved')",
-        ])
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert result.returncode == 0, result.stderr
-        assert "lb-path" in result.stdout
-        assert "2/2 cells complete" in result.stdout
+        for commands, layers, checks, expected in cases:
+            script = "\n".join([
+                "import sys",
+                "from repro.cli import main",
+                *(
+                    f"assert main(['campaign', {command!r}, {config!r},"
+                    f" '--out', {out!r}, *{list(flags)!r}]) == 0"
+                    for command, config, out, *flags in commands
+                ),
+                f"layers = {layers!r}",
+                "loaded = [m for m in layers if m in sys.modules]",
+                "assert not loaded, loaded",
+                *checks,
+            ])
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src),
+            )
+            assert result.returncode == 0, (commands, result.stderr)
+            for text in expected:
+                assert text in result.stdout, (commands, result.stdout)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
